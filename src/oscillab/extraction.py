@@ -66,7 +66,6 @@ from .operators import (
     commutator,
 )
 from .spaces import SpaceSpec, associate, chi_norm, norm
-from .util import parallel_map
 
 _BALL_SEED = 20240817
 
@@ -575,6 +574,7 @@ def verify_master_chain(
     Yp = associate(Y)
     scale_pref = (r / delta) ** d
     c_pref = scale_pref / meas_prod
+    nfg = chi_norm(X1, qp, grid) * (chi_norm(X2, derived[1], grid) if bilinear else 1.0)
 
     def one_mode(j: int):
         nu = expansion.freqs[j]
@@ -588,13 +588,9 @@ def verify_master_chain(
                 f"commutator window does not cover the test supports on {q}"
             )
         integral = complex(np.sum(triple.h.values[sl_q] * C.values[sl_q]) * cell)
-        nh = norm(triple.h, Yp)
-        nC = norm(C, Y)
-        nf = chi_norm(X1, qp, grid)
-        ng = chi_norm(X2, derived[1], grid) if bilinear else 1.0
-        return integral, nh, nC, nf * ng
+        return integral, norm(triple.h, Yp), norm(C, Y), nfg
 
-    mode_rows = parallel_map(one_mode, range(expansion.N))
+    mode_rows = [one_mode(j) for j in range(expansion.N)]
     a = expansion.coeffs
     resum = complex(sum(a[j] * mode_rows[j][0] for j in range(expansion.N)))
     stage_iii_c = c_pref * resum

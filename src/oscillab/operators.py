@@ -213,6 +213,11 @@ def _linear_2d(fv: np.ndarray, kernel: KernelSpec, h: float, windowed: bool) -> 
     if sup is None:
         return out
     cell = h * h
+    # table[k1 + m - 1, k2 + m - 1] = K(-k h): the partner y = x + k h
+    # contributes K(x - y) f(y)
+    offs = np.arange(m - 1, -m, -1) * h
+    o1, o2 = np.meshgrid(offs, offs, indexing="ij")
+    table = kernel.evaluate(np.stack([o1, o2], axis=-1))
     for k1 in range(-(m - 1), m):
         # partner x + (k1, k2) h must be able to hit the support box
         if k1 > sup[0][1] or k1 < sup[0][0] - (m - 1):
@@ -236,7 +241,7 @@ def _linear_2d(fv: np.ndarray, kernel: KernelSpec, h: float, windowed: bool) -> 
             xhi2 = min(xhi2, sup[1][1] - k2 + 1)
             if xlo1 >= xhi1 or xlo2 >= xhi2:
                 continue
-            kv = kernel.evaluate(np.array([[k1 * h, k2 * h]]))[0]
+            kv = table[k1 + m - 1, k2 + m - 1]
             if kv == 0.0:
                 continue
             out[xlo1:xhi1, xlo2:xhi2] += (
@@ -304,37 +309,18 @@ def _self_cell_bilinear(kernel: KernelSpec, h: float) -> float:
     return float(np.sum(kernel.evaluate(pts)) * step**kernel.D)
 
 
-def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
-    _require(kernel.arity == "bilinear", "need a bilinear kernel")
-    if f.grid != g.grid:
-        raise GridMismatch("bilinear operands live on different grids")
-    grid = f.grid
-    _check_dim(grid, kernel)
-    m, n, h = grid.m, grid.n, grid.h
-    singular = kernel.alpha == 0.0
+def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
+    """Yield (start, stop, K, here) per _MAX_TENSOR slice of output cells.
 
+    K is the (X, Y, Z) kernel tensor over the nonzero cells ysel of f and
+    zsel of g, with the principal-value window applied on the singular path
+    and the pair y = z = x zeroed; here holds the flat indices of the
+    slice's cells where y = x and z = x both occur (the fractional
+    self-cell correction)."""
+    m, n = grid.m, grid.n
     coords, idx = _flat_cells(grid)
-    fflat = f.values.reshape(-1)
-    gflat = g.values.reshape(-1)
-    ysel = np.flatnonzero(fflat)
-    zsel = np.flatnonzero(gflat)
-    out = np.zeros(coords.shape[0], dtype=np.result_type(fflat, gflat))
-    sup_f = _support_ranges(f.values)
-    sup_g = _support_ranges(g.values)
-    if len(ysel) == 0 or len(zsel) == 0:
-        vals = out.reshape(grid.shape)
-        mask = None
-        if singular:
-            mask = coverage_mask(grid, None)
-        return GridFunction(grid, vals, mask)
-
     ycoord, yidx = coords[ysel], idx[ysel]
     zcoord, zidx = coords[zsel], idx[zsel]
-    fy = fflat[ysel]
-    gz = gflat[zsel]
-    cell2 = h ** (2 * n)
-    correction = 0.0 if singular else _self_cell_bilinear(kernel, h)
-
     chunk = max(1, _MAX_TENSOR // max(1, len(ysel) * len(zsel)))
     for start in range(0, coords.shape[0], chunk):
         stop = min(start + chunk, coords.shape[0])
@@ -350,7 +336,7 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
             axis=-1,
         )
         K = kernel.evaluate(W)
-        if singular:
+        if kernel.alpha == 0.0:
             reach = np.minimum(xi, m - 1 - xi)  # (X, n)
             wy = np.all(np.abs(xi[:, None, :] - yidx[None, :, :]) <= reach[:, None, :], axis=-1)
             wz = np.all(np.abs(xi[:, None, :] - zidx[None, :, :]) <= reach[:, None, :], axis=-1)
@@ -360,11 +346,67 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
         eq_y = np.all(xi[:, None, :] == yidx[None, :, :], axis=-1)
         eq_z = np.all(xi[:, None, :] == zidx[None, :, :], axis=-1)
         K = np.where(eq_y[:, :, None] & eq_z[:, None, :], 0.0, K)
+        here = start + np.flatnonzero(eq_y.any(axis=1) & eq_z.any(axis=1))
+        yield start, stop, K, here
+
+
+# Recently built kernel tables, newest first. The estimate chain applies
+# T(f, g) and T(b f, g) for every Fourier mode of a cube, all on the same
+# nonzero sets, so two slots serve every mode after the first. The key is
+# the exact nonzero sets, not their support box, so a reused table holds
+# exactly the entries a fresh build would.
+_PLAN_SLOTS = 2
+_plans: list[tuple[tuple, tuple]] = []
+
+
+def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
+    """The chunks of `_kernel_chunks`, kept for reuse when they fit in one
+    _MAX_TENSOR chunk; larger tables are rebuilt chunk by chunk on every
+    call, so they never hold more than one chunk in memory."""
+    key = (grid, kernel, ysel.tobytes(), zsel.tobytes())
+    for plan_key, chunks in _plans:
+        if plan_key == key:
+            return chunks
+    chunks = _kernel_chunks(grid, kernel, ysel, zsel)
+    if grid.m**grid.n * len(ysel) * len(zsel) > _MAX_TENSOR:
+        return chunks
+    chunks = tuple(chunks)
+    _plans[:] = [(key, chunks)] + _plans[: _PLAN_SLOTS - 1]
+    return chunks
+
+
+def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
+    _require(kernel.arity == "bilinear", "need a bilinear kernel")
+    if f.grid != g.grid:
+        raise GridMismatch("bilinear operands live on different grids")
+    grid = f.grid
+    _check_dim(grid, kernel)
+    n, h = grid.n, grid.h
+    singular = kernel.alpha == 0.0
+
+    fflat = f.values.reshape(-1)
+    gflat = g.values.reshape(-1)
+    ysel = np.flatnonzero(fflat)
+    zsel = np.flatnonzero(gflat)
+    out = np.zeros(fflat.shape[0], dtype=np.result_type(fflat, gflat))
+    sup_f = _support_ranges(f.values)
+    sup_g = _support_ranges(g.values)
+    if len(ysel) == 0 or len(zsel) == 0:
+        vals = out.reshape(grid.shape)
+        mask = None
+        if singular:
+            mask = coverage_mask(grid, None)
+        return GridFunction(grid, vals, mask)
+
+    fy = fflat[ysel]
+    gz = gflat[zsel]
+    cell2 = h ** (2 * n)
+    correction = 0.0 if singular else _self_cell_bilinear(kernel, h)
+    for start, stop, K, here in _bilinear_plan(grid, kernel, ysel, zsel):
         out[start:stop] = np.einsum("xyz,y,z->x", K, fy, gz) * cell2
         if correction != 0.0:
-            here = np.flatnonzero(eq_y.any(axis=1) & eq_z.any(axis=1))
             for i in here:
-                out[start + i] += correction * fflat[start + i] * gflat[start + i]
+                out[i] += correction * fflat[i] * gflat[i]
 
     vals = out.reshape(grid.shape)
     mask = None

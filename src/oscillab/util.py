@@ -1,37 +1,8 @@
-"""Small shared helpers: thread-capped maps, growth classification."""
+"""Small shared helpers: growth classification."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-THREAD_ENV = "OSCILLAB_THREADS"
-
-
-def thread_budget() -> int:
-    raw = os.environ.get(THREAD_ENV, "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        return 1
-    return max(1, v)
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Order-preserving map, threaded when OSCILLAB_THREADS > 1.
-
-    Results are collected by index and reduced by the caller in list order,
-    so the thread count never changes any computed value.
-    """
-    budget = thread_budget()
-    if budget <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=budget) as pool:
-        return list(pool.map(fn, items))
+from typing import Sequence
 
 
 def growth_steps(values: Sequence[float]) -> list[float]:

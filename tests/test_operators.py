@@ -38,7 +38,7 @@ from oscillab import (
     operator_norm_estimate,
     singular_integral,
 )
-from oscillab import fixtures
+from oscillab import fixtures, operators
 
 
 HILBERT = fixtures.make_kernel("hilbert", 1)
@@ -270,3 +270,139 @@ def test_operator_handle_dispatch():
         lin(f, f)
     with pytest.raises(ValueError):
         bil(f)
+
+
+# ---- Brute-force direct sums in 2D ----
+
+
+def _block_input(g, rng):
+    """Random values on a 3 x 4 cell block, off centre so reflections show."""
+    vals = np.zeros(g.shape)
+    vals[13:16, 17:21] = rng.standard_normal((3, 4))
+    return GridFunction(g, vals)
+
+
+def _direct_sum_2d(f, k, points):
+    """sum over y != x of K(x - y) f(y) h^2, one kernel call per term."""
+    g = f.grid
+    x0, x1 = g.axis_centers(0), g.axis_centers(1)
+    cells = list(zip(*np.nonzero(f.values)))
+    out = []
+    for i, j in points:
+        acc = 0.0
+        for a, b in cells:
+            if (a, b) == (i, j):
+                continue
+            u = np.array([[x0[i] - x0[a], x1[j] - x1[b]]])
+            acc += float(k.evaluate(u)[0]) * f.values[a, b] * g.cell_volume
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        fixtures.make_kernel("riesz_1", 2),
+        # cos t + sin 2t: mean zero, neither odd nor even
+        KernelSpec("linear", 2, 0.0, lambda t: t[..., 0] + 2 * t[..., 0] * t[..., 1]),
+    ],
+    ids=["riesz_1", "cos+sin2"],
+)
+def test_singular_2d_matches_direct_sum(k):
+    g = Grid((-2.0, -2.0), (2.0, 2.0), 32)
+    f = _block_input(g, np.random.default_rng(11))
+    out = singular_integral(f, k)
+    points = list(zip(*np.nonzero(out.mask)))
+    assert len(points) > 0
+    got = np.array([out.values[p] for p in points])
+    want = _direct_sum_2d(f, k, points)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fractional_2d_matches_direct_sum():
+    # 2 + cos t + sin 2t is positive and not even; points off the input's
+    # support carry no self-cell correction
+    g = Grid((-2.0, -2.0), (2.0, 2.0), 32)
+    k = KernelSpec("linear", 2, 1.0, lambda t: 2.0 + t[..., 0] + 2 * t[..., 0] * t[..., 1])
+    f = _block_input(g, np.random.default_rng(12))
+    out = fractional_integral(f, k.alpha, k)
+    points = list(zip(*np.nonzero(f.values == 0.0)))
+    got = np.array([out.values[p] for p in points])
+    want = _direct_sum_2d(f, k, points)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# ---- Bilinear plan reuse ----
+
+
+def _cold(k, f, g):
+    """The application with no kernel table kept from earlier calls."""
+    operators._plans.clear()
+    out = OperatorHandle(k)(f, g)
+    operators._plans.clear()
+    return out
+
+
+def _same(a, b):
+    return np.array_equal(a.values, b.values) and (
+        (a.mask is None and b.mask is None) or np.array_equal(a.mask, b.mask)
+    )
+
+
+def _on(g, lo, hi, rng):
+    x = g.meshes()[0]
+    return GridFunction(g, rng.standard_normal(g.shape) * ((x >= lo) & (x < hi)))
+
+
+def _revalue(fn, rng):
+    """New values on the same nonzero cells."""
+    return GridFunction(fn.grid, np.where(fn.values != 0, rng.standard_normal(fn.grid.shape), 0.0))
+
+
+def test_bilinear_plan_reuse_new_values_and_interior_zero():
+    g = Grid((-2.0,), (2.0,), 64)
+    k = fixtures.make_kernel("bilinear_riesz", 1)
+    rng = np.random.default_rng(5)
+    f, h = _on(g, -1.0, 0.0, rng), _on(g, 0.0, 0.5, rng)
+    f2 = _revalue(f, rng)
+    # an interior zero keeps the support box but changes the nonzero set
+    hole = f2.values.copy()
+    hole[np.flatnonzero(hole)[3]] = 0.0
+    f3 = GridFunction(g, hole)
+    want2, want3 = _cold(k, f2, h), _cold(k, f3, h)
+    OperatorHandle(k)(f, h)
+    plan = operators._plans[0]
+    assert _same(OperatorHandle(k)(f2, h), want2)
+    assert operators._plans[0] is plan
+    assert _same(OperatorHandle(k)(f3, h), want3)
+    assert operators._plans[0] is not plan
+
+
+def test_bilinear_plan_reuse_alternating_pairs_and_kernels():
+    g = Grid((-2.0,), (2.0,), 64)
+    k1 = fixtures.make_kernel("bilinear_riesz", 1)
+    k2 = KernelSpec("bilinear", 1, 0.0, lambda t: t[..., 0] + t[..., 1] ** 3, name="other")
+    rng = np.random.default_rng(6)
+    a = (_on(g, -1.0, 0.0, rng), _on(g, 0.0, 0.5, rng))
+    b = (_on(g, -0.5, 0.25, rng), _on(g, 0.5, 1.0, rng))
+    kernels, pairs = {"k1": k1, "k2": k2}, {"a": a, "b": b}
+    want = {(kn, pn): _cold(k, *p) for kn, k in kernels.items() for pn, p in pairs.items()}
+    assert not _same(want[("k1", "a")], want[("k2", "a")])
+    for kn in ("k1", "k2", "k1"):
+        for pn in ("a", "b", "a"):
+            got = OperatorHandle(kernels[kn])(*pairs[pn])
+            assert _same(got, want[(kn, pn)]), (kn, pn)
+
+
+def test_bilinear_plan_reuse_fractional_self_cell():
+    g = Grid((-2.0,), (2.0,), 64)
+    k = distance_kernel(1, 1.2)
+    rng = np.random.default_rng(7)
+    f, h = _on(g, -1.0, 0.5, rng), _on(g, -0.5, 1.0, rng)
+    f2, h2 = _revalue(f, rng), _revalue(h, rng)
+    want, want2 = _cold(k, f, h), _cold(k, f2, h2)
+    OperatorHandle(k)(f, h)
+    plan = operators._plans[0]
+    assert _same(OperatorHandle(k)(f2, h2), want2)
+    assert _same(OperatorHandle(k)(f, h), want)
+    assert operators._plans[0] is plan
