@@ -15,6 +15,7 @@ from .errors import (
     BracketFailure,
     ConfigError,
     ConjugateUndefined,
+    ConvergenceFailure,
     DivisionByZeroNorm,
     EmptyCube,
     GridMismatch,
@@ -31,6 +32,7 @@ from .errors import (
 from .grid import (
     Cube,
     CubeFamily,
+    FamilyIndex,
     Grid,
     GridFunction,
     centered_family,
@@ -52,6 +54,7 @@ from .spaces import (
     associate,
     chiQ_norm_ratio,
     chi_norm,
+    chi_norms,
     condition_bilinear,
     condition_linear,
     conjugate_exponent,

@@ -13,11 +13,17 @@ import numpy as np
 from .grid import Cube, CubeFamily, Grid, GridFunction, cube_average, cube_slices
 
 
+def _oscillations(blocks: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Average of |f - f_Q| over each block stacked along axis 0."""
+    size = blocks[0].size
+    fq = blocks.sum(axis=axes, keepdims=True) / size
+    return np.abs(blocks - fq).sum(axis=axes) / size
+
+
 def mean_oscillation(f: GridFunction, cube: Cube) -> float:
     """Average of |f - f_Q| over Q, with f_Q the cell average on Q."""
     block = f.values[cube_slices(f.grid, cube)]
-    fq = np.sum(block) / block.size
-    return float(np.sum(np.abs(block - fq)) / block.size)
+    return float(_oscillations(block[None], tuple(range(1, block.ndim + 1)))[0])
 
 
 def mean_oscillation_shifted(f: GridFunction, cube: Cube, reference: Cube) -> float:
@@ -44,7 +50,7 @@ class OscillationReport:
 
 def bmo_seminorm(f: GridFunction, family: CubeFamily) -> OscillationReport:
     """sup over the family of the mean oscillation; exact for the finite family."""
-    vals = [mean_oscillation(f, q) for q in family]
+    vals = family.index(f.grid).reduce(f.values, _oscillations).tolist()
     best = int(np.argmax(vals))
     return OscillationReport(float(vals[best]), family.cubes[best], tuple(vals), family.provenance)
 

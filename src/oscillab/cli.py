@@ -187,6 +187,35 @@ def _check(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+# Integer keys and the values a run can use; anything else would crash part
+# way through a run or let it finish without doing any work.
+INTEGER_KEYS = {
+    "seed": (lambda v: True, "an integer"),
+    "dimension": (lambda v: v in (1, 2), "1 or 2"),
+    "m": (lambda v: v >= 4, "an integer >= 4"),
+    "trials": (lambda v: v >= 1, "an integer >= 1"),
+}
+
+
+def _validate_numbers(data: dict):
+    for key, (ok, what) in INTEGER_KEYS.items():
+        if key in data:
+            v = data[key]
+            if isinstance(v, bool) or not isinstance(v, int) or not ok(v):
+                raise ConfigError(f"{key} must be {what}, got {v!r}")
+    if "box" in data:
+        box = data["box"]
+        if not (
+            isinstance(box, list)
+            and len(box) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in box)
+            and math.isfinite(box[0])
+            and math.isfinite(box[1])
+            and box[0] < box[1]
+        ):
+            raise ConfigError(f"box must be [lo, hi] with finite lo < hi, got {box!r}")
+
+
 class ExperimentConfig:
     """Flat JSON config with per-experiment defaults layered underneath."""
 
@@ -201,8 +230,9 @@ class ExperimentConfig:
             )
         if "seed" not in data:
             raise ConfigError("config needs a seed (randomized probes refuse to guess)")
+        _validate_numbers(data)
         self.experiment = name
-        self.seed = int(data["seed"])
+        self.seed = data["seed"]
         for key, val in data.items():
             if key.endswith("_tol") or key == "tolerance":
                 if not isinstance(val, (int, float)) or val <= 0:
@@ -273,13 +303,16 @@ class ScopedConfig:
         if spec is None:
             return None
         parts = str(spec).split(":")
-        if parts[0] == "lebesgue" and len(parts) == 2:
-            return Lebesgue(float(parts[1]))
-        if parts[0] == "weighted" and len(parts) >= 3:
-            w = fixtures.make_weight(":".join(parts[2:]), grid)
-            return Weighted(float(parts[1]), w)
-        if parts[0] == "variable" and len(parts) >= 2:
-            return Variable(fixtures.make_exponent(":".join(parts[1:]), grid))
+        try:
+            if parts[0] == "lebesgue" and len(parts) == 2:
+                return Lebesgue(float(parts[1]))
+            if parts[0] == "weighted" and len(parts) >= 3:
+                w = fixtures.make_weight(":".join(parts[2:]), grid)
+                return Weighted(float(parts[1]), w)
+            if parts[0] == "variable" and len(parts) >= 2:
+                return Variable(fixtures.make_exponent(":".join(parts[1:]), grid))
+        except ValueError as e:
+            raise ConfigError(f"bad space spec {spec!r} for {key}: {e}") from None
         raise ConfigError(f"cannot parse space spec {spec!r} for {key}")
 
 

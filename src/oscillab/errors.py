@@ -35,6 +35,14 @@ class BracketFailure(OscillabError):
     """Luxemburg bisection could not bracket the unit-modular level."""
 
 
+class ConvergenceFailure(OscillabError):
+    """Luxemburg bisection missed MODULAR_TOL within its step budget."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
 class ConjugateUndefined(OscillabError):
     """Conjugate exponent requested where p attains 1."""
 

@@ -28,7 +28,6 @@ from .errors import (
     DivisionByZeroNorm,
     GridMismatch,
     MeanZeroViolation,
-    UncoveredPoint,
 )
 from .grid import Cube, CubeFamily, Grid, GridFunction, cube_measure, cube_slices
 from .spaces import SpaceSpec, norm
@@ -494,18 +493,10 @@ def maximal(f: GridFunction, alpha: float, family: CubeFamily) -> GridFunction:
     |Q|^(alpha/n) * (cell average of |f| on Q). The family must cover the grid."""
     g = f.grid
     _alpha_check(alpha, g.n, "linear")
-    out = np.zeros(g.shape)
-    covered = np.zeros(g.shape, dtype=bool)
-    av = np.abs(f.values)
-    for q in family:
-        sl = cube_slices(g, q)
-        block = av[sl]
-        val = cube_measure(g, q) ** (alpha / g.n) * (np.sum(block) / block.size)
-        np.maximum(out[sl], val, out=out[sl])
-        covered[sl] = True
-    if not covered.all():
-        raise UncoveredPoint(f"{(~covered).sum()} cells lie in no family cube")
-    return GridFunction(g, out)
+    index = family.index(g)
+    means = index.means(np.abs(f.values)).tolist()
+    vals = [meas ** (alpha / g.n) * a for meas, a in zip(index.measures, means)]
+    return GridFunction(g, index.scatter_max(vals))
 
 
 def bilinear_maximal(f: GridFunction, g: GridFunction, alpha: float, family: CubeFamily) -> GridFunction:
@@ -513,24 +504,14 @@ def bilinear_maximal(f: GridFunction, g: GridFunction, alpha: float, family: Cub
         raise GridMismatch("bilinear operands live on different grids")
     gr = f.grid
     _alpha_check(alpha, gr.n, "bilinear")
-    out = np.zeros(gr.shape)
-    covered = np.zeros(gr.shape, dtype=bool)
-    af = np.abs(f.values)
-    ag = np.abs(g.values)
-    for q in family:
-        sl = cube_slices(gr, q)
-        fb = af[sl]
-        gb = ag[sl]
-        val = (
-            cube_measure(gr, q) ** (alpha / gr.n)
-            * (np.sum(fb) / fb.size)
-            * (np.sum(gb) / gb.size)
-        )
-        np.maximum(out[sl], val, out=out[sl])
-        covered[sl] = True
-    if not covered.all():
-        raise UncoveredPoint(f"{(~covered).sum()} cells lie in no family cube")
-    return GridFunction(gr, out)
+    index = family.index(gr)
+    means_f = index.means(np.abs(f.values)).tolist()
+    means_g = index.means(np.abs(g.values)).tolist()
+    vals = [
+        meas ** (alpha / gr.n) * a * b
+        for meas, a, b in zip(index.measures, means_f, means_g)
+    ]
+    return GridFunction(gr, index.scatter_max(vals))
 
 
 # ---- Commutators ----

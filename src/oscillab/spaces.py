@@ -18,6 +18,7 @@ from .errors import (
     AlphaOutOfRange,
     BracketFailure,
     ConjugateUndefined,
+    ConvergenceFailure,
     DivisionByZeroNorm,
     GridMismatch,
     NonPositiveWeight,
@@ -30,11 +31,11 @@ from .grid import (
     GridFunction,
     cube_measure,
     cube_slices,
-    integrate,
 )
 
 MODULAR_TOL = 1e-10
 MAX_DOUBLINGS = 60
+MAX_BISECTIONS = 200
 
 
 def conjugate_exponent(p: float) -> float:
@@ -258,8 +259,7 @@ def _luxemburg_lambda(absvals: np.ndarray, pvals: np.ndarray, cellvol: float) ->
         else:
             raise BracketFailure("no lower bracket after 60 halvings")
 
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         r = modular(mid)
         if abs(r - 1.0) <= MODULAR_TOL:
@@ -268,7 +268,59 @@ def _luxemburg_lambda(absvals: np.ndarray, pvals: np.ndarray, cellvol: float) ->
             lo = mid
         else:
             hi = mid
-    return mid
+    raise ConvergenceFailure(
+        f"modular misses 1 by {abs(r - 1.0):.3e} after {MAX_BISECTIONS} bisections", abs(r - 1.0)
+    )
+
+
+def _chi_lambdas(pvals: np.ndarray, cellvol: float) -> list[float]:
+    """_luxemburg_lambda(ones, row, cellvol) for every row of pvals at once.
+
+    The rows run the scalar bracket and bisection in lockstep on (rows,
+    cells) arrays and drop out as they meet MODULAR_TOL, so each row does
+    exactly the scalar arithmetic: |f| / lam is materialized before the
+    power and each modular is one contiguous row sum.
+    """
+    ones = np.ones_like(pvals)
+
+    def modular(lam: np.ndarray, live: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.sum((ones[live] / lam[:, None]) ** pvals[live], axis=1) * cellvol
+
+    every = np.arange(pvals.shape[0])
+    start = np.ones(len(every))  # max |f| of a row of ones
+    up = modular(start, every) >= 1.0
+    edge = start.copy()
+    live = every
+    for _ in range(MAX_DOUBLINGS):
+        edge[live] = np.where(up[live], edge[live] * 2.0, edge[live] / 2.0)
+        r = modular(edge[live], live)
+        live = live[~np.where(up[live], r <= 1.0, r >= 1.0)]
+        if live.size == 0:
+            break
+    else:
+        side = "upper bracket after 60 doublings" if up[live[0]] else "lower bracket after 60 halvings"
+        raise BracketFailure(f"no {side}")
+    lo = np.where(up, start, edge)
+    hi = np.where(up, edge, start)
+
+    out = np.empty(len(every))
+    live = every
+    for _ in range(MAX_BISECTIONS):
+        mid = 0.5 * (lo[live] + hi[live])
+        r = modular(mid, live)
+        hit = np.abs(r - 1.0) <= MODULAR_TOL
+        out[live[hit]] = mid[hit]
+        high = r > 1.0
+        lo[live] = np.where(high, mid, lo[live])
+        hi[live] = np.where(high, hi[live], mid)
+        live = live[~hit]
+        if live.size == 0:
+            return out.tolist()
+    worst = float(np.max(np.abs(r[~hit] - 1.0)))
+    raise ConvergenceFailure(
+        f"modular misses 1 by {worst:.3e} after {MAX_BISECTIONS} bisections", worst
+    )
 
 
 def luxemburg_norm(f: GridFunction, exponent: ExponentFunction) -> float:
@@ -311,6 +363,28 @@ def chi_norm(space: SpaceSpec, cube: Cube, grid: Grid | None = None) -> float:
         return _luxemburg_lambda(
             np.ones(pblk.size), pblk.reshape(-1), g.cell_volume
         )
+    raise NormUnavailable(f"cannot evaluate chi norm in {space!r}")
+
+
+def chi_norms(space: SpaceSpec, family: CubeFamily, grid: Grid | None = None) -> list[float]:
+    """chi_norm of every cube of the family, in family order, bit for bit:
+    block sums from the family index, and one lockstep bisection per group
+    of equal-shaped cubes for Variable."""
+    g = space.grid if space.grid is not None else grid
+    if g is None:
+        raise ValueError("Lebesgue chi_norm needs an explicit grid")
+    index = family.index(g)
+    if isinstance(space, Lebesgue):
+        return [meas ** (1.0 / space.p) for meas in index.measures]
+    if isinstance(space, Weighted):
+        sums = index.sums(space.weight.values) * g.cell_volume
+        return [s ** (1.0 / space.p) for s in sums.tolist()]
+    if isinstance(space, Variable):
+        out = [0.0] * len(index)
+        for members, rows in index.gather(space.exponent.values):
+            for i, lam in zip(members.tolist(), _chi_lambdas(rows, g.cell_volume)):
+                out[i] = lam
+        return out
     raise NormUnavailable(f"cannot evaluate chi norm in {space!r}")
 
 
@@ -399,13 +473,13 @@ def condition_linear(
     n = g.n
     if not 0.0 <= alpha < n:
         raise AlphaOutOfRange(f"need 0 <= alpha < n = {n}, got {alpha}")
-    Yd = associate(Y)
-    vals = []
-    for q in family:
-        meas = cube_measure(g, q)
-        vals.append(
-            meas ** (-alpha / n) * chi_norm(Yd, q, g) * chi_norm(X, q, g) / meas
-        )
+    measures = family.index(g).measures
+    chi_yd = chi_norms(associate(Y), family, g)
+    chi_x = chi_norms(X, family, g)
+    vals = [
+        meas ** (-alpha / n) * cy * cx / meas
+        for meas, cy, cx in zip(measures, chi_yd, chi_x)
+    ]
     arg = int(np.argmax(vals))
     return ConditionReport(float(vals[arg]), family.cubes[arg], tuple(vals), family.provenance)
 
@@ -423,17 +497,14 @@ def condition_bilinear(
     n = g.n
     if not 0.0 <= alpha < 2 * n:
         raise AlphaOutOfRange(f"need 0 <= alpha < 2n = {2 * n}, got {alpha}")
-    Yd = associate(Y)
-    vals = []
-    for q in family:
-        meas = cube_measure(g, q)
-        vals.append(
-            meas ** (-alpha / n)
-            * chi_norm(Yd, q, g)
-            * chi_norm(X1, q, g)
-            * chi_norm(X2, q, g)
-            / meas**2
-        )
+    measures = family.index(g).measures
+    chi_yd = chi_norms(associate(Y), family, g)
+    chi_x1 = chi_norms(X1, family, g)
+    chi_x2 = chi_norms(X2, family, g)
+    vals = [
+        meas ** (-alpha / n) * cy * c1 * c2 / meas**2
+        for meas, cy, c1, c2 in zip(measures, chi_yd, chi_x1, chi_x2)
+    ]
     arg = int(np.argmax(vals))
     return ConditionReport(float(vals[arg]), family.cubes[arg], tuple(vals), family.provenance)
 
@@ -455,13 +526,10 @@ def chiQ_norm_ratio(exponent: ExponentFunction, family: CubeFamily) -> NormRatio
     For log-Hoelder-regular exponents the ratios stay pinched near 1; wild
     exponents show up as a spreading min/max band.
     """
-    g = exponent.grid
-    space = Variable(exponent)
-    vals = []
-    for q in family:
-        meas = cube_measure(g, q)
-        p_q = exponent.harmonic_mean_over(q)
-        vals.append(chi_norm(space, q) / meas ** (1.0 / p_q))
+    index = family.index(exponent.grid)
+    p_q = [1.0 / m for m in index.means(1.0 / exponent.values).tolist()]
+    chis = chi_norms(Variable(exponent), family)
+    vals = [chi / meas ** (1.0 / pq) for chi, meas, pq in zip(chis, index.measures, p_q)]
     lo = int(np.argmin(vals))
     hi = int(np.argmax(vals))
     return NormRatioReport(

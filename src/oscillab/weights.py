@@ -17,6 +17,7 @@ single number; see the weight-constants experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -83,34 +84,30 @@ def _check_weight(w: GridFunction):
         raise NonPositiveWeight("weight must be real, strictly positive, finite")
 
 
-def _mean(vals: np.ndarray, grid: Grid, cube: Cube) -> float:
-    block = vals[cube_slices(grid, cube)]
-    return float(np.sum(block) / block.size)
-
-
-def _sup_report(family: CubeFamily, per_cube: list[float]) -> ConstantReport:
-    arg = int(np.argmax(per_cube))
-    return ConstantReport(
-        float(per_cube[arg]), family.cubes[arg], tuple(per_cube), family.provenance
-    )
+def _family_sup(grid: Grid, family: CubeFamily, arrays, per_cube: Callable) -> ConstantReport:
+    """sup over the family of per_cube(fa(a) for a in arrays), with fa the
+    cell average over Q; the scalar arithmetic stays in Python floats."""
+    index = family.index(grid)
+    averages = [index.means(a).tolist() for a in arrays]
+    per = [per_cube(*fa) for fa in zip(*averages)]
+    arg = int(np.argmax(per))
+    return ConstantReport(float(per[arg]), family.cubes[arg], tuple(per), family.provenance)
 
 
 def ap_cube(w: GridFunction, p: float, cube: Cube) -> float:
     """A_p quantity of a single cube."""
     pp = conjugate_exponent(p)
-    g = w.grid
-    return _mean(w.values, g, cube) * _mean(w.values ** (1.0 - pp), g, cube) ** (p - 1.0)
+    block = w.values[cube_slices(w.grid, cube)]
+    fa_w = float(np.sum(block) / block.size)
+    fa_dual = float(np.sum(block ** (1.0 - pp)) / block.size)
+    return fa_w * fa_dual ** (p - 1.0)
 
 
 def ap_constant(w: GridFunction, p: float, family: CubeFamily) -> ConstantReport:
     _check_weight(w)
     pp = conjugate_exponent(p)
-    dual_vals = w.values ** (1.0 - pp)
-    g = w.grid
-    per = [
-        _mean(w.values, g, q) * _mean(dual_vals, g, q) ** (p - 1.0) for q in family
-    ]
-    return _sup_report(family, per)
+    dual = w.values ** (1.0 - pp)
+    return _family_sup(w.grid, family, (w.values, dual), lambda a, d: a * d ** (p - 1.0))
 
 
 def apq_constant(w: GridFunction, p: float, q: float, family: CubeFamily) -> ConstantReport:
@@ -119,30 +116,24 @@ def apq_constant(w: GridFunction, p: float, q: float, family: CubeFamily) -> Con
     if q <= 1.0:
         raise ValueError(f"need q > 1, got {q}")
     pp = conjugate_exponent(p)
-    g = w.grid
-    wq = w.values**q
-    wmp = w.values ** (-pp)
-    per = [
-        _mean(wq, g, c) ** (1.0 / q) * _mean(wmp, g, c) ** (1.0 / pp) for c in family
-    ]
-    return _sup_report(family, per)
+    return _family_sup(
+        w.grid,
+        family,
+        (w.values**q, w.values ** (-pp)),
+        lambda a, b: a ** (1.0 / q) * b ** (1.0 / pp),
+    )
 
 
 def vector_ap_constant(t: WeightTuple, pvec: PVec, family: CubeFamily) -> ConstantReport:
-    w = t.balanced_weight(pvec).values
     p1p = conjugate_exponent(pvec.p1)
     p2p = conjugate_exponent(pvec.p2)
-    d1 = t.w1.values ** (1.0 - p1p)
-    d2 = t.w2.values ** (1.0 - p2p)
-    g = t.grid
     p = pvec.p
-    per = [
-        _mean(w, g, q) ** (1.0 / p)
-        * _mean(d1, g, q) ** (1.0 / p1p)
-        * _mean(d2, g, q) ** (1.0 / p2p)
-        for q in family
-    ]
-    return _sup_report(family, per)
+    return _family_sup(
+        t.grid,
+        family,
+        (t.balanced_weight(pvec).values, t.w1.values ** (1.0 - p1p), t.w2.values ** (1.0 - p2p)),
+        lambda a, b, c: a ** (1.0 / p) * b ** (1.0 / p1p) * c ** (1.0 / p2p),
+    )
 
 
 def vector_apq_constant(
@@ -150,35 +141,26 @@ def vector_apq_constant(
 ) -> ConstantReport:
     if q <= 1.0:
         raise ValueError(f"need q > 1, got {q}")
-    w = t.product_weight().values
     p1p = conjugate_exponent(pvec.p1)
     p2p = conjugate_exponent(pvec.p2)
-    d1 = t.w1.values ** (-p1p)
-    d2 = t.w2.values ** (-p2p)
-    g = t.grid
-    per = [
-        _mean(w**q, g, c) ** (1.0 / q)
-        * _mean(d1, g, c) ** (1.0 / p1p)
-        * _mean(d2, g, c) ** (1.0 / p2p)
-        for c in family
-    ]
-    return _sup_report(family, per)
+    return _family_sup(
+        t.grid,
+        family,
+        (t.product_weight().values ** q, t.w1.values ** (-p1p), t.w2.values ** (-p2p)),
+        lambda a, b, c: a ** (1.0 / q) * b ** (1.0 / p1p) * c ** (1.0 / p2p),
+    )
 
 
 def bilinear_dual_quantity(t: WeightTuple, pvec: PVec, family: CubeFamily) -> ConstantReport:
     """sup of fa(w^(1-p'))^(1/p') * fa(w1)^(1/p1) * fa(w2)^(1/p2) with the
     balanced w; the dual-side companion of vector_ap_constant."""
-    p = pvec.p
-    pp = conjugate_exponent(p)
-    w = t.balanced_weight(pvec).values
-    g = t.grid
-    per = [
-        _mean(w ** (1.0 - pp), g, q) ** (1.0 / pp)
-        * _mean(t.w1.values, g, q) ** (1.0 / pvec.p1)
-        * _mean(t.w2.values, g, q) ** (1.0 / pvec.p2)
-        for q in family
-    ]
-    return _sup_report(family, per)
+    pp = conjugate_exponent(pvec.p)
+    return _family_sup(
+        t.grid,
+        family,
+        (t.balanced_weight(pvec).values ** (1.0 - pp), t.w1.values, t.w2.values),
+        lambda a, b, c: a ** (1.0 / pp) * b ** (1.0 / pvec.p1) * c ** (1.0 / pvec.p2),
+    )
 
 
 def bilinear_frac_dual_quantity(
@@ -187,15 +169,12 @@ def bilinear_frac_dual_quantity(
     """sup of fa(w^(-q'))^(1/q') * fa(w1^p1)^(1/p1) * fa(w2^p2)^(1/p2) with
     w = w1 w2; the dual-side companion of vector_apq_constant."""
     qp = conjugate_exponent(q)
-    w = t.product_weight().values
-    g = t.grid
-    per = [
-        _mean(w ** (-qp), g, c) ** (1.0 / qp)
-        * _mean(t.w1.values**pvec.p1, g, c) ** (1.0 / pvec.p1)
-        * _mean(t.w2.values**pvec.p2, g, c) ** (1.0 / pvec.p2)
-        for c in family
-    ]
-    return _sup_report(family, per)
+    return _family_sup(
+        t.grid,
+        family,
+        (t.product_weight().values ** (-qp), t.w1.values**pvec.p1, t.w2.values**pvec.p2),
+        lambda a, b, c: a ** (1.0 / qp) * b ** (1.0 / pvec.p1) * c ** (1.0 / pvec.p2),
+    )
 
 
 def reverse_holder_defect(t: WeightTuple, pvec: PVec, family: CubeFamily) -> ConstantReport:
@@ -212,15 +191,12 @@ def reverse_holder_defect(t: WeightTuple, pvec: PVec, family: CubeFamily) -> Con
                 f"component weight fails finite A_p on {family.provenance}"
             )
     p = pvec.p
-    w = t.balanced_weight(pvec).values
-    g = t.grid
-    per = [
-        _mean(t.w1.values, g, q) ** (p / pvec.p1)
-        * _mean(t.w2.values, g, q) ** (p / pvec.p2)
-        / _mean(w, g, q)
-        for q in family
-    ]
-    return _sup_report(family, per)
+    return _family_sup(
+        t.grid,
+        family,
+        (t.w1.values, t.w2.values, t.balanced_weight(pvec).values),
+        lambda a, b, w: a ** (p / pvec.p1) * b ** (p / pvec.p2) / w,
+    )
 
 
 def ap_duality_gap(w: GridFunction, p: float, family: CubeFamily) -> float:
@@ -229,10 +205,13 @@ def ap_duality_gap(w: GridFunction, p: float, family: CubeFamily) -> float:
     The identity is exact algebraically; the measured gap is float noise.
     """
     pp = conjugate_exponent(p)
-    dual = GridFunction(w.grid, w.values ** (1.0 - pp))
+    ppp = conjugate_exponent(pp)
+    dual = w.values ** (1.0 - pp)
+    index = family.index(w.grid)
+    fa_w, fa_d, fa_dd = (index.means(a).tolist() for a in (w.values, dual, dual ** (1.0 - ppp)))
     worst = 0.0
-    for q in family:
-        lhs = ap_cube(dual, pp, q)
-        rhs = ap_cube(w, p, q) ** (pp - 1.0)
+    for a, d, dd in zip(fa_w, fa_d, fa_dd):
+        lhs = d * dd ** (pp - 1.0)
+        rhs = (a * d ** (p - 1.0)) ** (pp - 1.0)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst

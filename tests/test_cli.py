@@ -7,6 +7,8 @@ Everything goes through main(argv) in process; exit codes are the contract
 import csv
 import json
 
+import pytest
+
 from oscillab import __version__
 from oscillab.cli import main
 
@@ -92,6 +94,28 @@ def test_seed_required(tmp_path, capsys):
 def test_bad_fixture_name(tmp_path):
     cfg = write_config(tmp_path, experiment="commutator", seed=0, kernel="cauchy_dream")
     assert run_in(tmp_path, "run", cfg) == 2
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("conditions", "seed", "abc"),
+        ("conditions", "m", 3),
+        ("conditions", "box", [1, -1]),
+        ("conditions", "box", 5),
+        ("conditions", "dimension", 3),
+        ("conditions", "space_x", "lebesgue:0.5"),
+        ("norms", "trials", 0),
+        ("maximal", "trials", -1),
+    ],
+)
+def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, key, value):
+    cfg = write_config(tmp_path, **{"experiment": experiment, "seed": 0, key: value})
+    assert run_in(tmp_path, "run", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_set_overrides(tmp_path):

@@ -20,6 +20,8 @@ from oscillab import (
     OperatorHandle,
     OutOfDomain,
     TailTooLarge,
+    Variable,
+    Weighted,
     centered_family,
     enumerate_dyadic,
 )
@@ -259,6 +261,36 @@ def test_chain_bilinear_cube():
     assert rep.gap_23 <= rep.bound_23
     assert rep.gap_34 >= -1e-9 * max(1.0, rep.stage_iii)
     assert len(rep.derived) == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda g, p: Weighted(p, fixtures.make_weight("power:0.5", g)),
+        lambda g, p: Variable(fixtures.make_exponent("arctan_profile", g)),
+    ],
+    ids=["weighted-power-0.5", "variable-arctan"],
+)
+def test_chain_bilinear_stage_by_stage_in_other_spaces(make):
+    g = Grid((-6.0,), (6.0,), 512)
+    b = symbol_library("log_abs", g)
+    geo = select_geometry(BIRIESZ, 0.5)
+    exp = fourier_reciprocal(BIRIESZ, geo, 10)
+    T = OperatorHandle(BIRIESZ)
+    q = Cube((0.140625,), 0.28125)
+    X1, X2, Y = make(g, 4.0), make(g, 4.0), make(g, 2.0)
+    rep = verify_master_chain(b, T, X1, X2, Y, q, geo, exp)
+    assert rep.geometry_checks["ok"]
+    assert rep.stage_i > 0.0
+    assert rep.gap_12 == 0.0  # (i) = (ii): the identity stage
+    assert rep.gap_23 <= rep.bound_23  # (ii) ~ (iii): truncated 1/K expansion
+    assert rep.gap_34 >= -1e-9 * rep.stage_iv  # (iii) <= (iv): Hoelder in Y, Y'
+    assert rep.stage_v is not None  # P fits inside the box for this cube
+    assert rep.gap_45 >= -1e-9 * rep.stage_v  # (iv) <= (v): probe norm bound
+    lebesgue = verify_master_chain(
+        b, T, Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0), q, geo, exp
+    )
+    assert rep.stage_iv != lebesgue.stage_iv  # the space enters from stage (iv) on
 
 
 def test_chain_arity_mismatch(linear_chain):

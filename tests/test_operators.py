@@ -160,6 +160,26 @@ def test_bilinear_singular_matches_bruteforce():
     assert out.values[i] == pytest.approx(acc, rel=1e-12, abs=1e-12)
 
 
+def test_bilinear_singular_direct_sum_neither_odd_nor_even():
+    # Omega = cos t + sin 2t on the (u, v) circle: mean zero, neither odd nor
+    # even, so a kernel read as K(y - x, z - x) cannot pass
+    k = KernelSpec("bilinear", 1, 0.0, lambda t: t[..., 0] + 2 * t[..., 0] * t[..., 1])
+    g = Grid((-2.0,), (2.0,), 32)
+    x = g.axis_centers(0)
+    rng = np.random.default_rng(5)
+    f = GridFunction(g, rng.standard_normal(32) * (np.abs(x) <= 0.5))
+    h = GridFunction(g, rng.standard_normal(32) * (np.abs(x - 0.25) <= 0.25))
+    out = bilinear_singular_integral(f, h, k)
+    points = np.flatnonzero(out.mask)
+    assert len(points) > 0
+    u = x[points, None, None] - x[None, :, None]
+    v = x[points, None, None] - x[None, None, :]
+    K = k.evaluate(np.stack(np.broadcast_arrays(u, v), axis=-1))
+    K[np.arange(len(points)), points, points] = 0.0  # the pair y = z = x is omitted
+    want = np.einsum("pyz,y,z->p", K, f.values, h.values) * g.cell_volume**2
+    assert np.max(np.abs(out.values[points] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_bilinear_fractional_matches_bruteforce_distance():
     g = Grid((-2.0,), (2.0,), 32)
     alpha = 1.2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscillab import (
+    ConvergenceFailure,
     Cube,
     ExponentFunction,
     Grid,
@@ -20,6 +21,7 @@ from oscillab import (
     associate,
     chiQ_norm_ratio,
     chi_norm,
+    chi_norms,
     condition_bilinear,
     condition_linear,
     conjugate_exponent,
@@ -31,6 +33,7 @@ from oscillab import (
     luxemburg_norm,
     norm,
 )
+from oscillab import spaces
 
 PLASTIC = 1.3247179572447460
 
@@ -171,6 +174,19 @@ def test_luxemburg_of_zero_function():
     p = ExponentFunction.constant(g, 2.0)
     z = GridFunction(g, np.zeros(16))
     assert luxemburg_norm(z, p) == 0.0
+
+
+def test_bisection_that_misses_the_tolerance_raises(g256, monkeypatch):
+    # no modular is within a negative tolerance of 1, so every bisection
+    # runs out of steps; both the scalar and the lockstep path must say so
+    monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)
+    p = ExponentFunction.from_callable(g256, lambda x: 2.0 + (x > 0))
+    with pytest.raises(ConvergenceFailure) as scalar:
+        luxemburg_norm(GridFunction(g256, np.ones(g256.shape)), p)
+    assert 0.0 <= scalar.value.residual < 1e-9
+    with pytest.raises(ConvergenceFailure) as lockstep:
+        chi_norms(Variable(p), enumerate_dyadic(g256, 0, 3))
+    assert 0.0 <= lockstep.value.residual < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
