@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, CubeFamily, Grid, GridFunction, cube_average, cube_slices
+from .fixtures import make_symbol as symbol_library  # the named symbols live in the fixture table
+from .grid import Cube, CubeFamily, GridFunction, cube_average, cube_slices
 
 
 def _oscillations(blocks: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -53,27 +54,3 @@ def bmo_seminorm(f: GridFunction, family: CubeFamily) -> OscillationReport:
     vals = family.index(f.grid).reduce(f.values, _oscillations).tolist()
     best = int(np.argmax(vals))
     return OscillationReport(float(vals[best]), family.cubes[best], tuple(vals), family.provenance)
-
-
-def symbol_library(name: str, grid: Grid) -> GridFunction:
-    """Named symbols: log_abs, abs, sgn_log, constant:c.
-
-    log_abs = log|x| and sgn_log = sgn(x_1) log|x| blow up at the origin;
-    they are only defined on grids whose cell centers avoid it (any even-m
-    grid whose box is symmetric about 0 qualifies).
-    """
-    meshes = grid.meshes()
-    r = np.sqrt(sum(m * m for m in meshes))
-    if name == "abs":
-        return GridFunction(grid, r)
-    if name.startswith("constant:"):
-        c = float(name.split(":", 1)[1])
-        return GridFunction(grid, np.full(grid.shape, c))
-    if name in ("log_abs", "sgn_log"):
-        if np.any(r == 0.0):
-            raise ValueError(f"symbol {name!r} undefined: a cell center sits at the origin")
-        vals = np.log(r)
-        if name == "sgn_log":
-            vals = np.sign(meshes[0]) * vals
-        return GridFunction(grid, vals)
-    raise ValueError(f"unknown symbol {name!r}")

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -63,6 +62,7 @@ from .operators import (
     KernelSpec,
     OperatorHandle,
     bilinear_commutator,
+    bilinear_kernel_tensor,
     commutator,
 )
 from .spaces import SpaceSpec, associate, chi_norm, norm
@@ -482,10 +482,6 @@ class ChainReport:
     geometry_checks: dict
     min_kernel_on_offsets: float
 
-    @property
-    def p_in_box(self) -> bool:
-        return self.stage_v is not None
-
 
 def _cells_of(grid, cube: Cube):
     sl = cube_slices(grid, cube)
@@ -503,16 +499,9 @@ def verify_master_chain(
     q: Cube,
     geometry: ExtractionGeometry,
     expansion: FourierExpansion,
-    extra_probes: Sequence = (),
 ) -> ChainReport:
-    """Evaluate the five-stage chain on one cube. See the module docstring.
-
-    extra_probes: additional commutator probes (GridFunctions, or pairs for
-    the bilinear case) folded into the norm lower bound used by stage (v).
-    """
+    """Evaluate the five-stage chain on one cube. See the module docstring."""
     grid = b.grid
-    n = grid.n
-    h = grid.h
     kernel = T.kernel
     if kernel.arity != geometry.arity:
         raise ValueError("operator and geometry disagree on arity")
@@ -537,27 +526,14 @@ def verify_master_chain(
 
     by = b.values[cube_slices(grid, qp)].reshape(-1)
     bdiff = bq_block[:, None] - by[None, :]  # (X, Y)
-    u = xc[:, None, :] - yc[None, :, :]
     if bilinear:
         _, zc = _cells_of(grid, derived[1])
-        v = xc[:, None, :] - zc[None, :, :]
-        W = np.concatenate(
-            [
-                np.broadcast_to(
-                    u[:, :, None, :], (u.shape[0], u.shape[1], v.shape[1], n)
-                ),
-                np.broadcast_to(
-                    v[:, None, :, :], (u.shape[0], u.shape[1], v.shape[1], n)
-                ),
-            ],
-            axis=-1,
-        )
-        K = kernel.evaluate(W)
-        navg = u.shape[1] * v.shape[1]
+        K = bilinear_kernel_tensor(kernel, xc, yc, zc)
+        navg = K.shape[1] * K.shape[2]
         meas_prod = cube_measure(grid, qp) * cube_measure(grid, derived[1])
     else:
-        K = kernel.evaluate(u)
-        navg = u.shape[1]
+        K = kernel.evaluate(xc[:, None, :] - yc[None, :, :])
+        navg = K.shape[1]
         meas_prod = cube_measure(grid, qp)
     min_k = float(np.min(np.abs(K)))
     if min_k == 0.0:
@@ -600,12 +576,6 @@ def verify_master_chain(
     ratios = [
         row[2] / row[3] if row[3] > 0 else 0.0 for row in mode_rows
     ]
-    for probe in extra_probes:
-        args = (probe,) if isinstance(probe, GridFunction) else tuple(probe)
-        out = bilinear_commutator(b, T, *args, slot=1) if bilinear else commutator(b, T, *args)
-        denom = norm(args[0], X1) * (norm(args[1], X2) if bilinear else 1.0)
-        if denom > 0:
-            ratios.append(norm(out, Y) / denom)
     probe_norm = float(max(ratios)) if ratios else 0.0
 
     p = geometry.p_cube(q)
@@ -695,7 +665,6 @@ def necessity_experiment(
     family: CubeFamily,
     geometry: ExtractionGeometry,
     expansion: FourierExpansion,
-    extra_probes: Sequence = (),
 ) -> NecessityReport:
     """Run the chain on every family cube and classify the ratio trend.
 
@@ -703,12 +672,7 @@ def necessity_experiment(
     per-level maxima flat while a symbol with unbounded oscillation on the
     family forces them, and with them the commutator probe norms, upward.
     """
-    reports = [
-        verify_master_chain(
-            b, T, X1, X2, Y, qc, geometry, expansion, extra_probes=extra_probes
-        )
-        for qc in family
-    ]
+    reports = [verify_master_chain(b, T, X1, X2, Y, qc, geometry, expansion) for qc in family]
     levels = family.levels if family.levels is not None else (0,) * len(reports)
     ratio_by: dict[int, float] = {}
     probe_by: dict[int, float] = {}

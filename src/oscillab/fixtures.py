@@ -1,86 +1,116 @@
-"""Built-in named fixtures: kernels, weights, symbols, exponents.
+"""Built-in named fixtures: kernels, weights, symbols, exponents and spaces.
 
-Names are stable strings used by configs and reports. Parametrized entries
-take a colon suffix, e.g. "power:0.5" or "frac_alpha:0.5".
+`FIXTURES` is the one table of names: kind -> name -> builder. Names are
+stable strings used by configs and reports. An entry written
+"prefix:<param>" takes a parameter after the colon, e.g. "power:0.5",
+"frac_alpha:0.5" or "weighted:2:power:0.5". A builder takes (target, param):
+the target is the grid, or the base dimension for kernels, and param is the
+text after the colon ("" for plain names). It raises ValueError for a
+parameter or grid it cannot use (AlphaOutOfRange for a kernel's order).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import bmo
-from .errors import ConfigError
 from .grid import Grid, GridFunction
 from .operators import KernelSpec, distance_kernel
-from .spaces import ExponentFunction
-
-KERNELS = ("hilbert", "riesz_1", "riesz_2", "bilinear_riesz", "frac_alpha:a", "bilinear_frac_alpha:a")
-WEIGHTS = ("power:a",)
-SYMBOLS = ("log_abs", "abs", "sgn_log", "constant:c")
-EXPONENTS = ("constant:p", "arctan_profile")
+from .spaces import ExponentFunction, Lebesgue, Variable, Weighted
 
 
-def _param(name: str, prefix: str) -> float:
-    try:
-        return float(name.split(":", 1)[1])
-    except (IndexError, ValueError):
-        raise ConfigError(f"fixture {name!r} needs a numeric parameter, e.g. {prefix}:0.5") from None
+def _radius(grid: Grid) -> np.ndarray:
+    return np.sqrt(sum(m * m for m in grid.meshes()))
+
+
+def _log_radius(grid: Grid, name: str) -> np.ndarray:
+    """log|x|, which blows up at the origin: grids whose cell centers avoid
+    it (any even m on a box symmetric about 0) are the only ones allowed."""
+    r = _radius(grid)
+    if np.any(r == 0.0):
+        raise ValueError(f"symbol {name!r} undefined: a cell center sits at the origin")
+    return np.log(r)
+
+
+def _odd(n: int, name: str, dim: int, j: int) -> KernelSpec:
+    """The kernel x_j / |x|^(dim + 1), which lives in dimension `dim` only."""
+    if n != dim:
+        raise ValueError(f"{name} kernel lives in dimension {dim}")
+    return KernelSpec("linear", dim, 0.0, lambda t: t[..., j], name=name)
+
+
+def _power(grid: Grid, a: str) -> GridFunction:
+    a = float(a)
+    r = _radius(grid)
+    if a != 0.0 and np.any(r == 0.0):
+        raise ValueError("power weight hits a cell center at the origin; use an even m")
+    return GridFunction(grid, r**a)
+
+
+def _weighted(grid: Grid, param: str) -> Weighted:
+    p, _, weight = param.partition(":")
+    return Weighted(float(p), make_weight(weight, grid))
+
+
+FIXTURES = {
+    "kernel": {
+        "hilbert": lambda n, _: _odd(n, "hilbert", 1, 0),
+        "riesz_1": lambda n, _: _odd(n, "riesz_1", 2, 0),
+        "riesz_2": lambda n, _: _odd(n, "riesz_2", 2, 1),
+        "bilinear_riesz": lambda n, _: KernelSpec("bilinear", n, 0.0, lambda t: t[..., 0], name="bilinear_riesz"),
+        "frac_alpha:<alpha>": lambda n, a: KernelSpec(
+            "linear", n, float(a), lambda t: np.ones(t.shape[:-1]), name=f"frac_alpha:{a}"
+        ),
+        "bilinear_frac_alpha:<alpha>": lambda n, a: distance_kernel(n, float(a)),
+    },
+    "weight": {"power:<a>": _power},
+    "symbol": {
+        "log_abs": lambda g, _: GridFunction(g, _log_radius(g, "log_abs")),
+        "abs": lambda g, _: GridFunction(g, _radius(g)),
+        "sgn_log": lambda g, _: GridFunction(g, np.sign(g.meshes()[0]) * _log_radius(g, "sgn_log")),
+        "constant:<c>": lambda g, c: GridFunction(g, np.full(g.shape, float(c))),
+    },
+    "exponent": {
+        "constant:<p>": lambda g, p: ExponentFunction.constant(g, float(p)),
+        "arctan_profile": lambda g, _: ExponentFunction.from_callable(g, lambda *xs: 2.0 + np.arctan(xs[0]) / np.pi),
+    },
+    "space": {
+        "lebesgue:<p>": lambda g, p: Lebesgue(float(p)),
+        "weighted:<p>:<weight>": _weighted,
+        "variable:<exponent>": lambda g, e: Variable(make_exponent(e, g)),
+    },
+}
+
+
+def build(kind: str, name: str, target):
+    """Build the `kind` fixture `name` on `target`."""
+    head, colon, param = name.partition(":")
+    for entry, builder in FIXTURES[kind].items():
+        if entry == name or (colon and entry.startswith(head + colon)):
+            return builder(target, param)
+    raise ValueError(f"unknown {kind} {name!r}; `oscillab list-fixtures` prints the known names")
 
 
 def make_kernel(name: str, n: int) -> KernelSpec:
-    """Kernel fixtures on base dimension n (1 or 2)."""
-    if name == "hilbert":
-        if n != 1:
-            raise ConfigError("hilbert kernel is one-dimensional")
-        return KernelSpec("linear", 1, 0.0, lambda t: t[..., 0], name="hilbert")
-    if name in ("riesz_1", "riesz_2"):
-        if n != 2:
-            raise ConfigError(f"{name} kernel lives in dimension 2")
-        j = int(name[-1]) - 1
-        return KernelSpec("linear", 2, 0.0, lambda t, j=j: t[..., j], name=name)
-    if name == "bilinear_riesz":
-        return KernelSpec("bilinear", n, 0.0, lambda t: t[..., 0], name="bilinear_riesz")
-    if name.startswith("frac_alpha"):
-        a = _param(name, "frac_alpha")
-        return KernelSpec("linear", n, a, lambda t: np.ones(t.shape[:-1]), name=name)
-    if name.startswith("bilinear_frac_alpha"):
-        return distance_kernel(n, _param(name, "bilinear_frac_alpha"))
-    raise ConfigError(f"unknown kernel fixture {name!r}")
+    """Kernel fixture on base dimension n (1 or 2)."""
+    return build("kernel", name, n)
 
 
 def make_weight(name: str, grid: Grid) -> GridFunction:
-    """Weight fixtures sampled at cell centers."""
-    if name.startswith("power"):
-        a = _param(name, "power")
-        r = np.sqrt(sum(m * m for m in grid.meshes()))
-        if a != 0.0 and np.any(r == 0.0):
-            raise ConfigError("power weight hits a cell center at the origin; use an even m")
-        return GridFunction(grid, r**a)
-    raise ConfigError(f"unknown weight fixture {name!r}")
+    """Weight fixture sampled at cell centers."""
+    return build("weight", name, grid)
 
 
 def make_symbol(name: str, grid: Grid) -> GridFunction:
-    try:
-        return bmo.symbol_library(name, grid)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return build("symbol", name, grid)
 
 
 def make_exponent(name: str, grid: Grid) -> ExponentFunction:
-    if name.startswith("constant"):
-        return ExponentFunction.constant(grid, _param(name, "constant"))
-    if name == "arctan_profile":
-        return ExponentFunction.from_callable(
-            grid, lambda *xs: 2.0 + np.arctan(xs[0]) / np.pi
-        )
-    raise ConfigError(f"unknown exponent fixture {name!r}")
+    return build("exponent", name, grid)
+
+
+def make_space(name: str, grid: Grid):
+    return build("space", name, grid)
 
 
 def registry_text() -> str:
-    lines = [
-        "kernels:   " + ", ".join(KERNELS),
-        "weights:   " + ", ".join(WEIGHTS),
-        "symbols:   " + ", ".join(SYMBOLS),
-        "exponents: " + ", ".join(EXPONENTS),
-    ]
-    return "\n".join(lines)
+    return "\n".join(f"{kind + ':':10}{', '.join(table)}" for kind, table in FIXTURES.items())

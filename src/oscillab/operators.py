@@ -308,6 +308,16 @@ def _self_cell_bilinear(kernel: KernelSpec, h: float) -> float:
     return float(np.sum(kernel.evaluate(pts)) * step**kernel.D)
 
 
+def bilinear_kernel_tensor(kernel: KernelSpec, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """K(x - y, x - z) as an (X, Y, Z) tensor over cell coordinates x, y and
+    z, each of shape (cells, n)."""
+    u = x[:, None, :] - y[None, :, :]  # (X, Y, n)
+    v = x[:, None, :] - z[None, :, :]  # (X, Z, n)
+    shape = (u.shape[0], u.shape[1], v.shape[1], x.shape[1])
+    W = np.concatenate([np.broadcast_to(u[:, :, None, :], shape), np.broadcast_to(v[:, None, :, :], shape)], axis=-1)
+    return kernel.evaluate(W)
+
+
 def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
     """Yield (start, stop, K, here) per _MAX_TENSOR slice of output cells.
 
@@ -316,25 +326,15 @@ def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
     and the pair y = z = x zeroed; here holds the flat indices of the
     slice's cells where y = x and z = x both occur (the fractional
     self-cell correction)."""
-    m, n = grid.m, grid.n
+    m = grid.m
     coords, idx = _flat_cells(grid)
     ycoord, yidx = coords[ysel], idx[ysel]
     zcoord, zidx = coords[zsel], idx[zsel]
     chunk = max(1, _MAX_TENSOR // max(1, len(ysel) * len(zsel)))
     for start in range(0, coords.shape[0], chunk):
         stop = min(start + chunk, coords.shape[0])
-        xc = coords[start:stop]
         xi = idx[start:stop]
-        u = xc[:, None, :] - ycoord[None, :, :]  # (X, Y, n)
-        v = xc[:, None, :] - zcoord[None, :, :]  # (X, Z, n)
-        W = np.concatenate(
-            [
-                np.broadcast_to(u[:, :, None, :], (u.shape[0], u.shape[1], v.shape[1], n)),
-                np.broadcast_to(v[:, None, :, :], (u.shape[0], u.shape[1], v.shape[1], n)),
-            ],
-            axis=-1,
-        )
-        K = kernel.evaluate(W)
+        K = bilinear_kernel_tensor(kernel, coords[start:stop], ycoord, zcoord)
         if kernel.alpha == 0.0:
             reach = np.minimum(xi, m - 1 - xi)  # (X, n)
             wy = np.all(np.abs(xi[:, None, :] - yidx[None, :, :]) <= reach[:, None, :], axis=-1)

@@ -87,24 +87,6 @@ class ExponentFunction:
         block = self.values[cube_slices(self.grid, cube)]
         return 1.0 / float(np.mean(1.0 / block))
 
-    def log_holder_constants(self, samples: int = 256) -> tuple[float, float]:
-        """Measured (C0, Cinf): local |1/p(x)-1/p(y)| * (-log|x-y|) over pairs
-        with |x-y| <= 1/2, and tail |1/p(x)-1/p(xref)| * log(e+|x|) against the
-        box-center value. Diagnostic only."""
-        g = self.grid
-        flat_p = self.values.reshape(-1)
-        pts = np.stack([m.reshape(-1) for m in g.meshes()], axis=1)
-        idx = np.linspace(0, pts.shape[0] - 1, min(samples, pts.shape[0])).astype(int)
-        p_sub = 1.0 / flat_p[idx]
-        x_sub = pts[idx]
-        d = np.linalg.norm(x_sub[:, None, :] - x_sub[None, :, :], axis=2)
-        dp = np.abs(p_sub[:, None] - p_sub[None, :])
-        local = (d > 0) & (d <= 0.5)
-        c0 = float(np.max(dp[local] * (-np.log(d[local])))) if np.any(local) else 0.0
-        mid = flat_p[flat_p.size // 2]
-        tail = np.abs(1.0 / flat_p[idx] - 1.0 / mid) * np.log(np.e + np.linalg.norm(x_sub, axis=1))
-        return c0, float(np.max(tail))
-
 
 class SpaceSpec:
     """Base class; concrete kinds are Lebesgue, Weighted, Variable."""

@@ -6,11 +6,13 @@ Everything goes through main(argv) in process; exit codes are the contract
 
 import csv
 import json
+import re
 
 import pytest
 
 from oscillab import __version__
-from oscillab.cli import main
+from oscillab.cli import ExperimentConfig, main
+from oscillab.errors import ConfigError
 
 
 def write_config(tmp_path, **kv):
@@ -107,6 +109,22 @@ def test_bad_fixture_name(tmp_path):
         ("conditions", "space_x", "lebesgue:0.5"),
         ("norms", "trials", 0),
         ("maximal", "trials", -1),
+        ("norms", "level_max", -1),
+        ("conditions", "level_max", -1),
+        ("maximal", "level_max", -1),
+        ("necessity", "level_max", -1),
+        ("all", "level_max", -1),
+        ("weight-constants", "cells_per_cube", 0),
+        ("chain", "base_side", -1),
+        ("norms", "exponent", "constant:0.5"),
+        ("conditions", "expect", "abc"),
+        ("weight-constants", "q", 0.5),
+        ("all", "kernel", 7),
+        ("all", "weight", 5),
+        ("weight-constants", "level_min", 9),
+        ("commutator", "symbol", "constant:x"),
+        ("all", "levle_max", 5),
+        ("conditions", "csv_path", "/nonexistent/x.csv"),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, key, value):
@@ -116,6 +134,36 @@ def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, ke
     assert err.startswith("config error:") and err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_list_fixtures_names_exactly_the_accepted_values(capsys):
+    """Every name `list-fixtures` prints is accepted as a config value, with a
+    sample for each <param>, and names it does not print are refused."""
+    samples = {"alpha": "0.5", "a": "0.5", "c": "2.5", "p": "2", "weight": "power:0.5", "exponent": "arctan_profile"}
+
+    def accepted(kind, value):
+        key = "space_x" if kind == "space" else kind
+        for dimension in (1, 2):
+            try:
+                ExperimentConfig({"experiment": "maximal", "seed": 0, "dimension": dimension, key: value})
+                return True
+            except ConfigError:
+                pass
+        return False
+
+    assert main(["list-fixtures"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["kernel", "weight", "symbol", "exponent", "space"]
+    for line in lines:
+        kind, names = line.split(":", 1)
+        names = [name.strip() for name in names.split(",")]
+        for name in names:
+            assert accepted(kind, re.sub(r"<(\w+)>", lambda m: samples[m.group(1)], name)), name
+        # a plain name with a parameter, or a parametrized one without it
+        unlisted = {"no_such_fixture"} | {name.split(":")[0] if ":" in name else name + ":1" for name in names}
+        for name in unlisted:
+            assert not accepted(kind, name), name
 
 
 def test_set_overrides(tmp_path):
