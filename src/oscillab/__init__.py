@@ -81,7 +81,6 @@ from .operators import (
     OperatorHandle,
     averaging,
     bilinear_averaging,
-    bilinear_commutator,
     bilinear_fractional_integral,
     bilinear_maximal,
     bilinear_singular_integral,

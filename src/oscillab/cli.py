@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from collections import ChainMap
 from contextlib import contextmanager
@@ -26,14 +27,13 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import __version__, fixtures
-from .errors import AlphaOutOfRange, ConfigError, OscillabError
+from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, OscillabError
 from .extraction import fourier_reciprocal, necessity_experiment, select_geometry, verify_master_chain
 from .grid import Cube, Grid, GridFunction, CubeFamily, centered_family, enumerate_dyadic, indicator
 from .operators import (
     OperatorHandle,
     averaging,
     bilinear_averaging,
-    bilinear_commutator,
     bilinear_maximal,
     commutator,
     maximal,
@@ -46,6 +46,7 @@ from .spaces import (
     chiQ_norm_ratio,
     condition_bilinear,
     condition_linear,
+    conjugate_exponent,
     luxemburg_norm,
     norm,
 )
@@ -195,11 +196,11 @@ def _check_value(key: str, value):
 
 @contextmanager
 def _naming(*keys: str):
-    """Turn a value that a constructor refuses into a config error naming the
-    keys it came from."""
+    """Turn a value that a constructor or range check refuses into a config
+    error naming the keys it came from."""
     try:
         yield
-    except (ValueError, AlphaOutOfRange) as e:
+    except (ValueError, AlphaOutOfRange, BadDelta, ConjugateUndefined) as e:
         raise ConfigError(f"{', '.join(keys)}: {e}") from None
 
 
@@ -356,6 +357,8 @@ def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 
 def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     p = float(cfg.get("p"))
+    with _naming("p"):
+        conjugate_exponent(p)
     wname = cfg.get("weight")
     rows = []
     values = []
@@ -459,42 +462,38 @@ def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         t_one = T(one)
         zmax = float(np.max(np.abs(t_one.values)))
         rows.append(row("commutator", "constant_annihilation", zmax, ztol, _check(zmax <= ztol)))
-        cb = GridFunction(grid, np.full(grid.shape, 2.5))
-        f = _random_smooth(grid, cfg.rng())
-        czero = float(np.max(np.abs(commutator(cb, T, f).values)))
-        rows.append(row("commutator", "constant_symbol_commutator", czero, ztol, _check(czero <= ztol)))
-        if kernel.D == 1 and kernel.alpha == 0.0 and grid.lo[0] <= -2.0 and grid.hi[0] >= 2.0:
-            # A 1D singular kernel is c/x, and its integral of chi_[-1,1] at x = 2 is c log 3.
-            expected = float(kernel.evaluate(np.array([[1.0]]))[0]) * math.log(3.0)
-            chi = indicator(grid, Cube((0.0,), 2.0))
-            out = T(chi)
-            x = grid.axis_centers(0)
-            idx = int(np.argmin(np.abs(x - 2.0)))
-            val = float(out.values[idx])
-            rel = abs(val - expected) / abs(expected)
-            tol = float(cfg.get("oracle_tol"))
-            rows.append(row("commutator", "step_response_at_2_rel", rel, tol, _check(rel <= tol)))
-            summary["step_response"] = val
-        probes = []
-        x = grid.meshes()[0]
-        for omega in (1.0, 2.0, 4.0):
-            for s in (0.5, 1.0, 2.0):
-                probes.append(GridFunction(grid, np.sin(omega * x) * np.exp(-(x * x) / (2 * s * s))))
-        est = operator_norm_estimate(T, [Lebesgue(2.0)], Lebesgue(2.0), probes)
-        rows.append(row("commutator", "operator_norm_lower_bound", est.value, None, "info"))
-        summary["norm_lower_bound"] = est.value
-        cb_est = operator_norm_estimate(
-            lambda ff: commutator(b, T, ff), [Lebesgue(2.0)], Lebesgue(2.0), probes
-        )
-        rows.append(row("commutator", "commutator_norm_lower_bound", cb_est.value, None, "info"))
-        summary["commutator_lower_bound"] = cb_est.value
-    else:
-        cb = GridFunction(grid, np.full(grid.shape, 2.5))
-        rng = cfg.rng()
-        f = _random_smooth(grid, rng)
-        g = _random_smooth(grid, rng)
-        czero = float(np.max(np.abs(bilinear_commutator(cb, T, f, g, 1).values)))
-        rows.append(row("commutator", "constant_symbol_commutator", czero, ztol, _check(czero <= ztol)))
+    cb = GridFunction(grid, np.full(grid.shape, 2.5))
+    rng = cfg.rng()
+    fs = [_random_smooth(grid, rng) for _ in range(kernel.D // kernel.ndim)]
+    czero = float(np.max(np.abs(commutator(cb, T, *fs).values)))
+    rows.append(row("commutator", "constant_symbol_commutator", czero, ztol, _check(czero <= ztol)))
+    if kernel.arity != "linear":
+        return rows, summary
+    if kernel.D == 1 and kernel.alpha == 0.0 and grid.lo[0] <= -2.0 and grid.hi[0] >= 2.0:
+        # A 1D singular kernel is c/x, and its integral of chi_[-1,1] at x = 2 is c log 3.
+        expected = float(kernel.evaluate(np.array([[1.0]]))[0]) * math.log(3.0)
+        chi = indicator(grid, Cube((0.0,), 2.0))
+        out = T(chi)
+        x = grid.axis_centers(0)
+        idx = int(np.argmin(np.abs(x - 2.0)))
+        val = float(out.values[idx])
+        rel = abs(val - expected) / abs(expected)
+        tol = float(cfg.get("oracle_tol"))
+        rows.append(row("commutator", "step_response_at_2_rel", rel, tol, _check(rel <= tol)))
+        summary["step_response"] = val
+    probes = []
+    x = grid.meshes()[0]
+    for omega in (1.0, 2.0, 4.0):
+        for s in (0.5, 1.0, 2.0):
+            probes.append(GridFunction(grid, np.sin(omega * x) * np.exp(-(x * x) / (2 * s * s))))
+    est = operator_norm_estimate(T, [Lebesgue(2.0)], Lebesgue(2.0), probes)
+    rows.append(row("commutator", "operator_norm_lower_bound", est.value, None, "info"))
+    summary["norm_lower_bound"] = est.value
+    cb_est = operator_norm_estimate(
+        lambda ff: commutator(b, T, ff), [Lebesgue(2.0)], Lebesgue(2.0), probes
+    )
+    rows.append(row("commutator", "commutator_norm_lower_bound", cb_est.value, None, "info"))
+    summary["commutator_lower_bound"] = cb_est.value
     return rows, summary
 
 
@@ -507,7 +506,8 @@ def _chain_setup(cfg: ScopedConfig):
     X2 = cfg.fixture("space_x2", grid) if kernel.arity == "bilinear" else None
     Y = cfg.fixture("space_y", grid)
     fam = cfg.family(grid)
-    geometry = select_geometry(kernel, float(cfg.get("delta")))
+    with _naming("delta"):
+        geometry = select_geometry(kernel, float(cfg.get("delta")))
     expansion = fourier_reciprocal(
         kernel, geometry, int(cfg.get("n_per_axis")), tol=float(cfg.get("eps_tol"))
     )
@@ -552,7 +552,8 @@ def run_necessity(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         rows.append(row("necessity", f"probe_norm_max[level={level}]", rep.probe_by_level[level], None, "info"))
     expect = cfg.get("expect_verdict")
     levels = sorted(rep.ratio_by_level)
-    total = rep.ratio_by_level[levels[-1]] / rep.ratio_by_level[levels[0]]
+    first, last = rep.ratio_by_level[levels[0]], rep.ratio_by_level[levels[-1]]
+    total = last / first if first > 0 else float("nan")  # a constant symbol has no oscillation
     rows.append(
         row(
             "necessity",
@@ -606,19 +607,22 @@ def execute(config: ExperimentConfig) -> tuple[list[ReportRow], dict, int]:
     return all_rows, summaries, 1 if failed else 0
 
 
-def _open_report(config: ExperimentConfig, key: str):
-    try:
-        return open(config.get(key), "w", newline="")
-    except OSError as e:
-        raise ConfigError(f"{key}: cannot write {config.get(key)!r}: {e.strerror}") from None
+def _open_reports(config: ExperimentConfig):
+    """Open the CSV and JSON report paths for writing. If either cannot be
+    opened, neither file is left behind."""
+    handles = []
+    for key in ("csv_path", "json_path"):
+        try:
+            handles.append(open(config.get(key), "w", newline=""))
+        except OSError as e:
+            for fh in handles:
+                fh.close()
+                os.remove(fh.name)
+            raise ConfigError(f"{key}: cannot write {config.get(key)!r}: {e.strerror}") from None
+    return handles
 
 
 def write_reports(rows: list[ReportRow], summaries: dict, config: ExperimentConfig):
-    with _open_report(config, "csv_path") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["experiment", "quantity", "cube_center", "cube_side", "value", "tolerance", "verdict"])
-        for r in rows:
-            writer.writerow(r.fields())
     verdicts = {f"{r.experiment}/{r.quantity}": r.verdict for r in rows if r.verdict in ("pass", "fail")}
     payload = {
         "experiment": config.experiment,
@@ -629,9 +633,14 @@ def write_reports(rows: list[ReportRow], summaries: dict, config: ExperimentConf
         "rows": len(rows),
         "version": __version__,
     }
-    with _open_report(config, "json_path") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    csv_fh, json_fh = _open_reports(config)
+    with csv_fh, json_fh:
+        writer = csv.writer(csv_fh, lineterminator="\n")
+        writer.writerow(["experiment", "quantity", "cube_center", "cube_side", "value", "tolerance", "verdict"])
+        for r in rows:
+            writer.writerow(r.fields())
+        json.dump(payload, json_fh, indent=2, sort_keys=True)
+        json_fh.write("\n")
     return config.get("csv_path"), config.get("json_path")
 
 

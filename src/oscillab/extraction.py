@@ -58,13 +58,7 @@ from .grid import (
     cube_measure,
     cube_slices,
 )
-from .operators import (
-    KernelSpec,
-    OperatorHandle,
-    bilinear_commutator,
-    bilinear_kernel_tensor,
-    commutator,
-)
+from .operators import KernelSpec, OperatorHandle, commutator, kernel_tensor
 from .spaces import SpaceSpec, associate, chi_norm, norm
 
 _BALL_SEED = 20240817
@@ -91,8 +85,6 @@ class ExtractionGeometry:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise BadDelta(f"delta must lie in (0, 1), got {self.delta}")
-        if self.arity not in ("linear", "bilinear"):
-            raise ValueError(f"bad arity {self.arity!r}")
         if len(self.base_point) != self.D:
             raise ValueError(
                 f"base point has {len(self.base_point)} components, expected {self.D}"
@@ -106,7 +98,7 @@ class ExtractionGeometry:
 
     @property
     def D(self) -> int:
-        return self.ndim if self.arity == "linear" else 2 * self.ndim
+        return KernelSpec.dimension(self.arity, self.ndim)
 
     @property
     def ball_radius(self) -> float:
@@ -132,10 +124,14 @@ class ExtractionGeometry:
     def containment_factor(self) -> float:
         return math.sqrt(self.ndim) * (1 + 8 / self.delta)
 
+    def _blocks(self) -> list[tuple[float, ...]]:
+        """The base point cut into one n-block per input."""
+        return [self.base_point[i : i + self.ndim] for i in range(0, self.D, self.ndim)]
+
     def derived_cubes(self, q: Cube) -> tuple[Cube, ...]:
-        shifts = [self.y1] if self.arity == "linear" else [self.y1, self.z1]
+        """One cube per input: Q shifted by r c_i / delta for each block c_i."""
         return tuple(
-            q.translate([q.side * s for s in shift]) for shift in shifts
+            q.translate([q.side * (v / self.delta) for v in block]) for block in self._blocks()
         )
 
     def outer_cube(self, q: Cube) -> Cube:
@@ -154,10 +150,7 @@ class ExtractionGeometry:
         """
         derived = self.derived_cubes(q)
         outer = self.outer_cube(q)
-        blocks = [self.base_point[: self.ndim]]
-        if self.arity == "bilinear":
-            blocks.append(self.base_point[self.ndim :])
-        norms = [math.sqrt(sum(v * v for v in blk)) for blk in blocks]
+        norms = [math.sqrt(sum(v * v for v in blk)) for blk in self._blocks()]
         far = int(np.argmax(norms))
         checks = {
             "far_block_norm_ok": norms[far] >= math.sqrt(2 * self.ndim),
@@ -346,11 +339,8 @@ def fourier_reciprocal(
         shape[ax] = M
         phase = np.exp(-1j * (np.pi * qs / M + omega_axis * corner[ax])).reshape(shape)
         coeff = coeff * phase
-    if D == 1:
-        freqs = omega_axis[:, None]
-    else:
-        mesh = np.meshgrid(*([omega_axis] * D), indexing="ij")
-        freqs = np.stack([g.reshape(-1) for g in mesh], axis=1)
+    mesh = np.meshgrid(*([omega_axis] * D), indexing="ij")
+    freqs = np.stack([g.reshape(-1) for g in mesh], axis=1)
     flat = coeff.reshape(-1)
 
     order = np.argsort(-np.abs(flat), kind="stable")
@@ -392,15 +382,13 @@ def fourier_reciprocal(
 
 
 @dataclass(frozen=True)
-class TestFunctionTriple:
-    """Modulated indicators (f, g, h) for one frequency; g is None in the
-    linear case. Moduli are exactly the indicators of Q', Q'', and Q
-    (h also carries the sign pattern of b - b_{Q'})."""
+class TestFunctions:
+    """Modulated indicators for one frequency nu: fs holds one input per derived
+    cube, with moduli exactly the indicators of Q' (and Q''); h lives on Q
+    and also carries the sign pattern of b - b_{Q'}."""
 
-    f: GridFunction
-    g: GridFunction | None
+    fs: tuple[GridFunction, ...]
     h: GridFunction
-    frequency: np.ndarray
 
 
 def _modulated_indicator(grid, cube: Cube, vec: np.ndarray, sign: float = -1.0) -> GridFunction:
@@ -414,36 +402,28 @@ def _modulated_indicator(grid, cube: Cube, vec: np.ndarray, sign: float = -1.0) 
 
 def build_test_functions(
     q: Cube, geometry: ExtractionGeometry, nu: np.ndarray, b: GridFunction
-) -> TestFunctionTriple:
-    """f = e^{-i (delta/r) nu^1 . y} chi_{Q'}, g likewise on Q'', and
-    h = e^{+i (delta/r) nu . (x, x)} sgn(b - b_{Q'}) chi_Q."""
+) -> TestFunctions:
+    """f_i = e^{-i (delta/r) nu^i . y} chi_{Q_i} on each derived cube Q_i, with
+    nu^i the i-th n-block of nu, and h = e^{+i (delta/r) nu . (x, ..., x)}
+    sgn(b - b_{Q'}) chi_Q."""
     grid = b.grid
-    n = grid.n
-    nu = np.asarray(nu, dtype=float)
     scale = geometry.delta / q.side
     derived = geometry.derived_cubes(q)
-    qp = derived[0]
-    f = _modulated_indicator(grid, qp, scale * nu[:n])
-    g = None
-    if geometry.arity == "bilinear":
-        g = _modulated_indicator(grid, derived[1], scale * nu[n:])
-    hvec = scale * (nu[:n] + nu[n:]) if geometry.arity == "bilinear" else scale * nu
-    h = _modulated_indicator(grid, q, hvec, sign=+1.0)
-    bqp = cube_average(b, qp)
+    blocks = np.asarray(nu, dtype=float).reshape(len(derived), grid.n)
+    fs = tuple(_modulated_indicator(grid, d, scale * blk) for d, blk in zip(derived, blocks))
+    h = _modulated_indicator(grid, q, scale * np.sum(blocks, axis=0), sign=+1.0)
+    bqp = cube_average(b, derived[0])
     sl = cube_slices(grid, q)
     sigma = np.sign(b.values[sl] - bqp)
     hv = h.values.copy()
     hv[sl] *= sigma
     h = GridFunction(grid, hv)
-    pairs = [(f, qp), (h, q)]
-    if g is not None:
-        pairs.insert(1, (g, derived[1]))
-    for fn, supp in pairs:
+    for fn, supp in [*zip(fs, derived), (h, q)]:
         mod = np.abs(fn.values[cube_slices(grid, supp)])
         live = mod > 0  # h is 0 where b equals its Q' average exactly
         if live.any() and np.max(np.abs(mod[live] - 1.0)) > 1e-12:
             raise AssertionError("modulated indicator lost unit modulus")
-    return TestFunctionTriple(f, g, h, nu)
+    return TestFunctions(fs, h)
 
 
 # ---- The estimate chain ----
@@ -505,7 +485,6 @@ def verify_master_chain(
     kernel = T.kernel
     if kernel.arity != geometry.arity:
         raise ValueError("operator and geometry disagree on arity")
-    bilinear = geometry.arity == "bilinear"
     delta = geometry.delta
     d = kernel.degree
     r = q.side
@@ -515,9 +494,10 @@ def verify_master_chain(
         raise ValueError(f"geometry invariants fail on {q}: {checks}")
     derived = geometry.derived_cubes(q)
     qp = derived[0]
+    Xs = (X1, X2)[: len(derived)]  # one input space per derived cube
+    axes = tuple(range(1, len(derived) + 1))  # the derived-cube axes of K
 
     sl_q, xc = _cells_of(grid, q)
-    _, yc = _cells_of(grid, qp)
     bq_block = b.values[sl_q].reshape(-1)
     bqp = cube_average(b, qp)
     sigma = np.sign(bq_block - bqp)
@@ -525,46 +505,33 @@ def verify_master_chain(
     stage_i = float(np.sum(np.abs(bq_block - bqp)) * cell)
 
     by = b.values[cube_slices(grid, qp)].reshape(-1)
-    bdiff = bq_block[:, None] - by[None, :]  # (X, Y)
-    if bilinear:
-        _, zc = _cells_of(grid, derived[1])
-        K = bilinear_kernel_tensor(kernel, xc, yc, zc)
-        navg = K.shape[1] * K.shape[2]
-        meas_prod = cube_measure(grid, qp) * cube_measure(grid, derived[1])
-    else:
-        K = kernel.evaluate(xc[:, None, :] - yc[None, :, :])
-        navg = K.shape[1]
-        meas_prod = cube_measure(grid, qp)
+    bdiff = np.expand_dims(bq_block[:, None] - by[None, :], axes[1:])  # (X, Y, 1, ...)
+    K = kernel_tensor(kernel, xc, *(_cells_of(grid, c)[1] for c in derived))
+    navg = math.prod(K.shape[1:])
+    meas_prod = math.prod(cube_measure(grid, c) for c in derived)
     min_k = float(np.min(np.abs(K)))
     if min_k == 0.0:
         raise KernelVanishes(f"kernel vanishes on a sampled offset of {q}")
     ratio = K * (1.0 / K)
-    if bilinear:
-        inner = np.sum(bdiff[:, :, None] * ratio, axis=(1, 2))
-        mass = float(np.sum(np.abs(bdiff)[:, :, None] * np.abs(K)) * cell / navg)
-    else:
-        inner = np.sum(bdiff * ratio, axis=1)
-        mass = float(np.sum(np.abs(bdiff) * np.abs(K)) * cell / navg)
+    inner = np.sum(bdiff * ratio, axis=axes)
+    mass = float(np.sum(np.abs(bdiff) * np.abs(K)) * cell / navg)
     stage_ii = float(np.sum(sigma * inner) * cell / navg)
 
     Yp = associate(Y)
     scale_pref = (r / delta) ** d
     c_pref = scale_pref / meas_prod
-    nfg = chi_norm(X1, qp, grid) * (chi_norm(X2, derived[1], grid) if bilinear else 1.0)
+    nfg = math.prod(chi_norm(X, c, grid) for X, c in zip(Xs, derived))
 
     def one_mode(j: int):
         nu = expansion.freqs[j]
-        triple = build_test_functions(q, geometry, nu, b)
-        if bilinear:
-            C = bilinear_commutator(b, T, triple.f, triple.g, slot=1)
-        else:
-            C = commutator(b, T, triple.f)
+        tf = build_test_functions(q, geometry, nu, b)
+        C = commutator(b, T, *tf.fs, slot=1)
         if C.mask is not None and not C.mask[sl_q].all():
             raise UncoveredPoint(
                 f"commutator window does not cover the test supports on {q}"
             )
-        integral = complex(np.sum(triple.h.values[sl_q] * C.values[sl_q]) * cell)
-        return integral, norm(triple.h, Yp), norm(C, Y), nfg
+        integral = complex(np.sum(tf.h.values[sl_q] * C.values[sl_q]) * cell)
+        return integral, norm(tf.h, Yp), norm(C, Y), nfg
 
     mode_rows = [one_mode(j) for j in range(expansion.N)]
     a = expansion.coeffs
@@ -581,9 +548,7 @@ def verify_master_chain(
     p = geometry.p_cube(q)
     l1 = float(np.sum(np.abs(a)))
     try:
-        pn = chi_norm(Yp, p, grid) * chi_norm(X1, p, grid)
-        if bilinear:
-            pn *= chi_norm(X2, p, grid)
+        pn = math.prod([chi_norm(Yp, p, grid), *(chi_norm(X, p, grid) for X in Xs)])
         stage_v = c_pref * probe_norm * l1 * pn
     except OutOfDomain:
         stage_v = None
@@ -624,7 +589,7 @@ class NecessityReport:
     """Chain results over a family with stability verdicts.
 
     ratio_by_level maps generation -> max oscillation ratio; the verdicts
-    read "stable" (total drift of the per-level maxima within 10%),
+    read "stable" (total drift of the per-level maxima within 10%, or all zero),
     "growing" (strictly increasing with more than 25% total rise), or
     "undetermined". sup_bound_ratio is None when no cube kept its P dilate
     inside the box.
@@ -646,6 +611,8 @@ class NecessityReport:
 def _trend_verdict(by_level: dict[int, float]) -> str:
     levels = sorted(by_level)
     vals = [by_level[l] for l in levels]
+    if len(vals) >= 2 and max(vals) == 0.0:
+        return "stable"  # no oscillation at any level
     if len(vals) < 2 or min(vals) <= 0:
         return "undetermined"
     total = vals[-1] / vals[0] - 1.0

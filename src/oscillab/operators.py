@@ -18,19 +18,19 @@ higher ambient dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
-    AlphaOutOfRange,
     DivisionByZeroNorm,
     GridMismatch,
     MeanZeroViolation,
 )
 from .grid import Cube, CubeFamily, Grid, GridFunction, cube_measure, cube_slices
-from .spaces import SpaceSpec, norm
+from .spaces import SpaceSpec, _alpha_check, norm
 
 _MAX_TENSOR = 4_000_000  # cap on kernel-tensor entries per evaluation chunk
 
@@ -63,13 +63,7 @@ class KernelSpec:
     omega_odd: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if self.arity not in ("linear", "bilinear"):
-            raise ValueError(f"bad arity {self.arity!r}")
-        limit = self.ndim if self.arity == "linear" else 2 * self.ndim
-        if not 0.0 <= self.alpha < limit:
-            raise AlphaOutOfRange(
-                f"{self.arity} kernel needs 0 <= alpha < {limit}, got {self.alpha}"
-            )
+        _alpha_check(self.alpha, self.D)
         pts = _sphere_samples(self.D)
         vals = np.asarray(self.omega(pts), dtype=float)
         scale = max(1.0, float(np.max(np.abs(vals))))
@@ -83,7 +77,15 @@ class KernelSpec:
 
     @property
     def D(self) -> int:
-        return self.ndim if self.arity == "linear" else 2 * self.ndim
+        return self.dimension(self.arity, self.ndim)
+
+    @staticmethod
+    def dimension(arity: str, n: int) -> int:
+        """The arity rule: k inputs on R^n make a kernel on R^(k n), with k = 1
+        for "linear" and 2 for "bilinear"."""
+        if arity not in ("linear", "bilinear"):
+            raise ValueError(f"bad arity {arity!r}")
+        return n if arity == "linear" else 2 * n
 
     @property
     def degree(self) -> float:
@@ -161,19 +163,26 @@ def coverage_mask(grid: Grid, support: tuple[tuple[int, int], ...] | None) -> np
 # ---- Linear quadrature ----
 
 
-def _self_cell_linear(kernel: KernelSpec, h: float) -> float:
-    """integral of K over the centered cell, for the fractional case."""
+def _self_cell(kernel: KernelSpec, h: float) -> float:
+    """Integral of K over the centered cell [-h/2, h/2]^D, for the fractional
+    case: closed forms on a 1D line and for the 1D distance kernel, a
+    midpoint sum otherwise."""
     a = kernel.alpha
-    if kernel.ndim == 1:
+    if kernel.D == 1:
         # int_{-h/2}^{h/2} Omega(sgn y) |y|^(a-1) dy
         wsum = float(kernel.omega(np.array([[1.0]]))[0] + kernel.omega(np.array([[-1.0]]))[0])
         return wsum * (h / 2) ** a / a
-    sub = 16
+    if kernel.ndim == 1 and kernel.tag == "distance":
+        s = h / 2
+        if abs(a - 1.0) < 1e-12:
+            return 8 * s * np.log(2.0)
+        return 4 * ((2 * s) ** a - 2 * s**a) / (a * (a - 1.0))
+    sub = 16 if kernel.D == 2 else 8
     step = h / sub
     c = (np.arange(sub) + 0.5) * step - h / 2
-    xx, yy = np.meshgrid(c, c, indexing="ij")
-    pts = np.stack([xx.reshape(-1), yy.reshape(-1)], axis=1)
-    return float(np.sum(kernel.evaluate(pts)) * step**2)
+    axes = np.meshgrid(*([c] * kernel.D), indexing="ij")
+    pts = np.stack([ax.reshape(-1) for ax in axes], axis=1)
+    return float(np.sum(kernel.evaluate(pts)) * step**kernel.D)
 
 
 def _singular_1d(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
@@ -200,7 +209,7 @@ def _fractional_1d(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
     krow[m - 1] = 0.0
     conv = np.convolve(fv, krow)
     out = conv[m - 1 : 2 * m - 1] * h
-    out += _self_cell_linear(kernel, h) * fv
+    out += _self_cell(kernel, h) * fv
     return out
 
 
@@ -247,7 +256,7 @@ def _linear_2d(fv: np.ndarray, kernel: KernelSpec, h: float, windowed: bool) -> 
                 kv * fv[xlo1 + k1 : xhi1 + k1, xlo2 + k2 : xhi2 + k2] * cell
             )
     if not windowed:
-        out += _self_cell_linear(kernel, h) * fv
+        out += _self_cell(kernel, h) * fv
     return out
 
 
@@ -293,29 +302,16 @@ def _flat_cells(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return coords, idx
 
 
-def _self_cell_bilinear(kernel: KernelSpec, h: float) -> float:
-    a = kernel.alpha
-    if kernel.ndim == 1 and kernel.tag == "distance":
-        s = h / 2
-        if abs(a - 1.0) < 1e-12:
-            return 8 * s * np.log(2.0)
-        return 4 * ((2 * s) ** a - 2 * s**a) / (a * (a - 1.0))
-    sub = 16 if kernel.D == 2 else 8
-    step = h / sub
-    c = (np.arange(sub) + 0.5) * step - h / 2
-    axes = np.meshgrid(*([c] * kernel.D), indexing="ij")
-    pts = np.stack([ax.reshape(-1) for ax in axes], axis=1)
-    return float(np.sum(kernel.evaluate(pts)) * step**kernel.D)
-
-
-def bilinear_kernel_tensor(kernel: KernelSpec, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """K(x - y, x - z) as an (X, Y, Z) tensor over cell coordinates x, y and
-    z, each of shape (cells, n)."""
-    u = x[:, None, :] - y[None, :, :]  # (X, Y, n)
-    v = x[:, None, :] - z[None, :, :]  # (X, Z, n)
-    shape = (u.shape[0], u.shape[1], v.shape[1], x.shape[1])
-    W = np.concatenate([np.broadcast_to(u[:, :, None, :], shape), np.broadcast_to(v[:, None, :, :], shape)], axis=-1)
-    return kernel.evaluate(W)
+def kernel_tensor(kernel: KernelSpec, x: np.ndarray, *ys: np.ndarray) -> np.ndarray:
+    """K(x - y_1, ..., x - y_k) as an (X, Y_1, ..., Y_k) tensor over cell
+    coordinates x and y_i, each of shape (cells, n)."""
+    shape = (x.shape[0], *(y.shape[0] for y in ys), x.shape[1])
+    offsets = []
+    for i, y in enumerate(ys):
+        u = x[:, None, :] - y[None, :, :]  # (X, Y_i, n), spread over the other y axes
+        others = tuple(j + 1 for j in range(len(ys)) if j != i)
+        offsets.append(np.broadcast_to(np.expand_dims(u, others), shape))
+    return kernel.evaluate(np.concatenate(offsets, axis=-1))
 
 
 def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
@@ -334,7 +330,7 @@ def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
     for start in range(0, coords.shape[0], chunk):
         stop = min(start + chunk, coords.shape[0])
         xi = idx[start:stop]
-        K = bilinear_kernel_tensor(kernel, coords[start:stop], ycoord, zcoord)
+        K = kernel_tensor(kernel, coords[start:stop], ycoord, zcoord)
         if kernel.alpha == 0.0:
             reach = np.minimum(xi, m - 1 - xi)  # (X, n)
             wy = np.all(np.abs(xi[:, None, :] - yidx[None, :, :]) <= reach[:, None, :], axis=-1)
@@ -376,11 +372,9 @@ def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
 
 def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
     _require(kernel.arity == "bilinear", "need a bilinear kernel")
-    if f.grid != g.grid:
-        raise GridMismatch("bilinear operands live on different grids")
-    grid = f.grid
+    grid = _grid_of((f, g))
     _check_dim(grid, kernel)
-    n, h = grid.n, grid.h
+    h = grid.h
     singular = kernel.alpha == 0.0
 
     fflat = f.values.reshape(-1)
@@ -388,8 +382,6 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
     ysel = np.flatnonzero(fflat)
     zsel = np.flatnonzero(gflat)
     out = np.zeros(fflat.shape[0], dtype=np.result_type(fflat, gflat))
-    sup_f = _support_ranges(f.values)
-    sup_g = _support_ranges(g.values)
     if len(ysel) == 0 or len(zsel) == 0:
         vals = out.reshape(grid.shape)
         mask = None
@@ -399,8 +391,8 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
 
     fy = fflat[ysel]
     gz = gflat[zsel]
-    cell2 = h ** (2 * n)
-    correction = 0.0 if singular else _self_cell_bilinear(kernel, h)
+    cell2 = h**kernel.D
+    correction = 0.0 if singular else _self_cell(kernel, h)
     for start, stop, K, here in _bilinear_plan(grid, kernel, ysel, zsel):
         out[start:stop] = np.einsum("xyz,y,z->x", K, fy, gz) * cell2
         if correction != 0.0:
@@ -409,18 +401,9 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
 
     vals = out.reshape(grid.shape)
     mask = None
-    if singular:
-        both = _merge_support(sup_f, sup_g)
-        mask = coverage_mask(grid, both)
+    if singular:  # windows must cover the box around both supports
+        mask = coverage_mask(grid, _support_ranges((f.values != 0) | (g.values != 0)))
     return GridFunction(grid, vals, mask)
-
-
-def _merge_support(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return tuple((min(x[0], y[0]), max(x[1], y[1])) for x, y in zip(a, b))
 
 
 def bilinear_singular_integral(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
@@ -452,91 +435,66 @@ def distance_kernel(n: int, alpha: float) -> KernelSpec:
 # ---- Averaging and maximal operators ----
 
 
-def _alpha_check(alpha: float, n: int, arity: str):
-    limit = n if arity == "linear" else 2 * n
-    if not 0.0 <= alpha < limit:
-        raise AlphaOutOfRange(f"need 0 <= alpha < {limit}, got {alpha}")
+def _grid_of(fs: Sequence[GridFunction]) -> Grid:
+    grid = fs[0].grid
+    if any(f.grid != grid for f in fs[1:]):
+        raise GridMismatch("operands live on different grids")
+    return grid
+
+
+def _averaging(fs: Sequence[GridFunction], cube: Cube, alpha: float) -> GridFunction:
+    grid = _grid_of(fs)
+    _alpha_check(alpha, len(fs) * grid.n)
+    sl = cube_slices(grid, cube)
+    blocks = [f.values[sl] for f in fs]
+    val = math.prod([cube_measure(grid, cube) ** (alpha / grid.n), *(np.sum(b) / b.size for b in blocks)])
+    out = np.zeros(grid.shape, dtype=np.result_type(*(f.values for f in fs)))
+    out[sl] = val
+    return GridFunction(grid, out)
 
 
 def averaging(f: GridFunction, cube: Cube, alpha: float = 0.0) -> GridFunction:
     """A^Q_alpha f = |Q|^(alpha/n) (cell average of f on Q) chi_Q."""
-    g = f.grid
-    _alpha_check(alpha, g.n, "linear")
-    sl = cube_slices(g, cube)
-    block = f.values[sl]
-    val = cube_measure(g, cube) ** (alpha / g.n) * (np.sum(block) / block.size)
-    out = np.zeros(g.shape, dtype=f.values.dtype)
-    out[sl] = val
-    return GridFunction(g, out)
+    return _averaging((f,), cube, alpha)
 
 
 def bilinear_averaging(f: GridFunction, g: GridFunction, cube: Cube, alpha: float = 0.0) -> GridFunction:
-    if f.grid != g.grid:
-        raise GridMismatch("bilinear operands live on different grids")
-    gr = f.grid
-    _alpha_check(alpha, gr.n, "bilinear")
-    sl = cube_slices(gr, cube)
-    fb = f.values[sl]
-    gb = g.values[sl]
-    val = (
-        cube_measure(gr, cube) ** (alpha / gr.n)
-        * (np.sum(fb) / fb.size)
-        * (np.sum(gb) / gb.size)
-    )
-    out = np.zeros(gr.shape, dtype=np.result_type(f.values, g.values))
-    out[sl] = val
-    return GridFunction(gr, out)
+    """A^Q_alpha (f, g) = |Q|^(alpha/n) (average of f on Q) (average of g on Q) chi_Q."""
+    return _averaging((f, g), cube, alpha)
+
+
+def _maximal(fs: Sequence[GridFunction], alpha: float, family: CubeFamily) -> GridFunction:
+    grid = _grid_of(fs)
+    _alpha_check(alpha, len(fs) * grid.n)
+    index = family.index(grid)
+    means = [index.means(np.abs(f.values)).tolist() for f in fs]
+    vals = [math.prod([meas ** (alpha / grid.n), *avgs]) for meas, *avgs in zip(index.measures, *means)]
+    return GridFunction(grid, index.scatter_max(vals))
 
 
 def maximal(f: GridFunction, alpha: float, family: CubeFamily) -> GridFunction:
     """M_alpha f(x) = max over family cubes containing x of
     |Q|^(alpha/n) * (cell average of |f| on Q). The family must cover the grid."""
-    g = f.grid
-    _alpha_check(alpha, g.n, "linear")
-    index = family.index(g)
-    means = index.means(np.abs(f.values)).tolist()
-    vals = [meas ** (alpha / g.n) * a for meas, a in zip(index.measures, means)]
-    return GridFunction(g, index.scatter_max(vals))
+    return _maximal((f,), alpha, family)
 
 
 def bilinear_maximal(f: GridFunction, g: GridFunction, alpha: float, family: CubeFamily) -> GridFunction:
-    if f.grid != g.grid:
-        raise GridMismatch("bilinear operands live on different grids")
-    gr = f.grid
-    _alpha_check(alpha, gr.n, "bilinear")
-    index = family.index(gr)
-    means_f = index.means(np.abs(f.values)).tolist()
-    means_g = index.means(np.abs(g.values)).tolist()
-    vals = [
-        meas ** (alpha / gr.n) * a * b
-        for meas, a, b in zip(index.measures, means_f, means_g)
-    ]
-    return GridFunction(gr, index.scatter_max(vals))
+    """M_alpha (f, g)(x): as `maximal`, with the product of the averages of |f| and |g|."""
+    return _maximal((f, g), alpha, family)
 
 
 # ---- Commutators ----
 
 
-def commutator(b: GridFunction, op: OperatorHandle | Callable, f: GridFunction) -> GridFunction:
-    """[b, T] f = b (T f) - T(b f). Vanishes identically for constant b."""
-    T = op if callable(op) else op.__call__
-    return b * T(f) - T(b * f)
-
-
-def bilinear_commutator(
-    b: GridFunction,
-    op: OperatorHandle | Callable,
-    f: GridFunction,
-    g: GridFunction,
-    slot: int = 1,
-) -> GridFunction:
-    """[b, T]_1 (f, g) = b T(f, g) - T(b f, g); slot 2 moves b onto g."""
-    if slot not in (1, 2):
-        raise ValueError(f"slot must be 1 or 2, got {slot}")
-    T = op if callable(op) else op.__call__
-    if slot == 1:
-        return b * T(f, g) - T(b * f, g)
-    return b * T(f, g) - T(f, b * g)
+def commutator(b: GridFunction, op: OperatorHandle | Callable, *fs: GridFunction, slot: int = 1) -> GridFunction:
+    """[b, T]_slot (f_1, ..., f_k) = b T(f_1, ..., f_k) - T(..., b f_slot, ...)
+    for T = op: b moves onto input `slot`, and for one input this is
+    [b, T] f = b (T f) - T(b f). Vanishes identically for constant b."""
+    if not 1 <= slot <= len(fs):
+        raise ValueError(f"slot must be 1..{len(fs)}, got {slot}")
+    moved = list(fs)
+    moved[slot - 1] = b * fs[slot - 1]
+    return b * op(*fs) - op(*moved)
 
 
 # ---- Probe-based norm estimates ----

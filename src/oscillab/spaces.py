@@ -10,6 +10,7 @@ Variable(p(.))' = Variable(p'(.)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -439,6 +440,31 @@ def _resolve_grid(grid: Grid | None, *spaces: SpaceSpec) -> Grid:
     return grid
 
 
+def _alpha_check(alpha: float, D: int):
+    """Refuse a fractional order outside [0, D) on R^D."""
+    if not 0.0 <= alpha < D:
+        raise AlphaOutOfRange(f"need 0 <= alpha < {D}, got {alpha}")
+
+
+def _condition(
+    Xs: tuple[SpaceSpec, ...], Y: SpaceSpec, alpha: float, family: CubeFamily, grid: Grid | None
+) -> ConditionReport:
+    """sup over Q of |Q|^(-alpha/n) ||chi_Q||_Y' prod_i ||chi_Q||_Xi / |Q|^k
+    for k = len(Xs) input spaces."""
+    g = _resolve_grid(grid, *Xs, Y)
+    k, n = len(Xs), g.n
+    _alpha_check(alpha, k * n)
+    measures = family.index(g).measures
+    chi_yd = chi_norms(associate(Y), family, g)
+    chi_xs = [chi_norms(X, family, g) for X in Xs]
+    vals = [
+        math.prod([meas ** (-alpha / n), cy, *cxs]) / meas**k
+        for meas, cy, *cxs in zip(measures, chi_yd, *chi_xs)
+    ]
+    arg = int(np.argmax(vals))
+    return ConditionReport(float(vals[arg]), family.cubes[arg], tuple(vals), family.provenance)
+
+
 def condition_linear(
     X: SpaceSpec,
     Y: SpaceSpec,
@@ -451,19 +477,7 @@ def condition_linear(
     Equal to 1 on every cube for X = Y = Lebesgue(p), alpha = 0, and to the
     per-cube A_p(Q)^(1/p) for X = Y = Weighted(p, w).
     """
-    g = _resolve_grid(grid, X, Y)
-    n = g.n
-    if not 0.0 <= alpha < n:
-        raise AlphaOutOfRange(f"need 0 <= alpha < n = {n}, got {alpha}")
-    measures = family.index(g).measures
-    chi_yd = chi_norms(associate(Y), family, g)
-    chi_x = chi_norms(X, family, g)
-    vals = [
-        meas ** (-alpha / n) * cy * cx / meas
-        for meas, cy, cx in zip(measures, chi_yd, chi_x)
-    ]
-    arg = int(np.argmax(vals))
-    return ConditionReport(float(vals[arg]), family.cubes[arg], tuple(vals), family.provenance)
+    return _condition((X,), Y, alpha, family, grid)
 
 
 def condition_bilinear(
@@ -475,20 +489,7 @@ def condition_bilinear(
     grid: Grid | None = None,
 ) -> ConditionReport:
     """sup over Q of |Q|^(-alpha/n) ||chi_Q||_Y' ||chi_Q||_X1 ||chi_Q||_X2 / |Q|^2."""
-    g = _resolve_grid(grid, X1, X2, Y)
-    n = g.n
-    if not 0.0 <= alpha < 2 * n:
-        raise AlphaOutOfRange(f"need 0 <= alpha < 2n = {2 * n}, got {alpha}")
-    measures = family.index(g).measures
-    chi_yd = chi_norms(associate(Y), family, g)
-    chi_x1 = chi_norms(X1, family, g)
-    chi_x2 = chi_norms(X2, family, g)
-    vals = [
-        meas ** (-alpha / n) * cy * c1 * c2 / meas**2
-        for meas, cy, c1, c2 in zip(measures, chi_yd, chi_x1, chi_x2)
-    ]
-    arg = int(np.argmax(vals))
-    return ConditionReport(float(vals[arg]), family.cubes[arg], tuple(vals), family.provenance)
+    return _condition((X1, X2), Y, alpha, family, grid)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,9 @@ def test_bad_fixture_name(tmp_path):
         ("commutator", "symbol", "constant:x"),
         ("all", "levle_max", 5),
         ("conditions", "csv_path", "/nonexistent/x.csv"),
+        ("conditions", "json_path", "/nonexistent/x.json"),
+        ("weight-constants", "p", 1),
+        ("chain", "delta", 2),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, key, value):
@@ -135,6 +138,20 @@ def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, ke
     assert key in err
     assert not (tmp_path / "report.csv").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+def test_necessity_constant_symbol_is_stable(tmp_path):
+    """A constant symbol has zero oscillation on every cube, so the per-level
+    maxima are flat at 0 and the verdict is stable."""
+    cfg = write_config(
+        tmp_path, experiment="necessity", seed=0, symbol="constant:1", n_per_axis=5, level_max=3
+    )
+    assert run_in(tmp_path, "run", cfg) == 0
+    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
+    assert all(float(r["value"]) == 0.0 for r in rows if r["quantity"] == "oscillation_ratio")
+    (verdict,) = [r for r in rows if r["quantity"].startswith("ratio_verdict")]
+    assert verdict["quantity"] == "ratio_verdict[constant:1=stable]"
+    assert verdict["verdict"] == "pass"
 
 
 def test_list_fixtures_names_exactly_the_accepted_values(capsys):

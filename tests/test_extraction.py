@@ -166,12 +166,12 @@ def test_test_functions_unit_modulus():
     geo = select_geometry(HILBERT, 0.5)
     q = Cube((0.140625,), 0.28125)
     trip = build_test_functions(q, geo, np.array([1.7]), b)
-    assert trip.g is None
+    assert len(trip.fs) == 1
     from oscillab import cube_slices
 
     sl = cube_slices(g, geo.derived_cubes(q)[0])
-    assert np.allclose(np.abs(trip.f.values[sl]), 1.0)
-    outside = np.abs(trip.f.values).copy()
+    assert np.allclose(np.abs(trip.fs[0].values[sl]), 1.0)
+    outside = np.abs(trip.fs[0].values).copy()
     outside[sl] = 0.0
     assert np.all(outside == 0.0)
     # h carries sgn(b - b_{Q'}) on Q, so |h| is 0 or 1 there
@@ -189,7 +189,7 @@ def test_test_functions_zero_frequency():
     from oscillab import cube_slices
 
     sl = cube_slices(g, geo.derived_cubes(q)[0])
-    assert np.allclose(trip.f.values[sl], 1.0)  # e^0 = 1 exactly
+    assert np.allclose(trip.fs[0].values[sl], 1.0)  # e^0 = 1 exactly
 
 
 # ---- the chain ----
@@ -293,6 +293,25 @@ def test_chain_bilinear_stage_by_stage_in_other_spaces(make):
     assert rep.stage_iv != lebesgue.stage_iv  # the space enters from stage (iv) on
 
 
+def test_chain_stage_by_stage_2d_riesz():
+    g = Grid((-6.0, -6.0), (6.0, 6.0), 48)
+    b = symbol_library("log_abs", g)
+    kernel = fixtures.make_kernel("riesz_1", 2)
+    geo = select_geometry(kernel, 0.5)
+    exp = fourier_reciprocal(kernel, geo, 5, tol=1e-2)
+    q = Cube((0.1875, 0.1875), 0.375)
+    rep = verify_master_chain(b, OperatorHandle(kernel), Lebesgue(4.0), None, Lebesgue(2.0), q, geo, exp)
+    assert rep.geometry_checks["ok"]
+    assert len(rep.derived) == 1 and rep.n_modes == 25
+    assert rep.stage_i > 0.0
+    assert rep.gap_12 <= 1e-12 * rep.stage_i  # (i) = (ii) up to rounding
+    assert rep.gap_23 <= rep.bound_23  # (ii) ~ (iii): truncated 1/K expansion
+    assert rep.gap_34 >= -1e-9 * rep.stage_iv  # (iii) <= (iv): Hoelder in Y, Y'
+    # P = 2 sqrt(2) (1 + 8/delta) Q has side about 18 > 12, so it leaves the
+    # box and stage (v) has no indicator norms to use
+    assert rep.stage_v is None and rep.gap_45 is None
+
+
 def test_chain_arity_mismatch(linear_chain):
     g, b, geo, exp, _ = linear_chain
     T = OperatorHandle(BIRIESZ)
@@ -310,6 +329,7 @@ def test_trend_verdict_rules():
     assert _trend_verdict({2: 1.0, 3: 1.18}) == "undetermined"  # 18% drift, not monotone enough
     assert _trend_verdict({2: 1.0}) == "undetermined"
     assert _trend_verdict({2: 0.0, 3: 1.0}) == "undetermined"
+    assert _trend_verdict({2: 0.0, 3: 0.0}) == "stable"  # flat at zero: a constant symbol
 
 
 def test_necessity_contrast_linear():

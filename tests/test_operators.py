@@ -25,7 +25,6 @@ from oscillab import (
     UncoveredPoint,
     averaging,
     bilinear_averaging,
-    bilinear_commutator,
     bilinear_fractional_integral,
     bilinear_maximal,
     bilinear_singular_integral,
@@ -276,8 +275,8 @@ def test_bilinear_commutator_slots_disagree():
     b = GridFunction(g, xs**2)
     f = GridFunction(g, np.exp(-xs * xs) * (np.abs(xs) <= 1.0))
     h = GridFunction(g, np.cos(xs) * (np.abs(xs) <= 1.0))
-    c1 = bilinear_commutator(b, T, f, h, slot=1)
-    c2 = bilinear_commutator(b, T, f, h, slot=2)
+    c1 = commutator(b, T, f, h, slot=1)
+    c2 = commutator(b, T, f, h, slot=2)
     assert np.max(np.abs(c1.values - c2.values)) > 1e-6
 
 
