@@ -33,6 +33,7 @@ from .grid import (
     Cube,
     CubeFamily,
     FamilyIndex,
+    FamilySup,
     Grid,
     GridFunction,
     centered_family,
@@ -43,7 +44,6 @@ from .grid import (
     enumerate_dyadic,
     indicator,
     integrate,
-    integrate_over,
 )
 from .spaces import (
     ExponentFunction,
@@ -63,19 +63,7 @@ from .spaces import (
     luxemburg_norm,
     norm,
 )
-from .weights import (
-    PVec,
-    WeightTuple,
-    ap_constant,
-    ap_cube,
-    ap_duality_gap,
-    apq_constant,
-    bilinear_dual_quantity,
-    bilinear_frac_dual_quantity,
-    reverse_holder_defect,
-    vector_ap_constant,
-    vector_apq_constant,
-)
+from .weights import ap_constant, ap_cube, ap_duality_gap, apq_constant
 from .operators import (
     KernelSpec,
     OperatorHandle,

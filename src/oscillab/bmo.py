@@ -6,12 +6,10 @@ count), matching the cube conventions in `grid`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fixtures import make_symbol as symbol_library  # the named symbols live in the fixture table
-from .grid import Cube, CubeFamily, GridFunction, cube_average, cube_slices
+from .grid import Cube, CubeFamily, FamilySup, GridFunction, cube_average, cube_slices
 
 
 def _oscillations(blocks: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -39,18 +37,6 @@ def mean_oscillation_shifted(f: GridFunction, cube: Cube, reference: Cube) -> fl
     return float(np.sum(np.abs(block - fr)) / block.size)
 
 
-@dataclass(frozen=True)
-class OscillationReport:
-    """sup of mean oscillation over a family, with the achieving cube."""
-
-    value: float
-    argmax: Cube
-    per_cube: tuple[float, ...]
-    provenance: str
-
-
-def bmo_seminorm(f: GridFunction, family: CubeFamily) -> OscillationReport:
+def bmo_seminorm(f: GridFunction, family: CubeFamily) -> FamilySup:
     """sup over the family of the mean oscillation; exact for the finite family."""
-    vals = family.index(f.grid).reduce(f.values, _oscillations).tolist()
-    best = int(np.argmax(vals))
-    return OscillationReport(float(vals[best]), family.cubes[best], tuple(vals), family.provenance)
+    return FamilySup.of(family, family.index(f.grid).reduce(f.values, _oscillations).tolist())

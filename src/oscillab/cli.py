@@ -359,6 +359,9 @@ def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     p = float(cfg.get("p"))
     with _naming("p"):
         conjugate_exponent(p)
+    q = cfg.get("q")
+    if q is not None and q <= 1.0:
+        raise ConfigError(f"q: need q > 1, got {q}")
     wname = cfg.get("weight")
     rows = []
     values = []
@@ -383,10 +386,8 @@ def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     )
     gap = ap_duality_gap(w, p, fam)  # w and fam of the finest level, left by the loop
     rows.append(row("weight-constants", "ap_duality_gap", gap, 1e-12, _check(gap <= 1e-12)))
-    q = cfg.get("q")
     if q is not None:
-        with _naming("q"):
-            apq = apq_constant(w, p, float(q), fam)
+        apq = apq_constant(w, p, float(q), fam)
         rows.append(row("weight-constants", f"apq_sup[q={float(q):g}]", apq.value, None, "info", apq.argmax))
     summary = {
         "ap_values": values,

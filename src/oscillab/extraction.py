@@ -111,16 +111,6 @@ class ExtractionGeometry:
         return tuple(-v for v in self.base_point)
 
     @property
-    def y1(self) -> tuple[float, ...]:
-        return tuple(v / self.delta for v in self.base_point[: self.ndim])
-
-    @property
-    def z1(self) -> tuple[float, ...] | None:
-        if self.arity == "linear":
-            return None
-        return tuple(v / self.delta for v in self.base_point[self.ndim :])
-
-    @property
     def containment_factor(self) -> float:
         return math.sqrt(self.ndim) * (1 + 8 / self.delta)
 

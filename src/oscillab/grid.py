@@ -274,11 +274,6 @@ def integrate(f: GridFunction) -> float | complex:
     return np.sum(f.values) * f.grid.cell_volume
 
 
-def integrate_over(f: GridFunction, cube: Cube):
-    block = f.values[cube_slices(f.grid, cube)]
-    return np.sum(block) * f.grid.cell_volume
-
-
 def cube_average(f: GridFunction, cube: Cube):
     """Cell-measured average over Q: (sum of member values) / count."""
     block = f.values[cube_slices(f.grid, cube)]
@@ -433,6 +428,23 @@ class FamilyIndex:
         if not covered.all():
             raise UncoveredPoint(f"{(~covered).sum()} cells lie in no family cube")
         return out.reshape(self.grid.shape)
+
+
+@dataclass(frozen=True)
+class FamilySup:
+    """The max of a per-cube quantity over a finite family, with the cube
+    that attains it (the first one on ties)."""
+
+    value: float
+    argmax: Cube
+    per_cube: tuple[float, ...]
+    provenance: str
+
+    @classmethod
+    def of(cls, family: CubeFamily, per_cube: Sequence[float]) -> "FamilySup":
+        """per_cube holds one value per family cube, in family order."""
+        arg = int(np.argmax(per_cube))
+        return cls(float(per_cube[arg]), family.cubes[arg], tuple(per_cube), family.provenance)
 
 
 def _indexed_family(grid: Grid, family: CubeFamily, ranges) -> CubeFamily:

@@ -28,6 +28,7 @@ from .errors import (
 from .grid import (
     Cube,
     CubeFamily,
+    FamilySup,
     Grid,
     GridFunction,
     cube_measure,
@@ -419,16 +420,6 @@ def duality_gap(f: GridFunction, space: SpaceSpec, trials: int = 32, seed: int =
     return best
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Sup of a per-cube quantity over a family, with the argmax cube."""
-
-    value: float
-    argmax: Cube
-    per_cube: tuple[float, ...]
-    provenance: str
-
-
 def _resolve_grid(grid: Grid | None, *spaces: SpaceSpec) -> Grid:
     for s in spaces:
         if s.grid is not None:
@@ -448,21 +439,24 @@ def _alpha_check(alpha: float, D: int):
 
 def _condition(
     Xs: tuple[SpaceSpec, ...], Y: SpaceSpec, alpha: float, family: CubeFamily, grid: Grid | None
-) -> ConditionReport:
-    """sup over Q of |Q|^(-alpha/n) ||chi_Q||_Y' prod_i ||chi_Q||_Xi / |Q|^k
-    for k = len(Xs) input spaces."""
+) -> FamilySup:
+    """sup over Q of |Q|^(-alpha/n) ||chi_Q||_Y' prod_i ||chi_Q||_Xi / |Q|.
+
+    One power of |Q| for any number of input spaces: stage (v) of the chain
+    is free of scale exactly when this quantity is bounded, for linear and
+    bilinear operators alike.
+    """
     g = _resolve_grid(grid, *Xs, Y)
-    k, n = len(Xs), g.n
-    _alpha_check(alpha, k * n)
+    n = g.n
+    _alpha_check(alpha, len(Xs) * n)
     measures = family.index(g).measures
     chi_yd = chi_norms(associate(Y), family, g)
     chi_xs = [chi_norms(X, family, g) for X in Xs]
     vals = [
-        math.prod([meas ** (-alpha / n), cy, *cxs]) / meas**k
+        math.prod([meas ** (-alpha / n), cy, *cxs]) / meas
         for meas, cy, *cxs in zip(measures, chi_yd, *chi_xs)
     ]
-    arg = int(np.argmax(vals))
-    return ConditionReport(float(vals[arg]), family.cubes[arg], tuple(vals), family.provenance)
+    return FamilySup.of(family, vals)
 
 
 def condition_linear(
@@ -471,7 +465,7 @@ def condition_linear(
     alpha: float,
     family: CubeFamily,
     grid: Grid | None = None,
-) -> ConditionReport:
+) -> FamilySup:
     """sup over Q of |Q|^(-alpha/n) ||chi_Q||_Y' ||chi_Q||_X / |Q|.
 
     Equal to 1 on every cube for X = Y = Lebesgue(p), alpha = 0, and to the
@@ -487,8 +481,16 @@ def condition_bilinear(
     alpha: float,
     family: CubeFamily,
     grid: Grid | None = None,
-) -> ConditionReport:
-    """sup over Q of |Q|^(-alpha/n) ||chi_Q||_Y' ||chi_Q||_X1 ||chi_Q||_X2 / |Q|^2."""
+) -> FamilySup:
+    """sup over Q of |Q|^(-alpha/n) ||chi_Q||_Y' ||chi_Q||_X1 ||chi_Q||_X2 / |Q|.
+
+    Equal to 1 on every cube for Lebesgue(p1) x Lebesgue(p2) -> Lebesgue(p)
+    with 1/p = 1/p1 + 1/p2, alpha = 0. For Weighted(p1, w1) x Weighted(p2, w2)
+    -> Weighted(p, w1^(p/p1) w2^(p/p2)) the per-cube value is
+    fa(v^(1-p'))^(1/p') fa(w1)^(1/p1) fa(w2)^(1/p2), v the target weight and
+    fa the cell average over Q: the dual side of the multiple-weight A_P
+    condition (Lerner, Ombrosi, Perez, Torres, Trujillo-Gonzalez 2009).
+    """
     return _condition((X1, X2), Y, alpha, family, grid)
 
 

@@ -26,7 +26,3 @@ def classify_growth(
     if all(s > growth_tol for s in steps):
         return "growing"
     return "undetermined"
-
-
-def is_monotone_increasing(values: Sequence[float]) -> bool:
-    return all(b > a for a, b in zip(values, values[1:]))

@@ -70,6 +70,26 @@ def test_conditions_wrong_expectation_fails(tmp_path):
     assert any(r["cube_side"] for r in rows)  # per-cube rows carry geometry
 
 
+def test_conditions_bilinear_weighted(tmp_path):
+    """The bilinear weighted condition runs through the three space keys:
+    L^4(w) x L^4(w) -> L^2(w) with w = |x|^(1/2) reads A_2(w)^(1/2), sqrt(4/3)
+    on centered intervals."""
+    cfg = write_config(
+        tmp_path,
+        experiment="conditions",
+        seed=0,
+        space_x1="weighted:4:power:0.5",
+        space_x2="weighted:4:power:0.5",
+        space_y="weighted:2:power:0.5",
+        expect=1.1547,
+        tolerance=0.03,
+    )
+    assert run_in(tmp_path, "run", cfg) == 0
+    (r,) = csv.DictReader(open(tmp_path / "report.csv"))
+    assert r["quantity"] == "condition_bilinear_sup"
+    assert r["verdict"] == "pass"
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run_in(tmp_path, "run", str(tmp_path / "nope.json")) == 2
     assert "config error" in capsys.readouterr().err
@@ -138,6 +158,17 @@ def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, ke
     assert key in err
     assert not (tmp_path / "report.csv").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+def test_weight_constants_refuses_q_before_any_level(tmp_path, capsys, monkeypatch):
+    def no_level(*args):
+        raise AssertionError("a level ran before q was checked")
+
+    monkeypatch.setattr("oscillab.cli.ap_constant", no_level)
+    cfg = write_config(tmp_path, experiment="weight-constants", seed=0, q=0.5)
+    assert run_in(tmp_path, "run", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: q") and err.count("\n") == 1
 
 
 def test_necessity_constant_symbol_is_stable(tmp_path):

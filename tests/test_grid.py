@@ -17,7 +17,6 @@ from oscillab import (
     enumerate_dyadic,
     indicator,
     integrate,
-    integrate_over,
 )
 
 
@@ -78,8 +77,6 @@ def test_integrate_constant():
     g = Grid((-3.0, -3.0), (3.0, 3.0), 12)
     f = GridFunction(g, np.full(g.shape, 2.0))
     assert integrate(f) == pytest.approx(72.0)
-    q = Cube((0.0, 0.0), 1.0)
-    assert integrate_over(f, q) == pytest.approx(2.0 * cube_measure(g, q))
 
 
 def test_cube_average_of_own_indicator_is_one():

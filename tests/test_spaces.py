@@ -19,12 +19,15 @@ from oscillab import (
     Variable,
     Weighted,
     associate,
+    centered_family,
     chiQ_norm_ratio,
     chi_norm,
     chi_norms,
     condition_bilinear,
     condition_linear,
     conjugate_exponent,
+    cube_measure,
+    cube_slices,
     duality_gap,
     enumerate_dyadic,
     holder_defect,
@@ -148,15 +151,57 @@ def test_condition_linear_lebesgue_identity(g256):
 
 
 def test_condition_bilinear_exponent_balance(g256):
-    # 1/x1 + 1/x2 = 1 + 1/y makes the measure powers cancel cube by cube
+    # the Hoelder-balanced triple 1/y = 1/x1 + 1/x2 makes the measure powers
+    # cancel cube by cube
     fam = enumerate_dyadic(g256, 0, 4)
-    rep = condition_bilinear(Lebesgue(1.5), Lebesgue(1.5), Lebesgue(3.0), 0.0, fam, g256)
-    assert rep.value == pytest.approx(1.0, abs=1e-10)
-    # the scaling-mismatched triple grows like 1/|Q| toward small cubes
-    rep2 = condition_bilinear(Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0), 0.0, fam, g256)
-    smallest = min(q.side for q in fam.cubes)
-    assert rep2.argmax.side == pytest.approx(smallest)
-    assert rep2.value == pytest.approx(1.0 / smallest, rel=1e-9)
+    rep = condition_bilinear(Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0), 0.0, fam, g256)
+    assert rep.per_cube == pytest.approx([1.0] * len(fam), abs=1e-10)
+    # 1/x1 + 1/x2 = 1 + 1/y leaves one power of |Q|, so the sup sits on the
+    # root cube, |Q| = 2
+    rep2 = condition_bilinear(Lebesgue(1.5), Lebesgue(1.5), Lebesgue(3.0), 0.0, fam, g256)
+    assert rep2.per_cube == pytest.approx([cube_measure(g256, q) for q in fam], rel=1e-9)
+    assert rep2.argmax.side == pytest.approx(2.0)
+    assert rep2.value == pytest.approx(2.0, rel=1e-9)
+
+
+def test_condition_bilinear_power_weight_oracle():
+    # L^4(w) x L^4(w) -> L^2(w) with w = |x|^(1/2): the per-cube value is
+    # (fa(w) fa(w^-1))^(1/2) = A_2(w)^(1/2), sqrt(4/3) on centered intervals
+    # (the A_2 oracle of test_weights)
+    g = Grid((-1.0,), (1.0,), 4096)
+    w = GridFunction(g, np.abs(g.meshes()[0]) ** 0.5)
+    fam = centered_family(g, (0.0,), 2.0, 0, 5)
+    rep = condition_bilinear(Weighted(4.0, w), Weighted(4.0, w), Weighted(2.0, w), 0.0, fam)
+    assert rep.per_cube == pytest.approx([(4.0 / 3.0) ** 0.5] * len(fam), rel=0.02)
+
+
+def test_condition_bilinear_weighted_is_the_multiple_weight_quantity():
+    # Weighted(p1, w1) x Weighted(p2, w2) -> Weighted(p, v), v = w1^(p/p1) w2^(p/p2),
+    # reads fa(v^(1-p'))^(1/p') fa(w1)^(1/p1) fa(w2)^(1/p2) on every cube
+    g = Grid((-1.0,), (1.0,), 256)
+    fam = enumerate_dyadic(g, 0, 5)
+    rng = np.random.default_rng(11)
+    w1, w2 = (np.exp(rng.standard_normal(g.shape)) for _ in range(2))
+    p1, p2 = 3.0, 4.0
+    p = 1.0 / (1.0 / p1 + 1.0 / p2)
+    pp = conjugate_exponent(p)
+    v = w1 ** (p / p1) * w2 ** (p / p2)
+    rep = condition_bilinear(
+        Weighted(p1, GridFunction(g, w1)),
+        Weighted(p2, GridFunction(g, w2)),
+        Weighted(p, GridFunction(g, v)),
+        0.0,
+        fam,
+    )
+
+    def fa(vals, q):
+        return float(np.mean(vals[cube_slices(g, q)]))
+
+    want = [
+        fa(v ** (1.0 - pp), q) ** (1.0 / pp) * fa(w1, q) ** (1.0 / p1) * fa(w2, q) ** (1.0 / p2)
+        for q in fam
+    ]
+    assert rep.per_cube == pytest.approx(want, rel=1e-14)
 
 
 def test_condition_fractional_scaling(g256):

@@ -13,18 +13,11 @@ from oscillab import (
     Grid,
     GridFunction,
     NonPositiveWeight,
-    PVec,
-    WeightTuple,
     ap_constant,
     ap_cube,
     ap_duality_gap,
     apq_constant,
-    bilinear_dual_quantity,
-    bilinear_frac_dual_quantity,
     enumerate_dyadic,
-    reverse_holder_defect,
-    vector_ap_constant,
-    vector_apq_constant,
 )
 
 
@@ -95,71 +88,6 @@ def test_apq_matches_hand_computation():
     block = w.values
     expect = (np.mean(block**4.0)) ** 0.25 * (np.mean(block**-2.0)) ** 0.5
     assert rep.value == pytest.approx(float(expect), rel=1e-12)
-
-
-def test_vector_ap_power_weight_oracle():
-    # w1 = w2 = |x|^(1/2), p1 = p2 = 4 (so p = 2, balanced weight = w):
-    # on centered intervals the averages give
-    #   fa(w)^(1/2) * fa(w^(-1/3))^(3/2) = sqrt(2/3) * (6/5)^(3/2),
-    # independent of the interval length.
-    g = _grid()
-    w = _power_weight(g, 0.5)
-    rep = vector_ap_constant(WeightTuple(w, w), PVec(4.0, 4.0), enumerate_dyadic(g, 0, 8))
-    oracle = (2.0 / 3.0) ** 0.5 * (6.0 / 5.0) ** 1.5
-    assert rep.value == pytest.approx(oracle, rel=0.02)
-
-
-def test_vector_constants_scale_invariance():
-    g = _grid(256)
-    fam = enumerate_dyadic(g, 0, 4)
-    w1 = _power_weight(g, 0.3)
-    w2 = GridFunction(g, np.exp(g.meshes()[0]))
-    pv = PVec(3.0, 3.0)
-    base = vector_ap_constant(WeightTuple(w1, w2), pv, fam)
-    scaled = vector_ap_constant(
-        WeightTuple(GridFunction(g, 5.0 * w1.values), GridFunction(g, 0.2 * w2.values)),
-        pv,
-        fam,
-    )
-    assert scaled.value == pytest.approx(base.value, rel=1e-12)
-
-    basef = vector_apq_constant(WeightTuple(w1, w2), pv, 4.0, fam)
-    scaledf = vector_apq_constant(
-        WeightTuple(GridFunction(g, 5.0 * w1.values), GridFunction(g, 0.2 * w2.values)),
-        pv,
-        4.0,
-        fam,
-    )
-    assert scaledf.value == pytest.approx(basef.value, rel=1e-12)
-
-
-def test_dual_quantities_finite_and_reported():
-    g = _grid(256)
-    fam = enumerate_dyadic(g, 0, 4)
-    t = WeightTuple(_power_weight(g, 0.3), _power_weight(g, 0.2))
-    pv = PVec(3.0, 3.0)
-    for rep in (
-        bilinear_dual_quantity(t, pv, fam),
-        bilinear_frac_dual_quantity(t, pv, 4.0, fam),
-        reverse_holder_defect(t, pv, fam),
-    ):
-        assert np.isfinite(rep.value)
-        assert len(rep.per_cube) == len(fam)
-
-
-def test_reverse_holder_defect_at_least_one():
-    g = _grid(256)
-    fam = enumerate_dyadic(g, 0, 4)
-    t = WeightTuple(_power_weight(g, 0.4), GridFunction(g, np.exp(g.meshes()[0])))
-    rep = reverse_holder_defect(t, PVec(2.5, 2.5), fam)
-    assert min(rep.per_cube) >= 1.0 - 1e-12
-
-
-def test_pvec_holder_relation():
-    pv = PVec(3.0, 6.0)
-    assert pv.p == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        PVec(1.0, 2.0)
 
 
 @settings(max_examples=30, deadline=None)
