@@ -82,6 +82,7 @@ from .operators import (
 )
 from .bmo import bmo_seminorm, mean_oscillation, mean_oscillation_shifted, symbol_library
 from .extraction import (
+    ChainCube,
     ExtractionGeometry,
     FourierExpansion,
     build_test_functions,

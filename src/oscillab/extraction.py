@@ -14,7 +14,9 @@ bounded mean oscillation" into per-cube arithmetic:
    polishes the kept coefficients (the expansion is only ever used on the
    ball, so on-ball residual is the right target).
 3. `build_test_functions` makes modulated indicators whose moduli are plain
-   cube indicators, so their norms match the norms of their supports.
+   cube indicators, so their norms match the norms of their supports. The
+   cells, coordinates and sign pattern they are built on come from a
+   `ChainCube`, made once per cube before the mode loop.
 4. `verify_master_chain` evaluates the five-stage estimate chain
 
    (i)   integral over Q of |b - b_{Q'}|
@@ -39,6 +41,7 @@ whenever the probe set contains the chain's own test pairs (it always does).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +49,7 @@ import numpy as np
 from .errors import (
     BadDelta,
     KernelVanishes,
+    OscillabError,
     OutOfDomain,
     TailTooLarge,
     UncoveredPoint,
@@ -53,6 +57,7 @@ from .errors import (
 from .grid import (
     Cube,
     CubeFamily,
+    Grid,
     GridFunction,
     cube_average,
     cube_measure,
@@ -372,6 +377,57 @@ def fourier_reciprocal(
 
 
 @dataclass(frozen=True)
+class CubeCells:
+    """A cube's cell slices and its cell-center coordinates, one block per
+    axis (each block has the shape of the cube's cells)."""
+
+    cube: Cube
+    slices: tuple[slice, ...]
+    axes: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, grid: Grid, cube: Cube) -> "CubeCells":
+        sl = cube_slices(grid, cube)
+        return cls(cube, sl, tuple(m[sl] for m in grid.meshes()))
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(cells, n) coordinates in row-major cell order, as `kernel_tensor`
+        reads them."""
+        return np.stack([a.reshape(-1) for a in self.axes], axis=1)
+
+
+@dataclass(frozen=True)
+class ChainCube:
+    """What the chain needs on one cube Q that no Fourier mode changes: the
+    cells of Q and of its derived cubes, b_{Q'} and sigma = sgn(b - b_{Q'})
+    on the cells of Q, and the frequency scale delta / r."""
+
+    grid: Grid
+    q: CubeCells
+    derived: tuple[CubeCells, ...]
+    scale: float
+    b_avg: float
+    sigma: np.ndarray
+
+    @classmethod
+    def build(cls, b: GridFunction, q: Cube, geometry: ExtractionGeometry) -> "ChainCube":
+        grid = b.grid
+        cells = CubeCells.of(grid, q)
+        derived = tuple(CubeCells.of(grid, c) for c in geometry.derived_cubes(q))
+        bqp = cube_average(b, derived[0].cube)
+        sigma = np.sign(b.values[cells.slices] - bqp)
+        return cls(grid, cells, derived, geometry.delta / q.side, bqp, sigma)
+
+    def h_modulus(self) -> GridFunction:
+        """|sigma| chi_Q, which is |h| for every mode up to rounding of
+        |e^{i t}|, so ||h||_{Y'} is taken from it once per cube."""
+        vals = np.zeros(self.grid.shape)
+        vals[self.q.slices] = np.abs(self.sigma)
+        return GridFunction(self.grid, vals)
+
+
+@dataclass(frozen=True)
 class TestFunctions:
     """Modulated indicators for one frequency nu: fs holds one input per derived
     cube, with moduli exactly the indicators of Q' (and Q''); h lives on Q
@@ -381,38 +437,35 @@ class TestFunctions:
     h: GridFunction
 
 
-def _modulated_indicator(grid, cube: Cube, vec: np.ndarray, sign: float = -1.0) -> GridFunction:
+def _modulated_indicator(
+    grid: Grid, cells: CubeCells, vec: np.ndarray, sign: float, weight: np.ndarray | None = None
+) -> GridFunction:
+    """e^{sign i vec . x} times weight on the cells of one cube, 0 elsewhere."""
+    block = np.exp(sign * 1j * sum(float(v) * a for v, a in zip(vec, cells.axes)))
+    if np.max(np.abs(np.abs(block) - 1.0)) > 1e-12:
+        raise AssertionError("modulated indicator lost unit modulus")
+    if weight is not None:
+        block *= weight
     vals = np.zeros(grid.shape, dtype=np.complex128)
-    sl = cube_slices(grid, cube)
-    meshes = grid.meshes()
-    phase = sum(float(v) * m[sl] for v, m in zip(vec, meshes))
-    vals[sl] = np.exp(sign * 1j * phase)
+    vals[cells.slices] = block
     return GridFunction(grid, vals)
 
 
-def build_test_functions(
-    q: Cube, geometry: ExtractionGeometry, nu: np.ndarray, b: GridFunction
-) -> TestFunctions:
+def build_test_functions(cube: ChainCube, nu: np.ndarray) -> TestFunctions:
     """f_i = e^{-i (delta/r) nu^i . y} chi_{Q_i} on each derived cube Q_i, with
     nu^i the i-th n-block of nu, and h = e^{+i (delta/r) nu . (x, ..., x)}
-    sgn(b - b_{Q'}) chi_Q."""
-    grid = b.grid
-    scale = geometry.delta / q.side
-    derived = geometry.derived_cubes(q)
-    blocks = np.asarray(nu, dtype=float).reshape(len(derived), grid.n)
-    fs = tuple(_modulated_indicator(grid, d, scale * blk) for d, blk in zip(derived, blocks))
-    h = _modulated_indicator(grid, q, scale * np.sum(blocks, axis=0), sign=+1.0)
-    bqp = cube_average(b, derived[0])
-    sl = cube_slices(grid, q)
-    sigma = np.sign(b.values[sl] - bqp)
-    hv = h.values.copy()
-    hv[sl] *= sigma
-    h = GridFunction(grid, hv)
-    for fn, supp in [*zip(fs, derived), (h, q)]:
-        mod = np.abs(fn.values[cube_slices(grid, supp)])
-        live = mod > 0  # h is 0 where b equals its Q' average exactly
-        if live.any() and np.max(np.abs(mod[live] - 1.0)) > 1e-12:
-            raise AssertionError("modulated indicator lost unit modulus")
+    sgn(b - b_{Q'}) chi_Q.
+
+    Everything but nu comes from `cube`, built once per chain cube, so a
+    mode costs one np.exp per derived cube and one for h; each exponential
+    is checked to have modulus 1 to 1e-12."""
+    grid = cube.grid
+    blocks = np.asarray(nu, dtype=float).reshape(len(cube.derived), grid.n)
+    fs = tuple(
+        _modulated_indicator(grid, cells, cube.scale * blk, -1.0)
+        for cells, blk in zip(cube.derived, blocks)
+    )
+    h = _modulated_indicator(grid, cube.q, cube.scale * np.sum(blocks, axis=0), +1.0, cube.sigma)
     return TestFunctions(fs, h)
 
 
@@ -453,11 +506,16 @@ class ChainReport:
     min_kernel_on_offsets: float
 
 
-def _cells_of(grid, cube: Cube):
-    sl = cube_slices(grid, cube)
-    meshes = grid.meshes()
-    coords = np.stack([m[sl].reshape(-1) for m in meshes], axis=1)
-    return sl, coords
+@contextmanager
+def _stage(q: Cube, name: str):
+    """Prefix an OscillabError raised in the block with the cube and the
+    chain stage. The exception keeps its type and attributes (a
+    ConvergenceFailure its residual), so a report row reads as before."""
+    try:
+        yield
+    except OscillabError as e:
+        e.args = (f"{q}, {name}: {e.args[0] if e.args else ''}", *e.args[1:])
+        raise
 
 
 def verify_master_chain(
@@ -470,7 +528,11 @@ def verify_master_chain(
     geometry: ExtractionGeometry,
     expansion: FourierExpansion,
 ) -> ChainReport:
-    """Evaluate the five-stage chain on one cube. See the module docstring."""
+    """Evaluate the five-stage chain on one cube. See the module docstring.
+
+    An OscillabError raised on the way names the cube and the stage it
+    came from: geometry, kernel tensor, norms (the mode-invariant
+    ||h||_{Y'} and ||chi_{Q_i}||_{X_i}), mode j, or closing bound."""
     grid = b.grid
     kernel = T.kernel
     if kernel.arity != geometry.arity:
@@ -478,70 +540,72 @@ def verify_master_chain(
     delta = geometry.delta
     d = kernel.degree
     r = q.side
-
-    checks = geometry.verify_for_cube(q)
-    if not checks["ok"]:
-        raise ValueError(f"geometry invariants fail on {q}: {checks}")
-    derived = geometry.derived_cubes(q)
-    qp = derived[0]
-    Xs = (X1, X2)[: len(derived)]  # one input space per derived cube
-    axes = tuple(range(1, len(derived) + 1))  # the derived-cube axes of K
-
-    sl_q, xc = _cells_of(grid, q)
-    bq_block = b.values[sl_q].reshape(-1)
-    bqp = cube_average(b, qp)
-    sigma = np.sign(bq_block - bqp)
     cell = grid.cell_volume
-    stage_i = float(np.sum(np.abs(bq_block - bqp)) * cell)
 
-    by = b.values[cube_slices(grid, qp)].reshape(-1)
-    bdiff = np.expand_dims(bq_block[:, None] - by[None, :], axes[1:])  # (X, Y, 1, ...)
-    K = kernel_tensor(kernel, xc, *(_cells_of(grid, c)[1] for c in derived))
-    navg = math.prod(K.shape[1:])
-    meas_prod = math.prod(cube_measure(grid, c) for c in derived)
-    min_k = float(np.min(np.abs(K)))
-    if min_k == 0.0:
-        raise KernelVanishes(f"kernel vanishes on a sampled offset of {q}")
-    ratio = K * (1.0 / K)
-    inner = np.sum(bdiff * ratio, axis=axes)
-    mass = float(np.sum(np.abs(bdiff) * np.abs(K)) * cell / navg)
-    stage_ii = float(np.sum(sigma * inner) * cell / navg)
+    with _stage(q, "geometry"):
+        checks = geometry.verify_for_cube(q)
+        if not checks["ok"]:
+            raise ValueError(f"geometry invariants fail on {q}: {checks}")
+        cube = ChainCube.build(b, q, geometry)
+        derived = tuple(c.cube for c in cube.derived)
+        Xs = (X1, X2)[: len(derived)]  # one input space per derived cube
+        axes = tuple(range(1, len(derived) + 1))  # the derived-cube axes of K
+        sl_q = cube.q.slices
+        bq_block = b.values[sl_q].reshape(-1)
+        sigma = cube.sigma.reshape(-1)
+        stage_i = float(np.sum(np.abs(bq_block - cube.b_avg)) * cell)
+        meas_prod = math.prod(cube_measure(grid, c) for c in derived)
+
+    with _stage(q, "kernel tensor"):
+        by = b.values[cube.derived[0].slices].reshape(-1)
+        bdiff = np.expand_dims(bq_block[:, None] - by[None, :], axes[1:])  # (X, Y, 1, ...)
+        K = kernel_tensor(kernel, cube.q.coords, *(c.coords for c in cube.derived))
+        navg = math.prod(K.shape[1:])
+        min_k = float(np.min(np.abs(K)))
+        if min_k == 0.0:
+            raise KernelVanishes("kernel vanishes on a sampled offset")
+        ratio = K * (1.0 / K)
+        inner = np.sum(bdiff * ratio, axis=axes)
+        mass = float(np.sum(np.abs(bdiff) * np.abs(K)) * cell / navg)
+        stage_ii = float(np.sum(sigma * inner) * cell / navg)
 
     Yp = associate(Y)
-    scale_pref = (r / delta) ** d
-    c_pref = scale_pref / meas_prod
-    nfg = math.prod(chi_norm(X, c, grid) for X, c in zip(Xs, derived))
+    with _stage(q, "norms"):
+        h_norm = norm(cube.h_modulus(), Yp)
+        nfg = math.prod(chi_norm(X, c, grid) for X, c in zip(Xs, derived))
 
     def one_mode(j: int):
-        nu = expansion.freqs[j]
-        tf = build_test_functions(q, geometry, nu, b)
+        tf = build_test_functions(cube, expansion.freqs[j])
         C = commutator(b, T, *tf.fs, slot=1)
         if C.mask is not None and not C.mask[sl_q].all():
-            raise UncoveredPoint(
-                f"commutator window does not cover the test supports on {q}"
-            )
+            raise UncoveredPoint("commutator window does not cover the test supports")
         integral = complex(np.sum(tf.h.values[sl_q] * C.values[sl_q]) * cell)
-        return integral, norm(tf.h, Yp), norm(C, Y), nfg
+        return integral, norm(C, Y)
 
-    mode_rows = [one_mode(j) for j in range(expansion.N)]
+    mode_rows = []
+    for j in range(expansion.N):
+        with _stage(q, f"mode {j}"):
+            mode_rows.append(one_mode(j))
+
+    scale_pref = (r / delta) ** d
+    c_pref = scale_pref / meas_prod
     a = expansion.coeffs
     resum = complex(sum(a[j] * mode_rows[j][0] for j in range(expansion.N)))
     stage_iii_c = c_pref * resum
     stage_iv = c_pref * float(
-        sum(abs(a[j]) * mode_rows[j][1] * mode_rows[j][2] for j in range(expansion.N))
+        sum(abs(a[j]) * h_norm * mode_rows[j][1] for j in range(expansion.N))
     )
-    ratios = [
-        row[2] / row[3] if row[3] > 0 else 0.0 for row in mode_rows
-    ]
+    ratios = [row[1] / nfg if nfg > 0 else 0.0 for row in mode_rows]
     probe_norm = float(max(ratios)) if ratios else 0.0
 
     p = geometry.p_cube(q)
     l1 = float(np.sum(np.abs(a)))
-    try:
-        pn = math.prod([chi_norm(Yp, p, grid), *(chi_norm(X, p, grid) for X in Xs)])
-        stage_v = c_pref * probe_norm * l1 * pn
-    except OutOfDomain:
-        stage_v = None
+    with _stage(q, "closing bound"):
+        try:
+            pn = math.prod([chi_norm(Yp, p, grid), *(chi_norm(X, p, grid) for X in Xs)])
+            stage_v = c_pref * probe_norm * l1 * pn
+        except OutOfDomain:
+            stage_v = None
 
     bound_23 = scale_pref * expansion.epsilon * mass
     gap_23 = abs(stage_ii - stage_iii_c)

@@ -315,13 +315,13 @@ def kernel_tensor(kernel: KernelSpec, x: np.ndarray, *ys: np.ndarray) -> np.ndar
 
 
 def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
-    """Yield (start, stop, K, here) per _MAX_TENSOR slice of output cells.
+    """Yield (start, stop, K2, here) per _MAX_TENSOR slice of output cells.
 
-    K is the (X, Y, Z) kernel tensor over the nonzero cells ysel of f and
-    zsel of g, with the principal-value window applied on the singular path
-    and the pair y = z = x zeroed; here holds the flat indices of the
-    slice's cells where y = x and z = x both occur (the fractional
-    self-cell correction)."""
+    K2 is the (X, Y, Z) kernel tensor over the nonzero cells ysel of f and
+    zsel of g, viewed as an (X, Y*Z) matrix, with the principal-value
+    window applied on the singular path and the pair y = z = x zeroed;
+    here holds the flat indices of the slice's cells where y = x and z = x
+    both occur (the fractional self-cell correction)."""
     m = grid.m
     coords, idx = _flat_cells(grid)
     ycoord, yidx = coords[ysel], idx[ysel]
@@ -342,7 +342,7 @@ def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
         eq_z = np.all(xi[:, None, :] == zidx[None, :, :], axis=-1)
         K = np.where(eq_y[:, :, None] & eq_z[:, None, :], 0.0, K)
         here = start + np.flatnonzero(eq_y.any(axis=1) & eq_z.any(axis=1))
-        yield start, stop, K, here
+        yield start, stop, K.reshape(stop - start, -1), here
 
 
 # Recently built kernel tables, newest first. The estimate chain applies
@@ -355,22 +355,39 @@ _plans: list[tuple[tuple, tuple]] = []
 
 
 def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
-    """The chunks of `_kernel_chunks`, kept for reuse when they fit in one
-    _MAX_TENSOR chunk; larger tables are rebuilt chunk by chunk on every
-    call, so they never hold more than one chunk in memory."""
+    """(chunks, mask) for the nonzero cells ysel of f and zsel of g.
+
+    chunks are those of `_kernel_chunks`. mask is the singular path's
+    coverage mask, whose windows must cover the box around both supports
+    (None on the fractional path); it depends on the key alone, so it is
+    read-only and every reuse returns the same array. Plans whose table
+    fits in one _MAX_TENSOR chunk are kept for reuse; larger tables are
+    rebuilt chunk by chunk on every call, so they never hold more than one
+    chunk in memory."""
     key = (grid, kernel, ysel.tobytes(), zsel.tobytes())
-    for plan_key, chunks in _plans:
+    for plan_key, plan in _plans:
         if plan_key == key:
-            return chunks
+            return plan
+    mask = None
+    if kernel.alpha == 0.0:
+        nonzero = np.zeros(grid.m**grid.n, dtype=bool)
+        nonzero[ysel] = nonzero[zsel] = True
+        mask = coverage_mask(grid, _support_ranges(nonzero.reshape(grid.shape)))
+        mask.flags.writeable = False
     chunks = _kernel_chunks(grid, kernel, ysel, zsel)
     if grid.m**grid.n * len(ysel) * len(zsel) > _MAX_TENSOR:
-        return chunks
-    chunks = tuple(chunks)
-    _plans[:] = [(key, chunks)] + _plans[: _PLAN_SLOTS - 1]
-    return chunks
+        return chunks, mask
+    plan = (tuple(chunks), mask)
+    _plans[:] = [(key, plan)] + _plans[: _PLAN_SLOTS - 1]
+    return plan
 
 
 def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
+    """T(f, g) as one real matrix product per chunk: the plan's K2 (X, Y*Z)
+    against w = f_y g_z over the nonzero cells, K2 @ w for real inputs and
+    K2 @ [Re w, Im w] for complex ones, plus the fractional self-cell
+    correction. The sums run through BLAS, so their last digits depend on
+    its thread count."""
     _require(kernel.arity == "bilinear", "need a bilinear kernel")
     grid = _grid_of((f, g))
     _check_dim(grid, kernel)
@@ -389,21 +406,20 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
             mask = coverage_mask(grid, None)
         return GridFunction(grid, vals, mask)
 
-    fy = fflat[ysel]
-    gz = gflat[zsel]
+    w = np.multiply.outer(fflat[ysel], gflat[zsel]).reshape(-1)
+    pairs = np.iscomplexobj(w)
+    if pairs:  # the two columns Re w, Im w
+        w = w.astype(np.complex128, copy=False).view(np.float64).reshape(-1, 2)
     cell2 = h**kernel.D
     correction = 0.0 if singular else _self_cell(kernel, h)
-    for start, stop, K, here in _bilinear_plan(grid, kernel, ysel, zsel):
-        out[start:stop] = np.einsum("xyz,y,z->x", K, fy, gz) * cell2
+    chunks, mask = _bilinear_plan(grid, kernel, ysel, zsel)
+    for start, stop, K2, here in chunks:
+        s = K2 @ w
+        out[start:stop] = (s.view(np.complex128).reshape(-1) if pairs else s) * cell2
         if correction != 0.0:
             for i in here:
                 out[i] += correction * fflat[i] * gflat[i]
-
-    vals = out.reshape(grid.shape)
-    mask = None
-    if singular:  # windows must cover the box around both supports
-        mask = coverage_mask(grid, _support_ranges((f.values != 0) | (g.values != 0)))
-    return GridFunction(grid, vals, mask)
+    return GridFunction(grid, out.reshape(grid.shape), mask)
 
 
 def bilinear_singular_integral(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:

@@ -262,3 +262,16 @@ def test_weight_constants_experiment_smoke(tmp_path):
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["verdicts"]["weight-constants/stability[power:0.5,p=2]"] == "pass"
     assert rep["summaries"]["weight-constants"]["growth_verdict"] == "stable"
+
+
+def test_chain_error_row_and_summary_name_the_stage(tmp_path, monkeypatch):
+    from oscillab import spaces
+
+    monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)  # no bisection can converge
+    var = "variable:arctan_profile"
+    cfg = write_config(tmp_path, experiment="chain", seed=0, space_x1=var, space_x2=var, space_y=var)
+    assert run_in(tmp_path, "run", cfg) == 1
+    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
+    assert [(r["quantity"], r["verdict"]) for r in rows] == [("error[ConvergenceFailure]", "fail")]
+    error = json.loads((tmp_path / "report.json").read_text())["summaries"]["chain"]["error"]
+    assert re.match(r"ConvergenceFailure: Q\([-0-9.]+;[0-9.]+\), norms: modular misses 1", error), error

@@ -12,6 +12,7 @@ import pytest
 
 from oscillab import (
     BadDelta,
+    ConvergenceFailure,
     Cube,
     Grid,
     GridFunction,
@@ -22,13 +23,18 @@ from oscillab import (
     TailTooLarge,
     Variable,
     Weighted,
+    associate,
     centered_family,
     condition_bilinear,
+    cube_average,
+    cube_slices,
     enumerate_dyadic,
+    norm,
 )
-from oscillab import fixtures
+from oscillab import extraction, fixtures, spaces
 from oscillab.bmo import symbol_library
 from oscillab.extraction import (
+    ChainCube,
     ExtractionGeometry,
     _trend_verdict,
     _unit_ball_points,
@@ -164,7 +170,7 @@ def test_test_functions_unit_modulus():
     b = symbol_library("log_abs", g)
     geo = select_geometry(HILBERT, 0.5)
     q = Cube((0.140625,), 0.28125)
-    trip = build_test_functions(q, geo, np.array([1.7]), b)
+    trip = build_test_functions(ChainCube.build(b, q, geo), np.array([1.7]))
     assert len(trip.fs) == 1
     from oscillab import cube_slices
 
@@ -184,11 +190,83 @@ def test_test_functions_zero_frequency():
     b = symbol_library("log_abs", g)
     geo = select_geometry(HILBERT, 0.5)
     q = Cube((0.140625,), 0.28125)
-    trip = build_test_functions(q, geo, np.array([0.0]), b)
+    trip = build_test_functions(ChainCube.build(b, q, geo), np.array([0.0]))
     from oscillab import cube_slices
 
     sl = cube_slices(g, geo.derived_cubes(q)[0])
     assert np.allclose(trip.fs[0].values[sl], 1.0)  # e^0 = 1 exactly
+
+
+def _per_mode_test_functions(q, geometry, nu, b):
+    """The construction as it was before ChainCube: every cube, slice,
+    mesh and b_{Q'} derived again for each nu. Returns (fs values, h values)."""
+    grid = b.grid
+    scale = geometry.delta / q.side
+    derived = geometry.derived_cubes(q)
+    blocks = np.asarray(nu, dtype=float).reshape(len(derived), grid.n)
+
+    def modulated(cube, vec, sign):
+        vals = np.zeros(grid.shape, dtype=np.complex128)
+        sl = cube_slices(grid, cube)
+        vals[sl] = np.exp(sign * 1j * sum(float(v) * m[sl] for v, m in zip(vec, grid.meshes())))
+        return vals
+
+    fs = [modulated(d, scale * blk, -1.0) for d, blk in zip(derived, blocks)]
+    h = modulated(q, scale * np.sum(blocks, axis=0), +1.0)
+    sl = cube_slices(grid, q)
+    h[sl] *= np.sign(b.values[sl] - cube_average(b, derived[0]))
+    return fs, h
+
+
+def _bilinear_1d_cube():
+    g = Grid((-6.0,), (6.0,), 512)
+    return symbol_library("log_abs", g), select_geometry(BIRIESZ, 0.5), Cube((0.140625,), 0.28125)
+
+
+def _riesz_2d_cube():
+    g = Grid((-6.0, -6.0), (6.0, 6.0), 48)
+    geo = select_geometry(fixtures.make_kernel("riesz_1", 2), 0.5)
+    return symbol_library("log_abs", g), geo, Cube((0.1875, 0.1875), 0.375)
+
+
+@pytest.mark.parametrize(
+    "setup, nus",
+    [
+        (_bilinear_1d_cube, [[1.7, -0.6], [-13.25, 40.1], [0.0, 0.0]]),
+        (_riesz_2d_cube, [[0.9, -2.3], [17.5, 3.0], [0.0, 0.0]]),
+    ],
+    ids=["bilinear-1d", "riesz_1-2d"],
+)
+def test_test_functions_match_per_mode_construction(setup, nus):
+    b, geo, q = setup()
+    cube = ChainCube.build(b, q, geo)
+    for nu in nus:
+        tf = build_test_functions(cube, np.array(nu))
+        fs, h = _per_mode_test_functions(q, geo, np.array(nu), b)
+        assert len(tf.fs) == len(fs)
+        for got, want in zip(tf.fs, fs):
+            assert got.values.tobytes() == want.tobytes(), nu
+        assert tf.h.values.tobytes() == h.tobytes(), nu
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda g: Lebesgue(2.0),
+        lambda g: Weighted(2.0, fixtures.make_weight("power:0.5", g)),
+        lambda g: Variable(fixtures.make_exponent("arctan_profile", g)),
+    ],
+    ids=["lebesgue", "weighted", "variable"],
+)
+def test_hoisted_h_norm_matches_per_mode_norm(make):
+    b, geo, q = _bilinear_1d_cube()
+    Yp = associate(make(b.grid))
+    cube = ChainCube.build(b, q, geo)
+    hoisted = norm(cube.h_modulus(), Yp)
+    assert hoisted > 0.0
+    for nu in ([1.7, -0.6], [-13.25, 40.1], [0.0, 0.0]):
+        per_mode = norm(build_test_functions(cube, np.array(nu)).h, Yp)
+        assert hoisted == pytest.approx(per_mode, rel=1e-12)
 
 
 # ---- the chain ----
@@ -317,6 +395,42 @@ def test_chain_arity_mismatch(linear_chain):
     q = Cube((0.140625,), 0.28125)
     with pytest.raises(ValueError):
         verify_master_chain(b, T, Lebesgue(2.0), Lebesgue(2.0), Lebesgue(2.0), q, geo, exp)
+
+
+def test_chain_error_names_cube_and_stage(monkeypatch):
+    g = Grid((-6.0,), (6.0,), 512)
+    b = symbol_library("log_abs", g)
+    geo = select_geometry(BIRIESZ, 0.5)
+    exp = fourier_reciprocal(BIRIESZ, geo, 5, tol=1e-2)
+    T = OperatorHandle(BIRIESZ)
+    q = Cube((0.140625,), 0.28125)
+    V = Variable(fixtures.make_exponent("arctan_profile", g))
+    # no bisection can meet a negative tolerance: the first Variable norm,
+    # taken once per cube before the modes, raises
+    monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)
+    with pytest.raises(ConvergenceFailure) as info:
+        verify_master_chain(b, T, V, V, V, q, geo, exp)
+    assert str(info.value).startswith(f"{q}, norms: modular misses 1 by")
+    assert f"by {info.value.residual:.3e} after" in str(info.value)  # the residual is kept
+    monkeypatch.undo()
+
+    # a failure inside the mode loop names its mode
+    def norm_failing_on_complex(f, space):
+        if np.iscomplexobj(f.values):
+            raise ConvergenceFailure("modular misses 1", 0.5)
+        return norm(f, space)
+
+    monkeypatch.setattr(extraction, "norm", norm_failing_on_complex)
+    with pytest.raises(ConvergenceFailure) as info:
+        verify_master_chain(b, T, V, V, V, q, geo, exp)
+    assert str(info.value) == f"{q}, mode 0: modular misses 1"
+    assert info.value.residual == 0.5
+    monkeypatch.undo()
+
+    # Q' leaves the box: the geometry stage
+    far = Cube((4.921875,), 0.28125)
+    with pytest.raises(OutOfDomain, match=r"^Q\(4\.92188;0\.28125\), geometry: "):
+        verify_master_chain(b, T, V, V, V, far, geo, exp)
 
 
 # ---- trend classification and the necessity report ----

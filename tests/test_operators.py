@@ -425,3 +425,83 @@ def test_bilinear_plan_reuse_fractional_self_cell():
     assert _same(OperatorHandle(k)(f2, h2), want2)
     assert _same(OperatorHandle(k)(f, h), want)
     assert operators._plans[0] is plan
+
+
+# ---- Bilinear apply as one real matrix product ----
+
+
+def _einsum_apply(k, f, g):
+    """The contraction as it was before the BLAS product: einsum over the
+    (X, Y, Z) kernel table of the nonzero cells, which casts the table to
+    complex for complex inputs, plus the fractional self-cell patch."""
+    grid = f.grid
+    fflat, gflat = f.values.reshape(-1), g.values.reshape(-1)
+    ysel, zsel = np.flatnonzero(fflat), np.flatnonzero(gflat)
+    out = np.zeros(fflat.shape[0], dtype=np.result_type(fflat, gflat))
+    cell2 = grid.h**k.D
+    correction = 0.0 if k.alpha == 0.0 else operators._self_cell(k, grid.h)
+    for start, stop, K2, here in operators._kernel_chunks(grid, k, ysel, zsel):
+        K = K2.reshape(stop - start, len(ysel), len(zsel))
+        out[start:stop] = np.einsum("xyz,y,z->x", K, fflat[ysel], gflat[zsel]) * cell2
+        for i in here:
+            out[i] += correction * fflat[i] * gflat[i]
+    return out.reshape(grid.shape)
+
+
+def _inputs(g, kind, rng):
+    f, h = _on(g, -1.0, 0.5, rng), _on(g, -0.5, 1.0, rng)
+    if kind == "real":
+        return f, h
+    h = GridFunction(g, h.values * np.exp(1j * rng.uniform(0, 2 * np.pi, g.shape)))
+    if kind == "mixed":
+        return f, h
+    return GridFunction(g, f.values * np.exp(1j * rng.uniform(0, 2 * np.pi, g.shape))), h
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+@pytest.mark.parametrize(
+    "make", [lambda: fixtures.make_kernel("bilinear_riesz", 1), lambda: distance_kernel(1, 1.2)],
+    ids=["singular", "fractional"],
+)
+@pytest.mark.parametrize("kept", [True, False], ids=["kept-plan", "chunked"])
+def test_bilinear_apply_matches_einsum(make, kind, kept, monkeypatch):
+    g = Grid((-2.0,), (2.0,), 64)
+    k = make()
+    f, h = _inputs(g, kind, np.random.default_rng(11))
+    if not kept:
+        # 64 * 24 * 24 entries exceed the cap, so the table comes in 15-row
+        # chunks that are rebuilt on every call and never kept
+        monkeypatch.setattr(operators, "_MAX_TENSOR", 9_000)
+    ysel, zsel = np.flatnonzero(f.values), np.flatnonzero(h.values)
+    chunks = list(operators._kernel_chunks(g, k, ysel, zsel))
+    assert (len(chunks) == 1) == kept
+    assert any(len(here) for *_, here in chunks)  # the fractional patch has cells to patch
+    operators._plans.clear()
+    want = _einsum_apply(k, f, h)
+    got = OperatorHandle(k)(f, h)
+    assert got.values.dtype == want.dtype
+    assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+    assert len(operators._plans) == (1 if kept else 0)
+    if kept:  # and again from the kept plan
+        again = OperatorHandle(k)(f, h)
+        assert np.max(np.abs(again.values - want)) <= 1e-13 * np.max(np.abs(want))
+    operators._plans.clear()
+
+
+def test_bilinear_plan_mask_read_only():
+    g = Grid((-2.0,), (2.0,), 64)
+    k = fixtures.make_kernel("bilinear_riesz", 1)
+    rng = np.random.default_rng(8)
+    f, h = _on(g, -1.0, 0.0, rng), _on(g, 0.0, 0.5, rng)
+    want = _cold(k, f, h).mask.copy()
+    first = OperatorHandle(k)(f, h)
+    reused = OperatorHandle(k)(_revalue(f, rng), h)
+    assert np.array_equal(reused.mask, want)
+    with pytest.raises(ValueError):
+        reused.mask[0] = not reused.mask[0]
+    # a caller that wants to change an output's mask changes its own copy
+    edited = reused.copy()
+    edited.mask[:] = False
+    first.mask = ~first.mask
+    assert np.array_equal(OperatorHandle(k)(f, h).mask, want)
+    operators._plans.clear()
