@@ -22,7 +22,6 @@ from .errors import (
     KernelVanishes,
     MeanZeroViolation,
     NonPositiveWeight,
-    NormUnavailable,
     OscillabError,
     OutOfDomain,
     ResolutionTooCoarse,
@@ -32,7 +31,6 @@ from .errors import (
 from .grid import (
     Cube,
     CubeFamily,
-    FamilyIndex,
     FamilySup,
     Grid,
     GridFunction,

@@ -39,4 +39,5 @@ def mean_oscillation_shifted(f: GridFunction, cube: Cube, reference: Cube) -> fl
 
 def bmo_seminorm(f: GridFunction, family: CubeFamily) -> FamilySup:
     """sup over the family of the mean oscillation; exact for the finite family."""
-    return FamilySup.of(family, family.index(f.grid).reduce(f.values, _oscillations).tolist())
+    family.check_grid(f.grid)
+    return FamilySup.of(family, family.reduce(f.values, _oscillations).tolist())

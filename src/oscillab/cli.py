@@ -407,11 +407,11 @@ def run_conditions(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     Y = cfg.fixture("space_y", grid)
     if X2 is not None:
         X1 = cfg.fixture("space_x1", grid)
-        rep = condition_bilinear(X1, X2, Y, alpha, fam, grid)
+        rep = condition_bilinear(X1, X2, Y, alpha, fam)
         name = "condition_bilinear_sup"
     else:
         X = cfg.fixture("space_x", grid)
-        rep = condition_linear(X, Y, alpha, fam, grid)
+        rep = condition_linear(X, Y, alpha, fam)
         name = "condition_linear_sup"
     expect = cfg.get("expect")
     tol = float(cfg.get("tolerance"))
@@ -453,7 +453,7 @@ def run_maximal(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     grid = cfg.grid()
     kernel = cfg.fixture("kernel", grid)
-    T = OperatorHandle(kernel, name=cfg.get("kernel"))
+    T = OperatorHandle(kernel)
     b = cfg.fixture("symbol", grid)
     ztol = float(cfg.get("zero_tol"))
     one = GridFunction(grid, np.ones(grid.shape))
@@ -501,7 +501,7 @@ def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 def _chain_setup(cfg: ScopedConfig):
     grid = cfg.grid()
     kernel = cfg.fixture("kernel", grid)
-    T = OperatorHandle(kernel, name=cfg.get("kernel"))
+    T = OperatorHandle(kernel)
     b = cfg.fixture("symbol", grid)
     X1 = cfg.fixture("space_x1", grid) or cfg.fixture("space_x", grid)
     X2 = cfg.fixture("space_x2", grid) if kernel.arity == "bilinear" else None

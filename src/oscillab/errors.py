@@ -75,9 +75,5 @@ class TailTooLarge(OscillabError):
     """Truncated reciprocal-kernel expansion misses its residual budget."""
 
 
-class NormUnavailable(OscillabError):
-    """Requested norm cannot be evaluated for this space kind."""
-
-
 class ConfigError(OscillabError):
     """Malformed experiment configuration."""

@@ -263,7 +263,12 @@ class FourierExpansion:
         return out.reshape(pts.shape[:-1])
 
 
+# samples per axis of the period box, by total dimension D
 _FFT_SIZE = {1: 4096, 2: 256, 4: 32}
+# half-side of the period box in ball radii
+_PAD = 3.0
+# points of each ball sample (least-squares fit and residual check)
+_SAMPLE_COUNT = 4096
 
 
 def fourier_reciprocal(
@@ -271,13 +276,10 @@ def fourier_reciprocal(
     geometry: ExtractionGeometry,
     N_per_axis: int,
     tol: float = 1e-5,
-    fft_size: int | None = None,
-    pad: float = 3.0,
-    sample_count: int = 4096,
 ) -> FourierExpansion:
     """Fourier coefficients of 1/K, valid on the expansion ball.
 
-    Samples the period box (half-side pad * ball radius, centered at the
+    Samples the period box (half-side _PAD ball radii, centered at the
     antipode of the base point, shrunk if it would reach the kernel
     singularity at 0), multiplies by a radial taper that is ~1 on the ball
     and ~0 before the box edge, and takes the exact DFT of the samples.
@@ -289,10 +291,10 @@ def fourier_reciprocal(
     if kernel.arity != geometry.arity or kernel.ndim != geometry.ndim:
         raise ValueError("kernel and geometry disagree on arity or dimension")
     D = geometry.D
-    M = fft_size if fft_size is not None else _FFT_SIZE[D]
+    M = _FFT_SIZE[D]
     center = np.array(geometry.expansion_center)
     R = geometry.ball_radius
-    L = pad * R
+    L = _PAD * R
     # keep the taper support strictly inside |w| < |c|, where K is smooth
     max_L = 0.98 * float(np.linalg.norm(center)) / 0.97
     L = min(L, max_L)
@@ -345,7 +347,7 @@ def fourier_reciprocal(
 
     # on-ball least-squares polish of the kept coefficients; the sets of
     # kept modes are nested in N, so the fit residual refines monotonically
-    fit = _unit_ball_points(D, sample_count, _BALL_SEED) * R + center
+    fit = _unit_ball_points(D, _SAMPLE_COUNT, _BALL_SEED) * R + center
     target = 1.0 / kernel.evaluate(fit)
     design = np.exp(1j * (fit @ kept_freqs.T))
     coeffs, *_ = np.linalg.lstsq(design, target, rcond=1e-10)
@@ -361,14 +363,13 @@ def fourier_reciprocal(
         radius=R,
         geometry=geometry,
     )
-    sample = _unit_ball_points(D, sample_count, _BALL_SEED + 1) * R + center
+    sample = _unit_ball_points(D, _SAMPLE_COUNT, _BALL_SEED + 1) * R + center
     resid = np.abs(1.0 / kernel.evaluate(sample) - expansion.evaluate(sample))
     eps = float(np.max(resid))
     expansion = replace(expansion, epsilon=eps)
     if eps > tol:
         raise TailTooLarge(
-            f"residual {eps:.3e} > {tol:.3e} at N = {expansion.N}; raise N_per_axis "
-            "or the FFT size"
+            f"residual {eps:.3e} > {tol:.3e} at N = {expansion.N}; raise N_per_axis"
         )
     return expansion
 

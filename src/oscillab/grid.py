@@ -10,7 +10,7 @@ Integrals are cell sums times h^n, so |Q| means count * h^n throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -216,11 +216,6 @@ class GridFunction:
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
         return cls(grid, np.asarray(fn(*grid.meshes())))
 
-    @classmethod
-    def zeros(cls, grid: Grid, complex_: bool = False) -> "GridFunction":
-        dt = np.complex128 if complex_ else np.float64
-        return cls(grid, np.zeros(grid.shape, dtype=dt))
-
     def copy(self) -> "GridFunction":
         m = None if self.mask is None else self.mask.copy()
         return GridFunction(self.grid, self.values.copy(), m)
@@ -241,14 +236,8 @@ class GridFunction:
     def __add__(self, other):
         return GridFunction(self.grid, self.values + self._coerce(other), self._merge_mask(other))
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         return GridFunction(self.grid, self.values - self._coerce(other), self._merge_mask(other))
-
-    def __rsub__(self, other):
-        return GridFunction(self.grid, self._coerce(other) - self.values, self._merge_mask(other))
 
     def __mul__(self, other):
         return GridFunction(self.grid, self.values * self._coerce(other), self._merge_mask(other))
@@ -258,15 +247,6 @@ class GridFunction:
 
     def __truediv__(self, other):
         return GridFunction(self.grid, self.values / self._coerce(other), self._merge_mask(other))
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values, None if self.mask is None else self.mask.copy())
-
-    def __abs__(self):
-        return GridFunction(self.grid, np.abs(self.values), None if self.mask is None else self.mask.copy())
-
-    def __pow__(self, exponent):
-        return GridFunction(self.grid, self.values**exponent, None if self.mask is None else self.mask.copy())
 
 
 def integrate(f: GridFunction) -> float | complex:
@@ -286,62 +266,39 @@ def indicator(grid: Grid, cube: Cube) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-@dataclass(frozen=True)
 class CubeFamily:
-    """A finite cube collection with provenance and optional level tags."""
+    """A finite cube collection on one grid, with provenance and optional
+    level tags, and its cells indexed for one-pass reductions.
 
-    cubes: tuple[Cube, ...]
-    provenance: str = "explicit"
-    levels: tuple[int, ...] | None = field(default=None)
-    # FamilyIndex per grid, built on first use
-    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cubes", tuple(self.cubes))
-        if self.levels is not None:
-            object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
-            if len(self.levels) != len(self.cubes):
-                raise ValueError("levels must tag every cube")
-        if not self.cubes:
-            raise ValueError("cube family is empty")
-
-    def __iter__(self) -> Iterator[Cube]:
-        return iter(self.cubes)
-
-    def __len__(self) -> int:
-        return len(self.cubes)
-
-    def index(self, grid: Grid) -> "FamilyIndex":
-        """The family's FamilyIndex on `grid`, built once and kept."""
-        if grid not in self._indexes:
-            self._indexes[grid] = FamilyIndex(grid, [cube_index_ranges(grid, q) for q in self.cubes])
-        return self._indexes[grid]
-
-    def by_level(self) -> dict[int, list[Cube]]:
-        if self.levels is None:
-            return {0: list(self.cubes)}
-        out: dict[int, list[Cube]] = {}
-        for lvl, q in zip(self.levels, self.cubes):
-            out.setdefault(lvl, []).append(q)
-        return out
-
-
-class FamilyIndex:
-    """A cube family's cell index ranges, with its cubes grouped by block shape.
-
-    Each group of equal-shaped cubes is gathered from the grid as one
-    (cubes, cells) array, cells in row-major order, at most one grid's worth
-    of cells at a time. A row reduction is bit-identical to the same
-    reduction over the cube's slice only when numpy reduces the slice in one
-    pass too: the slice is contiguous in the grid, or numpy copies it into a
-    single buffer of np.getbufsize() cells. `reduce` takes every other cube
-    through its own slice. Prefix sums are not used: on steep weights they
-    differ from np.sum in the sixth digit.
+    The cubes' cell index ranges are computed once, at construction, and the
+    cubes are grouped by block shape. Each group of equal-shaped cubes is
+    gathered from the grid as one (cubes, cells) array, cells in row-major
+    order, at most one grid's worth of cells at a time. A row reduction is
+    bit-identical to the same reduction over the cube's slice only when
+    numpy reduces the slice in one pass too: the slice is contiguous in the
+    grid, or numpy copies it into a single buffer of np.getbufsize() cells.
+    `reduce` takes every other cube through its own slice. Prefix sums are
+    not used: on steep weights they differ from np.sum in the sixth digit.
     """
 
-    def __init__(self, grid: Grid, ranges: Sequence[tuple[tuple[int, int], ...]]):
+    def __init__(
+        self,
+        grid: Grid,
+        cubes: Sequence[Cube],
+        provenance: str = "explicit",
+        levels: Sequence[int] | None = None,
+    ):
         self.grid = grid
-        # inclusive cell index range [k0, k1] per cube and axis: (cubes, n, 2)
+        self.cubes = tuple(cubes)
+        self.provenance = provenance
+        self.levels = None if levels is None else tuple(int(v) for v in levels)
+        if self.levels is not None and len(self.levels) != len(self.cubes):
+            raise ValueError("levels must tag every cube")
+        if not self.cubes:
+            raise ValueError("cube family is empty")
+        # inclusive cell index range [k0, k1] per cube and axis: (cubes, n, 2);
+        # raises for a cube that is empty or leaves the box
+        ranges = [cube_index_ranges(grid, q) for q in self.cubes]
         self.ranges = np.array(ranges, dtype=np.intp).reshape(len(ranges), grid.n, 2)
         lo = self.ranges[:, :, 0]
         shapes = self.ranges[:, :, 1] - lo + 1
@@ -359,8 +316,24 @@ class FamilyIndex:
                 chunk = members[start : start + per_chunk]
                 self.groups.append((shape, chunk, lo[chunk]))
 
+    def __iter__(self) -> Iterator[Cube]:
+        return iter(self.cubes)
+
     def __len__(self) -> int:
-        return len(self.ranges)
+        return len(self.cubes)
+
+    def check_grid(self, grid: Grid):
+        """Raise GridMismatch unless `grid` is the grid the family was built on."""
+        if grid != self.grid:
+            raise GridMismatch(f"{self.provenance} family was built on another grid")
+
+    def by_level(self) -> dict[int, list[Cube]]:
+        if self.levels is None:
+            return {0: list(self.cubes)}
+        out: dict[int, list[Cube]] = {}
+        for lvl, q in zip(self.levels, self.cubes):
+            out.setdefault(lvl, []).append(q)
+        return out
 
     def _cells(self, shape: tuple[int, ...], lo: np.ndarray) -> np.ndarray:
         """Row-major flat grid indices of the cells of cubes with lowest
@@ -447,12 +420,6 @@ class FamilySup:
         return cls(float(per_cube[arg]), family.cubes[arg], tuple(per_cube), family.provenance)
 
 
-def _indexed_family(grid: Grid, family: CubeFamily, ranges) -> CubeFamily:
-    """Keep the index ranges a family generator already computed."""
-    family._indexes[grid] = FamilyIndex(grid, ranges)
-    return family
-
-
 def enumerate_dyadic(
     grid: Grid, level_min: int, level_max: int, base: Cube | None = None
 ) -> CubeFamily:
@@ -475,7 +442,6 @@ def enumerate_dyadic(
         )
     cubes: list[Cube] = []
     levels: list[int] = []
-    ranges = []
     base_lo = base.lo_faces()
     for lvl in range(level_min, level_max + 1):
         side = base.side / 2**lvl
@@ -487,13 +453,10 @@ def enumerate_dyadic(
             centers = [(c,) for c in per_axis[0]]
         else:
             centers = [(cx, cy) for cx in per_axis[0] for cy in per_axis[1]]
-        for c in centers:
-            q = Cube(c, side)
-            ranges.append(cube_index_ranges(grid, q))  # raises if empty or out of the box
-            cubes.append(q)
-            levels.append(lvl)
+        cubes.extend(Cube(c, side) for c in centers)
+        levels.extend([lvl] * len(centers))
     tag = f"dyadic[{level_min}..{level_max}] of {base}"
-    return _indexed_family(grid, CubeFamily(tuple(cubes), tag, tuple(levels)), ranges)
+    return CubeFamily(grid, cubes, tag, levels)
 
 
 def centered_family(
@@ -511,13 +474,7 @@ def centered_family(
     if not 0 <= level_min <= level_max:
         raise ValueError(f"need 0 <= level_min <= level_max, got {level_min}..{level_max}")
     c = _as_tuple(center)
-    cubes = []
-    levels = []
-    ranges = []
-    for lvl in range(level_min, level_max + 1):
-        q = Cube(c, base_side / 2**lvl)
-        ranges.append(cube_index_ranges(grid, q))
-        cubes.append(q)
-        levels.append(lvl)
+    levels = range(level_min, level_max + 1)
+    cubes = [Cube(c, base_side / 2**lvl) for lvl in levels]
     tag = f"centered[{level_min}..{level_max}] at ({','.join(f'{v:.6g}' for v in c)})"
-    return _indexed_family(grid, CubeFamily(tuple(cubes), tag, tuple(levels)), ranges)
+    return CubeFamily(grid, cubes, tag, levels)

@@ -118,7 +118,6 @@ class OperatorHandle:
     grid functions."""
 
     kernel: KernelSpec
-    name: str = ""
 
     def __call__(self, *fs: GridFunction) -> GridFunction:
         if self.kernel.arity == "linear":
@@ -482,10 +481,10 @@ def bilinear_averaging(f: GridFunction, g: GridFunction, cube: Cube, alpha: floa
 def _maximal(fs: Sequence[GridFunction], alpha: float, family: CubeFamily) -> GridFunction:
     grid = _grid_of(fs)
     _alpha_check(alpha, len(fs) * grid.n)
-    index = family.index(grid)
-    means = [index.means(np.abs(f.values)).tolist() for f in fs]
-    vals = [math.prod([meas ** (alpha / grid.n), *avgs]) for meas, *avgs in zip(index.measures, *means)]
-    return GridFunction(grid, index.scatter_max(vals))
+    family.check_grid(grid)
+    means = [family.means(np.abs(f.values)).tolist() for f in fs]
+    vals = [math.prod([meas ** (alpha / grid.n), *avgs]) for meas, *avgs in zip(family.measures, *means)]
+    return GridFunction(grid, family.scatter_max(vals))
 
 
 def maximal(f: GridFunction, alpha: float, family: CubeFamily) -> GridFunction:

@@ -23,7 +23,6 @@ from .errors import (
     DivisionByZeroNorm,
     GridMismatch,
     NonPositiveWeight,
-    NormUnavailable,
 )
 from .grid import (
     Cube,
@@ -91,16 +90,18 @@ class ExponentFunction:
 
 
 class SpaceSpec:
-    """Base class; concrete kinds are Lebesgue, Weighted, Variable."""
+    """Base class; concrete kinds are Lebesgue, Weighted, Variable.
+
+    Each kind carries its own norm arithmetic, which the module functions
+    dispatch to: `_norm(f)` (the norm of |f|), `_chi_norm(grid, cube)`,
+    `_chi_norms(family)`, `_dual()` (the associate space) and
+    `_extremizer(f)` (the g of the duality pairing that attains ||f||).
+    """
 
     __slots__ = ("_associate_link",)
 
     def __init__(self):
         self._associate_link = None
-
-    @property
-    def kind(self) -> str:
-        return type(self).__name__.lower()
 
     @property
     def grid(self) -> Grid | None:
@@ -117,14 +118,23 @@ class Lebesgue(SpaceSpec):
             raise ValueError(f"Lebesgue exponent must satisfy 1 <= p < inf, got {p}")
         self.p = p
 
-    def __eq__(self, other):
-        return isinstance(other, Lebesgue) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("lebesgue", self.p))
-
     def __repr__(self):
         return f"Lebesgue({self.p:g})"
+
+    def _norm(self, f: GridFunction) -> float:
+        return float(np.sum(np.abs(f.values) ** self.p) * f.grid.cell_volume) ** (1.0 / self.p)
+
+    def _chi_norm(self, grid: Grid, cube: Cube) -> float:
+        return cube_measure(grid, cube) ** (1.0 / self.p)
+
+    def _chi_norms(self, family: CubeFamily) -> list[float]:
+        return [meas ** (1.0 / self.p) for meas in family.measures]
+
+    def _dual(self) -> "Lebesgue":
+        return Lebesgue(conjugate_exponent(self.p))
+
+    def _extremizer(self, f: GridFunction) -> GridFunction:
+        return GridFunction(f.grid, np.sign(f.values) * np.abs(f.values) ** (self.p - 1.0))
 
 
 class Weighted(SpaceSpec):
@@ -145,16 +155,28 @@ class Weighted(SpaceSpec):
     def grid(self) -> Grid:
         return self.weight.grid
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Weighted)
-            and other.p == self.p
-            and other.grid == self.grid
-            and np.array_equal(other.weight.values, self.weight.values)
-        )
-
     def __repr__(self):
         return f"Weighted({self.p:g}, w on {self.grid.shape})"
+
+    def _norm(self, f: GridFunction) -> float:
+        a = np.abs(f.values) ** self.p
+        return float(np.sum(a * self.weight.values) * f.grid.cell_volume) ** (1.0 / self.p)
+
+    def _chi_norm(self, grid: Grid, cube: Cube) -> float:
+        block = self.weight.values[cube_slices(grid, cube)]
+        return float(np.sum(block) * grid.cell_volume) ** (1.0 / self.p)
+
+    def _chi_norms(self, family: CubeFamily) -> list[float]:
+        sums = family.sums(self.weight.values) * family.grid.cell_volume
+        return [s ** (1.0 / self.p) for s in sums.tolist()]
+
+    def _dual(self) -> "Weighted":
+        pp = conjugate_exponent(self.p)
+        return Weighted(pp, GridFunction(self.grid, self.weight.values ** (1.0 - pp)))
+
+    def _extremizer(self, f: GridFunction) -> GridFunction:
+        a = np.abs(f.values) ** (self.p - 1.0)
+        return GridFunction(f.grid, np.sign(f.values) * a * self.weight.values)
 
 
 class Variable(SpaceSpec):
@@ -172,42 +194,41 @@ class Variable(SpaceSpec):
     def grid(self) -> Grid:
         return self.exponent.grid
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Variable)
-            and other.grid == self.grid
-            and np.array_equal(other.exponent.values, self.exponent.values)
-        )
-
     def __repr__(self):
         e = self.exponent
         return f"Variable(p in [{e.p_minus:g}, {e.p_plus:g}])"
+
+    def _norm(self, f: GridFunction) -> float:
+        return luxemburg_norm(f, self.exponent)
+
+    def _chi_norm(self, grid: Grid, cube: Cube) -> float:
+        pblk = self.exponent.values[cube_slices(grid, cube)]
+        return _luxemburg_lambda(np.ones(pblk.size), pblk.reshape(-1), grid.cell_volume)
+
+    def _chi_norms(self, family: CubeFamily) -> list[float]:
+        out = [0.0] * len(family)
+        for members, rows in family.gather(self.exponent.values):
+            for i, lam in zip(members.tolist(), _chi_lambdas(rows, family.grid.cell_volume)):
+                out[i] = lam
+        return out
+
+    def _dual(self) -> "Variable":
+        return Variable(self.exponent.conjugate())
+
+    def _extremizer(self, f: GridFunction) -> GridFunction:
+        # normalize first so the pointwise power is scale-consistent
+        a = np.abs(f.values) / norm(f, self)
+        return GridFunction(f.grid, np.sign(f.values) * a ** (self.exponent.values - 1.0))
 
 
 def associate(space: SpaceSpec) -> SpaceSpec:
     """The associate (Koethe dual) space X'. Involutive: the second call
     returns the original object, so X'' is X with exact field equality."""
-    if space._associate_link is not None:
-        return space._associate_link
-    if isinstance(space, Lebesgue):
-        dual = Lebesgue(conjugate_exponent(space.p))
-    elif isinstance(space, Weighted):
-        pp = conjugate_exponent(space.p)
-        wdual = GridFunction(space.grid, space.weight.values ** (1.0 - pp))
-        dual = Weighted(pp, wdual)
-    elif isinstance(space, Variable):
-        dual = Variable(space.exponent.conjugate())
-    else:
-        raise NormUnavailable(f"no associate for {space!r}")
-    space._associate_link = dual
-    dual._associate_link = space
-    return dual
-
-
-def _check_grid(f: GridFunction, space: SpaceSpec):
-    sg = space.grid
-    if sg is not None and f.grid != sg:
-        raise GridMismatch(f"function grid differs from {space!r} grid")
+    if space._associate_link is None:
+        dual = space._dual()
+        space._associate_link = dual
+        dual._associate_link = space
+    return space._associate_link
 
 
 def _luxemburg_lambda(absvals: np.ndarray, pvals: np.ndarray, cellvol: float) -> float:
@@ -319,16 +340,9 @@ def luxemburg_norm(f: GridFunction, exponent: ExponentFunction) -> float:
 
 def norm(f: GridFunction, space: SpaceSpec) -> float:
     """The space norm of f, by quadrature (Lebesgue/Weighted) or bisection."""
-    _check_grid(f, space)
-    a = np.abs(f.values)
-    vol = f.grid.cell_volume
-    if isinstance(space, Lebesgue):
-        return float(np.sum(a**space.p) * vol) ** (1.0 / space.p)
-    if isinstance(space, Weighted):
-        return float(np.sum(a**space.p * space.weight.values) * vol) ** (1.0 / space.p)
-    if isinstance(space, Variable):
-        return luxemburg_norm(f, space.exponent)
-    raise NormUnavailable(f"cannot evaluate norm in {space!r}")
+    if space.grid is not None and f.grid != space.grid:
+        raise GridMismatch(f"function grid differs from {space!r} grid")
+    return space._norm(f)
 
 
 def chi_norm(space: SpaceSpec, cube: Cube, grid: Grid | None = None) -> float:
@@ -336,40 +350,16 @@ def chi_norm(space: SpaceSpec, cube: Cube, grid: Grid | None = None) -> float:
     g = space.grid if space.grid is not None else grid
     if g is None:
         raise ValueError("Lebesgue chi_norm needs an explicit grid")
-    meas = cube_measure(g, cube)
-    if isinstance(space, Lebesgue):
-        return meas ** (1.0 / space.p)
-    if isinstance(space, Weighted):
-        block = space.weight.values[cube_slices(g, cube)]
-        return float(np.sum(block) * g.cell_volume) ** (1.0 / space.p)
-    if isinstance(space, Variable):
-        pblk = space.exponent.values[cube_slices(g, cube)]
-        return _luxemburg_lambda(
-            np.ones(pblk.size), pblk.reshape(-1), g.cell_volume
-        )
-    raise NormUnavailable(f"cannot evaluate chi norm in {space!r}")
+    return space._chi_norm(g, cube)
 
 
-def chi_norms(space: SpaceSpec, family: CubeFamily, grid: Grid | None = None) -> list[float]:
+def chi_norms(space: SpaceSpec, family: CubeFamily) -> list[float]:
     """chi_norm of every cube of the family, in family order, bit for bit:
-    block sums from the family index, and one lockstep bisection per group
-    of equal-shaped cubes for Variable."""
-    g = space.grid if space.grid is not None else grid
-    if g is None:
-        raise ValueError("Lebesgue chi_norm needs an explicit grid")
-    index = family.index(g)
-    if isinstance(space, Lebesgue):
-        return [meas ** (1.0 / space.p) for meas in index.measures]
-    if isinstance(space, Weighted):
-        sums = index.sums(space.weight.values) * g.cell_volume
-        return [s ** (1.0 / space.p) for s in sums.tolist()]
-    if isinstance(space, Variable):
-        out = [0.0] * len(index)
-        for members, rows in index.gather(space.exponent.values):
-            for i, lam in zip(members.tolist(), _chi_lambdas(rows, g.cell_volume)):
-                out[i] = lam
-        return out
-    raise NormUnavailable(f"cannot evaluate chi norm in {space!r}")
+    block sums from the family's cell index, and one lockstep bisection per
+    group of equal-shaped cubes for Variable."""
+    if space.grid is not None:
+        family.check_grid(space.grid)
+    return space._chi_norms(family)
 
 
 def holder_defect(f: GridFunction, g: GridFunction, space: SpaceSpec) -> float:
@@ -381,18 +371,6 @@ def holder_defect(f: GridFunction, g: GridFunction, space: SpaceSpec) -> float:
         raise DivisionByZeroNorm("Hoelder defect needs nonzero norms")
     prod = float(np.sum(np.abs(f.values * g.values)) * f.grid.cell_volume)
     return prod / (nf * ng)
-
-
-def _extremizer(f: GridFunction, space: SpaceSpec) -> GridFunction:
-    a = np.abs(f.values)
-    s = np.sign(f.values)
-    if isinstance(space, Lebesgue):
-        return GridFunction(f.grid, s * a ** (space.p - 1.0))
-    if isinstance(space, Weighted):
-        return GridFunction(f.grid, s * a ** (space.p - 1.0) * space.weight.values)
-    # Variable: normalize first so the pointwise power is scale-consistent.
-    nf = norm(f, space)
-    return GridFunction(f.grid, s * (a / nf) ** (space.exponent.values - 1.0))
 
 
 def duality_gap(f: GridFunction, space: SpaceSpec, trials: int = 32, seed: int = 0) -> float:
@@ -407,7 +385,7 @@ def duality_gap(f: GridFunction, space: SpaceSpec, trials: int = 32, seed: int =
         raise DivisionByZeroNorm("duality gap of the zero function")
     dual = associate(space)
     rng = np.random.default_rng(seed)
-    candidates = [_extremizer(f, space)]
+    candidates = [space._extremizer(f)]
     for _ in range(trials):
         candidates.append(GridFunction(f.grid, rng.standard_normal(f.grid.shape)))
     best = 0.0
@@ -420,41 +398,26 @@ def duality_gap(f: GridFunction, space: SpaceSpec, trials: int = 32, seed: int =
     return best
 
 
-def _resolve_grid(grid: Grid | None, *spaces: SpaceSpec) -> Grid:
-    for s in spaces:
-        if s.grid is not None:
-            if grid is not None and s.grid != grid:
-                raise GridMismatch("spaces disagree about the grid")
-            grid = s.grid
-    if grid is None:
-        raise ValueError("all-Lebesgue condition needs an explicit grid")
-    return grid
-
-
 def _alpha_check(alpha: float, D: int):
     """Refuse a fractional order outside [0, D) on R^D."""
     if not 0.0 <= alpha < D:
         raise AlphaOutOfRange(f"need 0 <= alpha < {D}, got {alpha}")
 
 
-def _condition(
-    Xs: tuple[SpaceSpec, ...], Y: SpaceSpec, alpha: float, family: CubeFamily, grid: Grid | None
-) -> FamilySup:
+def _condition(Xs: tuple[SpaceSpec, ...], Y: SpaceSpec, alpha: float, family: CubeFamily) -> FamilySup:
     """sup over Q of |Q|^(-alpha/n) ||chi_Q||_Y' prod_i ||chi_Q||_Xi / |Q|.
 
     One power of |Q| for any number of input spaces: stage (v) of the chain
     is free of scale exactly when this quantity is bounded, for linear and
     bilinear operators alike.
     """
-    g = _resolve_grid(grid, *Xs, Y)
-    n = g.n
+    n = family.grid.n
     _alpha_check(alpha, len(Xs) * n)
-    measures = family.index(g).measures
-    chi_yd = chi_norms(associate(Y), family, g)
-    chi_xs = [chi_norms(X, family, g) for X in Xs]
+    chi_yd = chi_norms(associate(Y), family)
+    chi_xs = [chi_norms(X, family) for X in Xs]
     vals = [
         math.prod([meas ** (-alpha / n), cy, *cxs]) / meas
-        for meas, cy, *cxs in zip(measures, chi_yd, *chi_xs)
+        for meas, cy, *cxs in zip(family.measures, chi_yd, *chi_xs)
     ]
     return FamilySup.of(family, vals)
 
@@ -464,14 +427,13 @@ def condition_linear(
     Y: SpaceSpec,
     alpha: float,
     family: CubeFamily,
-    grid: Grid | None = None,
 ) -> FamilySup:
     """sup over Q of |Q|^(-alpha/n) ||chi_Q||_Y' ||chi_Q||_X / |Q|.
 
     Equal to 1 on every cube for X = Y = Lebesgue(p), alpha = 0, and to the
     per-cube A_p(Q)^(1/p) for X = Y = Weighted(p, w).
     """
-    return _condition((X,), Y, alpha, family, grid)
+    return _condition((X,), Y, alpha, family)
 
 
 def condition_bilinear(
@@ -480,7 +442,6 @@ def condition_bilinear(
     Y: SpaceSpec,
     alpha: float,
     family: CubeFamily,
-    grid: Grid | None = None,
 ) -> FamilySup:
     """sup over Q of |Q|^(-alpha/n) ||chi_Q||_Y' ||chi_Q||_X1 ||chi_Q||_X2 / |Q|.
 
@@ -491,7 +452,7 @@ def condition_bilinear(
     fa the cell average over Q: the dual side of the multiple-weight A_P
     condition (Lerner, Ombrosi, Perez, Torres, Trujillo-Gonzalez 2009).
     """
-    return _condition((X1, X2), Y, alpha, family, grid)
+    return _condition((X1, X2), Y, alpha, family)
 
 
 @dataclass(frozen=True)
@@ -511,10 +472,10 @@ def chiQ_norm_ratio(exponent: ExponentFunction, family: CubeFamily) -> NormRatio
     For log-Hoelder-regular exponents the ratios stay pinched near 1; wild
     exponents show up as a spreading min/max band.
     """
-    index = family.index(exponent.grid)
-    p_q = [1.0 / m for m in index.means(1.0 / exponent.values).tolist()]
+    family.check_grid(exponent.grid)
+    p_q = [1.0 / m for m in family.means(1.0 / exponent.values).tolist()]
     chis = chi_norms(Variable(exponent), family)
-    vals = [chi / meas ** (1.0 / pq) for chi, meas, pq in zip(chis, index.measures, p_q)]
+    vals = [chi / meas ** (1.0 / pq) for chi, meas, pq in zip(chis, family.measures, p_q)]
     lo = int(np.argmin(vals))
     hi = int(np.argmax(vals))
     return NormRatioReport(

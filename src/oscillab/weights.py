@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonPositiveWeight
-from .grid import Cube, CubeFamily, FamilySup, Grid, GridFunction, cube_slices
+from .grid import Cube, CubeFamily, FamilySup, GridFunction, cube_slices
 from .spaces import conjugate_exponent
 
 
@@ -30,11 +30,10 @@ def _check_weight(w: GridFunction):
         raise NonPositiveWeight("weight must be real, strictly positive, finite")
 
 
-def _family_sup(grid: Grid, family: CubeFamily, arrays, per_cube: Callable) -> FamilySup:
+def _family_sup(family: CubeFamily, arrays, per_cube: Callable) -> FamilySup:
     """sup over the family of per_cube(fa(a) for a in arrays), with fa the
     cell average over Q; the scalar arithmetic stays in Python floats."""
-    index = family.index(grid)
-    averages = [index.means(a).tolist() for a in arrays]
+    averages = [family.means(a).tolist() for a in arrays]
     return FamilySup.of(family, [per_cube(*fa) for fa in zip(*averages)])
 
 
@@ -49,19 +48,20 @@ def ap_cube(w: GridFunction, p: float, cube: Cube) -> float:
 
 def ap_constant(w: GridFunction, p: float, family: CubeFamily) -> FamilySup:
     _check_weight(w)
+    family.check_grid(w.grid)
     pp = conjugate_exponent(p)
     dual = w.values ** (1.0 - pp)
-    return _family_sup(w.grid, family, (w.values, dual), lambda a, d: a * d ** (p - 1.0))
+    return _family_sup(family, (w.values, dual), lambda a, d: a * d ** (p - 1.0))
 
 
 def apq_constant(w: GridFunction, p: float, q: float, family: CubeFamily) -> FamilySup:
     """Fractional-scale constant; callers pair it with 1/p - 1/q = alpha/n."""
     _check_weight(w)
+    family.check_grid(w.grid)
     if q <= 1.0:
         raise ValueError(f"need q > 1, got {q}")
     pp = conjugate_exponent(p)
     return _family_sup(
-        w.grid,
         family,
         (w.values**q, w.values ** (-pp)),
         lambda a, b: a ** (1.0 / q) * b ** (1.0 / pp),
@@ -73,11 +73,11 @@ def ap_duality_gap(w: GridFunction, p: float, family: CubeFamily) -> float:
 
     The identity is exact algebraically; the measured gap is float noise.
     """
+    family.check_grid(w.grid)
     pp = conjugate_exponent(p)
     ppp = conjugate_exponent(pp)
     dual = w.values ** (1.0 - pp)
-    index = family.index(w.grid)
-    fa_w, fa_d, fa_dd = (index.means(a).tolist() for a in (w.values, dual, dual ** (1.0 - ppp)))
+    fa_w, fa_d, fa_dd = (family.means(a).tolist() for a in (w.values, dual, dual ** (1.0 - ppp)))
     worst = 0.0
     for a, d, dd in zip(fa_w, fa_d, fa_dd):
         lhs = d * dd ** (pp - 1.0)

@@ -56,7 +56,7 @@ def test_criterion_01_exact_algebra():
     g = Grid((-1.0,), (1.0,), 256)
     fam = enumerate_dyadic(g, 0, 6)
     for p in (1.5, 2.0, 4.0):
-        rep = condition_linear(Lebesgue(p), Lebesgue(p), 0.0, fam, g)
+        rep = condition_linear(Lebesgue(p), Lebesgue(p), 0.0, fam)
         assert abs(rep.value - 1.0) <= 1e-10, f"condition_linear p={p}: {rep.value}"
     w = GridFunction(g, np.sqrt(np.abs(g.meshes()[0])))
     assert ap_duality_gap(w, 2.0, fam) <= 1e-12

@@ -479,7 +479,7 @@ def test_bilinear_bound_ratio_and_condition_stay_flat_together():
     rep = necessity_experiment(
         symbol_library("log_abs", g), OperatorHandle(BIRIESZ), X, X, Y, fam, geo, exp
     )
-    cond = condition_bilinear(X, X, Y, 0.0, fam, g)
+    cond = condition_bilinear(X, X, Y, 0.0, fam)
     kept = [(r.bound_ratio, c) for r, c in zip(rep.per_cube, cond.per_cube) if r.bound_ratio is not None]
     assert len(kept) >= 2
     for (b0, c0), (b1, c1) in zip(kept, kept[1:]):

@@ -1,6 +1,6 @@
 """The family index against the per-cube loops it replaces.
 
-Every family sup reduces cube blocks through `CubeFamily.index`. Each test
+Every family sup reduces cube blocks through the family's cell index. Each test
 here recomputes the same quantity cube by cube from `cube_slices`, as the
 lab did before the index, and requires `np.array_equal`: the index may change
 how blocks are visited, never a bit of the result.
@@ -12,7 +12,9 @@ import pytest
 from oscillab import (
     Cube,
     CubeFamily,
+    ExponentFunction,
     Grid,
+    GridMismatch,
     GridFunction,
     Lebesgue,
     Variable,
@@ -72,7 +74,7 @@ def _family(case):
     if case == "overlapping-2d":
         g = Grid((-1.0, -1.0), (1.0, 1.0), 32)
         cubes = [Cube((x, y), 0.5) for x in (-0.7, -0.6, 0.2) for y in (-0.1, 0.0, 0.5)]
-        return g, CubeFamily(cubes + [g.box_cube()])
+        return g, CubeFamily(g, cubes + [g.box_cube()])
     raise ValueError(case)
 
 
@@ -112,36 +114,33 @@ def _loop_oscillation(block):
 @pytest.mark.parametrize("case", CASES)
 def test_sums_means_and_oscillations_bit_equal(case):
     g, fam = _family(case)
-    index = fam.index(g)
     for complex_ in (False, True):
         v = _steep(g, 1, complex_)
-        assert np.array_equal(index.sums(v), _loop(v, g, fam, np.sum))
-        assert np.array_equal(index.means(v), _loop(v, g, fam, lambda b: np.sum(b) / b.size))
+        assert np.array_equal(fam.sums(v), _loop(v, g, fam, np.sum))
+        assert np.array_equal(fam.means(v), _loop(v, g, fam, lambda b: np.sum(b) / b.size))
         osc = bmo_seminorm(GridFunction(g, v), fam).per_cube
         assert np.array_equal(osc, _loop(v, g, fam, _loop_oscillation))
-    assert index.measures == [cube_measure(g, q) for q in fam]
+    assert fam.measures == [cube_measure(g, q) for q in fam]
 
 
 def test_non_contiguous_values_fall_back_bit_equal():
     g, fam = _family("dyadic-2d")
     v = _steep(g, 2).T  # a view with Fortran strides
-    assert np.array_equal(fam.index(g).sums(v), _loop(v, g, fam, np.sum))
+    assert np.array_equal(fam.sums(v), _loop(v, g, fam, np.sum))
 
 
 def test_gather_rows_are_flattened_slices():
     g, fam = _family("centered-1.125-2d")
     v = _steep(g, 3)
-    for members, rows in fam.index(g).gather(v):
+    for members, rows in fam.gather(v):
         for i, row in zip(members, rows):
             assert np.array_equal(row, v[cube_slices(g, fam.cubes[i])].reshape(-1))
 
 
-def test_index_is_built_once_per_grid():
+def test_explicit_family_indexes_like_the_generator():
     g, fam = _family("dyadic-1d")
-    assert fam.index(g) is fam.index(g)
-    explicit = CubeFamily(fam.cubes)
-    assert explicit.index(g) is explicit.index(g)
-    assert np.array_equal(explicit.index(g).ranges, fam.index(g).ranges)
+    explicit = CubeFamily(g, fam.cubes)
+    assert np.array_equal(explicit.ranges, fam.ranges)
 
 
 # ---- operators.maximal and bilinear_maximal ----
@@ -215,7 +214,7 @@ def _spaces(g):
 def test_chi_norms_bit_equal(case):
     g, fam = _family(case)
     for space in _spaces(g):
-        got = chi_norms(space, fam, g)
+        got = chi_norms(space, fam)
         assert got == [chi_norm(space, q, g) for q in fam], repr(space)
 
 
@@ -224,14 +223,14 @@ def test_conditions_bit_equal():
     fam = enumerate_dyadic(g, 0, 7)
     X, Xw, Yd, V, Vd = _spaces(g)
     for alpha in (0.0, 0.4):
-        rep = condition_linear(V, Vd, alpha, fam, g)
+        rep = condition_linear(V, Vd, alpha, fam)
         want = [
             cube_measure(g, q) ** (-alpha) * chi_norm(associate(Vd), q, g) * chi_norm(V, q, g)
             / cube_measure(g, q)
             for q in fam
         ]
         assert list(rep.per_cube) == want
-        rep = condition_bilinear(X, V, Xw, 2 * alpha, fam, g)
+        rep = condition_bilinear(X, V, Xw, 2 * alpha, fam)
         want = [
             cube_measure(g, q) ** (-2 * alpha)
             * chi_norm(associate(Xw), q, g)
@@ -283,3 +282,30 @@ def test_weight_constants_bit_equal(case):
         rhs = ap_cube(w1, p, c) ** (pp - 1.0)
         gap = max(gap, abs(ap_cube(dual, pp, c) - rhs) / max(1.0, abs(rhs)))
     assert ap_duality_gap(w1, p, fam) == gap
+
+
+# ---- a family is used only on the grid it was built on ----
+
+
+ON_A_GRID = {
+    "chi_norms": lambda fam, w: chi_norms(Weighted(2.0, w), fam),
+    "condition_linear": lambda fam, w: condition_linear(Weighted(2.0, w), Weighted(2.0, w), 0.0, fam),
+    "ap_constant": lambda fam, w: ap_constant(w, 2.0, fam),
+    "apq_constant": lambda fam, w: apq_constant(w, 2.0, 3.0, fam),
+    "ap_duality_gap": lambda fam, w: ap_duality_gap(w, 2.0, fam),
+    "bmo_seminorm": lambda fam, w: bmo_seminorm(w, fam),
+    "maximal": lambda fam, w: maximal(w, 0.0, fam),
+    "bilinear_maximal": lambda fam, w: bilinear_maximal(w, w, 0.0, fam),
+    "chiQ_norm_ratio": lambda fam, w: chiQ_norm_ratio(ExponentFunction(w + 1.0), fam),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ON_A_GRID))
+def test_family_on_another_grid_raises(entry):
+    # same box, twice the cells: every cube would still index, so only an
+    # explicit check can tell the grids apart
+    g, other = Grid((-1.0,), (1.0,), 64), Grid((-1.0,), (1.0,), 128)
+    fam = enumerate_dyadic(g, 0, 3)
+    ON_A_GRID[entry](fam, GridFunction(g, 1.0 + g.meshes()[0] ** 2))
+    with pytest.raises(GridMismatch):
+        ON_A_GRID[entry](fam, GridFunction(other, 1.0 + other.meshes()[0] ** 2))

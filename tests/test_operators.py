@@ -245,7 +245,7 @@ def test_maximal_uncovered_point():
     half = Cube((-0.5,), 1.0)
     from oscillab.grid import CubeFamily
 
-    fam = CubeFamily((half,), "half", (0,))
+    fam = CubeFamily(g, (half,), "half", (0,))
     f = GridFunction(g, np.ones(64))
     with pytest.raises(UncoveredPoint):
         maximal(f, 0.0, fam)

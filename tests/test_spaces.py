@@ -146,7 +146,7 @@ def test_norm_lattice_monotone(g256):
 def test_condition_linear_lebesgue_identity(g256):
     fam = enumerate_dyadic(g256, 0, 6)
     for p in (1.5, 2.0, 4.0):
-        rep = condition_linear(Lebesgue(p), Lebesgue(p), 0.0, fam, g256)
+        rep = condition_linear(Lebesgue(p), Lebesgue(p), 0.0, fam)
         assert rep.value == pytest.approx(1.0, abs=1e-10)
 
 
@@ -154,11 +154,11 @@ def test_condition_bilinear_exponent_balance(g256):
     # the Hoelder-balanced triple 1/y = 1/x1 + 1/x2 makes the measure powers
     # cancel cube by cube
     fam = enumerate_dyadic(g256, 0, 4)
-    rep = condition_bilinear(Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0), 0.0, fam, g256)
+    rep = condition_bilinear(Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0), 0.0, fam)
     assert rep.per_cube == pytest.approx([1.0] * len(fam), abs=1e-10)
     # 1/x1 + 1/x2 = 1 + 1/y leaves one power of |Q|, so the sup sits on the
     # root cube, |Q| = 2
-    rep2 = condition_bilinear(Lebesgue(1.5), Lebesgue(1.5), Lebesgue(3.0), 0.0, fam, g256)
+    rep2 = condition_bilinear(Lebesgue(1.5), Lebesgue(1.5), Lebesgue(3.0), 0.0, fam)
     assert rep2.per_cube == pytest.approx([cube_measure(g256, q) for q in fam], rel=1e-9)
     assert rep2.argmax.side == pytest.approx(2.0)
     assert rep2.value == pytest.approx(2.0, rel=1e-9)
@@ -208,7 +208,7 @@ def test_condition_fractional_scaling(g256):
     # alpha = 1/2, X = Y = L^2: per-cube value is |Q|^{-1/2}, so the sup
     # sits on the smallest cube
     fam = enumerate_dyadic(g256, 0, 4)
-    rep = condition_linear(Lebesgue(2.0), Lebesgue(2.0), 0.5, fam, g256)
+    rep = condition_linear(Lebesgue(2.0), Lebesgue(2.0), 0.5, fam)
     smallest = min(q.side for q in fam.cubes)
     assert rep.argmax.side == pytest.approx(smallest)
     assert rep.value == pytest.approx(smallest ** -0.5, rel=1e-9)
