@@ -73,13 +73,12 @@ _CHAIN_DEFAULTS = {
     "space_y": "lebesgue:2",
     "delta": 0.5,
     "n_per_axis": 10,
-    "eps_tol": 1e-2,
     "base_center": 0.0,
     "level_min": 2,
 }
 
 EXP_DEFAULTS = {
-    "norms": {"exponent": "arctan_profile", "p_const": 2.5, "trials": 50, "level_max": 6},
+    "norms": {"exponent": "arctan_profile", "trials": 50, "level_max": 6},
     "weight-constants": {
         "weight": "power:0.5",
         "p": 2.0,
@@ -101,8 +100,6 @@ EXP_DEFAULTS = {
         "symbol": "log_abs",
         "box": [-8.0, 8.0],
         "m": 1024,
-        "zero_tol": 1e-10,
-        "oracle_tol": 0.02,
     },
     "chain": {**_CHAIN_DEFAULTS, "family": "dyadic", "base_side": 1.125, "level_max": 3},
     "necessity": {
@@ -113,6 +110,12 @@ EXP_DEFAULTS = {
         "expect_verdict": "stable",
     },
 }
+
+# Fixed tolerances and constants of the experiments; no config sets them.
+_P_CONST = 2.5  # norms: the constant exponent checked against the closed form
+_ZERO_TOL = 1e-10  # commutator: constant annihilation
+_ORACLE_TOL = 0.02  # commutator: the log 3 step response
+_EPS_TOL = 1e-2  # chain, necessity: the residual of the 1/K expansion
 
 # The type of each key's values: the type of its default, or listed here for
 # the keys that have none. A key in neither place is read by no experiment.
@@ -183,14 +186,14 @@ def _has_kind(value, kind: type) -> bool:
 
 def _check_value(key: str, value):
     """Refuse an unknown key, a value of the wrong kind, and the values no
-    constructor refuses: trials below 1 and tolerances that are not positive."""
+    constructor refuses: trials below 1 and a tolerance that is not positive."""
     if key not in KINDS:
         raise ConfigError(f"unknown key {key!r}: no experiment reads it")
     if not (_has_kind(value, KINDS[key]) or (value is None and key in NULLABLE)):
         raise ConfigError(f"{key} must be {_KIND_NAMES[KINDS[key]]}, got {value!r}")
     if key == "trials" and value < 1:
         raise ConfigError(f"trials must be >= 1, got {value}")
-    if (key.endswith("_tol") or key == "tolerance") and value <= 0:
+    if key == "tolerance" and value <= 0:
         raise ConfigError(f"{key} must be positive, got {value}")
 
 
@@ -312,9 +315,7 @@ def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     grid = cfg.grid()
     rng = cfg.rng()
     trials = cfg.get("trials")
-    p = float(cfg.get("p_const"))
-    with _naming("p_const"):
-        const_exp = ExponentFunction.constant(grid, p)
+    const_exp = ExponentFunction.constant(grid, _P_CONST)
     space = Variable(cfg.fixture("exponent", grid))
     lmax = cfg.get("level_max")
     with _naming("level_max"):
@@ -326,7 +327,7 @@ def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     for _ in range(trials):
         f = _random_smooth(grid, rng)
         lux = luxemburg_norm(f, const_exp)
-        closed = norm(f, Lebesgue(p))
+        closed = norm(f, Lebesgue(_P_CONST))
         worst_closed = max(worst_closed, abs(lux - closed) / closed)
         c = rng.uniform(0.5, 20.0)
         nf = luxemburg_norm(f, space.exponent)
@@ -455,20 +456,19 @@ def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     kernel = cfg.fixture("kernel", grid)
     T = OperatorHandle(kernel)
     b = cfg.fixture("symbol", grid)
-    ztol = float(cfg.get("zero_tol"))
     one = GridFunction(grid, np.ones(grid.shape))
     rows = []
     summary: dict = {}
-    if kernel.arity == "linear":
+    if kernel.inputs == 1:
         t_one = T(one)
         zmax = float(np.max(np.abs(t_one.values)))
-        rows.append(row("commutator", "constant_annihilation", zmax, ztol, _check(zmax <= ztol)))
+        rows.append(row("commutator", "constant_annihilation", zmax, _ZERO_TOL, _check(zmax <= _ZERO_TOL)))
     cb = GridFunction(grid, np.full(grid.shape, 2.5))
     rng = cfg.rng()
-    fs = [_random_smooth(grid, rng) for _ in range(kernel.D // kernel.ndim)]
+    fs = [_random_smooth(grid, rng) for _ in range(kernel.inputs)]
     czero = float(np.max(np.abs(commutator(cb, T, *fs).values)))
-    rows.append(row("commutator", "constant_symbol_commutator", czero, ztol, _check(czero <= ztol)))
-    if kernel.arity != "linear":
+    rows.append(row("commutator", "constant_symbol_commutator", czero, _ZERO_TOL, _check(czero <= _ZERO_TOL)))
+    if kernel.inputs != 1:
         return rows, summary
     if kernel.D == 1 and kernel.alpha == 0.0 and grid.lo[0] <= -2.0 and grid.hi[0] >= 2.0:
         # A 1D singular kernel is c/x, and its integral of chi_[-1,1] at x = 2 is c log 3.
@@ -479,14 +479,13 @@ def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         idx = int(np.argmin(np.abs(x - 2.0)))
         val = float(out.values[idx])
         rel = abs(val - expected) / abs(expected)
-        tol = float(cfg.get("oracle_tol"))
-        rows.append(row("commutator", "step_response_at_2_rel", rel, tol, _check(rel <= tol)))
+        rows.append(row("commutator", "step_response_at_2_rel", rel, _ORACLE_TOL, _check(rel <= _ORACLE_TOL)))
         summary["step_response"] = val
     probes = []
     x = grid.meshes()[0]
     for omega in (1.0, 2.0, 4.0):
         for s in (0.5, 1.0, 2.0):
-            probes.append(GridFunction(grid, np.sin(omega * x) * np.exp(-(x * x) / (2 * s * s))))
+            probes.append((GridFunction(grid, np.sin(omega * x) * np.exp(-(x * x) / (2 * s * s))),))
     est = operator_norm_estimate(T, [Lebesgue(2.0)], Lebesgue(2.0), probes)
     rows.append(row("commutator", "operator_norm_lower_bound", est.value, None, "info"))
     summary["norm_lower_bound"] = est.value
@@ -503,25 +502,22 @@ def _chain_setup(cfg: ScopedConfig):
     kernel = cfg.fixture("kernel", grid)
     T = OperatorHandle(kernel)
     b = cfg.fixture("symbol", grid)
-    X1 = cfg.fixture("space_x1", grid) or cfg.fixture("space_x", grid)
-    X2 = cfg.fixture("space_x2", grid) if kernel.arity == "bilinear" else None
+    Xs = tuple(cfg.fixture(f"space_x{i}", grid) for i in range(1, kernel.inputs + 1))
     Y = cfg.fixture("space_y", grid)
     fam = cfg.family(grid)
     with _naming("delta"):
         geometry = select_geometry(kernel, float(cfg.get("delta")))
-    expansion = fourier_reciprocal(
-        kernel, geometry, int(cfg.get("n_per_axis")), tol=float(cfg.get("eps_tol"))
-    )
-    return grid, kernel, T, b, X1, X2, Y, fam, geometry, expansion
+    expansion = fourier_reciprocal(kernel, geometry, int(cfg.get("n_per_axis")), tol=_EPS_TOL)
+    return T, b, Xs, Y, fam, geometry, expansion
 
 
 def run_chain(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
-    grid, kernel, T, b, X1, X2, Y, fam, geometry, expansion = _chain_setup(cfg)
-    rows = [row("chain", "fourier_residual", expansion.epsilon, float(cfg.get("eps_tol")), _check(expansion.epsilon <= float(cfg.get("eps_tol"))))]
+    T, b, Xs, Y, fam, geometry, expansion = _chain_setup(cfg)
+    rows = [row("chain", "fourier_residual", expansion.epsilon, _EPS_TOL, _check(expansion.epsilon <= _EPS_TOL))]
     constant_symbol = bool(np.all(b.values == b.values.flat[0]))
     worst_gap = 0.0
     for q in fam:
-        rep = verify_master_chain(b, T, X1, X2, Y, q, geometry, expansion)
+        rep = verify_master_chain(b, T, Xs, Y, q, geometry, expansion)
         rows.append(row("chain", "stage_i", rep.stage_i, None, "info", q))
         rows.append(row("chain", "stage_iii", rep.stage_iii, None, "info", q))
         if constant_symbol:
@@ -542,8 +538,8 @@ def run_chain(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 
 
 def run_necessity(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
-    grid, kernel, T, b, X1, X2, Y, fam, geometry, expansion = _chain_setup(cfg)
-    rep = necessity_experiment(b, T, X1, X2, Y, fam, geometry, expansion)
+    T, b, Xs, Y, fam, geometry, expansion = _chain_setup(cfg)
+    rep = necessity_experiment(b, T, Xs, Y, fam, geometry, expansion)
     rows = []
     for q, ratio in zip(fam.cubes, rep.ratios):
         rows.append(row("necessity", "oscillation_ratio", ratio, None, "info", q))

@@ -76,13 +76,12 @@ _BALL_SEED = 20240817
 class ExtractionGeometry:
     """Base point, scale, and per-cube derived cubes for the chain.
 
-    base_point c lives on the annulus 2 sqrt(n) < |c| < 4 sqrt(n) in R^D
-    (D = n for linear kernels, 2n for bilinear). For a cube Q = Q(x0, r)
-    the derived cubes sit at x0 + r c_i / delta with side r; both fit in
-    sqrt(n) (1 + 8/delta) Q, and P = 2 sqrt(n) (1 + 8/delta) Q.
+    base_point c lives on the annulus 2 sqrt(n) < |c| < 4 sqrt(n) in R^D,
+    where D = k n, the length of c, for a kernel of k = 1 or 2 inputs. For
+    a cube Q = Q(x0, r) the derived cubes sit at x0 + r c_i / delta with
+    side r; they fit in sqrt(n) (1 + 8/delta) Q, and P = 2 sqrt(n) (1 + 8/delta) Q.
     """
 
-    arity: str
     ndim: int
     delta: float
     base_point: tuple[float, ...]
@@ -90,10 +89,8 @@ class ExtractionGeometry:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise BadDelta(f"delta must lie in (0, 1), got {self.delta}")
-        if len(self.base_point) != self.D:
-            raise ValueError(
-                f"base point has {len(self.base_point)} components, expected {self.D}"
-            )
+        if self.D not in (self.ndim, 2 * self.ndim):
+            raise ValueError(f"base point has {self.D} components, expected {self.ndim} or {2 * self.ndim}")
         rho = math.sqrt(sum(v * v for v in self.base_point))
         lo, hi = 2 * math.sqrt(self.ndim), 4 * math.sqrt(self.ndim)
         if not lo < rho < hi:
@@ -103,7 +100,7 @@ class ExtractionGeometry:
 
     @property
     def D(self) -> int:
-        return KernelSpec.dimension(self.arity, self.ndim)
+        return len(self.base_point)
 
     @property
     def ball_radius(self) -> float:
@@ -215,7 +212,7 @@ def select_geometry(
             f"kernel {kernel.name or '<anon>'}: best direction keeps only "
             f"min|K| = {best_val:.3e} (threshold {threshold_rel * scale:.3e})"
         )
-    return ExtractionGeometry(kernel.arity, n, delta, tuple(float(v) for v in best_dir))
+    return ExtractionGeometry(n, delta, tuple(float(v) for v in best_dir))
 
 
 # ---- Fourier expansion of 1/K ----
@@ -288,8 +285,8 @@ def fourier_reciprocal(
     are then re-fit by least squares against 1/K on a dense ball sample,
     and the residual is measured on a second, independent sample.
     """
-    if kernel.arity != geometry.arity or kernel.ndim != geometry.ndim:
-        raise ValueError("kernel and geometry disagree on arity or dimension")
+    if kernel.D != geometry.D or kernel.ndim != geometry.ndim:
+        raise ValueError("kernel and geometry disagree on dimension")
     D = geometry.D
     M = _FFT_SIZE[D]
     center = np.array(geometry.expansion_center)
@@ -522,8 +519,7 @@ def _stage(q: Cube, name: str):
 def verify_master_chain(
     b: GridFunction,
     T: OperatorHandle,
-    X1: SpaceSpec,
-    X2: SpaceSpec | None,
+    Xs: tuple[SpaceSpec, ...],
     Y: SpaceSpec,
     q: Cube,
     geometry: ExtractionGeometry,
@@ -531,13 +527,14 @@ def verify_master_chain(
 ) -> ChainReport:
     """Evaluate the five-stage chain on one cube. See the module docstring.
 
-    An OscillabError raised on the way names the cube and the stage it
-    came from: geometry, kernel tensor, norms (the mode-invariant
-    ||h||_{Y'} and ||chi_{Q_i}||_{X_i}), mode j, or closing bound."""
+    Xs holds one input space per kernel input. An OscillabError raised on
+    the way names the cube and the stage it came from: geometry, kernel
+    tensor, norms (the mode-invariant ||h||_{Y'} and ||chi_{Q_i}||_{X_i}),
+    mode j, or closing bound."""
     grid = b.grid
     kernel = T.kernel
-    if kernel.arity != geometry.arity:
-        raise ValueError("operator and geometry disagree on arity")
+    if kernel.D != geometry.D or len(Xs) != kernel.inputs:
+        raise ValueError(f"{kernel.inputs}-input kernel on R^{kernel.D}, geometry on R^{geometry.D}, {len(Xs)} input space(s)")
     delta = geometry.delta
     d = kernel.degree
     r = q.side
@@ -549,7 +546,6 @@ def verify_master_chain(
             raise ValueError(f"geometry invariants fail on {q}: {checks}")
         cube = ChainCube.build(b, q, geometry)
         derived = tuple(c.cube for c in cube.derived)
-        Xs = (X1, X2)[: len(derived)]  # one input space per derived cube
         axes = tuple(range(1, len(derived) + 1))  # the derived-cube axes of K
         sl_q = cube.q.slices
         bq_block = b.values[sl_q].reshape(-1)
@@ -681,8 +677,7 @@ def _trend_verdict(by_level: dict[int, float]) -> str:
 def necessity_experiment(
     b: GridFunction,
     T: OperatorHandle,
-    X1: SpaceSpec,
-    X2: SpaceSpec | None,
+    Xs: tuple[SpaceSpec, ...],
     Y: SpaceSpec,
     family: CubeFamily,
     geometry: ExtractionGeometry,
@@ -694,7 +689,7 @@ def necessity_experiment(
     per-level maxima flat while a symbol with unbounded oscillation on the
     family forces them, and with them the commutator probe norms, upward.
     """
-    reports = [verify_master_chain(b, T, X1, X2, Y, qc, geometry, expansion) for qc in family]
+    reports = [verify_master_chain(b, T, Xs, Y, qc, geometry, expansion) for qc in family]
     levels = family.levels if family.levels is not None else (0,) * len(reports)
     ratio_by: dict[int, float] = {}
     probe_by: dict[int, float] = {}

@@ -35,7 +35,7 @@ def _odd(n: int, name: str, dim: int, j: int) -> KernelSpec:
     """The kernel x_j / |x|^(dim + 1), which lives in dimension `dim` only."""
     if n != dim:
         raise ValueError(f"{name} kernel lives in dimension {dim}")
-    return KernelSpec("linear", dim, 0.0, lambda t: t[..., j], name=name)
+    return KernelSpec(1, dim, 0.0, lambda t: t[..., j], name=name)
 
 
 def _power(grid: Grid, a: str) -> GridFunction:
@@ -56,9 +56,9 @@ FIXTURES = {
         "hilbert": lambda n, _: _odd(n, "hilbert", 1, 0),
         "riesz_1": lambda n, _: _odd(n, "riesz_1", 2, 0),
         "riesz_2": lambda n, _: _odd(n, "riesz_2", 2, 1),
-        "bilinear_riesz": lambda n, _: KernelSpec("bilinear", n, 0.0, lambda t: t[..., 0], name="bilinear_riesz"),
+        "bilinear_riesz": lambda n, _: KernelSpec(2, n, 0.0, lambda t: t[..., 0], name="bilinear_riesz"),
         "frac_alpha:<alpha>": lambda n, a: KernelSpec(
-            "linear", n, float(a), lambda t: np.ones(t.shape[:-1]), name=f"frac_alpha:{a}"
+            1, n, float(a), lambda t: np.ones(t.shape[:-1]), name=f"frac_alpha:{a}"
         ),
         "bilinear_frac_alpha:<alpha>": lambda n, a: distance_kernel(n, float(a)),
     },

@@ -22,6 +22,8 @@ from .errors import EmptyCube, GridMismatch, OutOfDomain, ResolutionTooCoarse, U
 # (included at the lower face, excluded at the upper) so dyadic children
 # partition their parent's cells exactly even when m is not a power of two.
 _SNAP = 1e-9
+# Relative slack of Cube.contains_cube on each face, in units of max(1, side).
+_CONTAIN_SLACK = 1e-12
 
 
 def _as_tuple(x) -> tuple[float, ...]:
@@ -122,8 +124,8 @@ class Cube:
         s = _as_tuple(shift)
         return Cube(tuple(c + d for c, d in zip(self.center, s)), self.side)
 
-    def contains_cube(self, other: "Cube", slack: float = 1e-12) -> bool:
-        pad = slack * max(1.0, self.side)
+    def contains_cube(self, other: "Cube") -> bool:
+        pad = _CONTAIN_SLACK * max(1.0, self.side)
         return all(
             ol >= sl - pad and oh <= sh + pad
             for ol, sl, oh, sh in zip(

@@ -1,7 +1,7 @@
 """Discrete maximal, fractional, and singular operators with commutators.
 
-Conventions. A kernel is homogeneous, K(u) = Omega(u/|u|) / |u|^d with
-d = n - alpha (linear) or 2n - alpha (bilinear); alpha = 0 is the singular
+Conventions. A kernel of k = 1 or 2 inputs on R^n is homogeneous on R^(kn),
+K(u) = Omega(u/|u|) / |u|^d with d = kn - alpha; alpha = 0 is the singular
 case and needs a mean-zero Omega. Quadrature treats grid functions as zero
 outside the box.
 
@@ -33,28 +33,32 @@ from .grid import Cube, CubeFamily, Grid, GridFunction, cube_measure, cube_slice
 from .spaces import SpaceSpec, _alpha_check, norm
 
 _MAX_TENSOR = 4_000_000  # cap on kernel-tensor entries per evaluation chunk
+_SPHERE_COUNT = 2048  # sphere samples for the mean-zero and oddness checks
+_DEFECT_SAMPLES = 64  # random (u, s) pairs of homogeneity_defect
+_DEFECT_SEED = 7
 
 
 # ---- Kernels ----
 
 
-def _sphere_samples(D: int, count: int = 2048) -> np.ndarray:
+def _sphere_samples(D: int) -> np.ndarray:
     if D == 1:
         return np.array([[1.0], [-1.0]])
     if D == 2:
-        t = (np.arange(count) + 0.5) * (2 * np.pi / count)
+        t = (np.arange(_SPHERE_COUNT) + 0.5) * (2 * np.pi / _SPHERE_COUNT)
         return np.stack([np.cos(t), np.sin(t)], axis=1)
     rng = np.random.default_rng(20240811)
-    g = rng.standard_normal((count // 2, D))
+    g = rng.standard_normal((_SPHERE_COUNT // 2, D))
     g = np.concatenate([g, -g], axis=0)  # symmetric so odd parts cancel exactly
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Homogeneous kernel Omega(u/|u|) / |u|^d on R^D, D = n or 2n."""
+    """Homogeneous kernel Omega(u/|u|) / |u|^d of k inputs on R^n, a kernel
+    on R^D with D = k n and k = 1 or 2."""
 
-    arity: str  # "linear" | "bilinear"
+    inputs: int  # k
     ndim: int  # base dimension n
     alpha: float
     omega: Callable[[np.ndarray], np.ndarray]
@@ -63,6 +67,8 @@ class KernelSpec:
     omega_odd: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        if self.inputs not in (1, 2):
+            raise ValueError(f"a kernel takes 1 or 2 inputs, got {self.inputs}")
         _alpha_check(self.alpha, self.D)
         pts = _sphere_samples(self.D)
         vals = np.asarray(self.omega(pts), dtype=float)
@@ -77,15 +83,7 @@ class KernelSpec:
 
     @property
     def D(self) -> int:
-        return self.dimension(self.arity, self.ndim)
-
-    @staticmethod
-    def dimension(arity: str, n: int) -> int:
-        """The arity rule: k inputs on R^n make a kernel on R^(k n), with k = 1
-        for "linear" and 2 for "bilinear"."""
-        if arity not in ("linear", "bilinear"):
-            raise ValueError(f"bad arity {arity!r}")
-        return n if arity == "linear" else 2 * n
+        return self.inputs * self.ndim
 
     @property
     def degree(self) -> float:
@@ -102,33 +100,39 @@ class KernelSpec:
             out[hit] = np.asarray(self.omega(theta)) * r[hit] ** (-self.degree)
         return out
 
-    def homogeneity_defect(self, samples: int = 64, seed: int = 7) -> float:
+    def homogeneity_defect(self) -> float:
         """max relative |K(s u) - s^(-d) K(u)| over random u, s; ~1e-15."""
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal((samples, self.D))
-        s = rng.uniform(0.25, 4.0, samples)
+        rng = np.random.default_rng(_DEFECT_SEED)
+        u = rng.standard_normal((_DEFECT_SAMPLES, self.D))
+        s = rng.uniform(0.25, 4.0, _DEFECT_SAMPLES)
         base = self.evaluate(u)
         scaled = self.evaluate(u * s[:, None])
         return float(np.max(np.abs(scaled - s ** (-self.degree) * base) / np.abs(base)))
 
 
+# The entry point for (inputs, singular). OperatorHandle looks the name up
+# in the module globals at call time, so a wrapper installed there is used;
+# each entry point refuses a kernel this table does not send to it.
+_ENTRY_POINTS = {
+    (1, True): "singular_integral",
+    (1, False): "fractional_integral",
+    (2, True): "bilinear_singular_integral",
+    (2, False): "bilinear_fractional_integral",
+}
+
+
 @dataclass(frozen=True)
 class OperatorHandle:
-    """A kernel bound to quadrature; call with one (linear) or two (bilinear)
-    grid functions."""
+    """A kernel bound to quadrature; call with the kernel's grid functions,
+    one per input."""
 
     kernel: KernelSpec
 
     def __call__(self, *fs: GridFunction) -> GridFunction:
-        if self.kernel.arity == "linear":
-            (f,) = fs
-            if self.kernel.alpha == 0.0:
-                return singular_integral(f, self.kernel)
-            return fractional_integral(f, self.kernel.alpha, self.kernel)
-        f, g = fs
-        if self.kernel.alpha == 0.0:
-            return bilinear_singular_integral(f, g, self.kernel)
-        return bilinear_fractional_integral(f, g, self.kernel.alpha, self.kernel)
+        k = self.kernel
+        if len(fs) != k.inputs:
+            raise ValueError(f"kernel {k.name or '<anon>'} takes {k.inputs} input(s), got {len(fs)}")
+        return globals()[_ENTRY_POINTS[(k.inputs, k.alpha == 0.0)]](*fs, k)
 
 
 # ---- Support and window bookkeeping ----
@@ -261,9 +265,7 @@ def _linear_2d(fv: np.ndarray, kernel: KernelSpec, h: float, windowed: bool) -> 
 
 def singular_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:
     """Principal-value convolution with a mean-zero homogeneous kernel."""
-    _require(kernel.arity == "linear", "singular_integral needs a linear kernel")
-    _require(kernel.alpha == 0.0, "singular kernel must have alpha = 0")
-    _check_dim(f.grid, kernel)
+    _check_entry("singular_integral", f.grid, kernel)
     if f.grid.n == 1:
         vals = _singular_1d(f.values, kernel, f.grid.h)
     else:
@@ -271,15 +273,10 @@ def singular_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:
     return GridFunction(f.grid, vals, coverage_mask(f.grid, _support_ranges(f.values)))
 
 
-def fractional_integral(
-    f: GridFunction, alpha: float, kernel: KernelSpec | None = None
-) -> GridFunction:
-    """I_alpha f with the positive kernel |u|^(alpha - n) unless one is given."""
-    if kernel is None:
-        kernel = KernelSpec("linear", f.grid.n, alpha, lambda t: np.ones(t.shape[:-1]), name="frac")
-    _require(kernel.arity == "linear", "fractional_integral needs a linear kernel")
-    _require(kernel.alpha > 0.0, "fractional kernel must have alpha > 0")
-    _check_dim(f.grid, kernel)
+def fractional_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:
+    """Zero-extended convolution with a kernel of order alpha > 0, e.g.
+    I_alpha f for the fixture frac_alpha:<alpha>."""
+    _check_entry("fractional_integral", f.grid, kernel)
     if f.grid.n == 1:
         vals = _fractional_1d(f.values, kernel, f.grid.h)
     else:
@@ -387,9 +384,7 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
     K2 @ [Re w, Im w] for complex ones, plus the fractional self-cell
     correction. The sums run through BLAS, so their last digits depend on
     its thread count."""
-    _require(kernel.arity == "bilinear", "need a bilinear kernel")
     grid = _grid_of((f, g))
-    _check_dim(grid, kernel)
     h = grid.h
     singular = kernel.alpha == 0.0
 
@@ -422,17 +417,14 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
 
 
 def bilinear_singular_integral(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
-    _require(kernel.alpha == 0.0, "bilinear singular kernel must have alpha = 0")
+    _check_entry("bilinear_singular_integral", f.grid, kernel)
     return _bilinear_apply(f, g, kernel)
 
 
-def bilinear_fractional_integral(
-    f: GridFunction, g: GridFunction, alpha: float, kernel: KernelSpec | None = None
-) -> GridFunction:
-    """Bilinear I_alpha with the kernel (|u| + |v|)^(alpha - 2n) by default."""
-    if kernel is None:
-        kernel = distance_kernel(f.grid.n, alpha)
-    _require(kernel.alpha > 0.0, "bilinear fractional kernel must have alpha > 0")
+def bilinear_fractional_integral(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
+    """Bilinear fractional integral, e.g. with `distance_kernel`'s
+    (|u| + |v|)^(alpha - 2n)."""
+    _check_entry("bilinear_fractional_integral", f.grid, kernel)
     return _bilinear_apply(f, g, kernel)
 
 
@@ -444,7 +436,7 @@ def distance_kernel(n: int, alpha: float) -> KernelSpec:
         vn = np.sqrt(np.sum(theta[..., n:] ** 2, axis=-1))
         return (un + vn) ** (alpha - 2 * n)
 
-    return KernelSpec("bilinear", n, alpha, omega, name=f"distance(alpha={alpha:g})", tag="distance")
+    return KernelSpec(2, n, alpha, omega, name=f"distance(alpha={alpha:g})", tag="distance")
 
 
 # ---- Averaging and maximal operators ----
@@ -533,33 +525,24 @@ def operator_norm_estimate(
     out_space: SpaceSpec,
     probes: Sequence,
 ) -> NormEstimate:
-    """max over probes of ||T probe||_Y / product of input norms."""
+    """max over probes of ||T probe||_Y / product of input norms; each probe
+    is a tuple of inputs, one per input space."""
     ratios = []
-    for probe in probes:
-        if isinstance(probe, GridFunction):
-            args = (probe,)
-        else:
-            args = tuple(probe)
+    for args in probes:
         if len(args) != len(in_spaces):
-            raise ValueError("probe arity does not match in_spaces")
-        denom = 1.0
-        for a, X in zip(args, in_spaces):
-            na = norm(a, X)
-            if na == 0.0:
-                raise DivisionByZeroNorm("zero-norm probe")
-            denom *= na
-        ratios.append(norm(apply_fn(*args), out_space) / denom)
+            raise ValueError(f"probe has {len(args)} input(s) for {len(in_spaces)} input space(s)")
+        norms = [norm(a, X) for a, X in zip(args, in_spaces)]
+        if 0.0 in norms:
+            raise DivisionByZeroNorm("zero-norm probe")
+        ratios.append(norm(apply_fn(*args), out_space) / math.prod(norms))
     best = int(np.argmax(ratios))
     return NormEstimate(float(ratios[best]), best, tuple(ratios))
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ValueError(msg)
-
-
-def _check_dim(grid: Grid, kernel: KernelSpec):
+def _check_entry(name: str, grid: Grid, kernel: KernelSpec):
+    """Refuse a kernel that _ENTRY_POINTS does not send to `name`, and one
+    whose base dimension is not the grid's."""
+    if _ENTRY_POINTS[(kernel.inputs, kernel.alpha == 0.0)] != name:
+        raise ValueError(f"{name} cannot apply a {kernel.inputs}-input kernel with alpha = {kernel.alpha:g}")
     if grid.n != kernel.ndim:
-        raise GridMismatch(
-            f"kernel base dimension {kernel.ndim} on grid of dimension {grid.n}"
-        )
+        raise GridMismatch(f"kernel base dimension {kernel.ndim} on grid of dimension {grid.n}")

@@ -137,6 +137,12 @@ class Lebesgue(SpaceSpec):
         return GridFunction(f.grid, np.sign(f.values) * np.abs(f.values) ** (self.p - 1.0))
 
 
+def _check_weight(w: GridFunction):
+    v = w.values
+    if np.iscomplexobj(v) or np.any(v <= 0) or not np.all(np.isfinite(v)):
+        raise NonPositiveWeight("weight must be real, strictly positive, finite")
+
+
 class Weighted(SpaceSpec):
     __slots__ = ("p", "weight")
 
@@ -145,9 +151,7 @@ class Weighted(SpaceSpec):
         p = float(p)
         if not (1.0 <= p < np.inf):
             raise ValueError(f"weighted exponent must satisfy 1 <= p < inf, got {p}")
-        w = weight.values
-        if np.iscomplexobj(w) or np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise NonPositiveWeight("weight must be real, strictly positive, finite")
+        _check_weight(weight)
         self.p = p
         self.weight = weight
 
@@ -346,10 +350,13 @@ def norm(f: GridFunction, space: SpaceSpec) -> float:
 
 
 def chi_norm(space: SpaceSpec, cube: Cube, grid: Grid | None = None) -> float:
-    """||chi_Q|| in closed form for Lebesgue/Weighted, by bisection otherwise."""
-    g = space.grid if space.grid is not None else grid
+    """||chi_Q|| in closed form for Lebesgue/Weighted, by bisection otherwise.
+    A given grid must be the space's own, when the space has one."""
+    g = grid if grid is not None else space.grid
     if g is None:
         raise ValueError("Lebesgue chi_norm needs an explicit grid")
+    if space.grid is not None and g != space.grid:
+        raise GridMismatch(f"cube grid differs from {space!r} grid")
     return space._chi_norm(g, cube)
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+_STABLE_TOL = 0.05
+_GROWTH_TOL = 0.5
+
 
 def growth_steps(values: Sequence[float]) -> list[float]:
     """Relative step growths (v[i+1] - v[i]) / v[i]."""
@@ -13,16 +16,14 @@ def growth_steps(values: Sequence[float]) -> list[float]:
     return out
 
 
-def classify_growth(
-    values: Sequence[float], stable_tol: float = 0.05, growth_tol: float = 0.5
-) -> str:
-    """'stable' when the final step grows less than stable_tol, 'growing'
-    when every step exceeds growth_tol, otherwise 'undetermined'."""
+def classify_growth(values: Sequence[float]) -> str:
+    """'stable' when the final step grows less than _STABLE_TOL, 'growing'
+    when every step exceeds _GROWTH_TOL, otherwise 'undetermined'."""
     steps = growth_steps(values)
     if not steps:
         return "stable"
-    if steps[-1] < stable_tol:
+    if steps[-1] < _STABLE_TOL:
         return "stable"
-    if all(s > growth_tol for s in steps):
+    if all(s > _GROWTH_TOL for s in steps):
         return "growing"
     return "undetermined"

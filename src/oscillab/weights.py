@@ -19,15 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveWeight
 from .grid import Cube, CubeFamily, FamilySup, GridFunction, cube_slices
-from .spaces import conjugate_exponent
-
-
-def _check_weight(w: GridFunction):
-    v = w.values
-    if np.iscomplexobj(v) or np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise NonPositiveWeight("weight must be real, strictly positive, finite")
+from .spaces import _check_weight, conjugate_exponent
 
 
 def _family_sup(family: CubeFamily, arrays, per_cube: Callable) -> FamilySup:

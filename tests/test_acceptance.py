@@ -129,7 +129,7 @@ def test_criterion_04_operator_oracles():
     assert step == pytest.approx(math.log(3.0), rel=0.02)
 
     gf = Grid((-2.0,), (2.0,), 16384)
-    frac = fractional_integral(indicator(gf, Cube((0.5,), 1.0)), 0.5)
+    frac = fractional_integral(indicator(gf, Cube((0.5,), 1.0)), fixtures.make_kernel("frac_alpha:0.5", 1))
     xf = gf.axis_centers(0)
     near0 = frac.values[int(np.where((xf > 0) & (xf < 1))[0][0])]
     assert near0 == pytest.approx(2.0, rel=0.02)
@@ -218,7 +218,7 @@ def test_criterion_08_master_chain(bilinear_setup):
     fam = enumerate_dyadic(g, 2, 4, Cube((0.0,), 1.125))
     worst_rel = 0.0
     for q in fam:
-        rep = verify_master_chain(b, T, X1, X2, Y, q, geo, exp)
+        rep = verify_master_chain(b, T, (X1, X2), Y, q, geo, exp)
         assert rep.geometry_checks["ok"]
         gap13 = abs(rep.stage_i - rep.stage_iii)
         assert gap13 <= max(0.05 * rep.stage_i, rep.bound_23), (q, gap13)
@@ -227,7 +227,7 @@ def test_criterion_08_master_chain(bilinear_setup):
         assert rep.gap_45 >= -1e-9 * max(1.0, rep.stage_iv), q
         worst_rel = max(worst_rel, gap13 / rep.stage_i)
     bc = symbol_library("constant:2.0", g)
-    rep = verify_master_chain(bc, T, X1, X2, Y, fam.cubes[0], geo, exp)
+    rep = verify_master_chain(bc, T, (X1, X2), Y, fam.cubes[0], geo, exp)
     stages = (rep.stage_i, rep.stage_ii, abs(rep.stage_iii), rep.stage_iv, rep.stage_v)
     assert all(s <= 1e-10 for s in stages), stages
     dt = time.perf_counter() - t0
@@ -239,10 +239,10 @@ def test_criterion_09_necessity_contrast(bilinear_setup):
     g, T, geo, exp, X1, X2, Y = bilinear_setup
     fam = centered_family(g, (0.0,), 3.0, 2, 5)
     stable = necessity_experiment(
-        symbol_library("log_abs", g), T, X1, X2, Y, fam, geo, exp
+        symbol_library("log_abs", g), T, (X1, X2), Y, fam, geo, exp
     )
     growing = necessity_experiment(
-        symbol_library("sgn_log", g), T, X1, X2, Y, fam, geo, exp
+        symbol_library("sgn_log", g), T, (X1, X2), Y, fam, geo, exp
     )
     assert stable.ratio_verdict == "stable"
     assert growing.ratio_verdict == "growing"

@@ -148,6 +148,8 @@ def test_bad_fixture_name(tmp_path):
         ("conditions", "json_path", "/nonexistent/x.json"),
         ("weight-constants", "p", 1),
         ("chain", "delta", 2),
+        ("conditions", "tolerance", 0),
+        ("chain", "eps_tol", 1e-2),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, key, value):

@@ -54,21 +54,21 @@ BIRIESZ = fixtures.make_kernel("bilinear_riesz", 1)
 
 def test_geometry_validation():
     with pytest.raises(BadDelta):
-        ExtractionGeometry("linear", 1, 0.0, (3.0,))
+        ExtractionGeometry(1, 0.0, (3.0,))
     with pytest.raises(BadDelta):
-        ExtractionGeometry("linear", 1, 1.0, (3.0,))
+        ExtractionGeometry(1, 1.0, (3.0,))
     with pytest.raises(ValueError):
-        ExtractionGeometry("linear", 1, 0.5, (1.0,))  # inside the annulus
+        ExtractionGeometry(1, 0.5, (1.0,))  # inside the annulus
     with pytest.raises(ValueError):
-        ExtractionGeometry("linear", 1, 0.5, (5.0,))  # outside
+        ExtractionGeometry(1, 0.5, (5.0,))  # outside
     with pytest.raises(ValueError):
-        ExtractionGeometry("trilinear", 1, 0.5, (3.0,))
+        ExtractionGeometry(1, 0.5, (1.5, 1.5, 1.5))  # 3 components: neither n nor 2n
     with pytest.raises(ValueError):
-        ExtractionGeometry("bilinear", 1, 0.5, (3.0,))  # needs 2n components
+        ExtractionGeometry(2, 0.5, (3.0,))  # needs n or 2n components
 
 
 def test_geometry_derived_cubes_linear():
-    geo = ExtractionGeometry("linear", 1, 0.5, (3.0,))
+    geo = ExtractionGeometry(1, 0.5, (3.0,))
     assert geo.expansion_center == (-3.0,)
     q = Cube((0.25,), 0.5)
     (qp,) = geo.derived_cubes(q)
@@ -81,7 +81,7 @@ def test_geometry_derived_cubes_linear():
 
 
 def test_geometry_derived_cubes_bilinear():
-    geo = ExtractionGeometry("bilinear", 1, 0.5, (2.2, 2.2))
+    geo = ExtractionGeometry(1, 0.5, (2.2, 2.2))
     q = Cube((-0.5,), 1.0)
     qp, qpp = geo.derived_cubes(q)
     assert qp.center[0] == pytest.approx(-0.5 + 2.2 / 0.5)
@@ -92,7 +92,7 @@ def test_geometry_derived_cubes_bilinear():
 
 def test_select_geometry_hilbert():
     geo = select_geometry(HILBERT, 0.5)
-    assert geo.arity == "linear"
+    assert geo.D == 1
     assert geo.base_point == (3.0,)
     assert geo.delta == 0.5
     # 1/K never vanishes near +-3, so an absurd threshold is the only way
@@ -105,7 +105,7 @@ def test_select_geometry_hilbert():
 
 def test_select_geometry_bilinear_riesz():
     geo = select_geometry(BIRIESZ, 0.5)
-    assert geo.arity == "bilinear"
+    assert geo.ndim == 1
     assert geo.D == 2
     rho = math.hypot(*geo.base_point)
     assert 2.0 < rho < 4.0
@@ -285,7 +285,7 @@ def linear_chain():
 def test_chain_single_cube_linear(linear_chain):
     g, b, geo, exp, T = linear_chain
     q = Cube((0.140625,), 0.28125)
-    rep = verify_master_chain(b, T, Lebesgue(2.0), None, Lebesgue(2.0), q, geo, exp)
+    rep = verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, geo, exp)
     assert rep.geometry_checks["ok"]
     assert rep.gap_12 == 0.0
     assert abs(rep.stage_i - rep.stage_iii) <= max(1e-8 * rep.stage_i, rep.bound_23)
@@ -308,7 +308,7 @@ def test_chain_constant_symbol_all_zero(linear_chain):
     g, _, geo, exp, T = linear_chain
     b = symbol_library("constant:3.0", g)
     q = Cube((0.140625,), 0.28125)
-    rep = verify_master_chain(b, T, Lebesgue(2.0), None, Lebesgue(2.0), q, geo, exp)
+    rep = verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, geo, exp)
     for stage in (rep.stage_i, rep.stage_ii, abs(rep.stage_iii), rep.stage_iv):
         assert abs(stage) <= 1e-10
     assert rep.stage_v is not None and rep.stage_v <= 1e-10
@@ -319,7 +319,7 @@ def test_chain_out_of_domain(linear_chain):
     # the derived cube Q' = Q + 6 r e_1 leaves the box for this cube
     q = Cube((4.921875,), 0.28125)
     with pytest.raises(OutOfDomain):
-        verify_master_chain(b, T, Lebesgue(2.0), None, Lebesgue(2.0), q, geo, exp)
+        verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, geo, exp)
 
 
 def test_chain_bilinear_cube():
@@ -330,7 +330,7 @@ def test_chain_bilinear_cube():
     T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     rep = verify_master_chain(
-        b, T, Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0), q, geo, exp
+        b, T, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, geo, exp
     )
     assert rep.geometry_checks["ok"]
     assert rep.gap_12 == 0.0
@@ -356,7 +356,7 @@ def test_chain_bilinear_stage_by_stage_in_other_spaces(make):
     T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     X1, X2, Y = make(g, 4.0), make(g, 4.0), make(g, 2.0)
-    rep = verify_master_chain(b, T, X1, X2, Y, q, geo, exp)
+    rep = verify_master_chain(b, T, (X1, X2), Y, q, geo, exp)
     assert rep.geometry_checks["ok"]
     assert rep.stage_i > 0.0
     assert rep.gap_12 == 0.0  # (i) = (ii): the identity stage
@@ -365,7 +365,7 @@ def test_chain_bilinear_stage_by_stage_in_other_spaces(make):
     assert rep.stage_v is not None  # P fits inside the box for this cube
     assert rep.gap_45 >= -1e-9 * rep.stage_v  # (iv) <= (v): probe norm bound
     lebesgue = verify_master_chain(
-        b, T, Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0), q, geo, exp
+        b, T, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, geo, exp
     )
     assert rep.stage_iv != lebesgue.stage_iv  # the space enters from stage (iv) on
 
@@ -377,7 +377,7 @@ def test_chain_stage_by_stage_2d_riesz():
     geo = select_geometry(kernel, 0.5)
     exp = fourier_reciprocal(kernel, geo, 5, tol=1e-2)
     q = Cube((0.1875, 0.1875), 0.375)
-    rep = verify_master_chain(b, OperatorHandle(kernel), Lebesgue(4.0), None, Lebesgue(2.0), q, geo, exp)
+    rep = verify_master_chain(b, OperatorHandle(kernel), (Lebesgue(4.0),), Lebesgue(2.0), q, geo, exp)
     assert rep.geometry_checks["ok"]
     assert len(rep.derived) == 1 and rep.n_modes == 25
     assert rep.stage_i > 0.0
@@ -394,7 +394,7 @@ def test_chain_arity_mismatch(linear_chain):
     T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     with pytest.raises(ValueError):
-        verify_master_chain(b, T, Lebesgue(2.0), Lebesgue(2.0), Lebesgue(2.0), q, geo, exp)
+        verify_master_chain(b, T, (Lebesgue(2.0), Lebesgue(2.0)), Lebesgue(2.0), q, geo, exp)
 
 
 def test_chain_error_names_cube_and_stage(monkeypatch):
@@ -409,7 +409,7 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
     # taken once per cube before the modes, raises
     monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)
     with pytest.raises(ConvergenceFailure) as info:
-        verify_master_chain(b, T, V, V, V, q, geo, exp)
+        verify_master_chain(b, T, (V, V), V, q, geo, exp)
     assert str(info.value).startswith(f"{q}, norms: modular misses 1 by")
     assert f"by {info.value.residual:.3e} after" in str(info.value)  # the residual is kept
     monkeypatch.undo()
@@ -422,7 +422,7 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
 
     monkeypatch.setattr(extraction, "norm", norm_failing_on_complex)
     with pytest.raises(ConvergenceFailure) as info:
-        verify_master_chain(b, T, V, V, V, q, geo, exp)
+        verify_master_chain(b, T, (V, V), V, q, geo, exp)
     assert str(info.value) == f"{q}, mode 0: modular misses 1"
     assert info.value.residual == 0.5
     monkeypatch.undo()
@@ -430,7 +430,7 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
     # Q' leaves the box: the geometry stage
     far = Cube((4.921875,), 0.28125)
     with pytest.raises(OutOfDomain, match=r"^Q\(4\.92188;0\.28125\), geometry: "):
-        verify_master_chain(b, T, V, V, V, far, geo, exp)
+        verify_master_chain(b, T, (V, V), V, far, geo, exp)
 
 
 # ---- trend classification and the necessity report ----
@@ -454,10 +454,10 @@ def test_necessity_contrast_linear():
     T = OperatorHandle(HILBERT)
     fam = centered_family(g, (0.0,), 3.0, 2, 5)
     stable = necessity_experiment(
-        symbol_library("log_abs", g), T, Lebesgue(2.0), None, Lebesgue(2.0), fam, geo, exp
+        symbol_library("log_abs", g), T, (Lebesgue(2.0),), Lebesgue(2.0), fam, geo, exp
     )
     growing = necessity_experiment(
-        symbol_library("sgn_log", g), T, Lebesgue(2.0), None, Lebesgue(2.0), fam, geo, exp
+        symbol_library("sgn_log", g), T, (Lebesgue(2.0),), Lebesgue(2.0), fam, geo, exp
     )
     assert stable.ratio_verdict == "stable"
     assert growing.ratio_verdict == "growing"
@@ -477,7 +477,7 @@ def test_bilinear_bound_ratio_and_condition_stay_flat_together():
     fam = centered_family(g, (0.0,), 3.0, 2, 5)
     X, Y = Lebesgue(4.0), Lebesgue(2.0)
     rep = necessity_experiment(
-        symbol_library("log_abs", g), OperatorHandle(BIRIESZ), X, X, Y, fam, geo, exp
+        symbol_library("log_abs", g), OperatorHandle(BIRIESZ), (X, X), Y, fam, geo, exp
     )
     cond = condition_bilinear(X, X, Y, 0.0, fam)
     kept = [(r.bound_ratio, c) for r, c in zip(rep.per_cube, cond.per_cube) if r.bound_ratio is not None]

@@ -288,6 +288,8 @@ def test_weight_constants_bit_equal(case):
 
 
 ON_A_GRID = {
+    "chi_norm_weighted": lambda fam, w: chi_norm(Weighted(2.0, w), fam.cubes[1], fam.grid),
+    "chi_norm_variable": lambda fam, w: chi_norm(Variable(ExponentFunction(w + 1.0)), fam.cubes[1], fam.grid),
     "chi_norms": lambda fam, w: chi_norms(Weighted(2.0, w), fam),
     "condition_linear": lambda fam, w: condition_linear(Weighted(2.0, w), Weighted(2.0, w), 0.0, fam),
     "ap_constant": lambda fam, w: ap_constant(w, 2.0, fam),

@@ -45,9 +45,11 @@ HILBERT = fixtures.make_kernel("hilbert", 1)
 
 def test_kernel_spec_validation():
     with pytest.raises(MeanZeroViolation):
-        KernelSpec("linear", 1, 0.0, lambda t: np.ones(t.shape[:-1]))
+        KernelSpec(1, 1, 0.0, lambda t: np.ones(t.shape[:-1]))
     with pytest.raises(AlphaOutOfRange):
-        KernelSpec("linear", 1, 1.5, lambda t: t[..., 0])
+        KernelSpec(1, 1, 1.5, lambda t: t[..., 0])
+    with pytest.raises(ValueError, match="1 or 2 inputs, got 3"):
+        KernelSpec(3, 1, 0.0, lambda t: t[..., 0])
     assert HILBERT.omega_odd
     assert HILBERT.degree == pytest.approx(1.0)
 
@@ -87,7 +89,7 @@ def test_riesz_potential_step_oracle():
     # mesh before the limit 2 shows up at the 2% level
     g = Grid((-2.0,), (2.0,), 16384)
     chi = indicator(g, Cube((0.5,), 1.0))
-    out = fractional_integral(chi, 0.5)
+    out = fractional_integral(chi, fixtures.make_kernel("frac_alpha:0.5", 1))
     x = g.axis_centers(0)
     j = int(np.where((x > 0) & (x < 1))[0][0])
     assert out.values[j] == pytest.approx(2.0, rel=0.02)
@@ -97,7 +99,7 @@ def test_fractional_alpha_range():
     g = Grid((-1.0,), (1.0,), 64)
     f = GridFunction(g, np.ones(64))
     with pytest.raises(AlphaOutOfRange):
-        fractional_integral(f, 1.0)
+        fractional_integral(f, fixtures.make_kernel("frac_alpha:1.0", 1))
 
 
 def test_commutator_with_constant_symbol_is_zero():
@@ -162,7 +164,7 @@ def test_bilinear_singular_matches_bruteforce():
 def test_bilinear_singular_direct_sum_neither_odd_nor_even():
     # Omega = cos t + sin 2t on the (u, v) circle: mean zero, neither odd nor
     # even, so a kernel read as K(y - x, z - x) cannot pass
-    k = KernelSpec("bilinear", 1, 0.0, lambda t: t[..., 0] + 2 * t[..., 0] * t[..., 1])
+    k = KernelSpec(2, 1, 0.0, lambda t: t[..., 0] + 2 * t[..., 0] * t[..., 1])
     g = Grid((-2.0,), (2.0,), 32)
     x = g.axis_centers(0)
     rng = np.random.default_rng(5)
@@ -186,7 +188,7 @@ def test_bilinear_fractional_matches_bruteforce_distance():
     rng = np.random.default_rng(9)
     f = GridFunction(g, rng.standard_normal(32))
     h = GridFunction(g, rng.standard_normal(32))
-    out = bilinear_fractional_integral(f, h, alpha)
+    out = bilinear_fractional_integral(f, h, k)
     x = g.axis_centers(0)
     vol = g.cell_volume
     i = 7
@@ -258,7 +260,7 @@ def test_hilbert_l2_norm_estimate():
     T = OperatorHandle(HILBERT)
     xs = g.meshes()[0]
     probes = [
-        GridFunction(g, np.sin(w * xs) * np.exp(-(xs**2) / (2 * s * s)))
+        (GridFunction(g, np.sin(w * xs) * np.exp(-(xs**2) / (2 * s * s))),)
         for w in (1.0, 2.0, 4.0)
         for s in (0.5, 1.0, 2.0)
     ]
@@ -285,9 +287,9 @@ def test_operator_handle_dispatch():
     lin = OperatorHandle(HILBERT)
     bil = OperatorHandle(fixtures.make_kernel("bilinear_riesz", 1))
     f = GridFunction(g, np.ones(64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"takes 1 input\(s\), got 2"):
         lin(f, f)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"takes 2 input\(s\), got 1"):
         bil(f)
 
 
@@ -323,7 +325,7 @@ def _direct_sum_2d(f, k, points):
     [
         fixtures.make_kernel("riesz_1", 2),
         # cos t + sin 2t: mean zero, neither odd nor even
-        KernelSpec("linear", 2, 0.0, lambda t: t[..., 0] + 2 * t[..., 0] * t[..., 1]),
+        KernelSpec(1, 2, 0.0, lambda t: t[..., 0] + 2 * t[..., 0] * t[..., 1]),
     ],
     ids=["riesz_1", "cos+sin2"],
 )
@@ -342,9 +344,9 @@ def test_fractional_2d_matches_direct_sum():
     # 2 + cos t + sin 2t is positive and not even; points off the input's
     # support carry no self-cell correction
     g = Grid((-2.0, -2.0), (2.0, 2.0), 32)
-    k = KernelSpec("linear", 2, 1.0, lambda t: 2.0 + t[..., 0] + 2 * t[..., 0] * t[..., 1])
+    k = KernelSpec(1, 2, 1.0, lambda t: 2.0 + t[..., 0] + 2 * t[..., 0] * t[..., 1])
     f = _block_input(g, np.random.default_rng(12))
-    out = fractional_integral(f, k.alpha, k)
+    out = fractional_integral(f, k)
     points = list(zip(*np.nonzero(f.values == 0.0)))
     got = np.array([out.values[p] for p in points])
     want = _direct_sum_2d(f, k, points)
@@ -400,7 +402,7 @@ def test_bilinear_plan_reuse_new_values_and_interior_zero():
 def test_bilinear_plan_reuse_alternating_pairs_and_kernels():
     g = Grid((-2.0,), (2.0,), 64)
     k1 = fixtures.make_kernel("bilinear_riesz", 1)
-    k2 = KernelSpec("bilinear", 1, 0.0, lambda t: t[..., 0] + t[..., 1] ** 3, name="other")
+    k2 = KernelSpec(2, 1, 0.0, lambda t: t[..., 0] + t[..., 1] ** 3, name="other")
     rng = np.random.default_rng(6)
     a = (_on(g, -1.0, 0.0, rng), _on(g, 0.0, 0.5, rng))
     b = (_on(g, -0.5, 0.25, rng), _on(g, 0.5, 1.0, rng))

@@ -2,8 +2,10 @@
 
 `perfbench/child.py` wraps the functions in its TARGETS table by
 (module, attribute); a renamed function would otherwise surface only in the
-benchmark's traced pass. The runner keeps two experiment name lists, the
-runner table and the defaults table, which must name the same experiments.
+benchmark's traced pass. `perfbench/workloads.py` holds `oscillab run`
+configs, whose keys the runner must still accept. The runner keeps two
+experiment name lists, the runner table and the defaults table, which must
+name the same experiments.
 """
 
 import importlib.util
@@ -33,6 +35,14 @@ def test_every_traced_name_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+def test_every_workload_config_is_accepted(monkeypatch):
+    workloads = _child(monkeypatch).WORKLOADS
+    configs = [cfg for w in workloads.values() for cfg in w.runs]
+    assert len(configs) >= 8
+    for cfg in configs:
+        cli.ExperimentConfig({**cfg, "seed": 1})
 
 
 def test_runner_and_defaults_name_the_same_experiments():
