@@ -31,6 +31,7 @@ from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, 
 from .extraction import fourier_reciprocal, necessity_experiment, select_geometry, verify_master_chain
 from .grid import Cube, Grid, GridFunction, CubeFamily, centered_family, enumerate_dyadic, indicator
 from .operators import (
+    KernelSpec,
     OperatorHandle,
     averaging,
     bilinear_averaging,
@@ -42,6 +43,7 @@ from .operators import (
 from .spaces import (
     ExponentFunction,
     Lebesgue,
+    SpaceSpec,
     Variable,
     chiQ_norm_ratio,
     condition_bilinear,
@@ -228,8 +230,13 @@ class ExperimentConfig:
         self.experiment = name
         self.seed = data["seed"]
         self.experiments = tuple(RUNNERS) if name == "all" else (name,)
+        read = set()
         for experiment in self.experiments:
-            ScopedConfig(self, experiment).validate()
+            read.update(ScopedConfig(self, experiment).validate())
+        for key in data:
+            if key.startswith("space_") and key not in read:
+                reads = ", ".join(sorted(read)) or "no space key"
+                raise ConfigError(f"{key}: no experiment of this run reads it; it reads {reads}")
 
     def get(self, key: str):
         return self.data.get(key, GLOBAL_DEFAULTS.get(key))
@@ -251,15 +258,34 @@ class ScopedConfig:
         with _naming("seed"):
             return np.random.default_rng(self.seed)
 
-    def validate(self):
-        """Build the grid and every fixture the keys name, and refuse a
-        weight-constants level range that would run no level."""
+    def validate(self) -> tuple[str, ...]:
+        """Build the grid and every fixture the keys name, refuse a
+        weight-constants level range that would run no level, and return
+        the space keys the experiment reads."""
         lmin, lmax = self.get("level_min"), self.get("level_max")
         if self.experiment == "weight-constants" and not 0 <= lmin <= lmax:
             raise ConfigError(f"weight-constants needs 0 <= level_min <= level_max, got {lmin}..{lmax}")
         grid = self.grid()
-        for key in self.values:
-            self.fixture(key, grid)
+        built = {key: self.fixture(key, grid) for key in self.values}
+        return self.space_keys(built.get("kernel"))
+
+    def space_keys(self, kernel: KernelSpec | None) -> tuple[str, ...]:
+        """The space keys the experiment reads, input spaces first and
+        space_y last: `conditions` reads space_x, or space_x1 and space_x2
+        when space_x2 is set; `chain` and `necessity` read one space_x<i>
+        per kernel input; the other experiments read none."""
+        if self.experiment == "conditions":
+            xs = ("space_x1", "space_x2") if self.get("space_x2") is not None else ("space_x",)
+        elif self.experiment in ("chain", "necessity"):
+            xs = tuple(f"space_x{i}" for i in range(1, kernel.inputs + 1))
+        else:
+            return ()
+        return (*xs, "space_y")
+
+    def spaces(self, grid: Grid, kernel: KernelSpec | None = None) -> tuple[tuple, SpaceSpec]:
+        """(input spaces, output space) built from `space_keys`."""
+        *xs, y = self.space_keys(kernel)
+        return tuple(self.fixture(key, grid) for key in xs), self.fixture(y, grid)
 
     def grid(self, cells_key: str = "m", scale: int = 1) -> Grid:
         """The box in `dimension` dimensions with `scale` times the value of
@@ -404,15 +430,12 @@ def run_conditions(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     with _naming("level_min", "level_max"):
         fam = enumerate_dyadic(grid, cfg.get("level_min"), cfg.get("level_max"))
     alpha = float(cfg.get("alpha"))
-    X2 = cfg.fixture("space_x2", grid)
-    Y = cfg.fixture("space_y", grid)
-    if X2 is not None:
-        X1 = cfg.fixture("space_x1", grid)
-        rep = condition_bilinear(X1, X2, Y, alpha, fam)
+    Xs, Y = cfg.spaces(grid)
+    if len(Xs) == 2:
+        rep = condition_bilinear(*Xs, Y, alpha, fam)
         name = "condition_bilinear_sup"
     else:
-        X = cfg.fixture("space_x", grid)
-        rep = condition_linear(X, Y, alpha, fam)
+        rep = condition_linear(*Xs, Y, alpha, fam)
         name = "condition_linear_sup"
     expect = cfg.get("expect")
     tol = float(cfg.get("tolerance"))
@@ -451,17 +474,36 @@ def run_maximal(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     return rows, {"violations": viol_lin + viol_bil}
 
 
+def _probes(grid: Grid):
+    """The nine modulated Gaussian probes of the L2 estimates, one at a time."""
+    x = grid.meshes()[0]
+    for omega in (1.0, 2.0, 4.0):
+        for s in (0.5, 1.0, 2.0):
+            yield (GridFunction(grid, np.sin(omega * x) * np.exp(-(x * x) / (2 * s * s))),)
+
+
+def _probe_estimates(grid: Grid, T: OperatorHandle, b: GridFunction):
+    """L2 lower bounds for ||T|| and ||[b, T]||. T runs once per distinct
+    input: T f serves both estimates, and [b, T] f = b (T f) - T(b f) needs
+    one more stacked pass, over the b f. The probes are rebuilt for each
+    pass rather than kept, so no stack of inputs outlives its pass."""
+    L2 = Lebesgue(2.0)
+    t_probes = T.each(f for f, in _probes(grid))
+    est = operator_norm_estimate(_probes(grid), t_probes, [L2], L2)
+    t_moved = T.each(b * f for f, in _probes(grid))
+    outputs = (b * tf - tm for tf, tm in zip(t_probes, t_moved))
+    return est, operator_norm_estimate(_probes(grid), outputs, [L2], L2)
+
+
 def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     grid = cfg.grid()
     kernel = cfg.fixture("kernel", grid)
     T = OperatorHandle(kernel)
     b = cfg.fixture("symbol", grid)
-    one = GridFunction(grid, np.ones(grid.shape))
     rows = []
     summary: dict = {}
     if kernel.inputs == 1:
-        t_one = T(one)
-        zmax = float(np.max(np.abs(t_one.values)))
+        zmax = float(np.max(np.abs(T(GridFunction(grid, np.ones(grid.shape))).values)))
         rows.append(row("commutator", "constant_annihilation", zmax, _ZERO_TOL, _check(zmax <= _ZERO_TOL)))
     cb = GridFunction(grid, np.full(grid.shape, 2.5))
     rng = cfg.rng()
@@ -473,25 +515,14 @@ def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     if kernel.D == 1 and kernel.alpha == 0.0 and grid.lo[0] <= -2.0 and grid.hi[0] >= 2.0:
         # A 1D singular kernel is c/x, and its integral of chi_[-1,1] at x = 2 is c log 3.
         expected = float(kernel.evaluate(np.array([[1.0]]))[0]) * math.log(3.0)
-        chi = indicator(grid, Cube((0.0,), 2.0))
-        out = T(chi)
-        x = grid.axis_centers(0)
-        idx = int(np.argmin(np.abs(x - 2.0)))
-        val = float(out.values[idx])
+        idx = int(np.argmin(np.abs(grid.axis_centers(0) - 2.0)))
+        val = float(T(indicator(grid, Cube((0.0,), 2.0))).values[idx])
         rel = abs(val - expected) / abs(expected)
         rows.append(row("commutator", "step_response_at_2_rel", rel, _ORACLE_TOL, _check(rel <= _ORACLE_TOL)))
         summary["step_response"] = val
-    probes = []
-    x = grid.meshes()[0]
-    for omega in (1.0, 2.0, 4.0):
-        for s in (0.5, 1.0, 2.0):
-            probes.append((GridFunction(grid, np.sin(omega * x) * np.exp(-(x * x) / (2 * s * s))),))
-    est = operator_norm_estimate(T, [Lebesgue(2.0)], Lebesgue(2.0), probes)
+    est, cb_est = _probe_estimates(grid, T, b)
     rows.append(row("commutator", "operator_norm_lower_bound", est.value, None, "info"))
     summary["norm_lower_bound"] = est.value
-    cb_est = operator_norm_estimate(
-        lambda ff: commutator(b, T, ff), [Lebesgue(2.0)], Lebesgue(2.0), probes
-    )
     rows.append(row("commutator", "commutator_norm_lower_bound", cb_est.value, None, "info"))
     summary["commutator_lower_bound"] = cb_est.value
     return rows, summary
@@ -502,8 +533,7 @@ def _chain_setup(cfg: ScopedConfig):
     kernel = cfg.fixture("kernel", grid)
     T = OperatorHandle(kernel)
     b = cfg.fixture("symbol", grid)
-    Xs = tuple(cfg.fixture(f"space_x{i}", grid) for i in range(1, kernel.inputs + 1))
-    Y = cfg.fixture("space_y", grid)
+    Xs, Y = cfg.spaces(grid, kernel)
     fam = cfg.family(grid)
     with _naming("delta"):
         geometry = select_geometry(kernel, float(cfg.get("delta")))

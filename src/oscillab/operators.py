@@ -14,13 +14,19 @@ the input's support; values elsewhere saw truncated data.
 Fractional operators (alpha > 0) use plain zero-extension plus a self-cell
 correction: closed form on 1D lines, refined midpoint sub-quadrature in
 higher ambient dimension.
+
+The linear quadrature takes its inputs as columns of one stacked array, so
+`OperatorHandle.each(fs)` applies a one-input kernel to many inputs in one
+pass, bit for bit as one call per input. `operator_norm_estimate(probes,
+outputs, in_spaces, out_space)` takes the outputs already computed, so a
+caller applies T once per distinct input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -134,6 +140,14 @@ class OperatorHandle:
             raise ValueError(f"kernel {k.name or '<anon>'} takes {k.inputs} input(s), got {len(fs)}")
         return globals()[_ENTRY_POINTS[(k.inputs, k.alpha == 0.0)]](*fs, k)
 
+    def each(self, fs: Iterable[GridFunction]) -> list[GridFunction]:
+        """[self(f) for f in fs] for a one-input kernel, bit for bit, with
+        the quadrature run once over the stacked inputs of each dtype."""
+        k = self.kernel
+        if k.inputs != 1:
+            raise ValueError(f"each applies a 1-input kernel, and {k.name or '<anon>'} takes {k.inputs}")
+        return _linear_apply(_ENTRY_POINTS[(1, k.alpha == 0.0)], fs, k)
+
 
 # ---- Support and window bookkeeping ----
 
@@ -189,35 +203,49 @@ def _self_cell(kernel: KernelSpec, h: float) -> float:
 
 
 def _singular_1d(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
+    """Principal value on a line for the (m, N) columns of fv, each offset
+    k's term computed into one scratch buffer in the order
+    (coef * (f(x-kh) - f(x+kh))) * h, or (coef * f(x-kh) + kneg * f(x+kh)) * h."""
     m = fv.shape[0]
-    out = np.zeros(m, dtype=fv.dtype)
+    out = np.zeros_like(fv)
+    buf = np.empty_like(fv)
+    other = None if kernel.omega_odd else np.empty_like(fv)
+    degree = kernel.degree
     kpos = kernel.evaluate(np.array([[1.0]]))[0]
-    for k in range(1, m):
-        coef = kpos * (k * h) ** (-kernel.degree)
-        lo, hi = k, m - k
-        if lo >= hi:
-            break
-        if kernel.omega_odd:
-            out[lo:hi] += coef * (fv[: m - 2 * k] - fv[2 * k :]) * h
+    for k in range(1, (m + 1) // 2):
+        coef = kpos * (k * h) ** (-degree)
+        n = m - 2 * k
+        term = buf[:n]
+        if other is None:
+            np.subtract(fv[:n], fv[2 * k :], out=term)
+            np.multiply(coef, term, out=term)
         else:
             kneg = kernel.evaluate(np.array([[-(k * h)]]))[0]
-            out[lo:hi] += (coef * fv[: m - 2 * k] + kneg * fv[2 * k :]) * h
+            np.multiply(coef, fv[:n], out=term)
+            np.add(term, np.multiply(kneg, fv[2 * k :], out=other[:n]), out=term)
+        np.multiply(term, h, out=term)
+        np.add(out[k : m - k], term, out=out[k : m - k])
     return out
 
 
 def _fractional_1d(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
+    """Zero-extended convolution on a line for the (m, N) columns of fv."""
     m = fv.shape[0]
     offsets = (np.arange(2 * m - 1) - (m - 1)) * h
     krow = kernel.evaluate(offsets[:, None])
     krow[m - 1] = 0.0
-    conv = np.convolve(fv, krow)
-    out = conv[m - 1 : 2 * m - 1] * h
+    out = np.empty_like(fv)
+    for j in range(fv.shape[1]):
+        out[:, j] = np.convolve(np.ascontiguousarray(fv[:, j]), krow)[m - 1 : 2 * m - 1] * h
     out += _self_cell(kernel, h) * fv
     return out
 
 
 def _linear_2d(fv: np.ndarray, kernel: KernelSpec, h: float, windowed: bool) -> np.ndarray:
-    """Offset-sliced sum for n = 2, windowed (singular) or zero-extended."""
+    """Offset-sliced sum for n = 2 over the (m, m, N) columns of fv,
+    windowed (singular) or zero-extended. The offsets and output cells are
+    clipped to the union of the columns' supports: a term outside a
+    column's own support adds an exact zero there."""
     m = fv.shape[0]
     out = np.zeros_like(fv)
     sup = _support_ranges(fv)
@@ -263,25 +291,49 @@ def _linear_2d(fv: np.ndarray, kernel: KernelSpec, h: float, windowed: bool) -> 
     return out
 
 
+def _linear_apply(name: str, fs: Iterable[GridFunction], kernel: KernelSpec) -> list[GridFunction]:
+    """T f for each f of fs on one grid, for the entry point `name`: the
+    inputs of each dtype are stacked along a trailing axis and sent through
+    the body of the kernel's path in one call. Every column's arithmetic is
+    that of a lone input, so each output is bit for bit what a call on its
+    input alone gives. The inputs are let go once stacked, so those of a
+    generator are freed before the body allocates its own arrays."""
+    fs = list(fs)
+    if not fs:
+        return []
+    grid = _grid_of(fs)
+    _check_entry(name, grid, kernel)
+    singular = kernel.alpha == 0.0
+    masks = [coverage_mask(grid, _support_ranges(f.values)) if singular else None for f in fs]
+    groups: dict = {}
+    for i, dtype in enumerate([f.values.dtype for f in fs]):
+        groups.setdefault(dtype, []).append(i)
+    stacks = [(group, np.stack([fs[i].values for i in group], axis=-1)) for group in groups.values()]
+    del fs  # the stacks hold the inputs now
+    outs: list = [None] * len(masks)
+    while stacks:
+        group, fv = stacks.pop()
+        if grid.n != 1:
+            vals = _linear_2d(fv, kernel, grid.h, windowed=singular)
+        elif singular:
+            vals = _singular_1d(fv, kernel, grid.h)
+        else:
+            vals = _fractional_1d(fv, kernel, grid.h)
+        del fv
+        for j, i in enumerate(group):
+            outs[i] = GridFunction(grid, np.ascontiguousarray(vals[..., j]), masks[i])
+    return outs
+
+
 def singular_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:
     """Principal-value convolution with a mean-zero homogeneous kernel."""
-    _check_entry("singular_integral", f.grid, kernel)
-    if f.grid.n == 1:
-        vals = _singular_1d(f.values, kernel, f.grid.h)
-    else:
-        vals = _linear_2d(f.values, kernel, f.grid.h, windowed=True)
-    return GridFunction(f.grid, vals, coverage_mask(f.grid, _support_ranges(f.values)))
+    return _linear_apply("singular_integral", (f,), kernel)[0]
 
 
 def fractional_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:
     """Zero-extended convolution with a kernel of order alpha > 0, e.g.
     I_alpha f for the fixture frac_alpha:<alpha>."""
-    _check_entry("fractional_integral", f.grid, kernel)
-    if f.grid.n == 1:
-        vals = _fractional_1d(f.values, kernel, f.grid.h)
-    else:
-        vals = _linear_2d(f.values, kernel, f.grid.h, windowed=False)
-    return GridFunction(f.grid, vals)
+    return _linear_apply("fractional_integral", (f,), kernel)[0]
 
 
 # ---- Bilinear quadrature ----
@@ -520,21 +572,23 @@ class NormEstimate:
 
 
 def operator_norm_estimate(
-    apply_fn: Callable,
+    probes: Iterable[tuple],
+    outputs: Iterable[GridFunction],
     in_spaces: Sequence[SpaceSpec],
     out_space: SpaceSpec,
-    probes: Sequence,
 ) -> NormEstimate:
     """max over probes of ||T probe||_Y / product of input norms; each probe
-    is a tuple of inputs, one per input space."""
+    is a tuple of inputs, one per input space, and outputs yields T of each
+    probe in turn. Generators for both keep one probe and one output alive
+    at a time."""
     ratios = []
-    for args in probes:
+    for args, out in zip(probes, outputs, strict=True):
         if len(args) != len(in_spaces):
             raise ValueError(f"probe has {len(args)} input(s) for {len(in_spaces)} input space(s)")
         norms = [norm(a, X) for a, X in zip(args, in_spaces)]
         if 0.0 in norms:
             raise DivisionByZeroNorm("zero-norm probe")
-        ratios.append(norm(apply_fn(*args), out_space) / math.prod(norms))
+        ratios.append(norm(out, out_space) / math.prod(norms))
     best = int(np.argmax(ratios))
     return NormEstimate(float(ratios[best]), best, tuple(ratios))
 

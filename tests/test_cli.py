@@ -8,10 +8,11 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
-from oscillab import __version__
-from oscillab.cli import ExperimentConfig, main
+from oscillab import GridFunction, Lebesgue, OperatorHandle, __version__, commutator, norm, operators
+from oscillab.cli import ExperimentConfig, ScopedConfig, main, run_commutator
 from oscillab.errors import ConfigError
 
 
@@ -118,6 +119,10 @@ def test_bad_fixture_name(tmp_path):
     assert run_in(tmp_path, "run", cfg) == 2
 
 
+# Keys a bad-value case sets besides its own: a 1-input kernel reads no space_x2.
+_ALSO_SET = {("chain", "space_x2"): {"kernel": "hilbert"}}
+
+
 @pytest.mark.parametrize(
     "experiment, key, value",
     [
@@ -150,16 +155,30 @@ def test_bad_fixture_name(tmp_path):
         ("chain", "delta", 2),
         ("conditions", "tolerance", 0),
         ("chain", "eps_tol", 1e-2),
+        # space keys the run never reads
+        ("chain", "space_x", "lebesgue:2"),
+        ("chain", "space_x2", "lebesgue:2"),
+        ("conditions", "space_x1", "lebesgue:2"),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, key, value):
-    cfg = write_config(tmp_path, **{"experiment": experiment, "seed": 0, key: value})
+    also = _ALSO_SET.get((experiment, key), {})
+    cfg = write_config(tmp_path, **{"experiment": experiment, "seed": 0, key: value, **also})
     assert run_in(tmp_path, "run", cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "report.csv").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+def test_all_accepts_a_space_key_that_one_experiment_reads():
+    """conditions never reads space_x1 without space_x2, but chain does; a
+    1-input chain never reads space_x2, but conditions then does."""
+    for keys in ({"space_x1": "lebesgue:3"}, {"kernel": "hilbert", "space_x2": "lebesgue:3"}):
+        ExperimentConfig({"experiment": "all", "seed": 0, **keys})
+    with pytest.raises(ConfigError, match="space_x2: no experiment of this run reads it"):
+        ExperimentConfig({"experiment": "necessity", "seed": 0, "kernel": "hilbert", "space_x2": "lebesgue:3"})
 
 
 def test_weight_constants_refuses_q_before_any_level(tmp_path, capsys, monkeypatch):
@@ -193,10 +212,11 @@ def test_list_fixtures_names_exactly_the_accepted_values(capsys):
     samples = {"alpha": "0.5", "a": "0.5", "c": "2.5", "p": "2", "weight": "power:0.5", "exponent": "arctan_profile"}
 
     def accepted(kind, value):
-        key = "space_x" if kind == "space" else kind
+        # a space key is refused where no experiment reads it; conditions reads space_x
+        key, experiment = ("space_x", "conditions") if kind == "space" else (kind, "maximal")
         for dimension in (1, 2):
             try:
-                ExperimentConfig({"experiment": "maximal", "seed": 0, "dimension": dimension, key: value})
+                ExperimentConfig({"experiment": experiment, "seed": 0, "dimension": dimension, key: value})
                 return True
             except ConfigError:
                 pass
@@ -277,3 +297,57 @@ def test_chain_error_row_and_summary_name_the_stage(tmp_path, monkeypatch):
     assert [(r["quantity"], r["verdict"]) for r in rows] == [("error[ConvergenceFailure]", "fail")]
     error = json.loads((tmp_path / "report.json").read_text())["summaries"]["chain"]["error"]
     assert re.match(r"ConvergenceFailure: Q\([-0-9.]+;[0-9.]+\), norms: modular misses 1", error), error
+
+
+# The commutator experiment at small sizes: 1D hilbert, 2D riesz_1.
+_COMMUTATOR_CASES = {
+    "hilbert": ({"kernel": "hilbert", "m": 256}, "_singular_1d", 6),
+    "riesz_1": ({"kernel": "riesz_1", "dimension": 2, "box": [-4.0, 4.0], "m": 16}, "_linear_2d", 5),
+}
+
+
+def _commutator_config(case):
+    overrides = _COMMUTATOR_CASES[case][0]
+    return ScopedConfig(ExperimentConfig({"experiment": "commutator", "seed": 5, **overrides}), "commutator")
+
+
+@pytest.mark.parametrize("case", sorted(_COMMUTATOR_CASES))
+def test_commutator_estimates_equal_a_per_probe_loop(case):
+    """Both lower bounds, bit for bit, from one T call per probe for ||T||
+    and the commutator applied per probe for ||[b, T]||."""
+    cfg = _commutator_config(case)
+    rows, summary = run_commutator(cfg)
+    grid = cfg.grid()
+    T = OperatorHandle(cfg.fixture("kernel", grid))
+    b = cfg.fixture("symbol", grid)
+    L2 = Lebesgue(2.0)
+    x = grid.meshes()[0]
+    t_ratios, c_ratios = [], []
+    for omega in (1.0, 2.0, 4.0):
+        for s in (0.5, 1.0, 2.0):
+            f = GridFunction(grid, np.sin(omega * x) * np.exp(-(x * x) / (2 * s * s)))
+            t_ratios.append(norm(T(f), L2) / norm(f, L2))
+            c_ratios.append(norm(commutator(b, T, f), L2) / norm(f, L2))
+    values = {r.quantity: r.value for r in rows}
+    assert values["operator_norm_lower_bound"] == repr(max(t_ratios))
+    assert values["commutator_norm_lower_bound"] == repr(max(c_ratios))
+    assert summary["norm_lower_bound"] == max(t_ratios)
+    assert summary["commutator_lower_bound"] == max(c_ratios)
+
+
+@pytest.mark.parametrize("case", sorted(_COMMUTATOR_CASES))
+def test_commutator_applies_t_once_per_distinct_input(case, monkeypatch):
+    """The constant checks, the step response (1D only) and one stacked
+    pass each over the probes and over the b-moved probes."""
+    _, body, most = _COMMUTATOR_CASES[case]
+    calls = []
+    original = getattr(operators, body)
+
+    def counted(fv, *args, **kwargs):
+        calls.append(fv.shape[-1])
+        return original(fv, *args, **kwargs)
+
+    monkeypatch.setattr(operators, body, counted)
+    run_commutator(_commutator_config(case))
+    assert len(calls) <= most
+    assert calls.count(9) == 2  # the nine probes, then the nine b f

@@ -18,6 +18,7 @@ from oscillab import (
     Cube,
     Grid,
     GridFunction,
+    GridMismatch,
     KernelSpec,
     Lebesgue,
     MeanZeroViolation,
@@ -264,7 +265,7 @@ def test_hilbert_l2_norm_estimate():
         for w in (1.0, 2.0, 4.0)
         for s in (0.5, 1.0, 2.0)
     ]
-    est = operator_norm_estimate(T, [Lebesgue(2.0)], Lebesgue(2.0), probes)
+    est = operator_norm_estimate(probes, (T(*f) for f in probes), [Lebesgue(2.0)], Lebesgue(2.0))
     assert 0.9 * math.pi <= est.value <= 1.05 * math.pi
     assert est.best_index in range(len(probes))
 
@@ -507,3 +508,95 @@ def test_bilinear_plan_mask_read_only():
     first.mask = ~first.mask
     assert np.array_equal(OperatorHandle(k)(f, h).mask, want)
     operators._plans.clear()
+
+
+# ---- One stacked pass over many inputs ----
+
+
+def _bits_equal(a, b):
+    """Same values bit for bit (so +0 and -0 differ), dtype and mask."""
+    return (
+        a.values.dtype == b.values.dtype
+        and a.values.tobytes() == b.values.tobytes()
+        and ((a.mask is None and b.mask is None) or np.array_equal(a.mask, b.mask))
+    )
+
+
+def _stack_cases():
+    g1 = Grid((-2.0,), (2.0,), 96)
+    g2 = Grid((-2.0, -2.0), (2.0, 2.0), 12)
+    x = g1.meshes()[0]
+    rng = np.random.default_rng(11)
+    # passes the mean-zero check but not the oddness one, so the 1D path
+    # takes its K(u) f(x-u) + K(-u) f(x+u) branch
+    lopsided = KernelSpec(1, 1, 0.0, lambda t: np.where(t[..., 0] > 0, 1.0, -1.0 + 1e-7), name="lopsided")
+    line = [
+        GridFunction(g1, np.sin(3 * x) * np.exp(-x * x)),
+        _on(g1, -1.0, 0.25, rng),
+        _on(g1, 0.5, 1.5, rng),
+        GridFunction(g1, np.zeros(g1.shape)),
+    ]
+    mixed = [line[1], GridFunction(g1, line[0].values * (1 - 2j)), line[2], GridFunction(g1, 1j * line[2].values)]
+    plane = []
+    for lo, hi in (((0, 0), (3, 4)), ((5, 2), (12, 6)), ((2, 8), (4, 9))):
+        vals = np.zeros(g2.shape)
+        vals[lo[0] : hi[0], lo[1] : hi[1]] = rng.standard_normal((hi[0] - lo[0], hi[1] - lo[1]))
+        plane.append(GridFunction(g2, vals))
+    return {
+        "hilbert": (HILBERT, line),
+        "neither_odd_nor_even": (lopsided, line),
+        "riesz_1_2d_supports": (fixtures.make_kernel("riesz_1", 2), plane),
+        "fractional_1d": (fixtures.make_kernel("frac_alpha:0.5", 1), line),
+        "fractional_2d": (fixtures.make_kernel("frac_alpha:0.5", 2), plane),
+        "real_and_complex": (HILBERT, mixed),
+        "real_and_complex_2d": (fixtures.make_kernel("riesz_1", 2), [plane[0], 1j * plane[1], plane[2]]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_stack_cases()))
+def test_each_equals_one_call_per_input_bit_for_bit(case):
+    kernel, fs = _stack_cases()[case]
+    T = OperatorHandle(kernel)
+    if case == "neither_odd_nor_even":
+        assert not kernel.omega_odd
+    want = [T(f) for f in fs]
+    got = T.each(fs)
+    assert len(got) == len(fs)
+    assert all(_bits_equal(a, b) for a, b in zip(got, want))
+    assert all(_bits_equal(a, b) for a, b in zip(T.each(iter(fs)), want))  # a generator works too
+
+
+def test_each_refuses_a_two_input_kernel_and_takes_no_inputs():
+    g = Grid((-2.0,), (2.0,), 16)
+    with pytest.raises(ValueError, match="1-input kernel"):
+        OperatorHandle(fixtures.make_kernel("bilinear_riesz", 1)).each([GridFunction(g, np.ones(16))])
+    assert OperatorHandle(HILBERT).each([]) == []
+    with pytest.raises(GridMismatch):
+        other = GridFunction(Grid((-1.0,), (1.0,), 16), np.ones(16))
+        OperatorHandle(HILBERT).each([GridFunction(g, np.ones(16)), other])
+
+
+def _per_offset_singular_1d(fv, kernel, h):
+    """The 1D principal value one input at a time, each offset's term as one
+    expression with numpy temporaries: the order the stacked body keeps."""
+    m = fv.shape[0]
+    out = np.zeros(m, dtype=fv.dtype)
+    kpos = kernel.evaluate(np.array([[1.0]]))[0]
+    for k in range(1, m):
+        coef = kpos * (k * h) ** (-kernel.degree)
+        if k >= m - k:
+            break
+        if kernel.omega_odd:
+            out[k : m - k] += coef * (fv[: m - 2 * k] - fv[2 * k :]) * h
+        else:
+            kneg = kernel.evaluate(np.array([[-(k * h)]]))[0]
+            out[k : m - k] += (coef * fv[: m - 2 * k] + kneg * fv[2 * k :]) * h
+    return out
+
+
+@pytest.mark.parametrize("case", ["hilbert", "neither_odd_nor_even", "real_and_complex"])
+def test_singular_1d_keeps_the_per_offset_arithmetic(case):
+    kernel, fs = _stack_cases()[case]
+    for f, got in zip(fs, OperatorHandle(kernel).each(fs)):
+        want = _per_offset_singular_1d(f.values, kernel, f.grid.h)
+        assert got.values.dtype == want.dtype and got.values.tobytes() == want.tobytes()

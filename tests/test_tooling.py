@@ -38,9 +38,12 @@ def test_every_traced_name_resolves_to_a_callable(monkeypatch):
 
 
 def test_every_workload_config_is_accepted(monkeypatch):
+    """Including the refusal of a space key the run never reads: the
+    workloads set space_x, space_x1, space_x2 and space_y."""
     workloads = _child(monkeypatch).WORKLOADS
     configs = [cfg for w in workloads.values() for cfg in w.runs]
     assert len(configs) >= 8
+    assert {"space_x", "space_x1", "space_x2", "space_y"} <= {key for cfg in configs for key in cfg}
     for cfg in configs:
         cli.ExperimentConfig({**cfg, "seed": 1})
 
