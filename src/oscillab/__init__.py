@@ -71,7 +71,6 @@ from .operators import (
     bilinear_maximal,
     bilinear_singular_integral,
     commutator,
-    coverage_mask,
     distance_kernel,
     fractional_integral,
     maximal,

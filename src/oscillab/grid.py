@@ -189,16 +189,14 @@ def cube_measure(grid: Grid, cube: Cube) -> float:
 
 
 class GridFunction:
-    """Samples at cell centers, with an optional validity mask.
+    """Samples at cell centers, read as zero outside the box.
 
     values has shape grid.shape (row-major), real or complex, all finite.
-    mask is None (everything valid) or a boolean array of the same shape;
-    operators attach masks to flag outputs that saw truncated data.
     """
 
-    __slots__ = ("grid", "values", "mask")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values, mask: np.ndarray | None = None):
+    def __init__(self, grid: Grid, values):
         arr = np.asarray(values)
         if arr.shape != grid.shape:
             raise GridMismatch(f"values shape {arr.shape} != grid shape {grid.shape}")
@@ -208,25 +206,13 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
         self.grid = grid
         self.values = arr
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != grid.shape:
-                raise GridMismatch("mask shape mismatch")
-        self.mask = mask
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
         return cls(grid, np.asarray(fn(*grid.meshes())))
 
     def copy(self) -> "GridFunction":
-        m = None if self.mask is None else self.mask.copy()
-        return GridFunction(self.grid, self.values.copy(), m)
-
-    def _merge_mask(self, other) -> np.ndarray | None:
-        om = other.mask if isinstance(other, GridFunction) else None
-        if self.mask is None:
-            return None if om is None else om.copy()
-        return self.mask.copy() if om is None else (self.mask & om)
+        return GridFunction(self.grid, self.values.copy())
 
     def _coerce(self, other):
         if isinstance(other, GridFunction):
@@ -236,19 +222,19 @@ class GridFunction:
         return other
 
     def __add__(self, other):
-        return GridFunction(self.grid, self.values + self._coerce(other), self._merge_mask(other))
+        return GridFunction(self.grid, self.values + self._coerce(other))
 
     def __sub__(self, other):
-        return GridFunction(self.grid, self.values - self._coerce(other), self._merge_mask(other))
+        return GridFunction(self.grid, self.values - self._coerce(other))
 
     def __mul__(self, other):
-        return GridFunction(self.grid, self.values * self._coerce(other), self._merge_mask(other))
+        return GridFunction(self.grid, self.values * self._coerce(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        return GridFunction(self.grid, self.values / self._coerce(other), self._merge_mask(other))
+        return GridFunction(self.grid, self.values / self._coerce(other))
 
 
 def integrate(f: GridFunction) -> float | complex:

@@ -5,15 +5,15 @@ K(u) = Omega(u/|u|) / |u|^d with d = kn - alpha; alpha = 0 is the singular
 case and needs a mean-zero Omega. Quadrature treats grid functions as zero
 outside the box.
 
-Principal value: the singular path omits the self cell and sums offsets over
-the largest per-axis-symmetric window around each output point, pairing +-u.
-For odd kernels the pair is evaluated as K(u) * (f(x-u) - f(x+u)), which
-kills constants exactly. Output masks mark the points whose window covers
-the input's support; values elsewhere saw truncated data.
-
-Fractional operators (alpha > 0) use plain zero-extension plus a self-cell
-correction: closed form on 1D lines, refined midpoint sub-quadrature in
-higher ambient dimension.
+T acts on f chi_box: every path sums the kernel over all in-box offsets,
+with no window and no mask. The discrete operator is thus the compression to
+the box of a convolution on the whole lattice, and no probe ratio exceeds
+that convolution's norm (for `hilbert` its symbol is bounded by pi, the norm
+of the continuum operator). The singular path (alpha = 0) omits the self
+cell, where the principal value of a mean-zero kernel vanishes. The
+fractional path (alpha > 0) adds the integral of K over the self cell:
+closed form on 1D lines, refined midpoint sub-quadrature in higher ambient
+dimension.
 
 The linear quadrature takes its inputs as columns of one stacked array, so
 `OperatorHandle.each(fs)` applies a one-input kernel to many inputs in one
@@ -149,34 +149,6 @@ class OperatorHandle:
         return _linear_apply(_ENTRY_POINTS[(1, k.alpha == 0.0)], fs, k)
 
 
-# ---- Support and window bookkeeping ----
-
-
-def _support_ranges(values: np.ndarray) -> tuple[tuple[int, int], ...] | None:
-    nz = np.nonzero(values)
-    if len(nz[0]) == 0:
-        return None
-    return tuple((int(ix.min()), int(ix.max())) for ix in nz)
-
-
-def _window_mask_1axis(m: int, lo: int, hi: int) -> np.ndarray:
-    """True at indices whose symmetric reach min(i, m-1-i) covers [lo, hi]."""
-    i = np.arange(m)
-    reach = np.minimum(i, m - 1 - i)
-    need = np.maximum(i - lo, hi - i)
-    return reach >= need
-
-
-def coverage_mask(grid: Grid, support: tuple[tuple[int, int], ...] | None) -> np.ndarray:
-    """Validity mask: symmetric windows covering the input's support box."""
-    if support is None:
-        return np.ones(grid.shape, dtype=bool)
-    axes = [_window_mask_1axis(grid.m, lo, hi) for lo, hi in support]
-    if grid.n == 1:
-        return axes[0]
-    return np.outer(axes[0], axes[1])
-
-
 # ---- Linear quadrature ----
 
 
@@ -202,126 +174,63 @@ def _self_cell(kernel: KernelSpec, h: float) -> float:
     return float(np.sum(kernel.evaluate(pts)) * step**kernel.D)
 
 
-def _singular_1d(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
-    """Principal value on a line for the (m, N) columns of fv, each offset
-    k's term computed into one scratch buffer in the order
-    (coef * (f(x-kh) - f(x+kh))) * h, or (coef * f(x-kh) + kneg * f(x+kh)) * h."""
+def _linear_body(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
+    """T over the columns of fv, shape (m,)*n + (N,), each read as zero
+    outside the box: out[x] = h^n sum_{k != 0} K(k h) f[x - k] over every
+    in-box offset, plus the self-cell term when alpha > 0.
+
+    The offset table K(k h) over (2m - 1)^n offsets, with the self-cell
+    integral at offset 0, and the columns are multiplied as spectra of size
+    2m per axis, which holds the whole linear convolution on the kept slice
+    [m - 1, 2m - 1). Complex columns go through as Re, Im float columns.
+    Each array is let go once transformed, so the input of a caller that
+    passes its only reference is freed before the inverse transform."""
     m = fv.shape[0]
-    out = np.zeros_like(fv)
-    buf = np.empty_like(fv)
-    other = None if kernel.omega_odd else np.empty_like(fv)
-    degree = kernel.degree
-    kpos = kernel.evaluate(np.array([[1.0]]))[0]
-    for k in range(1, (m + 1) // 2):
-        coef = kpos * (k * h) ** (-degree)
-        n = m - 2 * k
-        term = buf[:n]
-        if other is None:
-            np.subtract(fv[:n], fv[2 * k :], out=term)
-            np.multiply(coef, term, out=term)
-        else:
-            kneg = kernel.evaluate(np.array([[-(k * h)]]))[0]
-            np.multiply(coef, fv[:n], out=term)
-            np.add(term, np.multiply(kneg, fv[2 * k :], out=other[:n]), out=term)
-        np.multiply(term, h, out=term)
-        np.add(out[k : m - k], term, out=out[k : m - k])
-    return out
-
-
-def _fractional_1d(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
-    """Zero-extended convolution on a line for the (m, N) columns of fv."""
-    m = fv.shape[0]
-    offsets = (np.arange(2 * m - 1) - (m - 1)) * h
-    krow = kernel.evaluate(offsets[:, None])
-    krow[m - 1] = 0.0
-    out = np.empty_like(fv)
-    for j in range(fv.shape[1]):
-        out[:, j] = np.convolve(np.ascontiguousarray(fv[:, j]), krow)[m - 1 : 2 * m - 1] * h
-    out += _self_cell(kernel, h) * fv
-    return out
-
-
-def _linear_2d(fv: np.ndarray, kernel: KernelSpec, h: float, windowed: bool) -> np.ndarray:
-    """Offset-sliced sum for n = 2 over the (m, m, N) columns of fv,
-    windowed (singular) or zero-extended. The offsets and output cells are
-    clipped to the union of the columns' supports: a term outside a
-    column's own support adds an exact zero there."""
-    m = fv.shape[0]
-    out = np.zeros_like(fv)
-    sup = _support_ranges(fv)
-    if sup is None:
-        return out
-    cell = h * h
-    # table[k1 + m - 1, k2 + m - 1] = K(-k h): the partner y = x + k h
-    # contributes K(x - y) f(y)
-    offs = np.arange(m - 1, -m, -1) * h
-    o1, o2 = np.meshgrid(offs, offs, indexing="ij")
-    table = kernel.evaluate(np.stack([o1, o2], axis=-1))
-    for k1 in range(-(m - 1), m):
-        # partner x + (k1, k2) h must be able to hit the support box
-        if k1 > sup[0][1] or k1 < sup[0][0] - (m - 1):
-            continue
-        for k2 in range(-(m - 1), m):
-            if k1 == 0 and k2 == 0:
-                continue
-            a1, a2 = abs(k1), abs(k2)
-            if windowed:
-                xlo1, xhi1 = a1, m - a1
-                xlo2, xhi2 = a2, m - a2
-            else:
-                xlo1, xhi1 = max(0, -k1), min(m, m - k1)
-                xlo2, xhi2 = max(0, -k2), min(m, m - k2)
-            if xlo1 >= xhi1 or xlo2 >= xhi2:
-                continue
-            # clip to x whose partner x + k lies in the support box
-            xlo1 = max(xlo1, sup[0][0] - k1)
-            xhi1 = min(xhi1, sup[0][1] - k1 + 1)
-            xlo2 = max(xlo2, sup[1][0] - k2)
-            xhi2 = min(xhi2, sup[1][1] - k2 + 1)
-            if xlo1 >= xhi1 or xlo2 >= xhi2:
-                continue
-            kv = table[k1 + m - 1, k2 + m - 1]
-            if kv == 0.0:
-                continue
-            out[xlo1:xhi1, xlo2:xhi2] += (
-                kv * fv[xlo1 + k1 : xhi1 + k1, xlo2 + k2 : xhi2 + k2] * cell
-            )
-    if not windowed:
-        out += _self_cell(kernel, h) * fv
-    return out
+    n = kernel.ndim
+    axes = tuple(range(n))
+    size = (2 * m,) * n
+    pairs = np.iscomplexobj(fv)
+    cols = fv.astype(np.complex128, copy=False).view(np.float64) if pairs else fv
+    del fv
+    spectrum = np.fft.rfftn(cols, size, axes=axes)
+    del cols
+    offs = np.arange(-(m - 1), m) * h
+    table = kernel.evaluate(np.stack(np.meshgrid(*([offs] * n), indexing="ij"), axis=-1))
+    table *= h**n
+    if kernel.alpha != 0.0:
+        table[(m - 1,) * n] = _self_cell(kernel, h)
+    spectrum *= np.fft.rfftn(table, size, axes=axes)[..., None]
+    del table
+    full = np.fft.irfftn(spectrum, size, axes=axes)
+    del spectrum
+    out = np.ascontiguousarray(full[(slice(m - 1, 2 * m - 1),) * n])
+    return out.view(np.complex128) if pairs else out
 
 
 def _linear_apply(name: str, fs: Iterable[GridFunction], kernel: KernelSpec) -> list[GridFunction]:
     """T f for each f of fs on one grid, for the entry point `name`: the
     inputs of each dtype are stacked along a trailing axis and sent through
-    the body of the kernel's path in one call. Every column's arithmetic is
-    that of a lone input, so each output is bit for bit what a call on its
-    input alone gives. The inputs are let go once stacked, so those of a
-    generator are freed before the body allocates its own arrays."""
+    `_linear_body` in one call. Every column's arithmetic is that of a lone
+    input, so each output is bit for bit what a call on its input alone
+    gives. The inputs are let go once stacked, so those of a generator are
+    freed before the body allocates its own arrays."""
     fs = list(fs)
     if not fs:
         return []
     grid = _grid_of(fs)
     _check_entry(name, grid, kernel)
-    singular = kernel.alpha == 0.0
-    masks = [coverage_mask(grid, _support_ranges(f.values)) if singular else None for f in fs]
     groups: dict = {}
     for i, dtype in enumerate([f.values.dtype for f in fs]):
         groups.setdefault(dtype, []).append(i)
     stacks = [(group, np.stack([fs[i].values for i in group], axis=-1)) for group in groups.values()]
+    outs: list = [None] * len(fs)
     del fs  # the stacks hold the inputs now
-    outs: list = [None] * len(masks)
     while stacks:
-        group, fv = stacks.pop()
-        if grid.n != 1:
-            vals = _linear_2d(fv, kernel, grid.h, windowed=singular)
-        elif singular:
-            vals = _singular_1d(fv, kernel, grid.h)
-        else:
-            vals = _fractional_1d(fv, kernel, grid.h)
-        del fv
+        group = stacks[-1][0]
+        # the body gets the only reference to the stack, so it frees it once transformed
+        vals = _linear_body(stacks.pop()[1], kernel, grid.h)
         for j, i in enumerate(group):
-            outs[i] = GridFunction(grid, np.ascontiguousarray(vals[..., j]), masks[i])
+            outs[i] = GridFunction(grid, np.ascontiguousarray(vals[..., j]))
     return outs
 
 
@@ -366,11 +275,9 @@ def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
     """Yield (start, stop, K2, here) per _MAX_TENSOR slice of output cells.
 
     K2 is the (X, Y, Z) kernel tensor over the nonzero cells ysel of f and
-    zsel of g, viewed as an (X, Y*Z) matrix, with the principal-value
-    window applied on the singular path and the pair y = z = x zeroed;
+    zsel of g, viewed as an (X, Y*Z) matrix, with the pair y = z = x zeroed;
     here holds the flat indices of the slice's cells where y = x and z = x
     both occur (the fractional self-cell correction)."""
-    m = grid.m
     coords, idx = _flat_cells(grid)
     ycoord, yidx = coords[ysel], idx[ysel]
     zcoord, zidx = coords[zsel], idx[zsel]
@@ -379,11 +286,6 @@ def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
         stop = min(start + chunk, coords.shape[0])
         xi = idx[start:stop]
         K = kernel_tensor(kernel, coords[start:stop], ycoord, zcoord)
-        if kernel.alpha == 0.0:
-            reach = np.minimum(xi, m - 1 - xi)  # (X, n)
-            wy = np.all(np.abs(xi[:, None, :] - yidx[None, :, :]) <= reach[:, None, :], axis=-1)
-            wz = np.all(np.abs(xi[:, None, :] - zidx[None, :, :]) <= reach[:, None, :], axis=-1)
-            K = K * wy[:, :, None] * wz[:, None, :]
         # drop the doubly-singular pair y = z = x (K(0) already reads 0,
         # but y = x with z = x arrives as two separate cells here)
         eq_y = np.all(xi[:, None, :] == yidx[None, :, :], axis=-1)
@@ -403,29 +305,18 @@ _plans: list[tuple[tuple, tuple]] = []
 
 
 def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
-    """(chunks, mask) for the nonzero cells ysel of f and zsel of g.
-
-    chunks are those of `_kernel_chunks`. mask is the singular path's
-    coverage mask, whose windows must cover the box around both supports
-    (None on the fractional path); it depends on the key alone, so it is
-    read-only and every reuse returns the same array. Plans whose table
-    fits in one _MAX_TENSOR chunk are kept for reuse; larger tables are
-    rebuilt chunk by chunk on every call, so they never hold more than one
-    chunk in memory."""
+    """The chunks of `_kernel_chunks` for the nonzero cells ysel of f and
+    zsel of g. Plans whose table fits in one _MAX_TENSOR chunk are kept for
+    reuse; larger tables are rebuilt chunk by chunk on every call, so they
+    never hold more than one chunk in memory."""
     key = (grid, kernel, ysel.tobytes(), zsel.tobytes())
     for plan_key, plan in _plans:
         if plan_key == key:
             return plan
-    mask = None
-    if kernel.alpha == 0.0:
-        nonzero = np.zeros(grid.m**grid.n, dtype=bool)
-        nonzero[ysel] = nonzero[zsel] = True
-        mask = coverage_mask(grid, _support_ranges(nonzero.reshape(grid.shape)))
-        mask.flags.writeable = False
     chunks = _kernel_chunks(grid, kernel, ysel, zsel)
     if grid.m**grid.n * len(ysel) * len(zsel) > _MAX_TENSOR:
-        return chunks, mask
-    plan = (tuple(chunks), mask)
+        return chunks
+    plan = tuple(chunks)
     _plans[:] = [(key, plan)] + _plans[: _PLAN_SLOTS - 1]
     return plan
 
@@ -438,7 +329,6 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
     its thread count."""
     grid = _grid_of((f, g))
     h = grid.h
-    singular = kernel.alpha == 0.0
 
     fflat = f.values.reshape(-1)
     gflat = g.values.reshape(-1)
@@ -446,26 +336,21 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
     zsel = np.flatnonzero(gflat)
     out = np.zeros(fflat.shape[0], dtype=np.result_type(fflat, gflat))
     if len(ysel) == 0 or len(zsel) == 0:
-        vals = out.reshape(grid.shape)
-        mask = None
-        if singular:
-            mask = coverage_mask(grid, None)
-        return GridFunction(grid, vals, mask)
+        return GridFunction(grid, out.reshape(grid.shape))
 
     w = np.multiply.outer(fflat[ysel], gflat[zsel]).reshape(-1)
     pairs = np.iscomplexobj(w)
     if pairs:  # the two columns Re w, Im w
         w = w.astype(np.complex128, copy=False).view(np.float64).reshape(-1, 2)
     cell2 = h**kernel.D
-    correction = 0.0 if singular else _self_cell(kernel, h)
-    chunks, mask = _bilinear_plan(grid, kernel, ysel, zsel)
-    for start, stop, K2, here in chunks:
+    correction = 0.0 if kernel.alpha == 0.0 else _self_cell(kernel, h)
+    for start, stop, K2, here in _bilinear_plan(grid, kernel, ysel, zsel):
         s = K2 @ w
         out[start:stop] = (s.view(np.complex128).reshape(-1) if pairs else s) * cell2
         if correction != 0.0:
             for i in here:
                 out[i] += correction * fflat[i] * gflat[i]
-    return GridFunction(grid, out.reshape(grid.shape), mask)
+    return GridFunction(grid, out.reshape(grid.shape))
 
 
 def bilinear_singular_integral(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:

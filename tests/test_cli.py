@@ -301,13 +301,12 @@ def test_chain_error_row_and_summary_name_the_stage(tmp_path, monkeypatch):
 
 # The commutator experiment at small sizes: 1D hilbert, 2D riesz_1.
 _COMMUTATOR_CASES = {
-    "hilbert": ({"kernel": "hilbert", "m": 256}, "_singular_1d", 6),
-    "riesz_1": ({"kernel": "riesz_1", "dimension": 2, "box": [-4.0, 4.0], "m": 16}, "_linear_2d", 5),
+    "hilbert": ({"kernel": "hilbert", "m": 256}, 6),
+    "riesz_1": ({"kernel": "riesz_1", "dimension": 2, "box": [-4.0, 4.0], "m": 16}, 5),
 }
 
 
-def _commutator_config(case):
-    overrides = _COMMUTATOR_CASES[case][0]
+def _commutator_config(overrides):
     return ScopedConfig(ExperimentConfig({"experiment": "commutator", "seed": 5, **overrides}), "commutator")
 
 
@@ -315,7 +314,7 @@ def _commutator_config(case):
 def test_commutator_estimates_equal_a_per_probe_loop(case):
     """Both lower bounds, bit for bit, from one T call per probe for ||T||
     and the commutator applied per probe for ||[b, T]||."""
-    cfg = _commutator_config(case)
+    cfg = _commutator_config(_COMMUTATOR_CASES[case][0])
     rows, summary = run_commutator(cfg)
     grid = cfg.grid()
     T = OperatorHandle(cfg.fixture("kernel", grid))
@@ -339,15 +338,59 @@ def test_commutator_estimates_equal_a_per_probe_loop(case):
 def test_commutator_applies_t_once_per_distinct_input(case, monkeypatch):
     """The constant checks, the step response (1D only) and one stacked
     pass each over the probes and over the b-moved probes."""
-    _, body, most = _COMMUTATOR_CASES[case]
+    most = _COMMUTATOR_CASES[case][1]
     calls = []
-    original = getattr(operators, body)
+    original = operators._linear_body
 
     def counted(fv, *args, **kwargs):
         calls.append(fv.shape[-1])
         return original(fv, *args, **kwargs)
 
-    monkeypatch.setattr(operators, body, counted)
-    run_commutator(_commutator_config(case))
+    monkeypatch.setattr(operators, "_linear_body", counted)
+    run_commutator(_commutator_config(_COMMUTATOR_CASES[case][0]))
     assert len(calls) <= most
     assert calls.count(9) == 2  # the nine probes, then the nine b f
+
+
+@pytest.mark.parametrize("m", [1024, 8192])
+def test_hilbert_norm_lower_bound_stays_below_pi(m):
+    """K = 1/x has L2 norm pi, so no probe ratio of a compression of it
+    may exceed pi."""
+    rows, summary = run_commutator(_commutator_config({"kernel": "hilbert", "m": m}))
+    values = {r.quantity: float(r.value) for r in rows}
+    assert 3.0 < values["operator_norm_lower_bound"] <= np.pi
+    assert summary["norm_lower_bound"] <= np.pi
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"kernel": "hilbert", "m": m} for m in (256, 1024, 8192)]
+    + [{"kernel": k, "dimension": 2, "box": [-4.0, 4.0], "m": m} for k in ("riesz_1", "riesz_2") for m in (16, 32)],
+    ids=lambda o: f"{o['kernel']}-{o['m']}",
+)
+def test_box_response_matches_its_closed_form(overrides):
+    rows, _ = run_commutator(_commutator_config(overrides))
+    (box,) = [r for r in rows if r.quantity == "box_response_vs_closed_form"]
+    assert box.verdict == "pass"
+    h = 16.0 / overrides["m"] if overrides["kernel"] == "hilbert" else 8.0 / overrides["m"]
+    assert float(box.tolerance) == h * h
+    assert float(box.value) <= h * h / 60  # the quadrature error is far inside its O(h^2) bound
+
+
+def test_box_response_row_fails_on_the_windowed_reading(monkeypatch):
+    """The row can fail: the symmetric-window principal value read T(1) = 0,
+    which misses the closed form by up to log 3 on the middle half."""
+    monkeypatch.setattr(operators, "_linear_body", lambda fv, kernel, h: np.zeros_like(fv))
+    rows, _ = run_commutator(_commutator_config({"kernel": "hilbert", "m": 256}))
+    (box,) = [r for r in rows if r.quantity == "box_response_vs_closed_form"]
+    assert box.verdict == "fail" and float(box.value) == pytest.approx(np.log(3.0), rel=0.02)
+
+
+def test_fractional_commutator_run_exits_0(tmp_path):
+    """I_alpha does not annihilate constants, and the run writes no
+    closed-form row for it."""
+    cfg = write_config(tmp_path, experiment="commutator", kernel="frac_alpha:0.5", m=256, seed=1)
+    assert run_in(tmp_path, "run", cfg) == 0
+    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
+    assert rows and all(r["verdict"] in ("pass", "info") for r in rows)
+    assert "box_response_vs_closed_form" not in {r["quantity"] for r in rows}

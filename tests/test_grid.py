@@ -118,16 +118,6 @@ def test_cube_dilate_translate():
     assert moved.center == (1.5, -0.5) and moved.side == 2.0
 
 
-def test_gridfunction_masks_merge():
-    g = Grid((0.0,), (1.0,), 8)
-    m1 = np.zeros(8, dtype=bool); m1[:6] = True
-    m2 = np.zeros(8, dtype=bool); m2[2:] = True
-    f = GridFunction(g, np.ones(8), mask=m1)
-    h = GridFunction(g, np.ones(8), mask=m2)
-    s = f + h
-    assert np.array_equal(s.mask, m1 & m2)
-
-
 def test_gridfunction_rejects_nonfinite():
     g = Grid((0.0,), (1.0,), 4)
     with pytest.raises(ValueError):

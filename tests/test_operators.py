@@ -3,7 +3,7 @@
 Frozen continuum values:
   - Hilbert-type step response: for K(u) = 1/u, (T chi_[-1,1])(2) = log 3.
   - Riesz potential: (I_{1/2} chi_[0,1])(0) = int_0^1 y^{-1/2} dy = 2.
-  - [x, T]f = int f over the covered window, exactly, since (x-y)K(x-y) = 1.
+  - [x, T]f = int f less the self cell, exactly, since (x-y)K(x-y) = 1.
 Everything else is either an algebraic zero or a cross-check between two
 independent code paths (tensor contraction vs explicit python loops).
 """
@@ -69,13 +69,6 @@ def test_hilbert_step_response_log3():
     assert val == pytest.approx(math.log(3.0), rel=0.02)
 
 
-def test_singular_annihilates_constants_exactly():
-    g = Grid((-8.0,), (8.0,), 512)
-    one = GridFunction(g, np.full(g.shape, 3.7))
-    out = singular_integral(one, HILBERT)
-    assert np.max(np.abs(out.values)) <= 1e-10
-
-
 def test_singular_odd_symmetry():
     # odd kernel, even function -> odd output up to grid reflection
     g = Grid((-4.0,), (4.0,), 256)
@@ -113,30 +106,28 @@ def test_commutator_with_constant_symbol_is_zero():
 
 
 def test_linear_symbol_commutator_gives_integral():
-    # [x, T]f(x) = int K(x-y)(x-y) f(y) dy = int f over the window; compare
-    # on covered points where the window exhausts the support
+    # [x, T]f(x) = int K(x-y)(x-y) f(y) dy = int f, at every point
     g = Grid((-4.0,), (4.0,), 2048)
     xs = g.meshes()[0]
     f = GridFunction(g, np.exp(-xs * xs) * (np.abs(xs) <= 1.0))
     b = GridFunction(g, xs)
     out = commutator(b, OperatorHandle(HILBERT), f)
-    covered = np.where(out.mask)[0]
-    assert covered.size > 0
     intf = float(np.sum(f.values) * g.cell_volume)
     # the only quadrature defect is the omitted self-cell, of size h*|f|_inf
     tol = 2.0 * g.h * float(np.max(np.abs(f.values)))
-    assert np.max(np.abs(out.values[covered] - intf)) <= tol
+    assert np.max(np.abs(out.values - intf)) <= tol
 
 
-def test_singular_2d_riesz_odd_and_masked():
+def test_singular_2d_riesz_odd_symmetry():
+    # x_1 / |x|^3 is odd in x_1 and even in x_2, so an input even in both
+    # gives an output odd in x_1 and even in x_2, up to grid reflection
     g = Grid((-2.0, -2.0), (2.0, 2.0), 64)
     k = fixtures.make_kernel("riesz_1", 2)
-    one = GridFunction(g, np.ones(g.shape))
-    out = singular_integral(one, k)
-    assert np.max(np.abs(out.values)) <= 1e-10
-    f = indicator(g, Cube((0.0, 0.0), 1.0))
-    out2 = singular_integral(f, k)
-    assert out2.mask is not None and out2.mask.any() and not out2.mask.all()
+    for f in (GridFunction(g, np.ones(g.shape)), indicator(g, Cube((0.0, 0.0), 1.0))):
+        out = singular_integral(f, k).values
+        assert np.max(np.abs(out)) > 0.1
+        assert np.max(np.abs(out + out[::-1, :])) <= 1e-12
+        assert np.max(np.abs(out - out[:, ::-1])) <= 1e-12
 
 
 def test_bilinear_singular_matches_bruteforce():
@@ -148,18 +139,16 @@ def test_bilinear_singular_matches_bruteforce():
     out = bilinear_singular_integral(f, h, k)
     x = g.axis_centers(0)
     vol = g.cell_volume
-    i = 20
-    # principal value symmetrizes over the largest window centred at x
-    # that stays inside the grid, so the reference sum clips to it too
-    reach = min(i, 31 - i)
-    acc = 0.0
-    for jy in range(i - reach, i + reach + 1):
-        for jz in range(i - reach, i + reach + 1):
-            if jy == i and jz == i:
-                continue
-            u = np.array([x[i] - x[jy], x[i] - x[jz]])
-            acc += float(k.evaluate(u)) * f.values[jy] * h.values[jz] * vol * vol
-    assert out.values[i] == pytest.approx(acc, rel=1e-12, abs=1e-12)
+    # every in-box pair but y = z = x, at points near both ends and inside
+    for i in (0, 7, 20, 31):
+        acc = 0.0
+        for jy in range(32):
+            for jz in range(32):
+                if jy == i and jz == i:
+                    continue
+                u = np.array([x[i] - x[jy], x[i] - x[jz]])
+                acc += float(k.evaluate(u)) * f.values[jy] * h.values[jz] * vol * vol
+        assert out.values[i] == pytest.approx(acc, rel=1e-12, abs=1e-12)
 
 
 def test_bilinear_singular_direct_sum_neither_odd_nor_even():
@@ -172,8 +161,7 @@ def test_bilinear_singular_direct_sum_neither_odd_nor_even():
     f = GridFunction(g, rng.standard_normal(32) * (np.abs(x) <= 0.5))
     h = GridFunction(g, rng.standard_normal(32) * (np.abs(x - 0.25) <= 0.25))
     out = bilinear_singular_integral(f, h, k)
-    points = np.flatnonzero(out.mask)
-    assert len(points) > 0
+    points = np.arange(32)
     u = x[points, None, None] - x[None, :, None]
     v = x[points, None, None] - x[None, None, :]
     K = k.evaluate(np.stack(np.broadcast_arrays(u, v), axis=-1))
@@ -334,8 +322,7 @@ def test_singular_2d_matches_direct_sum(k):
     g = Grid((-2.0, -2.0), (2.0, 2.0), 32)
     f = _block_input(g, np.random.default_rng(11))
     out = singular_integral(f, k)
-    points = list(zip(*np.nonzero(out.mask)))
-    assert len(points) > 0
+    points = list(np.ndindex(g.shape))
     got = np.array([out.values[p] for p in points])
     want = _direct_sum_2d(f, k, points)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -366,9 +353,7 @@ def _cold(k, f, g):
 
 
 def _same(a, b):
-    return np.array_equal(a.values, b.values) and (
-        (a.mask is None and b.mask is None) or np.array_equal(a.mask, b.mask)
-    )
+    return np.array_equal(a.values, b.values)
 
 
 def _on(g, lo, hi, rng):
@@ -491,35 +476,12 @@ def test_bilinear_apply_matches_einsum(make, kind, kept, monkeypatch):
     operators._plans.clear()
 
 
-def test_bilinear_plan_mask_read_only():
-    g = Grid((-2.0,), (2.0,), 64)
-    k = fixtures.make_kernel("bilinear_riesz", 1)
-    rng = np.random.default_rng(8)
-    f, h = _on(g, -1.0, 0.0, rng), _on(g, 0.0, 0.5, rng)
-    want = _cold(k, f, h).mask.copy()
-    first = OperatorHandle(k)(f, h)
-    reused = OperatorHandle(k)(_revalue(f, rng), h)
-    assert np.array_equal(reused.mask, want)
-    with pytest.raises(ValueError):
-        reused.mask[0] = not reused.mask[0]
-    # a caller that wants to change an output's mask changes its own copy
-    edited = reused.copy()
-    edited.mask[:] = False
-    first.mask = ~first.mask
-    assert np.array_equal(OperatorHandle(k)(f, h).mask, want)
-    operators._plans.clear()
-
-
 # ---- One stacked pass over many inputs ----
 
 
 def _bits_equal(a, b):
-    """Same values bit for bit (so +0 and -0 differ), dtype and mask."""
-    return (
-        a.values.dtype == b.values.dtype
-        and a.values.tobytes() == b.values.tobytes()
-        and ((a.mask is None and b.mask is None) or np.array_equal(a.mask, b.mask))
-    )
+    """Same values bit for bit (so +0 and -0 differ) and dtype."""
+    return a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
 
 
 def _stack_cases():
@@ -576,27 +538,46 @@ def test_each_refuses_a_two_input_kernel_and_takes_no_inputs():
         OperatorHandle(HILBERT).each([GridFunction(g, np.ones(16)), other])
 
 
-def _per_offset_singular_1d(fv, kernel, h):
-    """The 1D principal value one input at a time, each offset's term as one
-    expression with numpy temporaries: the order the stacked body keeps."""
-    m = fv.shape[0]
-    out = np.zeros(m, dtype=fv.dtype)
-    kpos = kernel.evaluate(np.array([[1.0]]))[0]
-    for k in range(1, m):
-        coef = kpos * (k * h) ** (-kernel.degree)
-        if k >= m - k:
-            break
-        if kernel.omega_odd:
-            out[k : m - k] += coef * (fv[: m - 2 * k] - fv[2 * k :]) * h
-        else:
-            kneg = kernel.evaluate(np.array([[-(k * h)]]))[0]
-            out[k : m - k] += (coef * fv[: m - 2 * k] + kneg * fv[2 * k :]) * h
-    return out
+# ---- One FFT body against a direct zero-extended sum ----
 
 
-@pytest.mark.parametrize("case", ["hilbert", "neither_odd_nor_even", "real_and_complex"])
-def test_singular_1d_keeps_the_per_offset_arithmetic(case):
-    kernel, fs = _stack_cases()[case]
-    for f, got in zip(fs, OperatorHandle(kernel).each(fs)):
-        want = _per_offset_singular_1d(f.values, kernel, f.grid.h)
-        assert got.values.dtype == want.dtype and got.values.tobytes() == want.tobytes()
+def _direct_zero_extended(f, k):
+    """h^n times the sum over every in-box y != x of K(x - y) f(y), one row
+    of kernel values per output point, plus the self cell when alpha > 0."""
+    g = f.grid
+    pts = np.stack([m.reshape(-1) for m in g.meshes()], axis=1)
+    vals = f.values.reshape(-1)
+    out = np.array([np.sum(k.evaluate(x - pts) * vals) for x in pts]) * g.cell_volume  # K(0) reads 0
+    if k.alpha > 0.0:
+        out = out + operators._self_cell(k, g.h) * vals
+    return out.reshape(g.shape)
+
+
+def _direct_cases():
+    g1 = Grid((-2.0,), (2.0,), 96)
+    g2 = Grid((-2.0, -2.0), (2.0, 2.0), 12)
+    rng = np.random.default_rng(21)
+    line = GridFunction(g1, rng.standard_normal(g1.shape))  # nonzero up to both edges
+    plane = GridFunction(g2, rng.standard_normal(g2.shape))
+    wave = GridFunction(g1, line.values * np.exp(1j * rng.uniform(0, 2 * np.pi, g1.shape)))
+    lopsided = KernelSpec(1, 1, 0.0, lambda t: np.where(t[..., 0] > 0, 1.0, -1.0 + 1e-7), name="lopsided")
+    return {
+        "hilbert": (HILBERT, line),
+        "neither_odd_nor_even": (lopsided, line),
+        "complex_1d": (HILBERT, wave),
+        "fractional_1d": (fixtures.make_kernel("frac_alpha:0.5", 1), line),
+        "riesz_1_2d": (fixtures.make_kernel("riesz_1", 2), plane),
+        "cos+sin2_2d": (KernelSpec(1, 2, 0.0, lambda t: t[..., 0] + 2 * t[..., 0] * t[..., 1]), plane),
+        "complex_2d": (fixtures.make_kernel("riesz_2", 2), GridFunction(g2, (1 - 2j) * plane.values)),
+        "fractional_2d": (KernelSpec(1, 2, 1.0, lambda t: 2.0 + t[..., 0] + 2 * t[..., 0] * t[..., 1]), plane),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_direct_cases()))
+def test_linear_body_matches_a_direct_zero_extended_sum(case):
+    kernel, f = _direct_cases()[case]
+    got = OperatorHandle(kernel)(f).values
+    want = _direct_zero_extended(f, kernel)
+    assert got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
