@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import __version__, fixtures
-from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, OscillabError
+from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, MeanZeroViolation, OscillabError
 from .extraction import fourier_reciprocal, necessity_experiment, select_geometry, verify_master_chain
 from .grid import Cube, Grid, GridFunction, CubeFamily, centered_family, enumerate_dyadic, indicator
 from .operators import (
@@ -45,6 +45,7 @@ from .spaces import (
     Lebesgue,
     SpaceSpec,
     Variable,
+    _alpha_check,
     chiQ_norm_ratio,
     condition_bilinear,
     condition_linear,
@@ -188,13 +189,14 @@ def _has_kind(value, kind: type) -> bool:
 
 def _check_value(key: str, value):
     """Refuse an unknown key, a value of the wrong kind, and the values no
-    constructor refuses: trials below 1 and a tolerance that is not positive."""
+    constructor refuses: trials or n_per_axis below 1 and a tolerance that
+    is not positive."""
     if key not in KINDS:
         raise ConfigError(f"unknown key {key!r}: no experiment reads it")
     if not (_has_kind(value, KINDS[key]) or (value is None and key in NULLABLE)):
         raise ConfigError(f"{key} must be {_KIND_NAMES[KINDS[key]]}, got {value!r}")
-    if key == "trials" and value < 1:
-        raise ConfigError(f"trials must be >= 1, got {value}")
+    if key in ("trials", "n_per_axis") and value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
     if key == "tolerance" and value <= 0:
         raise ConfigError(f"{key} must be positive, got {value}")
 
@@ -205,7 +207,7 @@ def _naming(*keys: str):
     error naming the keys it came from."""
     try:
         yield
-    except (ValueError, AlphaOutOfRange, BadDelta, ConjugateUndefined) as e:
+    except (ValueError, AlphaOutOfRange, BadDelta, ConjugateUndefined, MeanZeroViolation) as e:
         raise ConfigError(f"{', '.join(keys)}: {e}") from None
 
 
@@ -342,7 +344,8 @@ def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     rng = cfg.rng()
     trials = cfg.get("trials")
     const_exp = ExponentFunction.constant(grid, _P_CONST)
-    space = Variable(cfg.fixture("exponent", grid))
+    with _naming("exponent"):
+        space = Variable(cfg.fixture("exponent", grid))
     lmax = cfg.get("level_max")
     with _naming("level_max"):
         fam_full, fam_prev = enumerate_dyadic(grid, 0, lmax), enumerate_dyadic(grid, 0, lmax - 1)
@@ -427,10 +430,12 @@ def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 
 def run_conditions(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     grid = cfg.grid()
-    with _naming("level_min", "level_max"):
-        fam = enumerate_dyadic(grid, cfg.get("level_min"), cfg.get("level_max"))
     alpha = float(cfg.get("alpha"))
     Xs, Y = cfg.spaces(grid)
+    with _naming("alpha"):
+        _alpha_check(alpha, len(Xs) * grid.n)
+    with _naming("level_min", "level_max"):
+        fam = enumerate_dyadic(grid, cfg.get("level_min"), cfg.get("level_max"))
     if len(Xs) == 2:
         rep = condition_bilinear(*Xs, Y, alpha, fam)
         name = "condition_bilinear_sup"

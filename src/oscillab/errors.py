@@ -31,12 +31,8 @@ class NonPositiveWeight(OscillabError):
     """A weight must be strictly positive and finite at every cell."""
 
 
-class BracketFailure(OscillabError):
-    """Luxemburg bisection could not bracket the unit-modular level."""
-
-
 class ConvergenceFailure(OscillabError):
-    """Luxemburg bisection missed MODULAR_TOL within its step budget."""
+    """Luxemburg Newton solve missed MODULAR_TOL within MAX_NEWTON steps."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

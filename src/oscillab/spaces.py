@@ -2,7 +2,8 @@
 
 Three space kinds share one interface: Lebesgue(p) with the plain p-norm,
 Weighted(p, w) with norm (integral |f|^p w)^(1/p), and Variable(p(.)) with
-the Luxemburg norm inf{lam > 0 : integral (|f|/lam)^p(x) dx <= 1}. The
+the Luxemburg norm inf{lam > 0 : integral (|f|/lam)^p(x) dx <= 1}, found
+by Newton's method on the modular in log lam, one solver for every row. The
 associate space X' is the norm dual realized on the same grid:
 Lebesgue(p)' = Lebesgue(p'), Weighted(p, w)' = Weighted(p', w^(1-p')), and
 Variable(p(.))' = Variable(p'(.)).
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
-    BracketFailure,
     ConjugateUndefined,
     ConvergenceFailure,
     DivisionByZeroNorm,
@@ -30,13 +30,11 @@ from .grid import (
     FamilySup,
     Grid,
     GridFunction,
-    cube_measure,
     cube_slices,
 )
 
 MODULAR_TOL = 1e-10
-MAX_DOUBLINGS = 60
-MAX_BISECTIONS = 200
+MAX_NEWTON = 50
 
 
 def conjugate_exponent(p: float) -> float:
@@ -93,9 +91,9 @@ class SpaceSpec:
     """Base class; concrete kinds are Lebesgue, Weighted, Variable.
 
     Each kind carries its own norm arithmetic, which the module functions
-    dispatch to: `_norm(f)` (the norm of |f|), `_chi_norm(grid, cube)`,
-    `_chi_norms(family)`, `_dual()` (the associate space) and
-    `_extremizer(f)` (the g of the duality pairing that attains ||f||).
+    dispatch to: `_norm(f)` (the norm of |f|), `_chi_norms(family)`,
+    `_dual()` (the associate space) and `_extremizer(f)` (the g of the
+    duality pairing that attains ||f||).
     """
 
     __slots__ = ("_associate_link",)
@@ -123,9 +121,6 @@ class Lebesgue(SpaceSpec):
 
     def _norm(self, f: GridFunction) -> float:
         return float(np.sum(np.abs(f.values) ** self.p) * f.grid.cell_volume) ** (1.0 / self.p)
-
-    def _chi_norm(self, grid: Grid, cube: Cube) -> float:
-        return cube_measure(grid, cube) ** (1.0 / self.p)
 
     def _chi_norms(self, family: CubeFamily) -> list[float]:
         return [meas ** (1.0 / self.p) for meas in family.measures]
@@ -166,10 +161,6 @@ class Weighted(SpaceSpec):
         a = np.abs(f.values) ** self.p
         return float(np.sum(a * self.weight.values) * f.grid.cell_volume) ** (1.0 / self.p)
 
-    def _chi_norm(self, grid: Grid, cube: Cube) -> float:
-        block = self.weight.values[cube_slices(grid, cube)]
-        return float(np.sum(block) * grid.cell_volume) ** (1.0 / self.p)
-
     def _chi_norms(self, family: CubeFamily) -> list[float]:
         sums = family.sums(self.weight.values) * family.grid.cell_volume
         return [s ** (1.0 / self.p) for s in sums.tolist()]
@@ -205,16 +196,11 @@ class Variable(SpaceSpec):
     def _norm(self, f: GridFunction) -> float:
         return luxemburg_norm(f, self.exponent)
 
-    def _chi_norm(self, grid: Grid, cube: Cube) -> float:
-        pblk = self.exponent.values[cube_slices(grid, cube)]
-        return _luxemburg_lambda(np.ones(pblk.size), pblk.reshape(-1), grid.cell_volume)
-
     def _chi_norms(self, family: CubeFamily) -> list[float]:
-        out = [0.0] * len(family)
+        out = np.empty(len(family))
         for members, rows in family.gather(self.exponent.values):
-            for i, lam in zip(members.tolist(), _chi_lambdas(rows, family.grid.cell_volume)):
-                out[i] = lam
-        return out
+            out[members] = _modular_lambdas(np.ones_like(rows), rows, family.grid.cell_volume)
+        return out.tolist()
 
     def _dual(self) -> "Variable":
         return Variable(self.exponent.conjugate())
@@ -235,135 +221,80 @@ def associate(space: SpaceSpec) -> SpaceSpec:
     return space._associate_link
 
 
-def _luxemburg_lambda(absvals: np.ndarray, pvals: np.ndarray, cellvol: float) -> float:
-    """Solve modular(f/lam) = 1 by bracketing + bisection on the strictly
-    decreasing map lam -> integral (|f|/lam)^p(x). Stops when the modular is
-    within MODULAR_TOL of 1."""
-    amax = float(np.max(absvals))
-    if amax == 0.0:
-        return 0.0
+def _modular_lambdas(absrows: np.ndarray, prows: np.ndarray, cellvol: float) -> np.ndarray:
+    """The Luxemburg lambda of every row of |f| and p: the root of
+    sum cellvol (|f| / lam)^p = 1, and 0 for an all-zero row.
 
-    def modular(lam: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.sum((absvals / lam) ** pvals) * cellvol)
-
-    lam = amax if amax > 0 else 1.0
-    rho = modular(lam)
-    if rho >= 1.0:
-        lo = lam
-        hi = lam
-        for _ in range(MAX_DOUBLINGS):
-            hi *= 2.0
-            if modular(hi) <= 1.0:
-                break
-        else:
-            raise BracketFailure("no upper bracket after 60 doublings")
-    else:
-        hi = lam
-        lo = lam
-        for _ in range(MAX_DOUBLINGS):
-            lo /= 2.0
-            if modular(lo) >= 1.0:
-                break
-        else:
-            raise BracketFailure("no lower bracket after 60 halvings")
-
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        r = modular(mid)
-        if abs(r - 1.0) <= MODULAR_TOL:
-            return mid
-        if r > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceFailure(
-        f"modular misses 1 by {abs(r - 1.0):.3e} after {MAX_BISECTIONS} bisections", abs(r - 1.0)
-    )
-
-
-def _chi_lambdas(pvals: np.ndarray, cellvol: float) -> list[float]:
-    """_luxemburg_lambda(ones, row, cellvol) for every row of pvals at once.
-
-    The rows run the scalar bracket and bisection in lockstep on (rows,
-    cells) arrays and drop out as they meet MODULAR_TOL, so each row does
-    exactly the scalar arithmetic: |f| / lam is materialized before the
-    power and each modular is one contiguous row sum.
+    Newton's method in t = log lam on log rho(t) = log sum cellvol
+    exp(p (log|f| - t)), taken as a log-sum-exp, so no power overflows.
+    log rho is convex with slope in [-p+, -p-], within (-inf, -1], so no
+    bracket is needed: each step lands at or below the root and the next
+    ones climb to it. Each row starts at t = log max|f| and drops out when
+    its modular is within MODULAR_TOL of 1. Rows never mix, so a row's
+    value does not depend on the rows it is solved with.
     """
-    ones = np.ones_like(pvals)
-
-    def modular(lam: np.ndarray, live: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.sum((ones[live] / lam[:, None]) ** pvals[live], axis=1) * cellvol
-
-    every = np.arange(pvals.shape[0])
-    start = np.ones(len(every))  # max |f| of a row of ones
-    up = modular(start, every) >= 1.0
-    edge = start.copy()
-    live = every
-    for _ in range(MAX_DOUBLINGS):
-        edge[live] = np.where(up[live], edge[live] * 2.0, edge[live] / 2.0)
-        r = modular(edge[live], live)
-        live = live[~np.where(up[live], r <= 1.0, r >= 1.0)]
+    logf = np.full(absrows.shape, -np.inf)
+    np.log(absrows, out=logf, where=absrows > 0.0)
+    top = np.max(logf, axis=1)
+    out = np.zeros(len(top))
+    live = np.flatnonzero(top > -np.inf)
+    t = top[live]
+    for _ in range(MAX_NEWTON):
+        p = prows[live]
+        a = p * (logf[live] - t[:, None])
+        peak = np.max(a, axis=1)
+        w = np.exp(a - peak[:, None])
+        total = np.sum(w, axis=1)
+        log_rho = math.log(cellvol) + peak + np.log(total)
+        # |rho - 1|, with log rho capped below exp's overflow: a capped row is far from 1
+        residual = np.abs(np.expm1(np.minimum(log_rho, 700.0)))
+        hit = residual <= MODULAR_TOL
+        out[live[hit]] = np.exp(t[hit])
+        # Newton step -log rho / slope; the slope is minus the w-weighted mean of p
+        step = log_rho * total / np.sum(w * p, axis=1)
+        live, t = live[~hit], (t + step)[~hit]
         if live.size == 0:
-            break
-    else:
-        side = "upper bracket after 60 doublings" if up[live[0]] else "lower bracket after 60 halvings"
-        raise BracketFailure(f"no {side}")
-    lo = np.where(up, start, edge)
-    hi = np.where(up, edge, start)
-
-    out = np.empty(len(every))
-    live = every
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo[live] + hi[live])
-        r = modular(mid, live)
-        hit = np.abs(r - 1.0) <= MODULAR_TOL
-        out[live[hit]] = mid[hit]
-        high = r > 1.0
-        lo[live] = np.where(high, mid, lo[live])
-        hi[live] = np.where(high, hi[live], mid)
-        live = live[~hit]
-        if live.size == 0:
-            return out.tolist()
-    worst = float(np.max(np.abs(r[~hit] - 1.0)))
+            return out
+    worst = float(np.max(residual[~hit]))
     raise ConvergenceFailure(
-        f"modular misses 1 by {worst:.3e} after {MAX_BISECTIONS} bisections", worst
+        f"modular misses 1 by {worst:.3e} after {MAX_NEWTON} Newton steps", worst
     )
 
 
 def luxemburg_norm(f: GridFunction, exponent: ExponentFunction) -> float:
     if f.grid != exponent.grid:
         raise GridMismatch("function and exponent live on different grids")
-    return _luxemburg_lambda(
-        np.abs(f.values).reshape(-1),
-        exponent.values.reshape(-1),
-        f.grid.cell_volume,
+    lam = _modular_lambdas(
+        np.abs(f.values).reshape(1, -1), exponent.values.reshape(1, -1), f.grid.cell_volume
     )
+    return float(lam[0])
 
 
 def norm(f: GridFunction, space: SpaceSpec) -> float:
-    """The space norm of f, by quadrature (Lebesgue/Weighted) or bisection."""
+    """The space norm of f, by quadrature (Lebesgue/Weighted) or Newton's
+    method on the modular (Variable)."""
     if space.grid is not None and f.grid != space.grid:
         raise GridMismatch(f"function grid differs from {space!r} grid")
     return space._norm(f)
 
 
 def chi_norm(space: SpaceSpec, cube: Cube, grid: Grid | None = None) -> float:
-    """||chi_Q|| in closed form for Lebesgue/Weighted, by bisection otherwise.
-    A given grid must be the space's own, when the space has one."""
+    """||chi_Q||: chi_norms of the one-cube family {Q}, so a closed form for
+    Lebesgue/Weighted and a Newton solve for Variable. A given grid must be
+    the space's own, when the space has one; a cube that leaves the box
+    raises OutOfDomain."""
     g = grid if grid is not None else space.grid
     if g is None:
         raise ValueError("Lebesgue chi_norm needs an explicit grid")
     if space.grid is not None and g != space.grid:
         raise GridMismatch(f"cube grid differs from {space!r} grid")
-    return space._chi_norm(g, cube)
+    return space._chi_norms(CubeFamily(g, (cube,)))[0]
 
 
 def chi_norms(space: SpaceSpec, family: CubeFamily) -> list[float]:
     """chi_norm of every cube of the family, in family order, bit for bit:
-    block sums from the family's cell index, and one lockstep bisection per
-    group of equal-shaped cubes for Variable."""
+    block sums from the family's cell index, and one Newton solve over the
+    rows of each group of equal-shaped cubes for Variable."""
     if space.grid is not None:
         family.check_grid(space.grid)
     return space._chi_norms(family)

@@ -142,6 +142,13 @@ _ALSO_SET = {("chain", "space_x2"): {"kernel": "hilbert"}}
         ("weight-constants", "cells_per_cube", 0),
         ("chain", "base_side", -1),
         ("norms", "exponent", "constant:0.5"),
+        ("norms", "exponent", "constant:1"),
+        ("commutator", "kernel", "frac_alpha:0"),
+        ("chain", "kernel", "bilinear_frac_alpha:0"),
+        ("conditions", "alpha", -0.5),
+        ("conditions", "alpha", 1),
+        ("chain", "n_per_axis", 0),
+        ("necessity", "n_per_axis", 0),
         ("conditions", "expect", "abc"),
         ("weight-constants", "q", 0.5),
         ("all", "kernel", 7),
@@ -289,7 +296,7 @@ def test_weight_constants_experiment_smoke(tmp_path):
 def test_chain_error_row_and_summary_name_the_stage(tmp_path, monkeypatch):
     from oscillab import spaces
 
-    monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)  # no bisection can converge
+    monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)  # no Newton solve can converge
     var = "variable:arctan_profile"
     cfg = write_config(tmp_path, experiment="chain", seed=0, space_x1=var, space_x2=var, space_y=var)
     assert run_in(tmp_path, "run", cfg) == 1

@@ -405,7 +405,7 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
     T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     V = Variable(fixtures.make_exponent("arctan_profile", g))
-    # no bisection can meet a negative tolerance: the first Variable norm,
+    # no Newton solve can meet a negative tolerance: the first Variable norm,
     # taken once per cube before the modes, raises
     monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)
     with pytest.raises(ConvergenceFailure) as info:

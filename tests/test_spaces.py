@@ -1,4 +1,4 @@
-"""Norm layer: closed forms, Luxemburg bisection, associates, conditions.
+"""Norm layer: closed forms, the Luxemburg Newton solve, associates, conditions.
 
 The one nontrivial pinned constant: for p(x) = 2 + chi_{x>0} on [-1,1] and
 f = chi_[-1,1], the Luxemburg norm lambda solves 1/l^2 + 1/l^3 = 1, whose
@@ -16,6 +16,7 @@ from oscillab import (
     Grid,
     GridFunction,
     Lebesgue,
+    OutOfDomain,
     Variable,
     Weighted,
     associate,
@@ -79,6 +80,48 @@ def test_weighted_norm_closed_form(g256):
     f = GridFunction.from_callable(g256, lambda x: x)
     wanted = float(np.sqrt(np.sum(f.values**2 * w.values) * g256.cell_volume))
     assert norm(f, W) == pytest.approx(wanted)
+
+
+def _smooth_exponent(g):
+    return ExponentFunction.from_callable(g, lambda x: 2.0 + np.arctan(x) / np.pi)
+
+
+def _jumping_exponent(g):
+    # p jumps between 1.01 and 40 from cell to cell
+    return ExponentFunction(GridFunction(g, np.where(np.arange(g.m) % 2 == 0, 1.01, 40.0)))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("make_exponent", [_smooth_exponent, _jumping_exponent])
+def test_newton_lambda_meets_the_unit_modular(scale, make_exponent):
+    # the modular at the returned lambda, recomputed with plain powers, is
+    # within MODULAR_TOL of 1: functions of size `scale` on a box of length
+    # `scale`, cubes down to a single cell, and a single nonzero cell
+    g = Grid((0.0,), (scale,), 256)
+    p = make_exponent(g)
+    spike = np.zeros(g.shape)
+    spike[37] = scale
+    for f in (np.random.default_rng(5).standard_normal(g.shape) * scale, spike):
+        lam = luxemburg_norm(GridFunction(g, f), p)
+        modular = np.sum(g.cell_volume * (np.abs(f) / lam) ** p.values)
+        assert abs(modular - 1.0) <= spaces.MODULAR_TOL
+    fam = enumerate_dyadic(g, 0, 8)
+    assert min(fam.counts) == 1
+    for q, lam in zip(fam, chi_norms(Variable(p), fam)):
+        modular = np.sum(g.cell_volume * (1.0 / lam) ** p.values[cube_slices(g, q)])
+        assert abs(modular - 1.0) <= spaces.MODULAR_TOL
+
+
+def test_chi_norm_of_a_cube_leaving_the_box_raises(g256):
+    # the chain's closing bound reads OutOfDomain as "no stage (v)"
+    q = Cube((0.9,), 0.5)
+    for space in (
+        Lebesgue(2.0),
+        Weighted(2.0, GridFunction.from_callable(g256, lambda x: np.exp(x))),
+        Variable(_smooth_exponent(g256)),
+    ):
+        with pytest.raises(OutOfDomain):
+            chi_norm(space, q, g256)
 
 
 def test_chi_norm_closed_forms(g256):
@@ -222,8 +265,9 @@ def test_luxemburg_of_zero_function():
 
 
 def test_bisection_that_misses_the_tolerance_raises(g256, monkeypatch):
-    # no modular is within a negative tolerance of 1, so every bisection
-    # runs out of steps; both the scalar and the lockstep path must say so
+    # no modular is within a negative tolerance of 1, so every Newton solve
+    # runs out of steps; both a function's norm and a family's chi norms
+    # must say so
     monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)
     p = ExponentFunction.from_callable(g256, lambda x: 2.0 + (x > 0))
     with pytest.raises(ConvergenceFailure) as scalar:
