@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from collections.abc import Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,13 +31,6 @@ def _as_tuple(x) -> tuple[float, ...]:
     if np.isscalar(x):
         return (float(x),)
     return tuple(float(v) for v in x)
-
-
-def _ceil_snap(t: float) -> int:
-    r = round(t)
-    if abs(t - r) <= _SNAP:
-        return int(r)
-    return int(math.ceil(t))
 
 
 @dataclass(frozen=True)
@@ -147,30 +141,47 @@ class Cube:
         return f"Q({c};{self.side:.6g})"
 
 
+def _index_ranges(grid: Grid, centers: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Inclusive cell index ranges [k0, k1] of the cubes Q(centers[i], sides[i]),
+    centers (cubes, n) and sides (cubes,), as a (cubes, n, 2) array.
+
+    A face at t = (face - lo) / h - 1/2 on the cell-index scale snaps to the
+    nearest integer within _SNAP (np.rint rounds half to even, as Python's
+    round does), else rounds up. The first cube that leaves the box or holds
+    no cell center raises OutOfDomain or EmptyCube, axis by axis, box first.
+    """
+    if centers.shape[1] != grid.n:
+        raise GridMismatch(f"cube dim {centers.shape[1]} on grid dim {grid.n}")
+    h, pad = grid.h, _SNAP * grid.h
+    box = np.array([grid.lo, grid.hi]).T  # (n, [lo, hi])
+    # faces (cubes, n, [lo, hi]) = c -/+ side / 2, since side * 0.5 is side / 2
+    faces = centers[:, :, None] + sides[:, None, None] * (-0.5, 0.5)
+    t = (faces - box[:, :1]) / h - 0.5
+    r = np.rint(t)
+    # [k0, k1]: the snapped first cell at or above each face, less one on the upper; then the clamps
+    with np.errstate(invalid="ignore"):  # inf - inf on infinite faces, which leave the box
+        k = np.where(np.abs(t - r) <= _SNAP, r, np.ceil(t)) - (0, 1)
+    k = np.minimum(np.maximum(k, (0, -np.inf)), (np.inf, grid.m - 1))
+    inside = (faces[..., 0] >= box[:, 0] - pad) & (faces[..., 1] <= box[:, 1] + pad)
+    # the first (cube, axis) that leaves the box or holds no cell raises; NaN faces leave it
+    bad = ~inside | (k[..., 1] < k[..., 0])
+    if bad.any():
+        i, ax = np.unravel_index(np.argmax(bad), bad.shape)
+        cube = Cube(centers[i], sides[i])
+        if inside[i, ax]:
+            raise EmptyCube(f"{cube} holds no cell center (h = {h:.6g})")
+        raise OutOfDomain(f"{cube} exceeds box [{grid.lo[ax]:.6g}, {grid.hi[ax]:.6g}] on axis {ax}")
+    return k.astype(np.intp)
+
+
 def cube_index_ranges(grid: Grid, cube: Cube) -> tuple[tuple[int, int], ...]:
     """Per-axis inclusive index range [k0, k1] of cells inside the cube.
 
     Raises OutOfDomain when the cube leaves the grid box and EmptyCube when
     no cell center falls inside.
     """
-    if cube.n != grid.n:
-        raise GridMismatch(f"cube dim {cube.n} on grid dim {grid.n}")
-    h = grid.h
-    pad = _SNAP * h
-    ranges = []
-    for ax, lo, hi in zip(range(grid.n), cube.lo_faces(), cube.hi_faces()):
-        if lo < grid.lo[ax] - pad or hi > grid.hi[ax] + pad:
-            raise OutOfDomain(
-                f"{cube} exceeds box [{grid.lo[ax]:.6g}, {grid.hi[ax]:.6g}] on axis {ax}"
-            )
-        k0 = _ceil_snap((lo - grid.lo[ax]) / h - 0.5)
-        k1 = _ceil_snap((hi - grid.lo[ax]) / h - 0.5) - 1
-        k0 = max(k0, 0)
-        k1 = min(k1, grid.m - 1)
-        if k1 < k0:
-            raise EmptyCube(f"{cube} holds no cell center (h = {h:.6g})")
-        ranges.append((k0, k1))
-    return tuple(ranges)
+    k = _index_ranges(grid, np.array([cube.center]), np.array([cube.side]))
+    return tuple((k0, k1) for k0, k1 in k[0].tolist())
 
 
 def cube_slices(grid: Grid, cube: Cube) -> tuple[slice, ...]:
@@ -254,19 +265,49 @@ def indicator(grid: Grid, cube: Cube) -> GridFunction:
     return GridFunction(grid, vals)
 
 
+@dataclass(eq=False)
+class CubeArray(Sequence):
+    """The cubes Q(centers[i], sides[i]) as arrays, centers (cubes, n) and
+    sides (cubes,): a sequence of Cube that builds each one when it is read."""
+
+    centers: np.ndarray
+    sides: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sides)
+
+    def __getitem__(self, i: int) -> Cube:
+        return Cube(self.centers[i], self.sides[i])
+
+
+def _cube_array(grid: Grid, cubes: tuple[Cube, ...]) -> CubeArray:
+    """The cubes as arrays; the first of another dimension than the grid's
+    raises GridMismatch, unless a cube before it raises first."""
+    ok = next((i for i, q in enumerate(cubes) if q.n != grid.n), len(cubes))
+    arr = CubeArray(
+        np.reshape([q.center for q in cubes[:ok]], (ok, grid.n)), np.array([q.side for q in cubes[:ok]])
+    )
+    if ok < len(cubes):
+        _index_ranges(grid, arr.centers, arr.sides)
+        raise GridMismatch(f"cube dim {cubes[ok].n} on grid dim {grid.n}")
+    return arr
+
+
 class CubeFamily:
     """A finite cube collection on one grid, with provenance and optional
     level tags, and its cells indexed for one-pass reductions.
 
-    The cubes' cell index ranges are computed once, at construction, and the
-    cubes are grouped by block shape. Each group of equal-shaped cubes is
-    gathered from the grid as one (cubes, cells) array, cells in row-major
-    order, at most one grid's worth of cells at a time. A row reduction is
-    bit-identical to the same reduction over the cube's slice only when
-    numpy reduces the slice in one pass too: the slice is contiguous in the
-    grid, or numpy copies it into a single buffer of np.getbufsize() cells.
-    `reduce` takes every other cube through its own slice. Prefix sums are
-    not used: on steep weights they differ from np.sum in the sixth digit.
+    The cubes are held as arrays (a CubeArray, which builds a Cube only when
+    one is read; an explicit cube list is converted), their cell index
+    ranges computed in one array pass at construction, and they are grouped
+    by block shape. Each group of equal-shaped cubes is gathered from the
+    grid as one (cubes, cells) array, cells in row-major order, at most one
+    grid's worth of cells at a time. A row reduction is bit-identical to the
+    same reduction over the cube's slice only when numpy reduces the slice
+    in one pass too: the slice is contiguous in the grid, or numpy copies it
+    into a single buffer of np.getbufsize() cells. `reduce` takes every
+    other cube through its own slice. Prefix sums are not used: on steep
+    weights they differ from np.sum in the sixth digit.
     """
 
     def __init__(
@@ -277,28 +318,28 @@ class CubeFamily:
         levels: Sequence[int] | None = None,
     ):
         self.grid = grid
-        self.cubes = tuple(cubes)
+        self.cubes = cubes if isinstance(cubes, CubeArray) else _cube_array(grid, tuple(cubes))
         self.provenance = provenance
         self.levels = None if levels is None else tuple(int(v) for v in levels)
         if self.levels is not None and len(self.levels) != len(self.cubes):
             raise ValueError("levels must tag every cube")
-        if not self.cubes:
+        if not len(self.cubes):
             raise ValueError("cube family is empty")
         # inclusive cell index range [k0, k1] per cube and axis: (cubes, n, 2);
         # raises for a cube that is empty or leaves the box
-        ranges = [cube_index_ranges(grid, q) for q in self.cubes]
-        self.ranges = np.array(ranges, dtype=np.intp).reshape(len(ranges), grid.n, 2)
+        self.ranges = _index_ranges(grid, self.cubes.centers, self.cubes.sides)
         lo = self.ranges[:, :, 0]
         shapes = self.ranges[:, :, 1] - lo + 1
         self.counts = np.prod(shapes, axis=1)
         # cube_measure's arithmetic: member cells times h^n
         self.measures = (self.counts * grid.cell_volume).tolist()
-        kinds, which = np.unique(shapes, axis=0, return_inverse=True)
+        # a row-major key per block shape, in np.unique(shapes, axis=0) order; a set, as 1-D np.unique imports numpy.ma
+        keys = np.ravel_multi_index(tuple(shapes.T - 1), grid.shape)
         # (block shape, member cube indices, their lowest cells (cubes, n))
         self.groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
-        for k, kind in enumerate(kinds):
-            shape = tuple(int(v) for v in kind)
-            members = np.flatnonzero(which.reshape(-1) == k)
+        for key in sorted(set(keys.tolist())):
+            shape = tuple(int(v) + 1 for v in np.unravel_index(key, grid.shape))
+            members = np.flatnonzero(keys == key)
             per_chunk = max(1, grid.m**grid.n // math.prod(shape))
             for start in range(0, len(members), per_chunk):
                 chunk = members[start : start + per_chunk]
@@ -413,9 +454,10 @@ def enumerate_dyadic(
 ) -> CubeFamily:
     """Dyadic generations level_min..level_max of the base cube (default: box).
 
-    Generation l splits the base into 2^l congruent cubes per axis. Every
-    cube is checked nonempty; ResolutionTooCoarse fires when the finest
-    generation drops below one cell per cube.
+    Generation l splits the base into 2^l congruent cubes per axis, x outer
+    and y inner, with centers computed as arrays; the family builds a Cube
+    only when one is read. Every cube is checked nonempty;
+    ResolutionTooCoarse fires when the finest generation has side below h.
     """
     if not 0 <= level_min <= level_max:
         raise ValueError(f"need 0 <= level_min <= level_max, got {level_min}..{level_max}")
@@ -428,21 +470,16 @@ def enumerate_dyadic(
         raise ResolutionTooCoarse(
             f"generation {level_max} cubes have side {finest:.6g} < h = {grid.h:.6g}"
         )
-    cubes: list[Cube] = []
+    centers: list[np.ndarray] = []
     levels: list[int] = []
     base_lo = base.lo_faces()
     for lvl in range(level_min, level_max + 1):
         side = base.side / 2**lvl
-        per_axis = [
-            [base_lo[ax] + (j + 0.5) * side for j in range(2**lvl)]
-            for ax in range(grid.n)
-        ]
-        if grid.n == 1:
-            centers = [(c,) for c in per_axis[0]]
-        else:
-            centers = [(cx, cy) for cx in per_axis[0] for cy in per_axis[1]]
-        cubes.extend(Cube(c, side) for c in centers)
-        levels.extend([lvl] * len(centers))
+        per_axis = [base_lo[ax] + (np.arange(2**lvl) + 0.5) * side for ax in range(grid.n)]
+        # x outer, y inner: the ij mesh in row-major order
+        centers.append(np.stack(np.meshgrid(*per_axis, indexing="ij"), axis=-1).reshape(-1, grid.n))
+        levels.extend([lvl] * len(centers[-1]))
+    cubes = CubeArray(np.concatenate(centers), base.side / 2.0 ** np.array(levels))
     tag = f"dyadic[{level_min}..{level_max}] of {base}"
     return CubeFamily(grid, cubes, tag, levels)
 
@@ -463,6 +500,7 @@ def centered_family(
         raise ValueError(f"need 0 <= level_min <= level_max, got {level_min}..{level_max}")
     c = _as_tuple(center)
     levels = range(level_min, level_max + 1)
-    cubes = [Cube(c, base_side / 2**lvl) for lvl in levels]
+    Cube(c, base_side / 2**level_min)  # refuses a side that is not positive
+    cubes = CubeArray(np.tile(c, (len(levels), 1)), base_side / 2.0 ** np.array(levels))
     tag = f"centered[{level_min}..{level_max}] at ({','.join(f'{v:.6g}' for v in c)})"
     return CubeFamily(grid, cubes, tag, levels)

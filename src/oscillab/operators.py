@@ -201,9 +201,10 @@ def _linear_body(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
         table[(m - 1,) * n] = _self_cell(kernel, h)
     spectrum *= np.fft.rfftn(table, size, axes=axes)[..., None]
     del table
-    full = np.fft.irfftn(spectrum, size, axes=axes)
-    del spectrum
-    out = np.ascontiguousarray(full[(slice(m - 1, 2 * m - 1),) * n])
+    # back one column at a time, so no (2m,)^n x N array is alive beside the spectrum
+    out = np.empty((m,) * n + spectrum.shape[n:])
+    for j in range(out.shape[-1]):
+        out[..., j] = np.fft.irfftn(spectrum[..., j], size, axes=axes)[(slice(m - 1, 2 * m - 1),) * n]
     return out.view(np.complex128) if pairs else out
 
 
@@ -412,7 +413,8 @@ def _maximal(fs: Sequence[GridFunction], alpha: float, family: CubeFamily) -> Gr
     _alpha_check(alpha, len(fs) * grid.n)
     family.check_grid(grid)
     means = [family.means(np.abs(f.values)).tolist() for f in fs]
-    vals = [math.prod([meas ** (alpha / grid.n), *avgs]) for meas, *avgs in zip(family.measures, *means)]
+    e = alpha / grid.n
+    vals = [math.prod([meas**e, *avgs]) for meas, *avgs in zip(family.measures, *means)]
     return GridFunction(grid, family.scatter_max(vals))
 
 

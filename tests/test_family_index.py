@@ -6,12 +6,16 @@ lab did before the index, and requires `np.array_equal`: the index may change
 how blocks are visited, never a bit of the result.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from oscillab import (
     Cube,
     CubeFamily,
+    EmptyCube,
     ExponentFunction,
     Grid,
     GridMismatch,
@@ -37,8 +41,10 @@ from oscillab import (
     cube_slices,
     enumerate_dyadic,
     maximal,
+    OutOfDomain,
 )
 from oscillab import fixtures
+from oscillab.grid import _SNAP, cube_index_ranges
 
 
 def _family(case):
@@ -141,6 +147,187 @@ def test_explicit_family_indexes_like_the_generator():
     g, fam = _family("dyadic-1d")
     explicit = CubeFamily(g, fam.cubes)
     assert np.array_equal(explicit.ranges, fam.ranges)
+
+
+# ---- the array index against the per-cube scalar loop ----
+
+
+def _scalar_ranges(g, q):
+    """The per-cube loop the array pass replaced: Python round (half to
+    even) and math.ceil per face, axis by axis, out-of-box before empty."""
+    if q.n != g.n:
+        raise GridMismatch(f"cube dim {q.n} on grid dim {g.n}")
+    h = g.h
+    ranges = []
+    for ax, lo, hi in zip(range(g.n), q.lo_faces(), q.hi_faces()):
+        if lo < g.lo[ax] - _SNAP * h or hi > g.hi[ax] + _SNAP * h:
+            raise OutOfDomain(f"{q} exceeds box [{g.lo[ax]:.6g}, {g.hi[ax]:.6g}] on axis {ax}")
+        k = []
+        for face in (lo, hi):
+            t = (face - g.lo[ax]) / h - 0.5
+            r = round(t)
+            k.append(int(r) if abs(t - r) <= _SNAP else int(math.ceil(t)))
+        k0, k1 = max(k[0], 0), min(k[1] - 1, g.m - 1)
+        if k1 < k0:
+            raise EmptyCube(f"{q} holds no cell center (h = {h:.6g})")
+        ranges.append((k0, k1))
+    return tuple(ranges)
+
+
+def _near_center_cubes(g, count, seed):
+    """Cubes whose faces sit within a few _SNAP of cell centers (the index
+    scale's integers), on both sides of the snap; some leave the box."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        cells = int(rng.integers(1, g.m // 2))
+        jitter = rng.choice([-3, -1, -0.5, 0, 0.5, 1, 3], size=g.n + 1) * _SNAP
+        side = (cells + jitter[0]) * g.h
+        first = rng.integers(-1, g.m - cells + 1, size=g.n)
+        center = [g.lo[ax] + (first[ax] + 0.5 + jitter[ax + 1]) * g.h + side / 2 for ax in range(g.n)]
+        out.append(Cube(center, side))
+    return out
+
+
+@pytest.mark.parametrize("g", [Grid((-1.0,), (1.0,), 1000), Grid((-0.7, -0.7), (1.3, 1.3), 48)], ids=["1d", "2d"])
+def test_array_ranges_equal_the_scalar_loop_cube_by_cube(g):
+    near = []  # how far each kept face lies from an integer on the index scale
+    for q in _near_center_cubes(g, 400, seed=g.n):
+        try:
+            want = _scalar_ranges(g, q)
+        except (OutOfDomain, EmptyCube) as err:
+            with pytest.raises(type(err)) as info:
+                cube_index_ranges(g, q)
+            assert str(info.value) == str(err)
+            continue
+        assert cube_index_ranges(g, q) == want
+        fam = CubeFamily(g, [q, g.box_cube(), q])
+        assert fam.ranges[0].tolist() == fam.ranges[2].tolist() == [list(r) for r in want]
+        for faces in (q.lo_faces(), q.hi_faces()):
+            near += [abs(t - round(t)) for t in ((f - a) / g.h - 0.5 for f, a in zip(faces, g.lo))]
+    # faces off the integers both within the snap and beyond it
+    assert sum(0 < d <= _SNAP for d in near) > 100 and sum(_SNAP < d < 1e-6 for d in near) > 100
+    # the whole family in one pass, rows in family order
+    kept = []
+    for q in _near_center_cubes(g, 400, seed=10 + g.n):
+        try:
+            kept.append((q, _scalar_ranges(g, q)))
+        except (OutOfDomain, EmptyCube):
+            pass
+    fam = CubeFamily(g, [q for q, _ in kept])
+    assert [tuple(map(tuple, r)) for r in fam.ranges.tolist()] == [r for _, r in kept]
+
+
+def _offending(g, third, fifth):
+    cubes = list(enumerate_dyadic(g, 1, 1))  # 2^n good cubes
+    cubes = (cubes * 3)[:6]
+    cubes[2], cubes[4] = third, fifth
+    return cubes
+
+
+_FAR = {1: Cube((0.9,), 0.5), 2: Cube((0.0, 0.9), 0.5)}  # leaves the box
+_THIN = {1: Cube((0.13,), 1e-9), 2: Cube((0.13, 0.0), 1e-9)}  # holds no cell center
+_FLAT = {1: Cube((0.0, 0.0), 0.5), 2: Cube((0.0,), 0.5)}  # the other dimension
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("third,fifth", [(_FAR, _THIN), (_THIN, _FAR), (_FLAT, _FAR), (_FAR, _FLAT)])
+def test_first_offending_cube_raises_its_own_error(n, third, fifth):
+    g = Grid((-1.0,) * n, (1.0,) * n, 40)
+    with pytest.raises((OutOfDomain, EmptyCube, GridMismatch)) as want:
+        cube_index_ranges(g, third[n])
+    with pytest.raises(type(want.value)) as got:
+        CubeFamily(g, _offending(g, third[n], fifth[n]))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(type(want.value)) as scalar:
+        _scalar_ranges(g, third[n])
+    assert str(scalar.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "center,side,error",
+    [
+        ((0.13, 1.0), 1e-9, EmptyCube),  # empty on axis 0, out on axis 1
+        ((1.0, 0.13), 1e-9, OutOfDomain),  # out on axis 0, empty on axis 1
+        ((0.125, 0.13), 1e-9, EmptyCube),  # a cell on axis 0, none on axis 1
+        ((0.13, 0.9), 0.5, OutOfDomain),  # cells on axis 0, out on axis 1
+    ],
+)
+def test_axes_are_checked_in_order(center, side, error):
+    g = Grid((-1.0, -1.0), (1.0, 1.0), 40)
+    with pytest.raises(error) as scalar:
+        _scalar_ranges(g, Cube(center, side))
+    with pytest.raises(error) as got:
+        CubeFamily(g, [g.box_cube(), Cube(center, side)])
+    assert str(got.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("center,side", [(np.inf, 1.0), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf), (0.0, np.nan)])
+def test_non_finite_cube_leaves_the_box_without_a_warning(center, side):
+    g = Grid((-1.0,), (1.0,), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomain, match="exceeds box"):
+            CubeFamily(g, [g.box_cube(), Cube((center,), side)])
+
+
+def _old_dyadic(base, level_min, level_max):
+    """The cube tuple the generator built cube by cube, x outer, y inner."""
+    cubes = []
+    for lvl in range(level_min, level_max + 1):
+        side = base.side / 2**lvl
+        axes = [[lo + (j + 0.5) * side for j in range(2**lvl)] for lo in base.lo_faces()]
+        centers = [(c,) for c in axes[0]] if base.n == 1 else [(x, y) for x in axes[0] for y in axes[1]]
+        cubes.extend(Cube(c, side) for c in centers)
+    return tuple(cubes)
+
+
+@pytest.mark.parametrize(
+    "g,base,levels",
+    [
+        (Grid((-1.0,), (1.0,), 1000), None, (0, 6)),
+        (Grid((-6.0,), (6.0,), 512), Cube((0.3,), 1.125), (1, 4)),
+        (Grid((-1.0, -1.0), (1.0, 1.0), 48), None, (0, 4)),
+        (Grid((-1.0, -1.0), (1.0, 1.0), 48), Cube((0.1, -0.3), 0.75), (2, 3)),
+    ],
+    ids=["1d", "1d-base", "2d", "2d-base"],
+)
+def test_family_cubes_read_as_the_cube_tuple(g, base, levels):
+    fam = enumerate_dyadic(g, *levels, base)
+    old = _old_dyadic(base or g.box_cube(), *levels)
+    assert len(fam) == len(fam.cubes) == len(old)
+    assert list(fam.cubes) == list(fam) == list(old)
+    assert [fam.cubes[i] for i in (0, len(old) // 2, -1)] == [old[0], old[len(old) // 2], old[-1]]
+    for again in (CubeFamily(g, fam.cubes), CubeFamily(g, list(fam.cubes), fam.provenance, fam.levels)):
+        assert list(again.cubes) == list(old) and np.array_equal(again.ranges, fam.ranges)
+    centered = centered_family(g, base.center if base else g.box_cube().center, 0.75, *levels)
+    assert list(centered.cubes) == [Cube(centered.cubes[0].center, 0.75 / 2**lvl) for lvl in range(levels[0], levels[1] + 1)]
+
+
+@pytest.mark.parametrize(
+    "g,level_max,want",
+    [
+        (Grid((-1.0,), (1.0,), 1000), 6, "Q(0.375;0.25)"),
+        (Grid((-1.0, -1.0), (1.0, 1.0), 48), 4, "Q(0.375,-0.125;0.25)"),
+    ],
+    ids=["1d", "2d"],
+)
+def test_family_sup_argmax_prints_as_before(g, level_max, want):
+    """log |x - p|, p = (0.3, -0.2): the argmax strings the cube-by-cube
+    family gave."""
+    r = np.sqrt(sum((x - p) ** 2 for x, p in zip(g.meshes(), (0.3, -0.2))))
+    assert str(bmo_seminorm(GridFunction(g, np.log(r)), enumerate_dyadic(g, 0, level_max)).argmax) == want
+
+
+def test_a_family_builds_a_cube_only_when_one_is_read(monkeypatch):
+    built = []
+    post_init = Cube.__post_init__
+    monkeypatch.setattr(Cube, "__post_init__", lambda self: (built.append(1), post_init(self))[1])
+    g = Grid((-1.0,), (1.0,), 16384)
+    fam = enumerate_dyadic(g, 0, 11)
+    rep = bmo_seminorm(fixtures.make_symbol("log_abs", g), fam)
+    assert len(fam) == 4095 and str(rep.argmax) == "Q(0;2)"
+    assert len(built) <= 3  # the box, the base of the tag, the argmax
 
 
 # ---- operators.maximal and bilinear_maximal ----
