@@ -14,9 +14,12 @@ bounded mean oscillation" into per-cube arithmetic:
    polishes the kept coefficients (the expansion is only ever used on the
    ball, so on-ball residual is the right target).
 3. `build_test_functions` makes modulated indicators whose moduli are plain
-   cube indicators, so their norms match the norms of their supports. The
-   cells, coordinates and sign pattern they are built on come from a
-   `ChainCube`, made once per cube before the mode loop.
+   cube indicators, so their norms match the norms of their supports, and
+   the block of h on the cells of Q, where alone h is read. The cells,
+   coordinates and sign pattern they are built on come from a `ChainCube`,
+   made once per cube before the mode loop: one `CubeFamily` of Q and its
+   derived cubes, whose measures, averages and indicator norms the chain
+   reads too; stage (v) reads the norms of chi_P from a family of P.
 4. `verify_master_chain` evaluates the five-stage estimate chain
 
    (i)   integral over Q of |b - b_{Q'}|
@@ -34,8 +37,13 @@ bounded mean oscillation" into per-cube arithmetic:
 
 Cell conventions follow `grid`: all measures are cell counts times h^n, and
 stage prefactors use those exact counts, so stages (i) and (ii) agree to
-rounding and the orderings (iii) <= (iv) <= (v) hold by construction
-whenever the probe set contains the chain's own test pairs (it always does).
+rounding. The orderings (iii) <= (iv) <= (v) hold by construction whenever
+the probe set contains the chain's own test pairs (it always does) and Y' is
+the exact associate space of Y, as for Lebesgue and Weighted. For Variable,
+Y' is Variable(p'(.)), whose norm is only equivalent to the associate norm
+(a Hoelder defect of 1.01647 has been measured; ROADMAP item 2), so
+(iii) <= (iv), which is Hoelder's inequality for Y and Y', holds there only
+up to that equivalence constant.
 """
 
 from __future__ import annotations
@@ -53,17 +61,9 @@ from .errors import (
     OutOfDomain,
     TailTooLarge,
 )
-from .grid import (
-    Cube,
-    CubeFamily,
-    Grid,
-    GridFunction,
-    cube_average,
-    cube_measure,
-    cube_slices,
-)
+from .grid import Cube, CubeFamily, Grid, GridFunction
 from .operators import KernelSpec, OperatorHandle, commutator, kernel_tensor
-from .spaces import SpaceSpec, associate, chi_norm, norm
+from .spaces import SpaceSpec, associate, chi_norms, norm
 
 _BALL_SEED = 20240817
 
@@ -374,96 +374,73 @@ def fourier_reciprocal(
 
 
 @dataclass(frozen=True)
-class CubeCells:
-    """A cube's cell slices and its cell-center coordinates, one block per
-    axis (each block has the shape of the cube's cells)."""
-
-    cube: Cube
-    slices: tuple[slice, ...]
-    axes: tuple[np.ndarray, ...]
-
-    @classmethod
-    def of(cls, grid: Grid, cube: Cube) -> "CubeCells":
-        sl = cube_slices(grid, cube)
-        return cls(cube, sl, tuple(m[sl] for m in grid.meshes()))
-
-    @property
-    def coords(self) -> np.ndarray:
-        """(cells, n) coordinates in row-major cell order, as `kernel_tensor`
-        reads them."""
-        return np.stack([a.reshape(-1) for a in self.axes], axis=1)
-
-
-@dataclass(frozen=True)
 class ChainCube:
     """What the chain needs on one cube Q that no Fourier mode changes: the
-    cells of Q and of its derived cubes, b_{Q'} and sigma = sgn(b - b_{Q'})
-    on the cells of Q, and the frequency scale delta / r."""
+    family (Q, Q_1, ..., Q_k) of Q and its derived cubes, indexed once, with
+    each cube's cell-center coordinates (one block per axis, each of the
+    shape of the cube's cells); b_{Q'} and sigma = sgn(b - b_{Q'}) on the
+    cells of Q, and the frequency scale delta / r. Cube 0 is Q and cube i
+    the derived cube of input i."""
 
-    grid: Grid
-    q: CubeCells
-    derived: tuple[CubeCells, ...]
+    family: CubeFamily
+    axes: tuple[tuple[np.ndarray, ...], ...]
     scale: float
     b_avg: float
     sigma: np.ndarray
 
     @classmethod
     def build(cls, b: GridFunction, q: Cube, geometry: ExtractionGeometry) -> "ChainCube":
-        grid = b.grid
-        cells = CubeCells.of(grid, q)
-        derived = tuple(CubeCells.of(grid, c) for c in geometry.derived_cubes(q))
-        bqp = cube_average(b, derived[0].cube)
-        sigma = np.sign(b.values[cells.slices] - bqp)
-        return cls(grid, cells, derived, geometry.delta / q.side, bqp, sigma)
+        family = CubeFamily(b.grid, (q, *geometry.derived_cubes(q)))
+        meshes = b.grid.meshes()
+        axes = tuple(tuple(m[family.slices(i)] for m in meshes) for i in range(len(family)))
+        bqp = family.means(b.values)[1]
+        sigma = np.sign(b.values[family.slices(0)] - bqp)
+        return cls(family, axes, geometry.delta / q.side, bqp, sigma)
+
+    @property
+    def grid(self) -> Grid:
+        return self.family.grid
+
+    def coords(self, i: int) -> np.ndarray:
+        """(cells, n) coordinates of cube i in row-major cell order, as
+        `kernel_tensor` reads them."""
+        return np.stack([a.reshape(-1) for a in self.axes[i]], axis=1)
 
     def h_modulus(self) -> GridFunction:
         """|sigma| chi_Q, which is |h| for every mode up to rounding of
         |e^{i t}|, so ||h||_{Y'} is taken from it once per cube."""
         vals = np.zeros(self.grid.shape)
-        vals[self.q.slices] = np.abs(self.sigma)
+        vals[self.family.slices(0)] = np.abs(self.sigma)
         return GridFunction(self.grid, vals)
 
 
-@dataclass(frozen=True)
-class TestFunctions:
-    """Modulated indicators for one frequency nu: fs holds one input per derived
-    cube, with moduli exactly the indicators of Q' (and Q''); h lives on Q
-    and also carries the sign pattern of b - b_{Q'}."""
-
-    fs: tuple[GridFunction, ...]
-    h: GridFunction
-
-
-def _modulated_indicator(
-    grid: Grid, cells: CubeCells, vec: np.ndarray, sign: float, weight: np.ndarray | None = None
-) -> GridFunction:
-    """e^{sign i vec . x} times weight on the cells of one cube, 0 elsewhere."""
-    block = np.exp(sign * 1j * sum(float(v) * a for v, a in zip(vec, cells.axes)))
-    if np.max(np.abs(np.abs(block) - 1.0)) > 1e-12:
-        raise AssertionError("modulated indicator lost unit modulus")
-    if weight is not None:
-        block *= weight
-    vals = np.zeros(grid.shape, dtype=np.complex128)
-    vals[cells.slices] = block
-    return GridFunction(grid, vals)
-
-
-def build_test_functions(cube: ChainCube, nu: np.ndarray) -> TestFunctions:
-    """f_i = e^{-i (delta/r) nu^i . y} chi_{Q_i} on each derived cube Q_i, with
-    nu^i the i-th n-block of nu, and h = e^{+i (delta/r) nu . (x, ..., x)}
-    sgn(b - b_{Q'}) chi_Q.
+def build_test_functions(cube: ChainCube, nu: np.ndarray) -> tuple[tuple[GridFunction, ...], np.ndarray]:
+    """(fs, h) for one frequency nu. fs holds f_i = e^{-i (delta/r) nu^i . y}
+    chi_{Q_i} on each derived cube Q_i, with nu^i the i-th n-block of nu: the
+    moduli are exactly the indicators of the Q_i. h is the block of
+    e^{+i (delta/r) nu . (x, ..., x)} sgn(b - b_{Q'}) on the cells of Q, in
+    their shape; h is 0 off Q and read only there.
 
     Everything but nu comes from `cube`, built once per chain cube, so a
     mode costs one np.exp per derived cube and one for h; each exponential
     is checked to have modulus 1 to 1e-12."""
     grid = cube.grid
-    blocks = np.asarray(nu, dtype=float).reshape(len(cube.derived), grid.n)
-    fs = tuple(
-        _modulated_indicator(grid, cells, cube.scale * blk, -1.0)
-        for cells, blk in zip(cube.derived, blocks)
-    )
-    h = _modulated_indicator(grid, cube.q, cube.scale * np.sum(blocks, axis=0), +1.0, cube.sigma)
-    return TestFunctions(fs, h)
+    blocks = np.asarray(nu, dtype=float).reshape(len(cube.family) - 1, grid.n)
+
+    def phase(i: int, vec: np.ndarray, sign: float) -> np.ndarray:
+        block = np.exp(sign * 1j * sum(float(v) * a for v, a in zip(vec, cube.axes[i])))
+        if np.max(np.abs(np.abs(block) - 1.0)) > 1e-12:
+            raise AssertionError("modulated indicator lost unit modulus")
+        return block
+
+    fs = []
+    for i, blk in enumerate(blocks, start=1):
+        vals = np.zeros(grid.shape, dtype=np.complex128)
+        vals[cube.family.slices(i)] = phase(i, cube.scale * blk, -1.0)
+        fs.append(GridFunction(grid, vals))
+    h = phase(0, cube.scale * np.sum(blocks, axis=0), +1.0)
+    h *= cube.sigma
+    return tuple(fs), h
 
 
 # ---- The estimate chain ----
@@ -544,18 +521,19 @@ def verify_master_chain(
         if not checks["ok"]:
             raise ValueError(f"geometry invariants fail on {q}: {checks}")
         cube = ChainCube.build(b, q, geometry)
-        derived = tuple(c.cube for c in cube.derived)
+        derived = tuple(cube.family)[1:]
         axes = tuple(range(1, len(derived) + 1))  # the derived-cube axes of K
-        sl_q = cube.q.slices
+        sl_q = cube.family.slices(0)
         bq_block = b.values[sl_q].reshape(-1)
         sigma = cube.sigma.reshape(-1)
         stage_i = float(np.sum(np.abs(bq_block - cube.b_avg)) * cell)
-        meas_prod = math.prod(cube_measure(grid, c) for c in derived)
+        meas_q, *meas_derived = cube.family.measures
+        meas_prod = math.prod(meas_derived)
 
     with _stage(q, "kernel tensor"):
-        by = b.values[cube.derived[0].slices].reshape(-1)
+        by = b.values[cube.family.slices(1)].reshape(-1)
         bdiff = np.expand_dims(bq_block[:, None] - by[None, :], axes[1:])  # (X, Y, 1, ...)
-        K = kernel_tensor(kernel, cube.q.coords, *(c.coords for c in cube.derived))
+        K = kernel_tensor(kernel, *(cube.coords(i) for i in range(len(cube.family))))
         navg = math.prod(K.shape[1:])
         min_k = float(np.min(np.abs(K)))
         if min_k == 0.0:
@@ -568,12 +546,12 @@ def verify_master_chain(
     Yp = associate(Y)
     with _stage(q, "norms"):
         h_norm = norm(cube.h_modulus(), Yp)
-        nfg = math.prod(chi_norm(X, c, grid) for X, c in zip(Xs, derived))
+        nfg = math.prod(chi_norms(X, cube.family)[i] for i, X in enumerate(Xs, start=1))
 
     def one_mode(j: int):
-        tf = build_test_functions(cube, expansion.freqs[j])
-        C = commutator(b, T, *tf.fs, slot=1)
-        integral = complex(np.sum(tf.h.values[sl_q] * C.values[sl_q]) * cell)
+        fs, h = build_test_functions(cube, expansion.freqs[j])
+        C = commutator(b, T, *fs, slot=1)
+        integral = complex(np.sum(h * C.values[sl_q]) * cell)
         return integral, norm(C, Y)
 
     mode_rows = []
@@ -596,14 +574,14 @@ def verify_master_chain(
     l1 = float(np.sum(np.abs(a)))
     with _stage(q, "closing bound"):
         try:
-            pn = math.prod([chi_norm(Yp, p, grid), *(chi_norm(X, p, grid) for X in Xs)])
+            family_p = CubeFamily(grid, (p,))
+            pn = math.prod([chi_norms(Yp, family_p)[0], *(chi_norms(X, family_p)[0] for X in Xs)])
             stage_v = c_pref * probe_norm * l1 * pn
         except OutOfDomain:
             stage_v = None
 
     bound_23 = scale_pref * expansion.epsilon * mass
     gap_23 = abs(stage_ii - stage_iii_c)
-    meas_q = cube_measure(grid, q)
     return ChainReport(
         cube=q,
         derived=derived,

@@ -375,7 +375,8 @@ class CubeFamily:
             flat = flat * self.grid.m + start + np.arange(size).reshape(axis_shape)
         return flat.reshape(len(lo), -1)
 
-    def _slices(self, i: int) -> tuple[slice, ...]:
+    def slices(self, i: int) -> tuple[slice, ...]:
+        """The cell slices of cube i, as `cube_slices` gives them."""
         return tuple(slice(k0, k1 + 1) for k0, k1 in self.ranges[i].tolist())
 
     def gather(self, values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -402,7 +403,7 @@ class CubeFamily:
                 parts.append((members, fn(values.reshape(-1)[self._cells(shape, lo)], (1,))))
                 continue
             for i in members:
-                block = values[self._slices(int(i))][None]
+                block = values[self.slices(int(i))][None]
                 parts.append(([i], fn(block, tuple(range(1, n + 1)))))
         out = np.empty(len(self), dtype=np.result_type(*(r for _, r in parts)))
         for members, r in parts:

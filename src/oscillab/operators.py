@@ -249,15 +249,9 @@ def fractional_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:
 # ---- Bilinear quadrature ----
 
 
-def _flat_cells(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(coords (M, n), integer indices (M, n)) for all cells, row-major."""
-    coords = np.stack([m.reshape(-1) for m in grid.meshes()], axis=1)
-    if grid.n == 1:
-        idx = np.arange(grid.m)[:, None]
-    else:
-        ii, jj = np.meshgrid(np.arange(grid.m), np.arange(grid.m), indexing="ij")
-        idx = np.stack([ii.reshape(-1), jj.reshape(-1)], axis=1)
-    return coords, idx
+def _flat_cells(grid: Grid) -> np.ndarray:
+    """(M, n) coordinates of all cells, row-major."""
+    return np.stack([m.reshape(-1) for m in grid.meshes()], axis=1)
 
 
 def kernel_tensor(kernel: KernelSpec, x: np.ndarray, *ys: np.ndarray) -> np.ndarray:
@@ -279,18 +273,18 @@ def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
     zsel of g, viewed as an (X, Y*Z) matrix, with the pair y = z = x zeroed;
     here holds the flat indices of the slice's cells where y = x and z = x
     both occur (the fractional self-cell correction)."""
-    coords, idx = _flat_cells(grid)
-    ycoord, yidx = coords[ysel], idx[ysel]
-    zcoord, zidx = coords[zsel], idx[zsel]
+    coords = _flat_cells(grid)
+    ycoord, zcoord = coords[ysel], coords[zsel]
     chunk = max(1, _MAX_TENSOR // max(1, len(ysel) * len(zsel)))
     for start in range(0, coords.shape[0], chunk):
         stop = min(start + chunk, coords.shape[0])
-        xi = idx[start:stop]
         K = kernel_tensor(kernel, coords[start:stop], ycoord, zcoord)
         # drop the doubly-singular pair y = z = x (K(0) already reads 0,
-        # but y = x with z = x arrives as two separate cells here)
-        eq_y = np.all(xi[:, None, :] == yidx[None, :, :], axis=-1)
-        eq_z = np.all(xi[:, None, :] == zidx[None, :, :], axis=-1)
+        # but y = x with z = x arrives as two separate cells here); ysel,
+        # zsel and the output cells are all flat row-major indices
+        xi = np.arange(start, stop)[:, None]
+        eq_y = xi == ysel
+        eq_z = xi == zsel
         K = np.where(eq_y[:, :, None] & eq_z[:, None, :], 0.0, K)
         here = start + np.flatnonzero(eq_y.any(axis=1) & eq_z.any(axis=1))
         yield start, stop, K.reshape(stop - start, -1), here

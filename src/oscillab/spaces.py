@@ -5,8 +5,10 @@ Weighted(p, w) with norm (integral |f|^p w)^(1/p), and Variable(p(.)) with
 the Luxemburg norm inf{lam > 0 : integral (|f|/lam)^p(x) dx <= 1}, found
 by Newton's method on the modular in log lam, one solver for every row. The
 associate space X' is the norm dual realized on the same grid:
-Lebesgue(p)' = Lebesgue(p'), Weighted(p, w)' = Weighted(p', w^(1-p')), and
-Variable(p(.))' = Variable(p'(.)).
+Lebesgue(p)' = Lebesgue(p') and Weighted(p, w)' = Weighted(p', w^(1-p'))
+exactly. For Variable(p(.)) the associate taken is Variable(p'(.)), whose
+Luxemburg norm is only equivalent to the associate norm, not equal to it:
+its Hoelder defect can exceed 1 (1.01647 has been measured; ROADMAP item 2).
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from oscillab import (
     Cube,
     Grid,
     GridFunction,
+    GridMismatch,
     KernelVanishes,
     Lebesgue,
     OperatorHandle,
@@ -32,6 +33,7 @@ from oscillab import (
     norm,
 )
 from oscillab import extraction, fixtures, spaces
+from oscillab import grid as grid_module
 from oscillab.bmo import symbol_library
 from oscillab.extraction import (
     ChainCube,
@@ -170,18 +172,16 @@ def test_test_functions_unit_modulus():
     b = symbol_library("log_abs", g)
     geo = select_geometry(HILBERT, 0.5)
     q = Cube((0.140625,), 0.28125)
-    trip = build_test_functions(ChainCube.build(b, q, geo), np.array([1.7]))
-    assert len(trip.fs) == 1
-    from oscillab import cube_slices
-
+    fs, h = build_test_functions(ChainCube.build(b, q, geo), np.array([1.7]))
+    assert len(fs) == 1
     sl = cube_slices(g, geo.derived_cubes(q)[0])
-    assert np.allclose(np.abs(trip.fs[0].values[sl]), 1.0)
-    outside = np.abs(trip.fs[0].values).copy()
+    assert np.allclose(np.abs(fs[0].values[sl]), 1.0)
+    outside = np.abs(fs[0].values).copy()
     outside[sl] = 0.0
     assert np.all(outside == 0.0)
-    # h carries sgn(b - b_{Q'}) on Q, so |h| is 0 or 1 there
-    slq = cube_slices(g, q)
-    mod = np.abs(trip.h.values[slq])
+    # h is the block on Q and carries sgn(b - b_{Q'}), so |h| is 0 or 1
+    assert h.shape == b.values[cube_slices(g, q)].shape
+    mod = np.abs(h)
     assert np.all((mod == 0.0) | (np.abs(mod - 1.0) <= 1e-12))
 
 
@@ -190,16 +190,17 @@ def test_test_functions_zero_frequency():
     b = symbol_library("log_abs", g)
     geo = select_geometry(HILBERT, 0.5)
     q = Cube((0.140625,), 0.28125)
-    trip = build_test_functions(ChainCube.build(b, q, geo), np.array([0.0]))
-    from oscillab import cube_slices
-
+    cube = ChainCube.build(b, q, geo)
+    fs, h = build_test_functions(cube, np.array([0.0]))
     sl = cube_slices(g, geo.derived_cubes(q)[0])
-    assert np.allclose(trip.fs[0].values[sl], 1.0)  # e^0 = 1 exactly
+    assert np.all(fs[0].values[sl] == 1.0)  # e^0 = 1 exactly
+    assert np.all(h == cube.sigma)
 
 
 def _per_mode_test_functions(q, geometry, nu, b):
     """The construction as it was before ChainCube: every cube, slice,
-    mesh and b_{Q'} derived again for each nu. Returns (fs values, h values)."""
+    mesh and b_{Q'} derived again for each nu. Returns (fs values, h values),
+    all on the full grid."""
     grid = b.grid
     scale = geometry.delta / q.side
     derived = geometry.derived_cubes(q)
@@ -240,13 +241,19 @@ def _riesz_2d_cube():
 def test_test_functions_match_per_mode_construction(setup, nus):
     b, geo, q = setup()
     cube = ChainCube.build(b, q, geo)
+    sl = cube_slices(b.grid, q)
     for nu in nus:
-        tf = build_test_functions(cube, np.array(nu))
-        fs, h = _per_mode_test_functions(q, geo, np.array(nu), b)
-        assert len(tf.fs) == len(fs)
-        for got, want in zip(tf.fs, fs):
+        fs, h = build_test_functions(cube, np.array(nu))
+        want_fs, want_h = _per_mode_test_functions(q, geo, np.array(nu), b)
+        assert len(fs) == len(want_fs)
+        for got, want in zip(fs, want_fs):
             assert got.values.tobytes() == want.tobytes(), nu
-        assert tf.h.values.tobytes() == h.tobytes(), nu
+        # the block is h on Q, and h is zero off Q
+        assert h.shape == want_h[sl].shape
+        assert h.tobytes() == want_h[sl].tobytes(), nu
+        off = want_h.copy()
+        off[sl] = 0.0
+        assert np.all(off == 0.0), nu
 
 
 @pytest.mark.parametrize(
@@ -265,7 +272,9 @@ def test_hoisted_h_norm_matches_per_mode_norm(make):
     hoisted = norm(cube.h_modulus(), Yp)
     assert hoisted > 0.0
     for nu in ([1.7, -0.6], [-13.25, 40.1], [0.0, 0.0]):
-        per_mode = norm(build_test_functions(cube, np.array(nu)).h, Yp)
+        h = np.zeros(b.grid.shape, dtype=np.complex128)
+        h[cube_slices(b.grid, q)] = build_test_functions(cube, np.array(nu))[1]
+        per_mode = norm(GridFunction(b.grid, h), Yp)
         assert hoisted == pytest.approx(per_mode, rel=1e-12)
 
 
@@ -431,6 +440,53 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
     far = Cube((4.921875,), 0.28125)
     with pytest.raises(OutOfDomain, match=r"^Q\(4\.92188;0\.28125\), geometry: "):
         verify_master_chain(b, T, (V, V), V, far, geo, exp)
+
+
+def _bilinear_1d_chain():
+    b, geo, q = _bilinear_1d_cube()
+    V = Variable(fixtures.make_exponent("arctan_profile", b.grid))
+    W = Weighted(2.0, fixtures.make_weight("power:0.5", b.grid))
+    return b, OperatorHandle(BIRIESZ), (V, W), V, q, geo, fourier_reciprocal(BIRIESZ, geo, 5, tol=1e-2)
+
+
+def _riesz_2d_chain():
+    b, geo, q = _riesz_2d_cube()
+    kernel = fixtures.make_kernel("riesz_1", 2)
+    return b, OperatorHandle(kernel), (Lebesgue(4.0),), Lebesgue(2.0), q, geo, fourier_reciprocal(kernel, geo, 5, tol=1e-2)
+
+
+@pytest.mark.parametrize("setup", [_bilinear_1d_chain, _riesz_2d_chain], ids=["bilinear-1d", "riesz_1-2d"])
+def test_chain_indexes_each_cube_once(monkeypatch, setup):
+    """One index pass for Q and its derived cubes, one for P: their cells,
+    measures, b_{Q'} and indicator norms all come from the two families."""
+    args = setup()
+    calls = []
+    index_ranges = grid_module._index_ranges
+
+    def counted(*a):
+        calls.append(a)
+        return index_ranges(*a)
+
+    monkeypatch.setattr(grid_module, "_index_ranges", counted)
+    verify_master_chain(*args)
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda g: Weighted(2.0, fixtures.make_weight("power:0.5", g)),
+        lambda g: Variable(fixtures.make_exponent("arctan_profile", g)),
+    ],
+    ids=["weighted", "variable"],
+)
+def test_chain_refuses_an_input_space_on_another_grid(make):
+    b, geo, q = _bilinear_1d_cube()
+    exp = fourier_reciprocal(BIRIESZ, geo, 5, tol=1e-2)
+    other = make(Grid((-6.0,), (6.0,), 256))
+    with pytest.raises(GridMismatch) as info:
+        verify_master_chain(b, OperatorHandle(BIRIESZ), (Lebesgue(4.0), other), Lebesgue(2.0), q, geo, exp)
+    assert str(info.value).startswith(f"{q}, norms: ")
 
 
 # ---- trend classification and the necessity report ----

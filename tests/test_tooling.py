@@ -9,12 +9,25 @@ name the same experiments.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import oscillab
 from oscillab import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# runs the configs named on its command line, then prints the exit codes
+# and every scipy module the runs imported
+_RUN_AND_LIST_SCIPY = """
+import json, sys
+from oscillab import cli
+codes = [cli.main(["run", path]) for path in sys.argv[1:]]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
 
 
 def _child(monkeypatch):
@@ -50,3 +63,26 @@ def test_every_workload_config_is_accepted(monkeypatch):
 
 def test_runner_and_defaults_name_the_same_experiments():
     assert set(cli.RUNNERS) == set(cli.EXP_DEFAULTS)
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    """numpy is the only dependency: a chain run (n_per_axis 5 is the
+    smallest whose 1/K expansion meets the chain's residual tolerance) and a
+    commutator run import no scipy module, in a fresh interpreter."""
+    paths = []
+    for name, cfg in {
+        "chain": {"experiment": "chain", "n_per_axis": 5, "level_max": 2},
+        "commutator": {"experiment": "commutator"},
+    }.items():
+        path = tmp_path / f"{name}.json"
+        out = {"csv_path": str(tmp_path / f"{name}.csv"), "json_path": str(tmp_path / f"{name}.out.json")}
+        path.write_text(json.dumps({**cfg, "seed": 1, **out}))
+        paths.append(str(path))
+    src = str(Path(oscillab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_SCIPY, *paths], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0], "scipy": []}
