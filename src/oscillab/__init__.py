@@ -41,6 +41,7 @@ from .grid import (
     enumerate_dyadic,
     indicator,
     integrate,
+    trend_verdict,
 )
 from .spaces import (
     ExponentFunction,

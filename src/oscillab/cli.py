@@ -29,7 +29,17 @@ import numpy as np
 from . import __version__, fixtures
 from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, MeanZeroViolation, OscillabError
 from .extraction import fourier_reciprocal, necessity_experiment, select_geometry, verify_master_chain
-from .grid import Cube, Grid, GridFunction, CubeFamily, centered_family, enumerate_dyadic, indicator
+from .grid import (
+    VERDICTS,
+    Cube,
+    CubeFamily,
+    Grid,
+    GridFunction,
+    centered_family,
+    enumerate_dyadic,
+    indicator,
+    trend_verdict,
+)
 from .operators import (
     KernelSpec,
     OperatorHandle,
@@ -53,7 +63,6 @@ from .spaces import (
     luxemburg_norm,
     norm,
 )
-from .util import classify_growth
 from .weights import ap_constant, ap_duality_gap, apq_constant
 
 GLOBAL_DEFAULTS = {
@@ -189,8 +198,8 @@ def _has_kind(value, kind: type) -> bool:
 
 def _check_value(key: str, value):
     """Refuse an unknown key, a value of the wrong kind, and the values no
-    constructor refuses: trials or n_per_axis below 1 and a tolerance that
-    is not positive."""
+    constructor refuses: trials or n_per_axis below 1, a tolerance that is
+    not positive and an expect_verdict that trend_verdict never returns."""
     if key not in KINDS:
         raise ConfigError(f"unknown key {key!r}: no experiment reads it")
     if not (_has_kind(value, KINDS[key]) or (value is None and key in NULLABLE)):
@@ -199,6 +208,8 @@ def _check_value(key: str, value):
         raise ConfigError(f"{key} must be >= 1, got {value}")
     if key == "tolerance" and value <= 0:
         raise ConfigError(f"{key} must be positive, got {value}")
+    if key == "expect_verdict" and value not in (*VERDICTS, None):
+        raise ConfigError(f"{key} must be one of {', '.join(VERDICTS)} or null, got {value!r}")
 
 
 @contextmanager
@@ -370,8 +381,8 @@ def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 
     ratios_full = chiQ_norm_ratio(space.exponent, fam_full)
     ratios_prev = chiQ_norm_ratio(space.exponent, fam_prev)
-    spread_full = ratios_full.max_value / ratios_full.min_value
-    spread_prev = ratios_prev.max_value / ratios_prev.min_value
+    spread_full = ratios_full.value / min(ratios_full.per_cube)
+    spread_prev = ratios_prev.value / min(ratios_prev.per_cube)
     drift = abs(spread_full / spread_prev - 1.0)
 
     rows = [
@@ -402,7 +413,7 @@ def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         rep = ap_constant(w, p, fam)
         values.append(rep.value)
         rows.append(row("weight-constants", f"ap_sup[level={level}]", rep.value, None, "info", rep.argmax))
-    verdict = classify_growth(values)
+    verdict = trend_verdict(values)
     expect = cfg.get("expect_verdict")
     growth = values[-1] / values[-2] - 1.0 if len(values) > 1 else 0.0
     rows.append(

@@ -61,7 +61,7 @@ from .errors import (
     OutOfDomain,
     TailTooLarge,
 )
-from .grid import Cube, CubeFamily, Grid, GridFunction
+from .grid import Cube, CubeFamily, Grid, GridFunction, trend_verdict
 from .operators import KernelSpec, OperatorHandle, commutator, kernel_tensor
 from .spaces import SpaceSpec, associate, chi_norms, norm
 
@@ -614,11 +614,11 @@ def verify_master_chain(
 class NecessityReport:
     """Chain results over a family with stability verdicts.
 
-    ratio_by_level maps generation -> max oscillation ratio; the verdicts
-    read "stable" (total drift of the per-level maxima within 10%, or all zero),
-    "growing" (strictly increasing with more than 25% total rise), or
-    "undetermined". sup_bound_ratio is None when no cube kept its P dilate
-    inside the box.
+    ratio_by_level maps generation -> max oscillation ratio, and
+    probe_by_level generation -> max commutator probe norm; each verdict is
+    grid.trend_verdict of those maxima in level order: "stable", "growing"
+    or "undetermined". sup_bound_ratio is None when no cube kept its P
+    dilate inside the box.
     """
 
     per_cube: tuple[ChainReport, ...]
@@ -632,21 +632,6 @@ class NecessityReport:
     sup_probe: float
     sup_bound_ratio: float | None
     provenance: str
-
-
-def _trend_verdict(by_level: dict[int, float]) -> str:
-    levels = sorted(by_level)
-    vals = [by_level[l] for l in levels]
-    if len(vals) >= 2 and max(vals) == 0.0:
-        return "stable"  # no oscillation at any level
-    if len(vals) < 2 or min(vals) <= 0:
-        return "undetermined"
-    total = vals[-1] / vals[0] - 1.0
-    if all(b > a for a, b in zip(vals, vals[1:])) and total > 0.25:
-        return "growing"
-    if max(vals) / min(vals) - 1.0 <= 0.10:
-        return "stable"
-    return "undetermined"
 
 
 def necessity_experiment(
@@ -672,14 +657,15 @@ def necessity_experiment(
         ratio_by[lvl] = max(ratio_by.get(lvl, 0.0), rep.oscillation_ratio)
         probe_by[lvl] = max(probe_by.get(lvl, 0.0), rep.probe_norm)
     bounds = [rep.bound_ratio for rep in reports if rep.bound_ratio is not None]
+    ordered = sorted(ratio_by)
     return NecessityReport(
         per_cube=tuple(reports),
         ratios=tuple(rep.oscillation_ratio for rep in reports),
         probe_norms=tuple(rep.probe_norm for rep in reports),
         ratio_by_level=ratio_by,
         probe_by_level=probe_by,
-        ratio_verdict=_trend_verdict(ratio_by),
-        probe_verdict=_trend_verdict(probe_by),
+        ratio_verdict=trend_verdict([ratio_by[lvl] for lvl in ordered]),
+        probe_verdict=trend_verdict([probe_by[lvl] for lvl in ordered]),
         sup_ratio=float(max(rep.oscillation_ratio for rep in reports)),
         sup_probe=float(max(rep.probe_norm for rep in reports)),
         sup_bound_ratio=float(max(bounds)) if bounds else None,

@@ -354,7 +354,7 @@ class CubeFamily:
     def check_grid(self, grid: Grid):
         """Raise GridMismatch unless `grid` is the grid the family was built on."""
         if grid != self.grid:
-            raise GridMismatch(f"{self.provenance} family was built on another grid")
+            raise GridMismatch(f"{self.provenance} family was built on {self.grid}, not on {grid}")
 
     def by_level(self) -> dict[int, list[Cube]]:
         if self.levels is None:
@@ -448,6 +448,30 @@ class FamilySup:
         """per_cube holds one value per family cube, in family order."""
         arg = int(np.argmax(per_cube))
         return cls(float(per_cube[arg]), family.cubes[arg], tuple(per_cube), family.provenance)
+
+
+VERDICTS = ("stable", "growing", "undetermined")
+
+
+def trend_verdict(values: Sequence[float]) -> str:
+    """Read per-level family maxima, in level order, as one of VERDICTS.
+
+    "stable" when every value is zero, when max/min - 1 <= 10%, or when the
+    last step rises less than 5%; "growing" when strictly increasing with a
+    total rise above 25%; "undetermined" otherwise. Fewer than two levels,
+    or a value <= 0 among nonzero ones, read "undetermined" first.
+    """
+    if len(values) < 2:
+        return "undetermined"
+    if not any(values):
+        return "stable"  # no oscillation at any level
+    if min(values) <= 0:
+        return "undetermined"
+    if max(values) / min(values) - 1.0 <= 0.10 or values[-1] / values[-2] - 1.0 < 0.05:
+        return "stable"
+    if all(b > a for a, b in zip(values, values[1:])) and values[-1] / values[0] - 1.0 > 0.25:
+        return "growing"
+    return "undetermined"
 
 
 def enumerate_dyadic(

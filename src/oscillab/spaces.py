@@ -14,7 +14,6 @@ its Hoelder defect can exceed 1 (1.01647 has been measured; ROADMAP item 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -298,7 +297,10 @@ def chi_norms(space: SpaceSpec, family: CubeFamily) -> list[float]:
     block sums from the family's cell index, and one Newton solve over the
     rows of each group of equal-shaped cubes for Variable."""
     if space.grid is not None:
-        family.check_grid(space.grid)
+        try:
+            family.check_grid(space.grid)
+        except GridMismatch as e:
+            raise GridMismatch(f"{space!r}: {e}") from None
     return space._chi_norms(family)
 
 
@@ -395,18 +397,7 @@ def condition_bilinear(
     return _condition((X1, X2), Y, alpha, family)
 
 
-@dataclass(frozen=True)
-class NormRatioReport:
-    """Extremes of ||chi_Q|| / |Q|^(1/p_Q) over a family."""
-
-    min_value: float
-    max_value: float
-    argmin: Cube
-    argmax: Cube
-    per_cube: tuple[float, ...]
-
-
-def chiQ_norm_ratio(exponent: ExponentFunction, family: CubeFamily) -> NormRatioReport:
+def chiQ_norm_ratio(exponent: ExponentFunction, family: CubeFamily) -> FamilySup:
     """Ratios ||chi_Q||_p(.) / |Q|^(1/p_Q) with 1/p_Q the cube mean of 1/p.
 
     For log-Hoelder-regular exponents the ratios stay pinched near 1; wild
@@ -415,9 +406,4 @@ def chiQ_norm_ratio(exponent: ExponentFunction, family: CubeFamily) -> NormRatio
     family.check_grid(exponent.grid)
     p_q = [1.0 / m for m in family.means(1.0 / exponent.values).tolist()]
     chis = chi_norms(Variable(exponent), family)
-    vals = [chi / meas ** (1.0 / pq) for chi, meas, pq in zip(chis, family.measures, p_q)]
-    lo = int(np.argmin(vals))
-    hi = int(np.argmax(vals))
-    return NormRatioReport(
-        float(vals[lo]), float(vals[hi]), family.cubes[lo], family.cubes[hi], tuple(vals)
-    )
+    return FamilySup.of(family, [chi / meas ** (1.0 / pq) for chi, meas, pq in zip(chis, family.measures, p_q)])

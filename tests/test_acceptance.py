@@ -42,8 +42,8 @@ from oscillab.extraction import (
     select_geometry,
     verify_master_chain,
 )
+from oscillab.grid import trend_verdict
 from oscillab.spaces import chi_norm, condition_linear, luxemburg_norm, norm
-from oscillab.util import classify_growth, growth_steps
 from oscillab.weights import ap_constant, ap_duality_gap
 
 
@@ -165,14 +165,11 @@ def test_criterion_05_weight_dichotomy():
         values[wname] = vals
     stable_growth = values["power:0.5"][-1] / values["power:0.5"][-2] - 1.0
     assert stable_growth < 0.05
-    assert classify_growth(values["power:0.5"]) == "stable"
-    assert all(s > 0.5 for s in growth_steps(values["power:3"]))
-    assert classify_growth(values["power:3"]) == "growing"
-    report(
-        5,
-        f"|x|^0.5 growth {stable_growth:.2%}, "
-        f"|x|^3 steps {['%.0f%%' % (100 * s) for s in growth_steps(values['power:3'])]}",
-    )
+    assert trend_verdict(values["power:0.5"]) == "stable"
+    steps = [(b - a) / a for a, b in zip(values["power:3"], values["power:3"][1:])]
+    assert all(s > 0.5 for s in steps)
+    assert trend_verdict(values["power:3"]) == "growing"
+    report(5, f"|x|^0.5 growth {stable_growth:.2%}, |x|^3 steps {['%.0f%%' % (100 * s) for s in steps]}")
 
 
 def test_criterion_06_pointwise_domination():

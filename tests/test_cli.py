@@ -213,6 +213,43 @@ def test_necessity_constant_symbol_is_stable(tmp_path):
     assert verdict["verdict"] == "pass"
 
 
+def test_expect_verdict_outside_the_three_exits_2(tmp_path, capsys):
+    """trend_verdict returns stable, growing or undetermined; any other
+    expectation could never pass, so it is a config error, not a fail row."""
+    cfg = write_config(tmp_path, experiment="weight-constants", seed=1, expect_verdict="flat")
+    assert run_in(tmp_path, "run", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: expect_verdict") and err.count("\n") == 1
+    assert all(v in err for v in ("stable", "growing", "undetermined"))
+    assert not (tmp_path / "report.csv").exists()
+
+
+def _growth_verdict(tmp_path, **kv):
+    cfg = write_config(tmp_path, experiment="weight-constants", seed=1, **kv)
+    assert run_in(tmp_path, "run", cfg) == 0
+    return json.loads((tmp_path / "report.json").read_text())["summaries"]["weight-constants"]["growth_verdict"]
+
+
+def test_weight_constants_reads_the_one_trend_rule(tmp_path):
+    # |x|^1.5 is outside A_2: every step rises by about 42% (29.8 ... 85.7)
+    assert _growth_verdict(tmp_path, weight="power:1.5", level_min=5, level_max=8) == "growing"
+    # |x|^-0.9 is in A_2: the sups creep up (2.79 ... 3.63), the last step by 3.3%
+    assert _growth_verdict(tmp_path, weight="power:-0.9", level_min=5, level_max=11) == "stable"
+    # one level shows no trend
+    assert _growth_verdict(tmp_path, level_min=6, level_max=6) == "undetermined"
+
+
+def test_necessity_abs_symbol_is_stable(tmp_path):
+    """|x| is Lipschitz: its oscillation ratios halve with the cube side,
+    whatever the number of modes, and read stable."""
+    cfg = write_config(tmp_path, experiment="necessity", seed=0, symbol="abs", n_per_axis=5)
+    assert run_in(tmp_path, "run", cfg) == 0
+    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
+    (verdict,) = [r for r in rows if r["quantity"].startswith("ratio_verdict")]
+    assert verdict["quantity"] == "ratio_verdict[abs=stable]"
+    assert verdict["verdict"] == "pass"
+
+
 def test_list_fixtures_names_exactly_the_accepted_values(capsys):
     """Every name `list-fixtures` prints is accepted as a config value, with a
     sample for each <param>, and names it does not print are refused."""

@@ -31,6 +31,7 @@ from oscillab import (
     cube_slices,
     enumerate_dyadic,
     norm,
+    trend_verdict,
 )
 from oscillab import extraction, fixtures, spaces
 from oscillab import grid as grid_module
@@ -38,7 +39,6 @@ from oscillab.bmo import symbol_library
 from oscillab.extraction import (
     ChainCube,
     ExtractionGeometry,
-    _trend_verdict,
     _unit_ball_points,
     build_test_functions,
     fourier_reciprocal,
@@ -489,16 +489,42 @@ def test_chain_refuses_an_input_space_on_another_grid(make):
     assert str(info.value).startswith(f"{q}, norms: ")
 
 
+def test_grid_mismatch_names_the_space_and_both_grids():
+    b, geo, q = _bilinear_1d_cube()
+    exp = fourier_reciprocal(BIRIESZ, geo, 5, tol=1e-2)
+    other = Weighted(2.0, fixtures.make_weight("power:0.5", Grid((-6.0,), (6.0,), 256)))
+    with pytest.raises(GridMismatch) as info:
+        verify_master_chain(b, OperatorHandle(BIRIESZ), (Lebesgue(4.0), other), Lebesgue(2.0), q, geo, exp)
+    assert str(info.value) == (
+        f"{q}, norms: Weighted(2, w on (256,)): explicit family was built on "
+        f"{b.grid}, not on {other.grid}"
+    )
+    assert "m=512" in str(b.grid) and "m=256" in str(other.grid)
+
+
 # ---- trend classification and the necessity report ----
 
 
 def test_trend_verdict_rules():
-    assert _trend_verdict({2: 1.0, 3: 1.02, 4: 0.98}) == "stable"
-    assert _trend_verdict({2: 1.0, 3: 1.4, 4: 2.0}) == "growing"
-    assert _trend_verdict({2: 1.0, 3: 1.18}) == "undetermined"  # 18% drift, not monotone enough
-    assert _trend_verdict({2: 1.0}) == "undetermined"
-    assert _trend_verdict({2: 0.0, 3: 1.0}) == "undetermined"
-    assert _trend_verdict({2: 0.0, 3: 0.0}) == "stable"  # flat at zero: a constant symbol
+    assert trend_verdict([1.0, 1.02, 0.98]) == "stable"
+    assert trend_verdict([1.0, 1.4, 2.0]) == "growing"
+    assert trend_verdict([1.0, 1.18]) == "undetermined"  # 18% drift, not monotone enough
+    assert trend_verdict([1.0]) == "undetermined"
+    assert trend_verdict([0.0, 1.0]) == "undetermined"
+    assert trend_verdict([0.0, 0.0]) == "stable"  # flat at zero: a constant symbol
+
+
+def test_trend_verdict_joins_the_last_step_and_the_spread():
+    # a last step below +5% reads stable whatever the spread
+    assert trend_verdict([1.0, 2.0, 2.04]) == "stable"
+    assert trend_verdict([4.0, 2.0, 1.0, 0.5]) == "stable"
+    # each step above +5% but under 25% in total: no verdict
+    assert trend_verdict([1.0, 1.06, 1.13, 1.2]) == "undetermined"
+    # a rise of 44% that dips on the way: no verdict
+    assert trend_verdict([1.0, 1.3, 1.2, 1.44]) == "undetermined"
+    assert trend_verdict([1.0, 1.1, 1.25, 1.4]) == "growing"
+    assert trend_verdict([]) == "undetermined"
+    assert trend_verdict([1.0, -1.0]) == "undetermined"
 
 
 def test_necessity_contrast_linear():

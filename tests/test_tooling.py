@@ -65,6 +65,13 @@ def test_runner_and_defaults_name_the_same_experiments():
     assert set(cli.RUNNERS) == set(cli.EXP_DEFAULTS)
 
 
+def test_every_expect_verdict_default_is_a_verdict():
+    defaults = [d["expect_verdict"] for d in cli.EXP_DEFAULTS.values() if "expect_verdict" in d]
+    assert defaults
+    assert set(cli.VERDICTS) == {"stable", "growing", "undetermined"}
+    assert set(defaults) <= set(cli.VERDICTS)
+
+
 def test_a_run_imports_no_scipy(tmp_path):
     """numpy is the only dependency: a chain run (n_per_axis 5 is the
     smallest whose 1/K expansion meets the chain's residual tolerance) and a
