@@ -35,7 +35,6 @@ from .grid import (
     GridFunction,
     centered_family,
     cube_average,
-    cube_cell_count,
     cube_measure,
     cube_slices,
     enumerate_dyadic,
@@ -61,7 +60,7 @@ from .spaces import (
     luxemburg_norm,
     norm,
 )
-from .weights import ap_constant, ap_cube, ap_duality_gap, apq_constant
+from .weights import ap_constant, ap_duality_gap, apq_constant
 from .operators import (
     KernelSpec,
     OperatorHandle,
@@ -77,7 +76,7 @@ from .operators import (
     operator_norm_estimate,
     singular_integral,
 )
-from .bmo import bmo_seminorm, mean_oscillation, mean_oscillation_shifted, symbol_library
+from .bmo import bmo_seminorm
 from .extraction import (
     ChainCube,
     ExtractionGeometry,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, fixtures
 from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, MeanZeroViolation, OscillabError
-from .extraction import fourier_reciprocal, necessity_experiment, select_geometry, verify_master_chain
+from .extraction import FourierExpansion, NecessityReport, fourier_reciprocal, necessity_experiment, select_geometry
 from .grid import (
     VERDICTS,
     Cube,
@@ -273,11 +273,14 @@ class ScopedConfig:
 
     def validate(self) -> tuple[str, ...]:
         """Build the grid and every fixture the keys name, refuse a
-        weight-constants level range that would run no level, and return
-        the space keys the experiment reads."""
+        weight-constants level range that would run no level and a norms
+        level_max with no level below it, and return the space keys the
+        experiment reads."""
         lmin, lmax = self.get("level_min"), self.get("level_max")
         if self.experiment == "weight-constants" and not 0 <= lmin <= lmax:
             raise ConfigError(f"weight-constants needs 0 <= level_min <= level_max, got {lmin}..{lmax}")
+        if self.experiment == "norms" and lmax < 1:
+            raise ConfigError(f"norms compares levels 0..level_max with 0..level_max-1, so needs level_max >= 1, got {lmax}")
         grid = self.grid()
         built = {key: self.fixture(key, grid) for key in self.values}
         return self.space_keys(built.get("kernel"))
@@ -359,7 +362,7 @@ def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         space = Variable(cfg.fixture("exponent", grid))
     lmax = cfg.get("level_max")
     with _naming("level_max"):
-        fam_full, fam_prev = enumerate_dyadic(grid, 0, lmax), enumerate_dyadic(grid, 0, lmax - 1)
+        fam = enumerate_dyadic(grid, 0, lmax)
 
     worst_closed = 0.0
     worst_hom = 0.0
@@ -379,17 +382,18 @@ def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         )
         worst_mod = max(worst_mod, abs(modular - 1.0))
 
-    ratios_full = chiQ_norm_ratio(space.exponent, fam_full)
-    ratios_prev = chiQ_norm_ratio(space.exponent, fam_prev)
-    spread_full = ratios_full.value / min(ratios_full.per_cube)
-    spread_prev = ratios_prev.value / min(ratios_prev.per_cube)
-    drift = abs(spread_full / spread_prev - 1.0)
+    # a Newton row never mixes with another, so the rows of levels below
+    # lmax are the ratios of the family 0..lmax-1
+    ratios = chiQ_norm_ratio(space.exponent, fam)
+    prev = [r for r, level in zip(ratios.per_cube, fam.levels) if level < lmax]
+    spread_full = ratios.value / min(ratios.per_cube)
+    drift = abs(spread_full / (max(prev) / min(prev)) - 1.0)
 
     rows = [
         row("norms", "luxemburg_vs_closed_form_rel", worst_closed, 1e-6, _check(worst_closed <= 1e-6)),
         row("norms", "homogeneity_defect_rel", worst_hom, 1e-8, _check(worst_hom <= 1e-8)),
         row("norms", "unit_modular_defect", worst_mod, 1e-8, _check(worst_mod <= 1e-8)),
-        row("norms", "indicator_ratio_spread", spread_full, None, "info", ratios_full.argmax),
+        row("norms", "indicator_ratio_spread", spread_full, None, "info", ratios.argmax),
         row("norms", "indicator_ratio_drift", drift, 0.02, _check(drift <= 0.02)),
     ]
     summary = {"indicator_ratio_spread": spread_full, "indicator_ratio_drift": drift}
@@ -576,26 +580,26 @@ def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     return rows, summary
 
 
-def _chain_setup(cfg: ScopedConfig):
+def _chain(cfg: ScopedConfig) -> tuple[GridFunction, FourierExpansion, NecessityReport]:
+    """The symbol, the 1/K expansion, and one chain pass over the family."""
     grid = cfg.grid()
     kernel = cfg.fixture("kernel", grid)
-    T = OperatorHandle(kernel)
     b = cfg.fixture("symbol", grid)
     Xs, Y = cfg.spaces(grid, kernel)
     fam = cfg.family(grid)
     with _naming("delta"):
         geometry = select_geometry(kernel, float(cfg.get("delta")))
     expansion = fourier_reciprocal(kernel, geometry, int(cfg.get("n_per_axis")), tol=_EPS_TOL)
-    return T, b, Xs, Y, fam, geometry, expansion
+    return b, expansion, necessity_experiment(b, OperatorHandle(kernel), Xs, Y, fam, geometry, expansion)
 
 
 def run_chain(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
-    T, b, Xs, Y, fam, geometry, expansion = _chain_setup(cfg)
+    b, expansion, report = _chain(cfg)
     rows = [row("chain", "fourier_residual", expansion.epsilon, _EPS_TOL, _check(expansion.epsilon <= _EPS_TOL))]
     constant_symbol = bool(np.all(b.values == b.values.flat[0]))
     worst_gap = 0.0
-    for q in fam:
-        rep = verify_master_chain(b, T, Xs, Y, q, geometry, expansion)
+    for rep in report.per_cube:
+        q = rep.cube
         rows.append(row("chain", "stage_i", rep.stage_i, None, "info", q))
         rows.append(row("chain", "stage_iii", rep.stage_iii, None, "info", q))
         if constant_symbol:
@@ -611,16 +615,13 @@ def run_chain(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         rows.append(row("chain", "ordering_holder", rep.gap_34, None, _check(rep.gap_34 >= -1e-9 * scale), q))
         if rep.stage_v is not None:
             rows.append(row("chain", "ordering_probe_bound", rep.gap_45, None, _check(rep.gap_45 >= -1e-9 * max(rep.stage_v, 1e-300)), q))
-    summary = {"epsilon": expansion.epsilon, "l1_total": expansion.l1_total, "worst_rel_gap": worst_gap, "cubes": len(fam)}
+    summary = {"epsilon": expansion.epsilon, "l1_total": expansion.l1_total, "worst_rel_gap": worst_gap, "cubes": len(report.per_cube)}
     return rows, summary
 
 
 def run_necessity(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
-    T, b, Xs, Y, fam, geometry, expansion = _chain_setup(cfg)
-    rep = necessity_experiment(b, T, Xs, Y, fam, geometry, expansion)
-    rows = []
-    for q, ratio in zip(fam.cubes, rep.ratios):
-        rows.append(row("necessity", "oscillation_ratio", ratio, None, "info", q))
+    _, _, rep = _chain(cfg)
+    rows = [row("necessity", "oscillation_ratio", c.oscillation_ratio, None, "info", c.cube) for c in rep.per_cube]
     for level in sorted(rep.ratio_by_level):
         rows.append(row("necessity", f"oscillation_ratio_max[level={level}]", rep.ratio_by_level[level], None, "info"))
     for level in sorted(rep.probe_by_level):
@@ -640,12 +641,13 @@ def run_necessity(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     )
     if rep.sup_bound_ratio is not None:
         rows.append(row("necessity", "bound_ratio_sup", rep.sup_bound_ratio, None, "info"))
-    rows.append(row("necessity", "probe_norm_sup", rep.sup_probe, None, "info"))
+    sup_probe = max(rep.probe_by_level.values())
+    rows.append(row("necessity", "probe_norm_sup", sup_probe, None, "info"))
     summary = {
         "ratio_verdict": rep.ratio_verdict,
         "probe_verdict": rep.probe_verdict,
-        "sup_ratio": rep.sup_ratio,
-        "sup_probe": rep.sup_probe,
+        "sup_ratio": max(rep.ratio_by_level.values()),
+        "sup_probe": sup_probe,
         "ratio_by_level": {str(k): v for k, v in rep.ratio_by_level.items()},
     }
     return rows, summary
@@ -680,6 +682,17 @@ def execute(config: ExperimentConfig) -> tuple[list[ReportRow], dict, int]:
         summaries[name] = summary
     failed = any(r.verdict == "fail" for r in all_rows)
     return all_rows, summaries, 1 if failed else 0
+
+
+def _check_report_paths(config: ExperimentConfig, config_path: str):
+    """Refuse report paths that name one file, or the config file being run;
+    real paths are compared, so a link or a relative path is seen through."""
+    csv_path, json_path = (os.path.realpath(config.get(key)) for key in ("csv_path", "json_path"))
+    if csv_path == json_path:
+        raise ConfigError(f"csv_path and json_path both name {csv_path!r}")
+    for key, path in (("csv_path", csv_path), ("json_path", json_path)):
+        if path == os.path.realpath(config_path):
+            raise ConfigError(f"{key}: {config.get(key)!r} is the config file being run")
 
 
 def _open_reports(config: ExperimentConfig):
@@ -757,6 +770,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         config = ExperimentConfig(_apply_overrides(data, args.set))
+        _check_report_paths(config, args.config)
         rows, summaries, code = execute(config)
         csv_path, json_path = write_reports(rows, summaries, config)
     except ConfigError as e:

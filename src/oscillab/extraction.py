@@ -32,8 +32,10 @@ bounded mean oscillation" into per-cube arithmetic:
          and indicator norms of the fixed dilate P of Q
 
    reporting every stage, every gap, and the truncation-error budget.
-5. `necessity_experiment` runs the chain over a cube family and classifies
-   the per-cube oscillation ratios as stable or growing.
+5. `necessity_experiment` runs the chain once over a cube family, keeps
+   every cube's report, and reads the per-level maxima of the oscillation
+   ratios and probe norms as stable or growing. Both the `chain` and the
+   `necessity` experiment read their rows from this one pass.
 
 Cell conventions follow `grid`: all measures are cell counts times h^n, and
 stage prefactors use those exact counts, so stages (i) and (ii) agree to
@@ -463,7 +465,6 @@ class ChainReport:
     stage_i: float
     stage_ii: float
     stage_iii: float
-    stage_iii_imag: float
     stage_iv: float
     stage_v: float | None
     gap_12: float
@@ -474,8 +475,6 @@ class ChainReport:
     probe_norm: float
     oscillation_ratio: float
     bound_ratio: float | None
-    n_modes: int
-    epsilon: float
     geometry_checks: dict
     min_kernel_on_offsets: float
 
@@ -589,7 +588,6 @@ def verify_master_chain(
         stage_i=stage_i,
         stage_ii=stage_ii,
         stage_iii=float(stage_iii_c.real),
-        stage_iii_imag=float(stage_iii_c.imag),
         stage_iv=stage_iv,
         stage_v=stage_v,
         gap_12=abs(stage_i - stage_ii),
@@ -600,8 +598,6 @@ def verify_master_chain(
         probe_norm=probe_norm,
         oscillation_ratio=stage_i / meas_q,
         bound_ratio=None if stage_v is None else stage_v / meas_q,
-        n_modes=expansion.N,
-        epsilon=expansion.epsilon,
         geometry_checks=checks,
         min_kernel_on_offsets=min_k,
     )
@@ -612,26 +608,23 @@ def verify_master_chain(
 
 @dataclass(frozen=True)
 class NecessityReport:
-    """Chain results over a family with stability verdicts.
+    """One chain pass over a family, with stability verdicts.
 
-    ratio_by_level maps generation -> max oscillation ratio, and
-    probe_by_level generation -> max commutator probe norm; each verdict is
-    grid.trend_verdict of those maxima in level order: "stable", "growing"
-    or "undetermined". sup_bound_ratio is None when no cube kept its P
-    dilate inside the box.
+    per_cube holds each cube's ChainReport in family order, and every
+    per-cube number is read from there. ratio_by_level maps generation ->
+    max oscillation ratio, and probe_by_level generation -> max commutator
+    probe norm, so a family maximum is the max of their values; each verdict
+    is grid.trend_verdict of those maxima in level order: "stable",
+    "growing" or "undetermined". sup_bound_ratio is None when no cube kept
+    its P dilate inside the box.
     """
 
     per_cube: tuple[ChainReport, ...]
-    ratios: tuple[float, ...]
-    probe_norms: tuple[float, ...]
     ratio_by_level: dict[int, float]
     probe_by_level: dict[int, float]
     ratio_verdict: str
     probe_verdict: str
-    sup_ratio: float
-    sup_probe: float
     sup_bound_ratio: float | None
-    provenance: str
 
 
 def necessity_experiment(
@@ -660,14 +653,9 @@ def necessity_experiment(
     ordered = sorted(ratio_by)
     return NecessityReport(
         per_cube=tuple(reports),
-        ratios=tuple(rep.oscillation_ratio for rep in reports),
-        probe_norms=tuple(rep.probe_norm for rep in reports),
         ratio_by_level=ratio_by,
         probe_by_level=probe_by,
         ratio_verdict=trend_verdict([ratio_by[lvl] for lvl in ordered]),
         probe_verdict=trend_verdict([probe_by[lvl] for lvl in ordered]),
-        sup_ratio=float(max(rep.oscillation_ratio for rep in reports)),
-        sup_probe=float(max(rep.probe_norm for rep in reports)),
         sup_bound_ratio=float(max(bounds)) if bounds else None,
-        provenance=family.provenance,
     )

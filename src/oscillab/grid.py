@@ -188,15 +188,9 @@ def cube_slices(grid: Grid, cube: Cube) -> tuple[slice, ...]:
     return tuple(slice(k0, k1 + 1) for k0, k1 in cube_index_ranges(grid, cube))
 
 
-def cube_cell_count(grid: Grid, cube: Cube) -> int:
-    return int(
-        np.prod([k1 - k0 + 1 for k0, k1 in cube_index_ranges(grid, cube)])
-    )
-
-
 def cube_measure(grid: Grid, cube: Cube) -> float:
     """Cell-counted measure |Q| = (number of member cells) * h^n."""
-    return cube_cell_count(grid, cube) * grid.cell_volume
+    return int(np.prod([k1 - k0 + 1 for k0, k1 in cube_index_ranges(grid, cube)])) * grid.cell_volume
 
 
 class GridFunction:
@@ -355,14 +349,6 @@ class CubeFamily:
         """Raise GridMismatch unless `grid` is the grid the family was built on."""
         if grid != self.grid:
             raise GridMismatch(f"{self.provenance} family was built on {self.grid}, not on {grid}")
-
-    def by_level(self) -> dict[int, list[Cube]]:
-        if self.levels is None:
-            return {0: list(self.cubes)}
-        out: dict[int, list[Cube]] = {}
-        for lvl, q in zip(self.levels, self.cubes):
-            out.setdefault(lvl, []).append(q)
-        return out
 
     def _cells(self, shape: tuple[int, ...], lo: np.ndarray) -> np.ndarray:
         """Row-major flat grid indices of the cells of cubes with lowest

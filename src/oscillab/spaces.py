@@ -31,7 +31,6 @@ from .grid import (
     FamilySup,
     Grid,
     GridFunction,
-    cube_slices,
 )
 
 MODULAR_TOL = 1e-10
@@ -81,11 +80,6 @@ class ExponentFunction:
         if self.p_minus <= 1.0:
             raise ConjugateUndefined(f"p'(.) undefined: p- = {self.p_minus}")
         return ExponentFunction(GridFunction(self.grid, self.values / (self.values - 1.0)))
-
-    def harmonic_mean_over(self, cube: Cube) -> float:
-        """p_Q with 1/p_Q = cell average of 1/p over Q."""
-        block = self.values[cube_slices(self.grid, cube)]
-        return 1.0 / float(np.mean(1.0 / block))
 
 
 class SpaceSpec:

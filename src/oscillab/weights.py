@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from .grid import Cube, CubeFamily, FamilySup, GridFunction, cube_slices
+from .grid import CubeFamily, FamilySup, GridFunction
 from .spaces import _check_weight, conjugate_exponent
 
 
@@ -28,15 +26,6 @@ def _family_sup(family: CubeFamily, arrays, per_cube: Callable) -> FamilySup:
     cell average over Q; the scalar arithmetic stays in Python floats."""
     averages = [family.means(a).tolist() for a in arrays]
     return FamilySup.of(family, [per_cube(*fa) for fa in zip(*averages)])
-
-
-def ap_cube(w: GridFunction, p: float, cube: Cube) -> float:
-    """A_p quantity of a single cube."""
-    pp = conjugate_exponent(p)
-    block = w.values[cube_slices(w.grid, cube)]
-    fa_w = float(np.sum(block) / block.size)
-    fa_dual = float(np.sum(block ** (1.0 - pp)) / block.size)
-    return fa_w * fa_dual ** (p - 1.0)
 
 
 def ap_constant(w: GridFunction, p: float, family: CubeFamily) -> FamilySup:

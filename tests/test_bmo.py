@@ -14,25 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab import Cube, Grid, GridFunction, centered_family, enumerate_dyadic
-from oscillab.bmo import (
-    bmo_seminorm,
-    mean_oscillation,
-    mean_oscillation_shifted,
-    symbol_library,
-)
+from oscillab.bmo import bmo_seminorm
+from oscillab.fixtures import make_symbol
+from oracles import mean_oscillation, mean_oscillation_shifted
 
 TWO_OVER_E = 0.7357588823428847
 
 
 def test_log_oscillation_root_cube():
     g = Grid((-1.0,), (1.0,), 4096)
-    b = symbol_library("log_abs", g)
+    b = make_symbol("log_abs", g)
     assert mean_oscillation(b, Cube((0.0,), 2.0)) == pytest.approx(TWO_OVER_E, rel=2e-3)
 
 
 def test_log_seminorm_sup_and_argmax():
     g = Grid((-1.0,), (1.0,), 4096)
-    b = symbol_library("log_abs", g)
+    b = make_symbol("log_abs", g)
     rep = bmo_seminorm(b, enumerate_dyadic(g, 0, 6))
     assert rep.value == pytest.approx(TWO_OVER_E, rel=2e-3)
     # the sup is achieved on a cube whose closure meets the origin
@@ -48,8 +45,8 @@ def test_log_seminorm_dilation_invariant():
     # discrete seminorm is exactly scale invariant
     g1 = Grid((-1.0,), (1.0,), 2048)
     g4 = Grid((-4.0,), (4.0,), 2048)
-    v1 = bmo_seminorm(symbol_library("log_abs", g1), enumerate_dyadic(g1, 0, 5)).value
-    v4 = bmo_seminorm(symbol_library("log_abs", g4), enumerate_dyadic(g4, 0, 5)).value
+    v1 = bmo_seminorm(make_symbol("log_abs", g1), enumerate_dyadic(g1, 0, 5)).value
+    v4 = bmo_seminorm(make_symbol("log_abs", g4), enumerate_dyadic(g4, 0, 5)).value
     assert v1 == pytest.approx(v4, rel=1e-12)
 
 
@@ -57,7 +54,7 @@ def test_sgn_log_seminorm_is_one():
     # sgn(x) log|x| on [-1,1]: odd, so the root-cube mean vanishes and the
     # oscillation is the mean of |log|x||, which integrates to 1
     g = Grid((-1.0,), (1.0,), 4096)
-    s = symbol_library("sgn_log", g)
+    s = make_symbol("sgn_log", g)
     rep = bmo_seminorm(s, enumerate_dyadic(g, 0, 6))
     assert rep.value == pytest.approx(1.0, rel=2e-3)
     assert rep.argmax.side == pytest.approx(2.0)
@@ -65,7 +62,7 @@ def test_sgn_log_seminorm_is_one():
 
 def test_shifted_reference_triangle():
     g = Grid((-1.0,), (1.0,), 512)
-    b = symbol_library("log_abs", g)
+    b = make_symbol("log_abs", g)
     q = Cube((0.5,), 0.5)
     r = Cube((-0.5,), 0.5)
     from oscillab import cube_average
@@ -89,7 +86,7 @@ def test_one_over_x_blows_up_with_depth():
 
 def test_seminorm_on_centered_family():
     g = Grid((-1.0,), (1.0,), 2048)
-    b = symbol_library("log_abs", g)
+    b = make_symbol("log_abs", g)
     fam = centered_family(g, (0.0,), 1.5, 0, 4)
     rep = bmo_seminorm(b, fam)
     assert rep.value == pytest.approx(TWO_OVER_E, rel=5e-3)
@@ -98,25 +95,25 @@ def test_seminorm_on_centered_family():
 def test_symbol_library_values():
     g = Grid((-2.0,), (2.0,), 64)
     xs = g.meshes()[0]
-    assert np.array_equal(symbol_library("abs", g).values, np.abs(xs))
-    assert np.all(symbol_library("constant:2.5", g).values == 2.5)
-    assert np.allclose(symbol_library("log_abs", g).values, np.log(np.abs(xs)))
-    s = symbol_library("sgn_log", g)
+    assert np.array_equal(make_symbol("abs", g).values, np.abs(xs))
+    assert np.all(make_symbol("constant:2.5", g).values == 2.5)
+    assert np.allclose(make_symbol("log_abs", g).values, np.log(np.abs(xs)))
+    s = make_symbol("sgn_log", g)
     assert np.allclose(s.values, np.sign(xs) * np.log(np.abs(xs)))
     with pytest.raises(ValueError):
-        symbol_library("witch_of_agnesi", g)
+        make_symbol("witch_of_agnesi", g)
 
 
 def test_symbol_library_rejects_origin_cell_center():
     g = Grid((-1.0,), (1.0,), 5)  # odd m puts a cell center at 0
     with pytest.raises(ValueError):
-        symbol_library("log_abs", g)
-    symbol_library("abs", g)  # fine, no singularity
+        make_symbol("log_abs", g)
+    make_symbol("abs", g)  # fine, no singularity
 
 
 def test_symbol_library_2d():
     g = Grid((-1.0, -1.0), (1.0, 1.0), 32)
-    b = symbol_library("log_abs", g)
+    b = make_symbol("log_abs", g)
     xs, ys = g.meshes()
     assert np.allclose(b.values, 0.5 * np.log(xs * xs + ys * ys))
 

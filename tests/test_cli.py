@@ -135,6 +135,7 @@ _ALSO_SET = {("chain", "space_x2"): {"kernel": "hilbert"}}
         ("norms", "trials", 0),
         ("maximal", "trials", -1),
         ("norms", "level_max", -1),
+        ("norms", "level_max", 0),
         ("conditions", "level_max", -1),
         ("maximal", "level_max", -1),
         ("necessity", "level_max", -1),
@@ -158,6 +159,10 @@ _ALSO_SET = {("chain", "space_x2"): {"kernel": "hilbert"}}
         ("all", "levle_max", 5),
         ("conditions", "csv_path", "/nonexistent/x.csv"),
         ("conditions", "json_path", "/nonexistent/x.json"),
+        # one file for both reports (csv_path defaults to report.csv), or the
+        # config being run, which write_config names cfg.json
+        ("maximal", "json_path", "report.csv"),
+        ("maximal", "csv_path", "./cfg.json"),
         ("weight-constants", "p", 1),
         ("chain", "delta", 2),
         ("conditions", "tolerance", 0),
@@ -299,6 +304,79 @@ def test_byte_identical_reruns(tmp_path):
     first = (tmp_path / "a.csv").read_bytes()
     assert run_in(tmp_path, "run", cfg) == 0
     assert (tmp_path / "a.csv").read_bytes() == first
+
+
+def _counting(monkeypatch, name, module_names):
+    """Wrap the function `name` at each module that binds it and return the
+    list its calls are appended to."""
+    import importlib
+
+    modules = [importlib.import_module(m) for m in module_names]
+    original = getattr(modules[0], name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_chain_runs_one_pass_through_necessity_experiment(tmp_path, monkeypatch):
+    """`chain` reads its rows from one necessity_experiment pass, which runs
+    the chain once on each family cube; cli holds no chain loop of its own."""
+    from oscillab import cli
+
+    passes = _counting(monkeypatch, "necessity_experiment", ("oscillab.extraction", "oscillab.cli"))
+    cubes = _counting(monkeypatch, "verify_master_chain", ("oscillab.extraction", "oscillab.cli"))
+    cfg = write_config(tmp_path, experiment="chain", seed=0, n_per_axis=5, level_max=2)
+    assert run_in(tmp_path, "run", cfg) == 0
+    assert len(passes) == 1
+    family = passes[0][4]
+    assert len(family) == 4
+    assert [args[4] for args in cubes] == list(family)
+    assert not hasattr(cli, "verify_master_chain")
+    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
+    assert sum(r["quantity"] == "stage_i" for r in rows) == 4
+
+
+def test_norms_solves_one_family_with_the_two_family_drift(tmp_path, monkeypatch):
+    """The drift reads the levels below level_max from the one family's rows;
+    it equals, bit for bit, the spread ratio of two separately solved
+    families 0..6 and 0..5."""
+    from oscillab import Grid, chiQ_norm_ratio, enumerate_dyadic, fixtures
+
+    calls = _counting(monkeypatch, "chiQ_norm_ratio", ("oscillab.spaces", "oscillab.cli"))
+    cfg = write_config(tmp_path, experiment="norms", seed=3, trials=2, m=256, level_max=6)
+    assert run_in(tmp_path, "run", cfg) == 0
+    assert len(calls) == 1
+    summary = json.loads((tmp_path / "report.json").read_text())["summaries"]["norms"]
+
+    g = Grid((-1.0,), (1.0,), 256)
+    exponent = fixtures.make_exponent("arctan_profile", g)
+    full, prev = (chiQ_norm_ratio(exponent, enumerate_dyadic(g, 0, lmax)) for lmax in (6, 5))
+    spread_full = full.value / min(full.per_cube)
+    spread_prev = prev.value / min(prev.per_cube)
+    assert summary["indicator_ratio_spread"] == spread_full
+    assert summary["indicator_ratio_drift"] == abs(spread_full / spread_prev - 1.0)
+
+
+@pytest.mark.parametrize("key", ["csv_path", "json_path"])
+def test_report_path_linked_to_the_config_exits_2(tmp_path, capsys, key):
+    """Real paths are compared, so a --set path that reaches the config file
+    through a symbolic link is refused, and the config is left as it was."""
+    cfg = write_config(tmp_path, experiment="maximal", seed=0, trials=1)
+    before = (tmp_path / "cfg.json").read_bytes()
+    (tmp_path / "link.json").symlink_to(tmp_path / "cfg.json")
+    assert run_in(tmp_path, "run", cfg, "--set", f"{key}=link.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}:") and err.count("\n") == 1
+    assert "config file being run" in err
+    assert (tmp_path / "cfg.json").read_bytes() == before
+    assert not (tmp_path / "report.csv").exists() and not (tmp_path / "report.json").exists()
 
 
 def test_norms_experiment_smoke(tmp_path):

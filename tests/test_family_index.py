@@ -24,7 +24,6 @@ from oscillab import (
     Variable,
     Weighted,
     ap_constant,
-    ap_cube,
     ap_duality_gap,
     apq_constant,
     associate,
@@ -45,6 +44,7 @@ from oscillab import (
 )
 from oscillab import fixtures
 from oscillab.grid import _SNAP, cube_index_ranges
+from oracles import ap_cube, harmonic_mean_over
 
 
 def _family(case):
@@ -435,7 +435,7 @@ def test_indicator_ratio_bit_equal():
     ex = fixtures.make_exponent("arctan_profile", g)
     rep = chiQ_norm_ratio(ex, fam)
     want = [
-        chi_norm(Variable(ex), q) / cube_measure(g, q) ** (1.0 / ex.harmonic_mean_over(q))
+        chi_norm(Variable(ex), q) / cube_measure(g, q) ** (1.0 / harmonic_mean_over(ex, q))
         for q in fam
     ]
     assert list(rep.per_cube) == want

@@ -11,13 +11,13 @@ from oscillab import (
     OutOfDomain,
     centered_family,
     cube_average,
-    cube_cell_count,
     cube_measure,
     cube_slices,
     enumerate_dyadic,
     indicator,
     integrate,
 )
+from oracles import cube_cell_count
 
 
 def test_grid_basic_geometry():
@@ -89,17 +89,16 @@ def test_dyadic_family_counts_and_levels():
     g = Grid((-1.0,), (1.0,), 64)
     fam = enumerate_dyadic(g, 0, 3)
     assert len(fam) == 1 + 2 + 4 + 8
-    by = fam.by_level()
-    assert sorted(by) == [0, 1, 2, 3]
-    assert {q.side for q in by[2]} == {0.5}
+    assert sorted(set(fam.levels)) == [0, 1, 2, 3]
+    assert {q.side for q, level in zip(fam, fam.levels) if level == 2} == {0.5}
 
 
 def test_dyadic_children_partition_parent():
     g = Grid((-1.0, -1.0), (1.0, 1.0), 32)
     fam = enumerate_dyadic(g, 0, 2)
-    by = fam.by_level()
-    parent_cells = cube_cell_count(g, by[0][0])
-    child_cells = sum(cube_cell_count(g, q) for q in by[1])
+    assert fam.levels[0] == 0
+    parent_cells = cube_cell_count(g, fam.cubes[0])
+    child_cells = sum(cube_cell_count(g, q) for q, level in zip(fam, fam.levels) if level == 1)
     assert parent_cells == child_cells == 32 * 32
 
 

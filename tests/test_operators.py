@@ -224,7 +224,7 @@ def test_bilinear_domination():
 def test_maximal_of_indicator_is_one_inside():
     g = Grid((-1.0,), (1.0,), 64)
     fam = enumerate_dyadic(g, 0, 4)
-    q = fam.by_level()[2][1]
+    q = [c for c, level in zip(fam, fam.levels) if level == 2][1]
     m = maximal(indicator(g, q), 0.0, fam)
     inside = indicator(g, q).values == 1.0
     assert np.all(m.values[inside] == 1.0)

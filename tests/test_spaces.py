@@ -21,7 +21,6 @@ from oscillab import (
     Weighted,
     associate,
     centered_family,
-    chiQ_norm_ratio,
     chi_norm,
     chi_norms,
     condition_bilinear,

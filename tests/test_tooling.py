@@ -61,6 +61,16 @@ def test_every_workload_config_is_accepted(monkeypatch):
         cli.ExperimentConfig({**cfg, "seed": 1})
 
 
+def test_every_fixture_kind_has_the_builder_the_runner_looks_up():
+    """ScopedConfig.fixture builds a fixture by getattr(fixtures, "make_<kind>"),
+    and space_* keys reach make_space the same way."""
+    from oscillab import fixtures
+
+    missing = [kind for kind in fixtures.FIXTURES if not callable(getattr(fixtures, f"make_{kind}", None))]
+    assert missing == []
+    assert "space" in fixtures.FIXTURES
+
+
 def test_runner_and_defaults_name_the_same_experiments():
     assert set(cli.RUNNERS) == set(cli.EXP_DEFAULTS)
 

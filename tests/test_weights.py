@@ -14,11 +14,11 @@ from oscillab import (
     GridFunction,
     NonPositiveWeight,
     ap_constant,
-    ap_cube,
     ap_duality_gap,
     apq_constant,
     enumerate_dyadic,
 )
+from oracles import ap_cube
 
 
 def _grid(m=4096):
