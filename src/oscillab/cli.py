@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, fixtures
 from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, MeanZeroViolation, OscillabError
-from .extraction import FourierExpansion, NecessityReport, fourier_reciprocal, necessity_experiment, select_geometry
+from .extraction import EPS_TOL, FourierExpansion, NecessityReport, fourier_reciprocal, necessity_experiment, select_geometry
 from .grid import (
     VERDICTS,
     Cube,
@@ -127,7 +127,6 @@ EXP_DEFAULTS = {
 _P_CONST = 2.5  # norms: the constant exponent checked against the closed form
 _ZERO_TOL = 1e-10  # commutator: a constant symbol commutes with T
 _ORACLE_TOL = 0.02  # commutator: the log 3 step response
-_EPS_TOL = 1e-2  # chain, necessity: the residual of the 1/K expansion
 
 # The type of each key's values: the type of its default, or listed here for
 # the keys that have none. A key in neither place is read by no experiment.
@@ -573,10 +572,10 @@ def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         rows.append(row("commutator", "step_response_at_2_rel", rel, _ORACLE_TOL, _check(rel <= _ORACLE_TOL)))
         summary["step_response"] = val
     est, cb_est = _probe_estimates(grid, T, b)
-    rows.append(row("commutator", "operator_norm_lower_bound", est.value, None, "info"))
-    summary["norm_lower_bound"] = est.value
-    rows.append(row("commutator", "commutator_norm_lower_bound", cb_est.value, None, "info"))
-    summary["commutator_lower_bound"] = cb_est.value
+    rows.append(row("commutator", "operator_norm_lower_bound", est, None, "info"))
+    summary["norm_lower_bound"] = est
+    rows.append(row("commutator", "commutator_norm_lower_bound", cb_est, None, "info"))
+    summary["commutator_lower_bound"] = cb_est
     return rows, summary
 
 
@@ -589,13 +588,13 @@ def _chain(cfg: ScopedConfig) -> tuple[GridFunction, FourierExpansion, Necessity
     fam = cfg.family(grid)
     with _naming("delta"):
         geometry = select_geometry(kernel, float(cfg.get("delta")))
-    expansion = fourier_reciprocal(kernel, geometry, int(cfg.get("n_per_axis")), tol=_EPS_TOL)
-    return b, expansion, necessity_experiment(b, OperatorHandle(kernel), Xs, Y, fam, geometry, expansion)
+    expansion = fourier_reciprocal(kernel, geometry, int(cfg.get("n_per_axis")))
+    return b, expansion, necessity_experiment(b, OperatorHandle(kernel), Xs, Y, fam, expansion)
 
 
 def run_chain(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     b, expansion, report = _chain(cfg)
-    rows = [row("chain", "fourier_residual", expansion.epsilon, _EPS_TOL, _check(expansion.epsilon <= _EPS_TOL))]
+    rows = [row("chain", "fourier_residual", expansion.epsilon, EPS_TOL, _check(expansion.epsilon <= EPS_TOL))]
     constant_symbol = bool(np.all(b.values == b.values.flat[0]))
     worst_gap = 0.0
     for rep in report.per_cube:

@@ -12,7 +12,9 @@ bounded mean oscillation" into per-cube arithmetic:
    there; a Gaussian-profile taper flattens the samples to ~0 before the
    period box repeats, and a least-squares pass over a dense ball sample
    polishes the kept coefficients (the expansion is only ever used on the
-   ball, so on-ball residual is the right target).
+   ball, so on-ball residual is the right target). The expansion keeps the
+   geometry it was fitted on and is the chain's one set-up object; it is
+   refused when its residual exceeds EPS_TOL.
 3. `build_test_functions` makes modulated indicators whose moduli are plain
    cube indicators, so their norms match the norms of their supports, and
    the block of h on the cells of Q, where alone h is read. The cells,
@@ -20,7 +22,8 @@ bounded mean oscillation" into per-cube arithmetic:
    made once per cube before the mode loop: one `CubeFamily` of Q and its
    derived cubes, whose measures, averages and indicator norms the chain
    reads too; stage (v) reads the norms of chi_P from a family of P.
-4. `verify_master_chain` evaluates the five-stage estimate chain
+4. `verify_master_chain` evaluates, on one cube and from one expansion
+   (whose geometry places the derived cubes), the five-stage estimate chain
 
    (i)   integral over Q of |b - b_{Q'}|
    (ii)  the same quantity rewritten through K * (1/K) as a double or
@@ -68,6 +71,11 @@ from .operators import KernelSpec, OperatorHandle, commutator, kernel_tensor
 from .spaces import SpaceSpec, associate, chi_norms, norm
 
 _BALL_SEED = 20240817
+# select_geometry: the least min |K| near the base point and its antipode,
+# relative to the kernel scale at the scan radius
+_MIN_KERNEL_REL = 1e-3
+# fourier_reciprocal: the largest sup residual of the 1/K expansion on its ball
+EPS_TOL = 1e-2
 
 
 # ---- Geometry ----
@@ -127,32 +135,27 @@ class ExtractionGeometry:
             q.translate([q.side * (v / self.delta) for v in block]) for block in self._blocks()
         )
 
-    def outer_cube(self, q: Cube) -> Cube:
-        return q.dilate(self.containment_factor)
-
     def p_cube(self, q: Cube) -> Cube:
         return q.dilate(2 * self.containment_factor)
 
-    def verify_for_cube(self, q: Cube) -> dict:
-        """Exact interval arithmetic for the per-cube invariants.
+    def check_cube(self, q: Cube):
+        """Raise ValueError, naming q, unless the derived cube of the
+        farthest block misses Q and every derived cube lies in the outer
+        dilate sqrt(n) (1 + 8/delta) Q.
 
-        The block of the base point with norm >= sqrt(2n) pushes its derived
-        cube at least sqrt(2n)/delta * r away, hence off Q; containment in
-        the outer dilate follows from |c| < 4 sqrt(n). Both are re-checked
-        on the actual cubes here rather than trusted.
+        The farthest block has norm >= sqrt(2n) (the annulus check of
+        __post_init__), which pushes its derived cube at least
+        sqrt(2n)/delta * r away, hence off Q; containment follows from
+        |c| < 4 sqrt(n). Both are re-checked on the actual cubes here
+        rather than trusted.
         """
         derived = self.derived_cubes(q)
-        outer = self.outer_cube(q)
-        norms = [math.sqrt(sum(v * v for v in blk)) for blk in self._blocks()]
-        far = int(np.argmax(norms))
-        checks = {
-            "far_block_norm_ok": norms[far] >= math.sqrt(2 * self.ndim),
-            "far_cube_disjoint": derived[far].disjoint_from(q),
-            "some_cube_disjoint": any(d.disjoint_from(q) for d in derived),
-            "containment": all(outer.contains_cube(d) for d in derived),
-        }
-        checks["ok"] = all(checks.values())
-        return checks
+        outer = q.dilate(self.containment_factor)
+        far = int(np.argmax([math.sqrt(sum(v * v for v in blk)) for blk in self._blocks()]))
+        if not derived[far].disjoint_from(q):
+            raise ValueError(f"derived cube {derived[far]} of {q} meets {q}")
+        if not all(outer.contains_cube(d) for d in derived):
+            raise ValueError(f"a derived cube of {q} leaves the outer dilate {outer}")
 
 
 def _unit_ball_points(D: int, count: int, seed: int = _BALL_SEED) -> np.ndarray:
@@ -178,15 +181,13 @@ def _scan_directions(D: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def select_geometry(
-    kernel: KernelSpec, delta: float, threshold_rel: float = 1e-3
-) -> ExtractionGeometry:
+def select_geometry(kernel: KernelSpec, delta: float) -> ExtractionGeometry:
     """Pick the annulus point where |K| stays largest on the validity ball.
 
     Scans a coarse direction set at radius 3 sqrt(n), measures min |K| over
     a deterministic ball sample around the candidate and its antipode
     (the expansion lives at the antipode), and keeps the best. Raises
-    KernelVanishes when no direction clears threshold_rel relative to the
+    KernelVanishes when no direction clears _MIN_KERNEL_REL relative to the
     natural kernel scale at that radius.
     """
     if not 0.0 < delta < 1.0:
@@ -208,10 +209,10 @@ def select_geometry(
         if lo > best_val:
             best_val = lo
             best_dir = c
-    if best_val < threshold_rel * scale:
+    if best_val < _MIN_KERNEL_REL * scale:
         raise KernelVanishes(
             f"kernel {kernel.name or '<anon>'}: best direction keeps only "
-            f"min|K| = {best_val:.3e} (threshold {threshold_rel * scale:.3e})"
+            f"min|K| = {best_val:.3e} (threshold {_MIN_KERNEL_REL * scale:.3e})"
         )
     return ExtractionGeometry(n, delta, tuple(float(v) for v in best_dir))
 
@@ -237,20 +238,17 @@ def _erf_window(rad: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
 @dataclass(frozen=True)
 class FourierExpansion:
     """Truncated expansion 1/K(w) ~ sum_j coeffs[j] exp(i freqs[j] . w),
-    valid on the ball B(center, radius) only.
+    valid only on the ball of radius geometry.ball_radius around
+    geometry.expansion_center, for the geometry it was fitted on.
 
     epsilon is the measured sup residual on a dense deterministic ball
-    sample; l1_tail sums the dropped |a_j| and l1_total all of them.
+    sample; l1_total sums the kept |a_j| and the dropped FFT |a_j|.
     """
 
     coeffs: np.ndarray
     freqs: np.ndarray
-    N: int
     epsilon: float
-    l1_tail: float
     l1_total: float
-    center: tuple[float, ...]
-    radius: float
     geometry: ExtractionGeometry
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -269,12 +267,7 @@ _PAD = 3.0
 _SAMPLE_COUNT = 4096
 
 
-def fourier_reciprocal(
-    kernel: KernelSpec,
-    geometry: ExtractionGeometry,
-    N_per_axis: int,
-    tol: float = 1e-5,
-) -> FourierExpansion:
+def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_axis: int) -> FourierExpansion:
     """Fourier coefficients of 1/K, valid on the expansion ball.
 
     Samples the period box (half-side _PAD ball radii, centered at the
@@ -284,7 +277,8 @@ def fourier_reciprocal(
     Modes are sorted by |a_j| descending and truncated to N_per_axis^D
     (ties keep FFT order so runs are reproducible); the kept coefficients
     are then re-fit by least squares against 1/K on a dense ball sample,
-    and the residual is measured on a second, independent sample.
+    and the residual is measured on a second, independent sample. Raises
+    TailTooLarge when that residual exceeds EPS_TOL.
     """
     if kernel.D != geometry.D or kernel.ndim != geometry.ndim:
         raise ValueError("kernel and geometry disagree on dimension")
@@ -353,21 +347,17 @@ def fourier_reciprocal(
     expansion = FourierExpansion(
         coeffs=coeffs,
         freqs=kept_freqs,
-        N=len(keep),
         epsilon=0.0,
-        l1_tail=float(np.sum(np.abs(flat[drop]))),
         l1_total=float(np.sum(np.abs(coeffs)) + np.sum(np.abs(flat[drop]))),
-        center=tuple(center),
-        radius=R,
         geometry=geometry,
     )
     sample = _unit_ball_points(D, _SAMPLE_COUNT, _BALL_SEED + 1) * R + center
     resid = np.abs(1.0 / kernel.evaluate(sample) - expansion.evaluate(sample))
     eps = float(np.max(resid))
     expansion = replace(expansion, epsilon=eps)
-    if eps > tol:
+    if eps > EPS_TOL:
         raise TailTooLarge(
-            f"residual {eps:.3e} > {tol:.3e} at N = {expansion.N}; raise N_per_axis"
+            f"residual {eps:.3e} > {EPS_TOL:.3e} at N = {len(keep)}; raise N_per_axis"
         )
     return expansion
 
@@ -457,10 +447,10 @@ class ChainReport:
     truncation bound bound_23 = (r/delta)^d eps_N * (oscillation-kernel
     triple mass) must dominate. stage_v is None when the dilate P leaves
     the grid box; ordering gaps are signed (nonnegative means the ordering
-    holds)."""
+    holds). The derived cubes are geometry.derived_cubes(cube) of the
+    expansion's geometry."""
 
     cube: Cube
-    derived: tuple[Cube, ...]
     p: Cube
     stage_i: float
     stage_ii: float
@@ -475,7 +465,6 @@ class ChainReport:
     probe_norm: float
     oscillation_ratio: float
     bound_ratio: float | None
-    geometry_checks: dict
     min_kernel_on_offsets: float
 
 
@@ -497,17 +486,18 @@ def verify_master_chain(
     Xs: tuple[SpaceSpec, ...],
     Y: SpaceSpec,
     q: Cube,
-    geometry: ExtractionGeometry,
     expansion: FourierExpansion,
 ) -> ChainReport:
     """Evaluate the five-stage chain on one cube. See the module docstring.
 
-    Xs holds one input space per kernel input. An OscillabError raised on
-    the way names the cube and the stage it came from: geometry, kernel
-    tensor, norms (the mode-invariant ||h||_{Y'} and ||chi_{Q_i}||_{X_i}),
-    mode j, or closing bound."""
+    The derived cubes and delta come from expansion.geometry, the geometry
+    the 1/K expansion was fitted on. Xs holds one input space per kernel
+    input. An OscillabError raised on the way names the cube and the stage
+    it came from: geometry, kernel tensor, norms (the mode-invariant
+    ||h||_{Y'} and ||chi_{Q_i}||_{X_i}), mode j, or closing bound."""
     grid = b.grid
     kernel = T.kernel
+    geometry = expansion.geometry
     if kernel.D != geometry.D or len(Xs) != kernel.inputs:
         raise ValueError(f"{kernel.inputs}-input kernel on R^{kernel.D}, geometry on R^{geometry.D}, {len(Xs)} input space(s)")
     delta = geometry.delta
@@ -516,12 +506,9 @@ def verify_master_chain(
     cell = grid.cell_volume
 
     with _stage(q, "geometry"):
-        checks = geometry.verify_for_cube(q)
-        if not checks["ok"]:
-            raise ValueError(f"geometry invariants fail on {q}: {checks}")
+        geometry.check_cube(q)
         cube = ChainCube.build(b, q, geometry)
-        derived = tuple(cube.family)[1:]
-        axes = tuple(range(1, len(derived) + 1))  # the derived-cube axes of K
+        axes = tuple(range(1, len(cube.family)))  # the derived-cube axes of K
         sl_q = cube.family.slices(0)
         bq_block = b.values[sl_q].reshape(-1)
         sigma = cube.sigma.reshape(-1)
@@ -547,25 +534,23 @@ def verify_master_chain(
         h_norm = norm(cube.h_modulus(), Yp)
         nfg = math.prod(chi_norms(X, cube.family)[i] for i, X in enumerate(Xs, start=1))
 
-    def one_mode(j: int):
-        fs, h = build_test_functions(cube, expansion.freqs[j])
+    def one_mode(nu: np.ndarray):
+        fs, h = build_test_functions(cube, nu)
         C = commutator(b, T, *fs, slot=1)
         integral = complex(np.sum(h * C.values[sl_q]) * cell)
         return integral, norm(C, Y)
 
     mode_rows = []
-    for j in range(expansion.N):
+    for j, nu in enumerate(expansion.freqs):
         with _stage(q, f"mode {j}"):
-            mode_rows.append(one_mode(j))
+            mode_rows.append(one_mode(nu))
 
+    a = expansion.coeffs
     scale_pref = (r / delta) ** d
     c_pref = scale_pref / meas_prod
-    a = expansion.coeffs
-    resum = complex(sum(a[j] * mode_rows[j][0] for j in range(expansion.N)))
+    resum = complex(sum(aj * row[0] for aj, row in zip(a, mode_rows)))
     stage_iii_c = c_pref * resum
-    stage_iv = c_pref * float(
-        sum(abs(a[j]) * h_norm * mode_rows[j][1] for j in range(expansion.N))
-    )
+    stage_iv = c_pref * float(sum(abs(aj) * h_norm * row[1] for aj, row in zip(a, mode_rows)))
     ratios = [row[1] / nfg if nfg > 0 else 0.0 for row in mode_rows]
     probe_norm = float(max(ratios)) if ratios else 0.0
 
@@ -583,7 +568,6 @@ def verify_master_chain(
     gap_23 = abs(stage_ii - stage_iii_c)
     return ChainReport(
         cube=q,
-        derived=derived,
         p=p,
         stage_i=stage_i,
         stage_ii=stage_ii,
@@ -598,7 +582,6 @@ def verify_master_chain(
         probe_norm=probe_norm,
         oscillation_ratio=stage_i / meas_q,
         bound_ratio=None if stage_v is None else stage_v / meas_q,
-        geometry_checks=checks,
         min_kernel_on_offsets=min_k,
     )
 
@@ -633,7 +616,6 @@ def necessity_experiment(
     Xs: tuple[SpaceSpec, ...],
     Y: SpaceSpec,
     family: CubeFamily,
-    geometry: ExtractionGeometry,
     expansion: FourierExpansion,
 ) -> NecessityReport:
     """Run the chain on every family cube and classify the ratio trend.
@@ -642,7 +624,7 @@ def necessity_experiment(
     per-level maxima flat while a symbol with unbounded oscillation on the
     family forces them, and with them the commutator probe norms, upward.
     """
-    reports = [verify_master_chain(b, T, Xs, Y, qc, geometry, expansion) for qc in family]
+    reports = [verify_master_chain(b, T, Xs, Y, qc, expansion) for qc in family]
     levels = family.levels if family.levels is not None else (0,) * len(reports)
     ratio_by: dict[int, float] = {}
     probe_by: dict[int, float] = {}

@@ -25,7 +25,7 @@ caller applies T once per distinct input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .grid import Cube, CubeFamily, Grid, GridFunction, cube_measure, cube_slice
 from .spaces import SpaceSpec, _alpha_check, norm
 
 _MAX_TENSOR = 4_000_000  # cap on kernel-tensor entries per evaluation chunk
-_SPHERE_COUNT = 2048  # sphere samples for the mean-zero and oddness checks
+_SPHERE_COUNT = 2048  # sphere samples for the mean-zero check
 _DEFECT_SAMPLES = 64  # random (u, s) pairs of homogeneity_defect
 _DEFECT_SEED = 7
 
@@ -70,7 +70,6 @@ class KernelSpec:
     omega: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     tag: str = ""  # "distance" marks the |u|+|v| bilinear profile
-    omega_odd: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.inputs not in (1, 2):
@@ -84,8 +83,6 @@ class KernelSpec:
                 f"kernel {self.name or '<anon>'}: sphere mean "
                 f"{float(np.mean(vals)):.3e} is not zero"
             )
-        odd = bool(np.max(np.abs(vals + self.omega(-pts))) <= 1e-12 * scale)
-        object.__setattr__(self, "omega_odd", odd)
 
     @property
     def D(self) -> int:
@@ -270,32 +267,27 @@ def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
     """Yield (start, stop, K2, here) per _MAX_TENSOR slice of output cells.
 
     K2 is the (X, Y, Z) kernel tensor over the nonzero cells ysel of f and
-    zsel of g, viewed as an (X, Y*Z) matrix, with the pair y = z = x zeroed;
-    here holds the flat indices of the slice's cells where y = x and z = x
-    both occur (the fractional self-cell correction)."""
+    zsel of g, viewed as an (X, Y*Z) matrix; its doubly-singular pair
+    y = z = x is the zero offset, where K reads 0. here holds the flat
+    indices of the slice's cells in both ysel and zsel (the fractional
+    self-cell correction). ysel, zsel and the output cells are all sorted
+    flat row-major indices."""
     coords = _flat_cells(grid)
     ycoord, zcoord = coords[ysel], coords[zsel]
+    both = np.intersect1d(ysel, zsel, assume_unique=True)
     chunk = max(1, _MAX_TENSOR // max(1, len(ysel) * len(zsel)))
     for start in range(0, coords.shape[0], chunk):
         stop = min(start + chunk, coords.shape[0])
         K = kernel_tensor(kernel, coords[start:stop], ycoord, zcoord)
-        # drop the doubly-singular pair y = z = x (K(0) already reads 0,
-        # but y = x with z = x arrives as two separate cells here); ysel,
-        # zsel and the output cells are all flat row-major indices
-        xi = np.arange(start, stop)[:, None]
-        eq_y = xi == ysel
-        eq_z = xi == zsel
-        K = np.where(eq_y[:, :, None] & eq_z[:, None, :], 0.0, K)
-        here = start + np.flatnonzero(eq_y.any(axis=1) & eq_z.any(axis=1))
+        here = both[(both >= start) & (both < stop)]
         yield start, stop, K.reshape(stop - start, -1), here
 
 
-# Recently built kernel tables, newest first. The estimate chain applies
-# T(f, g) and T(b f, g) for every Fourier mode of a cube, all on the same
-# nonzero sets, so two slots serve every mode after the first. The key is
-# the exact nonzero sets, not their support box, so a reused table holds
+# The last kernel table built, as one (key, plan) entry. The estimate chain
+# applies T(f, g) and T(b f, g) for every Fourier mode of a cube, all on the
+# same nonzero sets, so one slot serves every mode after the first. The key
+# is the exact nonzero sets, not their support box, so a reused table holds
 # exactly the entries a fresh build would.
-_PLAN_SLOTS = 2
 _plans: list[tuple[tuple, tuple]] = []
 
 
@@ -305,14 +297,13 @@ def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
     reuse; larger tables are rebuilt chunk by chunk on every call, so they
     never hold more than one chunk in memory."""
     key = (grid, kernel, ysel.tobytes(), zsel.tobytes())
-    for plan_key, plan in _plans:
-        if plan_key == key:
-            return plan
+    if _plans and _plans[0][0] == key:
+        return _plans[0][1]
     chunks = _kernel_chunks(grid, kernel, ysel, zsel)
     if grid.m**grid.n * len(ysel) * len(zsel) > _MAX_TENSOR:
         return chunks
     plan = tuple(chunks)
-    _plans[:] = [(key, plan)] + _plans[: _PLAN_SLOTS - 1]
+    _plans[:] = [(key, plan)]
     return plan
 
 
@@ -343,8 +334,7 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
         s = K2 @ w
         out[start:stop] = (s.view(np.complex128).reshape(-1) if pairs else s) * cell2
         if correction != 0.0:
-            for i in here:
-                out[i] += correction * fflat[i] * gflat[i]
+            out[here] += correction * fflat[here] * gflat[here]
     return GridFunction(grid, out.reshape(grid.shape))
 
 
@@ -440,28 +430,17 @@ def commutator(b: GridFunction, op: OperatorHandle | Callable, *fs: GridFunction
 # ---- Probe-based norm estimates ----
 
 
-@dataclass(frozen=True)
-class NormEstimate:
-    """A lower bound for an operator norm: the largest achieved probe ratio.
-
-    No tightness is claimed; the true norm can only be larger.
-    """
-
-    value: float
-    best_index: int
-    per_probe: tuple[float, ...]
-
-
 def operator_norm_estimate(
     probes: Iterable[tuple],
     outputs: Iterable[GridFunction],
     in_spaces: Sequence[SpaceSpec],
     out_space: SpaceSpec,
-) -> NormEstimate:
-    """max over probes of ||T probe||_Y / product of input norms; each probe
-    is a tuple of inputs, one per input space, and outputs yields T of each
-    probe in turn. Generators for both keep one probe and one output alive
-    at a time."""
+) -> float:
+    """max over probes of ||T probe||_Y / product of input norms: a lower
+    bound for the operator norm, with no tightness claimed. Each probe is a
+    tuple of inputs, one per input space, and outputs yields T of each probe
+    in turn. Generators for both keep one probe and one output alive at a
+    time."""
     ratios = []
     for args, out in zip(probes, outputs, strict=True):
         if len(args) != len(in_spaces):
@@ -470,8 +449,7 @@ def operator_norm_estimate(
         if 0.0 in norms:
             raise DivisionByZeroNorm("zero-norm probe")
         ratios.append(norm(out, out_space) / math.prod(norms))
-    best = int(np.argmax(ratios))
-    return NormEstimate(float(ratios[best]), best, tuple(ratios))
+    return float(np.max(ratios))
 
 
 def _check_entry(name: str, grid: Grid, kernel: KernelSpec):

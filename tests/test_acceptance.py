@@ -197,9 +197,9 @@ def test_criterion_07_fourier_reciprocal():
     hilbert = fixtures.make_kernel("hilbert", 1)
     geo = select_geometry(hilbert, 0.5)
     exp = fourier_reciprocal(hilbert, geo, 64)
-    assert exp.N <= 64
+    assert len(exp.coeffs) <= 64
     assert exp.epsilon <= 1e-6
-    pts = _unit_ball_points(1, 1000, seed=1861) * exp.radius + np.array(exp.center)
+    pts = _unit_ball_points(1, 1000, seed=1861) * geo.ball_radius + np.array(geo.expansion_center)
     resid = np.max(np.abs(exp.evaluate(pts) * hilbert.evaluate(pts) - 1.0))
     assert resid <= 1e-5
     report(7, f"eps {exp.epsilon:.1e} at N=64, identity residual {resid:.1e} on {len(pts)} points")
@@ -211,18 +211,17 @@ def bilinear_setup():
     k = fixtures.make_kernel("bilinear_riesz", 1)
     geo = select_geometry(k, 0.5)
     exp = fourier_reciprocal(k, geo, 10)
-    return g, OperatorHandle(k), geo, exp, Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0)
+    return g, OperatorHandle(k), exp, Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0)
 
 
 def test_criterion_08_master_chain(bilinear_setup):
     t0 = time.perf_counter()
-    g, T, geo, exp, X1, X2, Y = bilinear_setup
+    g, T, exp, X1, X2, Y = bilinear_setup
     b = make_symbol("log_abs", g)
     fam = enumerate_dyadic(g, 2, 4, Cube((0.0,), 1.125))
     worst_rel = 0.0
     for q in fam:
-        rep = verify_master_chain(b, T, (X1, X2), Y, q, geo, exp)
-        assert rep.geometry_checks["ok"]
+        rep = verify_master_chain(b, T, (X1, X2), Y, q, exp)
         gap13 = abs(rep.stage_i - rep.stage_iii)
         assert gap13 <= max(0.05 * rep.stage_i, rep.bound_23), (q, gap13)
         assert rep.gap_34 >= -1e-9 * max(1.0, rep.stage_iii), q
@@ -230,7 +229,7 @@ def test_criterion_08_master_chain(bilinear_setup):
         assert rep.gap_45 >= -1e-9 * max(1.0, rep.stage_iv), q
         worst_rel = max(worst_rel, gap13 / rep.stage_i)
     bc = make_symbol("constant:2.0", g)
-    rep = verify_master_chain(bc, T, (X1, X2), Y, fam.cubes[0], geo, exp)
+    rep = verify_master_chain(bc, T, (X1, X2), Y, fam.cubes[0], exp)
     stages = (rep.stage_i, rep.stage_ii, abs(rep.stage_iii), rep.stage_iv, rep.stage_v)
     assert all(s <= 1e-10 for s in stages), stages
     dt = time.perf_counter() - t0
@@ -239,13 +238,13 @@ def test_criterion_08_master_chain(bilinear_setup):
 
 
 def test_criterion_09_necessity_contrast(bilinear_setup):
-    g, T, geo, exp, X1, X2, Y = bilinear_setup
+    g, T, exp, X1, X2, Y = bilinear_setup
     fam = centered_family(g, (0.0,), 3.0, 2, 5)
     stable = necessity_experiment(
-        make_symbol("log_abs", g), T, (X1, X2), Y, fam, geo, exp
+        make_symbol("log_abs", g), T, (X1, X2), Y, fam, exp
     )
     growing = necessity_experiment(
-        make_symbol("sgn_log", g), T, (X1, X2), Y, fam, geo, exp
+        make_symbol("sgn_log", g), T, (X1, X2), Y, fam, exp
     )
     assert stable.ratio_verdict == "stable"
     assert growing.ratio_verdict == "growing"

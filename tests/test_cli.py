@@ -343,6 +343,21 @@ def test_chain_runs_one_pass_through_necessity_experiment(tmp_path, monkeypatch)
     assert sum(r["quantity"] == "stage_i" for r in rows) == 4
 
 
+def test_default_chain_builds_one_kernel_table_per_cube(tmp_path, monkeypatch):
+    """Every mode of a cube applies T to (f, g) and (b f, g) on the same
+    nonzero cells, so the one kept table serves all 200 applications of a
+    cube: the default run of 12 cubes builds 12 tables."""
+    monkeypatch.setattr(operators, "_plans", [])
+    builds = _counting(monkeypatch, "_kernel_chunks", ("oscillab.operators",))
+    cfg = write_config(tmp_path, experiment="chain", seed=1)
+    assert run_in(tmp_path, "run", cfg) == 0
+    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
+    assert sum(r["quantity"] == "stage_i" for r in rows) == 12
+    assert len(builds) == 12
+    (residual,) = [r for r in rows if r["quantity"] == "fourier_residual"]
+    assert float(residual["tolerance"]) == 1e-2
+
+
 def test_norms_solves_one_family_with_the_two_family_drift(tmp_path, monkeypatch):
     """The drift reads the levels below level_max from the one family's rows;
     it equals, bit for bit, the spread ratio of two separately solved

@@ -17,6 +17,7 @@ from oscillab import (
     Grid,
     GridFunction,
     GridMismatch,
+    KernelSpec,
     KernelVanishes,
     Lebesgue,
     OperatorHandle,
@@ -76,9 +77,8 @@ def test_geometry_derived_cubes_linear():
     (qp,) = geo.derived_cubes(q)
     assert qp.side == q.side
     assert qp.center[0] == pytest.approx(0.25 + 0.5 * 6.0)
-    checks = geo.verify_for_cube(q)
-    assert checks["ok"], checks
-    assert geo.outer_cube(q).contains_cube(qp)
+    geo.check_cube(q)
+    assert q.dilate(geo.containment_factor).contains_cube(qp)
     assert geo.p_cube(q).side == pytest.approx(2 * geo.containment_factor * q.side)
 
 
@@ -88,7 +88,7 @@ def test_geometry_derived_cubes_bilinear():
     qp, qpp = geo.derived_cubes(q)
     assert qp.center[0] == pytest.approx(-0.5 + 2.2 / 0.5)
     assert qpp.center[0] == pytest.approx(-0.5 + 2.2 / 0.5)
-    assert geo.verify_for_cube(q)["ok"]
+    geo.check_cube(q)
     assert geo.ball_radius == pytest.approx(0.5 * math.sqrt(2.0))
 
 
@@ -97,12 +97,32 @@ def test_select_geometry_hilbert():
     assert geo.D == 1
     assert geo.base_point == (3.0,)
     assert geo.delta == 0.5
-    # 1/K never vanishes near +-3, so an absurd threshold is the only way
-    # to see the failure path with this kernel
-    with pytest.raises(KernelVanishes):
-        select_geometry(HILBERT, 0.5, threshold_rel=1e9)
     with pytest.raises(BadDelta):
         select_geometry(HILBERT, 1.5)
+
+
+def test_select_geometry_refuses_a_vanishing_kernel():
+    # min |K| near +-3 is about 3e-10, far below 1e-3 of the scale 1/3
+    faint = KernelSpec(1, 1, 0.0, lambda t: 1e-9 * t[..., 0], name="faint")
+    with pytest.raises(KernelVanishes, match=r"^kernel faint: best direction"):
+        select_geometry(faint, 0.5)
+
+
+@pytest.mark.parametrize(
+    "derived, message",
+    [
+        (lambda q: (q.translate((q.side / 2,)),), "meets"),  # overlaps Q
+        (lambda q: (q.translate((100 * q.side,)),), "leaves the outer dilate"),  # far out
+    ],
+    ids=["meets-q", "outside-dilate"],
+)
+def test_check_cube_names_the_cube(monkeypatch, derived, message):
+    geo = ExtractionGeometry(1, 0.5, (3.0,))
+    q = Cube((0.25,), 0.5)
+    monkeypatch.setattr(ExtractionGeometry, "derived_cubes", lambda self, cube: derived(cube))
+    with pytest.raises(ValueError, match=message) as info:
+        geo.check_cube(q)
+    assert str(q) in str(info.value)
 
 
 def test_select_geometry_bilinear_riesz():
@@ -126,7 +146,6 @@ def test_reciprocal_eps_at_64_modes():
     geo = select_geometry(HILBERT, 0.5)
     exp = fourier_reciprocal(HILBERT, geo, 64)
     assert exp.epsilon <= 1e-6
-    assert exp.N == 64
     assert len(exp.coeffs) == 64
     assert exp.l1_total < 50.0
 
@@ -134,7 +153,7 @@ def test_reciprocal_eps_at_64_modes():
 def test_reciprocal_identity_on_fresh_ball_sample():
     geo = select_geometry(HILBERT, 0.5)
     exp = fourier_reciprocal(HILBERT, geo, 64)
-    pts = _unit_ball_points(1, 1000, seed=999) * exp.radius + np.array(exp.center)
+    pts = _unit_ball_points(1, 1000, seed=999) * geo.ball_radius + np.array(geo.expansion_center)
     prod = exp.evaluate(pts) * HILBERT.evaluate(pts)
     assert np.max(np.abs(prod - 1.0)) <= 1e-5
 
@@ -153,15 +172,22 @@ def test_reciprocal_bilinear_quality():
     exp = fourier_reciprocal(BIRIESZ, geo, 10)
     assert exp.epsilon <= 1e-5
     assert len(exp.coeffs) == 100
-    pts = _unit_ball_points(2, 500, seed=31) * exp.radius + np.array(exp.center)
+    pts = _unit_ball_points(2, 500, seed=31) * geo.ball_radius + np.array(geo.expansion_center)
     prod = exp.evaluate(pts) * BIRIESZ.evaluate(pts)
     assert np.max(np.abs(prod - 1.0)) <= 1e-3
 
 
 def test_reciprocal_tail_too_large():
+    # the residual budget is extraction.EPS_TOL = 1e-2: five modes meet it
+    # (eps ~ 2.6e-3), four miss it (eps ~ 1.27e-2)
+    assert extraction.EPS_TOL == 1e-2
     geo = select_geometry(HILBERT, 0.5)
-    with pytest.raises(TailTooLarge):
-        fourier_reciprocal(HILBERT, geo, 4, tol=1e-15)
+    exp = fourier_reciprocal(HILBERT, geo, 5)
+    assert len(exp.coeffs) == 5
+    assert 1e-3 < exp.epsilon <= extraction.EPS_TOL
+    assert exp.geometry is geo
+    with pytest.raises(TailTooLarge, match=r"^residual 1\.268e-02 > 1\.000e-02 at N = 4"):
+        fourier_reciprocal(HILBERT, geo, 4)
 
 
 # ---- test functions ----
@@ -294,8 +320,7 @@ def linear_chain():
 def test_chain_single_cube_linear(linear_chain):
     g, b, geo, exp, T = linear_chain
     q = Cube((0.140625,), 0.28125)
-    rep = verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, geo, exp)
-    assert rep.geometry_checks["ok"]
+    rep = verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
     assert rep.gap_12 == 0.0
     assert abs(rep.stage_i - rep.stage_iii) <= max(1e-8 * rep.stage_i, rep.bound_23)
     assert rep.gap_23 <= rep.bound_23
@@ -303,11 +328,11 @@ def test_chain_single_cube_linear(linear_chain):
     assert rep.stage_v is not None  # P fits inside the box for this cube
     assert rep.gap_45 >= -1e-9 * max(1.0, rep.stage_iv)
     assert rep.stage_i > 0.0
-    assert exp.N == 64
+    assert len(exp.coeffs) == 64
     assert rep.min_kernel_on_offsets > 0.0
     # stage (i) is the oscillation against the average on the derived cube
     assert rep.oscillation_ratio == pytest.approx(
-        mean_oscillation_shifted(b, q, rep.derived[0]), rel=1e-12
+        mean_oscillation_shifted(b, q, geo.derived_cubes(q)[0]), rel=1e-12
     )
 
 
@@ -315,7 +340,7 @@ def test_chain_constant_symbol_all_zero(linear_chain):
     g, _, geo, exp, T = linear_chain
     b = make_symbol("constant:3.0", g)
     q = Cube((0.140625,), 0.28125)
-    rep = verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, geo, exp)
+    rep = verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
     for stage in (rep.stage_i, rep.stage_ii, abs(rep.stage_iii), rep.stage_iv):
         assert abs(stage) <= 1e-10
     assert rep.stage_v is not None and rep.stage_v <= 1e-10
@@ -326,7 +351,7 @@ def test_chain_out_of_domain(linear_chain):
     # the derived cube Q' = Q + 6 r e_1 leaves the box for this cube
     q = Cube((4.921875,), 0.28125)
     with pytest.raises(OutOfDomain):
-        verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, geo, exp)
+        verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
 
 
 def test_chain_bilinear_cube():
@@ -337,14 +362,13 @@ def test_chain_bilinear_cube():
     T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     rep = verify_master_chain(
-        b, T, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, geo, exp
+        b, T, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp
     )
-    assert rep.geometry_checks["ok"]
     assert rep.gap_12 == 0.0
     assert abs(rep.stage_i - rep.stage_iii) <= max(0.05 * rep.stage_i, rep.bound_23)
     assert rep.gap_23 <= rep.bound_23
     assert rep.gap_34 >= -1e-9 * max(1.0, rep.stage_iii)
-    assert len(rep.derived) == 2
+    assert len(geo.derived_cubes(q)) == 2
 
 
 @pytest.mark.parametrize(
@@ -363,8 +387,7 @@ def test_chain_bilinear_stage_by_stage_in_other_spaces(make):
     T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     X1, X2, Y = make(g, 4.0), make(g, 4.0), make(g, 2.0)
-    rep = verify_master_chain(b, T, (X1, X2), Y, q, geo, exp)
-    assert rep.geometry_checks["ok"]
+    rep = verify_master_chain(b, T, (X1, X2), Y, q, exp)
     assert rep.stage_i > 0.0
     assert rep.gap_12 == 0.0  # (i) = (ii): the identity stage
     assert rep.gap_23 <= rep.bound_23  # (ii) ~ (iii): truncated 1/K expansion
@@ -372,7 +395,7 @@ def test_chain_bilinear_stage_by_stage_in_other_spaces(make):
     assert rep.stage_v is not None  # P fits inside the box for this cube
     assert rep.gap_45 >= -1e-9 * rep.stage_v  # (iv) <= (v): probe norm bound
     lebesgue = verify_master_chain(
-        b, T, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, geo, exp
+        b, T, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp
     )
     assert rep.stage_iv != lebesgue.stage_iv  # the space enters from stage (iv) on
 
@@ -382,11 +405,10 @@ def test_chain_stage_by_stage_2d_riesz():
     b = make_symbol("log_abs", g)
     kernel = fixtures.make_kernel("riesz_1", 2)
     geo = select_geometry(kernel, 0.5)
-    exp = fourier_reciprocal(kernel, geo, 5, tol=1e-2)
+    exp = fourier_reciprocal(kernel, geo, 5)
     q = Cube((0.1875, 0.1875), 0.375)
-    rep = verify_master_chain(b, OperatorHandle(kernel), (Lebesgue(4.0),), Lebesgue(2.0), q, geo, exp)
-    assert rep.geometry_checks["ok"]
-    assert len(rep.derived) == 1 and exp.N == 25
+    rep = verify_master_chain(b, OperatorHandle(kernel), (Lebesgue(4.0),), Lebesgue(2.0), q, exp)
+    assert len(geo.derived_cubes(q)) == 1 and len(exp.coeffs) == 25
     assert rep.stage_i > 0.0
     assert rep.gap_12 <= 1e-12 * rep.stage_i  # (i) = (ii) up to rounding
     assert rep.gap_23 <= rep.bound_23  # (ii) ~ (iii): truncated 1/K expansion
@@ -401,14 +423,14 @@ def test_chain_arity_mismatch(linear_chain):
     T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     with pytest.raises(ValueError):
-        verify_master_chain(b, T, (Lebesgue(2.0), Lebesgue(2.0)), Lebesgue(2.0), q, geo, exp)
+        verify_master_chain(b, T, (Lebesgue(2.0), Lebesgue(2.0)), Lebesgue(2.0), q, exp)
 
 
 def test_chain_error_names_cube_and_stage(monkeypatch):
     g = Grid((-6.0,), (6.0,), 512)
     b = make_symbol("log_abs", g)
     geo = select_geometry(BIRIESZ, 0.5)
-    exp = fourier_reciprocal(BIRIESZ, geo, 5, tol=1e-2)
+    exp = fourier_reciprocal(BIRIESZ, geo, 5)
     T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     V = Variable(fixtures.make_exponent("arctan_profile", g))
@@ -416,7 +438,7 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
     # taken once per cube before the modes, raises
     monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)
     with pytest.raises(ConvergenceFailure) as info:
-        verify_master_chain(b, T, (V, V), V, q, geo, exp)
+        verify_master_chain(b, T, (V, V), V, q, exp)
     assert str(info.value).startswith(f"{q}, norms: modular misses 1 by")
     assert f"by {info.value.residual:.3e} after" in str(info.value)  # the residual is kept
     monkeypatch.undo()
@@ -429,7 +451,7 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
 
     monkeypatch.setattr(extraction, "norm", norm_failing_on_complex)
     with pytest.raises(ConvergenceFailure) as info:
-        verify_master_chain(b, T, (V, V), V, q, geo, exp)
+        verify_master_chain(b, T, (V, V), V, q, exp)
     assert str(info.value) == f"{q}, mode 0: modular misses 1"
     assert info.value.residual == 0.5
     monkeypatch.undo()
@@ -437,20 +459,20 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
     # Q' leaves the box: the geometry stage
     far = Cube((4.921875,), 0.28125)
     with pytest.raises(OutOfDomain, match=r"^Q\(4\.92188;0\.28125\), geometry: "):
-        verify_master_chain(b, T, (V, V), V, far, geo, exp)
+        verify_master_chain(b, T, (V, V), V, far, exp)
 
 
 def _bilinear_1d_chain():
     b, geo, q = _bilinear_1d_cube()
     V = Variable(fixtures.make_exponent("arctan_profile", b.grid))
     W = Weighted(2.0, fixtures.make_weight("power:0.5", b.grid))
-    return b, OperatorHandle(BIRIESZ), (V, W), V, q, geo, fourier_reciprocal(BIRIESZ, geo, 5, tol=1e-2)
+    return b, OperatorHandle(BIRIESZ), (V, W), V, q, fourier_reciprocal(BIRIESZ, geo, 5)
 
 
 def _riesz_2d_chain():
     b, geo, q = _riesz_2d_cube()
     kernel = fixtures.make_kernel("riesz_1", 2)
-    return b, OperatorHandle(kernel), (Lebesgue(4.0),), Lebesgue(2.0), q, geo, fourier_reciprocal(kernel, geo, 5, tol=1e-2)
+    return b, OperatorHandle(kernel), (Lebesgue(4.0),), Lebesgue(2.0), q, fourier_reciprocal(kernel, geo, 5)
 
 
 @pytest.mark.parametrize("setup", [_bilinear_1d_chain, _riesz_2d_chain], ids=["bilinear-1d", "riesz_1-2d"])
@@ -480,19 +502,19 @@ def test_chain_indexes_each_cube_once(monkeypatch, setup):
 )
 def test_chain_refuses_an_input_space_on_another_grid(make):
     b, geo, q = _bilinear_1d_cube()
-    exp = fourier_reciprocal(BIRIESZ, geo, 5, tol=1e-2)
+    exp = fourier_reciprocal(BIRIESZ, geo, 5)
     other = make(Grid((-6.0,), (6.0,), 256))
     with pytest.raises(GridMismatch) as info:
-        verify_master_chain(b, OperatorHandle(BIRIESZ), (Lebesgue(4.0), other), Lebesgue(2.0), q, geo, exp)
+        verify_master_chain(b, OperatorHandle(BIRIESZ), (Lebesgue(4.0), other), Lebesgue(2.0), q, exp)
     assert str(info.value).startswith(f"{q}, norms: ")
 
 
 def test_grid_mismatch_names_the_space_and_both_grids():
     b, geo, q = _bilinear_1d_cube()
-    exp = fourier_reciprocal(BIRIESZ, geo, 5, tol=1e-2)
+    exp = fourier_reciprocal(BIRIESZ, geo, 5)
     other = Weighted(2.0, fixtures.make_weight("power:0.5", Grid((-6.0,), (6.0,), 256)))
     with pytest.raises(GridMismatch) as info:
-        verify_master_chain(b, OperatorHandle(BIRIESZ), (Lebesgue(4.0), other), Lebesgue(2.0), q, geo, exp)
+        verify_master_chain(b, OperatorHandle(BIRIESZ), (Lebesgue(4.0), other), Lebesgue(2.0), q, exp)
     assert str(info.value) == (
         f"{q}, norms: Weighted(2, w on (256,)): explicit family was built on "
         f"{b.grid}, not on {other.grid}"
@@ -534,10 +556,10 @@ def test_necessity_contrast_linear():
     T = OperatorHandle(HILBERT)
     fam = centered_family(g, (0.0,), 3.0, 2, 5)
     stable = necessity_experiment(
-        make_symbol("log_abs", g), T, (Lebesgue(2.0),), Lebesgue(2.0), fam, geo, exp
+        make_symbol("log_abs", g), T, (Lebesgue(2.0),), Lebesgue(2.0), fam, exp
     )
     growing = necessity_experiment(
-        make_symbol("sgn_log", g), T, (Lebesgue(2.0),), Lebesgue(2.0), fam, geo, exp
+        make_symbol("sgn_log", g), T, (Lebesgue(2.0),), Lebesgue(2.0), fam, exp
     )
     assert stable.ratio_verdict == "stable"
     assert growing.ratio_verdict == "growing"
@@ -554,11 +576,11 @@ def test_bilinear_bound_ratio_and_condition_stay_flat_together():
     # dilate stays in the box
     g = Grid((-6.0,), (6.0,), 512)
     geo = select_geometry(BIRIESZ, 0.5)
-    exp = fourier_reciprocal(BIRIESZ, geo, 10, tol=1e-2)
+    exp = fourier_reciprocal(BIRIESZ, geo, 10)
     fam = centered_family(g, (0.0,), 3.0, 2, 5)
     X, Y = Lebesgue(4.0), Lebesgue(2.0)
     rep = necessity_experiment(
-        make_symbol("log_abs", g), OperatorHandle(BIRIESZ), (X, X), Y, fam, geo, exp
+        make_symbol("log_abs", g), OperatorHandle(BIRIESZ), (X, X), Y, fam, exp
     )
     cond = condition_bilinear(X, X, Y, 0.0, fam)
     kept = [(r.bound_ratio, c) for r, c in zip(rep.per_cube, cond.per_cube) if r.bound_ratio is not None]

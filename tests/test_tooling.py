@@ -3,7 +3,8 @@
 `perfbench/child.py` wraps the functions in its TARGETS table by
 (module, attribute); a renamed function would otherwise surface only in the
 benchmark's traced pass. `perfbench/workloads.py` holds `oscillab run`
-configs, whose keys the runner must still accept. The runner keeps two
+configs, whose keys the runner must still accept and whose chain runs must
+keep the 1/K expansion within its residual budget. The runner keeps two
 experiment name lists, the runner table and the defaults table, which must
 name the same experiments.
 """
@@ -59,6 +60,23 @@ def test_every_workload_config_is_accepted(monkeypatch):
     assert {"space_x", "space_x1", "space_x2", "space_y"} <= {key for cfg in configs for key in cfg}
     for cfg in configs:
         cli.ExperimentConfig({**cfg, "seed": 1})
+
+
+def test_every_chain_workload_meets_the_residual_budget(monkeypatch):
+    """The workloads that run the chain (`chain` and `necessity`) keep the
+    residual of their 1/K expansion within extraction.EPS_TOL at their
+    n_per_axis; fourier_reciprocal raises TailTooLarge above it."""
+    from oscillab import extraction
+
+    workloads = _child(monkeypatch).WORKLOADS
+    runs = [cfg for w in workloads.values() for cfg in w.runs if cfg["experiment"] in ("chain", "necessity")]
+    assert {cfg["experiment"] for cfg in runs} == {"chain", "necessity"}
+    for cfg in runs:
+        scoped = cli.ScopedConfig(cli.ExperimentConfig({**cfg, "seed": 1}), cfg["experiment"])
+        kernel = scoped.fixture("kernel", scoped.grid())
+        geometry = extraction.select_geometry(kernel, float(scoped.get("delta")))
+        expansion = extraction.fourier_reciprocal(kernel, geometry, scoped.get("n_per_axis"))
+        assert expansion.epsilon <= extraction.EPS_TOL, cfg
 
 
 def test_every_fixture_kind_has_the_builder_the_runner_looks_up():
