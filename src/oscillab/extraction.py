@@ -15,13 +15,15 @@ bounded mean oscillation" into per-cube arithmetic:
    ball, so on-ball residual is the right target). The expansion keeps the
    geometry it was fitted on and is the chain's one set-up object; it is
    refused when its residual exceeds EPS_TOL.
-3. `build_test_functions` makes modulated indicators whose moduli are plain
-   cube indicators, so their norms match the norms of their supports, and
-   the block of h on the cells of Q, where alone h is read. The cells,
-   coordinates and sign pattern they are built on come from a `ChainCube`,
-   made once per cube before the mode loop: one `CubeFamily` of Q and its
-   derived cubes, whose measures, averages and indicator norms the chain
-   reads too; stage (v) reads the norms of chi_P from a family of P.
+3. `build_test_functions` makes, for one mode, modulated indicators whose
+   moduli are plain cube indicators, so their norms match the norms of
+   their supports, and the block of h on the cells of Q, where alone h is
+   read. It makes no exponential: a `ChainCube`, built once per cube before
+   the mode loop, holds one `CubeFamily` of Q and its derived cubes, whose
+   measures, averages and indicator norms the chain reads too, and one
+   phase table per cube of that family with a row for every mode, each
+   table from one np.exp. Stage (v) reads the norms of chi_P from a family
+   of P.
 4. `verify_master_chain` evaluates, on one cube and from one expansion
    (whose geometry places the derived cubes), the five-stage estimate chain
 
@@ -185,8 +187,9 @@ def select_geometry(kernel: KernelSpec, delta: float) -> ExtractionGeometry:
     """Pick the annulus point where |K| stays largest on the validity ball.
 
     Scans a coarse direction set at radius 3 sqrt(n), measures min |K| over
-    a deterministic ball sample around the candidate and its antipode
-    (the expansion lives at the antipode), and keeps the best. Raises
+    a deterministic ball sample around each candidate and its antipode
+    (the expansion lives at the antipode) in one kernel evaluation over all
+    directions, and keeps the best. Raises
     KernelVanishes when no direction clears _MIN_KERNEL_REL relative to the
     natural kernel scale at that radius.
     """
@@ -198,23 +201,20 @@ def select_geometry(kernel: KernelSpec, delta: float) -> ExtractionGeometry:
     radius = delta * math.sqrt(2 * n)
     ball = _unit_ball_points(D, 256) * radius
     scale = rho ** (-kernel.degree)
-    best_val = -1.0
-    best_dir = None
-    for direction in _scan_directions(D):
-        c = rho * direction
-        lo = min(
-            float(np.min(np.abs(kernel.evaluate(c + ball)))),
-            float(np.min(np.abs(kernel.evaluate(-c + ball)))),
-        )
-        if lo > best_val:
-            best_val = lo
-            best_dir = c
+    cs = rho * _scan_directions(D)
+    lo = np.minimum(
+        np.min(np.abs(kernel.evaluate(cs[:, None, :] + ball)), axis=1),
+        np.min(np.abs(kernel.evaluate(-cs[:, None, :] + ball)), axis=1),
+    )
+    lo[np.isnan(lo)] = -np.inf  # a direction whose minimum is NaN is never kept
+    best = int(np.argmax(lo))  # the first of equal maxima
+    best_val = float(lo[best])
     if best_val < _MIN_KERNEL_REL * scale:
         raise KernelVanishes(
             f"kernel {kernel.name or '<anon>'}: best direction keeps only "
             f"min|K| = {best_val:.3e} (threshold {_MIN_KERNEL_REL * scale:.3e})"
         )
-    return ExtractionGeometry(n, delta, tuple(float(v) for v in best_dir))
+    return ExtractionGeometry(n, delta, tuple(float(v) for v in cs[best]))
 
 
 # ---- Fourier expansion of 1/K ----
@@ -239,7 +239,8 @@ def _erf_window(rad: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
 class FourierExpansion:
     """Truncated expansion 1/K(w) ~ sum_j coeffs[j] exp(i freqs[j] . w),
     valid only on the ball of radius geometry.ball_radius around
-    geometry.expansion_center, for the geometry it was fitted on.
+    geometry.expansion_center, for the kernel and the geometry it was
+    fitted on.
 
     epsilon is the measured sup residual on a dense deterministic ball
     sample; l1_total sums the kept |a_j| and the dropped FFT |a_j|.
@@ -250,6 +251,7 @@ class FourierExpansion:
     epsilon: float
     l1_total: float
     geometry: ExtractionGeometry
+    kernel: KernelSpec
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -350,6 +352,7 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
         epsilon=0.0,
         l1_total=float(np.sum(np.abs(coeffs)) + np.sum(np.abs(flat[drop]))),
         geometry=geometry,
+        kernel=kernel,
     )
     sample = _unit_ball_points(D, _SAMPLE_COUNT, _BALL_SEED + 1) * R + center
     resid = np.abs(1.0 / kernel.evaluate(sample) - expansion.evaluate(sample))
@@ -365,29 +368,51 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
 # ---- Test functions ----
 
 
+def _phase_table(axes: tuple[np.ndarray, ...], vecs: np.ndarray, sign: float) -> np.ndarray:
+    """exp(sign i vecs[j] . y) at the cells y of one cube, for every row j of
+    the (N, n) array vecs, as one (N, *cells) table from one np.exp, checked
+    to have modulus 1 to 1e-12. Each row is, bit for bit, the single-mode
+    exp(sign * 1j * sum(v_a * y_a)): the sum starts from 0 as that one does."""
+    table = np.exp(sign * 1j * sum(np.multiply.outer(vecs[:, a], ax) for a, ax in enumerate(axes)))
+    if np.max(np.abs(np.abs(table) - 1.0)) > 1e-12:
+        raise AssertionError("modulated indicator lost unit modulus")
+    return table
+
+
 @dataclass(frozen=True)
 class ChainCube:
-    """What the chain needs on one cube Q that no Fourier mode changes: the
-    family (Q, Q_1, ..., Q_k) of Q and its derived cubes, indexed once, with
-    each cube's cell-center coordinates (one block per axis, each of the
-    shape of the cube's cells); b_{Q'} and sigma = sgn(b - b_{Q'}) on the
-    cells of Q, and the frequency scale delta / r. Cube 0 is Q and cube i
-    the derived cube of input i."""
+    """What the chain needs on one cube Q, built once before the mode loop:
+    the family (Q, Q_1, ..., Q_k) of Q and its derived cubes, indexed once,
+    with each cube's cell-center coordinates (one block per axis, each of
+    the shape of the cube's cells); b_{Q'} and sigma = sgn(b - b_{Q'}) on the
+    cells of Q; and the phases of every mode j of the expansion, one table
+    of shape (N, *cells) per cube: phases[i][j] is
+    e^{-i (delta/r) nu_j^i . y} on the cells of Q_i, with nu_j^i the i-th
+    n-block of nu_j, and phases[0][j] is
+    e^{+i (delta/r) nu_j . (x, ..., x)} sigma on the cells of Q. Cube 0 is Q
+    and cube i the derived cube of input i."""
 
     family: CubeFamily
     axes: tuple[tuple[np.ndarray, ...], ...]
-    scale: float
     b_avg: float
     sigma: np.ndarray
+    phases: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, b: GridFunction, q: Cube, geometry: ExtractionGeometry) -> "ChainCube":
+    def build(cls, b: GridFunction, q: Cube, geometry: ExtractionGeometry, freqs: np.ndarray) -> "ChainCube":
+        """The cube Q for the (N, D) mode frequencies freqs; one np.exp per
+        cube of the family makes all N modes' phases."""
         family = CubeFamily(b.grid, (q, *geometry.derived_cubes(q)))
         meshes = b.grid.meshes()
         axes = tuple(tuple(m[family.slices(i)] for m in meshes) for i in range(len(family)))
         bqp = family.means(b.values)[1]
         sigma = np.sign(b.values[family.slices(0)] - bqp)
-        return cls(family, axes, geometry.delta / q.side, bqp, sigma)
+        scale = geometry.delta / q.side
+        blocks = np.asarray(freqs, dtype=float).reshape(len(freqs), len(family) - 1, b.grid.n)
+        h = _phase_table(axes[0], scale * np.sum(blocks, axis=1), +1.0)
+        h *= sigma
+        fs = [_phase_table(axes[i], scale * blocks[:, i - 1], -1.0) for i in range(1, len(family))]
+        return cls(family, axes, bqp, sigma, (h, *fs))
 
     @property
     def grid(self) -> Grid:
@@ -406,33 +431,23 @@ class ChainCube:
         return GridFunction(self.grid, vals)
 
 
-def build_test_functions(cube: ChainCube, nu: np.ndarray) -> tuple[tuple[GridFunction, ...], np.ndarray]:
-    """(fs, h) for one frequency nu. fs holds f_i = e^{-i (delta/r) nu^i . y}
-    chi_{Q_i} on each derived cube Q_i, with nu^i the i-th n-block of nu: the
+def build_test_functions(cube: ChainCube, j: int) -> tuple[tuple[GridFunction, ...], np.ndarray]:
+    """(fs, h) for mode j of the frequencies `cube` was built for. fs holds
+    f_i = e^{-i (delta/r) nu^i . y} chi_{Q_i} on each derived cube Q_i: the
     moduli are exactly the indicators of the Q_i. h is the block of
     e^{+i (delta/r) nu . (x, ..., x)} sgn(b - b_{Q'}) on the cells of Q, in
     their shape; h is 0 off Q and read only there.
 
-    Everything but nu comes from `cube`, built once per chain cube, so a
-    mode costs one np.exp per derived cube and one for h; each exponential
-    is checked to have modulus 1 to 1e-12."""
+    The phases come from the tables of `cube`, so a mode makes no
+    exponential: it scatters row j of each derived cube's table into a grid
+    function and reads row j of h's table."""
     grid = cube.grid
-    blocks = np.asarray(nu, dtype=float).reshape(len(cube.family) - 1, grid.n)
-
-    def phase(i: int, vec: np.ndarray, sign: float) -> np.ndarray:
-        block = np.exp(sign * 1j * sum(float(v) * a for v, a in zip(vec, cube.axes[i])))
-        if np.max(np.abs(np.abs(block) - 1.0)) > 1e-12:
-            raise AssertionError("modulated indicator lost unit modulus")
-        return block
-
     fs = []
-    for i, blk in enumerate(blocks, start=1):
+    for i in range(1, len(cube.family)):
         vals = np.zeros(grid.shape, dtype=np.complex128)
-        vals[cube.family.slices(i)] = phase(i, cube.scale * blk, -1.0)
+        vals[cube.family.slices(i)] = cube.phases[i][j]
         fs.append(GridFunction(grid, vals))
-    h = phase(0, cube.scale * np.sum(blocks, axis=0), +1.0)
-    h *= cube.sigma
-    return tuple(fs), h
+    return tuple(fs), cube.phases[0][j]
 
 
 # ---- The estimate chain ----
@@ -491,13 +506,19 @@ def verify_master_chain(
     """Evaluate the five-stage chain on one cube. See the module docstring.
 
     The derived cubes and delta come from expansion.geometry, the geometry
-    the 1/K expansion was fitted on. Xs holds one input space per kernel
+    the 1/K expansion was fitted on, and T's kernel must be the kernel it
+    was fitted for (ValueError otherwise). Xs holds one input space per kernel
     input. An OscillabError raised on the way names the cube and the stage
     it came from: geometry, kernel tensor, norms (the mode-invariant
     ||h||_{Y'} and ||chi_{Q_i}||_{X_i}), mode j, or closing bound."""
     grid = b.grid
     kernel = T.kernel
     geometry = expansion.geometry
+    if kernel != expansion.kernel:
+        raise ValueError(
+            f"operator kernel {kernel.name or '<anon>'} is not the kernel "
+            f"{expansion.kernel.name or '<anon>'} whose 1/K the expansion holds"
+        )
     if kernel.D != geometry.D or len(Xs) != kernel.inputs:
         raise ValueError(f"{kernel.inputs}-input kernel on R^{kernel.D}, geometry on R^{geometry.D}, {len(Xs)} input space(s)")
     delta = geometry.delta
@@ -507,7 +528,7 @@ def verify_master_chain(
 
     with _stage(q, "geometry"):
         geometry.check_cube(q)
-        cube = ChainCube.build(b, q, geometry)
+        cube = ChainCube.build(b, q, geometry, expansion.freqs)
         axes = tuple(range(1, len(cube.family)))  # the derived-cube axes of K
         sl_q = cube.family.slices(0)
         bq_block = b.values[sl_q].reshape(-1)
@@ -534,16 +555,16 @@ def verify_master_chain(
         h_norm = norm(cube.h_modulus(), Yp)
         nfg = math.prod(chi_norms(X, cube.family)[i] for i, X in enumerate(Xs, start=1))
 
-    def one_mode(nu: np.ndarray):
-        fs, h = build_test_functions(cube, nu)
+    def one_mode(j: int):
+        fs, h = build_test_functions(cube, j)
         C = commutator(b, T, *fs, slot=1)
         integral = complex(np.sum(h * C.values[sl_q]) * cell)
         return integral, norm(C, Y)
 
     mode_rows = []
-    for j, nu in enumerate(expansion.freqs):
+    for j in range(len(expansion.freqs)):
         with _stage(q, f"mode {j}"):
-            mode_rows.append(one_mode(nu))
+            mode_rows.append(one_mode(j))
 
     a = expansion.coeffs
     scale_pref = (r / delta) ** d

@@ -205,9 +205,9 @@ class GridFunction:
         arr = np.asarray(values)
         if arr.shape != grid.shape:
             raise GridMismatch(f"values shape {arr.shape} != grid shape {grid.shape}")
-        if not np.iscomplexobj(arr):
+        if arr.dtype.kind != "c":
             arr = arr.astype(np.float64, copy=False)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("grid function values must be finite")
         self.grid = grid
         self.values = arr

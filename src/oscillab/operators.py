@@ -318,8 +318,8 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
 
     fflat = f.values.reshape(-1)
     gflat = g.values.reshape(-1)
-    ysel = np.flatnonzero(fflat)
-    zsel = np.flatnonzero(gflat)
+    ysel = fflat.nonzero()[0]
+    zsel = gflat.nonzero()[0]
     out = np.zeros(fflat.shape[0], dtype=np.result_type(fflat, gflat))
     if len(ysel) == 0 or len(zsel) == 0:
         return GridFunction(grid, out.reshape(grid.shape))
@@ -419,12 +419,17 @@ def bilinear_maximal(f: GridFunction, g: GridFunction, alpha: float, family: Cub
 def commutator(b: GridFunction, op: OperatorHandle | Callable, *fs: GridFunction, slot: int = 1) -> GridFunction:
     """[b, T]_slot (f_1, ..., f_k) = b T(f_1, ..., f_k) - T(..., b f_slot, ...)
     for T = op: b moves onto input `slot`, and for one input this is
-    [b, T] f = b (T f) - T(b f). Vanishes identically for constant b."""
+    [b, T] f = b (T f) - T(b f). Vanishes identically for constant b.
+
+    The moved input b f_slot is a checked GridFunction, as every operator
+    input is; the two terms are combined on their value arrays, in the
+    order of the formula, into the one checked result, so a non-finite
+    b (T f) still raises there."""
     if not 1 <= slot <= len(fs):
         raise ValueError(f"slot must be 1..{len(fs)}, got {slot}")
     moved = list(fs)
     moved[slot - 1] = b * fs[slot - 1]
-    return b * op(*fs) - op(*moved)
+    return GridFunction(b.grid, b.values * op(*fs).values - op(*moved).values)
 
 
 # ---- Probe-based norm estimates ----

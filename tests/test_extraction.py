@@ -36,6 +36,7 @@ from oscillab import (
 from oscillab import extraction, fixtures, spaces
 from oscillab import grid as grid_module
 from oscillab.fixtures import make_symbol
+from oscillab.operators import distance_kernel
 from oscillab.extraction import (
     ChainCube,
     ExtractionGeometry,
@@ -125,6 +126,52 @@ def test_check_cube_names_the_cube(monkeypatch, derived, message):
     assert str(q) in str(info.value)
 
 
+def _scan_base_point(kernel, delta):
+    """The direction scan as a loop: one kernel evaluation per direction and
+    ball, keeping a direction only on a strict gain. The reference for the
+    base point of select_geometry."""
+    n = kernel.ndim
+    rho = 3 * math.sqrt(n)
+    ball = _unit_ball_points(kernel.D, 256) * delta * math.sqrt(2 * n)
+    best_val, best = -1.0, None
+    for direction in extraction._scan_directions(kernel.D):
+        c = rho * direction
+        lo = min(
+            float(np.min(np.abs(kernel.evaluate(c + ball)))),
+            float(np.min(np.abs(kernel.evaluate(-c + ball)))),
+        )
+        if lo > best_val:
+            best_val, best = lo, c
+    return tuple(float(v) for v in best)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: HILBERT,
+        lambda: BIRIESZ,
+        lambda: fixtures.make_kernel("bilinear_riesz", 2),
+        lambda: fixtures.make_kernel("riesz_1", 2),
+        lambda: distance_kernel(1, 1.2),
+    ],
+    ids=["hilbert", "bilinear_riesz-1d", "bilinear_riesz-2d", "riesz_1-2d", "distance-1.2"],
+)
+def test_select_geometry_matches_a_direction_scan(make):
+    kernel = make()
+    assert select_geometry(kernel, 0.5).base_point == _scan_base_point(kernel, 0.5)
+
+
+def test_select_geometry_never_keeps_a_nan_minimum():
+    # K is NaN within about 8 degrees of +x; a loop taking min(lo(c), lo(-c))
+    # with Python's min kept the direction -x, whose antipode ball meets the cone
+    kernel = KernelSpec(2, 1, 0.0, lambda t: np.where(t[..., 0] > 0.99, np.nan, t[..., 0]), name="cone")
+    geo = select_geometry(kernel, 0.5)
+    ball = _unit_ball_points(2, 256) * geo.ball_radius
+    c = np.array(geo.base_point)
+    for center in (c, -c):
+        assert np.isfinite(kernel.evaluate(center + ball)).all()
+
+
 def test_select_geometry_bilinear_riesz():
     geo = select_geometry(BIRIESZ, 0.5)
     assert geo.ndim == 1
@@ -198,7 +245,7 @@ def test_test_functions_unit_modulus():
     b = make_symbol("log_abs", g)
     geo = select_geometry(HILBERT, 0.5)
     q = Cube((0.140625,), 0.28125)
-    fs, h = build_test_functions(ChainCube.build(b, q, geo), np.array([1.7]))
+    fs, h = build_test_functions(ChainCube.build(b, q, geo, np.array([[1.7]])), 0)
     assert len(fs) == 1
     sl = cube_slices(g, geo.derived_cubes(q)[0])
     assert np.allclose(np.abs(fs[0].values[sl]), 1.0)
@@ -216,8 +263,8 @@ def test_test_functions_zero_frequency():
     b = make_symbol("log_abs", g)
     geo = select_geometry(HILBERT, 0.5)
     q = Cube((0.140625,), 0.28125)
-    cube = ChainCube.build(b, q, geo)
-    fs, h = build_test_functions(cube, np.array([0.0]))
+    cube = ChainCube.build(b, q, geo, np.array([[0.0]]))
+    fs, h = build_test_functions(cube, 0)
     sl = cube_slices(g, geo.derived_cubes(q)[0])
     assert np.all(fs[0].values[sl] == 1.0)  # e^0 = 1 exactly
     assert np.all(h == cube.sigma)
@@ -266,10 +313,10 @@ def _riesz_2d_cube():
 )
 def test_test_functions_match_per_mode_construction(setup, nus):
     b, geo, q = setup()
-    cube = ChainCube.build(b, q, geo)
+    cube = ChainCube.build(b, q, geo, np.array(nus))
     sl = cube_slices(b.grid, q)
-    for nu in nus:
-        fs, h = build_test_functions(cube, np.array(nu))
+    for j, nu in enumerate(nus):
+        fs, h = build_test_functions(cube, j)
         want_fs, want_h = _per_mode_test_functions(q, geo, np.array(nu), b)
         assert len(fs) == len(want_fs)
         for got, want in zip(fs, want_fs):
@@ -280,6 +327,29 @@ def test_test_functions_match_per_mode_construction(setup, nus):
         off = want_h.copy()
         off[sl] = 0.0
         assert np.all(off == 0.0), nu
+
+
+@pytest.mark.parametrize(
+    "setup, kernel, n_per_axis",
+    [
+        (_bilinear_1d_cube, BIRIESZ, 10),
+        (_riesz_2d_cube, fixtures.make_kernel("riesz_1", 2), 5),
+    ],
+    ids=["bilinear-1d", "riesz_1-2d"],
+)
+def test_test_functions_match_per_mode_construction_on_every_fitted_mode(setup, kernel, n_per_axis):
+    """Each row of the phase tables, sign, sum order and signed zeros
+    included, is the exponential the construction makes for that mode alone."""
+    b, geo, q = setup()
+    exp = fourier_reciprocal(kernel, geo, n_per_axis)
+    cube = ChainCube.build(b, q, geo, exp.freqs)
+    sl = cube_slices(b.grid, q)
+    assert len(exp.freqs) == n_per_axis**kernel.D
+    for j, nu in enumerate(exp.freqs):
+        fs, h = build_test_functions(cube, j)
+        want_fs, want_h = _per_mode_test_functions(q, geo, nu, b)
+        assert [f.values.tobytes() for f in fs] == [w.tobytes() for w in want_fs], j
+        assert h.tobytes() == want_h[sl].tobytes(), j
 
 
 @pytest.mark.parametrize(
@@ -294,12 +364,13 @@ def test_test_functions_match_per_mode_construction(setup, nus):
 def test_hoisted_h_norm_matches_per_mode_norm(make):
     b, geo, q = _bilinear_1d_cube()
     Yp = associate(make(b.grid))
-    cube = ChainCube.build(b, q, geo)
+    nus = [[1.7, -0.6], [-13.25, 40.1], [0.0, 0.0]]
+    cube = ChainCube.build(b, q, geo, np.array(nus))
     hoisted = norm(cube.h_modulus(), Yp)
     assert hoisted > 0.0
-    for nu in ([1.7, -0.6], [-13.25, 40.1], [0.0, 0.0]):
+    for j in range(len(nus)):
         h = np.zeros(b.grid.shape, dtype=np.complex128)
-        h[cube_slices(b.grid, q)] = build_test_functions(cube, np.array(nu))[1]
+        h[cube_slices(b.grid, q)] = build_test_functions(cube, j)[1]
         per_mode = norm(GridFunction(b.grid, h), Yp)
         assert hoisted == pytest.approx(per_mode, rel=1e-12)
 
@@ -424,6 +495,19 @@ def test_chain_arity_mismatch(linear_chain):
     q = Cube((0.140625,), 0.28125)
     with pytest.raises(ValueError):
         verify_master_chain(b, T, (Lebesgue(2.0), Lebesgue(2.0)), Lebesgue(2.0), q, exp)
+
+
+def test_chain_refuses_an_expansion_of_another_kernel():
+    """bilinear_riesz and distance_kernel(1, 1.2) both live on R^2, so only
+    the kernel the expansion records tells their 1/K apart."""
+    b, geo, q = _bilinear_1d_cube()
+    exp = fourier_reciprocal(BIRIESZ, geo, 5)
+    assert exp.kernel is BIRIESZ
+    other = distance_kernel(1, 1.2)
+    assert other.D == BIRIESZ.D
+    with pytest.raises(ValueError) as info:
+        verify_master_chain(b, OperatorHandle(other), (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp)
+    assert "bilinear_riesz" in str(info.value) and other.name in str(info.value)
 
 
 def test_chain_error_names_cube_and_stage(monkeypatch):

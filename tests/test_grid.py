@@ -123,6 +123,21 @@ def test_gridfunction_rejects_nonfinite():
         GridFunction(g, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "bad", [np.inf, -np.inf, complex(1.0, np.nan)], ids=["inf", "minus-inf", "nan-imaginary-part"]
+)
+def test_gridfunction_rejects_infinities_and_a_nan_imaginary_part(bad):
+    g = Grid((0.0,), (1.0,), 4)
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction(g, np.array([0.0, bad, 0.0, 0.0]))
+
+
+def test_gridfunction_makes_ints_float64_and_keeps_complex64():
+    g = Grid((0.0,), (1.0,), 4)
+    assert GridFunction(g, np.arange(4)).values.dtype == np.float64
+    assert GridFunction(g, np.ones(4, dtype=np.complex64)).values.dtype == np.complex64
+
+
 def test_gridfunction_complex_passthrough():
     g = Grid((0.0,), (1.0,), 4)
     f = GridFunction(g, np.exp(1j * np.arange(4.0)))

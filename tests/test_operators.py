@@ -269,6 +269,42 @@ def test_bilinear_commutator_slots_disagree():
     assert np.max(np.abs(c1.values - c2.values)) > 1e-6
 
 
+def _commutator_case(name, n, complex_inputs):
+    g = Grid((-2.0,) * n, (2.0,) * n, 64 if n == 1 else 16)
+    k = fixtures.make_kernel(name, n)
+    rng = np.random.default_rng(11)
+    xs = g.meshes()
+    near = sum(x * x for x in xs) <= 1.0
+
+    def supported():
+        vals = rng.standard_normal(g.shape) * near
+        return vals + 1j * rng.standard_normal(g.shape) * near if complex_inputs else vals
+
+    b = GridFunction(g, np.log(sum(x * x for x in xs) + 0.25))
+    return b, OperatorHandle(k), [GridFunction(g, supported()) for _ in range(k.inputs)]
+
+
+@pytest.mark.parametrize("complex_inputs", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name, n", [("hilbert", 1), ("bilinear_riesz", 1), ("riesz_1", 2)])
+def test_commutator_is_the_formula_in_grid_function_arithmetic(name, n, complex_inputs):
+    b, T, fs = _commutator_case(name, n, complex_inputs)
+    got = commutator(b, T, *fs)
+    want = b * T(*fs) - T(b * fs[0], *fs[1:])
+    assert got.values.dtype == want.values.dtype
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_commutator_refuses_an_overflowing_b_times_tf():
+    g = Grid((-4.0,), (4.0,), 256)
+    inside = np.abs(g.meshes()[0]) <= 1.0
+    f = GridFunction(g, 10.0 * inside)
+    # b is huge only where f vanishes, so b f is finite and b (T f) is not
+    b = GridFunction(g, np.where(inside, 1.0, 1e308))
+    assert np.isfinite((b * f).values).all()
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        commutator(b, OperatorHandle(HILBERT), f)
+
+
 def test_operator_handle_dispatch():
     g = Grid((-2.0,), (2.0,), 64)
     lin = OperatorHandle(HILBERT)

@@ -79,6 +79,34 @@ def test_every_chain_workload_meets_the_residual_budget(monkeypatch):
         assert expansion.epsilon <= extraction.EPS_TOL, cfg
 
 
+def test_a_default_chain_run_makes_the_calls_the_benchmark_gate_counts(tmp_path, monkeypatch):
+    """perfbench's plain-pass gate on `chain` counts one build_test_functions
+    call per mode and two bilinear_singular_integral calls per mode, through
+    OperatorHandle. A refactor of the chain must meet it here first."""
+    from oscillab import extraction, operators
+
+    gate = _child(monkeypatch).WORKLOADS["chain"].exact
+    calls = {"extraction.modes": 0, "operators.bilinear_calls": 0}
+    for module, attr, counter in (
+        (extraction, "build_test_functions", "extraction.modes"),
+        (operators, "bilinear_singular_integral", "operators.bilinear_calls"),
+    ):
+
+        def counted(*args, _original=getattr(module, attr), _counter=counter, **kwargs):
+            calls[_counter] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    cfg = tmp_path / "chain.json"
+    out = {"csv_path": str(tmp_path / "chain.csv"), "json_path": str(tmp_path / "chain.out.json")}
+    cfg.write_text(json.dumps({"experiment": "chain", "seed": 1, **out}))
+    assert cli.main(["run", str(cfg)]) == 0
+    assert calls == {"extraction.modes": 1200, "operators.bilinear_calls": 2400} == {k: gate[k] for k in calls}, (
+        f"{calls}: perfbench's plain-pass gate on `chain` requires 1,200 build_test_functions and 2,400 "
+        "bilinear_singular_integral calls; only a benchmark-only change (ROADMAP item 4 step 1) may change them"
+    )
+
+
 def test_every_fixture_kind_has_the_builder_the_runner_looks_up():
     """ScopedConfig.fixture builds a fixture by getattr(fixtures, "make_<kind>"),
     and space_* keys reach make_space the same way."""
