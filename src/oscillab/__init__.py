@@ -43,7 +43,6 @@ from .grid import (
     trend_verdict,
 )
 from .spaces import (
-    ExponentFunction,
     Lebesgue,
     SpaceSpec,
     Variable,

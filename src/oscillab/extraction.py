@@ -48,7 +48,7 @@ rounding. The orderings (iii) <= (iv) <= (v) hold by construction whenever
 the probe set contains the chain's own test pairs (it always does) and Y' is
 the exact associate space of Y, as for Lebesgue and Weighted. For Variable,
 Y' is Variable(p'(.)), whose norm is only equivalent to the associate norm
-(a Hoelder defect of 1.01647 has been measured; ROADMAP item 2), so
+(a Hoelder defect of 1.01647 has been measured; ROADMAP item 1), so
 (iii) <= (iv), which is Hoelder's inequality for Y and Y', holds there only
 up to that equivalence constant.
 """
@@ -69,7 +69,7 @@ from .errors import (
     TailTooLarge,
 )
 from .grid import Cube, CubeFamily, Grid, GridFunction, trend_verdict
-from .operators import KernelSpec, OperatorHandle, commutator, kernel_tensor
+from .operators import KernelSpec, OperatorHandle, _sphere_points, commutator, kernel_tensor
 from .spaces import SpaceSpec, associate, chi_norms, norm
 
 _BALL_SEED = 20240817
@@ -171,18 +171,6 @@ def _unit_ball_points(D: int, count: int, seed: int = _BALL_SEED) -> np.ndarray:
     return np.concatenate([np.zeros((1, D)), pts, shell], axis=0)
 
 
-def _scan_directions(D: int) -> np.ndarray:
-    if D == 1:
-        return np.array([[1.0], [-1.0]])
-    if D == 2:
-        t = (np.arange(128) + 0.5) * (2 * np.pi / 128)
-        return np.stack([np.cos(t), np.sin(t)], axis=1)
-    rng = np.random.default_rng(_BALL_SEED)
-    g = rng.standard_normal((128, D))
-    g = np.concatenate([g, -g], axis=0)
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
 def select_geometry(kernel: KernelSpec, delta: float) -> ExtractionGeometry:
     """Pick the annulus point where |K| stays largest on the validity ball.
 
@@ -201,7 +189,7 @@ def select_geometry(kernel: KernelSpec, delta: float) -> ExtractionGeometry:
     radius = delta * math.sqrt(2 * n)
     ball = _unit_ball_points(D, 256) * radius
     scale = rho ** (-kernel.degree)
-    cs = rho * _scan_directions(D)
+    cs = rho * _sphere_points(D, 128 if D == 2 else 256, _BALL_SEED)
     lo = np.minimum(
         np.min(np.abs(kernel.evaluate(cs[:, None, :] + ball)), axis=1),
         np.min(np.abs(kernel.evaluate(-cs[:, None, :] + ball)), axis=1),
@@ -280,7 +268,8 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     (ties keep FFT order so runs are reproducible); the kept coefficients
     are then re-fit by least squares against 1/K on a dense ball sample,
     and the residual is measured on a second, independent sample. Raises
-    TailTooLarge when that residual exceeds EPS_TOL.
+    TailTooLarge unless that residual is at most EPS_TOL (so also when it
+    is NaN).
     """
     if kernel.D != geometry.D or kernel.ndim != geometry.ndim:
         raise ValueError("kernel and geometry disagree on dimension")
@@ -358,7 +347,7 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     resid = np.abs(1.0 / kernel.evaluate(sample) - expansion.evaluate(sample))
     eps = float(np.max(resid))
     expansion = replace(expansion, epsilon=eps)
-    if eps > EPS_TOL:
+    if not eps <= EPS_TOL:  # a NaN residual is refused too
         raise TailTooLarge(
             f"residual {eps:.3e} > {EPS_TOL:.3e} at N = {len(keep)}; raise N_per_axis"
         )

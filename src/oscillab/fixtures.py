@@ -11,11 +11,13 @@ parameter or grid it cannot use (AlphaOutOfRange for a kernel's order).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grid import Grid, GridFunction
 from .operators import KernelSpec, distance_kernel
-from .spaces import ExponentFunction, Lebesgue, Variable, Weighted
+from .spaces import Lebesgue, Variable, Weighted
 
 
 def _radius(grid: Grid) -> np.ndarray:
@@ -70,13 +72,13 @@ FIXTURES = {
         "constant:<c>": lambda g, c: GridFunction(g, np.full(g.shape, float(c))),
     },
     "exponent": {
-        "constant:<p>": lambda g, p: ExponentFunction.constant(g, float(p)),
-        "arctan_profile": lambda g, _: ExponentFunction.from_callable(g, lambda *xs: 2.0 + np.arctan(xs[0]) / np.pi),
+        "constant:<p>": lambda g, p: Variable(GridFunction(g, np.full(g.shape, float(p)))),
+        "arctan_profile": lambda g, _: Variable(GridFunction(g, 2.0 + np.arctan(g.meshes()[0]) / np.pi)),
     },
     "space": {
         "lebesgue:<p>": lambda g, p: Lebesgue(float(p)),
         "weighted:<p>:<weight>": _weighted,
-        "variable:<exponent>": lambda g, e: Variable(make_exponent(e, g)),
+        "variable:<exponent>": lambda g, e: make_exponent(e, g),
     },
 }
 
@@ -90,8 +92,11 @@ def build(kind: str, name: str, target):
     raise ValueError(f"unknown {kind} {name!r}; `oscillab list-fixtures` prints the known names")
 
 
+@functools.cache
 def make_kernel(name: str, n: int) -> KernelSpec:
-    """Kernel fixture on base dimension n (1 or 2)."""
+    """Kernel fixture on base dimension n (1 or 2). Each (name, n) is built
+    once, so every build of one fixture kernel is the same KernelSpec and an
+    expansion fitted on one build verifies against an operator of another."""
     return build("kernel", name, n)
 
 
@@ -104,7 +109,8 @@ def make_symbol(name: str, grid: Grid) -> GridFunction:
     return build("symbol", name, grid)
 
 
-def make_exponent(name: str, grid: Grid) -> ExponentFunction:
+def make_exponent(name: str, grid: Grid) -> Variable:
+    """The variable Lebesgue space of an exponent fixture."""
     return build("exponent", name, grid)
 
 

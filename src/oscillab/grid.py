@@ -216,9 +216,6 @@ class GridFunction:
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
         return cls(grid, np.asarray(fn(*grid.meshes())))
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def _coerce(self, other):
         if isinstance(other, GridFunction):
             if other.grid != self.grid:
@@ -427,13 +424,12 @@ class FamilySup:
     value: float
     argmax: Cube
     per_cube: tuple[float, ...]
-    provenance: str
 
     @classmethod
     def of(cls, family: CubeFamily, per_cube: Sequence[float]) -> "FamilySup":
         """per_cube holds one value per family cube, in family order."""
         arg = int(np.argmax(per_cube))
-        return cls(float(per_cube[arg]), family.cubes[arg], tuple(per_cube), family.provenance)
+        return cls(float(per_cube[arg]), family.cubes[arg], tuple(per_cube))
 
 
 VERDICTS = ("stable", "growing", "undetermined")

@@ -40,6 +40,7 @@ from .spaces import SpaceSpec, _alpha_check, norm
 
 _MAX_TENSOR = 4_000_000  # cap on kernel-tensor entries per evaluation chunk
 _SPHERE_COUNT = 2048  # sphere samples for the mean-zero check
+_SPHERE_SEED = 20240811
 _DEFECT_SAMPLES = 64  # random (u, s) pairs of homogeneity_defect
 _DEFECT_SEED = 7
 
@@ -47,15 +48,18 @@ _DEFECT_SEED = 7
 # ---- Kernels ----
 
 
-def _sphere_samples(D: int) -> np.ndarray:
+def _sphere_points(D: int, count: int, seed: int) -> np.ndarray:
+    """Points on the unit sphere of R^D: the two points of S^0, count
+    equally spaced angles on S^1, and otherwise count // 2 seeded Gaussian
+    directions with their negatives, so odd parts cancel exactly."""
     if D == 1:
         return np.array([[1.0], [-1.0]])
     if D == 2:
-        t = (np.arange(_SPHERE_COUNT) + 0.5) * (2 * np.pi / _SPHERE_COUNT)
+        t = (np.arange(count) + 0.5) * (2 * np.pi / count)
         return np.stack([np.cos(t), np.sin(t)], axis=1)
-    rng = np.random.default_rng(20240811)
-    g = rng.standard_normal((_SPHERE_COUNT // 2, D))
-    g = np.concatenate([g, -g], axis=0)  # symmetric so odd parts cancel exactly
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count // 2, D))
+    g = np.concatenate([g, -g], axis=0)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
@@ -75,7 +79,7 @@ class KernelSpec:
         if self.inputs not in (1, 2):
             raise ValueError(f"a kernel takes 1 or 2 inputs, got {self.inputs}")
         _alpha_check(self.alpha, self.D)
-        pts = _sphere_samples(self.D)
+        pts = _sphere_points(self.D, _SPHERE_COUNT, _SPHERE_SEED)
         vals = np.asarray(self.omega(pts), dtype=float)
         scale = max(1.0, float(np.max(np.abs(vals))))
         if self.alpha == 0.0 and abs(float(np.mean(vals))) > 1e-6 * scale:

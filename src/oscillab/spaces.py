@@ -8,7 +8,7 @@ associate space X' is the norm dual realized on the same grid:
 Lebesgue(p)' = Lebesgue(p') and Weighted(p, w)' = Weighted(p', w^(1-p'))
 exactly. For Variable(p(.)) the associate taken is Variable(p'(.)), whose
 Luxemburg norm is only equivalent to the associate norm, not equal to it:
-its Hoelder defect can exceed 1 (1.01647 has been measured; ROADMAP item 2).
+its Hoelder defect can exceed 1 (1.01647 has been measured; ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -41,45 +41,6 @@ def conjugate_exponent(p: float) -> float:
     if p <= 1.0:
         raise ConjugateUndefined(f"p' undefined at p = {p}")
     return p / (p - 1.0)
-
-
-class ExponentFunction:
-    """A variable exponent p(.) sampled at cell centers, 1 <= p- <= p+ < inf."""
-
-    __slots__ = ("fn", "p_minus", "p_plus")
-
-    def __init__(self, fn: GridFunction):
-        vals = fn.values
-        if np.iscomplexobj(vals):
-            raise ValueError("exponent function must be real")
-        self.fn = fn
-        self.p_minus = float(np.min(vals))
-        self.p_plus = float(np.max(vals))
-        if self.p_minus < 1.0 or not np.isfinite(self.p_plus):
-            raise ValueError(
-                f"need 1 <= p- <= p+ < inf, got [{self.p_minus}, {self.p_plus}]"
-            )
-
-    @classmethod
-    def constant(cls, grid: Grid, p: float) -> "ExponentFunction":
-        return cls(GridFunction(grid, np.full(grid.shape, float(p))))
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "ExponentFunction":
-        return cls(GridFunction.from_callable(grid, fn))
-
-    @property
-    def grid(self) -> Grid:
-        return self.fn.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.fn.values
-
-    def conjugate(self) -> "ExponentFunction":
-        if self.p_minus <= 1.0:
-            raise ConjugateUndefined(f"p'(.) undefined: p- = {self.p_minus}")
-        return ExponentFunction(GridFunction(self.grid, self.values / (self.values - 1.0)))
 
 
 class SpaceSpec:
@@ -170,26 +131,29 @@ class Weighted(SpaceSpec):
 
 
 class Variable(SpaceSpec):
-    __slots__ = ("exponent",)
+    """L^p(.) for an exponent p(.) sampled at cell centers, 1 < p- <= p+ < inf."""
 
-    def __init__(self, exponent: ExponentFunction):
+    __slots__ = ("exponent", "p_minus", "p_plus")
+
+    def __init__(self, exponent: GridFunction):
         super().__init__()
-        if exponent.p_minus <= 1.0:
-            raise ValueError(
-                f"variable space needs p- > 1, got p- = {exponent.p_minus}"
-            )
+        if np.iscomplexobj(exponent.values):
+            raise ValueError("exponent function must be real")
         self.exponent = exponent
+        self.p_minus = float(np.min(exponent.values))
+        self.p_plus = float(np.max(exponent.values))
+        if self.p_minus <= 1.0:
+            raise ValueError(f"variable space needs p- > 1, got p- = {self.p_minus}")
 
     @property
     def grid(self) -> Grid:
         return self.exponent.grid
 
     def __repr__(self):
-        e = self.exponent
-        return f"Variable(p in [{e.p_minus:g}, {e.p_plus:g}])"
+        return f"Variable(p in [{self.p_minus:g}, {self.p_plus:g}])"
 
     def _norm(self, f: GridFunction) -> float:
-        return luxemburg_norm(f, self.exponent)
+        return luxemburg_norm(f, self)
 
     def _chi_norms(self, family: CubeFamily) -> list[float]:
         out = np.empty(len(family))
@@ -198,7 +162,8 @@ class Variable(SpaceSpec):
         return out.tolist()
 
     def _dual(self) -> "Variable":
-        return Variable(self.exponent.conjugate())
+        p = self.exponent.values
+        return Variable(GridFunction(self.grid, p / (p - 1.0)))
 
     def _extremizer(self, f: GridFunction) -> GridFunction:
         # normalize first so the pointwise power is scale-consistent
@@ -256,11 +221,11 @@ def _modular_lambdas(absrows: np.ndarray, prows: np.ndarray, cellvol: float) -> 
     )
 
 
-def luxemburg_norm(f: GridFunction, exponent: ExponentFunction) -> float:
-    if f.grid != exponent.grid:
+def luxemburg_norm(f: GridFunction, space: Variable) -> float:
+    if f.grid != space.grid:
         raise GridMismatch("function and exponent live on different grids")
     lam = _modular_lambdas(
-        np.abs(f.values).reshape(1, -1), exponent.values.reshape(1, -1), f.grid.cell_volume
+        np.abs(f.values).reshape(1, -1), space.exponent.values.reshape(1, -1), f.grid.cell_volume
     )
     return float(lam[0])
 
@@ -391,13 +356,12 @@ def condition_bilinear(
     return _condition((X1, X2), Y, alpha, family)
 
 
-def chiQ_norm_ratio(exponent: ExponentFunction, family: CubeFamily) -> FamilySup:
+def chiQ_norm_ratio(space: Variable, family: CubeFamily) -> FamilySup:
     """Ratios ||chi_Q||_p(.) / |Q|^(1/p_Q) with 1/p_Q the cube mean of 1/p.
 
     For log-Hoelder-regular exponents the ratios stay pinched near 1; wild
     exponents show up as a spreading min/max band.
     """
-    family.check_grid(exponent.grid)
-    p_q = [1.0 / m for m in family.means(1.0 / exponent.values).tolist()]
-    chis = chi_norms(Variable(exponent), family)
+    chis = chi_norms(space, family)
+    p_q = [1.0 / m for m in family.means(1.0 / space.exponent.values).tolist()]
     return FamilySup.of(family, [chi / meas ** (1.0 / pq) for chi, meas, pq in zip(chis, family.measures, p_q)])

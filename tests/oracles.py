@@ -5,7 +5,7 @@ family arithmetic against an independent computation."""
 
 import numpy as np
 
-from oscillab import Cube, ExponentFunction, Grid, GridFunction, conjugate_exponent, cube_average, cube_slices
+from oscillab import Cube, Grid, GridFunction, Variable, conjugate_exponent, cube_average, cube_slices
 from oscillab.grid import cube_index_ranges
 
 
@@ -38,7 +38,7 @@ def ap_cube(w: GridFunction, p: float, cube: Cube) -> float:
     return fa_w * fa_dual ** (p - 1.0)
 
 
-def harmonic_mean_over(exponent: ExponentFunction, cube: Cube) -> float:
-    """p_Q with 1/p_Q = cell average of 1/p over Q."""
-    block = exponent.values[cube_slices(exponent.grid, cube)]
+def harmonic_mean_over(space: Variable, cube: Cube) -> float:
+    """p_Q with 1/p_Q = cell average over Q of 1/p, p the space's exponent."""
+    block = space.exponent.values[cube_slices(space.grid, cube)]
     return 1.0 / float(np.mean(1.0 / block))

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from oscillab import GridFunction, Lebesgue, OperatorHandle, __version__, commutator, norm, operators
+from oscillab import GridFunction, Lebesgue, OperatorHandle, __version__, cli, commutator, norm, operators
 from oscillab.cli import ExperimentConfig, ScopedConfig, main, run_commutator
 from oscillab.errors import ConfigError
 
@@ -182,6 +182,18 @@ def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, ke
     assert key in err
     assert not (tmp_path / "report.csv").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+def test_norms_exponent_reaching_1_is_refused_when_the_config_is_read(monkeypatch):
+    """The exponent fixture is the Variable space itself, so p- = 1 is
+    refused while the config is read, before the norms runner starts."""
+
+    def no_run(cfg):
+        raise AssertionError("the norms runner started")
+
+    monkeypatch.setitem(cli.RUNNERS, "norms", no_run)
+    with pytest.raises(ConfigError, match=r"^exponent: variable space needs p- > 1, got p- = 1\.0$"):
+        ExperimentConfig({"experiment": "norms", "seed": 0, "exponent": "constant:1"})
 
 
 def test_all_accepts_a_space_key_that_one_experiment_reads():

@@ -23,7 +23,6 @@ from oscillab import (
     OperatorHandle,
     OutOfDomain,
     TailTooLarge,
-    Variable,
     Weighted,
     associate,
     centered_family,
@@ -33,7 +32,7 @@ from oscillab import (
     norm,
     trend_verdict,
 )
-from oscillab import extraction, fixtures, spaces
+from oscillab import extraction, fixtures, operators, spaces
 from oscillab import grid as grid_module
 from oscillab.fixtures import make_symbol
 from oscillab.operators import distance_kernel
@@ -130,11 +129,11 @@ def _scan_base_point(kernel, delta):
     """The direction scan as a loop: one kernel evaluation per direction and
     ball, keeping a direction only on a strict gain. The reference for the
     base point of select_geometry."""
-    n = kernel.ndim
+    n, D = kernel.ndim, kernel.D
     rho = 3 * math.sqrt(n)
-    ball = _unit_ball_points(kernel.D, 256) * delta * math.sqrt(2 * n)
+    ball = _unit_ball_points(D, 256) * delta * math.sqrt(2 * n)
     best_val, best = -1.0, None
-    for direction in extraction._scan_directions(kernel.D):
+    for direction in operators._sphere_points(D, 128 if D == 2 else 256, extraction._BALL_SEED):
         c = rho * direction
         lo = min(
             float(np.min(np.abs(kernel.evaluate(c + ball)))),
@@ -235,6 +234,13 @@ def test_reciprocal_tail_too_large():
     assert exp.geometry is geo
     with pytest.raises(TailTooLarge, match=r"^residual 1\.268e-02 > 1\.000e-02 at N = 4"):
         fourier_reciprocal(HILBERT, geo, 4)
+
+
+def test_reciprocal_refuses_a_nan_residual(monkeypatch):
+    """A NaN residual is not within EPS_TOL, so it is refused like a large one."""
+    monkeypatch.setattr(extraction.FourierExpansion, "evaluate", lambda self, pts: np.full(len(pts), np.nan))
+    with pytest.raises(TailTooLarge, match=r"^residual nan > 1\.000e-02 at N = 5"):
+        fourier_reciprocal(HILBERT, select_geometry(HILBERT, 0.5), 5)
 
 
 # ---- test functions ----
@@ -357,7 +363,7 @@ def test_test_functions_match_per_mode_construction_on_every_fitted_mode(setup, 
     [
         lambda g: Lebesgue(2.0),
         lambda g: Weighted(2.0, fixtures.make_weight("power:0.5", g)),
-        lambda g: Variable(fixtures.make_exponent("arctan_profile", g)),
+        lambda g: fixtures.make_exponent("arctan_profile", g),
     ],
     ids=["lebesgue", "weighted", "variable"],
 )
@@ -446,7 +452,7 @@ def test_chain_bilinear_cube():
     "make",
     [
         lambda g, p: Weighted(p, fixtures.make_weight("power:0.5", g)),
-        lambda g, p: Variable(fixtures.make_exponent("arctan_profile", g)),
+        lambda g, p: fixtures.make_exponent("arctan_profile", g),
     ],
     ids=["weighted-power-0.5", "variable-arctan"],
 )
@@ -510,6 +516,30 @@ def test_chain_refuses_an_expansion_of_another_kernel():
     assert "bilinear_riesz" in str(info.value) and other.name in str(info.value)
 
 
+def test_chain_accepts_an_expansion_fitted_on_another_build_of_the_kernel():
+    """Two builds of one fixture kernel are one kernel: an expansion fitted
+    on the first verifies against an operator made from the second."""
+    b, geo, q = _bilinear_1d_cube()
+    exp = fourier_reciprocal(fixtures.make_kernel("bilinear_riesz", 1), geo, 5)
+    other = fixtures.make_kernel("bilinear_riesz", 1)
+    assert other == exp.kernel
+    rep = verify_master_chain(b, OperatorHandle(other), (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp)
+    assert rep.stage_i > 0.0
+
+
+def test_chain_refuses_an_expansion_of_another_anonymous_kernel():
+    """Two unnamed kernels with the same shape and Omega written twice are
+    still two kernels: only a fixture build has a value identity."""
+    first = KernelSpec(1, 1, 0.0, lambda t: t[..., 0])
+    second = KernelSpec(1, 1, 0.0, lambda t: t[..., 0])
+    assert first != second
+    b = make_symbol("log_abs", Grid((-6.0,), (6.0,), 512))
+    exp = fourier_reciprocal(first, select_geometry(first, 0.5), 5)
+    q = Cube((0.140625,), 0.28125)
+    with pytest.raises(ValueError, match="operator kernel <anon> is not the kernel <anon>"):
+        verify_master_chain(b, OperatorHandle(second), (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
+
+
 def test_chain_error_names_cube_and_stage(monkeypatch):
     g = Grid((-6.0,), (6.0,), 512)
     b = make_symbol("log_abs", g)
@@ -517,7 +547,7 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
     exp = fourier_reciprocal(BIRIESZ, geo, 5)
     T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
-    V = Variable(fixtures.make_exponent("arctan_profile", g))
+    V = fixtures.make_exponent("arctan_profile", g)
     # no Newton solve can meet a negative tolerance: the first Variable norm,
     # taken once per cube before the modes, raises
     monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)
@@ -548,7 +578,7 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
 
 def _bilinear_1d_chain():
     b, geo, q = _bilinear_1d_cube()
-    V = Variable(fixtures.make_exponent("arctan_profile", b.grid))
+    V = fixtures.make_exponent("arctan_profile", b.grid)
     W = Weighted(2.0, fixtures.make_weight("power:0.5", b.grid))
     return b, OperatorHandle(BIRIESZ), (V, W), V, q, fourier_reciprocal(BIRIESZ, geo, 5)
 
@@ -580,7 +610,7 @@ def test_chain_indexes_each_cube_once(monkeypatch, setup):
     "make",
     [
         lambda g: Weighted(2.0, fixtures.make_weight("power:0.5", g)),
-        lambda g: Variable(fixtures.make_exponent("arctan_profile", g)),
+        lambda g: fixtures.make_exponent("arctan_profile", g),
     ],
     ids=["weighted", "variable"],
 )

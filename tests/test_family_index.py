@@ -16,7 +16,6 @@ from oscillab import (
     Cube,
     CubeFamily,
     EmptyCube,
-    ExponentFunction,
     Grid,
     GridMismatch,
     GridFunction,
@@ -389,8 +388,8 @@ def _spaces(g):
         Lebesgue(3.0),
         Weighted(3.0, w),
         associate(Weighted(3.0, w)),
-        Variable(fixtures.make_exponent("arctan_profile", g)),
-        associate(Variable(fixtures.make_exponent("arctan_profile", g))),
+        fixtures.make_exponent("arctan_profile", g),
+        associate(fixtures.make_exponent("arctan_profile", g)),
     ]
 
 
@@ -435,7 +434,7 @@ def test_indicator_ratio_bit_equal():
     ex = fixtures.make_exponent("arctan_profile", g)
     rep = chiQ_norm_ratio(ex, fam)
     want = [
-        chi_norm(Variable(ex), q) / cube_measure(g, q) ** (1.0 / harmonic_mean_over(ex, q))
+        chi_norm(ex, q) / cube_measure(g, q) ** (1.0 / harmonic_mean_over(ex, q))
         for q in fam
     ]
     assert list(rep.per_cube) == want
@@ -476,7 +475,7 @@ def test_weight_constants_bit_equal(case):
 
 ON_A_GRID = {
     "chi_norm_weighted": lambda fam, w: chi_norm(Weighted(2.0, w), fam.cubes[1], fam.grid),
-    "chi_norm_variable": lambda fam, w: chi_norm(Variable(ExponentFunction(w + 1.0)), fam.cubes[1], fam.grid),
+    "chi_norm_variable": lambda fam, w: chi_norm(Variable(w + 1.0), fam.cubes[1], fam.grid),
     "chi_norms": lambda fam, w: chi_norms(Weighted(2.0, w), fam),
     "condition_linear": lambda fam, w: condition_linear(Weighted(2.0, w), Weighted(2.0, w), 0.0, fam),
     "ap_constant": lambda fam, w: ap_constant(w, 2.0, fam),
@@ -485,7 +484,7 @@ ON_A_GRID = {
     "bmo_seminorm": lambda fam, w: bmo_seminorm(w, fam),
     "maximal": lambda fam, w: maximal(w, 0.0, fam),
     "bilinear_maximal": lambda fam, w: bilinear_maximal(w, w, 0.0, fam),
-    "chiQ_norm_ratio": lambda fam, w: chiQ_norm_ratio(ExponentFunction(w + 1.0), fam),
+    "chiQ_norm_ratio": lambda fam, w: chiQ_norm_ratio(Variable(w + 1.0), fam),
 }
 
 

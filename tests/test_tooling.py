@@ -149,3 +149,15 @@ def test_a_run_imports_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0], "scipy": []}
+
+
+def test_pytest_collects_without_pythonpath():
+    """pyproject.toml puts src/ on pytest's path, so `python -m pytest` in a
+    fresh checkout collects with no PYTHONPATH and no install."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONPATH"}, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", "tests/test_grid.py"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
