@@ -371,18 +371,15 @@ def _phase_table(axes: tuple[np.ndarray, ...], vecs: np.ndarray, sign: float) ->
 @dataclass(frozen=True)
 class ChainCube:
     """What the chain needs on one cube Q, built once before the mode loop:
-    the family (Q, Q_1, ..., Q_k) of Q and its derived cubes, indexed once,
-    with each cube's cell-center coordinates (one block per axis, each of
-    the shape of the cube's cells); b_{Q'} and sigma = sgn(b - b_{Q'}) on the
-    cells of Q; and the phases of every mode j of the expansion, one table
-    of shape (N, *cells) per cube: phases[i][j] is
-    e^{-i (delta/r) nu_j^i . y} on the cells of Q_i, with nu_j^i the i-th
-    n-block of nu_j, and phases[0][j] is
+    the family (Q, Q_1, ..., Q_k) of Q and its derived cubes, indexed once;
+    b_{Q'} and sigma = sgn(b - b_{Q'}) on the cells of Q; and the phases of
+    every mode j of the expansion, one table of shape (N, *cells) per cube:
+    phases[i][j] is e^{-i (delta/r) nu_j^i . y} on the cells of Q_i, with
+    nu_j^i the i-th n-block of nu_j, and phases[0][j] is
     e^{+i (delta/r) nu_j . (x, ..., x)} sigma on the cells of Q. Cube 0 is Q
     and cube i the derived cube of input i."""
 
     family: CubeFamily
-    axes: tuple[tuple[np.ndarray, ...], ...]
     b_avg: float
     sigma: np.ndarray
     phases: tuple[np.ndarray, ...]
@@ -401,16 +398,11 @@ class ChainCube:
         h = _phase_table(axes[0], scale * np.sum(blocks, axis=1), +1.0)
         h *= sigma
         fs = [_phase_table(axes[i], scale * blocks[:, i - 1], -1.0) for i in range(1, len(family))]
-        return cls(family, axes, bqp, sigma, (h, *fs))
+        return cls(family, bqp, sigma, (h, *fs))
 
     @property
     def grid(self) -> Grid:
         return self.family.grid
-
-    def coords(self, i: int) -> np.ndarray:
-        """(cells, n) coordinates of cube i in row-major cell order, as
-        `kernel_tensor` reads them."""
-        return np.stack([a.reshape(-1) for a in self.axes[i]], axis=1)
 
     def h_modulus(self) -> GridFunction:
         """|sigma| chi_Q, which is |h| for every mode up to rounding of
@@ -529,7 +521,8 @@ def verify_master_chain(
     with _stage(q, "kernel tensor"):
         by = b.values[cube.family.slices(1)].reshape(-1)
         bdiff = np.expand_dims(bq_block[:, None] - by[None, :], axes[1:])  # (X, Y, 1, ...)
-        K = kernel_tensor(kernel, *(cube.coords(i) for i in range(len(cube.family))))
+        cells = np.arange(grid.m**grid.n).reshape(grid.shape)
+        K = kernel_tensor(kernel, grid, *(cells[cube.family.slices(i)].reshape(-1) for i in range(len(cube.family))))
         navg = math.prod(K.shape[1:])
         min_k = float(np.min(np.abs(K)))
         if min_k == 0.0:

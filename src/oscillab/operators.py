@@ -6,14 +6,14 @@ case and needs a mean-zero Omega. Quadrature treats grid functions as zero
 outside the box.
 
 T acts on f chi_box: every path sums the kernel over all in-box offsets,
-with no window and no mask. The discrete operator is thus the compression to
-the box of a convolution on the whole lattice, and no probe ratio exceeds
-that convolution's norm (for `hilbert` its symbol is bounded by pi, the norm
-of the continuum operator). The singular path (alpha = 0) omits the self
-cell, where the principal value of a mean-zero kernel vanishes. The
-fractional path (alpha > 0) adds the integral of K over the self cell:
-closed form on 1D lines, refined midpoint sub-quadrature in higher ambient
-dimension.
+with no window and no mask, and reads K at the lattice offsets h k, from a
+table of the offsets that occur. The discrete operator is thus the
+compression to the box of a convolution on the whole lattice, and no probe
+ratio exceeds that convolution's norm (for `hilbert` its symbol is bounded
+by pi, the norm of the continuum operator). The singular path (alpha = 0)
+omits the self cell, where the principal value of a mean-zero kernel
+vanishes; the fractional path (alpha > 0) adds the integral of K over it:
+closed form on 1D lines, refined midpoint sub-quadrature otherwise.
 
 The linear quadrature takes its inputs as columns of one stacked array, so
 `OperatorHandle.each(fs)` applies a one-input kernel to many inputs in one
@@ -250,39 +250,51 @@ def fractional_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:
 # ---- Bilinear quadrature ----
 
 
-def _flat_cells(grid: Grid) -> np.ndarray:
-    """(M, n) coordinates of all cells, row-major."""
-    return np.stack([m.reshape(-1) for m in grid.meshes()], axis=1)
-
-
-def kernel_tensor(kernel: KernelSpec, x: np.ndarray, *ys: np.ndarray) -> np.ndarray:
-    """K(x - y_1, ..., x - y_k) as an (X, Y_1, ..., Y_k) tensor over cell
-    coordinates x and y_i, each of shape (cells, n)."""
-    shape = (x.shape[0], *(y.shape[0] for y in ys), x.shape[1])
-    offsets = []
-    for i, y in enumerate(ys):
-        u = x[:, None, :] - y[None, :, :]  # (X, Y_i, n), spread over the other y axes
-        others = tuple(j + 1 for j in range(len(ys)) if j != i)
-        offsets.append(np.broadcast_to(np.expand_dims(u, others), shape))
-    return kernel.evaluate(np.concatenate(offsets, axis=-1))
+def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray) -> np.ndarray:
+    """K(x - y_1, ..., x - y_k) as an (X, Y_1, ..., Y_k) tensor over flat
+    row-major cell indices x and y_i, read at lattice offsets: K is
+    evaluated once on a table of the offsets that occur, whose axes are
+    a = x - y_1 and, for i >= 2, c_i = y_1 - y_i (the boxes of cell offsets
+    the sets span), at the points h (a, a + c_2, ..., a + c_k), and the
+    tensor is gathered from it. Where that table would hold more points
+    than the tensor has entries (sparse sets spread over the box), K is
+    read at each entry's own lattice offset instead."""
+    cells = [np.stack(np.unravel_index(v, grid.shape), axis=-1) for v in (x, *ys)]  # (count, n)
+    if not all(len(c) for c in cells):
+        return np.zeros(tuple(len(c) for c in cells))
+    k, n = len(ys), grid.n
+    pairs = [(0, 1), *((1, i) for i in range(2, k + 1))]  # table axis (s, t) holds cells[s] - cells[t]
+    lo = [cells[s].min(axis=0) - cells[t].max(axis=0) for s, t in pairs]
+    dims = [tuple(cells[s].max(axis=0) - cells[t].min(axis=0) - low + 1) for (s, t), low in zip(pairs, lo)]
+    if math.prod(sum(dims, ())) > math.prod(len(c) for c in cells):
+        u = [cells[0][:, None] - c[None] for c in cells[1:]]  # (X, Y_i, n)
+        u = [np.expand_dims(v, tuple(j for j in range(1, k + 1) if j != i)) for i, v in enumerate(u, 1)]
+        return kernel.evaluate(np.concatenate(np.broadcast_arrays(*u), axis=-1) * grid.h)
+    offs = np.indices(sum(dims, ())).reshape(k * n, -1).T + np.concatenate(lo)  # rows (a, c_2, ..., c_k), row-major
+    points = np.concatenate([offs[:, :n], *(offs[:, :n] + offs[:, i * n : (i + 1) * n] for i in range(1, k))], axis=1)
+    table = kernel.evaluate(points * grid.h).reshape([math.prod(d) for d in dims])  # x - y_i = a + c_i
+    index = []  # each pair's table index, on the tensor axes s and t
+    for (s, t), low, d in zip(pairs, lo, dims):
+        flat = np.ravel_multi_index(tuple(np.moveaxis(cells[s][:, None] - cells[t][None] - low, -1, 0)), d)
+        index.append(np.expand_dims(flat, tuple(j for j in range(k + 1) if j not in (s, t))))
+    return table[tuple(index)]
 
 
 def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
     """Yield (start, stop, K2, here) per _MAX_TENSOR slice of output cells.
 
     K2 is the (X, Y, Z) kernel tensor over the nonzero cells ysel of f and
-    zsel of g, viewed as an (X, Y*Z) matrix; its doubly-singular pair
-    y = z = x is the zero offset, where K reads 0. here holds the flat
-    indices of the slice's cells in both ysel and zsel (the fractional
-    self-cell correction). ysel, zsel and the output cells are all sorted
-    flat row-major indices."""
-    coords = _flat_cells(grid)
-    ycoord, zcoord = coords[ysel], coords[zsel]
+    zsel of g, read at lattice offsets by `kernel_tensor` and viewed as an
+    (X, Y*Z) matrix; its doubly-singular pair y = z = x is the zero offset,
+    where K reads 0. here holds the flat indices of the slice's cells in
+    both ysel and zsel (the fractional self-cell correction). ysel, zsel
+    and the output cells are all sorted flat row-major indices."""
+    cells = grid.m**grid.n
     both = np.intersect1d(ysel, zsel, assume_unique=True)
     chunk = max(1, _MAX_TENSOR // max(1, len(ysel) * len(zsel)))
-    for start in range(0, coords.shape[0], chunk):
-        stop = min(start + chunk, coords.shape[0])
-        K = kernel_tensor(kernel, coords[start:stop], ycoord, zcoord)
+    for start in range(0, cells, chunk):
+        stop = min(start + chunk, cells)
+        K = kernel_tensor(kernel, grid, np.arange(start, stop), ysel, zsel)
         here = both[(both >= start) & (both < stop)]
         yield start, stop, K.reshape(stop - start, -1), here
 

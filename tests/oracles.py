@@ -1,11 +1,14 @@
-"""Single-cube scalar oracles that the family-wide library functions are
-checked against. Each reads one cube's slice of the grid directly, with no
-CubeFamily indexing, so a test that compares the two checks the one-pass
-family arithmetic against an independent computation."""
+"""Brute-force oracles that the library functions are checked against.
+
+The single-cube scalar oracles read one cube's slice of the grid directly,
+with no CubeFamily indexing, so a test that compares the two checks the
+one-pass family arithmetic against an independent computation. The kernel
+tensor oracle evaluates K at every coordinate difference, with no table of
+lattice offsets."""
 
 import numpy as np
 
-from oscillab import Cube, Grid, GridFunction, Variable, conjugate_exponent, cube_average, cube_slices
+from oscillab import Cube, Grid, GridFunction, KernelSpec, Variable, conjugate_exponent, cube_average, cube_slices
 from oscillab.grid import cube_index_ranges
 
 
@@ -42,3 +45,16 @@ def harmonic_mean_over(space: Variable, cube: Cube) -> float:
     """p_Q with 1/p_Q = cell average over Q of 1/p, p the space's exponent."""
     block = space.exponent.values[cube_slices(space.grid, cube)]
     return 1.0 / float(np.mean(1.0 / block))
+
+
+def kernel_tensor_at_coordinates(kernel: KernelSpec, x: np.ndarray, *ys: np.ndarray) -> np.ndarray:
+    """K(x - y_1, ..., x - y_k) as an (X, Y_1, ..., Y_k) tensor over cell
+    coordinates x and y_i, each of shape (cells, n): K evaluated once per
+    (x, y_1, ..., y_k) at coordinate differences, with no offset table."""
+    shape = (x.shape[0], *(y.shape[0] for y in ys), x.shape[1])
+    offsets = []
+    for i, y in enumerate(ys):
+        u = x[:, None, :] - y[None, :, :]  # (X, Y_i, n), spread over the other y axes
+        others = tuple(j + 1 for j in range(len(ys)) if j != i)
+        offsets.append(np.broadcast_to(np.expand_dims(u, others), shape))
+    return kernel.evaluate(np.concatenate(offsets, axis=-1))

@@ -39,6 +39,7 @@ from oscillab import (
     singular_integral,
 )
 from oscillab import fixtures, operators
+from oracles import kernel_tensor_at_coordinates
 
 
 HILBERT = fixtures.make_kernel("hilbert", 1)
@@ -470,13 +471,159 @@ def test_kernel_chunks_on_overlapping_supports(make, cap, monkeypatch):
     chunks = list(operators._kernel_chunks(g, k, ysel, zsel))
     assert (len(chunks) > 1) == (cap is not None)
     coords = g.meshes()[0].reshape(-1, 1)
-    want = operators.kernel_tensor(k, coords, coords[ysel], coords[zsel])
+    want = kernel_tensor_at_coordinates(k, coords, coords[ysel], coords[zsel])
     got = np.concatenate([K2 for *_, K2, _ in chunks]).reshape(want.shape)
     assert got.tobytes() == want.tobytes()
     assert all(want[x, list(ysel).index(x), list(zsel).index(x)] == 0.0 for x in both)
     assert [int(i) for *_, here in chunks for i in here] == both
     for start, stop, _, here in chunks:
         assert all(start <= i < stop for i in here)
+
+
+# ---- The kernel tensor at lattice offsets ----
+
+
+def _cell_coords(g):
+    return np.stack([m.reshape(-1) for m in g.meshes()], axis=1)
+
+
+_TENSOR_KERNELS = {
+    "hilbert_1d": (lambda: HILBERT, 1),
+    "riesz_1_2d": (lambda: fixtures.make_kernel("riesz_1", 2), 2),
+    "bilinear_riesz_1d": (lambda: fixtures.make_kernel("bilinear_riesz", 1), 1),
+    "bilinear_riesz_2d": (lambda: fixtures.make_kernel("bilinear_riesz", 2), 2),
+    "distance_1d": (lambda: distance_kernel(1, 1.2), 1),
+}
+
+
+def _window_sets(g, inputs, rng, x_count):
+    """x a run of x_count cells, as `_kernel_chunks` passes it, and per
+    kernel input 12 random cells of a random window of 16 (a 4 x 4 block in
+    2D), so that the sets overlap and the offsets fit a small table."""
+    side = 16 if g.n == 1 else 4
+    ys = []
+    for _ in range(inputs):
+        corner = rng.integers(0, g.m - side + 1, size=g.n)
+        window = np.ravel_multi_index(tuple(corner[:, None] + np.indices((side,) * g.n).reshape(g.n, -1)), g.shape)
+        ys.append(rng.choice(window, size=12, replace=False))
+    return np.arange(x_count), ys
+
+
+def _tensor_and_oracle(k, g, x, ys):
+    coords = _cell_coords(g)
+    return operators.kernel_tensor(k, g, x, *ys), kernel_tensor_at_coordinates(k, coords[x], *(coords[y] for y in ys))
+
+
+@pytest.mark.parametrize("case", sorted(_TENSOR_KERNELS))
+def test_kernel_tensor_equals_the_coordinate_oracle_on_a_dyadic_grid(case):
+    """Cell centers are exact binary fractions, so every coordinate
+    difference is its lattice offset and the two tensors agree bit for bit."""
+    make, n = _TENSOR_KERNELS[case]
+    k = make()
+    g = Grid((-2.0,) * n, (2.0,) * n, 64 if n == 1 else 8)
+    got, want = _tensor_and_oracle(k, g, *_window_sets(g, k.inputs, np.random.default_rng(31), g.m**n))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(want) > want.size // 2
+
+
+@pytest.mark.parametrize("case", sorted(_TENSOR_KERNELS))
+def test_kernel_tensor_agrees_with_the_coordinate_oracle_on_a_non_dyadic_grid(case):
+    """h = 0.02: a coordinate difference is its lattice offset up to about
+    one ulp of 1 (2.2e-16), and no offset is shorter than h, so K of degree
+    d moves by about d * 1.1e-14 relative at most; the test allows twice
+    that at every entry."""
+    make, n = _TENSOR_KERNELS[case]
+    k = make()
+    g = Grid((-1.0,) * n, (1.0,) * n, 100)
+    x = g.axis_centers(0)
+    assert np.any(x[:, None] - x[None, :] != (np.arange(100)[:, None] - np.arange(100)[None, :]) * g.h)
+    got, want = _tensor_and_oracle(k, g, *_window_sets(g, k.inputs, np.random.default_rng(32), 100 if n == 1 else 200))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2 * max(1.0, k.degree) * np.spacing(1.0) / g.h * np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_tensor_of_spread_out_sets_reads_no_more_points_than_entries(n, monkeypatch):
+    """Random sets spread over the box span more offsets than the tensor
+    has entries; K is then read at the entries themselves, still at lattice
+    offsets, so the tensor is the oracle's bit for bit."""
+    k = fixtures.make_kernel("bilinear_riesz", n)
+    g = Grid((-2.0,) * n, (2.0,) * n, 64 if n == 1 else 16)
+    rng = np.random.default_rng(33)
+    x, ys = (rng.choice(g.m**n, size=size, replace=False) for size in (24, (2, 6)))
+    points = []
+    evaluate = KernelSpec.evaluate
+    monkeypatch.setattr(KernelSpec, "evaluate", lambda self, u: points.append(math.prod(np.shape(u)[:-1])) or evaluate(self, u))
+    got = operators.kernel_tensor(k, g, x, *ys)
+    assert points == [got.size] == [24 * 6 * 6]
+    monkeypatch.undo()
+    assert got.tobytes() == _tensor_and_oracle(k, g, x, ys)[1].tobytes()
+
+
+def test_kernel_tensor_of_an_empty_index_set_is_empty():
+    g = Grid((-2.0,), (2.0,), 16)
+    k = fixtures.make_kernel("bilinear_riesz", 1)
+    none, some = np.array([], dtype=np.intp), np.arange(3, 7)
+    for args, shape in (((np.arange(16), none, some), (16, 0, 4)), ((none, some, some), (0, 4, 4))):
+        got = operators.kernel_tensor(k, g, *args)
+        assert got.shape == shape and got.size == 0
+    assert operators.kernel_tensor(HILBERT, g, some, none).shape == (4, 0)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: fixtures.make_kernel("bilinear_riesz", 1), lambda: distance_kernel(1, 1.2)],
+    ids=["singular", "fractional"],
+)
+def test_a_1d_plan_evaluates_k_once_per_lattice_offset(make, monkeypatch):
+    """One plan for c-cell supports on m cells reads K on at most
+    (m + c - 1)(2c - 1) lattice offsets, not once per (x, y, z) triple
+    (m c^2 points)."""
+    m, c = 64, 8
+    k = make()
+    points = []
+    evaluate = KernelSpec.evaluate
+    monkeypatch.setattr(KernelSpec, "evaluate", lambda self, u: points.append(math.prod(np.shape(u)[:-1])) or evaluate(self, u))
+    chunks = list(operators._kernel_chunks(Grid((-2.0,), (2.0,), m), k, np.arange(10, 10 + c), np.arange(30, 30 + c)))
+    assert sum(K2.size for _, _, K2, _ in chunks) == m * c * c
+    assert 0 < sum(points) <= (m + c - 1) * (2 * c - 1)
+
+
+@pytest.mark.parametrize(
+    "grid", [Grid((-2.0, -2.0), (2.0, 2.0), 8), Grid((-1.0, -1.0), (1.0, 1.0), 10)], ids=["m8-dyadic", "m10"]
+)
+@pytest.mark.parametrize(
+    "make", [lambda: fixtures.make_kernel("bilinear_riesz", 2), lambda: distance_kernel(2, 1.5)],
+    ids=["singular", "fractional"],
+)
+def test_bilinear_2d_matches_a_direct_sum(make, grid, monkeypatch):
+    """At every point, h^4 times the sum over the nonzero cells of
+    K(x - y, x - z) f(y) g(z) at coordinate offsets (K reads 0 at the pair
+    y = z = x), plus the self cell when alpha > 0; a table cut into chunks
+    gives the one-chunk result bit for bit."""
+    k = make()
+    rng = np.random.default_rng(19)
+    f, g = (GridFunction(grid, rng.standard_normal(grid.shape) * (rng.uniform(size=grid.shape) < 0.5)) for _ in range(2))
+    ysel, zsel = np.flatnonzero(f.values), np.flatnonzero(g.values)
+    coords = _cell_coords(grid)
+    K = kernel_tensor_at_coordinates(k, coords, coords[ysel], coords[zsel])
+    want = np.einsum("xyz,y,z->x", K, f.values.reshape(-1)[ysel], g.values.reshape(-1)[zsel]) * grid.h**4
+    if k.alpha > 0.0:
+        want = want + operators._self_cell(k, grid.h) * (f.values * g.values).reshape(-1)
+    operators._plans.clear()
+    got = OperatorHandle(k)(f, g).values.reshape(-1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    one = next(operators._kernel_chunks(grid, k, ysel, zsel))[2]
+    # chunks of 16 output cells: at 7 cells the BLAS product rounds some
+    # rows differently from the one-chunk product
+    monkeypatch.setattr(operators, "_MAX_TENSOR", 16 * len(ysel) * len(zsel))
+    operators._plans.clear()
+    chunks = list(operators._kernel_chunks(grid, k, ysel, zsel))
+    assert len(chunks) > 1
+    assert np.concatenate([K2 for _, _, K2, _ in chunks]).tobytes() == one.tobytes()
+    chunked = OperatorHandle(k)(f, g).values.reshape(-1)
+    assert operators._plans == []
+    assert chunked.tobytes() == got.tobytes()
 
 
 # ---- Bilinear apply as one real matrix product ----

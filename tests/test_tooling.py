@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import oscillab
 from oscillab import cli
 
@@ -105,6 +107,39 @@ def test_a_default_chain_run_makes_the_calls_the_benchmark_gate_counts(tmp_path,
         f"{calls}: perfbench's plain-pass gate on `chain` requires 1,200 build_test_functions and 2,400 "
         "bilinear_singular_integral calls; only a benchmark-only change (ROADMAP item 4 step 1) may change them"
     )
+
+
+def test_the_necessity_variable_chain_reads_k_once_per_lattice_offset(tmp_path, monkeypatch):
+    """perfbench's `necessity-variable` pass reads K on at most 70,000
+    points inside its chain: each cube's kernel table and each operator
+    plan is evaluated on the lattice offsets that occur (67,140 points), not
+    once per (x, y, z) triple (733,760 points)."""
+    from oscillab import extraction, operators
+
+    cfg = dict(_child(monkeypatch).WORKLOADS["necessity-variable"].runs[0])
+    points, inside = [], []
+    evaluate, experiment = operators.KernelSpec.evaluate, extraction.necessity_experiment
+
+    def counted(self, u):
+        if inside:
+            points.append(np.prod(np.shape(u)[:-1]))
+        return evaluate(self, u)
+
+    def chain(*args, **kwargs):
+        inside.append(True)
+        try:
+            return experiment(*args, **kwargs)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(operators.KernelSpec, "evaluate", counted)
+    for module in (extraction, cli):
+        monkeypatch.setattr(module, "necessity_experiment", chain)
+    path = tmp_path / "necessity.json"
+    out = {"csv_path": str(tmp_path / "n.csv"), "json_path": str(tmp_path / "n.out.json")}
+    path.write_text(json.dumps({**cfg, "seed": 1, **out}))
+    assert cli.main(["run", str(path)]) == 0
+    assert 0 < sum(points) <= 70_000
 
 
 def test_every_fixture_kind_has_the_builder_the_runner_looks_up():
