@@ -34,12 +34,9 @@ from .grid import (
     Grid,
     GridFunction,
     centered_family,
-    cube_average,
-    cube_measure,
     cube_slices,
     enumerate_dyadic,
     indicator,
-    integrate,
     trend_verdict,
 )
 from .spaces import (

@@ -587,7 +587,7 @@ def _chain(cfg: ScopedConfig) -> tuple[GridFunction, FourierExpansion, Necessity
     with _naming("delta"):
         geometry = select_geometry(kernel, float(cfg.get("delta")))
     expansion = fourier_reciprocal(kernel, geometry, int(cfg.get("n_per_axis")))
-    return b, expansion, necessity_experiment(b, OperatorHandle(kernel), Xs, Y, fam, expansion)
+    return b, expansion, necessity_experiment(b, Xs, Y, fam, expansion)
 
 
 def run_chain(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:

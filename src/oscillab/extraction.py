@@ -13,8 +13,8 @@ bounded mean oscillation" into per-cube arithmetic:
    period box repeats, and a least-squares pass over a dense ball sample
    polishes the kept coefficients (the expansion is only ever used on the
    ball, so on-ball residual is the right target). The expansion keeps the
-   geometry it was fitted on and is the chain's one set-up object; it is
-   refused when its residual exceeds EPS_TOL.
+   kernel and the geometry it was fitted on and is the chain's one set-up
+   object; it is refused when its residual exceeds EPS_TOL.
 3. `build_test_functions` makes, for one mode, modulated indicators whose
    moduli are plain cube indicators, so their norms match the norms of
    their supports, and the block of h on the cells of Q, where alone h is
@@ -25,7 +25,8 @@ bounded mean oscillation" into per-cube arithmetic:
    table from one np.exp. Stage (v) reads the norms of chi_P from a family
    of P.
 4. `verify_master_chain` evaluates, on one cube and from one expansion
-   (whose geometry places the derived cubes), the five-stage estimate chain
+   (whose geometry places the derived cubes, and whose kernel is the
+   operator T the chain applies), the five-stage estimate chain
 
    (i)   integral over Q of |b - b_{Q'}|
    (ii)  the same quantity rewritten through K * (1/K) as a double or
@@ -478,7 +479,6 @@ def _stage(q: Cube, name: str):
 
 def verify_master_chain(
     b: GridFunction,
-    T: OperatorHandle,
     Xs: tuple[SpaceSpec, ...],
     Y: SpaceSpec,
     q: Cube,
@@ -486,20 +486,17 @@ def verify_master_chain(
 ) -> ChainReport:
     """Evaluate the five-stage chain on one cube. See the module docstring.
 
-    The derived cubes and delta come from expansion.geometry, the geometry
-    the 1/K expansion was fitted on, and T's kernel must be the kernel it
-    was fitted for (ValueError otherwise). Xs holds one input space per kernel
-    input. An OscillabError raised on the way names the cube and the stage
-    it came from: geometry, kernel tensor, norms (the mode-invariant
-    ||h||_{Y'} and ||chi_{Q_i}||_{X_i}), mode j, or closing bound."""
+    The operator T is that of expansion.kernel, the kernel whose 1/K the
+    expansion holds; the derived cubes and delta come from
+    expansion.geometry, the geometry it was fitted on. Xs holds one input
+    space per kernel input (ValueError otherwise). An OscillabError raised
+    on the way names the cube and the stage it came from: geometry, kernel
+    tensor, norms (the mode-invariant ||h||_{Y'} and ||chi_{Q_i}||_{X_i}),
+    mode j, or closing bound."""
     grid = b.grid
-    kernel = T.kernel
+    kernel = expansion.kernel
+    T = OperatorHandle(kernel)
     geometry = expansion.geometry
-    if kernel != expansion.kernel:
-        raise ValueError(
-            f"operator kernel {kernel.name or '<anon>'} is not the kernel "
-            f"{expansion.kernel.name or '<anon>'} whose 1/K the expansion holds"
-        )
     if kernel.D != geometry.D or len(Xs) != kernel.inputs:
         raise ValueError(f"{kernel.inputs}-input kernel on R^{kernel.D}, geometry on R^{geometry.D}, {len(Xs)} input space(s)")
     delta = geometry.delta
@@ -615,19 +612,19 @@ class NecessityReport:
 
 def necessity_experiment(
     b: GridFunction,
-    T: OperatorHandle,
     Xs: tuple[SpaceSpec, ...],
     Y: SpaceSpec,
     family: CubeFamily,
     expansion: FourierExpansion,
 ) -> NecessityReport:
-    """Run the chain on every family cube and classify the ratio trend.
+    """Run the chain on every family cube, for the operator of
+    expansion.kernel, and classify the ratio trend.
 
     Oscillation ratios are stage (i) over |Q|; a bounded symbol keeps the
     per-level maxima flat while a symbol with unbounded oscillation on the
     family forces them, and with them the commutator probe norms, upward.
     """
-    reports = [verify_master_chain(b, T, Xs, Y, qc, expansion) for qc in family]
+    reports = [verify_master_chain(b, Xs, Y, qc, expansion) for qc in family]
     levels = family.levels if family.levels is not None else (0,) * len(reports)
     ratio_by: dict[int, float] = {}
     probe_by: dict[int, float] = {}

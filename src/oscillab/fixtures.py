@@ -11,8 +11,6 @@ parameter or grid it cannot use (AlphaOutOfRange for a kernel's order).
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .grid import Grid, GridFunction
@@ -92,11 +90,8 @@ def build(kind: str, name: str, target):
     raise ValueError(f"unknown {kind} {name!r}; `oscillab list-fixtures` prints the known names")
 
 
-@functools.cache
 def make_kernel(name: str, n: int) -> KernelSpec:
-    """Kernel fixture on base dimension n (1 or 2). Each (name, n) is built
-    once, so every build of one fixture kernel is the same KernelSpec and an
-    expansion fitted on one build verifies against an operator of another."""
+    """Kernel fixture on base dimension n (1 or 2)."""
     return build("kernel", name, n)
 
 

@@ -174,23 +174,14 @@ def _index_ranges(grid: Grid, centers: np.ndarray, sides: np.ndarray) -> np.ndar
     return k.astype(np.intp)
 
 
-def cube_index_ranges(grid: Grid, cube: Cube) -> tuple[tuple[int, int], ...]:
-    """Per-axis inclusive index range [k0, k1] of cells inside the cube.
+def cube_slices(grid: Grid, cube: Cube) -> tuple[slice, ...]:
+    """Per-axis slices of the cells inside the cube.
 
     Raises OutOfDomain when the cube leaves the grid box and EmptyCube when
     no cell center falls inside.
     """
     k = _index_ranges(grid, np.array([cube.center]), np.array([cube.side]))
-    return tuple((k0, k1) for k0, k1 in k[0].tolist())
-
-
-def cube_slices(grid: Grid, cube: Cube) -> tuple[slice, ...]:
-    return tuple(slice(k0, k1 + 1) for k0, k1 in cube_index_ranges(grid, cube))
-
-
-def cube_measure(grid: Grid, cube: Cube) -> float:
-    """Cell-counted measure |Q| = (number of member cells) * h^n."""
-    return int(np.prod([k1 - k0 + 1 for k0, k1 in cube_index_ranges(grid, cube)])) * grid.cell_volume
+    return tuple(slice(k0, k1 + 1) for k0, k1 in k[0].tolist())
 
 
 class GridFunction:
@@ -211,10 +202,6 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
         self.grid = grid
         self.values = arr
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
-        return cls(grid, np.asarray(fn(*grid.meshes())))
 
     def _coerce(self, other):
         if isinstance(other, GridFunction):
@@ -237,17 +224,6 @@ class GridFunction:
 
     def __truediv__(self, other):
         return GridFunction(self.grid, self.values / self._coerce(other))
-
-
-def integrate(f: GridFunction) -> float | complex:
-    """Box integral: sum of values times h^n (numpy pairwise summation)."""
-    return np.sum(f.values) * f.grid.cell_volume
-
-
-def cube_average(f: GridFunction, cube: Cube):
-    """Cell-measured average over Q: (sum of member values) / count."""
-    block = f.values[cube_slices(f.grid, cube)]
-    return np.sum(block) / block.size
 
 
 def indicator(grid: Grid, cube: Cube) -> GridFunction:
@@ -322,7 +298,7 @@ class CubeFamily:
         lo = self.ranges[:, :, 0]
         shapes = self.ranges[:, :, 1] - lo + 1
         self.counts = np.prod(shapes, axis=1)
-        # cube_measure's arithmetic: member cells times h^n
+        # |Q|: member cells times h^n
         self.measures = (self.counts * grid.cell_volume).tolist()
         # a row-major key per block shape, in np.unique(shapes, axis=0) order; a set, as 1-D np.unique imports numpy.ma
         keys = np.ravel_multi_index(tuple(shapes.T - 1), grid.shape)
@@ -398,7 +374,7 @@ class CubeFamily:
         return self.reduce(values, lambda blocks, axes: blocks.sum(axis=axes))
 
     def means(self, values: np.ndarray) -> np.ndarray:
-        """Cell averages (block sum / count), as cube_average computes them."""
+        """Cell averages: np.sum of each cube's block over its cell count."""
         return self.sums(values) / self.counts
 
     def scatter_max(self, per_cube: Sequence[float]) -> np.ndarray:

@@ -15,11 +15,15 @@ omits the self cell, where the principal value of a mean-zero kernel
 vanishes; the fractional path (alpha > 0) adds the integral of K over it:
 closed form on 1D lines, refined midpoint sub-quadrature otherwise.
 
-The linear quadrature takes its inputs as columns of one stacked array, so
-`OperatorHandle.each(fs)` applies a one-input kernel to many inputs in one
-pass, bit for bit as one call per input. `operator_norm_estimate(probes,
-outputs, in_spaces, out_space)` takes the outputs already computed, so a
-caller applies T once per distinct input.
+`OperatorHandle(kernel)` calls one of the four entry points by its plain
+global name, chosen by the input count and by alpha = 0, so a wrapper
+installed on that name sees every application; an entry point applies any
+kernel of its input count and refuses one of another count or base
+dimension. The linear quadrature takes its inputs as columns of one stacked
+array, so `OperatorHandle.each(fs)` applies a one-input kernel to many
+inputs in one pass, bit for bit as one call per input.
+`operator_norm_estimate(probes, outputs, in_spaces, out_space)` takes the
+outputs already computed, so a caller applies T once per distinct input.
 """
 
 from __future__ import annotations
@@ -35,14 +39,12 @@ from .errors import (
     GridMismatch,
     MeanZeroViolation,
 )
-from .grid import Cube, CubeFamily, Grid, GridFunction, cube_measure, cube_slices
+from .grid import Cube, CubeFamily, Grid, GridFunction, cube_slices
 from .spaces import SpaceSpec, _alpha_check, norm
 
 _MAX_TENSOR = 4_000_000  # cap on kernel-tensor entries per evaluation chunk
 _SPHERE_COUNT = 2048  # sphere samples for the mean-zero check
 _SPHERE_SEED = 20240811
-_DEFECT_SAMPLES = 64  # random (u, s) pairs of homogeneity_defect
-_DEFECT_SEED = 7
 
 
 # ---- Kernels ----
@@ -107,26 +109,6 @@ class KernelSpec:
             out[hit] = np.asarray(self.omega(theta)) * r[hit] ** (-self.degree)
         return out
 
-    def homogeneity_defect(self) -> float:
-        """max relative |K(s u) - s^(-d) K(u)| over random u, s; ~1e-15."""
-        rng = np.random.default_rng(_DEFECT_SEED)
-        u = rng.standard_normal((_DEFECT_SAMPLES, self.D))
-        s = rng.uniform(0.25, 4.0, _DEFECT_SAMPLES)
-        base = self.evaluate(u)
-        scaled = self.evaluate(u * s[:, None])
-        return float(np.max(np.abs(scaled - s ** (-self.degree) * base) / np.abs(base)))
-
-
-# The entry point for (inputs, singular). OperatorHandle looks the name up
-# in the module globals at call time, so a wrapper installed there is used;
-# each entry point refuses a kernel this table does not send to it.
-_ENTRY_POINTS = {
-    (1, True): "singular_integral",
-    (1, False): "fractional_integral",
-    (2, True): "bilinear_singular_integral",
-    (2, False): "bilinear_fractional_integral",
-}
-
 
 @dataclass(frozen=True)
 class OperatorHandle:
@@ -139,15 +121,14 @@ class OperatorHandle:
         k = self.kernel
         if len(fs) != k.inputs:
             raise ValueError(f"kernel {k.name or '<anon>'} takes {k.inputs} input(s), got {len(fs)}")
-        return globals()[_ENTRY_POINTS[(k.inputs, k.alpha == 0.0)]](*fs, k)
+        if k.inputs == 1:
+            return singular_integral(*fs, k) if k.alpha == 0.0 else fractional_integral(*fs, k)
+        return bilinear_singular_integral(*fs, k) if k.alpha == 0.0 else bilinear_fractional_integral(*fs, k)
 
     def each(self, fs: Iterable[GridFunction]) -> list[GridFunction]:
         """[self(f) for f in fs] for a one-input kernel, bit for bit, with
         the quadrature run once over the stacked inputs of each dtype."""
-        k = self.kernel
-        if k.inputs != 1:
-            raise ValueError(f"each applies a 1-input kernel, and {k.name or '<anon>'} takes {k.inputs}")
-        return _linear_apply(_ENTRY_POINTS[(1, k.alpha == 0.0)], fs, k)
+        return _linear_apply(fs, self.kernel)
 
 
 # ---- Linear quadrature ----
@@ -209,8 +190,8 @@ def _linear_body(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
     return out.view(np.complex128) if pairs else out
 
 
-def _linear_apply(name: str, fs: Iterable[GridFunction], kernel: KernelSpec) -> list[GridFunction]:
-    """T f for each f of fs on one grid, for the entry point `name`: the
+def _linear_apply(fs: Iterable[GridFunction], kernel: KernelSpec) -> list[GridFunction]:
+    """T f for each f of fs on one grid, for a one-input kernel: the
     inputs of each dtype are stacked along a trailing axis and sent through
     `_linear_body` in one call. Every column's arithmetic is that of a lone
     input, so each output is bit for bit what a call on its input alone
@@ -220,7 +201,7 @@ def _linear_apply(name: str, fs: Iterable[GridFunction], kernel: KernelSpec) -> 
     if not fs:
         return []
     grid = _grid_of(fs)
-    _check_entry(name, grid, kernel)
+    _check_kernel(kernel, 1, grid)
     groups: dict = {}
     for i, dtype in enumerate([f.values.dtype for f in fs]):
         groups.setdefault(dtype, []).append(i)
@@ -238,13 +219,13 @@ def _linear_apply(name: str, fs: Iterable[GridFunction], kernel: KernelSpec) -> 
 
 def singular_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:
     """Principal-value convolution with a mean-zero homogeneous kernel."""
-    return _linear_apply("singular_integral", (f,), kernel)[0]
+    return _linear_apply((f,), kernel)[0]
 
 
 def fractional_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:
     """Zero-extended convolution with a kernel of order alpha > 0, e.g.
     I_alpha f for the fixture frac_alpha:<alpha>."""
-    return _linear_apply("fractional_integral", (f,), kernel)[0]
+    return _linear_apply((f,), kernel)[0]
 
 
 # ---- Bilinear quadrature ----
@@ -281,22 +262,19 @@ def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray
 
 
 def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
-    """Yield (start, stop, K2, here) per _MAX_TENSOR slice of output cells.
+    """Yield (start, stop, K2) per _MAX_TENSOR slice of output cells.
 
     K2 is the (X, Y, Z) kernel tensor over the nonzero cells ysel of f and
     zsel of g, read at lattice offsets by `kernel_tensor` and viewed as an
     (X, Y*Z) matrix; its doubly-singular pair y = z = x is the zero offset,
-    where K reads 0. here holds the flat indices of the slice's cells in
-    both ysel and zsel (the fractional self-cell correction). ysel, zsel
-    and the output cells are all sorted flat row-major indices."""
+    where K reads 0. ysel, zsel and the output cells are all sorted flat
+    row-major indices."""
     cells = grid.m**grid.n
-    both = np.intersect1d(ysel, zsel, assume_unique=True)
     chunk = max(1, _MAX_TENSOR // max(1, len(ysel) * len(zsel)))
     for start in range(0, cells, chunk):
         stop = min(start + chunk, cells)
         K = kernel_tensor(kernel, grid, np.arange(start, stop), ysel, zsel)
-        here = both[(both >= start) & (both < stop)]
-        yield start, stop, K.reshape(stop - start, -1), here
+        yield start, stop, K.reshape(stop - start, -1)
 
 
 # The last kernel table built, as one (key, plan) entry. The estimate chain
@@ -308,10 +286,10 @@ _plans: list[tuple[tuple, tuple]] = []
 
 
 def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
-    """The chunks of `_kernel_chunks` for the nonzero cells ysel of f and
-    zsel of g. Plans whose table fits in one _MAX_TENSOR chunk are kept for
-    reuse; larger tables are rebuilt chunk by chunk on every call, so they
-    never hold more than one chunk in memory."""
+    """The (start, stop, K2) chunks of `_kernel_chunks` for the nonzero
+    cells ysel of f and zsel of g. Plans whose table fits in one _MAX_TENSOR
+    chunk are kept for reuse; larger tables are rebuilt chunk by chunk on
+    every call, so they never hold more than one chunk in memory."""
     key = (grid, kernel, ysel.tobytes(), zsel.tobytes())
     if _plans and _plans[0][0] == key:
         return _plans[0][1]
@@ -326,10 +304,11 @@ def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
 def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
     """T(f, g) as one real matrix product per chunk: the plan's K2 (X, Y*Z)
     against w = f_y g_z over the nonzero cells, K2 @ w for real inputs and
-    K2 @ [Re w, Im w] for complex ones, plus the fractional self-cell
-    correction. The sums run through BLAS, so their last digits depend on
-    its thread count."""
+    K2 @ [Re w, Im w] for complex ones, plus, for alpha > 0, the self-cell
+    term added once at the cells in both supports after the last chunk. The
+    sums run through BLAS, so their last digits depend on its thread count."""
     grid = _grid_of((f, g))
+    _check_kernel(kernel, 2, grid)
     h = grid.h
 
     fflat = f.values.reshape(-1)
@@ -346,23 +325,22 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
         w = w.astype(np.complex128, copy=False).view(np.float64).reshape(-1, 2)
     cell2 = h**kernel.D
     correction = 0.0 if kernel.alpha == 0.0 else _self_cell(kernel, h)
-    for start, stop, K2, here in _bilinear_plan(grid, kernel, ysel, zsel):
+    for start, stop, K2 in _bilinear_plan(grid, kernel, ysel, zsel):
         s = K2 @ w
         out[start:stop] = (s.view(np.complex128).reshape(-1) if pairs else s) * cell2
-        if correction != 0.0:
-            out[here] += correction * fflat[here] * gflat[here]
+    if correction != 0.0:
+        both = np.intersect1d(ysel, zsel, assume_unique=True)
+        out[both] += correction * fflat[both] * gflat[both]
     return GridFunction(grid, out.reshape(grid.shape))
 
 
 def bilinear_singular_integral(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
-    _check_entry("bilinear_singular_integral", f.grid, kernel)
     return _bilinear_apply(f, g, kernel)
 
 
 def bilinear_fractional_integral(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
     """Bilinear fractional integral, e.g. with `distance_kernel`'s
     (|u| + |v|)^(alpha - 2n)."""
-    _check_entry("bilinear_fractional_integral", f.grid, kernel)
     return _bilinear_apply(f, g, kernel)
 
 
@@ -392,7 +370,7 @@ def _averaging(fs: Sequence[GridFunction], cube: Cube, alpha: float) -> GridFunc
     _alpha_check(alpha, len(fs) * grid.n)
     sl = cube_slices(grid, cube)
     blocks = [f.values[sl] for f in fs]
-    val = math.prod([cube_measure(grid, cube) ** (alpha / grid.n), *(np.sum(b) / b.size for b in blocks)])
+    val = math.prod([(blocks[0].size * grid.cell_volume) ** (alpha / grid.n), *(np.sum(b) / b.size for b in blocks)])
     out = np.zeros(grid.shape, dtype=np.result_type(*(f.values for f in fs)))
     out[sl] = val
     return GridFunction(grid, out)
@@ -473,10 +451,10 @@ def operator_norm_estimate(
     return float(np.max(ratios))
 
 
-def _check_entry(name: str, grid: Grid, kernel: KernelSpec):
-    """Refuse a kernel that _ENTRY_POINTS does not send to `name`, and one
-    whose base dimension is not the grid's."""
-    if _ENTRY_POINTS[(kernel.inputs, kernel.alpha == 0.0)] != name:
-        raise ValueError(f"{name} cannot apply a {kernel.inputs}-input kernel with alpha = {kernel.alpha:g}")
+def _check_kernel(kernel: KernelSpec, inputs: int, grid: Grid):
+    """Refuse a kernel that does not take `inputs` inputs, and one whose
+    base dimension is not the grid's."""
+    if kernel.inputs != inputs:
+        raise ValueError(f"entry point for a {inputs}-input kernel, and {kernel.name or '<anon>'} takes {kernel.inputs}")
     if grid.n != kernel.ndim:
         raise GridMismatch(f"kernel base dimension {kernel.ndim} on grid of dimension {grid.n}")

@@ -8,12 +8,50 @@ lattice offsets."""
 
 import numpy as np
 
-from oscillab import Cube, Grid, GridFunction, KernelSpec, Variable, conjugate_exponent, cube_average, cube_slices
-from oscillab.grid import cube_index_ranges
+from oscillab import Cube, Grid, GridFunction, KernelSpec, Variable, conjugate_exponent, cube_slices
+
+_DEFECT_SAMPLES = 64  # random (u, s) pairs of homogeneity_defect
+_DEFECT_SEED = 7
+
+
+def from_callable(grid: Grid, fn) -> GridFunction:
+    """fn of the grid's coordinate meshes, sampled at cell centers."""
+    return GridFunction(grid, np.asarray(fn(*grid.meshes())))
+
+
+def integrate(f: GridFunction) -> float | complex:
+    """Box integral: sum of values times h^n (numpy pairwise summation)."""
+    return np.sum(f.values) * f.grid.cell_volume
+
+
+def cube_index_ranges(grid: Grid, cube: Cube) -> tuple[tuple[int, int], ...]:
+    """Per-axis inclusive index range [k0, k1] of cells inside the cube."""
+    return tuple((s.start, s.stop - 1) for s in cube_slices(grid, cube))
 
 
 def cube_cell_count(grid: Grid, cube: Cube) -> int:
     return int(np.prod([k1 - k0 + 1 for k0, k1 in cube_index_ranges(grid, cube)]))
+
+
+def cube_measure(grid: Grid, cube: Cube) -> float:
+    """Cell-counted measure |Q| = (number of member cells) * h^n."""
+    return cube_cell_count(grid, cube) * grid.cell_volume
+
+
+def cube_average(f: GridFunction, cube: Cube):
+    """Cell-measured average over Q: (sum of member values) / count."""
+    block = f.values[cube_slices(f.grid, cube)]
+    return np.sum(block) / block.size
+
+
+def homogeneity_defect(kernel: KernelSpec) -> float:
+    """max relative |K(s u) - s^(-d) K(u)| over random u, s; ~1e-15."""
+    rng = np.random.default_rng(_DEFECT_SEED)
+    u = rng.standard_normal((_DEFECT_SAMPLES, kernel.D))
+    s = rng.uniform(0.25, 4.0, _DEFECT_SAMPLES)
+    base = kernel.evaluate(u)
+    scaled = kernel.evaluate(u * s[:, None])
+    return float(np.max(np.abs(scaled - s ** (-kernel.degree) * base) / np.abs(base)))
 
 
 def mean_oscillation(f: GridFunction, cube: Cube) -> float:

@@ -24,8 +24,6 @@ from oscillab import (
     bilinear_maximal,
     centered_family,
     commutator,
-    cube_average,
-    cube_measure,
     enumerate_dyadic,
     fractional_integral,
     indicator,
@@ -44,7 +42,7 @@ from oscillab.extraction import (
 from oscillab.grid import trend_verdict
 from oscillab.spaces import chi_norm, condition_linear, luxemburg_norm, norm
 from oscillab.weights import ap_constant, ap_duality_gap
-from oracles import harmonic_mean_over
+from oracles import cube_average, cube_measure, from_callable, harmonic_mean_over
 
 
 def report(k, detail):
@@ -142,7 +140,7 @@ def test_criterion_04_operator_oracles():
     box = singular_integral(const, hilbert).values[middle]
     box_err = np.max(np.abs(box - 2.5 * np.log((x5[middle] + 4.0) / (4.0 - x5[middle]))))
     assert box_err <= g5.h**2
-    f = GridFunction.from_callable(g5, lambda t: np.sin(2 * t) * np.exp(-t * t))
+    f = from_callable(g5, lambda t: np.sin(2 * t) * np.exp(-t * t))
     comm = commutator(const, OperatorHandle(hilbert), f)
     czero = np.max(np.abs(comm.values))
     assert czero <= 1e-10
@@ -209,17 +207,17 @@ def bilinear_setup():
     k = fixtures.make_kernel("bilinear_riesz", 1)
     geo = select_geometry(k, 0.5)
     exp = fourier_reciprocal(k, geo, 10)
-    return g, OperatorHandle(k), exp, Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0)
+    return g, exp, Lebesgue(4.0), Lebesgue(4.0), Lebesgue(2.0)
 
 
 def test_criterion_08_master_chain(bilinear_setup):
     t0 = time.perf_counter()
-    g, T, exp, X1, X2, Y = bilinear_setup
+    g, exp, X1, X2, Y = bilinear_setup
     b = make_symbol("log_abs", g)
     fam = enumerate_dyadic(g, 2, 4, Cube((0.0,), 1.125))
     worst_rel = 0.0
     for q in fam:
-        rep = verify_master_chain(b, T, (X1, X2), Y, q, exp)
+        rep = verify_master_chain(b, (X1, X2), Y, q, exp)
         gap13 = abs(rep.stage_i - rep.stage_iii)
         assert gap13 <= max(0.05 * rep.stage_i, rep.bound_23), (q, gap13)
         assert rep.gap_34 >= -1e-9 * max(1.0, rep.stage_iii), q
@@ -227,7 +225,7 @@ def test_criterion_08_master_chain(bilinear_setup):
         assert rep.gap_45 >= -1e-9 * max(1.0, rep.stage_iv), q
         worst_rel = max(worst_rel, gap13 / rep.stage_i)
     bc = make_symbol("constant:2.0", g)
-    rep = verify_master_chain(bc, T, (X1, X2), Y, fam.cubes[0], exp)
+    rep = verify_master_chain(bc, (X1, X2), Y, fam.cubes[0], exp)
     stages = (rep.stage_i, rep.stage_ii, abs(rep.stage_iii), rep.stage_iv, rep.stage_v)
     assert all(s <= 1e-10 for s in stages), stages
     dt = time.perf_counter() - t0
@@ -236,13 +234,13 @@ def test_criterion_08_master_chain(bilinear_setup):
 
 
 def test_criterion_09_necessity_contrast(bilinear_setup):
-    g, T, exp, X1, X2, Y = bilinear_setup
+    g, exp, X1, X2, Y = bilinear_setup
     fam = centered_family(g, (0.0,), 3.0, 2, 5)
     stable = necessity_experiment(
-        make_symbol("log_abs", g), T, (X1, X2), Y, fam, exp
+        make_symbol("log_abs", g), (X1, X2), Y, fam, exp
     )
     growing = necessity_experiment(
-        make_symbol("sgn_log", g), T, (X1, X2), Y, fam, exp
+        make_symbol("sgn_log", g), (X1, X2), Y, fam, exp
     )
     assert stable.ratio_verdict == "stable"
     assert growing.ratio_verdict == "growing"

@@ -65,7 +65,7 @@ def test_shifted_reference_triangle():
     b = make_symbol("log_abs", g)
     q = Cube((0.5,), 0.5)
     r = Cube((-0.5,), 0.5)
-    from oscillab import cube_average
+    from oracles import cube_average
 
     plain = mean_oscillation(b, q)
     shifted = mean_oscillation_shifted(b, q, r)

@@ -347,9 +347,9 @@ def test_chain_runs_one_pass_through_necessity_experiment(tmp_path, monkeypatch)
     cfg = write_config(tmp_path, experiment="chain", seed=0, n_per_axis=5, level_max=2)
     assert run_in(tmp_path, "run", cfg) == 0
     assert len(passes) == 1
-    family = passes[0][4]
+    family = passes[0][3]
     assert len(family) == 4
-    assert [args[4] for args in cubes] == list(family)
+    assert [args[3] for args in cubes] == list(family)
     assert not hasattr(cli, "verify_master_chain")
     rows = list(csv.DictReader(open(tmp_path / "report.csv")))
     assert sum(r["quantity"] == "stage_i" for r in rows) == 4

@@ -20,14 +20,12 @@ from oscillab import (
     KernelSpec,
     KernelVanishes,
     Lebesgue,
-    OperatorHandle,
     OutOfDomain,
     TailTooLarge,
     Weighted,
     associate,
     centered_family,
     condition_bilinear,
-    cube_average,
     cube_slices,
     norm,
     trend_verdict,
@@ -46,7 +44,7 @@ from oscillab.extraction import (
     select_geometry,
     verify_master_chain,
 )
-from oracles import mean_oscillation_shifted
+from oracles import cube_average, mean_oscillation_shifted
 
 HILBERT = fixtures.make_kernel("hilbert", 1)
 BIRIESZ = fixtures.make_kernel("bilinear_riesz", 1)
@@ -390,14 +388,13 @@ def linear_chain():
     b = make_symbol("log_abs", g)
     geo = select_geometry(HILBERT, 0.5)
     exp = fourier_reciprocal(HILBERT, geo, 64)
-    T = OperatorHandle(HILBERT)
-    return g, b, geo, exp, T
+    return g, b, geo, exp
 
 
 def test_chain_single_cube_linear(linear_chain):
-    g, b, geo, exp, T = linear_chain
+    g, b, geo, exp = linear_chain
     q = Cube((0.140625,), 0.28125)
-    rep = verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
+    rep = verify_master_chain(b, (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
     assert rep.gap_12 == 0.0
     assert abs(rep.stage_i - rep.stage_iii) <= max(1e-8 * rep.stage_i, rep.bound_23)
     assert rep.gap_23 <= rep.bound_23
@@ -414,21 +411,21 @@ def test_chain_single_cube_linear(linear_chain):
 
 
 def test_chain_constant_symbol_all_zero(linear_chain):
-    g, _, geo, exp, T = linear_chain
+    g, _, geo, exp = linear_chain
     b = make_symbol("constant:3.0", g)
     q = Cube((0.140625,), 0.28125)
-    rep = verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
+    rep = verify_master_chain(b, (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
     for stage in (rep.stage_i, rep.stage_ii, abs(rep.stage_iii), rep.stage_iv):
         assert abs(stage) <= 1e-10
     assert rep.stage_v is not None and rep.stage_v <= 1e-10
 
 
 def test_chain_out_of_domain(linear_chain):
-    g, b, geo, exp, T = linear_chain
+    g, b, geo, exp = linear_chain
     # the derived cube Q' = Q + 6 r e_1 leaves the box for this cube
     q = Cube((4.921875,), 0.28125)
     with pytest.raises(OutOfDomain):
-        verify_master_chain(b, T, (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
+        verify_master_chain(b, (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
 
 
 def test_chain_bilinear_cube():
@@ -436,10 +433,9 @@ def test_chain_bilinear_cube():
     b = make_symbol("log_abs", g)
     geo = select_geometry(BIRIESZ, 0.5)
     exp = fourier_reciprocal(BIRIESZ, geo, 10)
-    T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     rep = verify_master_chain(
-        b, T, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp
+        b, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp
     )
     assert rep.gap_12 == 0.0
     assert abs(rep.stage_i - rep.stage_iii) <= max(0.05 * rep.stage_i, rep.bound_23)
@@ -461,10 +457,9 @@ def test_chain_bilinear_stage_by_stage_in_other_spaces(make):
     b = make_symbol("log_abs", g)
     geo = select_geometry(BIRIESZ, 0.5)
     exp = fourier_reciprocal(BIRIESZ, geo, 10)
-    T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     X1, X2, Y = make(g, 4.0), make(g, 4.0), make(g, 2.0)
-    rep = verify_master_chain(b, T, (X1, X2), Y, q, exp)
+    rep = verify_master_chain(b, (X1, X2), Y, q, exp)
     assert rep.stage_i > 0.0
     assert rep.gap_12 == 0.0  # (i) = (ii): the identity stage
     assert rep.gap_23 <= rep.bound_23  # (ii) ~ (iii): truncated 1/K expansion
@@ -472,7 +467,7 @@ def test_chain_bilinear_stage_by_stage_in_other_spaces(make):
     assert rep.stage_v is not None  # P fits inside the box for this cube
     assert rep.gap_45 >= -1e-9 * rep.stage_v  # (iv) <= (v): probe norm bound
     lebesgue = verify_master_chain(
-        b, T, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp
+        b, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp
     )
     assert rep.stage_iv != lebesgue.stage_iv  # the space enters from stage (iv) on
 
@@ -484,7 +479,7 @@ def test_chain_stage_by_stage_2d_riesz():
     geo = select_geometry(kernel, 0.5)
     exp = fourier_reciprocal(kernel, geo, 5)
     q = Cube((0.1875, 0.1875), 0.375)
-    rep = verify_master_chain(b, OperatorHandle(kernel), (Lebesgue(4.0),), Lebesgue(2.0), q, exp)
+    rep = verify_master_chain(b, (Lebesgue(4.0),), Lebesgue(2.0), q, exp)
     assert len(geo.derived_cubes(q)) == 1 and len(exp.coeffs) == 25
     assert rep.stage_i > 0.0
     assert rep.gap_12 <= 1e-12 * rep.stage_i  # (i) = (ii) up to rounding
@@ -495,49 +490,39 @@ def test_chain_stage_by_stage_2d_riesz():
     assert rep.stage_v is None and rep.gap_45 is None
 
 
+def test_chain_stage_by_stage_linear_fractional(monkeypatch):
+    """The frac_alpha:0.5 chain holds stage by stage on every cube of a
+    shrinking family, and its operator, the one of the expansion's kernel,
+    applies fractional_integral twice per mode."""
+    g = Grid((-6.0,), (6.0,), 512)
+    b = make_symbol("log_abs", g)
+    kernel = fixtures.make_kernel("frac_alpha:0.5", 1)
+    geo = select_geometry(kernel, 0.5)
+    exp = fourier_reciprocal(kernel, geo, 10)
+    fam = centered_family(g, (0.0,), 3.0, 2, 5)
+    calls = []
+    apply = operators.fractional_integral
+    monkeypatch.setattr(operators, "fractional_integral", lambda f, k: calls.append(k) or apply(f, k))
+    report = necessity_experiment(b, (Lebesgue(2.0),), Lebesgue(2.0), fam, exp)
+    assert len(calls) == 2 * len(exp.coeffs) * len(fam) and all(k is kernel for k in calls)
+    for q, rep in zip(fam, report.per_cube):
+        assert rep.stage_i > 0.0
+        assert rep.gap_12 <= 1e-12 * rep.stage_i  # (i) = (ii) up to rounding
+        assert rep.gap_23 <= rep.bound_23  # (ii) ~ (iii): truncated 1/K expansion
+        assert rep.gap_34 >= -1e-9 * rep.stage_iv  # (iii) <= (iv): Hoelder in Y, Y'
+        assert rep.stage_v is None or rep.gap_45 >= -1e-9 * rep.stage_v  # (iv) <= (v)
+        assert rep.oscillation_ratio == pytest.approx(
+            mean_oscillation_shifted(b, q, geo.derived_cubes(q)[0]), rel=1e-12
+        )
+    assert sum(rep.stage_v is not None for rep in report.per_cube) >= 2
+    assert report.ratio_verdict == "stable"
+
+
 def test_chain_arity_mismatch(linear_chain):
-    g, b, geo, exp, _ = linear_chain
-    T = OperatorHandle(BIRIESZ)
+    g, b, geo, exp = linear_chain
     q = Cube((0.140625,), 0.28125)
     with pytest.raises(ValueError):
-        verify_master_chain(b, T, (Lebesgue(2.0), Lebesgue(2.0)), Lebesgue(2.0), q, exp)
-
-
-def test_chain_refuses_an_expansion_of_another_kernel():
-    """bilinear_riesz and distance_kernel(1, 1.2) both live on R^2, so only
-    the kernel the expansion records tells their 1/K apart."""
-    b, geo, q = _bilinear_1d_cube()
-    exp = fourier_reciprocal(BIRIESZ, geo, 5)
-    assert exp.kernel is BIRIESZ
-    other = distance_kernel(1, 1.2)
-    assert other.D == BIRIESZ.D
-    with pytest.raises(ValueError) as info:
-        verify_master_chain(b, OperatorHandle(other), (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp)
-    assert "bilinear_riesz" in str(info.value) and other.name in str(info.value)
-
-
-def test_chain_accepts_an_expansion_fitted_on_another_build_of_the_kernel():
-    """Two builds of one fixture kernel are one kernel: an expansion fitted
-    on the first verifies against an operator made from the second."""
-    b, geo, q = _bilinear_1d_cube()
-    exp = fourier_reciprocal(fixtures.make_kernel("bilinear_riesz", 1), geo, 5)
-    other = fixtures.make_kernel("bilinear_riesz", 1)
-    assert other == exp.kernel
-    rep = verify_master_chain(b, OperatorHandle(other), (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp)
-    assert rep.stage_i > 0.0
-
-
-def test_chain_refuses_an_expansion_of_another_anonymous_kernel():
-    """Two unnamed kernels with the same shape and Omega written twice are
-    still two kernels: only a fixture build has a value identity."""
-    first = KernelSpec(1, 1, 0.0, lambda t: t[..., 0])
-    second = KernelSpec(1, 1, 0.0, lambda t: t[..., 0])
-    assert first != second
-    b = make_symbol("log_abs", Grid((-6.0,), (6.0,), 512))
-    exp = fourier_reciprocal(first, select_geometry(first, 0.5), 5)
-    q = Cube((0.140625,), 0.28125)
-    with pytest.raises(ValueError, match="operator kernel <anon> is not the kernel <anon>"):
-        verify_master_chain(b, OperatorHandle(second), (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
+        verify_master_chain(b, (Lebesgue(2.0), Lebesgue(2.0)), Lebesgue(2.0), q, exp)
 
 
 def test_chain_error_names_cube_and_stage(monkeypatch):
@@ -545,14 +530,13 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
     b = make_symbol("log_abs", g)
     geo = select_geometry(BIRIESZ, 0.5)
     exp = fourier_reciprocal(BIRIESZ, geo, 5)
-    T = OperatorHandle(BIRIESZ)
     q = Cube((0.140625,), 0.28125)
     V = fixtures.make_exponent("arctan_profile", g)
     # no Newton solve can meet a negative tolerance: the first Variable norm,
     # taken once per cube before the modes, raises
     monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)
     with pytest.raises(ConvergenceFailure) as info:
-        verify_master_chain(b, T, (V, V), V, q, exp)
+        verify_master_chain(b, (V, V), V, q, exp)
     assert str(info.value).startswith(f"{q}, norms: modular misses 1 by")
     assert f"by {info.value.residual:.3e} after" in str(info.value)  # the residual is kept
     monkeypatch.undo()
@@ -565,7 +549,7 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
 
     monkeypatch.setattr(extraction, "norm", norm_failing_on_complex)
     with pytest.raises(ConvergenceFailure) as info:
-        verify_master_chain(b, T, (V, V), V, q, exp)
+        verify_master_chain(b, (V, V), V, q, exp)
     assert str(info.value) == f"{q}, mode 0: modular misses 1"
     assert info.value.residual == 0.5
     monkeypatch.undo()
@@ -573,20 +557,20 @@ def test_chain_error_names_cube_and_stage(monkeypatch):
     # Q' leaves the box: the geometry stage
     far = Cube((4.921875,), 0.28125)
     with pytest.raises(OutOfDomain, match=r"^Q\(4\.92188;0\.28125\), geometry: "):
-        verify_master_chain(b, T, (V, V), V, far, exp)
+        verify_master_chain(b, (V, V), V, far, exp)
 
 
 def _bilinear_1d_chain():
     b, geo, q = _bilinear_1d_cube()
     V = fixtures.make_exponent("arctan_profile", b.grid)
     W = Weighted(2.0, fixtures.make_weight("power:0.5", b.grid))
-    return b, OperatorHandle(BIRIESZ), (V, W), V, q, fourier_reciprocal(BIRIESZ, geo, 5)
+    return b, (V, W), V, q, fourier_reciprocal(BIRIESZ, geo, 5)
 
 
 def _riesz_2d_chain():
     b, geo, q = _riesz_2d_cube()
     kernel = fixtures.make_kernel("riesz_1", 2)
-    return b, OperatorHandle(kernel), (Lebesgue(4.0),), Lebesgue(2.0), q, fourier_reciprocal(kernel, geo, 5)
+    return b, (Lebesgue(4.0),), Lebesgue(2.0), q, fourier_reciprocal(kernel, geo, 5)
 
 
 @pytest.mark.parametrize("setup", [_bilinear_1d_chain, _riesz_2d_chain], ids=["bilinear-1d", "riesz_1-2d"])
@@ -619,7 +603,7 @@ def test_chain_refuses_an_input_space_on_another_grid(make):
     exp = fourier_reciprocal(BIRIESZ, geo, 5)
     other = make(Grid((-6.0,), (6.0,), 256))
     with pytest.raises(GridMismatch) as info:
-        verify_master_chain(b, OperatorHandle(BIRIESZ), (Lebesgue(4.0), other), Lebesgue(2.0), q, exp)
+        verify_master_chain(b, (Lebesgue(4.0), other), Lebesgue(2.0), q, exp)
     assert str(info.value).startswith(f"{q}, norms: ")
 
 
@@ -628,7 +612,7 @@ def test_grid_mismatch_names_the_space_and_both_grids():
     exp = fourier_reciprocal(BIRIESZ, geo, 5)
     other = Weighted(2.0, fixtures.make_weight("power:0.5", Grid((-6.0,), (6.0,), 256)))
     with pytest.raises(GridMismatch) as info:
-        verify_master_chain(b, OperatorHandle(BIRIESZ), (Lebesgue(4.0), other), Lebesgue(2.0), q, exp)
+        verify_master_chain(b, (Lebesgue(4.0), other), Lebesgue(2.0), q, exp)
     assert str(info.value) == (
         f"{q}, norms: Weighted(2, w on (256,)): explicit family was built on "
         f"{b.grid}, not on {other.grid}"
@@ -667,13 +651,12 @@ def test_necessity_contrast_linear():
     g = Grid((-6.0,), (6.0,), 512)
     geo = select_geometry(HILBERT, 0.5)
     exp = fourier_reciprocal(HILBERT, geo, 32)
-    T = OperatorHandle(HILBERT)
     fam = centered_family(g, (0.0,), 3.0, 2, 5)
     stable = necessity_experiment(
-        make_symbol("log_abs", g), T, (Lebesgue(2.0),), Lebesgue(2.0), fam, exp
+        make_symbol("log_abs", g), (Lebesgue(2.0),), Lebesgue(2.0), fam, exp
     )
     growing = necessity_experiment(
-        make_symbol("sgn_log", g), T, (Lebesgue(2.0),), Lebesgue(2.0), fam, exp
+        make_symbol("sgn_log", g), (Lebesgue(2.0),), Lebesgue(2.0), fam, exp
     )
     assert stable.ratio_verdict == "stable"
     assert growing.ratio_verdict == "growing"
@@ -694,7 +677,7 @@ def test_bilinear_bound_ratio_and_condition_stay_flat_together():
     fam = centered_family(g, (0.0,), 3.0, 2, 5)
     X, Y = Lebesgue(4.0), Lebesgue(2.0)
     rep = necessity_experiment(
-        make_symbol("log_abs", g), OperatorHandle(BIRIESZ), (X, X), Y, fam, exp
+        make_symbol("log_abs", g), (X, X), Y, fam, exp
     )
     cond = condition_bilinear(X, X, Y, 0.0, fam)
     kept = [(r.bound_ratio, c) for r, c in zip(rep.per_cube, cond.per_cube) if r.bound_ratio is not None]

@@ -35,15 +35,14 @@ from oscillab import (
     condition_bilinear,
     condition_linear,
     conjugate_exponent,
-    cube_measure,
     cube_slices,
     enumerate_dyadic,
     maximal,
     OutOfDomain,
 )
 from oscillab import fixtures
-from oscillab.grid import _SNAP, cube_index_ranges
-from oracles import ap_cube, harmonic_mean_over
+from oscillab.grid import _SNAP
+from oracles import ap_cube, cube_index_ranges, cube_measure, harmonic_mean_over
 
 
 def _family(case):

@@ -10,14 +10,11 @@ from oscillab import (
     GridMismatch,
     OutOfDomain,
     centered_family,
-    cube_average,
-    cube_measure,
     cube_slices,
     enumerate_dyadic,
     indicator,
-    integrate,
 )
-from oracles import cube_cell_count
+from oracles import cube_average, cube_cell_count, cube_measure, integrate
 
 
 def test_grid_basic_geometry():

@@ -25,17 +25,16 @@ from oscillab import (
     condition_bilinear,
     condition_linear,
     conjugate_exponent,
-    cube_measure,
     cube_slices,
     duality_gap,
     enumerate_dyadic,
     holder_defect,
     indicator,
-    integrate,
     luxemburg_norm,
     norm,
 )
 from oscillab import spaces
+from oracles import cube_measure, from_callable, integrate
 
 PLASTIC = 1.3247179572447460
 
@@ -57,7 +56,7 @@ def test_conjugate_exponent_values():
 
 
 def test_luxemburg_plastic_number(g256):
-    p = Variable(GridFunction.from_callable(g256, lambda x: 2.0 + (x > 0)))
+    p = Variable(from_callable(g256, lambda x: 2.0 + (x > 0)))
     f = GridFunction(g256, np.ones(g256.shape))
     lam = luxemburg_norm(f, p)
     assert lam == pytest.approx(PLASTIC, rel=1e-9)
@@ -73,15 +72,15 @@ def test_luxemburg_matches_lebesgue_closed_form(g256):
 
 
 def test_weighted_norm_closed_form(g256):
-    w = GridFunction.from_callable(g256, lambda x: np.abs(x) ** 0.5)
+    w = from_callable(g256, lambda x: np.abs(x) ** 0.5)
     W = Weighted(2.0, w)
-    f = GridFunction.from_callable(g256, lambda x: x)
+    f = from_callable(g256, lambda x: x)
     wanted = float(np.sqrt(np.sum(f.values**2 * w.values) * g256.cell_volume))
     assert norm(f, W) == pytest.approx(wanted)
 
 
 def _smooth_exponent(g):
-    return Variable(GridFunction.from_callable(g, lambda x: 2.0 + np.arctan(x) / np.pi))
+    return Variable(from_callable(g, lambda x: 2.0 + np.arctan(x) / np.pi))
 
 
 def _jumping_exponent(g):
@@ -115,7 +114,7 @@ def test_chi_norm_of_a_cube_leaving_the_box_raises(g256):
     q = Cube((0.9,), 0.5)
     for space in (
         Lebesgue(2.0),
-        Weighted(2.0, GridFunction.from_callable(g256, lambda x: np.exp(x))),
+        Weighted(2.0, from_callable(g256, lambda x: np.exp(x))),
         _smooth_exponent(g256),
     ):
         with pytest.raises(OutOfDomain):
@@ -127,8 +126,8 @@ def test_chi_norm_closed_forms(g256):
     chi = indicator(g256, q)
     for space in (
         Lebesgue(1.7),
-        Weighted(2.5, GridFunction.from_callable(g256, lambda x: np.exp(x))),
-        Variable(GridFunction.from_callable(g256, lambda x: 2.0 + np.arctan(x) / np.pi)),
+        Weighted(2.5, from_callable(g256, lambda x: np.exp(x))),
+        Variable(from_callable(g256, lambda x: 2.0 + np.arctan(x) / np.pi)),
     ):
         assert chi_norm(space, q, g256) == pytest.approx(norm(chi, space), rel=1e-9)
 
@@ -138,14 +137,14 @@ def test_associate_pairs(g256):
     assert isinstance(associate(L), Lebesgue)
     assert associate(L).p == pytest.approx(1.5)
 
-    w = GridFunction.from_callable(g256, lambda x: 1.0 + x * x)
+    w = from_callable(g256, lambda x: 1.0 + x * x)
     W = Weighted(3.0, w)
     Wp = associate(W)
     assert Wp.p == pytest.approx(1.5)
     # dual weight w^{1-p'}
     assert np.allclose(Wp.weight.values, w.values ** (1.0 - 1.5))
 
-    V = Variable(GridFunction.from_callable(g256, lambda x: 2.0 + np.arctan(x) / np.pi))
+    V = Variable(from_callable(g256, lambda x: 2.0 + np.arctan(x) / np.pi))
     Vp = associate(V)
     assert np.allclose(
         1.0 / V.exponent.values + 1.0 / Vp.exponent.values, 1.0
@@ -169,7 +168,7 @@ def test_holder_defect_at_most_one(g256):
 def test_duality_gap_attains_one_for_lebesgue(g256):
     # the probe set contains the analytic extremizer, so the sup pairing
     # ratio is exactly 1 up to quadrature rounding
-    f = GridFunction.from_callable(g256, lambda x: np.cos(3 * x))
+    f = from_callable(g256, lambda x: np.cos(3 * x))
     gap = duality_gap(f, Lebesgue(2.0), trials=16, seed=1)
     assert gap == pytest.approx(1.0, abs=1e-9)
 
@@ -179,7 +178,7 @@ def test_norm_lattice_monotone(g256):
     rng = np.random.default_rng(11)
     f = _rand_fn(g256, rng)
     bigger = GridFunction(g256, np.abs(f.values) * (1.0 + rng.uniform(0, 1, g256.shape)))
-    V = Variable(GridFunction.from_callable(g256, lambda x: 2.0 + np.arctan(x) / np.pi))
+    V = Variable(from_callable(g256, lambda x: 2.0 + np.arctan(x) / np.pi))
     for space in (Lebesgue(1.8), V):
         assert norm(f, space) <= norm(bigger, space) + 1e-12
 
@@ -267,7 +266,7 @@ def test_bisection_that_misses_the_tolerance_raises(g256, monkeypatch):
     # runs out of steps; both a function's norm and a family's chi norms
     # must say so
     monkeypatch.setattr(spaces, "MODULAR_TOL", -1.0)
-    p = Variable(GridFunction.from_callable(g256, lambda x: 2.0 + (x > 0)))
+    p = Variable(from_callable(g256, lambda x: 2.0 + (x > 0)))
     with pytest.raises(ConvergenceFailure) as scalar:
         luxemburg_norm(GridFunction(g256, np.ones(g256.shape)), p)
     assert 0.0 <= scalar.value.residual < 1e-9
@@ -282,7 +281,7 @@ def test_homogeneity_property(scale, seed):
     g = Grid((-1.0,), (1.0,), 64)
     rng = np.random.default_rng(seed)
     f = GridFunction(g, rng.standard_normal(64))
-    V = Variable(GridFunction.from_callable(g, lambda x: 2.0 + np.arctan(x) / np.pi))
+    V = Variable(from_callable(g, lambda x: 2.0 + np.arctan(x) / np.pi))
     n1 = luxemburg_norm(f, V)
     n2 = luxemburg_norm(scale * f, V)
     assert n2 == pytest.approx(scale * n1, rel=1e-8)
@@ -307,7 +306,7 @@ def test_holder_pairing_property(seed):
     rng = np.random.default_rng(seed)
     f = GridFunction(g, rng.standard_normal(64))
     h = GridFunction(g, rng.standard_normal(64))
-    X = Variable(GridFunction.from_callable(g, lambda x: 2.0 + np.arctan(x) / np.pi))
+    X = Variable(from_callable(g, lambda x: 2.0 + np.arctan(x) / np.pi))
     lhs = abs(integrate(f * h))
     # the discrete pairing constant for Luxemburg norms is at most 2
     assert lhs <= 2.0 * norm(f, X) * norm(h, associate(X)) + 1e-10
