@@ -55,6 +55,7 @@ from .spaces import (
     SpaceSpec,
     Variable,
     _alpha_check,
+    associate,
     chiQ_norm_ratio,
     condition_bilinear,
     condition_linear,
@@ -270,10 +271,10 @@ class ScopedConfig:
             return np.random.default_rng(self.seed)
 
     def validate(self) -> tuple[str, ...]:
-        """Build the grid and every fixture the keys name, refuse a
-        weight-constants level range that would run no level and a norms
-        level_max with no level below it, and return the space keys the
-        experiment reads."""
+        """Build the grid, every fixture the keys name and the associate of
+        space_y, refuse a weight-constants level range that would run no
+        level and a norms level_max with no level below it, and return the
+        space keys the experiment reads."""
         lmin, lmax = self.get("level_min"), self.get("level_max")
         if self.experiment == "weight-constants" and not 0 <= lmin <= lmax:
             raise ConfigError(f"weight-constants needs 0 <= level_min <= level_max, got {lmin}..{lmax}")
@@ -281,7 +282,11 @@ class ScopedConfig:
             raise ConfigError(f"norms compares levels 0..level_max with 0..level_max-1, so needs level_max >= 1, got {lmax}")
         grid = self.grid()
         built = {key: self.fixture(key, grid) for key in self.values}
-        return self.space_keys(built.get("kernel"))
+        keys = self.space_keys(built.get("kernel"))
+        if keys:  # every experiment that reads space_y reads its associate
+            with _naming(keys[-1]):
+                associate(built[keys[-1]])
+        return keys
 
     def space_keys(self, kernel: KernelSpec | None) -> tuple[str, ...]:
         """The space keys the experiment reads, input spaces first and

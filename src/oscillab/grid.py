@@ -338,13 +338,6 @@ class CubeFamily:
         """The cell slices of cube i, as `cube_slices` gives them."""
         return tuple(slice(k0, k1 + 1) for k0, k1 in self.ranges[i].tolist())
 
-    def gather(self, values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(members, rows) per group chunk: row j holds the cells of cube
-        members[j] in row-major order, as `values[slices].reshape(-1)` would."""
-        flat = values.reshape(-1)
-        for shape, members, lo in self.groups:
-            yield members, flat[self._cells(shape, lo)]
-
     def reduce(self, values: np.ndarray, fn: Callable) -> np.ndarray:
         """fn(blocks, axes) for every cube, in family order.
 

@@ -12,8 +12,9 @@ compression to the box of a convolution on the whole lattice, and no probe
 ratio exceeds that convolution's norm (for `hilbert` its symbol is bounded
 by pi, the norm of the continuum operator). The singular path (alpha = 0)
 omits the self cell, where the principal value of a mean-zero kernel
-vanishes; the fractional path (alpha > 0) adds the integral of K over it:
-closed form on 1D lines, refined midpoint sub-quadrature otherwise.
+vanishes; the fractional path (alpha > 0) adds the integral of K over it,
+read for every kernel by one rule: s / alpha times the integral of K over
+the faces of the cell [-s, s]^D, by Gauss-Legendre nodes.
 
 `OperatorHandle(kernel)` calls one of the four entry points by its plain
 global name, chosen by the input count and by alpha = 0, so a wrapper
@@ -45,6 +46,7 @@ from .spaces import SpaceSpec, _alpha_check, norm
 _MAX_TENSOR = 4_000_000  # cap on kernel-tensor entries per evaluation chunk
 _SPHERE_COUNT = 2048  # sphere samples for the mean-zero check
 _SPHERE_SEED = 20240811
+_FACE_NODES = 8  # Gauss-Legendre nodes per half-axis on a self-cell face
 
 
 # ---- Kernels ----
@@ -68,14 +70,14 @@ def _sphere_points(D: int, count: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class KernelSpec:
     """Homogeneous kernel Omega(u/|u|) / |u|^d of k inputs on R^n, a kernel
-    on R^D with D = k n and k = 1 or 2."""
+    on R^D with D = k n and k = 1 or 2; quadrature reads it only through
+    `evaluate`, the fractional self cell included."""
 
     inputs: int  # k
     ndim: int  # base dimension n
     alpha: float
     omega: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    tag: str = ""  # "distance" marks the |u|+|v| bilinear profile
 
     def __post_init__(self):
         if self.inputs not in (1, 2):
@@ -135,25 +137,21 @@ class OperatorHandle:
 
 
 def _self_cell(kernel: KernelSpec, h: float) -> float:
-    """Integral of K over the centered cell [-h/2, h/2]^D, for the fractional
-    case: closed forms on a 1D line and for the 1D distance kernel, a
-    midpoint sum otherwise."""
-    a = kernel.alpha
-    if kernel.D == 1:
-        # int_{-h/2}^{h/2} Omega(sgn y) |y|^(a-1) dy
-        wsum = float(kernel.omega(np.array([[1.0]]))[0] + kernel.omega(np.array([[-1.0]]))[0])
-        return wsum * (h / 2) ** a / a
-    if kernel.ndim == 1 and kernel.tag == "distance":
-        s = h / 2
-        if abs(a - 1.0) < 1e-12:
-            return 8 * s * np.log(2.0)
-        return 4 * ((2 * s) ** a - 2 * s**a) / (a * (a - 1.0))
-    sub = 16 if kernel.D == 2 else 8
-    step = h / sub
-    c = (np.arange(sub) + 0.5) * step - h / 2
-    axes = np.meshgrid(*([c] * kernel.D), indexing="ij")
-    pts = np.stack([ax.reshape(-1) for ax in axes], axis=1)
-    return float(np.sum(kernel.evaluate(pts)) * step**kernel.D)
+    """Integral of K over the centered cell [-s, s]^D, s = h/2, for alpha > 0.
+
+    K is homogeneous of degree alpha - D, so div(u K) = alpha K, and u . n = s
+    on every face: the integral is s / alpha times that of K over the 2D
+    faces, where K is smooth (in D = 1, the points -s and s). Gauss-Legendre
+    nodes on both halves of every axis keep a kink on a coordinate plane
+    between nodes. numpy loads np.polynomial lazily, on first use here, so a
+    run that applies no fractional kernel does not import it."""
+    s = h / 2
+    x, w = np.polynomial.legendre.leggauss(_FACE_NODES)
+    x, w = np.concatenate([x - 1, x + 1]) * (s / 2), np.concatenate([w, w]) * (s / 2)
+    node = np.indices((len(x),) * (kernel.D - 1)).reshape(kernel.D - 1, len(x) ** (kernel.D - 1)).T  # (nodes, D - 1)
+    face, weights = x[node], np.prod(w[node], axis=1)
+    u = np.concatenate([np.insert(face, i, side, axis=1) for i in range(kernel.D) for side in (s, -s)])
+    return float(np.sum(kernel.evaluate(u).reshape(2 * kernel.D, -1) @ weights)) * s / kernel.alpha
 
 
 def _linear_body(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
@@ -324,13 +322,13 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
     if pairs:  # the two columns Re w, Im w
         w = w.astype(np.complex128, copy=False).view(np.float64).reshape(-1, 2)
     cell2 = h**kernel.D
-    correction = 0.0 if kernel.alpha == 0.0 else _self_cell(kernel, h)
     for start, stop, K2 in _bilinear_plan(grid, kernel, ysel, zsel):
         s = K2 @ w
         out[start:stop] = (s.view(np.complex128).reshape(-1) if pairs else s) * cell2
-    if correction != 0.0:
+    if kernel.alpha != 0.0:
         both = np.intersect1d(ysel, zsel, assume_unique=True)
-        out[both] += correction * fflat[both] * gflat[both]
+        if len(both):
+            out[both] += _self_cell(kernel, h) * fflat[both] * gflat[both]
     return GridFunction(grid, out.reshape(grid.shape))
 
 
@@ -345,14 +343,15 @@ def bilinear_fractional_integral(f: GridFunction, g: GridFunction, kernel: Kerne
 
 
 def distance_kernel(n: int, alpha: float) -> KernelSpec:
-    """(|u| + |v|)^(alpha - 2n) written as a homogeneous profile."""
+    """(|u| + |v|)^(alpha - 2n) written as a homogeneous profile; its self
+    cell comes from the one rule, which splits each face where u or v is 0."""
 
     def omega(theta: np.ndarray) -> np.ndarray:
         un = np.sqrt(np.sum(theta[..., :n] ** 2, axis=-1))
         vn = np.sqrt(np.sum(theta[..., n:] ** 2, axis=-1))
         return (un + vn) ** (alpha - 2 * n)
 
-    return KernelSpec(2, n, alpha, omega, name=f"distance(alpha={alpha:g})", tag="distance")
+    return KernelSpec(2, n, alpha, omega, name=f"distance(alpha={alpha:g})")
 
 
 # ---- Averaging and maximal operators ----

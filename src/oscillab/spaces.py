@@ -156,10 +156,11 @@ class Variable(SpaceSpec):
         return luxemburg_norm(f, self)
 
     def _chi_norms(self, family: CubeFamily) -> list[float]:
-        out = np.empty(len(family))
-        for members, rows in family.gather(self.exponent.values):
-            out[members] = _modular_lambdas(np.ones_like(rows), rows, family.grid.cell_volume)
-        return out.tolist()
+        def solve(blocks: np.ndarray, axes) -> np.ndarray:
+            rows = blocks.reshape(len(blocks), -1)
+            return _modular_lambdas(np.ones_like(rows), rows, family.grid.cell_volume)
+
+        return family.reduce(self.exponent.values, solve).tolist()
 
     def _dual(self) -> "Variable":
         p = self.exponent.values

@@ -4,7 +4,9 @@ The single-cube scalar oracles read one cube's slice of the grid directly,
 with no CubeFamily indexing, so a test that compares the two checks the
 one-pass family arithmetic against an independent computation. The kernel
 tensor oracle evaluates K at every coordinate difference, with no table of
-lattice offsets."""
+lattice offsets. The self-cell oracles integrate K over the cell in polar
+coordinates (D = 2) or over the radii of its two planes (D = 4), not over
+the cell's faces."""
 
 import numpy as np
 
@@ -12,6 +14,7 @@ from oscillab import Cube, Grid, GridFunction, KernelSpec, Variable, conjugate_e
 
 _DEFECT_SAMPLES = 64  # random (u, s) pairs of homogeneity_defect
 _DEFECT_SEED = 7
+_ORACLE_NODES = 32  # Gauss-Legendre nodes per smooth piece of a self-cell oracle
 
 
 def from_callable(grid: Grid, fn) -> GridFunction:
@@ -96,3 +99,56 @@ def kernel_tensor_at_coordinates(kernel: KernelSpec, x: np.ndarray, *ys: np.ndar
         others = tuple(j + 1 for j in range(len(ys)) if j != i)
         offsets.append(np.broadcast_to(np.expand_dims(u, others), shape))
     return kernel.evaluate(np.concatenate(offsets, axis=-1))
+
+
+def _gauss(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(_ORACLE_NODES)
+    return (hi - lo) / 2 * x + (hi + lo) / 2, (hi - lo) / 2 * w
+
+
+def polar_square_integral(profile, alpha: float, side: float, angles) -> float:
+    """Integral over the part of the square [-side, side]^2 that the angles
+    sweep of a function homogeneous of degree alpha - 2 with angular profile
+    `profile`: int profile(phi) rho(phi)^alpha / alpha dphi with
+    rho(phi) = side / max(|cos phi|, |sin phi|), by Gauss-Legendre between
+    consecutive angles, where the integrand must be smooth."""
+    total = 0.0
+    for lo, hi in zip(angles[:-1], angles[1:]):
+        phi, w = _gauss(lo, hi)
+        rho = side / np.maximum(np.abs(np.cos(phi)), np.abs(np.sin(phi)))
+        total += float(np.sum(w * profile(phi) * rho**alpha)) / alpha
+    return total
+
+
+def self_cell_2d(kernel: KernelSpec, h: float) -> float:
+    """Integral of a kernel on R^2 over [-h/2, h/2]^2 in polar coordinates,
+    split at the eight angles where rho has a kink."""
+    omega = lambda phi: kernel.omega(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
+    return polar_square_integral(omega, kernel.alpha, h / 2, np.arange(9) * np.pi / 4)
+
+
+def distance_self_cell_4d(alpha: float, h: float) -> float:
+    """Integral of (|u| + |v|)^(alpha - 4), u and v in R^2, over [-s, s]^4
+    with s = h/2: the integral over the radii a = |u|, b = |v| in
+    [0, S], S = s sqrt 2, of g(a) g(b) (a + b)^(alpha - 4), where g(rho), the
+    length of the circle of radius rho inside [-s, s]^2, is 2 pi rho up to s
+    and 2 pi rho - 8 rho arccos(s / rho) beyond.
+
+    With F0 = 4 pi^2 a b (a + b)^(alpha - 4), homogeneous of degree
+    alpha - 2, and c = g / (2 pi rho), the integrand is F0 c(a) c(b): F0 is
+    integrated over [0, S]^2 in polar coordinates, and F0 (c(a) c(b) - 1),
+    zero on [0, s]^2, over the three rectangles left, away from the
+    singularity; there rho = s + (S - s) t^2 smooths arccos's square-root
+    edge at rho = s."""
+    s = h / 2
+    S = s * np.sqrt(2.0)
+    f0 = lambda a, b: 4 * np.pi**2 * a * b * (a + b) ** (alpha - 4)
+    c = lambda rho: 1 - 4 / np.pi * np.arccos(np.minimum(1.0, s / rho))
+    whole = polar_square_integral(lambda phi: f0(np.cos(phi), np.sin(phi)), alpha, S, [0.0, np.pi / 4, np.pi / 2])
+    t, wt = _gauss(0.0, 1.0)
+    outer, wo = s + (S - s) * t**2, 2 * (S - s) * t * wt  # radii in [s, S]
+    inner, wi = _gauss(0.0, s)
+    strip = wo @ ((c(outer) - 1)[:, None] * f0(outer[:, None], inner[None])) @ wi  # [s, S] x [0, s], twice
+    corner = wo @ ((np.multiply.outer(c(outer), c(outer)) - 1) * f0(outer[:, None], outer[None])) @ wo
+    return float(whole + 2 * strip + corner)

@@ -171,6 +171,11 @@ _ALSO_SET = {("chain", "space_x2"): {"kernel": "hilbert"}}
         ("chain", "space_x", "lebesgue:2"),
         ("chain", "space_x2", "lebesgue:2"),
         ("conditions", "space_x1", "lebesgue:2"),
+        # a space_y whose associate, L^infinity, the lab cannot hold
+        ("chain", "space_y", "lebesgue:1"),
+        ("necessity", "space_y", "weighted:1:power:0.5"),
+        ("conditions", "space_y", "lebesgue:1"),
+        ("all", "space_y", "weighted:1:power:0.5"),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, key, value):

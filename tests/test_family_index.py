@@ -133,12 +133,26 @@ def test_non_contiguous_values_fall_back_bit_equal():
     assert np.array_equal(fam.sums(v), _loop(v, g, fam, np.sum))
 
 
-def test_gather_rows_are_flattened_slices():
-    g, fam = _family("centered-1.125-2d")
-    v = _steep(g, 3)
-    for members, rows in fam.gather(v):
-        for i, row in zip(members, rows):
-            assert np.array_equal(row, v[cube_slices(g, fam.cubes[i])].reshape(-1))
+def test_reduce_blocks_flatten_to_the_cube_slices():
+    """Each block `reduce` passes to fn, flattened row by row as
+    `Variable._chi_norms` reads it, holds one cube's slice in row-major
+    order, whether the group arrives gathered or slice by slice."""
+    ndims = set()
+    for case in ("centered-1.125-2d", "over-8192-cells"):
+        g, fam = _family(case)
+        v = _steep(g, 3)
+        rows = []
+
+        def fn(blocks, axes):
+            assert axes == tuple(range(1, blocks.ndim))
+            ndims.add(blocks.ndim)
+            rows.extend(blocks.reshape(len(blocks), -1))
+            return np.arange(len(rows) - len(blocks), len(rows))
+
+        seen = fam.reduce(v, fn)
+        for i, q in enumerate(fam.cubes):
+            assert np.array_equal(rows[seen[i]], v[cube_slices(g, q)].reshape(-1))
+    assert ndims == {2, 3}  # gathered (cubes, cells) rows and (1, *shape) slices
 
 
 def test_explicit_family_indexes_like_the_generator():

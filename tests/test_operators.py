@@ -39,7 +39,13 @@ from oscillab import (
     singular_integral,
 )
 from oscillab import fixtures, operators
-from oracles import from_callable, homogeneity_defect, kernel_tensor_at_coordinates
+from oracles import (
+    distance_self_cell_4d,
+    from_callable,
+    homogeneity_defect,
+    kernel_tensor_at_coordinates,
+    self_cell_2d,
+)
 
 
 HILBERT = fixtures.make_kernel("hilbert", 1)
@@ -405,17 +411,83 @@ def test_singular_2d_matches_direct_sum(k):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _lopsided_2d(alpha):
+    """2 + cos t + sin 2t: positive, and neither odd nor even."""
+    return KernelSpec(1, 2, alpha, lambda t: 2.0 + t[..., 0] + 2 * t[..., 0] * t[..., 1])
+
+
 def test_fractional_2d_matches_direct_sum():
-    # 2 + cos t + sin 2t is positive and not even; points off the input's
-    # support carry no self-cell correction
+    # points off the input's support carry no self-cell term; on it, the
+    # oracle's polar integral of K over the cell is added
     g = Grid((-2.0, -2.0), (2.0, 2.0), 32)
-    k = KernelSpec(1, 2, 1.0, lambda t: 2.0 + t[..., 0] + 2 * t[..., 0] * t[..., 1])
+    k = _lopsided_2d(1.0)
     f = _block_input(g, np.random.default_rng(12))
     out = fractional_integral(f, k)
     points = list(zip(*np.nonzero(f.values == 0.0)))
     got = np.array([out.values[p] for p in points])
     want = _direct_sum_2d(f, k, points)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    points = list(zip(*np.nonzero(f.values)))
+    got = np.array([out.values[p] for p in points])
+    want = _direct_sum_2d(f, k, points) + self_cell_2d(k, g.h) * np.array([f.values[p] for p in points])
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+# ---- The fractional self cell against values it does not compute ----
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [fixtures.make_kernel("frac_alpha:0.5", 1), KernelSpec(1, 1, 0.3, lambda t: np.where(t[..., 0] > 0, 2.0, 0.5))],
+    ids=["frac_alpha", "neither_odd_nor_even"],
+)
+def test_self_cell_1d_closed_form(kernel):
+    ends = kernel.omega(np.array([[1.0], [-1.0]]))
+    for h in (0.125, 0.1):
+        want = (ends[0] + ends[1]) * (h / 2) ** kernel.alpha / kernel.alpha
+        assert operators._self_cell(kernel, h) == pytest.approx(want, rel=1e-10)
+
+
+def test_self_cell_2d_closed_forms():
+    for h in (0.125, 0.1):
+        s = h / 2
+        for alpha in (0.5, 1.5):
+            want = 4 * ((2 * s) ** alpha - 2 * s**alpha) / (alpha * (alpha - 1.0))
+            assert operators._self_cell(distance_kernel(1, alpha), h) == pytest.approx(want, rel=1e-10)
+        riesz = fixtures.make_kernel("frac_alpha:1", 2)
+        for value in (operators._self_cell(riesz, h), self_cell_2d(riesz, h)):
+            assert value == pytest.approx(8 * s * math.asinh(1.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_self_cell_2d_matches_the_polar_integral(alpha):
+    k = _lopsided_2d(alpha)
+    for h in (0.125, 0.1):
+        assert operators._self_cell(k, h) == pytest.approx(self_cell_2d(k, h), rel=1e-10)
+
+
+def test_self_cell_4d_distance_kernel():
+    h = 0.125
+    assert distance_self_cell_4d(4.0, h) == pytest.approx(h**4, rel=1e-12)  # K = 1: the cell's volume
+    for alpha in (0.5, 1.0, 2.0):
+        assert operators._self_cell(distance_kernel(2, alpha), h) == pytest.approx(distance_self_cell_4d(alpha, h), rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fixtures.make_kernel("frac_alpha:0.5", 1),
+        lambda: _lopsided_2d(0.5),
+        lambda: distance_kernel(1, 1.2),
+        lambda: distance_kernel(2, 0.5),
+    ],
+    ids=["1d", "2d", "distance_2d", "distance_4d"],
+)
+def test_self_cell_is_homogeneous(make):
+    k = make()
+    base = operators._self_cell(k, 0.125)
+    for lam in (0.3, 7.0):
+        assert operators._self_cell(k, lam * 0.125) == pytest.approx(lam**k.alpha * base, rel=1e-12)
 
 
 # ---- Bilinear plan reuse ----

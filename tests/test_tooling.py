@@ -28,8 +28,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _RUN_AND_LIST_SCIPY = """
 import json, sys
 from oscillab import cli
-codes = [cli.main(["run", path]) for path in sys.argv[1:]]
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+codes, polynomial = [], []
+for path in sys.argv[1:]:
+    codes.append(cli.main(["run", path]))
+    polynomial.append("numpy.polynomial" in sys.modules)
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy, "polynomial": polynomial}))
 """
 
 
@@ -164,13 +168,15 @@ def test_every_expect_verdict_default_is_a_verdict():
 
 
 def test_a_run_imports_no_scipy(tmp_path):
-    """numpy is the only dependency: a chain run (n_per_axis 5 is the
-    smallest whose 1/K expansion meets the chain's residual tolerance) and a
-    commutator run import no scipy module, in a fresh interpreter."""
+    """numpy is the only dependency: a default chain run, a commutator run
+    and a 2D fractional commutator run import no scipy module, in a fresh
+    interpreter. numpy.polynomial, which numpy loads lazily, stays out until
+    the fractional run reaches the self-cell rule."""
     paths = []
     for name, cfg in {
-        "chain": {"experiment": "chain", "n_per_axis": 5, "level_max": 2},
+        "chain": {"experiment": "chain"},
         "commutator": {"experiment": "commutator"},
+        "fractional": {"experiment": "commutator", "kernel": "frac_alpha:0.5", "dimension": 2, "m": 32, "box": [-2.0, 2.0]},
     }.items():
         path = tmp_path / f"{name}.json"
         out = {"csv_path": str(tmp_path / f"{name}.csv"), "json_path": str(tmp_path / f"{name}.out.json")}
@@ -183,7 +189,7 @@ def test_a_run_imports_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0], "scipy": []}
+    assert result == {"codes": [0, 0, 0], "scipy": [], "polynomial": [False, False, True]}
 
 
 def test_pytest_collects_without_pythonpath():
