@@ -14,7 +14,10 @@ bounded mean oscillation" into per-cube arithmetic:
    polishes the kept coefficients (the expansion is only ever used on the
    ball, so on-ball residual is the right target). The expansion keeps the
    kernel and the geometry it was fitted on and is the chain's one set-up
-   object; it is refused when its residual exceeds EPS_TOL.
+   object; it is refused when its residual exceeds EPS_TOL. Its memory rule:
+   one least-squares design plus LAPACK's copy of it; everything else in
+   blocks of _MAX_BLOCK (the period box's sample points, the residual
+   check's phases), and the period box gone before the fit.
 3. `build_test_functions` makes, for one mode, modulated indicators whose
    moduli are plain cube indicators, so their norms match the norms of
    their supports, and the block of h on the cells of Q, where alone h is
@@ -243,10 +246,17 @@ class FourierExpansion:
     kernel: KernelSpec
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The expansion at points of shape (..., D): exp(1j * (w @ freqs.T))
+        @ coeffs, taken over blocks of at most _MAX_BLOCK phase entries, so no
+        (points, modes) array outlives its block."""
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, pts.shape[-1])
-        phases = flat @ self.freqs.T
-        out = np.exp(1j * phases) @ self.coeffs
+        out = np.empty(len(flat), dtype=np.complex128)
+        step = max(1, _MAX_BLOCK // len(self.freqs))
+        for start in range(0, len(flat), step):
+            phases = 1j * (flat[start : start + step] @ self.freqs.T)
+            np.exp(phases, out=phases)
+            out[start : start + step] = phases @ self.coeffs
         return out.reshape(pts.shape[:-1])
 
 
@@ -256,24 +266,47 @@ _FFT_SIZE = {1: 4096, 2: 256, 4: 32}
 _PAD = 3.0
 # points of each ball sample (least-squares fit and residual check)
 _SAMPLE_COUNT = 4096
+# cap on the points of one period-box slab and on the (points x modes)
+# entries of one phase block of FourierExpansion.evaluate; in D <= 2 one
+# slab holds the whole box
+_MAX_BLOCK = 65_536
 
 
-def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_axis: int) -> FourierExpansion:
-    """Fourier coefficients of 1/K, valid on the expansion ball.
+def _sample_box(kernel: KernelSpec, center: np.ndarray, R: float, L: float, floor: float) -> np.ndarray | None:
+    """The taper over K on the (M,)*D cells of the period box of half-side L
+    around center: window / K where the taper is positive and 0 elsewhere,
+    sampled in slabs of the leading axis of at most _MAX_BLOCK points, K read
+    only on the taper's support. None when |K| < floor, or is NaN, somewhere
+    on that support."""
+    D = len(center)
+    M = _FFT_SIZE[D]
+    r_out = 0.97 * L
+    step = 2 * L / M
+    axis = -L + (np.arange(M) + 0.5) * step
+    W = np.zeros((M,) * D)
+    rows = max(1, _MAX_BLOCK // M ** (D - 1))
+    for start in range(0, M, rows):
+        grids = np.meshgrid(axis[start : start + rows], *([axis] * (D - 1)), indexing="ij")
+        pts = np.stack([g.reshape(-1) for g in grids], axis=1) + center
+        rad = np.linalg.norm(pts - center, axis=1)
+        window = _erf_window(rad, R, r_out)
+        window[rad >= r_out] = 0.0
+        supp = window > 0
+        kvals = kernel.evaluate(pts[supp])
+        if not np.all(np.abs(kvals) >= floor):  # a NaN fails too
+            return None
+        W[start : start + rows].reshape(-1)[supp] = window[supp] / kvals
+    return W
 
-    Samples the period box (half-side _PAD ball radii, centered at the
-    antipode of the base point, shrunk if it would reach the kernel
-    singularity at 0), multiplies by a radial taper that is ~1 on the ball
-    and ~0 before the box edge, and takes the exact DFT of the samples.
-    Modes are sorted by |a_j| descending and truncated to N_per_axis^D
-    (ties keep FFT order so runs are reproducible); the kept coefficients
-    are then re-fit by least squares against 1/K on a dense ball sample,
-    and the residual is measured on a second, independent sample. Raises
-    TailTooLarge unless that residual is at most EPS_TOL (so also when it
-    is NaN).
+
+def _box_modes(kernel: KernelSpec, geometry: ExtractionGeometry, count: int) -> tuple[np.ndarray, float]:
+    """The `count` largest FFT modes of the tapered 1/K on the period box:
+    their (count, D) absolute frequencies, and the sum of |a_j| over the
+    modes dropped.
+
+    The box is sampled in slabs, so no (box points, D) array is ever alive,
+    and the real samples are let go once transformed.
     """
-    if kernel.D != geometry.D or kernel.ndim != geometry.ndim:
-        raise ValueError("kernel and geometry disagree on dimension")
     D = geometry.D
     M = _FFT_SIZE[D]
     center = np.array(geometry.expansion_center)
@@ -289,58 +322,71 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     # shrink the taper toward the ball if the kernel happens to vanish in
     # the slack region between the ball and the box edge
     for _ in range(4):
-        r_out = 0.97 * L
-        step = 2 * L / M
-        axis = -L + (np.arange(M) + 0.5) * step
-        grids = np.meshgrid(*([axis] * D), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=1) + center
-        rad = np.linalg.norm(pts - center, axis=1)
-        window = _erf_window(rad, R, r_out)
-        window[rad >= r_out] = 0.0
-        window = window.reshape((M,) * D)
-        kvals = kernel.evaluate(pts).reshape((M,) * D)
-        supp = window > 0
-        if float(np.min(np.abs(kvals[supp]))) >= floor:
+        W = _sample_box(kernel, center, R, L, floor)
+        if W is not None:
             break
         L = R + 0.7 * (L - R)
     else:
         raise KernelVanishes("kernel vanishes arbitrarily close to the ball")
-    W = np.zeros((M,) * D)
-    W[supp] = window[supp] / kvals[supp]
 
-    F = np.fft.fftn(W) / M**D
+    F = np.fft.fftn(W)
+    del W
+    F /= M**D
     qs = np.fft.fftfreq(M, d=1.0 / M)  # shifted integers -M/2 .. M/2 - 1
     omega_axis = np.pi * qs / L
     # cell-centered sampling phase, then fold the box-corner phase so the
     # stored frequencies are absolute
     corner = center - L
-    coeff = F
     for ax in range(D):
         shape = [1] * D
         shape[ax] = M
-        phase = np.exp(-1j * (np.pi * qs / M + omega_axis * corner[ax])).reshape(shape)
-        coeff = coeff * phase
-    mesh = np.meshgrid(*([omega_axis] * D), indexing="ij")
-    freqs = np.stack([g.reshape(-1) for g in mesh], axis=1)
-    flat = coeff.reshape(-1)
+        F *= np.exp(-1j * (np.pi * qs / M + omega_axis * corner[ax])).reshape(shape)
+    mag = np.abs(F).reshape(-1)
+    del F
+    order = np.argsort(-mag, kind="stable")
+    freqs = omega_axis[np.stack(np.unravel_index(order[:count], (M,) * D), axis=1)]
+    return freqs, float(np.sum(mag[order[count:]]))
 
-    order = np.argsort(-np.abs(flat), kind="stable")
-    keep = order[: N_per_axis**D]
-    drop = order[N_per_axis**D :]
-    kept_freqs = freqs[keep].copy()
+
+def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_axis: int) -> FourierExpansion:
+    """Fourier coefficients of 1/K, valid on the expansion ball.
+
+    Samples the period box (half-side _PAD ball radii, centered at the
+    antipode of the base point, shrunk if it would reach the kernel
+    singularity at 0), multiplies by a radial taper that is ~1 on the ball
+    and ~0 before the box edge, and takes the exact DFT of the samples.
+    Modes are sorted by |a_j| descending and truncated to N_per_axis^D
+    (ties keep FFT order so runs are reproducible); the kept coefficients
+    are then re-fit by least squares against 1/K on a dense ball sample,
+    and the residual is measured on a second, independent sample. Raises
+    TailTooLarge unless that residual is at most EPS_TOL (so also when it
+    is NaN).
+
+    The period box lives only inside `_box_modes`, so the fit holds one
+    (sample, modes) design, exponentiated in place and let go after the
+    solve, besides LAPACK's copy of it.
+    """
+    if kernel.D != geometry.D or kernel.ndim != geometry.ndim:
+        raise ValueError("kernel and geometry disagree on dimension")
+    D = geometry.D
+    center = np.array(geometry.expansion_center)
+    R = geometry.ball_radius
+    kept_freqs, dropped = _box_modes(kernel, geometry, N_per_axis**D)
 
     # on-ball least-squares polish of the kept coefficients; the sets of
     # kept modes are nested in N, so the fit residual refines monotonically
     fit = _unit_ball_points(D, _SAMPLE_COUNT, _BALL_SEED) * R + center
     target = 1.0 / kernel.evaluate(fit)
-    design = np.exp(1j * (fit @ kept_freqs.T))
+    design = 1j * (fit @ kept_freqs.T)
+    np.exp(design, out=design)
     coeffs, *_ = np.linalg.lstsq(design, target, rcond=1e-10)
+    del design
 
     expansion = FourierExpansion(
         coeffs=coeffs,
         freqs=kept_freqs,
         epsilon=0.0,
-        l1_total=float(np.sum(np.abs(coeffs)) + np.sum(np.abs(flat[drop]))),
+        l1_total=float(np.sum(np.abs(coeffs)) + dropped),
         geometry=geometry,
         kernel=kernel,
     )
@@ -350,7 +396,7 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     expansion = replace(expansion, epsilon=eps)
     if not eps <= EPS_TOL:  # a NaN residual is refused too
         raise TailTooLarge(
-            f"residual {eps:.3e} > {EPS_TOL:.3e} at N = {len(keep)}; raise N_per_axis"
+            f"residual {eps:.3e} > {EPS_TOL:.3e} at N = {len(kept_freqs)}; raise N_per_axis"
         )
     return expansion
 
@@ -532,7 +578,7 @@ def verify_master_chain(
     Yp = associate(Y)
     with _stage(q, "norms"):
         h_norm = norm(cube.h_modulus(), Yp)
-        nfg = math.prod(chi_norms(X, cube.family)[i] for i, X in enumerate(Xs, start=1))
+        nfg = math.prod(chi_norms(X, cube.family.member(i))[0] for i, X in enumerate(Xs, start=1))
 
     def one_mode(j: int):
         fs, h = build_test_functions(cube, j)

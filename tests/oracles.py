@@ -6,7 +6,8 @@ one-pass family arithmetic against an independent computation. The kernel
 tensor oracle evaluates K at every coordinate difference, with no table of
 lattice offsets. The self-cell oracles integrate K over the cell in polar
 coordinates (D = 2) or over the radii of its two planes (D = 4), not over
-the cell's faces."""
+the cell's faces. The 1/K expansion oracle sums every point's modes in one
+(points, modes) phase array, with no blocks."""
 
 import numpy as np
 
@@ -99,6 +100,14 @@ def kernel_tensor_at_coordinates(kernel: KernelSpec, x: np.ndarray, *ys: np.ndar
         others = tuple(j + 1 for j in range(len(ys)) if j != i)
         offsets.append(np.broadcast_to(np.expand_dims(u, others), shape))
     return kernel.evaluate(np.concatenate(offsets, axis=-1))
+
+
+def expansion_at(expansion, points: np.ndarray) -> np.ndarray:
+    """A FourierExpansion at points of shape (..., D) in one shot:
+    exp(1j * (w @ freqs.T)) @ coeffs over all points at once."""
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, pts.shape[-1])
+    return (np.exp(1j * (flat @ expansion.freqs.T)) @ expansion.coeffs).reshape(pts.shape[:-1])
 
 
 def _gauss(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:

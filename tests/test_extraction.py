@@ -6,6 +6,8 @@ is checked here point by point on a fresh sample, not the fitting one.
 """
 
 import math
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from oscillab import (
     BadDelta,
     ConvergenceFailure,
     Cube,
+    CubeFamily,
     Grid,
     GridFunction,
     GridMismatch,
@@ -25,6 +28,7 @@ from oscillab import (
     Weighted,
     associate,
     centered_family,
+    chi_norms,
     condition_bilinear,
     cube_slices,
     norm,
@@ -44,7 +48,7 @@ from oscillab.extraction import (
     select_geometry,
     verify_master_chain,
 )
-from oracles import cube_average, mean_oscillation_shifted
+from oracles import cube_average, expansion_at, mean_oscillation_shifted
 
 HILBERT = fixtures.make_kernel("hilbert", 1)
 BIRIESZ = fixtures.make_kernel("bilinear_riesz", 1)
@@ -239,6 +243,66 @@ def test_reciprocal_refuses_a_nan_residual(monkeypatch):
     monkeypatch.setattr(extraction.FourierExpansion, "evaluate", lambda self, pts: np.full(len(pts), np.nan))
     with pytest.raises(TailTooLarge, match=r"^residual nan > 1\.000e-02 at N = 5"):
         fourier_reciprocal(HILBERT, select_geometry(HILBERT, 0.5), 5)
+
+
+def test_reciprocal_shrinks_the_taper_off_a_vanishing_sector():
+    """K = 0 on the sector theta_2 < cut, which the taper support reaches
+    and the ball (theta_2 > -0.25 there) does not: the taper shrinks toward
+    the ball until it clears the sector, and a sector too close for four
+    shrinks is refused. A kernel NaN, not 0, on the sector takes the same
+    shrinks: its expansion is bit for bit the vanishing kernel's."""
+    geo = ExtractionGeometry(2, 0.5, (4.0, 0.0))
+    sector = lambda cut, fill=0.0: KernelSpec(1, 2, 1.0, lambda t: np.where(t[..., 1] < cut, fill, 1.0), name="sector")
+    want = fourier_reciprocal(sector(-0.45), geo, 8)
+    assert want.epsilon <= extraction.EPS_TOL
+    got = fourier_reciprocal(sector(-0.45, np.nan), geo, 8)
+    assert (got.coeffs.tobytes(), got.freqs.tobytes()) == (want.coeffs.tobytes(), want.freqs.tobytes())
+    assert (got.epsilon, got.l1_total) == (want.epsilon, want.l1_total)
+    with pytest.raises(KernelVanishes, match="arbitrarily close"):
+        fourier_reciprocal(sector(-0.3), geo, 8)
+
+
+@pytest.mark.parametrize("kernel, n_per_axis", [(HILBERT, 64), (BIRIESZ, 10)], ids=["D=1", "D=2"])
+def test_blocked_evaluate_matches_the_one_shot_formula(kernel, n_per_axis):
+    """evaluate takes its points in blocks; every value is bit for bit the
+    one-shot formula's, and the leading point shape is kept."""
+    geo = select_geometry(kernel, 0.5)
+    exp = fourier_reciprocal(kernel, geo, n_per_axis)
+    D = geo.D
+    pts = (_unit_ball_points(D, 2000, seed=5)[:2000] * geo.ball_radius + np.array(geo.expansion_center)).reshape(40, 50, D)
+    assert 2000 > extraction._MAX_BLOCK // len(exp.freqs)  # more points than one block
+    got = exp.evaluate(pts)
+    assert got.shape == (40, 50)
+    assert got.tobytes() == expansion_at(exp, pts).tobytes()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reciprocal_holds_one_design():
+    """Besides LAPACK's own copy, the fit holds one (sample, modes) design:
+    the period box is gone by then, the design is exponentiated in place,
+    and the residual check takes its phases in blocks."""
+    geo = select_geometry(BIRIESZ, 0.5)
+    design_bytes = len(_unit_ball_points(2, extraction._SAMPLE_COUNT)) * 100 * 16
+    assert _traced_peak(lambda: fourier_reciprocal(BIRIESZ, geo, 10)) <= 2 * design_bytes
+
+
+def test_period_box_of_a_2d_bilinear_kernel_is_sampled_in_slabs():
+    """In D = 4 the box has 32^4 points: it is sampled in slabs, so the stage
+    holds no (box points, D) array, only the real samples and the two complex
+    arrays of one fftn axis pass, and some slab arrays: under three complex
+    box arrays."""
+    kernel = fixtures.make_kernel("bilinear_riesz", 2)
+    geo = select_geometry(kernel, 0.5)
+    box_bytes = 16 * extraction._FFT_SIZE[4] ** 4
+    assert _traced_peak(lambda: extraction._box_modes(kernel, geo, 16)) <= 3 * box_bytes
 
 
 # ---- test functions ----
@@ -588,6 +652,61 @@ def test_chain_indexes_each_cube_once(monkeypatch, setup):
     monkeypatch.setattr(grid_module, "_index_ranges", counted)
     verify_master_chain(*args)
     assert len(calls) <= 2
+
+
+def test_norms_stage_solves_only_the_rows_it_reads(monkeypatch):
+    """In a Variable bilinear chain the norms stage solves three Luxemburg
+    rows: ||h||_{Y'} and, per input i, ||chi_{Q_i}||_{X_i} alone, not the
+    whole family (Q, Q_1, Q_2) for each input."""
+    b, geo, q = _bilinear_1d_cube()
+    V = fixtures.make_exponent("arctan_profile", b.grid)
+    args = (b, (V, V), V, q, fourier_reciprocal(BIRIESZ, geo, 5))
+    want = verify_master_chain(*args)
+    current, rows = [], {}
+    stage, solve = extraction._stage, spaces._modular_lambdas
+
+    @contextmanager
+    def named(cube, name):
+        current.append(name)
+        try:
+            with stage(cube, name):
+                yield
+        finally:
+            current.pop()
+
+    def counted(absrows, prows, cellvol):
+        rows[current[-1]] = rows.get(current[-1], 0) + len(absrows)
+        return solve(absrows, prows, cellvol)
+
+    monkeypatch.setattr(extraction, "_stage", named)
+    monkeypatch.setattr(spaces, "_modular_lambdas", counted)
+    assert verify_master_chain(*args) == want
+    assert rows["norms"] == 3
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda g: Lebesgue(3.0),
+        lambda g: Weighted(2.0, fixtures.make_weight("power:0.5", g)),
+        lambda g: fixtures.make_exponent("arctan_profile", g),
+    ],
+    ids=["lebesgue", "weighted", "variable"],
+)
+@pytest.mark.parametrize("grid", [Grid((-6.0,), (6.0,), 512), Grid((-6.0, -6.0), (6.0, 6.0), 48)], ids=["1d", "2d"])
+def test_member_family_norm_is_the_family_row(make, grid, monkeypatch):
+    """chi_norms of the one-cube family of member i is, bit for bit, entry i
+    of chi_norms of the whole family, with no second index pass."""
+    side = 0.28125 if grid.n == 1 else 0.375
+    cubes = [Cube((0.0,) * grid.n, side), Cube((1.0,) * grid.n, side), Cube((-2.5,) * grid.n, 2 * side)]
+    family = CubeFamily(grid, cubes)
+    space = make(grid)
+    whole = chi_norms(space, family)
+    monkeypatch.setattr(grid_module, "_index_ranges", None)  # a second index pass would fail
+    for i in range(len(family)):
+        member = family.member(i)
+        assert len(member) == 1 and member.cubes[0] == family.cubes[i]
+        assert chi_norms(space, member) == [whole[i]]
 
 
 @pytest.mark.parametrize(

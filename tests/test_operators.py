@@ -564,6 +564,25 @@ def test_bilinear_plan_reuse_fractional_self_cell():
     assert operators._plans[0] is plan
 
 
+def test_bilinear_plan_keeps_its_self_cell(monkeypatch):
+    """Repeated fractional applications on one support pair evaluate the
+    self cell once, with the plan's kernel table, and agree bit for bit
+    with a cold application."""
+    g = Grid((-1.0, -1.0), (1.0, 1.0), 16)
+    k = distance_kernel(2, 1.5)
+    x, y = g.meshes()
+    rng = np.random.default_rng(8)
+    box = (np.abs(x) < 0.2) & (np.abs(y) < 0.2)  # 4 x 4 cells, in both supports
+    f, h = (GridFunction(g, rng.standard_normal(g.shape) * box) for _ in range(2))
+    want = _cold(k, f, h)
+    calls = []
+    self_cell = operators._self_cell
+    monkeypatch.setattr(operators, "_self_cell", lambda *a: calls.append(a) or self_cell(*a))
+    for _ in range(5):
+        assert _same(OperatorHandle(k)(f, h), want)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "make", [lambda: fixtures.make_kernel("bilinear_riesz", 1), lambda: distance_kernel(1, 1.2)],
     ids=["singular", "fractional"],
