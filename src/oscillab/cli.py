@@ -198,7 +198,8 @@ def _has_kind(value, kind: type) -> bool:
 def _check_value(key: str, value):
     """Refuse an unknown key, a value of the wrong kind, and the values no
     constructor refuses: trials or n_per_axis below 1, a tolerance that is
-    not positive and an expect_verdict that trend_verdict never returns."""
+    not positive, a family other than dyadic or centered and an
+    expect_verdict that trend_verdict never returns."""
     if key not in KINDS:
         raise ConfigError(f"unknown key {key!r}: no experiment reads it")
     if not (_has_kind(value, KINDS[key]) or (value is None and key in NULLABLE)):
@@ -207,6 +208,8 @@ def _check_value(key: str, value):
         raise ConfigError(f"{key} must be >= 1, got {value}")
     if key == "tolerance" and value <= 0:
         raise ConfigError(f"{key} must be positive, got {value}")
+    if key == "family" and value not in ("dyadic", "centered"):
+        raise ConfigError(f"{key} must be dyadic or centered, got {value!r}")
     if key == "expect_verdict" and value not in (*VERDICTS, None):
         raise ConfigError(f"{key} must be one of {', '.join(VERDICTS)} or null, got {value!r}")
 
@@ -229,8 +232,6 @@ class ExperimentConfig:
     runs."""
 
     def __init__(self, data: dict):
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
         name = data.get("experiment")
         if name not in (*RUNNERS, "all"):
             raise ConfigError(f"experiment must be one of {', '.join(RUNNERS)} or 'all'; got {name!r}")
@@ -322,9 +323,7 @@ class ScopedConfig:
         with _naming("base_side", "base_center", "level_min", "level_max"):
             if kind == "dyadic":
                 return enumerate_dyadic(grid, lmin, lmax, Cube(center, side))
-            if kind == "centered":
-                return centered_family(grid, center, side, lmin, lmax)
-        raise ConfigError(f"family must be dyadic or centered, got {kind!r}")
+            return centered_family(grid, center, side, lmin, lmax)
 
     def fixture(self, key: str, grid: Grid):
         """The fixture `key` names (space_* keys name spaces), built on `grid`
@@ -591,7 +590,8 @@ def _chain(cfg: ScopedConfig) -> tuple[GridFunction, FourierExpansion, Necessity
     fam = cfg.family(grid)
     with _naming("delta"):
         geometry = select_geometry(kernel, float(cfg.get("delta")))
-    expansion = fourier_reciprocal(kernel, geometry, int(cfg.get("n_per_axis")))
+    with _naming("n_per_axis"):
+        expansion = fourier_reciprocal(kernel, geometry, int(cfg.get("n_per_axis")))
     return b, expansion, necessity_experiment(b, Xs, Y, fam, expansion)
 
 
@@ -734,7 +734,9 @@ def write_reports(rows: list[ReportRow], summaries: dict, config: ExperimentConf
     return config.get("csv_path"), config.get("json_path")
 
 
-def _apply_overrides(data: dict, pairs: list[str]) -> dict:
+def _apply_overrides(data, pairs: list[str]) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     out = dict(data)
     for pair in pairs:
         if "=" not in pair:

@@ -92,7 +92,8 @@ class ExtractionGeometry:
     """Base point, scale, and per-cube derived cubes for the chain.
 
     base_point c lives on the annulus 2 sqrt(n) < |c| < 4 sqrt(n) in R^D,
-    where D = k n, the length of c, for a kernel of k = 1 or 2 inputs. For
+    where D = k n, the length of c, for a kernel of k = 1 or 2 inputs, so
+    the validity ball, of radius delta sqrt(2n) < |c|, misses the origin. For
     a cube Q = Q(x0, r) the derived cubes sit at x0 + r c_i / delta with
     side r; they fit in sqrt(n) (1 + 8/delta) Q, and P = 2 sqrt(n) (1 + 8/delta) Q.
     """
@@ -110,8 +111,6 @@ class ExtractionGeometry:
         lo, hi = 2 * math.sqrt(self.ndim), 4 * math.sqrt(self.ndim)
         if not lo < rho < hi:
             raise ValueError(f"|base point| = {rho:.6g} outside ({lo:.6g}, {hi:.6g})")
-        if rho - self.ball_radius <= 0:
-            raise ValueError("ball around the base point reaches the origin")
 
     @property
     def D(self) -> int:
@@ -289,8 +288,9 @@ def _sample_box(kernel: KernelSpec, center: np.ndarray, R: float, L: float, floo
         grids = np.meshgrid(axis[start : start + rows], *([axis] * (D - 1)), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=1) + center
         rad = np.linalg.norm(pts - center, axis=1)
-        window = _erf_window(rad, R, r_out)
-        window[rad >= r_out] = 0.0
+        window = np.zeros_like(rad)
+        inside = rad < r_out
+        window[inside] = _erf_window(rad[inside], R, r_out)
         supp = window > 0
         kvals = kernel.evaluate(pts[supp])
         if not np.all(np.abs(kvals) >= floor):  # a NaN fails too
@@ -312,11 +312,10 @@ def _box_modes(kernel: KernelSpec, geometry: ExtractionGeometry, count: int) -> 
     center = np.array(geometry.expansion_center)
     R = geometry.ball_radius
     L = _PAD * R
-    # keep the taper support strictly inside |w| < |c|, where K is smooth
+    # keep the taper support strictly inside |w| < |c|, where K is smooth;
+    # the taper still has room, 0.97 L > R, as R < sqrt(2n) < 0.98 |c|
     max_L = 0.98 * float(np.linalg.norm(center)) / 0.97
     L = min(L, max_L)
-    if 0.97 * L <= R:
-        raise BadDelta("no taper room: ball radius reaches the period box edge")
     floor = 1e-12 * float(np.linalg.norm(center)) ** (-kernel.degree)
 
     # shrink the taper toward the ball if the kernel happens to vanish in
@@ -360,7 +359,9 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     are then re-fit by least squares against 1/K on a dense ball sample,
     and the residual is measured on a second, independent sample. Raises
     TailTooLarge unless that residual is at most EPS_TOL (so also when it
-    is NaN).
+    is NaN), and ValueError, before the period box is sampled, when the
+    N_per_axis^D modes outnumber the fit points, as the fit would then be
+    underdetermined.
 
     The period box lives only inside `_box_modes`, so the fit holds one
     (sample, modes) design, exponentiated in place and let go after the
@@ -371,11 +372,13 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     D = geometry.D
     center = np.array(geometry.expansion_center)
     R = geometry.ball_radius
+    fit = _unit_ball_points(D, _SAMPLE_COUNT, _BALL_SEED) * R + center
+    if N_per_axis**D > len(fit):
+        raise ValueError(f"{N_per_axis}^{D} = {N_per_axis**D} modes outnumber the {len(fit)} fit points")
     kept_freqs, dropped = _box_modes(kernel, geometry, N_per_axis**D)
 
     # on-ball least-squares polish of the kept coefficients; the sets of
     # kept modes are nested in N, so the fit residual refines monotonically
-    fit = _unit_ball_points(D, _SAMPLE_COUNT, _BALL_SEED) * R + center
     target = 1.0 / kernel.evaluate(fit)
     design = 1j * (fit @ kept_freqs.T)
     np.exp(design, out=design)
@@ -406,13 +409,10 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
 
 def _phase_table(axes: tuple[np.ndarray, ...], vecs: np.ndarray, sign: float) -> np.ndarray:
     """exp(sign i vecs[j] . y) at the cells y of one cube, for every row j of
-    the (N, n) array vecs, as one (N, *cells) table from one np.exp, checked
-    to have modulus 1 to 1e-12. Each row is, bit for bit, the single-mode
-    exp(sign * 1j * sum(v_a * y_a)): the sum starts from 0 as that one does."""
-    table = np.exp(sign * 1j * sum(np.multiply.outer(vecs[:, a], ax) for a, ax in enumerate(axes)))
-    if np.max(np.abs(np.abs(table) - 1.0)) > 1e-12:
-        raise AssertionError("modulated indicator lost unit modulus")
-    return table
+    the (N, n) array vecs, as one (N, *cells) table from one np.exp. Each
+    row is, bit for bit, the single-mode exp(sign * 1j * sum(v_a * y_a)):
+    the sum starts from 0 as that one does."""
+    return np.exp(sign * 1j * sum(np.multiply.outer(vecs[:, a], ax) for a, ax in enumerate(axes)))
 
 
 @dataclass(frozen=True)

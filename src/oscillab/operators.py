@@ -129,7 +129,7 @@ class OperatorHandle:
 
     def each(self, fs: Iterable[GridFunction]) -> list[GridFunction]:
         """[self(f) for f in fs] for a one-input kernel, bit for bit, with
-        the quadrature run once over the stacked inputs of each dtype."""
+        the quadrature run once over one stack of the inputs."""
         return _linear_apply(fs, self.kernel)
 
 
@@ -189,30 +189,24 @@ def _linear_body(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
 
 
 def _linear_apply(fs: Iterable[GridFunction], kernel: KernelSpec) -> list[GridFunction]:
-    """T f for each f of fs on one grid, for a one-input kernel: the
-    inputs of each dtype are stacked along a trailing axis and sent through
-    `_linear_body` in one call. Every column's arithmetic is that of a lone
+    """T f for each f of fs on one grid, for a one-input kernel: the inputs
+    are stacked once along a trailing axis, complex when any input is, and
+    sent through `_linear_body` in one call; a real input is read back as
+    the real part of its column. Every column's arithmetic is that of a lone
     input, so each output is bit for bit what a call on its input alone
-    gives. The inputs are let go once stacked, so those of a generator are
-    freed before the body allocates its own arrays."""
+    gives, in its input's dtype. The inputs are let go once stacked, so
+    those of a generator are freed before the body allocates its own arrays."""
     fs = list(fs)
     if not fs:
         return []
     grid = _grid_of(fs)
     _check_kernel(kernel, 1, grid)
-    groups: dict = {}
-    for i, dtype in enumerate([f.values.dtype for f in fs]):
-        groups.setdefault(dtype, []).append(i)
-    stacks = [(group, np.stack([fs[i].values for i in group], axis=-1)) for group in groups.values()]
-    outs: list = [None] * len(fs)
-    del fs  # the stacks hold the inputs now
-    while stacks:
-        group = stacks[-1][0]
-        # the body gets the only reference to the stack, so it frees it once transformed
-        vals = _linear_body(stacks.pop()[1], kernel, grid.h)
-        for j, i in enumerate(group):
-            outs[i] = GridFunction(grid, np.ascontiguousarray(vals[..., j]))
-    return outs
+    real = [not np.iscomplexobj(f.values) for f in fs]
+    stack = [np.stack([f.values for f in fs], axis=-1)]
+    del fs  # the stack holds the inputs now
+    # the body gets the only reference to the stack, so it frees it once transformed
+    vals = _linear_body(stack.pop(), kernel, grid.h)
+    return [GridFunction(grid, np.ascontiguousarray(vals[..., j].real if r else vals[..., j])) for j, r in enumerate(real)]
 
 
 def singular_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:

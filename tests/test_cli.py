@@ -103,6 +103,15 @@ def test_malformed_json(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["null", '"abc"', "3", "[1, 2]"])
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    assert run_in(tmp_path, "run", str(p), "--set", "m=64") == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+    assert not (tmp_path / "report.csv").exists() and not (tmp_path / "report.json").exists()
+
+
 def test_unknown_experiment(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="teleport", seed=0)
     assert run_in(tmp_path, "run", cfg) == 2
@@ -210,6 +219,26 @@ def test_all_accepts_a_space_key_that_one_experiment_reads():
         ExperimentConfig({"experiment": "necessity", "seed": 0, "kernel": "hilbert", "space_x2": "lebesgue:3"})
 
 
+def test_all_refuses_an_unknown_family_before_any_runner(tmp_path, capsys, monkeypatch):
+    for name in cli.RUNNERS:
+        monkeypatch.setitem(cli.RUNNERS, name, lambda cfg: pytest.fail("a runner started"))
+    cfg = write_config(tmp_path, experiment="all", seed=0, family="spiral")
+    assert run_in(tmp_path, "run", cfg) == 2
+    assert capsys.readouterr().err == "config error: family must be dyadic or centered, got 'spiral'\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_2d_default_chain_refuses_more_modes_than_fit_points(tmp_path, capsys, monkeypatch):
+    """n_per_axis 10 in D = 4 asks for 10^4 modes from 4,353 fit points: a
+    config error naming n_per_axis, raised before the period box is sampled."""
+    monkeypatch.setattr("oscillab.extraction._box_modes", lambda *args: pytest.fail("the period box was sampled"))
+    cfg = write_config(tmp_path, experiment="chain", seed=0, dimension=2)
+    assert run_in(tmp_path, "run", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n_per_axis: 10^4 = 10000 modes") and err.count("\n") == 1
+    assert not (tmp_path / "report.csv").exists() and not (tmp_path / "report.json").exists()
+
+
 def test_weight_constants_refuses_q_before_any_level(tmp_path, capsys, monkeypatch):
     def no_level(*args):
         raise AssertionError("a level ran before q was checked")
@@ -233,6 +262,17 @@ def test_necessity_constant_symbol_is_stable(tmp_path):
     (verdict,) = [r for r in rows if r["quantity"].startswith("ratio_verdict")]
     assert verdict["quantity"] == "ratio_verdict[constant:1=stable]"
     assert verdict["verdict"] == "pass"
+
+
+def test_chain_constant_symbol_writes_one_all_zero_row_per_cube(tmp_path):
+    """A constant symbol has no gap or ordering to check: each cube of the
+    default family (4 + 8) writes one passing all_stages_zero row instead."""
+    cfg = write_config(tmp_path, experiment="chain", seed=0, symbol="constant:2")
+    assert run_in(tmp_path, "run", cfg) == 0
+    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
+    zero = [r for r in rows if r["quantity"] == "all_stages_zero"]
+    assert len(zero) == 12 and all(r["verdict"] == "pass" for r in zero)
+    assert not any(r["quantity"].startswith(("gap_", "ordering_")) for r in rows)
 
 
 def test_expect_verdict_outside_the_three_exits_2(tmp_path, capsys):
@@ -433,10 +473,12 @@ def test_weight_constants_experiment_smoke(tmp_path):
         level_max=7,
         cells_per_cube=8,
         expect_verdict="stable",
+        q=2,
     )
     assert run_in(tmp_path, "run", cfg) == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["verdicts"]["weight-constants/stability[power:0.5,p=2]"] == "pass"
+    assert "apq_sup[q=2]" in {r["quantity"] for r in csv.DictReader(open(tmp_path / "report.csv"))}
     assert rep["summaries"]["weight-constants"]["growth_verdict"] == "stable"
 
 

@@ -238,6 +238,16 @@ def test_reciprocal_tail_too_large():
         fourier_reciprocal(HILBERT, geo, 4)
 
 
+def test_reciprocal_refuses_more_modes_than_fit_points(monkeypatch):
+    """66^2 = 4356 modes against 4353 fit points would leave the fit
+    underdetermined: refused before the period box is sampled."""
+    geo = select_geometry(BIRIESZ, 0.5)
+    assert len(_unit_ball_points(2, extraction._SAMPLE_COUNT)) == 4353
+    monkeypatch.setattr(extraction, "_box_modes", lambda *args: pytest.fail("the period box was sampled"))
+    with pytest.raises(ValueError, match=r"^66\^2 = 4356 modes outnumber the 4353 fit points$"):
+        fourier_reciprocal(BIRIESZ, geo, 66)
+
+
 def test_reciprocal_refuses_a_nan_residual(monkeypatch):
     """A NaN residual is not within EPS_TOL, so it is refused like a large one."""
     monkeypatch.setattr(extraction.FourierExpansion, "evaluate", lambda self, pts: np.full(len(pts), np.nan))

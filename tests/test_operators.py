@@ -534,6 +534,17 @@ def test_bilinear_plan_reuse_new_values_and_interior_zero():
     assert operators._plans[0] is not plan
 
 
+@pytest.mark.parametrize("kernel", [fixtures.make_kernel("bilinear_riesz", 1), distance_kernel(1, 1.2)], ids=["riesz", "fractional"])
+def test_bilinear_apply_with_a_zero_input_is_zero(kernel):
+    g = Grid((-2.0,), (2.0,), 64)
+    rng = np.random.default_rng(8)
+    f, zero = _on(g, -1.0, 0.5, rng), GridFunction(g, np.zeros(g.shape))
+    for pair in ((zero, f), (f, zero), (zero, 1j * f)):
+        out = OperatorHandle(kernel)(*pair)
+        assert out.values.dtype == np.result_type(*(p.values for p in pair))
+        assert not np.any(out.values)
+
+
 def test_bilinear_plan_reuse_alternating_pairs_and_kernels():
     g = Grid((-2.0,), (2.0,), 64)
     k1 = fixtures.make_kernel("bilinear_riesz", 1)

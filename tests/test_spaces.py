@@ -173,6 +173,14 @@ def test_duality_gap_attains_one_for_lebesgue(g256):
     assert gap == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_duality_gap_attains_one_for_weighted(g256, p):
+    # the weighted extremizer sgn(f) |f|^(p-1) w pairs to ||f|| ||g||' exactly
+    w = GridFunction(g256, np.abs(g256.meshes()[0]) ** 0.5)
+    f = from_callable(g256, lambda x: np.cos(3 * x))
+    assert duality_gap(f, Weighted(p, w), trials=16, seed=1) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_norm_lattice_monotone(g256):
     # |f| <= |g| pointwise forces ||f|| <= ||g||
     rng = np.random.default_rng(11)
