@@ -15,9 +15,12 @@ bounded mean oscillation" into per-cube arithmetic:
    ball, so on-ball residual is the right target). The expansion keeps the
    kernel and the geometry it was fitted on and is the chain's one set-up
    object; it is refused when its residual exceeds EPS_TOL. Its memory rule:
-   one least-squares design plus LAPACK's copy of it; everything else in
-   blocks of _MAX_BLOCK (the period box's sample points, the residual
-   check's phases), and the period box gone before the fit.
+   besides the period box, every set-up array in blocks of _MAX_BLOCK
+   entries (the direction scan's points, the period box's sample points,
+   the fit's design rows, reduced to one triangle by a tall-skinny QR, and
+   the residual check's phases), and the period box gone before the fit.
+   Only a fit of so many modes n that n + 1 design rows outgrow one block
+   builds its whole design, for one lstsq.
 3. `build_test_functions` makes, for one mode, modulated indicators whose
    moduli are plain cube indicators, so their norms match the norms of
    their supports, and the block of h on the cells of Q, where alone h is
@@ -179,8 +182,8 @@ def select_geometry(kernel: KernelSpec, delta: float) -> ExtractionGeometry:
 
     Scans a coarse direction set at radius 3 sqrt(n), measures min |K| over
     a deterministic ball sample around each candidate and its antipode
-    (the expansion lives at the antipode) in one kernel evaluation over all
-    directions, and keeps the best. Raises
+    (the expansion lives at the antipode), evaluating K on blocks of
+    directions of at most _MAX_BLOCK points, and keeps the best. Raises
     KernelVanishes when no direction clears _MIN_KERNEL_REL relative to the
     natural kernel scale at that radius.
     """
@@ -193,10 +196,14 @@ def select_geometry(kernel: KernelSpec, delta: float) -> ExtractionGeometry:
     ball = _unit_ball_points(D, 256) * radius
     scale = rho ** (-kernel.degree)
     cs = rho * _sphere_points(D, 128 if D == 2 else 256, _BALL_SEED)
-    lo = np.minimum(
-        np.min(np.abs(kernel.evaluate(cs[:, None, :] + ball)), axis=1),
-        np.min(np.abs(kernel.evaluate(-cs[:, None, :] + ball)), axis=1),
-    )
+    lo = np.empty(len(cs))
+    step = max(1, _MAX_BLOCK // len(ball))
+    for start in range(0, len(cs), step):
+        block = cs[start : start + step, None, :]
+        lo[start : start + step] = np.minimum(
+            np.min(np.abs(kernel.evaluate(block + ball)), axis=1),
+            np.min(np.abs(kernel.evaluate(-block + ball)), axis=1),
+        )
     lo[np.isnan(lo)] = -np.inf  # a direction whose minimum is NaN is never kept
     best = int(np.argmax(lo))  # the first of equal maxima
     best_val = float(lo[best])
@@ -211,9 +218,6 @@ def select_geometry(kernel: KernelSpec, delta: float) -> ExtractionGeometry:
 # ---- Fourier expansion of 1/K ----
 
 
-_erfc = np.vectorize(math.erfc)
-
-
 def _erf_window(rad: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
     """Radial taper: 1 on [0, r_in] up to an erfc tail, ~0 beyond r_out.
 
@@ -223,7 +227,8 @@ def _erf_window(rad: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
     """
     mid = 0.5 * (r_in + r_out)
     sigma = (r_out - r_in) / 11.0
-    return 0.5 * _erfc((rad - mid) / (sigma * math.sqrt(2.0)))
+    x = (rad - mid) / (sigma * math.sqrt(2.0))
+    return 0.5 * np.fromiter(map(math.erfc, x.tolist()), float, len(x))
 
 
 @dataclass(frozen=True)
@@ -265,10 +270,11 @@ _FFT_SIZE = {1: 4096, 2: 256, 4: 32}
 _PAD = 3.0
 # points of each ball sample (least-squares fit and residual check)
 _SAMPLE_COUNT = 4096
-# cap on the points of one period-box slab and on the (points x modes)
-# entries of one phase block of FourierExpansion.evaluate; in D <= 2 one
-# slab holds the whole box
-_MAX_BLOCK = 65_536
+# cap on the entries of every set-up block: the points of one direction
+# block of select_geometry and of one period-box slab, and the
+# (points x modes) entries of one block of the fit and of
+# FourierExpansion.evaluate
+_MAX_BLOCK = 16_384
 
 
 def _sample_box(kernel: KernelSpec, center: np.ndarray, R: float, L: float, floor: float) -> np.ndarray | None:
@@ -347,6 +353,35 @@ def _box_modes(kernel: KernelSpec, geometry: ExtractionGeometry, count: int) -> 
     return freqs, float(np.sum(mag[order[count:]]))
 
 
+def _fit_coeffs(kernel: KernelSpec, fit: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The least-squares coefficients c of design @ c ~ 1/K on the fit
+    points, design = exp(i fit @ freqs.T), with lstsq's rank cut rcond=1e-10.
+
+    When one block of _MAX_BLOCK entries holds n + 1 rows of the augmented
+    design [design | 1/K], for n modes, those rows are taken in blocks and
+    each block is stacked under the running (n + 1, n + 1) triangle R of
+    their QR factorisation (a tall-skinny QR); the solve then runs on
+    R[:n, :n] against R[:n, n]. R[:n, :n] has the design's singular values
+    and R[:n, n] is the target's component in the design's range, so the
+    rank cut and the minimum-norm solution are those of lstsq on the whole
+    design. Otherwise the whole design is built, exponentiated in place, and
+    passed to lstsq."""
+    n = len(freqs)
+    rows = _MAX_BLOCK // (n + 1)
+    if rows < n + 1:
+        design = 1j * (fit @ freqs.T)
+        np.exp(design, out=design)
+        return np.linalg.lstsq(design, 1.0 / kernel.evaluate(fit), rcond=1e-10)[0]
+    R = np.empty((0, n + 1), dtype=np.complex128)
+    for start in range(0, len(fit), rows):
+        pts = fit[start : start + rows]
+        block = np.empty((len(pts), n + 1), dtype=np.complex128)
+        np.exp(1j * (pts @ freqs.T), out=block[:, :n])
+        block[:, n] = 1.0 / kernel.evaluate(pts)
+        R = np.linalg.qr(np.concatenate([R, block]), mode="r")
+    return np.linalg.lstsq(R[:n, :n], R[:n, n], rcond=1e-10)[0]
+
+
 def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_axis: int) -> FourierExpansion:
     """Fourier coefficients of 1/K, valid on the expansion ball.
 
@@ -363,9 +398,9 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     N_per_axis^D modes outnumber the fit points, as the fit would then be
     underdetermined.
 
-    The period box lives only inside `_box_modes`, so the fit holds one
-    (sample, modes) design, exponentiated in place and let go after the
-    solve, besides LAPACK's copy of it.
+    The period box lives only inside `_box_modes`, and the fit takes its
+    design in blocks of _MAX_BLOCK entries (`_fit_coeffs`), so no set-up
+    stage holds a whole design unless n + 1 rows of it outgrow one block.
     """
     if kernel.D != geometry.D or kernel.ndim != geometry.ndim:
         raise ValueError("kernel and geometry disagree on dimension")
@@ -379,12 +414,7 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
 
     # on-ball least-squares polish of the kept coefficients; the sets of
     # kept modes are nested in N, so the fit residual refines monotonically
-    target = 1.0 / kernel.evaluate(fit)
-    design = 1j * (fit @ kept_freqs.T)
-    np.exp(design, out=design)
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=1e-10)
-    del design
-
+    coeffs = _fit_coeffs(kernel, fit, kept_freqs)
     expansion = FourierExpansion(
         coeffs=coeffs,
         freqs=kept_freqs,

@@ -295,13 +295,14 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_reciprocal_holds_one_design():
-    """Besides LAPACK's own copy, the fit holds one (sample, modes) design:
-    the period box is gone by then, the design is exponentiated in place,
-    and the residual check takes its phases in blocks."""
+def test_reciprocal_holds_no_full_design():
+    """The fit takes its (sample, modes) design in row blocks, reduced to
+    one triangle, so its 4,353 x 100 complex entries (6.96 MB) are never
+    alive at once: the whole set-up, period box and residual check included,
+    peaks under four complex period boxes of 256^2 points."""
     geo = select_geometry(BIRIESZ, 0.5)
-    design_bytes = len(_unit_ball_points(2, extraction._SAMPLE_COUNT)) * 100 * 16
-    assert _traced_peak(lambda: fourier_reciprocal(BIRIESZ, geo, 10)) <= 2 * design_bytes
+    assert len(_unit_ball_points(2, extraction._SAMPLE_COUNT)) * 100 * 16 > 4 * 16 * 256**2
+    assert _traced_peak(lambda: fourier_reciprocal(BIRIESZ, geo, 10)) <= 4 * 16 * 256**2
 
 
 def test_period_box_of_a_2d_bilinear_kernel_is_sampled_in_slabs():
@@ -313,6 +314,100 @@ def test_period_box_of_a_2d_bilinear_kernel_is_sampled_in_slabs():
     geo = select_geometry(kernel, 0.5)
     box_bytes = 16 * extraction._FFT_SIZE[4] ** 4
     assert _traced_peak(lambda: extraction._box_modes(kernel, geo, 16)) <= 3 * box_bytes
+
+
+def test_erf_window_of_no_points_is_empty():
+    assert extraction._erf_window(np.empty(0), 1.0, 2.0).shape == (0,)
+
+
+def test_one_row_slabs_of_a_2d_bilinear_box_match_wider_slabs(monkeypatch):
+    """In D = 4 a slab of _MAX_BLOCK points is one row of 32^3 points, and
+    the first row lies wholly outside the taper, so the taper is asked for
+    no points there; the modes are bit for bit those of four-row slabs."""
+    kernel = fixtures.make_kernel("bilinear_riesz", 2)
+    geo = select_geometry(kernel, 0.5)
+    assert extraction._MAX_BLOCK // extraction._FFT_SIZE[4] ** 3 <= 1
+    sizes = []
+    window = extraction._erf_window
+    monkeypatch.setattr(extraction, "_erf_window", lambda rad, *a: sizes.append(len(rad)) or window(rad, *a))
+    freqs, dropped = extraction._box_modes(kernel, geo, 16)
+    assert 0 in sizes
+    monkeypatch.setattr(extraction, "_MAX_BLOCK", 4 * extraction._FFT_SIZE[4] ** 3)
+    want_freqs, want_dropped = extraction._box_modes(kernel, geo, 16)
+    assert (freqs.tobytes(), dropped) == (want_freqs.tobytes(), want_dropped)
+
+
+def _fit_setup(kernel, n_per_axis):
+    """The fit points and kept frequencies of `fourier_reciprocal`."""
+    geo = select_geometry(kernel, 0.5)
+    fit = _unit_ball_points(geo.D, extraction._SAMPLE_COUNT) * geo.ball_radius + np.array(geo.expansion_center)
+    freqs, _ = extraction._box_modes(kernel, geo, n_per_axis**geo.D)
+    return fit, freqs
+
+
+def _solve_with_ranks(monkeypatch, fn):
+    """fn's result and the (design shape, rank) of every lstsq it calls."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def recording(a, b, rcond):
+        out = lstsq(a, b, rcond=rcond)
+        calls.append((a.shape, out[2]))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "lstsq", recording)
+        return fn(), calls
+
+
+def _full_lstsq(kernel, fit, freqs):
+    """The fit as one lstsq on the whole design: (coeffs, rank, design)."""
+    design = np.exp(1j * (fit @ freqs.T))
+    coeffs, _, rank, _ = np.linalg.lstsq(design, 1.0 / kernel.evaluate(fit), rcond=1e-10)
+    return coeffs, rank, design
+
+
+@pytest.mark.parametrize(
+    "kernel, n_per_axis",
+    [(BIRIESZ, 10), (HILBERT, 64), (fixtures.make_kernel("riesz_1", 2), 5)],
+    ids=["bilinear_riesz", "hilbert", "riesz_1-2d"],
+)
+def test_blocked_qr_fit_matches_lstsq_on_the_whole_design(kernel, n_per_axis, monkeypatch):
+    """The QR solve runs on the (n, n) triangle, with the rank and, at the
+    fit points, the fitted values of lstsq on the whole design."""
+    fit, freqs = _fit_setup(kernel, n_per_axis)
+    n = len(freqs)
+    assert (n + 1) ** 2 <= extraction._MAX_BLOCK
+    want, rank, design = _full_lstsq(kernel, fit, freqs)
+    got, calls = _solve_with_ranks(monkeypatch, lambda: extraction._fit_coeffs(kernel, fit, freqs))
+    assert calls == [((n, n), rank)]
+    assert np.max(np.abs(design @ got - design @ want)) <= 1e-12 * np.max(np.abs(design @ want))
+
+
+def test_blocked_qr_fit_of_a_rank_deficient_design_is_the_minimum_norm_one(monkeypatch):
+    """Three modes repeated: both solves cut the design to the same rank and
+    agree on the fitted values and on the minimum-norm coefficients, which
+    split a repeated mode's coefficient evenly between its copies."""
+    fit, freqs = _fit_setup(BIRIESZ, 10)
+    freqs = np.concatenate([freqs, freqs[[3, 40, 77]]])
+    want, rank, design = _full_lstsq(BIRIESZ, fit, freqs)
+    assert rank == 100
+    got, calls = _solve_with_ranks(monkeypatch, lambda: extraction._fit_coeffs(BIRIESZ, fit, freqs))
+    assert calls == [((103, 103), rank)]
+    assert np.max(np.abs(design @ got - design @ want)) <= 1e-12 * np.max(np.abs(design @ want))
+    assert np.allclose(got[[3, 40, 77]], got[100:], rtol=1e-6, atol=0.0)
+    assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(want), rel=1e-6)
+
+
+def test_a_fit_too_wide_for_a_block_is_one_lstsq_on_the_whole_design(monkeypatch):
+    """128 + 1 rows of 129 entries outgrow one block: the coefficients are,
+    bit for bit, those of one lstsq on the whole design."""
+    fit, freqs = _fit_setup(HILBERT, 128)
+    assert 129**2 > extraction._MAX_BLOCK
+    got, calls = _solve_with_ranks(monkeypatch, lambda: extraction._fit_coeffs(HILBERT, fit, freqs))
+    want, rank, _ = _full_lstsq(HILBERT, fit, freqs)
+    assert calls == [((len(fit), 128), rank)]
+    assert got.tobytes() == want.tobytes()
 
 
 # ---- test functions ----
