@@ -345,7 +345,7 @@ def _fit_setup(kernel, n_per_axis):
     return fit, freqs
 
 
-def _solve_with_ranks(monkeypatch, fn):
+def _solve_with_ranks(fn):
     """fn's result and the (design shape, rank) of every lstsq it calls."""
     calls = []
     lstsq = np.linalg.lstsq
@@ -355,7 +355,7 @@ def _solve_with_ranks(monkeypatch, fn):
         calls.append((a.shape, out[2]))
         return out
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "lstsq", recording)
         return fn(), calls
 
@@ -372,19 +372,19 @@ def _full_lstsq(kernel, fit, freqs):
     [(BIRIESZ, 10), (HILBERT, 64), (fixtures.make_kernel("riesz_1", 2), 5)],
     ids=["bilinear_riesz", "hilbert", "riesz_1-2d"],
 )
-def test_blocked_qr_fit_matches_lstsq_on_the_whole_design(kernel, n_per_axis, monkeypatch):
+def test_blocked_qr_fit_matches_lstsq_on_the_whole_design(kernel, n_per_axis):
     """The QR solve runs on the (n, n) triangle, with the rank and, at the
     fit points, the fitted values of lstsq on the whole design."""
     fit, freqs = _fit_setup(kernel, n_per_axis)
     n = len(freqs)
     assert (n + 1) ** 2 <= extraction._MAX_BLOCK
     want, rank, design = _full_lstsq(kernel, fit, freqs)
-    got, calls = _solve_with_ranks(monkeypatch, lambda: extraction._fit_coeffs(kernel, fit, freqs))
+    got, calls = _solve_with_ranks(lambda: extraction._fit_coeffs(kernel, fit, freqs))
     assert calls == [((n, n), rank)]
     assert np.max(np.abs(design @ got - design @ want)) <= 1e-12 * np.max(np.abs(design @ want))
 
 
-def test_blocked_qr_fit_of_a_rank_deficient_design_is_the_minimum_norm_one(monkeypatch):
+def test_blocked_qr_fit_of_a_rank_deficient_design_is_the_minimum_norm_one():
     """Three modes repeated: both solves cut the design to the same rank and
     agree on the fitted values and on the minimum-norm coefficients, which
     split a repeated mode's coefficient evenly between its copies."""
@@ -392,19 +392,19 @@ def test_blocked_qr_fit_of_a_rank_deficient_design_is_the_minimum_norm_one(monke
     freqs = np.concatenate([freqs, freqs[[3, 40, 77]]])
     want, rank, design = _full_lstsq(BIRIESZ, fit, freqs)
     assert rank == 100
-    got, calls = _solve_with_ranks(monkeypatch, lambda: extraction._fit_coeffs(BIRIESZ, fit, freqs))
+    got, calls = _solve_with_ranks(lambda: extraction._fit_coeffs(BIRIESZ, fit, freqs))
     assert calls == [((103, 103), rank)]
     assert np.max(np.abs(design @ got - design @ want)) <= 1e-12 * np.max(np.abs(design @ want))
     assert np.allclose(got[[3, 40, 77]], got[100:], rtol=1e-6, atol=0.0)
     assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(want), rel=1e-6)
 
 
-def test_a_fit_too_wide_for_a_block_is_one_lstsq_on_the_whole_design(monkeypatch):
+def test_a_fit_too_wide_for_a_block_is_one_lstsq_on_the_whole_design():
     """128 + 1 rows of 129 entries outgrow one block: the coefficients are,
     bit for bit, those of one lstsq on the whole design."""
     fit, freqs = _fit_setup(HILBERT, 128)
     assert 129**2 > extraction._MAX_BLOCK
-    got, calls = _solve_with_ranks(monkeypatch, lambda: extraction._fit_coeffs(HILBERT, fit, freqs))
+    got, calls = _solve_with_ranks(lambda: extraction._fit_coeffs(HILBERT, fit, freqs))
     want, rank, _ = _full_lstsq(HILBERT, fit, freqs)
     assert calls == [((len(fit), 128), rank)]
     assert got.tobytes() == want.tobytes()
