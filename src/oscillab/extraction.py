@@ -15,12 +15,13 @@ bounded mean oscillation" into per-cube arithmetic:
    ball, so on-ball residual is the right target). The expansion keeps the
    kernel and the geometry it was fitted on and is the chain's one set-up
    object; it is refused when its residual exceeds EPS_TOL. Its memory rule:
-   besides the period box, every set-up array in blocks of _MAX_BLOCK
-   entries (the direction scan's points, the period box's sample points,
-   the fit's design rows, reduced to one triangle by a tall-skinny QR, and
-   the residual check's phases), and the period box gone before the fit.
-   Only a fit of so many modes n that n + 1 design rows outgrow one block
-   builds its whole design, for one lstsq.
+   no whole least-squares design; the fit's design rows come in blocks of
+   _MAX_BLOCK entries, but never fewer than n + 1 rows for n modes, each
+   reduced with the rows before it to one (n + 1, n + 1) triangle by a
+   tall-skinny QR; the period box's sample points come in slabs of
+   _MAX_BLOCK points, but never less than one leading-axis row (32^3
+   points in D = 4), and the residual check's phases in blocks of
+   _MAX_BLOCK; and the period box is gone before the fit.
 3. `build_test_functions` makes, for one mode, modulated indicators whose
    moduli are plain cube indicators, so their norms match the norms of
    their supports, and the block of h on the cells of Q, where alone h is
@@ -182,8 +183,8 @@ def select_geometry(kernel: KernelSpec, delta: float) -> ExtractionGeometry:
 
     Scans a coarse direction set at radius 3 sqrt(n), measures min |K| over
     a deterministic ball sample around each candidate and its antipode
-    (the expansion lives at the antipode), evaluating K on blocks of
-    directions of at most _MAX_BLOCK points, and keeps the best. Raises
+    (the expansion lives at the antipode) in one kernel evaluation over all
+    directions, and keeps the best. Raises
     KernelVanishes when no direction clears _MIN_KERNEL_REL relative to the
     natural kernel scale at that radius.
     """
@@ -196,14 +197,10 @@ def select_geometry(kernel: KernelSpec, delta: float) -> ExtractionGeometry:
     ball = _unit_ball_points(D, 256) * radius
     scale = rho ** (-kernel.degree)
     cs = rho * _sphere_points(D, 128 if D == 2 else 256, _BALL_SEED)
-    lo = np.empty(len(cs))
-    step = max(1, _MAX_BLOCK // len(ball))
-    for start in range(0, len(cs), step):
-        block = cs[start : start + step, None, :]
-        lo[start : start + step] = np.minimum(
-            np.min(np.abs(kernel.evaluate(block + ball)), axis=1),
-            np.min(np.abs(kernel.evaluate(-block + ball)), axis=1),
-        )
+    lo = np.minimum(
+        np.min(np.abs(kernel.evaluate(cs[:, None, :] + ball)), axis=1),
+        np.min(np.abs(kernel.evaluate(-cs[:, None, :] + ball)), axis=1),
+    )
     lo[np.isnan(lo)] = -np.inf  # a direction whose minimum is NaN is never kept
     best = int(np.argmax(lo))  # the first of equal maxima
     best_val = float(lo[best])
@@ -270,19 +267,20 @@ _FFT_SIZE = {1: 4096, 2: 256, 4: 32}
 _PAD = 3.0
 # points of each ball sample (least-squares fit and residual check)
 _SAMPLE_COUNT = 4096
-# cap on the entries of every set-up block: the points of one direction
-# block of select_geometry and of one period-box slab, and the
-# (points x modes) entries of one block of the fit and of
-# FourierExpansion.evaluate
+# cap on the points of one period-box slab, on the (points x modes)
+# entries of one block of the fit and of one phase block of
+# FourierExpansion.evaluate; a slab is never less than one leading-axis row
+# (32^3 points in D = 4), and a fit block never fewer than modes + 1 rows
 _MAX_BLOCK = 16_384
 
 
 def _sample_box(kernel: KernelSpec, center: np.ndarray, R: float, L: float, floor: float) -> np.ndarray | None:
     """The taper over K on the (M,)*D cells of the period box of half-side L
     around center: window / K where the taper is positive and 0 elsewhere,
-    sampled in slabs of the leading axis of at most _MAX_BLOCK points, K read
-    only on the taper's support. None when |K| < floor, or is NaN, somewhere
-    on that support."""
+    sampled in slabs of the leading axis of at most _MAX_BLOCK points, but
+    at least one row of M^(D - 1) points (32^3 in D = 4), K read only on the
+    taper's support. None when |K| < floor, or is NaN, somewhere on that
+    support."""
     D = len(center)
     M = _FFT_SIZE[D]
     r_out = 0.97 * L
@@ -357,21 +355,16 @@ def _fit_coeffs(kernel: KernelSpec, fit: np.ndarray, freqs: np.ndarray) -> np.nd
     """The least-squares coefficients c of design @ c ~ 1/K on the fit
     points, design = exp(i fit @ freqs.T), with lstsq's rank cut rcond=1e-10.
 
-    When one block of _MAX_BLOCK entries holds n + 1 rows of the augmented
-    design [design | 1/K], for n modes, those rows are taken in blocks and
+    The rows of the augmented design [design | 1/K], for n modes, are taken
+    in blocks of _MAX_BLOCK entries, but never fewer than n + 1 rows, and
     each block is stacked under the running (n + 1, n + 1) triangle R of
     their QR factorisation (a tall-skinny QR); the solve then runs on
     R[:n, :n] against R[:n, n]. R[:n, :n] has the design's singular values
     and R[:n, n] is the target's component in the design's range, so the
     rank cut and the minimum-norm solution are those of lstsq on the whole
-    design. Otherwise the whole design is built, exponentiated in place, and
-    passed to lstsq."""
+    design."""
     n = len(freqs)
-    rows = _MAX_BLOCK // (n + 1)
-    if rows < n + 1:
-        design = 1j * (fit @ freqs.T)
-        np.exp(design, out=design)
-        return np.linalg.lstsq(design, 1.0 / kernel.evaluate(fit), rcond=1e-10)[0]
+    rows = max(n + 1, _MAX_BLOCK // (n + 1))
     R = np.empty((0, n + 1), dtype=np.complex128)
     for start in range(0, len(fit), rows):
         pts = fit[start : start + rows]
@@ -399,8 +392,8 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     underdetermined.
 
     The period box lives only inside `_box_modes`, and the fit takes its
-    design in blocks of _MAX_BLOCK entries (`_fit_coeffs`), so no set-up
-    stage holds a whole design unless n + 1 rows of it outgrow one block.
+    design in row blocks (`_fit_coeffs`), so it never holds the whole
+    design.
     """
     if kernel.D != geometry.D or kernel.ndim != geometry.ndim:
         raise ValueError("kernel and geometry disagree on dimension")

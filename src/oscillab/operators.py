@@ -269,13 +269,12 @@ def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
         yield start, stop, K.reshape(stop - start, -1)
 
 
-# The last two kernel tables built, as (key, plan) entries, newest first.
-# The estimate chain applies T(f, g) and T(b f, g) for every Fourier mode of
-# a cube, on the same nonzero sets unless b vanishes on a cell of Q', when
-# the two applications alternate between two sets; two slots serve every
-# mode after the first either way. The key is the exact nonzero sets, not
-# their support box, so a reused table holds exactly the entries a fresh
-# build would; each slot keeps the plan's self-cell term beside its table.
+# The last kernel table built, as one (key, plan) entry. The estimate chain
+# applies T(f, g) and T(b f, g) for every Fourier mode of a cube, all on the
+# same nonzero sets, so one slot serves every mode after the first. The key
+# is the exact nonzero sets, not their support box, so a reused table holds
+# exactly the entries a fresh build would; the slot keeps the plan's
+# self-cell term beside its table.
 _plans: list[tuple[tuple, tuple]] = []
 
 
@@ -288,16 +287,15 @@ def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
     _MAX_TENSOR chunk are kept for reuse; larger tables are rebuilt chunk by
     chunk on every call, so they never hold more than one chunk in memory."""
     key = (grid, kernel, ysel.tobytes(), zsel.tobytes())
-    for kept, plan in _plans:
-        if kept == key:
-            return plan
+    if _plans and _plans[0][0] == key:
+        return _plans[0][1]
     both = np.intersect1d(ysel, zsel, assume_unique=True) if kernel.alpha != 0.0 else ysel[:0]
     cell = _self_cell(kernel, grid.h) if len(both) else 0.0
     chunks = _kernel_chunks(grid, kernel, ysel, zsel)
     if grid.m**grid.n * len(ysel) * len(zsel) > _MAX_TENSOR:
         return chunks, both, cell
     plan = (tuple(chunks), both, cell)
-    _plans[:] = [(key, plan), *_plans[:1]]
+    _plans[:] = [(key, plan)]
     return plan
 
 

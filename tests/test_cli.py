@@ -415,22 +415,6 @@ def test_default_chain_builds_one_kernel_table_per_cube(tmp_path, monkeypatch):
     assert float(residual["tolerance"]) == 1e-2
 
 
-def test_a_chain_whose_symbol_vanishes_on_a_cell_builds_two_kernel_tables(tmp_path, monkeypatch):
-    """|x| vanishes on the middle cell of m = 511, which lies in Q', so b f
-    and f have different nonzero cells and T(f, g) and T(b f, g) alternate
-    between two tables: the two kept plans serve all 200 applications."""
-    monkeypatch.setattr(operators, "_plans", [])
-    builds = _counting(monkeypatch, "_kernel_chunks", ("oscillab.operators",))
-    cfg = write_config(
-        tmp_path, experiment="chain", seed=1, symbol="abs", m=511, family="centered",
-        base_center=-1.6829276456452897, base_side=1.125, level_min=2, level_max=2,
-    )
-    assert run_in(tmp_path, "run", cfg) == 0
-    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
-    assert sum(r["quantity"] == "stage_i" for r in rows) == 1
-    assert len(builds) == 2
-
-
 def test_norms_solves_one_family_with_the_two_family_drift(tmp_path, monkeypatch):
     """The drift reads the levels below level_max from the one family's rows;
     it equals, bit for bit, the spread ratio of two separately solved

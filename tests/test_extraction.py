@@ -321,12 +321,12 @@ def test_erf_window_of_no_points_is_empty():
 
 
 def test_one_row_slabs_of_a_2d_bilinear_box_match_wider_slabs(monkeypatch):
-    """In D = 4 a slab of _MAX_BLOCK points is one row of 32^3 points, and
+    """In D = 4 a slab is one row of 32^3 points, more than _MAX_BLOCK, and
     the first row lies wholly outside the taper, so the taper is asked for
     no points there; the modes are bit for bit those of four-row slabs."""
     kernel = fixtures.make_kernel("bilinear_riesz", 2)
     geo = select_geometry(kernel, 0.5)
-    assert extraction._MAX_BLOCK // extraction._FFT_SIZE[4] ** 3 <= 1
+    assert extraction._MAX_BLOCK < extraction._FFT_SIZE[4] ** 3
     sizes = []
     window = extraction._erf_window
     monkeypatch.setattr(extraction, "_erf_window", lambda rad, *a: sizes.append(len(rad)) or window(rad, *a))
@@ -369,15 +369,15 @@ def _full_lstsq(kernel, fit, freqs):
 
 @pytest.mark.parametrize(
     "kernel, n_per_axis",
-    [(BIRIESZ, 10), (HILBERT, 64), (fixtures.make_kernel("riesz_1", 2), 5)],
-    ids=["bilinear_riesz", "hilbert", "riesz_1-2d"],
+    [(BIRIESZ, 10), (HILBERT, 64), (HILBERT, 128), (fixtures.make_kernel("riesz_1", 2), 5)],
+    ids=["bilinear_riesz", "hilbert", "hilbert-wide", "riesz_1-2d"],
 )
 def test_blocked_qr_fit_matches_lstsq_on_the_whole_design(kernel, n_per_axis):
     """The QR solve runs on the (n, n) triangle, with the rank and, at the
-    fit points, the fitted values of lstsq on the whole design."""
+    fit points, the fitted values of lstsq on the whole design; at n = 128,
+    n + 1 rows outgrow one block, so the blocks are n + 1 rows."""
     fit, freqs = _fit_setup(kernel, n_per_axis)
     n = len(freqs)
-    assert (n + 1) ** 2 <= extraction._MAX_BLOCK
     want, rank, design = _full_lstsq(kernel, fit, freqs)
     got, calls = _solve_with_ranks(lambda: extraction._fit_coeffs(kernel, fit, freqs))
     assert calls == [((n, n), rank)]
@@ -397,17 +397,6 @@ def test_blocked_qr_fit_of_a_rank_deficient_design_is_the_minimum_norm_one():
     assert np.max(np.abs(design @ got - design @ want)) <= 1e-12 * np.max(np.abs(design @ want))
     assert np.allclose(got[[3, 40, 77]], got[100:], rtol=1e-6, atol=0.0)
     assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(want), rel=1e-6)
-
-
-def test_a_fit_too_wide_for_a_block_is_one_lstsq_on_the_whole_design():
-    """128 + 1 rows of 129 entries outgrow one block: the coefficients are,
-    bit for bit, those of one lstsq on the whole design."""
-    fit, freqs = _fit_setup(HILBERT, 128)
-    assert 129**2 > extraction._MAX_BLOCK
-    got, calls = _solve_with_ranks(lambda: extraction._fit_coeffs(HILBERT, fit, freqs))
-    want, rank, _ = _full_lstsq(HILBERT, fit, freqs)
-    assert calls == [((len(fit), 128), rank)]
-    assert got.tobytes() == want.tobytes()
 
 
 # ---- test functions ----
