@@ -392,8 +392,8 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     underdetermined.
 
     The period box lives only inside `_box_modes`, and the fit takes its
-    design in row blocks (`_fit_coeffs`), so it never holds the whole
-    design.
+    design in row blocks of _MAX_BLOCK entries or n + 1 rows, whichever is
+    more (`_fit_coeffs`).
     """
     if kernel.D != geometry.D or kernel.ndim != geometry.ndim:
         raise ValueError("kernel and geometry disagree on dimension")
