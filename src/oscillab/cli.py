@@ -275,13 +275,15 @@ class ScopedConfig:
         """Build the grid, every fixture the keys name and the associate of
         space_y, refuse a weight-constants level range that would run no
         level and a norms level_max with no level below it, and return the
-        space keys the experiment reads."""
+        space keys the experiment reads. weight-constants reads no m: its
+        fixtures are built on its first level's grid, as every later level
+        has more cells, and an even number of them."""
         lmin, lmax = self.get("level_min"), self.get("level_max")
         if self.experiment == "weight-constants" and not 0 <= lmin <= lmax:
             raise ConfigError(f"weight-constants needs 0 <= level_min <= level_max, got {lmin}..{lmax}")
         if self.experiment == "norms" and lmax < 1:
             raise ConfigError(f"norms compares levels 0..level_max with 0..level_max-1, so needs level_max >= 1, got {lmax}")
-        grid = self.grid()
+        grid = self.grid("cells_per_cube", 2**lmin) if self.experiment == "weight-constants" else self.grid()
         built = {key: self.fixture(key, grid) for key in self.values}
         keys = self.space_keys(built.get("kernel"))
         if keys:  # every experiment that reads space_y reads its associate

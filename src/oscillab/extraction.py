@@ -18,10 +18,9 @@ bounded mean oscillation" into per-cube arithmetic:
    no whole least-squares design; the fit's design rows come in blocks of
    _MAX_BLOCK entries, but never fewer than n + 1 rows for n modes, each
    reduced with the rows before it to one (n + 1, n + 1) triangle by a
-   tall-skinny QR; the period box's sample points come in slabs of
-   _MAX_BLOCK points, but never less than one leading-axis row (32^3
-   points in D = 4), and the residual check's phases in blocks of
-   _MAX_BLOCK; and the period box is gone before the fit.
+   tall-skinny QR; the period box's sample points come in row-major flat
+   blocks of _MAX_BLOCK points, and the residual check's phases in blocks
+   of _MAX_BLOCK; and the period box is gone before the fit.
 3. `build_test_functions` makes, for one mode, modulated indicators whose
    moduli are plain cube indicators, so their norms match the norms of
    their supports, and the block of h on the cells of Q, where alone h is
@@ -236,15 +235,19 @@ class FourierExpansion:
     fitted on.
 
     epsilon is the measured sup residual on a dense deterministic ball
-    sample; l1_total sums the kept |a_j| and the dropped FFT |a_j|.
+    sample; l1_total is sum_j |a_j| over coeffs, the constant of the
+    chain's closing bound.
     """
 
     coeffs: np.ndarray
     freqs: np.ndarray
     epsilon: float
-    l1_total: float
     geometry: ExtractionGeometry
     kernel: KernelSpec
+
+    @property
+    def l1_total(self) -> float:
+        return float(np.sum(np.abs(self.coeffs)))
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """The expansion at points of shape (..., D): exp(1j * (w @ freqs.T))
@@ -267,30 +270,27 @@ _FFT_SIZE = {1: 4096, 2: 256, 4: 32}
 _PAD = 3.0
 # points of each ball sample (least-squares fit and residual check)
 _SAMPLE_COUNT = 4096
-# cap on the points of one period-box slab, on the (points x modes)
+# cap on the points of one period-box block, on the (points x modes)
 # entries of one block of the fit and of one phase block of
-# FourierExpansion.evaluate; a slab is never less than one leading-axis row
-# (32^3 points in D = 4), and a fit block never fewer than modes + 1 rows
+# FourierExpansion.evaluate; a fit block is never fewer than modes + 1 rows
 _MAX_BLOCK = 16_384
 
 
 def _sample_box(kernel: KernelSpec, center: np.ndarray, R: float, L: float, floor: float) -> np.ndarray | None:
     """The taper over K on the (M,)*D cells of the period box of half-side L
     around center: window / K where the taper is positive and 0 elsewhere,
-    sampled in slabs of the leading axis of at most _MAX_BLOCK points, but
-    at least one row of M^(D - 1) points (32^3 in D = 4), K read only on the
-    taper's support. None when |K| < floor, or is NaN, somewhere on that
+    sampled in row-major flat blocks of _MAX_BLOCK points, K read only on
+    the taper's support. None when |K| < floor, or is NaN, somewhere on that
     support."""
     D = len(center)
     M = _FFT_SIZE[D]
     r_out = 0.97 * L
     step = 2 * L / M
     axis = -L + (np.arange(M) + 0.5) * step
-    W = np.zeros((M,) * D)
-    rows = max(1, _MAX_BLOCK // M ** (D - 1))
-    for start in range(0, M, rows):
-        grids = np.meshgrid(axis[start : start + rows], *([axis] * (D - 1)), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=1) + center
+    W = np.zeros(M**D)
+    for start in range(0, M**D, _MAX_BLOCK):
+        cells = np.unravel_index(np.arange(start, min(start + _MAX_BLOCK, M**D)), (M,) * D)
+        pts = np.stack([axis[k] for k in cells], axis=1) + center
         rad = np.linalg.norm(pts - center, axis=1)
         window = np.zeros_like(rad)
         inside = rad < r_out
@@ -299,17 +299,16 @@ def _sample_box(kernel: KernelSpec, center: np.ndarray, R: float, L: float, floo
         kvals = kernel.evaluate(pts[supp])
         if not np.all(np.abs(kvals) >= floor):  # a NaN fails too
             return None
-        W[start : start + rows].reshape(-1)[supp] = window[supp] / kvals
-    return W
+        W[start : start + _MAX_BLOCK][supp] = window[supp] / kvals
+    return W.reshape((M,) * D)
 
 
-def _box_modes(kernel: KernelSpec, geometry: ExtractionGeometry, count: int) -> tuple[np.ndarray, float]:
-    """The `count` largest FFT modes of the tapered 1/K on the period box:
-    their (count, D) absolute frequencies, and the sum of |a_j| over the
-    modes dropped.
+def _box_modes(kernel: KernelSpec, geometry: ExtractionGeometry, count: int) -> np.ndarray:
+    """The (count, D) absolute frequencies of the `count` largest FFT modes
+    of the tapered 1/K on the period box.
 
-    The box is sampled in slabs, so no (box points, D) array is ever alive,
-    and the real samples are let go once transformed.
+    The box is sampled in flat blocks, so no (box points, D) array is ever
+    alive, and the real samples are let go once transformed.
     """
     D = geometry.D
     M = _FFT_SIZE[D]
@@ -347,8 +346,7 @@ def _box_modes(kernel: KernelSpec, geometry: ExtractionGeometry, count: int) -> 
     mag = np.abs(F).reshape(-1)
     del F
     order = np.argsort(-mag, kind="stable")
-    freqs = omega_axis[np.stack(np.unravel_index(order[:count], (M,) * D), axis=1)]
-    return freqs, float(np.sum(mag[order[count:]]))
+    return omega_axis[np.stack(np.unravel_index(order[:count], (M,) * D), axis=1)]
 
 
 def _fit_coeffs(kernel: KernelSpec, fit: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -403,7 +401,7 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     fit = _unit_ball_points(D, _SAMPLE_COUNT, _BALL_SEED) * R + center
     if N_per_axis**D > len(fit):
         raise ValueError(f"{N_per_axis}^{D} = {N_per_axis**D} modes outnumber the {len(fit)} fit points")
-    kept_freqs, dropped = _box_modes(kernel, geometry, N_per_axis**D)
+    kept_freqs = _box_modes(kernel, geometry, N_per_axis**D)
 
     # on-ball least-squares polish of the kept coefficients; the sets of
     # kept modes are nested in N, so the fit residual refines monotonically
@@ -412,7 +410,6 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
         coeffs=coeffs,
         freqs=kept_freqs,
         epsilon=0.0,
-        l1_total=float(np.sum(np.abs(coeffs)) + dropped),
         geometry=geometry,
         kernel=kernel,
     )
@@ -517,7 +514,6 @@ class ChainReport:
     expansion's geometry."""
 
     cube: Cube
-    p: Cube
     stage_i: float
     stage_ii: float
     stage_iii: float
@@ -601,7 +597,7 @@ def verify_master_chain(
     Yp = associate(Y)
     with _stage(q, "norms"):
         h_norm = norm(cube.h_modulus(), Yp)
-        nfg = math.prod(chi_norms(X, cube.family.member(i))[0] for i, X in enumerate(Xs, start=1))
+        nfg = math.prod(chi_norms(X, cube.family)[i] for i, X in enumerate(Xs, start=1))
 
     def one_mode(j: int):
         fs, h = build_test_functions(cube, j)
@@ -623,13 +619,11 @@ def verify_master_chain(
     ratios = [row[1] / nfg if nfg > 0 else 0.0 for row in mode_rows]
     probe_norm = float(max(ratios)) if ratios else 0.0
 
-    p = geometry.p_cube(q)
-    l1 = float(np.sum(np.abs(a)))
     with _stage(q, "closing bound"):
         try:
-            family_p = CubeFamily(grid, (p,))
+            family_p = CubeFamily(grid, (geometry.p_cube(q),))
             pn = math.prod([chi_norms(Yp, family_p)[0], *(chi_norms(X, family_p)[0] for X in Xs)])
-            stage_v = c_pref * probe_norm * l1 * pn
+            stage_v = c_pref * probe_norm * expansion.l1_total * pn
         except OutOfDomain:
             stage_v = None
 
@@ -637,7 +631,6 @@ def verify_master_chain(
     gap_23 = abs(stage_ii - stage_iii_c)
     return ChainReport(
         cube=q,
-        p=p,
         stage_i=stage_i,
         stage_ii=stage_ii,
         stage_iii=float(stage_iii_c.real),

@@ -42,7 +42,7 @@ def _power(grid: Grid, a: str) -> GridFunction:
     a = float(a)
     r = _radius(grid)
     if a != 0.0 and np.any(r == 0.0):
-        raise ValueError("power weight hits a cell center at the origin; use an even m")
+        raise ValueError("power weight hits a cell center at the origin; use an even number of cells per axis")
     return GridFunction(grid, r**a)
 
 

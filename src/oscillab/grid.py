@@ -283,8 +283,6 @@ class CubeFamily:
         cubes: Sequence[Cube],
         provenance: str = "explicit",
         levels: Sequence[int] | None = None,
-        *,
-        _ranges: np.ndarray | None = None,
     ):
         self.grid = grid
         self.cubes = cubes if isinstance(cubes, CubeArray) else _cube_array(grid, tuple(cubes))
@@ -295,9 +293,8 @@ class CubeFamily:
         if not len(self.cubes):
             raise ValueError("cube family is empty")
         # inclusive cell index range [k0, k1] per cube and axis: (cubes, n, 2);
-        # raises for a cube that is empty or leaves the box; `member` passes
-        # the rows it already has
-        self.ranges = _index_ranges(grid, self.cubes.centers, self.cubes.sides) if _ranges is None else _ranges
+        # raises for a cube that is empty or leaves the box
+        self.ranges = _index_ranges(grid, self.cubes.centers, self.cubes.sides)
         lo = self.ranges[:, :, 0]
         shapes = self.ranges[:, :, 1] - lo + 1
         self.counts = np.prod(shapes, axis=1)
@@ -314,14 +311,6 @@ class CubeFamily:
             for start in range(0, len(members), per_chunk):
                 chunk = members[start : start + per_chunk]
                 self.groups.append((shape, chunk, lo[chunk]))
-
-    def member(self, i: int) -> "CubeFamily":
-        """The one-cube family of cube i, built from this family's index
-        range for it, with no second index pass."""
-        one = slice(i, i + 1)
-        levels = None if self.levels is None else self.levels[one]
-        cubes = CubeArray(self.cubes.centers[one], self.cubes.sides[one])
-        return CubeFamily(self.grid, cubes, self.provenance, levels, _ranges=self.ranges[one])
 
     def __iter__(self) -> Iterator[Cube]:
         return iter(self.cubes)

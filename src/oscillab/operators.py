@@ -269,42 +269,36 @@ def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.nd
         yield start, stop, K.reshape(stop - start, -1)
 
 
-# The last kernel table built, as one (key, plan) entry. The estimate chain
+# The last kernel table built, as one (key, chunks) entry. The estimate chain
 # applies T(f, g) and T(b f, g) for every Fourier mode of a cube, all on the
 # same nonzero sets, so one slot serves every mode after the first. The key
 # is the exact nonzero sets, not their support box, so a reused table holds
-# exactly the entries a fresh build would; the slot keeps the plan's
-# self-cell term beside its table.
+# exactly the entries a fresh build would.
 _plans: list[tuple[tuple, tuple]] = []
 
 
 def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
-    """(chunks, both, cell) for the nonzero cells ysel of f and zsel of g:
-    the (start, stop, K2) chunks of `_kernel_chunks`, and the self-cell
-    term, which for alpha > 0 lives on the cells `both` in both sets, with
-    `cell` the integral of K over the self cell (`both` is empty, and
-    `_self_cell` not called, otherwise). Plans whose table fits in one
-    _MAX_TENSOR chunk are kept for reuse; larger tables are rebuilt chunk by
-    chunk on every call, so they never hold more than one chunk in memory."""
+    """The (start, stop, K2) chunks of `_kernel_chunks` for the nonzero cells
+    ysel of f and zsel of g. Plans whose table fits in one _MAX_TENSOR chunk
+    are kept for reuse; larger tables are rebuilt chunk by chunk on every
+    call, so they never hold more than one chunk in memory."""
     key = (grid, kernel, ysel.tobytes(), zsel.tobytes())
     if _plans and _plans[0][0] == key:
         return _plans[0][1]
-    both = np.intersect1d(ysel, zsel, assume_unique=True) if kernel.alpha != 0.0 else ysel[:0]
-    cell = _self_cell(kernel, grid.h) if len(both) else 0.0
     chunks = _kernel_chunks(grid, kernel, ysel, zsel)
     if grid.m**grid.n * len(ysel) * len(zsel) > _MAX_TENSOR:
-        return chunks, both, cell
-    plan = (tuple(chunks), both, cell)
-    _plans[:] = [(key, plan)]
-    return plan
+        return chunks
+    chunks = tuple(chunks)
+    _plans[:] = [(key, chunks)]
+    return chunks
 
 
 def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
     """T(f, g) as one real matrix product per chunk: the plan's K2 (X, Y*Z)
     against w = f_y g_z over the nonzero cells, K2 @ w for real inputs and
-    K2 @ [Re w, Im w] for complex ones, plus, for alpha > 0, the plan's
-    self-cell term added once at the cells in both supports after the last
-    chunk. The sums run through BLAS, so their last digits depend on its
+    K2 @ [Re w, Im w] for complex ones, plus, for alpha > 0, the self-cell
+    term `_self_cell` f g added once at the cells in both supports after the
+    last chunk. The sums run through BLAS, so their last digits depend on its
     thread count."""
     grid = _grid_of((f, g))
     _check_kernel(kernel, 2, grid)
@@ -323,12 +317,13 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
     if pairs:  # the two columns Re w, Im w
         w = w.astype(np.complex128, copy=False).view(np.float64).reshape(-1, 2)
     cell2 = h**kernel.D
-    chunks, both, cell = _bilinear_plan(grid, kernel, ysel, zsel)
-    for start, stop, K2 in chunks:
+    for start, stop, K2 in _bilinear_plan(grid, kernel, ysel, zsel):
         s = K2 @ w
         out[start:stop] = (s.view(np.complex128).reshape(-1) if pairs else s) * cell2
-    if len(both):
-        out[both] += cell * fflat[both] * gflat[both]
+    if kernel.alpha != 0.0:
+        both = np.intersect1d(ysel, zsel, assume_unique=True)
+        if len(both):
+            out[both] += _self_cell(kernel, h) * fflat[both] * gflat[both]
     return GridFunction(grid, out.reshape(grid.shape))
 
 

@@ -228,6 +228,26 @@ def test_all_refuses_an_unknown_family_before_any_runner(tmp_path, capsys, monke
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("m", [3, 255])
+def test_weight_constants_reads_no_m(tmp_path, m):
+    """weight-constants builds its grids from cells_per_cube, so an m too
+    small for a grid, or odd, is never checked."""
+    cfg = write_config(tmp_path, experiment="weight-constants", seed=1, m=m)
+    assert run_in(tmp_path, "run", cfg) == 0
+
+
+def test_all_refuses_an_odd_first_weight_level_before_any_runner(tmp_path, capsys, monkeypatch):
+    """At level 0 the weight-constants grid has cells_per_cube cells, 5 here,
+    so the power weight hits the origin: refused before any runner."""
+    for name in cli.RUNNERS:
+        monkeypatch.setitem(cli.RUNNERS, name, lambda cfg: pytest.fail("a runner started"))
+    cfg = write_config(tmp_path, experiment="all", seed=1, cells_per_cube=5, level_min=0, level_max=2)
+    assert run_in(tmp_path, "run", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: weight: power weight hits a cell center at the origin") and err.count("\n") == 1
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_2d_default_chain_refuses_more_modes_than_fit_points(tmp_path, capsys, monkeypatch):
     """n_per_axis 10 in D = 4 asks for 10^4 modes from 4,353 fit points: a
     config error naming n_per_axis, raised before the period box is sampled."""
@@ -351,6 +371,13 @@ def test_set_overrides(tmp_path):
     assert (tmp_path / "o.csv").exists()
     rep = json.loads((tmp_path / "o.json").read_text())
     assert rep["pass"] is False
+
+
+def test_set_without_an_equals_sign_exits_2_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment="conditions", seed=0)
+    assert run_in(tmp_path, "run", cfg, "--set", "foo") == 2
+    assert capsys.readouterr().err == "config error: --set needs key=value, got 'foo'\n"
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -580,6 +607,29 @@ def test_box_response_row_fails_on_the_windowed_reading(monkeypatch):
     rows, _ = run_commutator(_commutator_config({"kernel": "hilbert", "m": 256}))
     (box,) = [r for r in rows if r.quantity == "box_response_vs_closed_form"]
     assert box.verdict == "fail" and float(box.value) == pytest.approx(np.log(3.0), rel=0.02)
+
+
+def test_bilinear_commutator_run_writes_only_the_constant_symbol_row(tmp_path):
+    """A bilinear kernel has no closed-form box response and no probe norm
+    estimates: the run checks only that a constant symbol commutes with T."""
+    cfg = write_config(tmp_path, experiment="commutator", kernel="bilinear_riesz", m=64, seed=1)
+    assert run_in(tmp_path, "run", cfg) == 0
+    (only,) = list(csv.DictReader(open(tmp_path / "report.csv")))
+    assert (only["quantity"], only["verdict"]) == ("constant_symbol_commutator", "pass")
+    assert float(only["value"]) <= float(only["tolerance"]) == 1e-10
+
+
+def test_default_chain_l1_total_is_the_sum_of_the_kept_coefficients(tmp_path, monkeypatch):
+    """The chain summary's l1_total is sum_j |a_j| of the expansion the
+    chain runs on, the constant of its closing bound."""
+    built = []
+    fit = cli.fourier_reciprocal
+    monkeypatch.setattr(cli, "fourier_reciprocal", lambda *a: built.append(fit(*a)) or built[-1])
+    cfg = write_config(tmp_path, experiment="chain", seed=1)
+    assert run_in(tmp_path, "run", cfg) == 0
+    (expansion,) = built
+    got = json.loads((tmp_path / "report.json").read_text())["summaries"]["chain"]["l1_total"]
+    assert got == float(np.sum(np.abs(expansion.coeffs))) == pytest.approx(38.0436, rel=1e-5)
 
 
 def test_fractional_commutator_run_exits_0(tmp_path):

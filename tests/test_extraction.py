@@ -7,7 +7,6 @@ is checked here point by point on a fresh sample, not the fitting one.
 
 import math
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -306,10 +305,10 @@ def test_reciprocal_holds_no_full_design():
 
 
 def test_period_box_of_a_2d_bilinear_kernel_is_sampled_in_slabs():
-    """In D = 4 the box has 32^4 points: it is sampled in slabs, so the stage
-    holds no (box points, D) array, only the real samples and the two complex
-    arrays of one fftn axis pass, and some slab arrays: under three complex
-    box arrays."""
+    """In D = 4 the box has 32^4 points: it is sampled in flat blocks, so
+    the stage holds no (box points, D) array, only the real samples and the
+    two complex arrays of one fftn axis pass, and some block arrays: under
+    three complex box arrays."""
     kernel = fixtures.make_kernel("bilinear_riesz", 2)
     geo = select_geometry(kernel, 0.5)
     box_bytes = 16 * extraction._FFT_SIZE[4] ** 4
@@ -320,28 +319,28 @@ def test_erf_window_of_no_points_is_empty():
     assert extraction._erf_window(np.empty(0), 1.0, 2.0).shape == (0,)
 
 
-def test_one_row_slabs_of_a_2d_bilinear_box_match_wider_slabs(monkeypatch):
-    """In D = 4 a slab is one row of 32^3 points, more than _MAX_BLOCK, and
-    the first row lies wholly outside the taper, so the taper is asked for
-    no points there; the modes are bit for bit those of four-row slabs."""
+def test_flat_blocks_of_a_2d_bilinear_box_match_wider_blocks(monkeypatch):
+    """In D = 4 a block of _MAX_BLOCK points is half of one leading-axis row
+    of 32^3 points, and the first block lies wholly outside the taper, so
+    the taper is asked for no points there; the modes are bit for bit those
+    of blocks of four rows."""
     kernel = fixtures.make_kernel("bilinear_riesz", 2)
     geo = select_geometry(kernel, 0.5)
     assert extraction._MAX_BLOCK < extraction._FFT_SIZE[4] ** 3
     sizes = []
     window = extraction._erf_window
     monkeypatch.setattr(extraction, "_erf_window", lambda rad, *a: sizes.append(len(rad)) or window(rad, *a))
-    freqs, dropped = extraction._box_modes(kernel, geo, 16)
-    assert 0 in sizes
+    freqs = extraction._box_modes(kernel, geo, 16)
+    assert sizes[0] == 0
     monkeypatch.setattr(extraction, "_MAX_BLOCK", 4 * extraction._FFT_SIZE[4] ** 3)
-    want_freqs, want_dropped = extraction._box_modes(kernel, geo, 16)
-    assert (freqs.tobytes(), dropped) == (want_freqs.tobytes(), want_dropped)
+    assert freqs.tobytes() == extraction._box_modes(kernel, geo, 16).tobytes()
 
 
 def _fit_setup(kernel, n_per_axis):
     """The fit points and kept frequencies of `fourier_reciprocal`."""
     geo = select_geometry(kernel, 0.5)
     fit = _unit_ball_points(geo.D, extraction._SAMPLE_COUNT) * geo.ball_radius + np.array(geo.expansion_center)
-    freqs, _ = extraction._box_modes(kernel, geo, n_per_axis**geo.D)
+    freqs = extraction._box_modes(kernel, geo, n_per_axis**geo.D)
     return fit, freqs
 
 
@@ -748,36 +747,6 @@ def test_chain_indexes_each_cube_once(monkeypatch, setup):
     assert len(calls) <= 2
 
 
-def test_norms_stage_solves_only_the_rows_it_reads(monkeypatch):
-    """In a Variable bilinear chain the norms stage solves three Luxemburg
-    rows: ||h||_{Y'} and, per input i, ||chi_{Q_i}||_{X_i} alone, not the
-    whole family (Q, Q_1, Q_2) for each input."""
-    b, geo, q = _bilinear_1d_cube()
-    V = fixtures.make_exponent("arctan_profile", b.grid)
-    args = (b, (V, V), V, q, fourier_reciprocal(BIRIESZ, geo, 5))
-    want = verify_master_chain(*args)
-    current, rows = [], {}
-    stage, solve = extraction._stage, spaces._modular_lambdas
-
-    @contextmanager
-    def named(cube, name):
-        current.append(name)
-        try:
-            with stage(cube, name):
-                yield
-        finally:
-            current.pop()
-
-    def counted(absrows, prows, cellvol):
-        rows[current[-1]] = rows.get(current[-1], 0) + len(absrows)
-        return solve(absrows, prows, cellvol)
-
-    monkeypatch.setattr(extraction, "_stage", named)
-    monkeypatch.setattr(spaces, "_modular_lambdas", counted)
-    assert verify_master_chain(*args) == want
-    assert rows["norms"] == 3
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -788,19 +757,17 @@ def test_norms_stage_solves_only_the_rows_it_reads(monkeypatch):
     ids=["lebesgue", "weighted", "variable"],
 )
 @pytest.mark.parametrize("grid", [Grid((-6.0,), (6.0,), 512), Grid((-6.0, -6.0), (6.0, 6.0), 48)], ids=["1d", "2d"])
-def test_member_family_norm_is_the_family_row(make, grid, monkeypatch):
+def test_member_family_norm_is_the_family_row(make, grid):
     """chi_norms of the one-cube family of member i is, bit for bit, entry i
-    of chi_norms of the whole family, with no second index pass."""
+    of chi_norms of the whole family: the chain's norms stage reads row i of
+    its cube's family."""
     side = 0.28125 if grid.n == 1 else 0.375
     cubes = [Cube((0.0,) * grid.n, side), Cube((1.0,) * grid.n, side), Cube((-2.5,) * grid.n, 2 * side)]
     family = CubeFamily(grid, cubes)
     space = make(grid)
     whole = chi_norms(space, family)
-    monkeypatch.setattr(grid_module, "_index_ranges", None)  # a second index pass would fail
     for i in range(len(family)):
-        member = family.member(i)
-        assert len(member) == 1 and member.cubes[0] == family.cubes[i]
-        assert chi_norms(space, member) == [whole[i]]
+        assert chi_norms(space, CubeFamily(grid, (family.cubes[i],))) == [whole[i]]
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import oscillab
 from oscillab import cli
@@ -85,31 +86,36 @@ def test_every_chain_workload_meets_the_residual_budget(monkeypatch):
         assert expansion.epsilon <= extraction.EPS_TOL, cfg
 
 
-def test_a_default_chain_run_makes_the_calls_the_benchmark_gate_counts(tmp_path, monkeypatch):
-    """perfbench's plain-pass gate on `chain` counts one build_test_functions
-    call per mode and two bilinear_singular_integral calls per mode, through
-    OperatorHandle. A refactor of the chain must meet it here first."""
+@pytest.mark.parametrize("name", ["chain", "necessity-variable"])
+def test_a_chain_workload_run_makes_the_calls_the_benchmark_gate_counts(name, tmp_path, monkeypatch):
+    """perfbench's plain-pass gate on the two chain workloads counts one
+    build_test_functions call per mode, two bilinear_singular_integral calls
+    per mode, through OperatorHandle, and m^n nnz(f) nnz(g) kernel-tensor
+    entries per application. A refactor of the chain must meet it here first."""
     from oscillab import extraction, operators
 
-    gate = _child(monkeypatch).WORKLOADS["chain"].exact
-    calls = {"extraction.modes": 0, "operators.bilinear_calls": 0}
-    for module, attr, counter in (
-        (extraction, "build_test_functions", "extraction.modes"),
-        (operators, "bilinear_singular_integral", "operators.bilinear_calls"),
-    ):
+    workload = _child(monkeypatch).WORKLOADS[name]
+    calls = {"extraction.modes": 0, "operators.bilinear_calls": 0, "operators.tensor_entries": 0}
+    build, apply = extraction.build_test_functions, operators.bilinear_singular_integral
 
-        def counted(*args, _original=getattr(module, attr), _counter=counter, **kwargs):
-            calls[_counter] += 1
-            return _original(*args, **kwargs)
+    def built(*args, **kwargs):
+        calls["extraction.modes"] += 1
+        return build(*args, **kwargs)
 
-        monkeypatch.setattr(module, attr, counted)
-    cfg = tmp_path / "chain.json"
-    out = {"csv_path": str(tmp_path / "chain.csv"), "json_path": str(tmp_path / "chain.out.json")}
-    cfg.write_text(json.dumps({"experiment": "chain", "seed": 1, **out}))
+    def applied(f, g, *args, **kwargs):
+        calls["operators.bilinear_calls"] += 1
+        calls["operators.tensor_entries"] += f.grid.m**f.grid.n * np.count_nonzero(f.values) * np.count_nonzero(g.values)
+        return apply(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(extraction, "build_test_functions", built)
+    monkeypatch.setattr(operators, "bilinear_singular_integral", applied)
+    cfg = tmp_path / f"{name}.json"
+    out = {"csv_path": str(tmp_path / f"{name}.csv"), "json_path": str(tmp_path / f"{name}.out.json")}
+    cfg.write_text(json.dumps({**workload.runs[0], "seed": 1, **out}))
     assert cli.main(["run", str(cfg)]) == 0
-    assert calls == {"extraction.modes": 1200, "operators.bilinear_calls": 2400} == {k: gate[k] for k in calls}, (
-        f"{calls}: perfbench's plain-pass gate on `chain` requires 1,200 build_test_functions and 2,400 "
-        "bilinear_singular_integral calls; only a benchmark-only change (ROADMAP item 4 step 1) may change them"
+    assert calls == {k: workload.exact[k] for k in calls}, (
+        f"{calls}: perfbench's plain-pass gate on `{name}` requires {workload.exact}; "
+        "only a benchmark-only change (ROADMAP item 4 step 1) may change them"
     )
 
 
