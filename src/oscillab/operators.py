@@ -16,6 +16,11 @@ vanishes; the fractional path (alpha > 0) adds the integral of K over it,
 read for every kernel by one rule: s / alpha times the integral of K over
 the faces of the cell [-s, s]^D, by Gauss-Legendre nodes.
 
+A bilinear application contracts f and g with the (X, Y*Z) tensor gathered
+from the offset table while that tensor is small, and with the table
+itself, T[a, c] = K(h a, h (a + c)) for a = x - y and c = y - z, as one
+matrix product and a gather once it is large (see `_slabs`).
+
 `OperatorHandle(kernel)` calls one of the four entry points by its plain
 global name, chosen by the input count and by alpha = 0, so a wrapper
 installed on that name sees every application; an entry point applies any
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +48,19 @@ from .errors import (
 from .grid import Cube, CubeFamily, Grid, GridFunction, cube_slices
 from .spaces import SpaceSpec, _alpha_check, norm
 
-_MAX_TENSOR = 4_000_000  # cap on kernel-tensor entries per evaluation chunk
+# Cap on the kernel entries (tensor or offset-table rows) that one bilinear
+# plan holds: a plan within it is kept for the next call on the same
+# nonzero sets, a larger one comes in slabs of output cells.
+_MAX_TENSOR = 4_000_000
+# Bilinear tensors of more entries are applied through the offset table
+# when it is smaller. Measured per call, with a kept plan, at m = 512 on
+# c-cell supports, complex inputs (2 cores, Python 3.11.7, numpy 2.4.6, one
+# BLAS thread; tensor / table, microseconds): c = 16 (131,072 entries)
+# 30 / 42, c = 20 (204,800) 45 / 52, c = 24 (294,912) 74 / 68, c = 32
+# (524,288) 277 / 100, c = 64 (2,097,152) 1,066 / 346. Real inputs cross
+# between c = 16 and c = 20 (25 / 28 and 38 / 34).
+_TABLE_FORM = 1 << 18
+_MAX_POINTS = 4_096  # kernel points evaluated at once when a table is built
 _SPHERE_COUNT = 2048  # sphere samples for the mean-zero check
 _SPHERE_SEED = 20240811
 _FACE_NODES = 8  # Gauss-Legendre nodes per half-axis on a self-cell face
@@ -223,6 +240,48 @@ def fractional_integral(f: GridFunction, kernel: KernelSpec) -> GridFunction:
 # ---- Bilinear quadrature ----
 
 
+def _pairs(k: int) -> list[tuple[int, int]]:
+    """The offset table's axes as pairs (s, t) of cell sets (x, y_1, ...,
+    y_k): axis (s, t) holds cells[s] - cells[t], so a = x - y_1 and, for
+    i >= 2, c_i = y_1 - y_i."""
+    return [(0, 1), *((1, i) for i in range(2, k + 1))]
+
+
+def _offset_boxes(cells: list[np.ndarray]) -> tuple[list[np.ndarray], list[tuple]]:
+    """Low corner and dims of each table axis: the box of cell offsets that
+    its pair of (count, n) coordinate sets spans."""
+    pairs = _pairs(len(cells) - 1)
+    lo = [cells[s].min(axis=0) - cells[t].max(axis=0) for s, t in pairs]
+    dims = [tuple(cells[s].max(axis=0) - cells[t].min(axis=0) - low + 1) for (s, t), low in zip(pairs, lo)]
+    return lo, dims
+
+
+def _pair_index(cells: list[np.ndarray], lo: list[np.ndarray], dims: list[tuple]) -> list[np.ndarray]:
+    """Each table axis's flat row-major index of cells[s] - cells[t], as a
+    (count_s, count_t) array."""
+    return [
+        np.ravel_multi_index(tuple(np.moveaxis(cells[s][:, None] - cells[t][None] - low, -1, 0)), d)
+        for (s, t), low, d in zip(_pairs(len(cells) - 1), lo, dims)
+    ]
+
+
+def _table_rows(kernel: KernelSpec, grid: Grid, lo: list[np.ndarray], dims: list[tuple], start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the offset table, one row per flat offset a and
+    one column per flat (c_2, ..., c_k): K at h (a, a + c_2, ..., a + c_k),
+    with K(0) = 0. K is evaluated in blocks of _MAX_POINTS points, so its
+    work arrays stay small whatever the table's size."""
+    n, shape = len(lo[0]), sum(dims, ())
+    low, width = np.concatenate(lo), math.prod(shape) // math.prod(dims[0])
+    out = np.empty((stop - start) * width)
+    for p in range(start * width, stop * width, _MAX_POINTS):
+        q = min(p + _MAX_POINTS, stop * width)
+        offs = np.stack(np.unravel_index(np.arange(p, q), shape), axis=-1) + low  # rows (a, c_2, ..., c_k)
+        a = offs[:, :n]
+        points = np.concatenate([a, *(a + offs[:, i * n : (i + 1) * n] for i in range(1, len(dims)))], axis=1)
+        out[p - start * width : q - start * width] = kernel.evaluate(points * grid.h)  # x - y_i = a + c_i
+    return out.reshape(stop - start, width)
+
+
 def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray) -> np.ndarray:
     """K(x - y_1, ..., x - y_k) as an (X, Y_1, ..., Y_k) tensor over flat
     row-major cell indices x and y_i, read at lattice offsets: K is
@@ -235,71 +294,135 @@ def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray
     cells = [np.stack(np.unravel_index(v, grid.shape), axis=-1) for v in (x, *ys)]  # (count, n)
     if not all(len(c) for c in cells):
         return np.zeros(tuple(len(c) for c in cells))
-    k, n = len(ys), grid.n
-    pairs = [(0, 1), *((1, i) for i in range(2, k + 1))]  # table axis (s, t) holds cells[s] - cells[t]
-    lo = [cells[s].min(axis=0) - cells[t].max(axis=0) for s, t in pairs]
-    dims = [tuple(cells[s].max(axis=0) - cells[t].min(axis=0) - low + 1) for (s, t), low in zip(pairs, lo)]
+    k = len(ys)
+    lo, dims = _offset_boxes(cells)
     if math.prod(sum(dims, ())) > math.prod(len(c) for c in cells):
         u = [cells[0][:, None] - c[None] for c in cells[1:]]  # (X, Y_i, n)
         u = [np.expand_dims(v, tuple(j for j in range(1, k + 1) if j != i)) for i, v in enumerate(u, 1)]
         return kernel.evaluate(np.concatenate(np.broadcast_arrays(*u), axis=-1) * grid.h)
-    offs = np.indices(sum(dims, ())).reshape(k * n, -1).T + np.concatenate(lo)  # rows (a, c_2, ..., c_k), row-major
-    points = np.concatenate([offs[:, :n], *(offs[:, :n] + offs[:, i * n : (i + 1) * n] for i in range(1, k))], axis=1)
-    table = kernel.evaluate(points * grid.h).reshape([math.prod(d) for d in dims])  # x - y_i = a + c_i
-    index = []  # each pair's table index, on the tensor axes s and t
-    for (s, t), low, d in zip(pairs, lo, dims):
-        flat = np.ravel_multi_index(tuple(np.moveaxis(cells[s][:, None] - cells[t][None] - low, -1, 0)), d)
-        index.append(np.expand_dims(flat, tuple(j for j in range(k + 1) if j not in (s, t))))
+    table = _table_rows(kernel, grid, lo, dims, 0, math.prod(dims[0])).reshape([math.prod(d) for d in dims])
+    index = [  # each pair's table index, on the tensor axes s and t
+        np.expand_dims(flat, tuple(j for j in range(k + 1) if j not in (s, t)))
+        for (s, t), flat in zip(_pairs(k), _pair_index(cells, lo, dims))
+    ]
     return table[tuple(index)]
 
 
-def _kernel_chunks(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
-    """Yield (start, stop, K2) per _MAX_TENSOR slice of output cells.
+class _Table(NamedTuple):
+    """One slab of output cells in the table form: rows[r, c] = K(h a,
+    h (a + c)) for the slab's offsets a = x - y (r counted from the slab's
+    first offset) and every c = y - z; a_index (X, Y) is the flat index of
+    (a(x, y), y) in an (R, Y) array, c_index (Y, Z) that of (c(y, z), y) in
+    a (C, Y) array."""
 
-    K2 is the (X, Y, Z) kernel tensor over the nonzero cells ysel of f and
-    zsel of g, read at lattice offsets by `kernel_tensor` and viewed as an
-    (X, Y*Z) matrix; its doubly-singular pair y = z = x is the zero offset,
-    where K reads 0. ysel, zsel and the output cells are all sorted flat
-    row-major indices."""
-    cells = grid.m**grid.n
-    chunk = max(1, _MAX_TENSOR // max(1, len(ysel) * len(zsel)))
-    for start in range(0, cells, chunk):
-        stop = min(start + chunk, cells)
-        K = kernel_tensor(kernel, grid, np.arange(start, stop), ysel, zsel)
-        yield start, stop, K.reshape(stop - start, -1)
+    rows: np.ndarray
+    a_index: np.ndarray
+    c_index: np.ndarray
 
 
-# The last kernel table built, as one (key, chunks) entry. The estimate chain
+def _slab_sum(K: np.ndarray | _Table, fy: np.ndarray, gz: np.ndarray) -> np.ndarray:
+    """sum over y, z of K(x - y, x - z) f_y g_z for the output cells of one
+    slab, over the nonzero values fy of f and gz of g.
+
+    Tensor form: K is the (X, Y*Z) tensor, contracted with w = f_y g_z as one
+    real product, K @ w, or K @ [Re w, Im w] for complex inputs. Table form:
+    G[c, y] = g(y - c) is scattered from g, H = rows @ G is one real matrix
+    product (complex G through its Re, Im columns), and out[x] = sum_y f(y)
+    H[a(x, y), y] is a gather and an einsum over each output cell's own
+    row. So slabs give the one-slab result bit for bit wherever BLAS rounds
+    each row of H alike in any block of rows, which the tests check."""
+    if isinstance(K, _Table):
+        pairs = np.iscomplexobj(gz)
+        G = np.zeros((K.rows.shape[1], len(fy)), dtype=np.complex128 if pairs else np.float64)
+        G.reshape(-1)[K.c_index] = gz
+        H = K.rows @ G.view(np.float64)  # (R, 2Y) Re, Im pairs for complex G
+        return np.einsum("xy,y->x", (H.view(np.complex128) if pairs else H).reshape(-1).take(K.a_index), fy)
+    w = np.multiply.outer(fy, gz).reshape(-1)
+    if np.iscomplexobj(w):  # the two columns Re w, Im w
+        return (K @ w.astype(np.complex128, copy=False).view(np.float64).reshape(-1, 2)).view(np.complex128).reshape(-1)
+    return K @ w
+
+
+def _slabs(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray) -> Iterator[tuple[int, int, np.ndarray | _Table]]:
+    """Yield (start, stop, K) per slab of output cells for the nonzero cells
+    ysel of f and zsel of g (sorted flat row-major indices), K in one of two
+    forms for `_slab_sum`.
+
+    - The table form, rows of the (A, C) offset table T[a, c] = K(h a,
+      h (a + c)), a = x - y and c = y - z, with the (X, Y) and (Y, Z)
+      indices of each pair's offset, is taken when X Y Z is above
+      _TABLE_FORM and the table is smaller than the tensor. The (X, Y*Z)
+      tensor is never formed. A slab holds the table rows its output cells
+      read, which are consecutive because the flat index of a = x - y grows
+      with x and falls with y.
+    - Otherwise the tensor form, `kernel_tensor` of the slab's output cells
+      against ysel and zsel viewed as an (X, Y*Z) matrix. It is also taken
+      where one output cell alone would read more than _MAX_TENSOR table
+      entries (two full supports on 32^2 cells do), since table slabs would
+      then repeat most of the table once per output cell.
+
+    Either way, the doubly-singular pair y = z = x is the zero offset, where
+    K reads 0, and each slab holds at most _MAX_TENSOR kernel entries but
+    is never less than one output cell."""
+    X, Y, Z = grid.m**grid.n, len(ysel), len(zsel)
+    cells = [np.stack(np.unravel_index(v, grid.shape), axis=-1) for v in (np.arange(X), ysel, zsel)]
+    lo, dims = _offset_boxes(cells)
+    width = math.prod(dims[1])
+    if X * Y * Z > _TABLE_FORM and math.prod(dims[0]) * width < X * Y * Z:
+        (one,) = _pair_index([cells[0][:1], cells[1]], lo[:1], dims[:1])  # the rows output cell 0 reads
+        if (one[0, 0] - one[0, -1] + 1) * width <= _MAX_TENSOR:
+            a_flat, c_flat = _pair_index(cells, lo, dims)
+            first, last = a_flat[:, -1], np.ascontiguousarray(a_flat[:, 0])  # each output cell's lowest and highest row
+            c_index = c_flat * Y + np.arange(Y)[:, None]
+            start = 0
+            while start < X:
+                stop = max(start + 1, int(np.searchsorted(last, first[start] + _MAX_TENSOR // width)))
+                index = (a_flat[start:stop] - first[start]) * Y + np.arange(Y)
+                yield start, stop, _Table(_table_rows(kernel, grid, lo, dims, first[start], last[stop - 1] + 1), index, c_index)
+                start = stop
+            return
+    step = max(1, _MAX_TENSOR // (Y * Z))
+    for start in range(0, X, step):
+        stop = min(start + step, X)
+        yield start, stop, kernel_tensor(kernel, grid, np.arange(start, stop), ysel, zsel).reshape(stop - start, -1)
+
+
+# The last plan built, as one (key, slabs) entry. The estimate chain
 # applies T(f, g) and T(b f, g) for every Fourier mode of a cube, all on the
 # same nonzero sets, so one slot serves every mode after the first. The key
-# is the exact nonzero sets, not their support box, so a reused table holds
+# is the exact nonzero sets, not their support box, so a reused plan holds
 # exactly the entries a fresh build would.
 _plans: list[tuple[tuple, tuple]] = []
 
 
-def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray):
-    """The (start, stop, K2) chunks of `_kernel_chunks` for the nonzero cells
-    ysel of f and zsel of g. Plans whose table fits in one _MAX_TENSOR chunk
-    are kept for reuse; larger tables are rebuilt chunk by chunk on every
-    call, so they never hold more than one chunk in memory."""
+def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray) -> Iterable[tuple]:
+    """The `_slabs` of ysel and zsel. A plan whose first slab covers every
+    output cell, so that it holds at most _MAX_TENSOR kernel entries, is
+    kept for reuse; a larger one is built slab by slab on every call, so it
+    never holds more than one slab in memory."""
     key = (grid, kernel, ysel.tobytes(), zsel.tobytes())
     if _plans and _plans[0][0] == key:
         return _plans[0][1]
-    chunks = _kernel_chunks(grid, kernel, ysel, zsel)
-    if grid.m**grid.n * len(ysel) * len(zsel) > _MAX_TENSOR:
-        return chunks
-    chunks = tuple(chunks)
-    _plans[:] = [(key, chunks)]
-    return chunks
+    slabs = _slabs(grid, kernel, ysel, zsel)
+    first = [next(slabs)]
+    if first[0][1] < grid.m**grid.n:
+        return _then(first, slabs)
+    _plans[:] = [(key, tuple(first))]
+    return _plans[0][1]
+
+
+def _then(head: list, rest: Iterator) -> Iterator:
+    """The one item of head, then those of rest, keeping none past its turn."""
+    yield head.pop()
+    yield from rest
 
 
 def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
-    """T(f, g) as one real matrix product per chunk: the plan's K2 (X, Y*Z)
-    against w = f_y g_z over the nonzero cells, K2 @ w for real inputs and
-    K2 @ [Re w, Im w] for complex ones, plus, for alpha > 0, the self-cell
-    term `_self_cell` f g added once at the cells in both supports after the
-    last chunk. The sums run through BLAS, so their last digits depend on its
-    thread count."""
+    """T(f, g) slab by slab over the plan of `_bilinear_plan`, times the
+    cell volume h^(2n), by `_slab_sum`; for alpha > 0, the self-cell term
+    `_self_cell` f g is added once at the cells in both supports after the
+    last slab. The products run through BLAS, so their last digits depend on
+    its thread count."""
     grid = _grid_of((f, g))
     _check_kernel(kernel, 2, grid)
     h = grid.h
@@ -312,14 +435,11 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
     if len(ysel) == 0 or len(zsel) == 0:
         return GridFunction(grid, out.reshape(grid.shape))
 
-    w = np.multiply.outer(fflat[ysel], gflat[zsel]).reshape(-1)
-    pairs = np.iscomplexobj(w)
-    if pairs:  # the two columns Re w, Im w
-        w = w.astype(np.complex128, copy=False).view(np.float64).reshape(-1, 2)
+    fy, gz = fflat[ysel], gflat[zsel]
     cell2 = h**kernel.D
-    for start, stop, K2 in _bilinear_plan(grid, kernel, ysel, zsel):
-        s = K2 @ w
-        out[start:stop] = (s.view(np.complex128).reshape(-1) if pairs else s) * cell2
+    for start, stop, K in _bilinear_plan(grid, kernel, ysel, zsel):
+        out[start:stop] = _slab_sum(K, fy, gz) * cell2
+        del K  # a plan in slabs builds the next one after this one is gone
     if kernel.alpha != 0.0:
         both = np.intersect1d(ysel, zsel, assume_unique=True)
         if len(both):

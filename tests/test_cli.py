@@ -430,9 +430,9 @@ def test_chain_runs_one_pass_through_necessity_experiment(tmp_path, monkeypatch)
 def test_default_chain_builds_one_kernel_table_per_cube(tmp_path, monkeypatch):
     """Every mode of a cube applies T to (f, g) and (b f, g) on the same
     nonzero cells, so the one kept table serves all 200 applications of a
-    cube: the default run of 12 cubes builds 12 tables."""
+    cube: the default run of 12 cubes builds 12 plans."""
     monkeypatch.setattr(operators, "_plans", [])
-    builds = _counting(monkeypatch, "_kernel_chunks", ("oscillab.operators",))
+    builds = _counting(monkeypatch, "_slabs", ("oscillab.operators",))
     cfg = write_config(tmp_path, experiment="chain", seed=1)
     assert run_in(tmp_path, "run", cfg) == 0
     rows = list(csv.DictReader(open(tmp_path / "report.csv")))

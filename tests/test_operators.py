@@ -136,28 +136,57 @@ def test_singular_2d_riesz_odd_symmetry():
         assert np.max(np.abs(out - out[:, ::-1])) <= 1e-12
 
 
-def test_bilinear_singular_matches_bruteforce():
+# ---- Both forms of a bilinear application ----
+
+# _TABLE_FORM values that select each form: the tensor form for every
+# tensor, and the table form for every tensor whose offset table is smaller
+_FORMS = {"tensor": 1 << 62, "table": 0}
+
+
+def _each_form(monkeypatch):
+    """Yield each form's name with operators._TABLE_FORM set to select it
+    and no plan kept from an earlier call."""
+    for form, at in _FORMS.items():
+        monkeypatch.setattr(operators, "_TABLE_FORM", at)
+        operators._plans.clear()
+        yield form
+    operators._plans.clear()
+
+
+def _form(K):
+    return "table" if isinstance(K, operators._Table) else "tensor"
+
+
+def _kept_form():
+    """The form of the one kept plan, which is one slab."""
+    ((_, _, K),) = operators._plans[0][1]
+    return _form(K)
+
+
+def test_bilinear_singular_matches_bruteforce(monkeypatch):
     g = Grid((-2.0,), (2.0,), 32)
     k = fixtures.make_kernel("bilinear_riesz", 1)
     rng = np.random.default_rng(4)
     f = GridFunction(g, rng.standard_normal(32) * (np.abs(g.meshes()[0]) <= 1.0))
     h = GridFunction(g, rng.standard_normal(32) * (np.abs(g.meshes()[0] - 0.5) <= 0.5))
-    out = bilinear_singular_integral(f, h, k)
     x = g.axis_centers(0)
     vol = g.cell_volume
-    # every in-box pair but y = z = x, at points near both ends and inside
-    for i in (0, 7, 20, 31):
-        acc = 0.0
-        for jy in range(32):
-            for jz in range(32):
-                if jy == i and jz == i:
-                    continue
-                u = np.array([x[i] - x[jy], x[i] - x[jz]])
-                acc += float(k.evaluate(u)) * f.values[jy] * h.values[jz] * vol * vol
-        assert out.values[i] == pytest.approx(acc, rel=1e-12, abs=1e-12)
+    for form in _each_form(monkeypatch):
+        out = bilinear_singular_integral(f, h, k)
+        assert _kept_form() == form
+        # every in-box pair but y = z = x, at points near both ends and inside
+        for i in (0, 7, 20, 31):
+            acc = 0.0
+            for jy in range(32):
+                for jz in range(32):
+                    if jy == i and jz == i:
+                        continue
+                    u = np.array([x[i] - x[jy], x[i] - x[jz]])
+                    acc += float(k.evaluate(u)) * f.values[jy] * h.values[jz] * vol * vol
+            assert out.values[i] == pytest.approx(acc, rel=1e-12, abs=1e-12), form
 
 
-def test_bilinear_singular_direct_sum_neither_odd_nor_even():
+def test_bilinear_singular_direct_sum_neither_odd_nor_even(monkeypatch):
     # Omega = cos t + sin 2t on the (u, v) circle: mean zero, neither odd nor
     # even, so a kernel read as K(y - x, z - x) cannot pass
     k = KernelSpec(2, 1, 0.0, lambda t: t[..., 0] + 2 * t[..., 0] * t[..., 1])
@@ -166,24 +195,25 @@ def test_bilinear_singular_direct_sum_neither_odd_nor_even():
     rng = np.random.default_rng(5)
     f = GridFunction(g, rng.standard_normal(32) * (np.abs(x) <= 0.5))
     h = GridFunction(g, rng.standard_normal(32) * (np.abs(x - 0.25) <= 0.25))
-    out = bilinear_singular_integral(f, h, k)
     points = np.arange(32)
     u = x[points, None, None] - x[None, :, None]
     v = x[points, None, None] - x[None, None, :]
     K = k.evaluate(np.stack(np.broadcast_arrays(u, v), axis=-1))
     K[np.arange(len(points)), points, points] = 0.0  # the pair y = z = x is omitted
     want = np.einsum("pyz,y,z->p", K, f.values, h.values) * g.cell_volume**2
-    assert np.max(np.abs(out.values[points] - want)) <= 1e-12 * np.max(np.abs(want))
+    for form in _each_form(monkeypatch):
+        out = bilinear_singular_integral(f, h, k)
+        assert _kept_form() == form
+        assert np.max(np.abs(out.values[points] - want)) <= 1e-12 * np.max(np.abs(want)), form
 
 
-def test_bilinear_fractional_matches_bruteforce_distance():
+def test_bilinear_fractional_matches_bruteforce_distance(monkeypatch):
     g = Grid((-2.0,), (2.0,), 32)
     alpha = 1.2
     k = distance_kernel(1, alpha)
     rng = np.random.default_rng(9)
     f = GridFunction(g, rng.standard_normal(32))
     h = GridFunction(g, rng.standard_normal(32))
-    out = bilinear_fractional_integral(f, h, k)
     x = g.axis_centers(0)
     vol = g.cell_volume
     i = 7
@@ -197,7 +227,10 @@ def test_bilinear_fractional_matches_bruteforce_distance():
     s = g.h / 2
     self_cell = 4 * ((2 * s) ** alpha - 2 * s**alpha) / (alpha * (alpha - 1.0))
     acc += self_cell * f.values[i] * h.values[i]
-    assert out.values[i] == pytest.approx(acc, rel=1e-10)
+    for form in _each_form(monkeypatch):
+        out = bilinear_fractional_integral(f, h, k)
+        assert _kept_form() == form
+        assert out.values[i] == pytest.approx(acc, rel=1e-10), form
 
 
 def test_averaging_signed_vs_maximal_domination():
@@ -605,8 +638,8 @@ def test_bilinear_plan_keeps_its_self_cell():
 @pytest.mark.parametrize("cap", [None, 9_000], ids=["one-chunk", "chunked"])
 def test_kernel_chunks_on_overlapping_supports(make, cap, monkeypatch):
     """Where the supports of f and g overlap, cells with y = z = x occur; the
-    table is still kernel_tensor over all cells, bit for bit (K reads 0 at
-    the zero offset)."""
+    tensor slabs of a plan are still kernel_tensor over all cells, bit for
+    bit (K reads 0 at the zero offset)."""
     g = Grid((-2.0,), (2.0,), 64)
     k = make()
     rng = np.random.default_rng(13)
@@ -616,8 +649,9 @@ def test_kernel_chunks_on_overlapping_supports(make, cap, monkeypatch):
     ysel, zsel = np.flatnonzero(f.values), np.flatnonzero(h.values)
     both = sorted(set(ysel) & set(zsel))
     assert both
-    chunks = list(operators._kernel_chunks(g, k, ysel, zsel))
+    chunks = list(operators._slabs(g, k, ysel, zsel))
     assert (len(chunks) > 1) == (cap is not None)
+    assert {_form(K2) for *_, K2 in chunks} == {"tensor"}
     coords = g.meshes()[0].reshape(-1, 1)
     want = kernel_tensor_at_coordinates(k, coords, coords[ysel], coords[zsel])
     got = np.concatenate([K2 for *_, K2 in chunks]).reshape(want.shape)
@@ -723,15 +757,21 @@ def test_kernel_tensor_of_an_empty_index_set_is_empty():
 def test_a_1d_plan_evaluates_k_once_per_lattice_offset(make, monkeypatch):
     """One plan for c-cell supports on m cells reads K on at most
     (m + c - 1)(2c - 1) lattice offsets, not once per (x, y, z) triple
-    (m c^2 points)."""
+    (m c^2 points), in either form."""
     m, c = 64, 8
     k = make()
     points = []
     evaluate = KernelSpec.evaluate
     monkeypatch.setattr(KernelSpec, "evaluate", lambda self, u: points.append(math.prod(np.shape(u)[:-1])) or evaluate(self, u))
-    chunks = list(operators._kernel_chunks(Grid((-2.0,), (2.0,), m), k, np.arange(10, 10 + c), np.arange(30, 30 + c)))
-    assert sum(K2.size for _, _, K2 in chunks) == m * c * c
-    assert 0 < sum(points) <= (m + c - 1) * (2 * c - 1)
+    for form in _each_form(monkeypatch):
+        points.clear()
+        ((_, _, K),) = operators._slabs(Grid((-2.0,), (2.0,), m), k, np.arange(10, 10 + c), np.arange(30, 30 + c))
+        assert _form(K) == form
+        if form == "tensor":
+            assert K.size == m * c * c
+        else:
+            assert K.rows.size == sum(points) and K.a_index.shape == (m, c)
+        assert 0 < sum(points) <= (m + c - 1) * (2 * c - 1)
 
 
 @pytest.mark.parametrize(
@@ -744,8 +784,8 @@ def test_a_1d_plan_evaluates_k_once_per_lattice_offset(make, monkeypatch):
 def test_bilinear_2d_matches_a_direct_sum(make, grid, monkeypatch):
     """At every point, h^4 times the sum over the nonzero cells of
     K(x - y, x - z) f(y) g(z) at coordinate offsets (K reads 0 at the pair
-    y = z = x), plus the self cell when alpha > 0; a table cut into chunks
-    gives the one-chunk result bit for bit."""
+    y = z = x), plus the self cell when alpha > 0, in either form; a plan
+    cut into slabs gives the one-slab result bit for bit."""
     k = make()
     rng = np.random.default_rng(19)
     f, g = (GridFunction(grid, rng.standard_normal(grid.shape) * (rng.uniform(size=grid.shape) < 0.5)) for _ in range(2))
@@ -755,20 +795,26 @@ def test_bilinear_2d_matches_a_direct_sum(make, grid, monkeypatch):
     want = np.einsum("xyz,y,z->x", K, f.values.reshape(-1)[ysel], g.values.reshape(-1)[zsel]) * grid.h**4
     if k.alpha > 0.0:
         want = want + operators._self_cell(k, grid.h) * (f.values * g.values).reshape(-1)
-    operators._plans.clear()
-    got = OperatorHandle(k)(f, g).values.reshape(-1)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    one = next(operators._kernel_chunks(grid, k, ysel, zsel))[2]
-    # chunks of 16 output cells: at 7 cells the BLAS product rounds some
-    # rows differently from the one-chunk product
-    monkeypatch.setattr(operators, "_MAX_TENSOR", 16 * len(ysel) * len(zsel))
-    operators._plans.clear()
-    chunks = list(operators._kernel_chunks(grid, k, ysel, zsel))
-    assert len(chunks) > 1
-    assert np.concatenate([K2 for _, _, K2 in chunks]).tobytes() == one.tobytes()
-    chunked = OperatorHandle(k)(f, g).values.reshape(-1)
-    assert operators._plans == []
-    assert chunked.tobytes() == got.tobytes()
+    cap = operators._MAX_TENSOR
+    for form in _each_form(monkeypatch):
+        monkeypatch.setattr(operators, "_MAX_TENSOR", cap)
+        got = OperatorHandle(k)(f, g).values.reshape(-1)
+        assert _kept_form() == form
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), form
+        ((_, _, one),) = operators._plans[0][1]
+        # tensor slabs of 16 output cells (at 7 cells the BLAS product rounds
+        # some rows differently from the one-slab product), or table slabs
+        # of at most three quarters of the table's rows
+        small = 16 * len(ysel) * len(zsel) if form == "tensor" else 3 * one.rows.size // 4
+        monkeypatch.setattr(operators, "_MAX_TENSOR", small)
+        operators._plans.clear()
+        slabs = list(operators._slabs(grid, k, ysel, zsel))
+        assert len(slabs) > 1 and {_form(K2) for *_, K2 in slabs} == {form}
+        if form == "tensor":
+            assert np.concatenate([K2 for _, _, K2 in slabs]).tobytes() == one.tobytes()
+        chunked = OperatorHandle(k)(f, g).values.reshape(-1)
+        assert operators._plans == []
+        assert chunked.tobytes() == got.tobytes(), form
 
 
 # ---- Bilinear apply as one real matrix product ----
@@ -776,7 +822,7 @@ def test_bilinear_2d_matches_a_direct_sum(make, grid, monkeypatch):
 
 def _einsum_apply(k, f, g):
     """The contraction as it was before the BLAS product: einsum over the
-    (X, Y, Z) kernel table of the nonzero cells, which casts the table to
+    (X, Y, Z) kernel tensor of the nonzero cells, which casts the tensor to
     complex for complex inputs, plus the fractional self-cell patch."""
     grid = f.grid
     fflat, gflat = f.values.reshape(-1), g.values.reshape(-1)
@@ -784,9 +830,8 @@ def _einsum_apply(k, f, g):
     out = np.zeros(fflat.shape[0], dtype=np.result_type(fflat, gflat))
     cell2 = grid.h**k.D
     correction = 0.0 if k.alpha == 0.0 else operators._self_cell(k, grid.h)
-    for start, stop, K2 in operators._kernel_chunks(grid, k, ysel, zsel):
-        K = K2.reshape(stop - start, len(ysel), len(zsel))
-        out[start:stop] = np.einsum("xyz,y,z->x", K, fflat[ysel], gflat[zsel]) * cell2
+    K = operators.kernel_tensor(k, grid, np.arange(grid.m**grid.n), ysel, zsel)
+    out[:] = np.einsum("xyz,y,z->x", K, fflat[ysel], gflat[zsel]) * cell2
     for i in sorted(set(ysel) & set(zsel)):
         out[i] += correction * fflat[i] * gflat[i]
     return out.reshape(grid.shape)
@@ -812,23 +857,137 @@ def test_bilinear_apply_matches_einsum(make, kind, kept, monkeypatch):
     g = Grid((-2.0,), (2.0,), 64)
     k = make()
     f, h = _inputs(g, kind, np.random.default_rng(11))
-    if not kept:
-        # 64 * 24 * 24 entries exceed the cap, so the table comes in 15-row
-        # chunks that are rebuilt on every call and never kept
-        monkeypatch.setattr(operators, "_MAX_TENSOR", 9_000)
     ysel, zsel = np.flatnonzero(f.values), np.flatnonzero(h.values)
-    chunks = list(operators._kernel_chunks(g, k, ysel, zsel))
-    assert (len(chunks) == 1) == kept
     assert set(ysel) & set(zsel)  # the fractional patch has cells to patch
-    operators._plans.clear()
     want = _einsum_apply(k, f, h)
+    for form in _each_form(monkeypatch):
+        if not kept:
+            # the 64 x 24 x 24 tensor comes in slabs of 3 output cells, and
+            # the 87 x 47 table in slabs of at most 42 rows (19 output cells,
+            # 24 rows each), built on every call and never kept
+            monkeypatch.setattr(operators, "_MAX_TENSOR", 2_000)
+        slabs = list(operators._slabs(g, k, ysel, zsel))
+        assert (len(slabs) == 1) == kept
+        assert {_form(K) for *_, K in slabs} == {form}
+        got = OperatorHandle(k)(f, h)
+        assert got.values.dtype == want.dtype
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want)), form
+        assert len(operators._plans) == (1 if kept else 0)
+        if kept:  # and again from the kept plan
+            again = OperatorHandle(k)(f, h)
+            assert np.max(np.abs(again.values - want)) <= 1e-13 * np.max(np.abs(want)), form
+
+
+def _direct_sum(k, f, g):
+    """h^(2n) times the sum over the nonzero cells of K(x - y, x - z) f(y)
+    g(z) at coordinate offsets (K reads 0 at the pair y = z = x), plus the
+    self cell f g when alpha > 0: the oracle of both forms."""
+    grid = f.grid
+    fflat, gflat = f.values.reshape(-1), g.values.reshape(-1)
+    ysel, zsel = np.flatnonzero(fflat), np.flatnonzero(gflat)
+    coords = _cell_coords(grid)
+    K = kernel_tensor_at_coordinates(k, coords, coords[ysel], coords[zsel])
+    out = np.einsum("xyz,y,z->x", K, fflat[ysel], gflat[zsel]) * grid.h ** k.D
+    if k.alpha > 0.0:
+        out = out + operators._self_cell(k, grid.h) * fflat * gflat
+    return out.reshape(grid.shape)
+
+
+def _direct_cases_bilinear():
+    g = Grid((-2.0,), (2.0,), 64)
+    rng = np.random.default_rng(23)
+    f, h = _on(g, -1.0, 0.5, rng), _on(g, -0.5, 1.0, rng)
+    phase = lambda fn: GridFunction(g, fn.values * np.exp(1j * rng.uniform(0, 2 * np.pi, g.shape)))
+    # b vanishing on one cell inside Q' keeps the support box of b f but not its nonzero set
+    hole = f.values.copy()
+    hole[np.flatnonzero(hole)[11]] = 0.0
+    return {
+        "complex": (fixtures.make_kernel("bilinear_riesz", 1), phase(f), phase(h)),
+        "interior_zero": (fixtures.make_kernel("bilinear_riesz", 1), GridFunction(g, hole), h),
+        "fractional_self_cell": (distance_kernel(1, 1.2), f, h),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_direct_cases_bilinear()))
+def test_both_forms_match_a_direct_sum(case, monkeypatch):
+    """Complex inputs, a nonzero set with a hole, and the fractional self
+    cell (the supports overlap): each form, cold and from its kept plan,
+    agrees with the direct sum at every point."""
+    k, f, h = _direct_cases_bilinear()[case]
+    want = _direct_sum(k, f, h)
+    for form in _each_form(monkeypatch):
+        for _ in range(2):
+            got = OperatorHandle(k)(f, h)
+            assert _kept_form() == form
+            assert got.values.dtype == want.dtype
+            assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want)), form
+
+
+def _level_2_pair():
+    """Two 32-cell complex supports on m = 512 cells, the shape of the
+    `necessity-variable` level-2 cube: a 524,288-entry tensor, whose offset
+    table has 543 x 63 = 34,209 entries."""
+    g = Grid((-6.0,), (6.0,), 512)
+    rng = np.random.default_rng(29)
+    cells = np.arange(512)
+    pair = []
+    for lo in (240, 256):
+        vals = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+        pair.append(GridFunction(g, vals * ((cells >= lo) & (cells < lo + 32))))
+    return fixtures.make_kernel("bilinear_riesz", 1), *pair
+
+
+def test_a_large_support_pair_takes_the_table_form_in_little_memory():
+    """One cold application at the level-2 shape takes the table form and
+    peaks below 1.5 MB of traced memory; the (X, Y*Z) tensor alone would
+    hold 4.2 MB."""
+    import tracemalloc
+
+    k, f, h = _level_2_pair()
+    T = OperatorHandle(k)
+    T(f, h)  # numpy's and the kernel's first-use allocations stay outside the trace
+    operators._plans.clear()
+    tracemalloc.start()
+    try:
+        T(f, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert _kept_form() == "table"
+    operators._plans.clear()
+
+
+def test_table_slabs_equal_the_kept_table_bit_for_bit(monkeypatch):
+    """A cap below the table's size sends the level-2 pair through slabs of
+    output cells, built afresh on every call: each slab holds at most
+    _MAX_TENSOR table entries, no plan is kept, and the result is the kept
+    table's bit for bit, since each output reads the same table rows and
+    sums its own row. A cap below one output cell's rows selects the tensor
+    form instead."""
+    k, f, h = _level_2_pair()
+    operators._plans.clear()
+    kept = OperatorHandle(k)(f, h)
+    ((_, _, table),) = operators._plans[0][1]
+    assert table.rows.shape == (543, 63)
+    cap = 63 * 100
+    monkeypatch.setattr(operators, "_MAX_TENSOR", cap)
+    operators._plans.clear()
+    held = []
+    rows = operators._table_rows
+    monkeypatch.setattr(operators, "_table_rows", lambda *args: held.append((out := rows(*args)).size) or out)
+    for _ in range(2):
+        got = OperatorHandle(k)(f, h)
+        assert operators._plans == []
+        assert got.values.tobytes() == kept.values.tobytes()
+    assert len(held) == 2 * 8 and max(held) <= cap
+    # one output cell reads 32 rows of 63 entries: below that cap the table
+    # form would exceed it, so the pair takes the tensor form in slabs
+    monkeypatch.setattr(operators, "_MAX_TENSOR", 32 * 63 - 1)
+    slabs = list(operators._slabs(f.grid, k, np.flatnonzero(f.values), np.flatnonzero(h.values)))
+    assert len(slabs) == 512 and {_form(K) for *_, K in slabs} == {"tensor"}
     got = OperatorHandle(k)(f, h)
-    assert got.values.dtype == want.dtype
-    assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
-    assert len(operators._plans) == (1 if kept else 0)
-    if kept:  # and again from the kept plan
-        again = OperatorHandle(k)(f, h)
-        assert np.max(np.abs(again.values - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got.values - kept.values)) <= 1e-13 * np.max(np.abs(kept.values))
     operators._plans.clear()
 
 

@@ -119,6 +119,40 @@ def test_a_chain_workload_run_makes_the_calls_the_benchmark_gate_counts(name, tm
     )
 
 
+@pytest.mark.parametrize("name, tensor, table", [("chain", 2_400, 0), ("necessity-variable", 150, 50)])
+def test_each_chain_workload_call_takes_the_form_its_support_size_selects(name, tensor, table, tmp_path, monkeypatch):
+    """Every `chain` tensor has at most 73,728 entries, below
+    operators._TABLE_FORM, so each application takes the tensor form. The
+    `necessity-variable` level-2 cube (32-cell supports on 512 cells, a
+    524,288-entry tensor) makes its 50 applications in the table form, all
+    from one kept table; its other 150 take the tensor form."""
+    from oscillab import operators
+
+    workload = _child(monkeypatch).WORKLOADS[name]
+    forms = {"tensor": 0, "table": 0}
+    tables = []
+    plan = operators._bilinear_plan
+
+    def counted(*args):
+        slabs = plan(*args)
+        ((_, _, K),) = slabs  # every plan of these runs is one kept slab
+        if isinstance(K, operators._Table):
+            forms["table"] += 1
+            tables.append(K)
+        else:
+            forms["tensor"] += 1
+        return slabs
+
+    monkeypatch.setattr(operators, "_plans", [])
+    monkeypatch.setattr(operators, "_bilinear_plan", counted)
+    cfg = tmp_path / f"{name}.json"
+    out = {"csv_path": str(tmp_path / f"{name}.csv"), "json_path": str(tmp_path / f"{name}.out.json")}
+    cfg.write_text(json.dumps({**workload.runs[0], "seed": 1, **out}))
+    assert cli.main(["run", str(cfg)]) == 0
+    assert forms == {"tensor": tensor, "table": table}
+    assert len({id(K) for K in tables}) == (1 if table else 0)
+
+
 def test_the_necessity_variable_chain_reads_k_once_per_lattice_offset(tmp_path, monkeypatch):
     """perfbench's `necessity-variable` pass reads K on at most 70,000
     points inside its chain: each cube's kernel table and each operator
