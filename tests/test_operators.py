@@ -790,11 +790,7 @@ def test_bilinear_2d_matches_a_direct_sum(make, grid, monkeypatch):
     rng = np.random.default_rng(19)
     f, g = (GridFunction(grid, rng.standard_normal(grid.shape) * (rng.uniform(size=grid.shape) < 0.5)) for _ in range(2))
     ysel, zsel = np.flatnonzero(f.values), np.flatnonzero(g.values)
-    coords = _cell_coords(grid)
-    K = kernel_tensor_at_coordinates(k, coords, coords[ysel], coords[zsel])
-    want = np.einsum("xyz,y,z->x", K, f.values.reshape(-1)[ysel], g.values.reshape(-1)[zsel]) * grid.h**4
-    if k.alpha > 0.0:
-        want = want + operators._self_cell(k, grid.h) * (f.values * g.values).reshape(-1)
+    want = _direct_sum(k, f, g).reshape(-1)
     cap = operators._MAX_TENSOR
     for form in _each_form(monkeypatch):
         monkeypatch.setattr(operators, "_MAX_TENSOR", cap)
