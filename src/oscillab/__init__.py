@@ -20,6 +20,7 @@ from .errors import (
     GridMismatch,
     KernelVanishes,
     MeanZeroViolation,
+    NonFiniteValues,
     NonPositiveWeight,
     OscillabError,
     OutOfDomain,

@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import __version__, fixtures
-from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, MeanZeroViolation, OscillabError
+from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, MeanZeroViolation, NonPositiveWeight, OscillabError
 from .extraction import EPS_TOL, FourierExpansion, NecessityReport, fourier_reciprocal, necessity_experiment, select_geometry
 from .grid import (
     VERDICTS,
@@ -220,7 +220,7 @@ def _naming(*keys: str):
     error naming the keys it came from."""
     try:
         yield
-    except (ValueError, AlphaOutOfRange, BadDelta, ConjugateUndefined, MeanZeroViolation) as e:
+    except (ValueError, AlphaOutOfRange, BadDelta, ConjugateUndefined, MeanZeroViolation, NonPositiveWeight) as e:
         raise ConfigError(f"{', '.join(keys)}: {e}") from None
 
 

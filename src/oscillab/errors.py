@@ -27,6 +27,11 @@ class GridMismatch(OscillabError):
     """Two grid functions (or a function and a space) live on different grids."""
 
 
+class NonFiniteValues(OscillabError, ValueError):
+    """Grid function values that are not all finite; a ValueError too, so a
+    value refused at config time still names its key."""
+
+
 class NonPositiveWeight(OscillabError):
     """A weight must be strictly positive and finite at every cell."""
 

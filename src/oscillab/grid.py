@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import EmptyCube, GridMismatch, OutOfDomain, ResolutionTooCoarse, UncoveredPoint
+from .errors import EmptyCube, GridMismatch, NonFiniteValues, OutOfDomain, ResolutionTooCoarse, UncoveredPoint
 
 # Absolute snap tolerance on the cell-index scale. Cell centers that land on
 # a cube face within this tolerance are resolved by the half-open rule
@@ -199,7 +199,7 @@ class GridFunction:
         if arr.dtype.kind != "c":
             arr = arr.astype(np.float64, copy=False)
         if not np.isfinite(arr).all():
-            raise ValueError("grid function values must be finite")
+            raise NonFiniteValues("grid function values must be finite")
         self.grid = grid
         self.values = arr
 

@@ -17,9 +17,9 @@ read for every kernel by one rule: s / alpha times the integral of K over
 the faces of the cell [-s, s]^D, by Gauss-Legendre nodes.
 
 A bilinear application contracts f and g with the (X, Y*Z) tensor gathered
-from the offset table while that tensor is small, and with the table
-itself, T[a, c] = K(h a, h (a + c)) for a = x - y and c = y - z, as one
-matrix product and a gather once it is large (see `_slabs`).
+from the offset table while that tensor is small, and with the whole table,
+T[a, c] = K(h a, h (a + c)) for a = x - y and c = y - z, as one matrix
+product and a gather once it is large (see `_slabs`).
 
 `OperatorHandle(kernel)` calls one of the four entry points by its plain
 global name, chosen by the input count and by alpha = 0, so a wrapper
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,9 +48,8 @@ from .errors import (
 from .grid import Cube, CubeFamily, Grid, GridFunction, cube_slices
 from .spaces import SpaceSpec, _alpha_check, norm
 
-# Cap on the kernel entries (tensor or offset-table rows) that one bilinear
-# plan holds: a plan within it is kept for the next call on the same
-# nonzero sets, a larger one comes in slabs of output cells.
+# Cap on the tensor entries that one bilinear slab holds; a larger tensor
+# comes in slabs of output cells, built afresh on every call.
 _MAX_TENSOR = 4_000_000
 # Bilinear tensors of more entries are applied through the offset table
 # when it is smaller. Measured per call, with a kept plan, at m = 512 on
@@ -265,21 +264,21 @@ def _pair_index(cells: list[np.ndarray], lo: list[np.ndarray], dims: list[tuple]
     ]
 
 
-def _table_rows(kernel: KernelSpec, grid: Grid, lo: list[np.ndarray], dims: list[tuple], start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the offset table, one row per flat offset a and
-    one column per flat (c_2, ..., c_k): K at h (a, a + c_2, ..., a + c_k),
-    with K(0) = 0. K is evaluated in blocks of _MAX_POINTS points, so its
-    work arrays stay small whatever the table's size."""
+def _offset_table(kernel: KernelSpec, grid: Grid, lo: list[np.ndarray], dims: list[tuple]) -> np.ndarray:
+    """The offset table, one axis per table axis a, c_2, ..., c_k, each
+    flattened row-major: K at h (a, a + c_2, ..., a + c_k), with K(0) = 0.
+    K is evaluated in blocks of _MAX_POINTS points, so its work arrays stay
+    small whatever the table's size."""
     n, shape = len(lo[0]), sum(dims, ())
-    low, width = np.concatenate(lo), math.prod(shape) // math.prod(dims[0])
-    out = np.empty((stop - start) * width)
-    for p in range(start * width, stop * width, _MAX_POINTS):
-        q = min(p + _MAX_POINTS, stop * width)
+    low = np.concatenate(lo)
+    out = np.empty(math.prod(shape))
+    for p in range(0, out.size, _MAX_POINTS):
+        q = min(p + _MAX_POINTS, out.size)
         offs = np.stack(np.unravel_index(np.arange(p, q), shape), axis=-1) + low  # rows (a, c_2, ..., c_k)
         a = offs[:, :n]
         points = np.concatenate([a, *(a + offs[:, i * n : (i + 1) * n] for i in range(1, len(dims)))], axis=1)
-        out[p - start * width : q - start * width] = kernel.evaluate(points * grid.h)  # x - y_i = a + c_i
-    return out.reshape(stop - start, width)
+        out[p:q] = kernel.evaluate(points * grid.h)  # x - y_i = a + c_i
+    return out.reshape([math.prod(d) for d in dims])
 
 
 def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray) -> np.ndarray:
@@ -300,7 +299,7 @@ def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray
         u = [cells[0][:, None] - c[None] for c in cells[1:]]  # (X, Y_i, n)
         u = [np.expand_dims(v, tuple(j for j in range(1, k + 1) if j != i)) for i, v in enumerate(u, 1)]
         return kernel.evaluate(np.concatenate(np.broadcast_arrays(*u), axis=-1) * grid.h)
-    table = _table_rows(kernel, grid, lo, dims, 0, math.prod(dims[0])).reshape([math.prod(d) for d in dims])
+    table = _offset_table(kernel, grid, lo, dims)
     index = [  # each pair's table index, on the tensor axes s and t
         np.expand_dims(flat, tuple(j for j in range(k + 1) if j not in (s, t)))
         for (s, t), flat in zip(_pairs(k), _pair_index(cells, lo, dims))
@@ -309,13 +308,12 @@ def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray
 
 
 class _Table(NamedTuple):
-    """One slab of output cells in the table form: rows[r, c] = K(h a,
-    h (a + c)) for the slab's offsets a = x - y (r counted from the slab's
-    first offset) and every c = y - z; a_index (X, Y) is the flat index of
-    (a(x, y), y) in an (R, Y) array, c_index (Y, Z) that of (c(y, z), y) in
+    """The table form of a plan: table[a, c] = K(h a, h (a + c)) for every
+    offset a = x - y and c = y - z; a_index (X, Y) is the flat index of
+    (a(x, y), y) in an (A, Y) array, c_index (Y, Z) that of (c(y, z), y) in
     a (C, Y) array."""
 
-    rows: np.ndarray
+    table: np.ndarray
     a_index: np.ndarray
     c_index: np.ndarray
 
@@ -326,16 +324,15 @@ def _slab_sum(K: np.ndarray | _Table, fy: np.ndarray, gz: np.ndarray) -> np.ndar
 
     Tensor form: K is the (X, Y*Z) tensor, contracted with w = f_y g_z as one
     real product, K @ w, or K @ [Re w, Im w] for complex inputs. Table form:
-    G[c, y] = g(y - c) is scattered from g, H = rows @ G is one real matrix
+    G[c, y] = g(y - c) is scattered from g, H = table @ G is one real matrix
     product (complex G through its Re, Im columns), and out[x] = sum_y f(y)
     H[a(x, y), y] is a gather and an einsum over each output cell's own
-    row. So slabs give the one-slab result bit for bit wherever BLAS rounds
-    each row of H alike in any block of rows, which the tests check."""
+    row."""
     if isinstance(K, _Table):
         pairs = np.iscomplexobj(gz)
-        G = np.zeros((K.rows.shape[1], len(fy)), dtype=np.complex128 if pairs else np.float64)
+        G = np.zeros((K.table.shape[1], len(fy)), dtype=np.complex128 if pairs else np.float64)
         G.reshape(-1)[K.c_index] = gz
-        H = K.rows @ G.view(np.float64)  # (R, 2Y) Re, Im pairs for complex G
+        H = K.table @ G.view(np.float64)  # (A, 2Y) Re, Im pairs for complex G
         return np.einsum("xy,y->x", (H.view(np.complex128) if pairs else H).reshape(-1).take(K.a_index), fy)
     w = np.multiply.outer(fy, gz).reshape(-1)
     if np.iscomplexobj(w):  # the two columns Re w, Im w
@@ -343,48 +340,35 @@ def _slab_sum(K: np.ndarray | _Table, fy: np.ndarray, gz: np.ndarray) -> np.ndar
     return K @ w
 
 
-def _slabs(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray) -> Iterator[tuple[int, int, np.ndarray | _Table]]:
-    """Yield (start, stop, K) per slab of output cells for the nonzero cells
-    ysel of f and zsel of g (sorted flat row-major indices), K in one of two
-    forms for `_slab_sum`.
+def _slabs(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray) -> tuple[bool, Iterable[tuple[int, int, np.ndarray | _Table]]]:
+    """Whether the plan of the nonzero cells ysel of f and zsel of g (sorted
+    flat row-major indices) is one slab, and its slabs (start, stop, K) of
+    output cells, K in one of two forms for `_slab_sum`.
 
-    - The table form, rows of the (A, C) offset table T[a, c] = K(h a,
-      h (a + c)), a = x - y and c = y - z, with the (X, Y) and (Y, Z)
+    - The table form, one slab of the whole (A, C) offset table T[a, c] =
+      K(h a, h (a + c)), a = x - y and c = y - z, with the (X, Y) and (Y, Z)
       indices of each pair's offset, is taken when X Y Z is above
       _TABLE_FORM and the table is smaller than the tensor. The (X, Y*Z)
-      tensor is never formed. A slab holds the table rows its output cells
-      read, which are consecutive because the flat index of a = x - y grows
-      with x and falls with y.
+      tensor is never formed.
     - Otherwise the tensor form, `kernel_tensor` of the slab's output cells
-      against ysel and zsel viewed as an (X, Y*Z) matrix. It is also taken
-      where one output cell alone would read more than _MAX_TENSOR table
-      entries (two full supports on 32^2 cells do), since table slabs would
-      then repeat most of the table once per output cell.
+      against ysel and zsel viewed as an (X, Y*Z) matrix, in slabs of at
+      most _MAX_TENSOR entries but never less than one output cell, built
+      one at a time as they are read. Sparse sets spread over the box take
+      it whatever their size, since their table would be the larger.
 
     Either way, the doubly-singular pair y = z = x is the zero offset, where
-    K reads 0, and each slab holds at most _MAX_TENSOR kernel entries but
-    is never less than one output cell."""
+    K reads 0."""
     X, Y, Z = grid.m**grid.n, len(ysel), len(zsel)
     cells = [np.stack(np.unravel_index(v, grid.shape), axis=-1) for v in (np.arange(X), ysel, zsel)]
     lo, dims = _offset_boxes(cells)
-    width = math.prod(dims[1])
-    if X * Y * Z > _TABLE_FORM and math.prod(dims[0]) * width < X * Y * Z:
-        (one,) = _pair_index([cells[0][:1], cells[1]], lo[:1], dims[:1])  # the rows output cell 0 reads
-        if (one[0, 0] - one[0, -1] + 1) * width <= _MAX_TENSOR:
-            a_flat, c_flat = _pair_index(cells, lo, dims)
-            first, last = a_flat[:, -1], np.ascontiguousarray(a_flat[:, 0])  # each output cell's lowest and highest row
-            c_index = c_flat * Y + np.arange(Y)[:, None]
-            start = 0
-            while start < X:
-                stop = max(start + 1, int(np.searchsorted(last, first[start] + _MAX_TENSOR // width)))
-                index = (a_flat[start:stop] - first[start]) * Y + np.arange(Y)
-                yield start, stop, _Table(_table_rows(kernel, grid, lo, dims, first[start], last[stop - 1] + 1), index, c_index)
-                start = stop
-            return
+    if X * Y * Z > _TABLE_FORM and math.prod(sum(dims, ())) < X * Y * Z:
+        a_flat, c_flat = _pair_index(cells, lo, dims)
+        table = _offset_table(kernel, grid, lo, dims)
+        return True, [(0, X, _Table(table, a_flat * Y + np.arange(Y), c_flat * Y + np.arange(Y)[:, None]))]
     step = max(1, _MAX_TENSOR // (Y * Z))
-    for start in range(0, X, step):
-        stop = min(start + step, X)
-        yield start, stop, kernel_tensor(kernel, grid, np.arange(start, stop), ysel, zsel).reshape(stop - start, -1)
+    bounds = [(start, min(start + step, X)) for start in range(0, X, step)]
+    slabs = ((a, b, kernel_tensor(kernel, grid, np.arange(a, b), ysel, zsel).reshape(b - a, -1)) for a, b in bounds)
+    return len(bounds) == 1, slabs
 
 
 # The last plan built, as one (key, slabs) entry. The estimate chain
@@ -396,25 +380,18 @@ _plans: list[tuple[tuple, tuple]] = []
 
 
 def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray) -> Iterable[tuple]:
-    """The `_slabs` of ysel and zsel. A plan whose first slab covers every
-    output cell, so that it holds at most _MAX_TENSOR kernel entries, is
-    kept for reuse; a larger one is built slab by slab on every call, so it
-    never holds more than one slab in memory."""
+    """The slabs of `_slabs` for ysel and zsel. The slot is emptied before
+    a plan is built, so at most one plan is alive; a one-slab plan is kept
+    there for reuse, and tensor slabs are built afresh on every call."""
     key = (grid, kernel, ysel.tobytes(), zsel.tobytes())
     if _plans and _plans[0][0] == key:
         return _plans[0][1]
-    slabs = _slabs(grid, kernel, ysel, zsel)
-    first = [next(slabs)]
-    if first[0][1] < grid.m**grid.n:
-        return _then(first, slabs)
-    _plans[:] = [(key, tuple(first))]
+    _plans.clear()
+    one, slabs = _slabs(grid, kernel, ysel, zsel)
+    if not one:
+        return slabs
+    _plans.append((key, tuple(slabs)))
     return _plans[0][1]
-
-
-def _then(head: list, rest: Iterator) -> Iterator:
-    """The one item of head, then those of rest, keeping none past its turn."""
-    yield head.pop()
-    yield from rest
 
 
 def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:

@@ -185,6 +185,9 @@ _ALSO_SET = {("chain", "space_x2"): {"kernel": "hilbert"}}
         ("necessity", "space_y", "weighted:1:power:0.5"),
         ("conditions", "space_y", "lebesgue:1"),
         ("all", "space_y", "weighted:1:power:0.5"),
+        # |x|^200 underflows to 0 at the cells nearest the origin
+        ("conditions", "space_x", "weighted:2:power:200"),
+        ("chain", "space_y", "weighted:2:power:200"),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, key, value):
@@ -520,6 +523,18 @@ def test_chain_error_row_and_summary_name_the_stage(tmp_path, monkeypatch):
     assert [(r["quantity"], r["verdict"]) for r in rows] == [("error[ConvergenceFailure]", "fail")]
     error = json.loads((tmp_path / "report.json").read_text())["summaries"]["chain"]["error"]
     assert re.match(r"ConvergenceFailure: Q\([-0-9.]+;[0-9.]+\), norms: modular misses 1", error), error
+
+
+@pytest.mark.parametrize("experiment, also", [("maximal", {"m": 16}), ("norms", {"m": 64, "trials": 2})], ids=["maximal", "norms"])
+def test_an_overflow_inside_a_runner_writes_an_error_row(tmp_path, capsys, experiment, also):
+    """A box that every config check accepts, on which the runner's random
+    probes overflow: a numerical failure, reported as one error row and
+    exit 1, with no traceback."""
+    cfg = write_config(tmp_path, experiment=experiment, seed=1, box=[-1e300, 1e300], **also)
+    assert run_in(tmp_path, "run", cfg) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
+    assert [(r["quantity"], r["verdict"]) for r in rows] == [("error[NonFiniteValues]", "fail")]
 
 
 # The commutator experiment at small sizes: 1D hilbert, 2D riesz_1.

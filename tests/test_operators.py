@@ -649,8 +649,9 @@ def test_kernel_chunks_on_overlapping_supports(make, cap, monkeypatch):
     ysel, zsel = np.flatnonzero(f.values), np.flatnonzero(h.values)
     both = sorted(set(ysel) & set(zsel))
     assert both
-    chunks = list(operators._slabs(g, k, ysel, zsel))
-    assert (len(chunks) > 1) == (cap is not None)
+    one, chunks = operators._slabs(g, k, ysel, zsel)
+    chunks = list(chunks)
+    assert (len(chunks) > 1) == (cap is not None) == (not one)
     assert {_form(K2) for *_, K2 in chunks} == {"tensor"}
     coords = g.meshes()[0].reshape(-1, 1)
     want = kernel_tensor_at_coordinates(k, coords, coords[ysel], coords[zsel])
@@ -722,6 +723,14 @@ def test_kernel_tensor_agrees_with_the_coordinate_oracle_on_a_non_dyadic_grid(ca
     assert np.all(np.abs(got - want) <= 2 * max(1.0, k.degree) * np.spacing(1.0) / g.h * np.abs(want))
 
 
+def _counting_points(monkeypatch):
+    """The list of point counts at which KernelSpec.evaluate is called."""
+    points = []
+    evaluate = KernelSpec.evaluate
+    monkeypatch.setattr(KernelSpec, "evaluate", lambda self, u: points.append(math.prod(np.shape(u)[:-1])) or evaluate(self, u))
+    return points
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_kernel_tensor_of_spread_out_sets_reads_no_more_points_than_entries(n, monkeypatch):
     """Random sets spread over the box span more offsets than the tensor
@@ -731,9 +740,7 @@ def test_kernel_tensor_of_spread_out_sets_reads_no_more_points_than_entries(n, m
     g = Grid((-2.0,) * n, (2.0,) * n, 64 if n == 1 else 16)
     rng = np.random.default_rng(33)
     x, ys = (rng.choice(g.m**n, size=size, replace=False) for size in (24, (2, 6)))
-    points = []
-    evaluate = KernelSpec.evaluate
-    monkeypatch.setattr(KernelSpec, "evaluate", lambda self, u: points.append(math.prod(np.shape(u)[:-1])) or evaluate(self, u))
+    points = _counting_points(monkeypatch)
     got = operators.kernel_tensor(k, g, x, *ys)
     assert points == [got.size] == [24 * 6 * 6]
     monkeypatch.undo()
@@ -760,17 +767,15 @@ def test_a_1d_plan_evaluates_k_once_per_lattice_offset(make, monkeypatch):
     (m c^2 points), in either form."""
     m, c = 64, 8
     k = make()
-    points = []
-    evaluate = KernelSpec.evaluate
-    monkeypatch.setattr(KernelSpec, "evaluate", lambda self, u: points.append(math.prod(np.shape(u)[:-1])) or evaluate(self, u))
+    points = _counting_points(monkeypatch)
     for form in _each_form(monkeypatch):
         points.clear()
-        ((_, _, K),) = operators._slabs(Grid((-2.0,), (2.0,), m), k, np.arange(10, 10 + c), np.arange(30, 30 + c))
+        _, ((_, _, K),) = operators._slabs(Grid((-2.0,), (2.0,), m), k, np.arange(10, 10 + c), np.arange(30, 30 + c))
         assert _form(K) == form
         if form == "tensor":
             assert K.size == m * c * c
         else:
-            assert K.rows.size == sum(points) and K.a_index.shape == (m, c)
+            assert K.table.size == sum(points) and K.a_index.shape == (m, c)
         assert 0 < sum(points) <= (m + c - 1) * (2 * c - 1)
 
 
@@ -784,8 +789,9 @@ def test_a_1d_plan_evaluates_k_once_per_lattice_offset(make, monkeypatch):
 def test_bilinear_2d_matches_a_direct_sum(make, grid, monkeypatch):
     """At every point, h^4 times the sum over the nonzero cells of
     K(x - y, x - z) f(y) g(z) at coordinate offsets (K reads 0 at the pair
-    y = z = x), plus the self cell when alpha > 0, in either form; a plan
-    cut into slabs gives the one-slab result bit for bit."""
+    y = z = x), plus the self cell when alpha > 0, in either form; a tensor
+    cut into slabs gives the one-slab result bit for bit, and a cap below
+    the table leaves it one kept slab."""
     k = make()
     rng = np.random.default_rng(19)
     f, g = (GridFunction(grid, rng.standard_normal(grid.shape) * (rng.uniform(size=grid.shape) < 0.5)) for _ in range(2))
@@ -799,17 +805,19 @@ def test_bilinear_2d_matches_a_direct_sum(make, grid, monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), form
         ((_, _, one),) = operators._plans[0][1]
         # tensor slabs of 16 output cells (at 7 cells the BLAS product rounds
-        # some rows differently from the one-slab product), or table slabs
-        # of at most three quarters of the table's rows
-        small = 16 * len(ysel) * len(zsel) if form == "tensor" else 3 * one.rows.size // 4
+        # some rows differently from the one-slab product), or a cap below
+        # the table's entries, which caps tensor slabs only
+        small = 16 * len(ysel) * len(zsel) if form == "tensor" else one.table.size - 1
         monkeypatch.setattr(operators, "_MAX_TENSOR", small)
         operators._plans.clear()
-        slabs = list(operators._slabs(grid, k, ysel, zsel))
-        assert len(slabs) > 1 and {_form(K2) for *_, K2 in slabs} == {form}
+        kept, slabs = operators._slabs(grid, k, ysel, zsel)
+        slabs = list(slabs)
+        assert kept == (len(slabs) == 1) == (form == "table")
+        assert {_form(K2) for *_, K2 in slabs} == {form}
         if form == "tensor":
             assert np.concatenate([K2 for _, _, K2 in slabs]).tobytes() == one.tobytes()
         chunked = OperatorHandle(k)(f, g).values.reshape(-1)
-        assert operators._plans == []
+        assert len(operators._plans) == kept
         assert chunked.tobytes() == got.tobytes(), form
 
 
@@ -858,18 +866,19 @@ def test_bilinear_apply_matches_einsum(make, kind, kept, monkeypatch):
     want = _einsum_apply(k, f, h)
     for form in _each_form(monkeypatch):
         if not kept:
-            # the 64 x 24 x 24 tensor comes in slabs of 3 output cells, and
-            # the 87 x 47 table in slabs of at most 42 rows (19 output cells,
-            # 24 rows each), built on every call and never kept
+            # the 64 x 24 x 24 tensor comes in slabs of 3 output cells,
+            # built on every call and never kept; the 87 x 47 table is one
+            # kept slab whatever the cap
             monkeypatch.setattr(operators, "_MAX_TENSOR", 2_000)
-        slabs = list(operators._slabs(g, k, ysel, zsel))
-        assert (len(slabs) == 1) == kept
+        one, slabs = operators._slabs(g, k, ysel, zsel)
+        slabs = list(slabs)
+        assert one == (len(slabs) == 1) == (kept or form == "table")
         assert {_form(K) for *_, K in slabs} == {form}
         got = OperatorHandle(k)(f, h)
         assert got.values.dtype == want.dtype
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want)), form
-        assert len(operators._plans) == (1 if kept else 0)
-        if kept:  # and again from the kept plan
+        assert len(operators._plans) == one
+        if one:  # and again from the kept plan
             again = OperatorHandle(k)(f, h)
             assert np.max(np.abs(again.values - want)) <= 1e-13 * np.max(np.abs(want)), form
 
@@ -954,36 +963,65 @@ def test_a_large_support_pair_takes_the_table_form_in_little_memory():
     operators._plans.clear()
 
 
-def test_table_slabs_equal_the_kept_table_bit_for_bit(monkeypatch):
-    """A cap below the table's size sends the level-2 pair through slabs of
-    output cells, built afresh on every call: each slab holds at most
-    _MAX_TENSOR table entries, no plan is kept, and the result is the kept
-    table's bit for bit, since each output reads the same table rows and
-    sums its own row. A cap below one output cell's rows selects the tensor
-    form instead."""
+def test_a_cap_below_the_table_leaves_the_level_2_pair_one_kept_table(monkeypatch):
+    """_MAX_TENSOR caps tensor slabs only: with it below the level-2 pair's
+    table and below the 32 x 63 entries one output cell reads, the pair
+    still takes the table form as one kept slab, K is evaluated once per
+    table entry, and the result is the uncapped kept table's bit for bit."""
     k, f, h = _level_2_pair()
     operators._plans.clear()
     kept = OperatorHandle(k)(f, h)
     ((_, _, table),) = operators._plans[0][1]
-    assert table.rows.shape == (543, 63)
-    cap = 63 * 100
-    monkeypatch.setattr(operators, "_MAX_TENSOR", cap)
+    assert table.table.shape == (543, 63)
+    monkeypatch.setattr(operators, "_MAX_TENSOR", 32 * 63 - 1)
     operators._plans.clear()
-    held = []
-    rows = operators._table_rows
-    monkeypatch.setattr(operators, "_table_rows", lambda *args: held.append((out := rows(*args)).size) or out)
+    points = _counting_points(monkeypatch)
     for _ in range(2):
         got = OperatorHandle(k)(f, h)
-        assert operators._plans == []
+        assert _kept_form() == "table"
         assert got.values.tobytes() == kept.values.tobytes()
-    assert len(held) == 2 * 8 and max(held) <= cap
-    # one output cell reads 32 rows of 63 entries: below that cap the table
-    # form would exceed it, so the pair takes the tensor form in slabs
-    monkeypatch.setattr(operators, "_MAX_TENSOR", 32 * 63 - 1)
-    slabs = list(operators._slabs(f.grid, k, np.flatnonzero(f.values), np.flatnonzero(h.values)))
-    assert len(slabs) == 512 and {_form(K) for *_, K in slabs} == {"tensor"}
-    got = OperatorHandle(k)(f, h)
-    assert np.max(np.abs(got.values - kept.values)) <= 1e-13 * np.max(np.abs(kept.values))
+    assert sum(points) == 543 * 63
+    operators._plans.clear()
+
+
+def test_two_full_2d_supports_keep_one_table_above_the_tensor_cap(monkeypatch):
+    """Two full supports on a 2D m = 10 grid, with _MAX_TENSOR below the
+    181 x 361 table entries one output cell reads: the pair takes the table
+    form as one kept slab, evaluates K once per entry of the 19^4-entry
+    table, and matches the direct sum."""
+    grid = Grid((-1.0, -1.0), (1.0, 1.0), 10)
+    k = fixtures.make_kernel("bilinear_riesz", 2)
+    rng = np.random.default_rng(31)
+    f, g = (GridFunction(grid, rng.standard_normal(grid.shape)) for _ in range(2))
+    assert np.all(f.values) and np.all(g.values)
+    want = _direct_sum(k, f, g)
+    monkeypatch.setattr(operators, "_MAX_TENSOR", 60_000)
+    operators._plans.clear()
+    points = _counting_points(monkeypatch)
+    got = OperatorHandle(k)(f, g)
+    assert _kept_form() == "table"
+    assert sum(points) == 19**4
+    assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+    operators._plans.clear()
+
+
+def test_the_plan_slot_is_empty_whenever_a_plan_is_built(monkeypatch):
+    """Each build of a plan, kept or in tensor slabs, starts with no plan
+    alive, so the old plan's kernel entries are freed before the new ones
+    are evaluated."""
+    build, alive = operators._slabs, []
+    monkeypatch.setattr(operators, "_slabs", lambda *args: alive.append(len(operators._plans)) or build(*args))
+    k, f, h = _level_2_pair()
+    g = Grid((-2.0,), (2.0,), 64)
+    rng = np.random.default_rng(37)
+    small = (_on(g, -1.0, 0.0, rng), _on(g, 0.0, 0.5, rng))
+    operators._plans.clear()
+    for pair in (small, (f, h), small, (f, h)):
+        OperatorHandle(k)(*pair)
+    monkeypatch.setattr(operators, "_MAX_TENSOR", 2_000)
+    OperatorHandle(k)(*small)  # tensor slabs, never kept
+    OperatorHandle(k)(f, h)
+    assert alive == [0] * 6
     operators._plans.clear()
 
 
