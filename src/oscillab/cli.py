@@ -27,7 +27,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import __version__, fixtures
-from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, MeanZeroViolation, NonPositiveWeight, OscillabError
+from .errors import AlphaOutOfRange, BadDelta, ConfigError, ConjugateUndefined, EmptyCube, MeanZeroViolation, NonPositiveWeight
+from .errors import OscillabError, OutOfDomain, ResolutionTooCoarse
 from .extraction import EPS_TOL, FourierExpansion, NecessityReport, fourier_reciprocal, necessity_experiment, select_geometry
 from .grid import (
     VERDICTS,
@@ -220,7 +221,10 @@ def _naming(*keys: str):
     error naming the keys it came from."""
     try:
         yield
-    except (ValueError, AlphaOutOfRange, BadDelta, ConjugateUndefined, MeanZeroViolation, NonPositiveWeight) as e:
+    except (
+        ValueError, AlphaOutOfRange, BadDelta, ConjugateUndefined, MeanZeroViolation, NonPositiveWeight,
+        EmptyCube, OutOfDomain, ResolutionTooCoarse,  # a cube family the grid cannot hold
+    ) as e:
         raise ConfigError(f"{', '.join(keys)}: {e}") from None
 
 

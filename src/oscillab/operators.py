@@ -16,10 +16,11 @@ vanishes; the fractional path (alpha > 0) adds the integral of K over it,
 read for every kernel by one rule: s / alpha times the integral of K over
 the faces of the cell [-s, s]^D, by Gauss-Legendre nodes.
 
-A bilinear application contracts f and g with the (X, Y*Z) tensor gathered
-from the offset table while that tensor is small, and with the whole table,
-T[a, c] = K(h a, h (a + c)) for a = x - y and c = y - z, as one matrix
-product and a gather once it is large (see `_slabs`).
+A bilinear application keeps one plan per pair of nonzero sets: the
+(X, Y*Z) kernel tensor while it holds at most 2^18 entries, and otherwise the whole table, T[a, c] = K(h a, h (a + c)) for
+a = x - y and c = y - z, applied as one matrix product and a gather (see
+`_plan`). No plan holds more than 2^18 tensor entries or the offset table
+of its supports' span, which is at most (2m - 1)^(2n) entries.
 
 `OperatorHandle(kernel)` calls one of the four entry points by its plain
 global name, chosen by the input count and by alpha = 0, so a wrapper
@@ -48,16 +49,13 @@ from .errors import (
 from .grid import Cube, CubeFamily, Grid, GridFunction, cube_slices
 from .spaces import SpaceSpec, _alpha_check, norm
 
-# Cap on the tensor entries that one bilinear slab holds; a larger tensor
-# comes in slabs of output cells, built afresh on every call.
-_MAX_TENSOR = 4_000_000
-# Bilinear tensors of more entries are applied through the offset table
-# when it is smaller. Measured per call, with a kept plan, at m = 512 on
-# c-cell supports, complex inputs (2 cores, Python 3.11.7, numpy 2.4.6, one
-# BLAS thread; tensor / table, microseconds): c = 16 (131,072 entries)
-# 30 / 42, c = 20 (204,800) 45 / 52, c = 24 (294,912) 74 / 68, c = 32
-# (524,288) 277 / 100, c = 64 (2,097,152) 1,066 / 346. Real inputs cross
-# between c = 16 and c = 20 (25 / 28 and 38 / 34).
+# Bilinear tensors of more entries are applied through the offset table.
+# Measured per call, with a kept plan, at m = 512 on c-cell supports,
+# complex inputs (2 cores, Python 3.11.7, numpy 2.4.6, one BLAS thread;
+# tensor / table, microseconds): c = 16 (131,072 entries) 30 / 42, c = 20
+# (204,800) 45 / 52, c = 24 (294,912) 74 / 68, c = 32 (524,288) 277 / 100,
+# c = 64 (2,097,152) 1,066 / 346. Real inputs cross between c = 16 and
+# c = 20 (25 / 28 and 38 / 34).
 _TABLE_FORM = 1 << 18
 _MAX_POINTS = 4_096  # kernel points evaluated at once when a table is built
 _SPHERE_COUNT = 2048  # sphere samples for the mean-zero check
@@ -175,12 +173,13 @@ def _linear_body(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
     outside the box: out[x] = h^n sum_{k != 0} K(k h) f[x - k] over every
     in-box offset, plus the self-cell term when alpha > 0.
 
-    The offset table K(k h) over (2m - 1)^n offsets, with the self-cell
-    integral at offset 0, and the columns are multiplied as spectra of size
-    2m per axis, which holds the whole linear convolution on the kept slice
-    [m - 1, 2m - 1). Complex columns go through as Re, Im float columns.
-    Each array is let go once transformed, so the input of a caller that
-    passes its only reference is freed before the inverse transform."""
+    The offset table K(k h) over (2m - 1)^n offsets, from `_offset_table`
+    as for every quadrature, with the self-cell integral at offset 0, and
+    the columns are multiplied as spectra of size 2m per axis, which holds
+    the whole linear convolution on the kept slice [m - 1, 2m - 1). Complex
+    columns go through as Re, Im float columns. Each array is let go once
+    transformed, so the input of a caller that passes its only reference
+    is freed before the inverse transform."""
     m = fv.shape[0]
     n = kernel.ndim
     axes = tuple(range(n))
@@ -190,8 +189,7 @@ def _linear_body(fv: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
     del fv
     spectrum = np.fft.rfftn(cols, size, axes=axes)
     del cols
-    offs = np.arange(-(m - 1), m) * h
-    table = kernel.evaluate(np.stack(np.meshgrid(*([offs] * n), indexing="ij"), axis=-1))
+    table = _offset_table(kernel, h, [np.full(n, 1 - m)], [(2 * m - 1,) * n]).reshape((2 * m - 1,) * n)
     table *= h**n
     if kernel.alpha != 0.0:
         table[(m - 1,) * n] = _self_cell(kernel, h)
@@ -264,7 +262,7 @@ def _pair_index(cells: list[np.ndarray], lo: list[np.ndarray], dims: list[tuple]
     ]
 
 
-def _offset_table(kernel: KernelSpec, grid: Grid, lo: list[np.ndarray], dims: list[tuple]) -> np.ndarray:
+def _offset_table(kernel: KernelSpec, h: float, lo: list[np.ndarray], dims: list[tuple]) -> np.ndarray:
     """The offset table, one axis per table axis a, c_2, ..., c_k, each
     flattened row-major: K at h (a, a + c_2, ..., a + c_k), with K(0) = 0.
     K is evaluated in blocks of _MAX_POINTS points, so its work arrays stay
@@ -277,7 +275,7 @@ def _offset_table(kernel: KernelSpec, grid: Grid, lo: list[np.ndarray], dims: li
         offs = np.stack(np.unravel_index(np.arange(p, q), shape), axis=-1) + low  # rows (a, c_2, ..., c_k)
         a = offs[:, :n]
         points = np.concatenate([a, *(a + offs[:, i * n : (i + 1) * n] for i in range(1, len(dims)))], axis=1)
-        out[p:q] = kernel.evaluate(points * grid.h)  # x - y_i = a + c_i
+        out[p:q] = kernel.evaluate(points * h)  # x - y_i = a + c_i
     return out.reshape([math.prod(d) for d in dims])
 
 
@@ -299,7 +297,7 @@ def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray
         u = [cells[0][:, None] - c[None] for c in cells[1:]]  # (X, Y_i, n)
         u = [np.expand_dims(v, tuple(j for j in range(1, k + 1) if j != i)) for i, v in enumerate(u, 1)]
         return kernel.evaluate(np.concatenate(np.broadcast_arrays(*u), axis=-1) * grid.h)
-    table = _offset_table(kernel, grid, lo, dims)
+    table = _offset_table(kernel, grid.h, lo, dims)
     index = [  # each pair's table index, on the tensor axes s and t
         np.expand_dims(flat, tuple(j for j in range(k + 1) if j not in (s, t)))
         for (s, t), flat in zip(_pairs(k), _pair_index(cells, lo, dims))
@@ -309,18 +307,18 @@ def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray
 
 class _Table(NamedTuple):
     """The table form of a plan: table[a, c] = K(h a, h (a + c)) for every
-    offset a = x - y and c = y - z; a_index (X, Y) is the flat index of
-    (a(x, y), y) in an (A, Y) array, c_index (Y, Z) that of (c(y, z), y) in
-    a (C, Y) array."""
+    offset a = x - y and c = y - z that the supports span; a_index (X, Y) is
+    the flat index of (a(x, y), y) in an (A, Y) array, c_index (Y, Z) that
+    of (c(y, z), y) in a (C, Y) array."""
 
     table: np.ndarray
     a_index: np.ndarray
     c_index: np.ndarray
 
 
-def _slab_sum(K: np.ndarray | _Table, fy: np.ndarray, gz: np.ndarray) -> np.ndarray:
-    """sum over y, z of K(x - y, x - z) f_y g_z for the output cells of one
-    slab, over the nonzero values fy of f and gz of g.
+def _plan_sum(K: np.ndarray | _Table, fy: np.ndarray, gz: np.ndarray) -> np.ndarray:
+    """sum over y, z of K(x - y, x - z) f_y g_z at every output cell x, over
+    the nonzero values fy of f and gz of g, for a plan K of `_plan`.
 
     Tensor form: K is the (X, Y*Z) tensor, contracted with w = f_y g_z as one
     real product, K @ w, or K @ [Re w, Im w] for complex inputs. Table form:
@@ -340,66 +338,52 @@ def _slab_sum(K: np.ndarray | _Table, fy: np.ndarray, gz: np.ndarray) -> np.ndar
     return K @ w
 
 
-def _slabs(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray) -> tuple[bool, Iterable[tuple[int, int, np.ndarray | _Table]]]:
-    """Whether the plan of the nonzero cells ysel of f and zsel of g (sorted
-    flat row-major indices) is one slab, and its slabs (start, stop, K) of
-    output cells, K in one of two forms for `_slab_sum`.
+def _plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray) -> np.ndarray | _Table:
+    """The plan of the nonzero cells ysel of f and zsel of g (sorted flat
+    row-major indices) for `_plan_sum`, over all X output cells.
 
-    - The table form, one slab of the whole (A, C) offset table T[a, c] =
-      K(h a, h (a + c)), a = x - y and c = y - z, with the (X, Y) and (Y, Z)
-      indices of each pair's offset, is taken when X Y Z is above
-      _TABLE_FORM and the table is smaller than the tensor. The (X, Y*Z)
-      tensor is never formed.
-    - Otherwise the tensor form, `kernel_tensor` of the slab's output cells
-      against ysel and zsel viewed as an (X, Y*Z) matrix, in slabs of at
-      most _MAX_TENSOR entries but never less than one output cell, built
-      one at a time as they are read. Sparse sets spread over the box take
-      it whatever their size, since their table would be the larger.
+    - The tensor form, `kernel_tensor` of every cell against ysel and zsel
+      viewed as an (X, Y*Z) matrix, while X Y Z is at most _TABLE_FORM.
+    - Otherwise the table form: the whole (A, C) offset table T[a, c] =
+      K(h a, h (a + c)), a = x - y and c = y - z, over the box of offsets
+      the supports span, with the (X, Y) and (Y, Z) indices of each pair's
+      offset. The (X, Y*Z) tensor is never formed.
 
-    Either way, the doubly-singular pair y = z = x is the zero offset, where
-    K reads 0."""
+    So no plan holds more than 2^18 tensor entries or the offset table of
+    its supports' span, which is at most (2m - 1)^(2n) entries. Either way,
+    the doubly-singular pair y = z = x is the zero offset, where K reads 0."""
     X, Y, Z = grid.m**grid.n, len(ysel), len(zsel)
+    if X * Y * Z <= _TABLE_FORM:
+        return kernel_tensor(kernel, grid, np.arange(X), ysel, zsel).reshape(X, -1)
     cells = [np.stack(np.unravel_index(v, grid.shape), axis=-1) for v in (np.arange(X), ysel, zsel)]
     lo, dims = _offset_boxes(cells)
-    if X * Y * Z > _TABLE_FORM and math.prod(sum(dims, ())) < X * Y * Z:
-        a_flat, c_flat = _pair_index(cells, lo, dims)
-        table = _offset_table(kernel, grid, lo, dims)
-        return True, [(0, X, _Table(table, a_flat * Y + np.arange(Y), c_flat * Y + np.arange(Y)[:, None]))]
-    step = max(1, _MAX_TENSOR // (Y * Z))
-    bounds = [(start, min(start + step, X)) for start in range(0, X, step)]
-    slabs = ((a, b, kernel_tensor(kernel, grid, np.arange(a, b), ysel, zsel).reshape(b - a, -1)) for a, b in bounds)
-    return len(bounds) == 1, slabs
+    a_flat, c_flat = _pair_index(cells, lo, dims)
+    return _Table(_offset_table(kernel, grid.h, lo, dims), a_flat * Y + np.arange(Y), c_flat * Y + np.arange(Y)[:, None])
 
 
-# The last plan built, as one (key, slabs) entry. The estimate chain
+# The last plan built, as one (key, plan) entry. The estimate chain
 # applies T(f, g) and T(b f, g) for every Fourier mode of a cube, all on the
 # same nonzero sets, so one slot serves every mode after the first. The key
 # is the exact nonzero sets, not their support box, so a reused plan holds
 # exactly the entries a fresh build would.
-_plans: list[tuple[tuple, tuple]] = []
+_plans: list[tuple[tuple, np.ndarray | _Table]] = []
 
 
-def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray) -> Iterable[tuple]:
-    """The slabs of `_slabs` for ysel and zsel. The slot is emptied before
-    a plan is built, so at most one plan is alive; a one-slab plan is kept
-    there for reuse, and tensor slabs are built afresh on every call."""
+def _bilinear_plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray) -> np.ndarray | _Table:
+    """The plan of `_plan` for ysel and zsel, kept in the one slot. The slot
+    is emptied before a plan is built, so at most one plan is alive."""
     key = (grid, kernel, ysel.tobytes(), zsel.tobytes())
-    if _plans and _plans[0][0] == key:
-        return _plans[0][1]
-    _plans.clear()
-    one, slabs = _slabs(grid, kernel, ysel, zsel)
-    if not one:
-        return slabs
-    _plans.append((key, tuple(slabs)))
+    if not _plans or _plans[0][0] != key:
+        _plans.clear()
+        _plans.append((key, _plan(grid, kernel, ysel, zsel)))
     return _plans[0][1]
 
 
 def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> GridFunction:
-    """T(f, g) slab by slab over the plan of `_bilinear_plan`, times the
-    cell volume h^(2n), by `_slab_sum`; for alpha > 0, the self-cell term
-    `_self_cell` f g is added once at the cells in both supports after the
-    last slab. The products run through BLAS, so their last digits depend on
-    its thread count."""
+    """T(f, g) from the one kept plan of `_bilinear_plan`, by `_plan_sum`,
+    times the cell volume h^(2n); for alpha > 0, the self-cell term
+    `_self_cell` f g is added at the cells in both supports. The products
+    run through BLAS, so their last digits depend on its thread count."""
     grid = _grid_of((f, g))
     _check_kernel(kernel, 2, grid)
     h = grid.h
@@ -408,15 +392,12 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
     gflat = g.values.reshape(-1)
     ysel = fflat.nonzero()[0]
     zsel = gflat.nonzero()[0]
-    out = np.zeros(fflat.shape[0], dtype=np.result_type(fflat, gflat))
+    dtype = np.result_type(fflat, gflat)
     if len(ysel) == 0 or len(zsel) == 0:
-        return GridFunction(grid, out.reshape(grid.shape))
+        return GridFunction(grid, np.zeros(grid.shape, dtype=dtype))
 
-    fy, gz = fflat[ysel], gflat[zsel]
-    cell2 = h**kernel.D
-    for start, stop, K in _bilinear_plan(grid, kernel, ysel, zsel):
-        out[start:stop] = _slab_sum(K, fy, gz) * cell2
-        del K  # a plan in slabs builds the next one after this one is gone
+    plan = _bilinear_plan(grid, kernel, ysel, zsel)
+    out = (_plan_sum(plan, fflat[ysel], gflat[zsel]) * h**kernel.D).astype(dtype, copy=False)
     if kernel.alpha != 0.0:
         both = np.intersect1d(ysel, zsel, assume_unique=True)
         if len(both):

@@ -188,6 +188,13 @@ _ALSO_SET = {("chain", "space_x2"): {"kernel": "hilbert"}}
         # |x|^200 underflows to 0 at the cells nearest the origin
         ("conditions", "space_x", "weighted:2:power:200"),
         ("chain", "space_y", "weighted:2:power:200"),
+        # a cube family the grid cannot hold: too fine, leaving the box, or
+        # with a cube that holds no cell center
+        ("norms", "level_max", 12),
+        ("chain", "level_max", 9),
+        ("chain", "base_side", 100.0),
+        ("necessity", "base_center", 5.9),
+        ("necessity", "level_max", 12),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, key, value):
@@ -435,7 +442,7 @@ def test_default_chain_builds_one_kernel_table_per_cube(tmp_path, monkeypatch):
     nonzero cells, so the one kept table serves all 200 applications of a
     cube: the default run of 12 cubes builds 12 plans."""
     monkeypatch.setattr(operators, "_plans", [])
-    builds = _counting(monkeypatch, "_slabs", ("oscillab.operators",))
+    builds = _counting(monkeypatch, "_plan", ("oscillab.operators",))
     cfg = write_config(tmp_path, experiment="chain", seed=1)
     assert run_in(tmp_path, "run", cfg) == 0
     rows = list(csv.DictReader(open(tmp_path / "report.csv")))
@@ -525,13 +532,26 @@ def test_chain_error_row_and_summary_name_the_stage(tmp_path, monkeypatch):
     assert re.match(r"ConvergenceFailure: Q\([-0-9.]+;[0-9.]+\), norms: modular misses 1", error), error
 
 
+def test_a_derived_cube_outside_the_box_is_an_error_row_naming_its_stage(tmp_path):
+    """A family that fits the box, one of whose chain cubes has a derived
+    cube outside it: a failure of the chain's geometry stage, not of the
+    config, so one error row naming the cube and the stage, and exit 1."""
+    cfg = write_config(tmp_path, experiment="chain", seed=1, base_center=5.0)
+    assert run_in(tmp_path, "run", cfg) == 1
+    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
+    assert [(r["quantity"], r["verdict"]) for r in rows] == [("error[OutOfDomain]", "fail")]
+    error = json.loads((tmp_path / "report.json").read_text())["summaries"]["chain"]["error"]
+    assert re.match(r"OutOfDomain: Q\([-0-9.]+;[0-9.]+\), geometry: Q\(.*exceeds box", error), error
+
+
 @pytest.mark.parametrize("experiment, also", [("maximal", {"m": 16}), ("norms", {"m": 64, "trials": 2})], ids=["maximal", "norms"])
 def test_an_overflow_inside_a_runner_writes_an_error_row(tmp_path, capsys, experiment, also):
     """A box that every config check accepts, on which the runner's random
     probes overflow: a numerical failure, reported as one error row and
     exit 1, with no traceback."""
     cfg = write_config(tmp_path, experiment=experiment, seed=1, box=[-1e300, 1e300], **also)
-    assert run_in(tmp_path, "run", cfg) == 1
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.warns(RuntimeWarning, match="invalid value"):
+        assert run_in(tmp_path, "run", cfg) == 1
     assert "Traceback" not in capsys.readouterr().err
     rows = list(csv.DictReader(open(tmp_path / "report.csv")))
     assert [(r["quantity"], r["verdict"]) for r in rows] == [("error[NonFiniteValues]", "fail")]

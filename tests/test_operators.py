@@ -138,8 +138,7 @@ def test_singular_2d_riesz_odd_symmetry():
 
 # ---- Both forms of a bilinear application ----
 
-# _TABLE_FORM values that select each form: the tensor form for every
-# tensor, and the table form for every tensor whose offset table is smaller
+# _TABLE_FORM values that select each form for every support pair
 _FORMS = {"tensor": 1 << 62, "table": 0}
 
 
@@ -158,8 +157,8 @@ def _form(K):
 
 
 def _kept_form():
-    """The form of the one kept plan, which is one slab."""
-    ((_, _, K),) = operators._plans[0][1]
+    """The form of the one kept plan."""
+    ((_, K),) = operators._plans
     return _form(K)
 
 
@@ -635,27 +634,32 @@ def test_bilinear_plan_keeps_its_self_cell():
     "make", [lambda: fixtures.make_kernel("bilinear_riesz", 1), lambda: distance_kernel(1, 1.2)],
     ids=["singular", "fractional"],
 )
-@pytest.mark.parametrize("cap", [None, 9_000], ids=["one-chunk", "chunked"])
-def test_kernel_chunks_on_overlapping_supports(make, cap, monkeypatch):
+@pytest.mark.parametrize("applied", [False, True], ids=["one-chunk", "chunked"])
+def test_kernel_chunks_on_overlapping_supports(make, applied):
     """Where the supports of f and g overlap, cells with y = z = x occur; the
-    tensor slabs of a plan are still kernel_tensor over all cells, bit for
-    bit (K reads 0 at the zero offset)."""
+    tensor plan is still kernel_tensor over all cells, bit for bit (K reads
+    0 at the zero offset), whether built alone or kept as the one plan of
+    two applications."""
     g = Grid((-2.0,), (2.0,), 64)
     k = make()
     rng = np.random.default_rng(13)
     f, h = _on(g, -1.0, 0.5, rng), _on(g, -0.5, 1.0, rng)
-    if cap is not None:
-        monkeypatch.setattr(operators, "_MAX_TENSOR", cap)
     ysel, zsel = np.flatnonzero(f.values), np.flatnonzero(h.values)
     both = sorted(set(ysel) & set(zsel))
     assert both
-    one, chunks = operators._slabs(g, k, ysel, zsel)
-    chunks = list(chunks)
-    assert (len(chunks) > 1) == (cap is not None) == (not one)
-    assert {_form(K2) for *_, K2 in chunks} == {"tensor"}
+    if applied:
+        operators._plans.clear()
+        OperatorHandle(k)(f, h)
+        ((_, K),) = operators._plans
+        OperatorHandle(k)(f, h)
+        assert operators._plans[0][1] is K
+        operators._plans.clear()
+    else:
+        K = operators._plan(g, k, ysel, zsel)
+    assert _form(K) == "tensor"
     coords = g.meshes()[0].reshape(-1, 1)
     want = kernel_tensor_at_coordinates(k, coords, coords[ysel], coords[zsel])
-    got = np.concatenate([K2 for *_, K2 in chunks]).reshape(want.shape)
+    got = K.reshape(want.shape)
     assert got.tobytes() == want.tobytes()
     assert all(want[x, list(ysel).index(x), list(zsel).index(x)] == 0.0 for x in both)
 
@@ -770,7 +774,7 @@ def test_a_1d_plan_evaluates_k_once_per_lattice_offset(make, monkeypatch):
     points = _counting_points(monkeypatch)
     for form in _each_form(monkeypatch):
         points.clear()
-        _, ((_, _, K),) = operators._slabs(Grid((-2.0,), (2.0,), m), k, np.arange(10, 10 + c), np.arange(30, 30 + c))
+        K = operators._plan(Grid((-2.0,), (2.0,), m), k, np.arange(10, 10 + c), np.arange(30, 30 + c))
         assert _form(K) == form
         if form == "tensor":
             assert K.size == m * c * c
@@ -789,36 +793,20 @@ def test_a_1d_plan_evaluates_k_once_per_lattice_offset(make, monkeypatch):
 def test_bilinear_2d_matches_a_direct_sum(make, grid, monkeypatch):
     """At every point, h^4 times the sum over the nonzero cells of
     K(x - y, x - z) f(y) g(z) at coordinate offsets (K reads 0 at the pair
-    y = z = x), plus the self cell when alpha > 0, in either form; a tensor
-    cut into slabs gives the one-slab result bit for bit, and a cap below
-    the table leaves it one kept slab."""
+    y = z = x), plus the self cell when alpha > 0, in either form; a second
+    application reads the one kept plan and gives the same bits."""
     k = make()
     rng = np.random.default_rng(19)
     f, g = (GridFunction(grid, rng.standard_normal(grid.shape) * (rng.uniform(size=grid.shape) < 0.5)) for _ in range(2))
-    ysel, zsel = np.flatnonzero(f.values), np.flatnonzero(g.values)
     want = _direct_sum(k, f, g).reshape(-1)
-    cap = operators._MAX_TENSOR
     for form in _each_form(monkeypatch):
-        monkeypatch.setattr(operators, "_MAX_TENSOR", cap)
         got = OperatorHandle(k)(f, g).values.reshape(-1)
         assert _kept_form() == form
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), form
-        ((_, _, one),) = operators._plans[0][1]
-        # tensor slabs of 16 output cells (at 7 cells the BLAS product rounds
-        # some rows differently from the one-slab product), or a cap below
-        # the table's entries, which caps tensor slabs only
-        small = 16 * len(ysel) * len(zsel) if form == "tensor" else one.table.size - 1
-        monkeypatch.setattr(operators, "_MAX_TENSOR", small)
-        operators._plans.clear()
-        kept, slabs = operators._slabs(grid, k, ysel, zsel)
-        slabs = list(slabs)
-        assert kept == (len(slabs) == 1) == (form == "table")
-        assert {_form(K2) for *_, K2 in slabs} == {form}
-        if form == "tensor":
-            assert np.concatenate([K2 for _, _, K2 in slabs]).tobytes() == one.tobytes()
-        chunked = OperatorHandle(k)(f, g).values.reshape(-1)
-        assert len(operators._plans) == kept
-        assert chunked.tobytes() == got.tobytes(), form
+        plan = operators._plans[0][1]
+        again = OperatorHandle(k)(f, g).values.reshape(-1)
+        assert operators._plans[0][1] is plan
+        assert again.tobytes() == got.tobytes(), form
 
 
 # ---- Bilinear apply as one real matrix product ----
@@ -851,13 +839,21 @@ def _inputs(g, kind, rng):
     return GridFunction(g, f.values * np.exp(1j * rng.uniform(0, 2 * np.pi, g.shape))), h
 
 
+def _plan_bytes(K):
+    return [a.tobytes() for a in (K if isinstance(K, operators._Table) else (K,))]
+
+
 @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
 @pytest.mark.parametrize(
     "make", [lambda: fixtures.make_kernel("bilinear_riesz", 1), lambda: distance_kernel(1, 1.2)],
     ids=["singular", "fractional"],
 )
-@pytest.mark.parametrize("kept", [True, False], ids=["kept-plan", "chunked"])
-def test_bilinear_apply_matches_einsum(make, kind, kept, monkeypatch):
+@pytest.mark.parametrize("again", [True, False], ids=["kept-plan", "chunked"])
+def test_bilinear_apply_matches_einsum(make, kind, again, monkeypatch):
+    """Each form matches the einsum over the whole kernel tensor; the
+    application keeps its plan as one object, the one `_plan` builds for
+    the pair ("chunked"), and a second application from it matches too
+    ("kept-plan")."""
     g = Grid((-2.0,), (2.0,), 64)
     k = make()
     f, h = _inputs(g, kind, np.random.default_rng(11))
@@ -865,22 +861,15 @@ def test_bilinear_apply_matches_einsum(make, kind, kept, monkeypatch):
     assert set(ysel) & set(zsel)  # the fractional patch has cells to patch
     want = _einsum_apply(k, f, h)
     for form in _each_form(monkeypatch):
-        if not kept:
-            # the 64 x 24 x 24 tensor comes in slabs of 3 output cells,
-            # built on every call and never kept; the 87 x 47 table is one
-            # kept slab whatever the cap
-            monkeypatch.setattr(operators, "_MAX_TENSOR", 2_000)
-        one, slabs = operators._slabs(g, k, ysel, zsel)
-        slabs = list(slabs)
-        assert one == (len(slabs) == 1) == (kept or form == "table")
-        assert {_form(K) for *_, K in slabs} == {form}
         got = OperatorHandle(k)(f, h)
+        assert _kept_form() == form
         assert got.values.dtype == want.dtype
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want)), form
-        assert len(operators._plans) == one
-        if one:  # and again from the kept plan
-            again = OperatorHandle(k)(f, h)
-            assert np.max(np.abs(again.values - want)) <= 1e-13 * np.max(np.abs(want)), form
+        if again:
+            got = OperatorHandle(k)(f, h)
+            assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want)), form
+        else:
+            assert _plan_bytes(operators._plans[0][1]) == _plan_bytes(operators._plan(g, k, ysel, zsel)), form
 
 
 def _direct_sum(k, f, g):
@@ -963,54 +952,68 @@ def test_a_large_support_pair_takes_the_table_form_in_little_memory():
     operators._plans.clear()
 
 
-def test_a_cap_below_the_table_leaves_the_level_2_pair_one_kept_table(monkeypatch):
-    """_MAX_TENSOR caps tensor slabs only: with it below the level-2 pair's
-    table and below the 32 x 63 entries one output cell reads, the pair
-    still takes the table form as one kept slab, K is evaluated once per
-    table entry, and the result is the uncapped kept table's bit for bit."""
-    k, f, h = _level_2_pair()
-    operators._plans.clear()
-    kept = OperatorHandle(k)(f, h)
-    ((_, _, table),) = operators._plans[0][1]
-    assert table.table.shape == (543, 63)
-    monkeypatch.setattr(operators, "_MAX_TENSOR", 32 * 63 - 1)
+def _keeps_one_table(k, f, h, monkeypatch):
+    """Two cold-started applications of k to (f, h): the plan is one kept
+    table, on whose entries alone K is evaluated, all in the first call."""
     operators._plans.clear()
     points = _counting_points(monkeypatch)
+    outs = []
     for _ in range(2):
-        got = OperatorHandle(k)(f, h)
-        assert _kept_form() == "table"
-        assert got.values.tobytes() == kept.values.tobytes()
-    assert sum(points) == 543 * 63
+        outs.append(OperatorHandle(k)(f, h))
+        ((_, table),) = operators._plans
+        assert isinstance(table, operators._Table)
+        assert sum(points) == table.table.size
     operators._plans.clear()
+    assert outs[1].values.tobytes() == outs[0].values.tobytes()
+    return outs[0], table
 
 
-def test_two_full_2d_supports_keep_one_table_above_the_tensor_cap(monkeypatch):
-    """Two full supports on a 2D m = 10 grid, with _MAX_TENSOR below the
-    181 x 361 table entries one output cell reads: the pair takes the table
-    form as one kept slab, evaluates K once per entry of the 19^4-entry
-    table, and matches the direct sum."""
+def test_the_level_2_pair_keeps_one_table_built_once(monkeypatch):
+    """The level-2 pair takes the table form as one kept plan: K is
+    evaluated once per entry of its 543 x 63 table, in the first call, and
+    a second call reads the kept table and gives the same bits."""
+    _, table = _keeps_one_table(*_level_2_pair(), monkeypatch)
+    assert table.table.shape == (543, 63)
+
+
+def test_a_sparse_spread_pair_keeps_one_offset_table(monkeypatch):
+    """Every 16th of 512 cells in f and g: a 524,288-entry tensor, above
+    _TABLE_FORM, whose offset table (1,008 x 993 entries) is the larger.
+    The pair still keeps that one table, K is evaluated once per table
+    entry and never again, and the result matches the direct sum."""
+    grid = Grid((-2.0,), (2.0,), 512)
+    k = fixtures.make_kernel("bilinear_riesz", 1)
+    rng = np.random.default_rng(41)
+    spread = np.arange(512) % 16 == 0
+    f, g = (GridFunction(grid, rng.standard_normal(512) * spread) for _ in range(2))
+    assert 512 * 32 * 32 > operators._TABLE_FORM
+    want = _direct_sum(k, f, g)
+    got, table = _keeps_one_table(k, f, g, monkeypatch)
+    assert table.table.shape == (1008, 993)
+    assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_two_full_2d_supports_keep_one_table(monkeypatch):
+    """Two full supports on a 2D m = 10 grid, a 10^6-entry tensor: the pair
+    takes the table form as one kept plan, evaluates K once per entry of
+    the 19^4-entry table, and matches the direct sum."""
     grid = Grid((-1.0, -1.0), (1.0, 1.0), 10)
     k = fixtures.make_kernel("bilinear_riesz", 2)
     rng = np.random.default_rng(31)
     f, g = (GridFunction(grid, rng.standard_normal(grid.shape)) for _ in range(2))
     assert np.all(f.values) and np.all(g.values)
     want = _direct_sum(k, f, g)
-    monkeypatch.setattr(operators, "_MAX_TENSOR", 60_000)
-    operators._plans.clear()
-    points = _counting_points(monkeypatch)
-    got = OperatorHandle(k)(f, g)
-    assert _kept_form() == "table"
-    assert sum(points) == 19**4
+    got, table = _keeps_one_table(k, f, g, monkeypatch)
+    assert table.table.size == 19**4
     assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
-    operators._plans.clear()
 
 
 def test_the_plan_slot_is_empty_whenever_a_plan_is_built(monkeypatch):
-    """Each build of a plan, kept or in tensor slabs, starts with no plan
-    alive, so the old plan's kernel entries are freed before the new ones
-    are evaluated."""
-    build, alive = operators._slabs, []
-    monkeypatch.setattr(operators, "_slabs", lambda *args: alive.append(len(operators._plans)) or build(*args))
+    """Each build of a plan, in either form, starts with no plan alive, so
+    the old plan's kernel entries are freed before the new ones are
+    evaluated."""
+    build, alive = operators._plan, []
+    monkeypatch.setattr(operators, "_plan", lambda *args: alive.append(len(operators._plans)) or build(*args))
     k, f, h = _level_2_pair()
     g = Grid((-2.0,), (2.0,), 64)
     rng = np.random.default_rng(37)
@@ -1018,10 +1021,8 @@ def test_the_plan_slot_is_empty_whenever_a_plan_is_built(monkeypatch):
     operators._plans.clear()
     for pair in (small, (f, h), small, (f, h)):
         OperatorHandle(k)(*pair)
-    monkeypatch.setattr(operators, "_MAX_TENSOR", 2_000)
-    OperatorHandle(k)(*small)  # tensor slabs, never kept
-    OperatorHandle(k)(f, h)
-    assert alive == [0] * 6
+        assert len(operators._plans) == 1
+    assert alive == [0] * 4
     operators._plans.clear()
 
 

@@ -134,14 +134,13 @@ def test_each_chain_workload_call_takes_the_form_its_support_size_selects(name, 
     plan = operators._bilinear_plan
 
     def counted(*args):
-        slabs = plan(*args)
-        ((_, _, K),) = slabs  # every plan of these runs is one kept slab
+        K = plan(*args)
         if isinstance(K, operators._Table):
             forms["table"] += 1
             tables.append(K)
         else:
             forms["tensor"] += 1
-        return slabs
+        return K
 
     monkeypatch.setattr(operators, "_plans", [])
     monkeypatch.setattr(operators, "_bilinear_plan", counted)
