@@ -17,10 +17,9 @@ read for every kernel by one rule: s / alpha times the integral of K over
 the faces of the cell [-s, s]^D, by Gauss-Legendre nodes.
 
 A bilinear application keeps one plan per pair of nonzero sets: the
-(X, Y*Z) kernel tensor while it holds at most 2^18 entries, and otherwise the whole table, T[a, c] = K(h a, h (a + c)) for
-a = x - y and c = y - z, applied as one matrix product and a gather (see
-`_plan`). No plan holds more than 2^18 tensor entries or the offset table
-of its supports' span, which is at most (2m - 1)^(2n) entries.
+(X, Y*Z) kernel tensor, or, above 2^18 entries where it is smaller, the
+whole offset table T[a, c] = K(h a, h (a + c)) for a = x - y and
+c = y - z, applied as one matrix product and a gather (see `_plan`).
 
 `OperatorHandle(kernel)` calls one of the four entry points by its plain
 global name, chosen by the input count and by alpha = 0, so a wrapper
@@ -49,15 +48,15 @@ from .errors import (
 from .grid import Cube, CubeFamily, Grid, GridFunction, cube_slices
 from .spaces import SpaceSpec, _alpha_check, norm
 
-# Bilinear tensors of more entries are applied through the offset table.
-# Measured per call, with a kept plan, at m = 512 on c-cell supports,
-# complex inputs (2 cores, Python 3.11.7, numpy 2.4.6, one BLAS thread;
-# tensor / table, microseconds): c = 16 (131,072 entries) 30 / 42, c = 20
-# (204,800) 45 / 52, c = 24 (294,912) 74 / 68, c = 32 (524,288) 277 / 100,
-# c = 64 (2,097,152) 1,066 / 346. Real inputs cross between c = 16 and
-# c = 20 (25 / 28 and 38 / 34).
+# Bilinear tensors of more entries are applied through the offset table
+# when it is smaller. Measured per call, with a kept plan, at m = 512 on
+# c-cell supports, complex inputs (2 cores, Python 3.11.7, numpy 2.4.6, one
+# BLAS thread; tensor / table, microseconds): c = 16 (131,072 entries)
+# 30 / 42, c = 20 (204,800) 45 / 52, c = 24 (294,912) 74 / 68, c = 32
+# (524,288) 277 / 100, c = 64 (2,097,152) 1,066 / 346. Real inputs cross
+# between c = 16 and c = 20 (25 / 28 and 38 / 34).
 _TABLE_FORM = 1 << 18
-_MAX_POINTS = 4_096  # kernel points evaluated at once when a table is built
+_MAX_POINTS = 4_096  # kernel points evaluated at once, for a table or a tensor
 _SPHERE_COUNT = 2048  # sphere samples for the mean-zero check
 _SPHERE_SEED = 20240811
 _FACE_NODES = 8  # Gauss-Legendre nodes per half-axis on a self-cell face
@@ -262,21 +261,28 @@ def _pair_index(cells: list[np.ndarray], lo: list[np.ndarray], dims: list[tuple]
     ]
 
 
-def _offset_table(kernel: KernelSpec, h: float, lo: list[np.ndarray], dims: list[tuple]) -> np.ndarray:
-    """The offset table, one axis per table axis a, c_2, ..., c_k, each
-    flattened row-major: K at h (a, a + c_2, ..., a + c_k), with K(0) = 0.
-    K is evaluated in blocks of _MAX_POINTS points, so its work arrays stay
-    small whatever the table's size."""
-    n, shape = len(lo[0]), sum(dims, ())
-    low = np.concatenate(lo)
+def _evaluate(kernel: KernelSpec, h: float, shape: tuple, points: Callable) -> np.ndarray:
+    """K at h points(index) over the row-major indices of shape, flat, for
+    points mapping index arrays to integer rows (count, D), in blocks of
+    _MAX_POINTS points, so K's work arrays stay small whatever the shape."""
     out = np.empty(math.prod(shape))
     for p in range(0, out.size, _MAX_POINTS):
         q = min(p + _MAX_POINTS, out.size)
-        offs = np.stack(np.unravel_index(np.arange(p, q), shape), axis=-1) + low  # rows (a, c_2, ..., c_k)
-        a = offs[:, :n]
-        points = np.concatenate([a, *(a + offs[:, i * n : (i + 1) * n] for i in range(1, len(dims)))], axis=1)
-        out[p:q] = kernel.evaluate(points * h)  # x - y_i = a + c_i
-    return out.reshape([math.prod(d) for d in dims])
+        out[p:q] = kernel.evaluate(points(np.unravel_index(np.arange(p, q), shape)) * h)
+    return out
+
+
+def _offset_table(kernel: KernelSpec, h: float, lo: list[np.ndarray], dims: list[tuple]) -> np.ndarray:
+    """The offset table, one axis per table axis a, c_2, ..., c_k, each
+    flattened row-major: K at h (a, a + c_2, ..., a + c_k), with K(0) = 0."""
+    low = np.concatenate(lo)
+
+    def points(index):  # rows (a, c_2, ..., c_k) to (a, a + c_2, ..., a + c_k), as x - y_i = a + c_i
+        offs = (np.stack(index, axis=-1) + low).reshape(-1, len(dims), len(lo[0]))
+        offs[:, 1:] += offs[:, :1]
+        return offs.reshape(len(offs), -1)
+
+    return _evaluate(kernel, h, sum(dims, ()), points).reshape([math.prod(d) for d in dims])
 
 
 def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray) -> np.ndarray:
@@ -287,16 +293,15 @@ def kernel_tensor(kernel: KernelSpec, grid: Grid, x: np.ndarray, *ys: np.ndarray
     the sets span), at the points h (a, a + c_2, ..., a + c_k), and the
     tensor is gathered from it. Where that table would hold more points
     than the tensor has entries (sparse sets spread over the box), K is
-    read at each entry's own lattice offset instead."""
+    read at each entry's own lattice offset instead, in the same blocks."""
     cells = [np.stack(np.unravel_index(v, grid.shape), axis=-1) for v in (x, *ys)]  # (count, n)
-    if not all(len(c) for c in cells):
-        return np.zeros(tuple(len(c) for c in cells))
-    k = len(ys)
+    k, shape = len(ys), tuple(len(c) for c in cells)
+    if 0 in shape:
+        return np.zeros(shape)
     lo, dims = _offset_boxes(cells)
-    if math.prod(sum(dims, ())) > math.prod(len(c) for c in cells):
-        u = [cells[0][:, None] - c[None] for c in cells[1:]]  # (X, Y_i, n)
-        u = [np.expand_dims(v, tuple(j for j in range(1, k + 1) if j != i)) for i, v in enumerate(u, 1)]
-        return kernel.evaluate(np.concatenate(np.broadcast_arrays(*u), axis=-1) * grid.h)
+    if math.prod(sum(dims, ())) > math.prod(shape):
+        entries = lambda index: np.concatenate([cells[0][index[0]] - c[i] for c, i in zip(cells[1:], index[1:])], axis=1)
+        return _evaluate(kernel, grid.h, shape, entries).reshape(shape)
     table = _offset_table(kernel, grid.h, lo, dims)
     index = [  # each pair's table index, on the tensor axes s and t
         np.expand_dims(flat, tuple(j for j in range(k + 1) if j not in (s, t)))
@@ -340,23 +345,21 @@ def _plan_sum(K: np.ndarray | _Table, fy: np.ndarray, gz: np.ndarray) -> np.ndar
 
 def _plan(grid: Grid, kernel: KernelSpec, ysel: np.ndarray, zsel: np.ndarray) -> np.ndarray | _Table:
     """The plan of the nonzero cells ysel of f and zsel of g (sorted flat
-    row-major indices) for `_plan_sum`, over all X output cells.
-
-    - The tensor form, `kernel_tensor` of every cell against ysel and zsel
-      viewed as an (X, Y*Z) matrix, while X Y Z is at most _TABLE_FORM.
-    - Otherwise the table form: the whole (A, C) offset table T[a, c] =
-      K(h a, h (a + c)), a = x - y and c = y - z, over the box of offsets
-      the supports span, with the (X, Y) and (Y, Z) indices of each pair's
-      offset. The (X, Y*Z) tensor is never formed.
-
-    So no plan holds more than 2^18 tensor entries or the offset table of
-    its supports' span, which is at most (2m - 1)^(2n) entries. Either way,
-    the doubly-singular pair y = z = x is the zero offset, where K reads 0."""
+    row-major indices) for `_plan_sum`, over all X output cells: above
+    _TABLE_FORM tensor entries, where it is the smaller, the table form,
+    the whole (A, C) offset table T[a, c] = K(h a, h (a + c)), a = x - y
+    and c = y - z, over the box of offsets the supports span, with the
+    (X, Y) and (Y, Z) indices of each pair's offset; otherwise the tensor
+    form, `kernel_tensor` of every cell against ysel and zsel as an
+    (X, Y*Z) matrix. So a plan of more than 2^18 entries is the smaller of
+    its tensor and its table, and sparse sets spread over the box, whose
+    table is the larger, keep their tensor. Either way, the doubly-singular
+    pair y = z = x is the zero offset, where K reads 0."""
     X, Y, Z = grid.m**grid.n, len(ysel), len(zsel)
-    if X * Y * Z <= _TABLE_FORM:
-        return kernel_tensor(kernel, grid, np.arange(X), ysel, zsel).reshape(X, -1)
     cells = [np.stack(np.unravel_index(v, grid.shape), axis=-1) for v in (np.arange(X), ysel, zsel)]
     lo, dims = _offset_boxes(cells)
+    if X * Y * Z <= _TABLE_FORM or math.prod(sum(dims, ())) >= X * Y * Z:
+        return kernel_tensor(kernel, grid, np.arange(X), ysel, zsel).reshape(X, -1)
     a_flat, c_flat = _pair_index(cells, lo, dims)
     return _Table(_offset_table(kernel, grid.h, lo, dims), a_flat * Y + np.arange(Y), c_flat * Y + np.arange(Y)[:, None])
 

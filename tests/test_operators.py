@@ -138,7 +138,8 @@ def test_singular_2d_riesz_odd_symmetry():
 
 # ---- Both forms of a bilinear application ----
 
-# _TABLE_FORM values that select each form for every support pair
+# _TABLE_FORM values that select each form for every support pair whose
+# offset table is smaller than its tensor, as every pair here is
 _FORMS = {"tensor": 1 << 62, "table": 0}
 
 
@@ -634,6 +635,8 @@ def test_bilinear_plan_keeps_its_self_cell():
     "make", [lambda: fixtures.make_kernel("bilinear_riesz", 1), lambda: distance_kernel(1, 1.2)],
     ids=["singular", "fractional"],
 )
+# ids kept from when plans came in chunks: "one-chunk" is the plan `_plan`
+# builds, "chunked" the plan kept after two applications
 @pytest.mark.parametrize("applied", [False, True], ids=["one-chunk", "chunked"])
 def test_kernel_chunks_on_overlapping_supports(make, applied):
     """Where the supports of f and g overlap, cells with y = z = x occur; the
@@ -848,6 +851,7 @@ def _plan_bytes(K):
     "make", [lambda: fixtures.make_kernel("bilinear_riesz", 1), lambda: distance_kernel(1, 1.2)],
     ids=["singular", "fractional"],
 )
+# "chunked", an id kept from when plans came in chunks, compares the kept plan with a fresh `_plan`
 @pytest.mark.parametrize("again", [True, False], ids=["kept-plan", "chunked"])
 def test_bilinear_apply_matches_einsum(make, kind, again, monkeypatch):
     """Each form matches the einsum over the whole kernel tensor; the
@@ -976,21 +980,41 @@ def test_the_level_2_pair_keeps_one_table_built_once(monkeypatch):
     assert table.table.shape == (543, 63)
 
 
-def test_a_sparse_spread_pair_keeps_one_offset_table(monkeypatch):
-    """Every 16th of 512 cells in f and g: a 524,288-entry tensor, above
-    _TABLE_FORM, whose offset table (1,008 x 993 entries) is the larger.
-    The pair still keeps that one table, K is evaluated once per table
-    entry and never again, and the result matches the direct sum."""
-    grid = Grid((-2.0,), (2.0,), 512)
-    k = fixtures.make_kernel("bilinear_riesz", 1)
-    rng = np.random.default_rng(41)
-    spread = np.arange(512) % 16 == 0
-    f, g = (GridFunction(grid, rng.standard_normal(512) * spread) for _ in range(2))
-    assert 512 * 32 * 32 > operators._TABLE_FORM
+def _spread_pair(n, m, step, rng):
+    """f and g on the same cells, every step-th along each axis of an
+    m-cell grid: few cells spread over the box."""
+    grid = Grid((-2.0,) * n, (2.0,) * n, m)
+    on = np.all(np.indices(grid.shape) % step == 0, axis=0)
+    return grid, *(GridFunction(grid, rng.standard_normal(grid.shape) * on) for _ in range(2))
+
+
+@pytest.mark.parametrize(
+    "n, m, step", [(1, 512, 16), (1, 8192, 1600), (2, 64, 31)], ids=["1d-32-cells", "1d-6-cells", "2d-9-cells"]
+)
+def test_a_sparse_spread_pair_keeps_its_tensor_not_its_larger_table(n, m, step, monkeypatch):
+    """Sparse sets spread over the box, above _TABLE_FORM: their offset
+    table is larger than the (X, Y*Z) tensor (in 2D, 127^4 entries against
+    331,776), so the pair keeps the tensor. K is evaluated once per tensor
+    entry, in blocks of at most _MAX_POINTS points, and never again; the
+    result matches the direct sum."""
+    grid, f, g = _spread_pair(n, m, step, np.random.default_rng(41))
+    k = fixtures.make_kernel("bilinear_riesz", n)
+    ysel = np.flatnonzero(f.values)
+    X, Y = m**n, len(ysel)
+    cells = [np.stack(np.unravel_index(v, grid.shape), axis=-1) for v in (np.arange(X), ysel, ysel)]
+    assert operators._TABLE_FORM < X * Y * Y < math.prod(sum(operators._offset_boxes(cells)[1], ()))
     want = _direct_sum(k, f, g)
-    got, table = _keeps_one_table(k, f, g, monkeypatch)
-    assert table.table.shape == (1008, 993)
-    assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+    operators._plans.clear()
+    points = _counting_points(monkeypatch)
+    outs = []
+    for _ in range(2):
+        outs.append(OperatorHandle(k)(f, g).values)
+        ((_, K),) = operators._plans
+        assert _form(K) == "tensor" and K.shape == (X, Y * Y)
+        assert sum(points) == K.size and max(points) <= operators._MAX_POINTS
+    operators._plans.clear()
+    assert outs[1].tobytes() == outs[0].tobytes()
+    assert np.max(np.abs(outs[0] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_two_full_2d_supports_keep_one_table(monkeypatch):
