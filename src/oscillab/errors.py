@@ -1,7 +1,8 @@
 """Shared exception types.
 
 Every named failure mode raised by the library lives here so callers can
-catch one base class (OscillabError) or the specific condition.
+catch one base class (OscillabError) or the specific condition. A refused
+value is also a ValueError; a numerical failure is not.
 """
 
 from __future__ import annotations
@@ -11,15 +12,15 @@ class OscillabError(Exception):
     """Base class for all library errors."""
 
 
-class EmptyCube(OscillabError):
+class EmptyCube(OscillabError, ValueError):
     """A cube contains no cell centers."""
 
 
-class OutOfDomain(OscillabError):
+class OutOfDomain(OscillabError, ValueError):
     """A cube (or evaluation point) leaves the grid box."""
 
 
-class ResolutionTooCoarse(OscillabError):
+class ResolutionTooCoarse(OscillabError, ValueError):
     """Requested dyadic generation is finer than the grid spacing."""
 
 
@@ -28,11 +29,10 @@ class GridMismatch(OscillabError):
 
 
 class NonFiniteValues(OscillabError, ValueError):
-    """Grid function values that are not all finite; a ValueError too, so a
-    value refused at config time still names its key."""
+    """Grid function values that are not all finite."""
 
 
-class NonPositiveWeight(OscillabError):
+class NonPositiveWeight(OscillabError, ValueError):
     """A weight must be strictly positive and finite at every cell."""
 
 
@@ -44,7 +44,7 @@ class ConvergenceFailure(OscillabError):
         self.residual = residual
 
 
-class ConjugateUndefined(OscillabError):
+class ConjugateUndefined(OscillabError, ValueError):
     """Conjugate exponent requested where p attains 1."""
 
 
@@ -52,11 +52,11 @@ class DivisionByZeroNorm(OscillabError):
     """A ratio of norms was requested with a zero denominator."""
 
 
-class AlphaOutOfRange(OscillabError):
+class AlphaOutOfRange(OscillabError, ValueError):
     """Fractional order alpha outside the admissible interval."""
 
 
-class MeanZeroViolation(OscillabError):
+class MeanZeroViolation(OscillabError, ValueError):
     """Singular kernel whose angular part does not integrate to zero."""
 
 
@@ -68,7 +68,7 @@ class KernelVanishes(OscillabError):
     """No admissible annulus point keeps |K| bounded away from zero."""
 
 
-class BadDelta(OscillabError):
+class BadDelta(OscillabError, ValueError):
     """Geometry parameter delta outside (0, 1)."""
 
 

@@ -5,8 +5,8 @@ stable strings used by configs and reports. An entry written
 "prefix:<param>" takes a parameter after the colon, e.g. "power:0.5",
 "frac_alpha:0.5" or "weighted:2:power:0.5". A builder takes (target, param):
 the target is the grid, or the base dimension for kernels, and param is the
-text after the colon ("" for plain names). It raises ValueError for a
-parameter or grid it cannot use (AlphaOutOfRange for a kernel's order).
+text after the colon ("" for plain names). It raises a ValueError for a
+parameter or grid it cannot use (a refusal class of `errors` is one).
 """
 
 from __future__ import annotations

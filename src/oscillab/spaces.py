@@ -167,9 +167,9 @@ class Variable(SpaceSpec):
         return Variable(GridFunction(self.grid, p / (p - 1.0)))
 
     def _extremizer(self, f: GridFunction) -> GridFunction:
-        # normalize first so the pointwise power is scale-consistent
+        p = self.exponent.values  # p (|f|/||f||)^(p-1) sgn f: the modular's derivative at f/||f||
         a = np.abs(f.values) / norm(f, self)
-        return GridFunction(f.grid, np.sign(f.values) * a ** (self.exponent.values - 1.0))
+        return GridFunction(f.grid, np.sign(f.values) * p * a ** (p - 1.0))
 
 
 def associate(space: SpaceSpec) -> SpaceSpec:

@@ -53,16 +53,17 @@ def apq_constant(w: GridFunction, p: float, q: float, family: CubeFamily) -> Fam
 def ap_duality_gap(w: GridFunction, p: float, family: CubeFamily) -> float:
     """max over Q of the relative defect in A_p'(w^(1-p'), Q) = A_p(w, Q)^(p'-1).
 
-    The identity is exact algebraically; the measured gap is float noise.
+    The identity is exact algebraically; the measured gap is float noise. A
+    NaN defect (an overflowed dual weight) makes the gap NaN.
     """
     family.check_grid(w.grid)
     pp = conjugate_exponent(p)
     ppp = conjugate_exponent(pp)
     dual = w.values ** (1.0 - pp)
-    fa_w, fa_d, fa_dd = (family.means(a).tolist() for a in (w.values, dual, dual ** (1.0 - ppp)))
-    worst = 0.0
-    for a, d, dd in zip(fa_w, fa_d, fa_dd):
+
+    def defect(a: float, d: float, dd: float) -> float:
         lhs = d * dd ** (pp - 1.0)
         rhs = (a * d ** (p - 1.0)) ** (pp - 1.0)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+        return abs(lhs - rhs) / max(1.0, abs(rhs))
+
+    return _family_sup(family, (w.values, dual, dual ** (1.0 - ppp)), defect).value

@@ -89,6 +89,28 @@ def harmonic_mean_over(space: Variable, cube: Cube) -> float:
     return 1.0 / float(np.mean(1.0 / block))
 
 
+def amemiya_norm(g: GridFunction, space: Variable, steps: int = 200) -> float:
+    """The associate norm of g for the Luxemburg norm of `space`, by
+    Amemiya's formula: inf over k > 0 of (1 + integral Phi*(k |g|)) / k,
+    with Phi*(s) = (p-1)/p * s * (s/p)^(1/(p-1)) the conjugate of s^p.
+    Ternary search over log k, which the minimand is unimodal in."""
+    p = space.exponent.values
+    a = np.abs(g.values)
+
+    def amemiya(log_k: float) -> float:
+        s = np.exp(log_k) * a
+        return (1.0 + float(np.sum((p - 1.0) / p * s * (s / p) ** (1.0 / (p - 1.0)))) * g.grid.cell_volume) / np.exp(log_k)
+
+    lo, hi = -20.0, 20.0
+    for _ in range(steps):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if amemiya(m1) <= amemiya(m2):
+            hi = m2
+        else:
+            lo = m1
+    return amemiya(0.5 * (lo + hi))
+
+
 def kernel_tensor_at_coordinates(kernel: KernelSpec, x: np.ndarray, *ys: np.ndarray) -> np.ndarray:
     """K(x - y_1, ..., x - y_k) as an (X, Y_1, ..., Y_k) tensor over cell
     coordinates x and y_i, each of shape (cells, n): K evaluated once per

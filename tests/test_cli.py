@@ -188,6 +188,9 @@ _ALSO_SET = {("chain", "space_x2"): {"kernel": "hilbert"}}
         # |x|^200 underflows to 0 at the cells nearest the origin
         ("conditions", "space_x", "weighted:2:power:200"),
         ("chain", "space_y", "weighted:2:power:200"),
+        # |x|^-400 overflows there: refused with no numpy warning before the line
+        ("weight-constants", "weight", "power:-400"),
+        ("conditions", "space_x", "weighted:2:power:-400"),
         # a cube family the grid cannot hold: too fine, leaving the box, or
         # with a cube that holds no cell center
         ("norms", "level_max", 12),
@@ -542,6 +545,27 @@ def test_a_derived_cube_outside_the_box_is_an_error_row_naming_its_stage(tmp_pat
     assert [(r["quantity"], r["verdict"]) for r in rows] == [("error[OutOfDomain]", "fail")]
     error = json.loads((tmp_path / "report.json").read_text())["summaries"]["chain"]["error"]
     assert re.match(r"OutOfDomain: Q\([-0-9.]+;[0-9.]+\), geometry: Q\(.*exceeds box", error), error
+
+
+@pytest.mark.parametrize("experiment, also", [("commutator", {"box": [-1e300, 1e300], "m": 16}), ("chain", {"box": [-1e200, 1e200]})], ids=["commutator", "chain"])
+def test_a_symbol_that_overflows_on_the_box_exits_2_with_one_line(tmp_path, capsys, experiment, also):
+    """|x| overflows on a huge box while the config is read: the symbol is
+    refused in one line, with no numpy warning before it."""
+    cfg = write_config(tmp_path, experiment=experiment, seed=1, **also)
+    assert run_in(tmp_path, "run", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: symbol:") and err.count("\n") == 1
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_an_overflowed_dual_weight_fails_the_duality_gap(tmp_path):
+    """At p = 1 + 1e-7, w^(1-p') overflows on every cell, so every per-cube
+    defect is NaN: the gap row reads nan and fails rather than passing on 0."""
+    cfg = write_config(tmp_path, experiment="weight-constants", seed=1, p=1.0000001)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run_in(tmp_path, "run", cfg) == 1
+    rows = {r["quantity"]: r for r in csv.DictReader(open(tmp_path / "report.csv"))}
+    assert (rows["ap_duality_gap"]["value"], rows["ap_duality_gap"]["verdict"]) == ("nan", "fail")
 
 
 @pytest.mark.parametrize("experiment, also", [("maximal", {"m": 16}), ("norms", {"m": 64, "trials": 2})], ids=["maximal", "norms"])

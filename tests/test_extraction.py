@@ -304,7 +304,7 @@ def test_reciprocal_holds_no_full_design():
     assert _traced_peak(lambda: fourier_reciprocal(BIRIESZ, geo, 10)) <= 4 * 16 * 256**2
 
 
-def test_period_box_of_a_2d_bilinear_kernel_is_sampled_in_slabs():
+def test_period_box_of_a_2d_bilinear_kernel_is_sampled_in_flat_blocks():
     """In D = 4 the box has 32^4 points: it is sampled in flat blocks, so
     the stage holds no (box points, D) array, only the real samples and the
     two complex arrays of one fftn axis pass, and some block arrays: under

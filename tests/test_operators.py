@@ -635,14 +635,12 @@ def test_bilinear_plan_keeps_its_self_cell():
     "make", [lambda: fixtures.make_kernel("bilinear_riesz", 1), lambda: distance_kernel(1, 1.2)],
     ids=["singular", "fractional"],
 )
-# ids kept from when plans came in chunks: "one-chunk" is the plan `_plan`
-# builds, "chunked" the plan kept after two applications
-@pytest.mark.parametrize("applied", [False, True], ids=["one-chunk", "chunked"])
-def test_kernel_chunks_on_overlapping_supports(make, applied):
+@pytest.mark.parametrize("applied", [False, True], ids=["built", "kept"])
+def test_tensor_plan_on_overlapping_supports(make, applied):
     """Where the supports of f and g overlap, cells with y = z = x occur; the
     tensor plan is still kernel_tensor over all cells, bit for bit (K reads
-    0 at the zero offset), whether built alone or kept as the one plan of
-    two applications."""
+    0 at the zero offset), whether built by `_plan` ("built") or kept as the
+    one plan of two applications ("kept")."""
     g = Grid((-2.0,), (2.0,), 64)
     k = make()
     rng = np.random.default_rng(13)
@@ -684,7 +682,7 @@ _TENSOR_KERNELS = {
 
 
 def _window_sets(g, inputs, rng, x_count):
-    """x a run of x_count cells, as `_kernel_chunks` passes it, and per
+    """x a run of x_count cells (`_plan` passes every cell), and per
     kernel input 12 random cells of a random window of 16 (a 4 x 4 block in
     2D), so that the sets overlap and the offsets fit a small table."""
     side = 16 if g.n == 1 else 4
@@ -851,12 +849,11 @@ def _plan_bytes(K):
     "make", [lambda: fixtures.make_kernel("bilinear_riesz", 1), lambda: distance_kernel(1, 1.2)],
     ids=["singular", "fractional"],
 )
-# "chunked", an id kept from when plans came in chunks, compares the kept plan with a fresh `_plan`
-@pytest.mark.parametrize("again", [True, False], ids=["kept-plan", "chunked"])
+@pytest.mark.parametrize("again", [True, False], ids=["kept-plan", "built"])
 def test_bilinear_apply_matches_einsum(make, kind, again, monkeypatch):
     """Each form matches the einsum over the whole kernel tensor; the
     application keeps its plan as one object, the one `_plan` builds for
-    the pair ("chunked"), and a second application from it matches too
+    the pair ("built"), and a second application from it matches too
     ("kept-plan")."""
     g = Grid((-2.0,), (2.0,), 64)
     k = make()

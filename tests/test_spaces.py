@@ -33,8 +33,8 @@ from oscillab import (
     luxemburg_norm,
     norm,
 )
-from oscillab import spaces
-from oracles import cube_measure, from_callable, integrate
+from oscillab import fixtures, spaces
+from oracles import amemiya_norm, cube_measure, from_callable, integrate
 
 PLASTIC = 1.3247179572447460
 
@@ -179,6 +179,17 @@ def test_duality_gap_attains_one_for_weighted(g256, p):
     w = GridFunction(g256, np.abs(g256.meshes()[0]) ** 0.5)
     f = from_callable(g256, lambda x: np.cos(3 * x))
     assert duality_gap(f, Weighted(p, w), trials=16, seed=1) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_variable_extremizer_attains_the_associate_norm():
+    """g = p (|f|/||f||)^(p-1) sgn f attains Hoelder's equality against the
+    exact associate norm, read by Amemiya's formula: int f g = ||f|| ||g||'."""
+    space = fixtures.make_exponent("arctan_profile", Grid((-6.0,), (6.0,), 512))
+    f = GridFunction(space.grid, np.random.default_rng(5).standard_normal(space.grid.shape))
+    g = space._extremizer(f)
+    assert integrate(GridFunction(f.grid, f.values * g.values)) / amemiya_norm(g, space) == pytest.approx(
+        norm(f, space), rel=1e-9
+    )
 
 
 def test_norm_lattice_monotone(g256):

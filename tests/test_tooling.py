@@ -6,7 +6,8 @@ benchmark's traced pass. `perfbench/workloads.py` holds `oscillab run`
 configs, whose keys the runner must still accept and whose chain runs must
 keep the 1/K expansion within its residual budget. The runner keeps two
 experiment name lists, the runner table and the defaults table, which must
-name the same experiments.
+name the same experiments. The runner tells a refused value from a
+numerical failure by the error's type alone.
 """
 
 import importlib.util
@@ -204,6 +205,31 @@ def test_every_expect_verdict_default_is_a_verdict():
     assert defaults
     assert set(cli.VERDICTS) == {"stable", "growing", "undetermined"}
     assert set(defaults) <= set(cli.VERDICTS)
+
+
+# the error classes on each side of the runner's exit-2 line: a value the
+# lab refuses, and a numerical failure (with the two base classes)
+_REFUSALS = {
+    "EmptyCube", "OutOfDomain", "ResolutionTooCoarse", "NonPositiveWeight", "ConjugateUndefined",
+    "AlphaOutOfRange", "MeanZeroViolation", "BadDelta", "NonFiniteValues",
+}
+_FAILURES = {
+    "OscillabError", "ConfigError", "KernelVanishes", "TailTooLarge", "ConvergenceFailure", "GridMismatch",
+    "UncoveredPoint", "DivisionByZeroNorm",
+}
+
+
+def test_an_error_class_is_a_value_error_exactly_when_it_is_a_refusal():
+    """cli._naming turns a ValueError into a config error (exit 2) and lets
+    every other error through to an error row (exit 1), so the type alone
+    decides. A new error class fails here until it is put on one side."""
+    from oscillab import errors
+
+    classes = {name: c for name, c in vars(errors).items() if isinstance(c, type) and issubclass(c, Exception)}
+    assert set(classes) == _REFUSALS | _FAILURES
+    assert {name for name, c in classes.items() if issubclass(c, ValueError)} == _REFUSALS
+    bound = {name for name, v in vars(cli).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    assert bound == {"ConfigError", "OscillabError"}
 
 
 def test_a_run_imports_no_scipy(tmp_path):
