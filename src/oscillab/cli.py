@@ -428,7 +428,7 @@ def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     rows.append(
         row(
             "weight-constants",
-            f"stability[{wname},p={p:g}]",
+            f"stability[{wname},p={_num(p).removesuffix('.0')}]",
             growth,
             None,
             "info" if expect is None else _check(verdict == expect),
@@ -438,7 +438,7 @@ def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     rows.append(row("weight-constants", "ap_duality_gap", gap, 1e-12, _check(gap <= 1e-12)))
     if q is not None:
         apq = apq_constant(w, p, float(q), fam)
-        rows.append(row("weight-constants", f"apq_sup[q={float(q):g}]", apq.value, None, "info", apq.argmax))
+        rows.append(row("weight-constants", f"apq_sup[q={_num(q).removesuffix('.0')}]", apq.value, None, "info", apq.argmax))
     summary = {
         "ap_values": values,
         "growth_verdict": verdict,
@@ -619,8 +619,7 @@ def run_chain(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         worst_gap = max(worst_gap, rep.gap_23 / max(rep.stage_i, 1e-300))
         scale = max(rep.stage_iv, 1e-300)
         rows.append(row("chain", "ordering_holder", rep.gap_34, None, _check(rep.gap_34 >= -1e-9 * scale), q))
-        if rep.stage_v is not None:
-            rows.append(row("chain", "ordering_probe_bound", rep.gap_45, None, _check(rep.gap_45 >= -1e-9 * max(rep.stage_v, 1e-300)), q))
+        rows.append(row("chain", "ordering_probe_bound", rep.gap_45, None, _check(rep.gap_45 >= -1e-9 * max(rep.stage_v, 1e-300)), q))
     summary = {"epsilon": expansion.epsilon, "l1_total": expansion.l1_total, "worst_rel_gap": worst_gap, "cubes": len(report.per_cube)}
     return rows, summary
 
@@ -645,8 +644,7 @@ def run_necessity(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
             "info" if expect is None else _check(rep.ratio_verdict == expect),
         )
     )
-    if rep.sup_bound_ratio is not None:
-        rows.append(row("necessity", "bound_ratio_sup", rep.sup_bound_ratio, None, "info"))
+    rows.append(row("necessity", "bound_ratio_sup", rep.sup_bound_ratio, None, "info"))
     sup_probe = max(rep.probe_by_level.values())
     rows.append(row("necessity", "probe_norm_sup", sup_probe, None, "info"))
     summary = {

@@ -28,8 +28,7 @@ bounded mean oscillation" into per-cube arithmetic:
    the mode loop, holds one `CubeFamily` of Q and its derived cubes, whose
    measures, averages and indicator norms the chain reads too, and one
    phase table per cube of that family with a row for every mode, each
-   table from one np.exp. Stage (v) reads the norms of chi_P from a family
-   of P.
+   table from one np.exp.
 4. `verify_master_chain` evaluates, on one cube and from one expansion
    (whose geometry places the derived cubes, and whose kernel is the
    operator T the chain applies), the five-stage estimate chain
@@ -41,7 +40,7 @@ bounded mean oscillation" into per-cube arithmetic:
    (iii) the Fourier-resummed form: sum_j a_j int h_j [b,T](f_j, g_j)
    (iv)  the term-by-term Hoelder bound with |a_j| and norm products
    (v)   the closing bound with a probe estimate of the commutator norm
-         and indicator norms of the fixed dilate P of Q
+         and indicator norms of the fixed dilate P of Q, cut to the box
 
    reporting every stage, every gap, and the truncation-error budget.
 5. `necessity_experiment` runs the chain once over a cube family, keeps
@@ -53,11 +52,12 @@ Cell conventions follow `grid`: all measures are cell counts times h^n, and
 stage prefactors use those exact counts, so stages (i) and (ii) agree to
 rounding. The orderings (iii) <= (iv) <= (v) hold by construction whenever
 the probe set contains the chain's own test pairs (it always does) and Y' is
-the exact associate space of Y, as for Lebesgue and Weighted. For Variable,
-Y' is Variable(p'(.)), whose norm is only equivalent to the associate norm
-(a Hoelder defect of 1.01647 has been measured; ROADMAP item 1), so
-(iii) <= (iv), which is Hoelder's inequality for Y and Y', holds there only
-up to that equivalence constant.
+the exact associate space of Y, as for Lebesgue and Weighted ((iv) <= (v)
+as Q and its derived cubes lie in P and in the box, and every norm is a
+lattice norm). For Variable, Y' is Variable(p'(.)), whose norm is only
+equivalent to the associate norm (a Hoelder defect of 1.01647 has been
+measured; ROADMAP item 1), so (iii) <= (iv), which is Hoelder's inequality
+for Y and Y', holds there only up to that equivalence constant.
 """
 
 from __future__ import annotations
@@ -68,14 +68,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    BadDelta,
-    KernelVanishes,
-    OscillabError,
-    OutOfDomain,
-    TailTooLarge,
-)
-from .grid import Cube, CubeFamily, Grid, GridFunction, trend_verdict
+from .errors import BadDelta, KernelVanishes, OscillabError, TailTooLarge
+from .grid import Cube, CubeFamily, Grid, GridFunction, clipped_slices, trend_verdict
 from .operators import KernelSpec, OperatorHandle, _sphere_points, commutator, kernel_tensor
 from .spaces import SpaceSpec, associate, chi_norms, norm
 
@@ -508,25 +502,25 @@ class ChainReport:
     stage_iii is the real part of the resummed form; its (small) imaginary
     part is folded into gap_23 = |stage_ii - stage_iii_complex|, which the
     truncation bound bound_23 = (r/delta)^d eps_N * (oscillation-kernel
-    triple mass) must dominate. stage_v is None when the dilate P leaves
-    the grid box; ordering gaps are signed (nonnegative means the ordering
-    holds). The derived cubes are geometry.derived_cubes(cube) of the
-    expansion's geometry."""
+    triple mass) must dominate. stage_v reads the dilate P cut to the grid
+    box; ordering gaps are signed (nonnegative means the ordering holds).
+    The derived cubes are geometry.derived_cubes(cube) of the expansion's
+    geometry."""
 
     cube: Cube
     stage_i: float
     stage_ii: float
     stage_iii: float
     stage_iv: float
-    stage_v: float | None
+    stage_v: float
     gap_12: float
     gap_23: float
     bound_23: float
     gap_34: float
-    gap_45: float | None
+    gap_45: float
     probe_norm: float
     oscillation_ratio: float
-    bound_ratio: float | None
+    bound_ratio: float
     min_kernel_on_offsets: float
 
 
@@ -620,12 +614,10 @@ def verify_master_chain(
     probe_norm = float(max(ratios)) if ratios else 0.0
 
     with _stage(q, "closing bound"):
-        try:
-            family_p = CubeFamily(grid, (geometry.p_cube(q),))
-            pn = math.prod([chi_norms(Yp, family_p)[0], *(chi_norms(X, family_p)[0] for X in Xs)])
-            stage_v = c_pref * probe_norm * expansion.l1_total * pn
-        except OutOfDomain:
-            stage_v = None
+        vals = np.zeros(grid.shape)
+        vals[clipped_slices(grid, geometry.p_cube(q))] = 1.0
+        chi_p = GridFunction(grid, vals)
+        stage_v = c_pref * probe_norm * expansion.l1_total * math.prod(norm(chi_p, S) for S in (Yp, *Xs))
 
     bound_23 = scale_pref * expansion.epsilon * mass
     gap_23 = abs(stage_ii - stage_iii_c)
@@ -640,10 +632,10 @@ def verify_master_chain(
         gap_23=float(gap_23),
         bound_23=float(bound_23),
         gap_34=stage_iv - abs(stage_iii_c),
-        gap_45=None if stage_v is None else stage_v - stage_iv,
+        gap_45=stage_v - stage_iv,
         probe_norm=probe_norm,
         oscillation_ratio=stage_i / meas_q,
-        bound_ratio=None if stage_v is None else stage_v / meas_q,
+        bound_ratio=stage_v / meas_q,
         min_kernel_on_offsets=min_k,
     )
 
@@ -660,8 +652,7 @@ class NecessityReport:
     max oscillation ratio, and probe_by_level generation -> max commutator
     probe norm, so a family maximum is the max of their values; each verdict
     is grid.trend_verdict of those maxima in level order: "stable",
-    "growing" or "undetermined". sup_bound_ratio is None when no cube kept
-    its P dilate inside the box.
+    "growing" or "undetermined". sup_bound_ratio is the max bound_ratio.
     """
 
     per_cube: tuple[ChainReport, ...]
@@ -669,7 +660,7 @@ class NecessityReport:
     probe_by_level: dict[int, float]
     ratio_verdict: str
     probe_verdict: str
-    sup_bound_ratio: float | None
+    sup_bound_ratio: float
 
 
 def necessity_experiment(
@@ -693,7 +684,6 @@ def necessity_experiment(
     for lvl, rep in zip(levels, reports):
         ratio_by[lvl] = max(ratio_by.get(lvl, 0.0), rep.oscillation_ratio)
         probe_by[lvl] = max(probe_by.get(lvl, 0.0), rep.probe_norm)
-    bounds = [rep.bound_ratio for rep in reports if rep.bound_ratio is not None]
     ordered = sorted(ratio_by)
     return NecessityReport(
         per_cube=tuple(reports),
@@ -701,5 +691,5 @@ def necessity_experiment(
         probe_by_level=probe_by,
         ratio_verdict=trend_verdict([ratio_by[lvl] for lvl in ordered]),
         probe_verdict=trend_verdict([probe_by[lvl] for lvl in ordered]),
-        sup_bound_ratio=float(max(bounds)) if bounds else None,
+        sup_bound_ratio=max(rep.bound_ratio for rep in reports),
     )

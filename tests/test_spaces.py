@@ -110,7 +110,6 @@ def test_newton_lambda_meets_the_unit_modular(scale, make_exponent):
 
 
 def test_chi_norm_of_a_cube_leaving_the_box_raises(g256):
-    # the chain's closing bound reads OutOfDomain as "no stage (v)"
     q = Cube((0.9,), 0.5)
     for space in (
         Lebesgue(2.0),
