@@ -59,7 +59,6 @@ from .spaces import (
     chiQ_norm_ratio,
     condition_bilinear,
     condition_linear,
-    conjugate_exponent,
     luxemburg_norm,
     norm,
 )
@@ -407,8 +406,6 @@ def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 
 def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     p = float(cfg.get("p"))
-    with _naming("p"):
-        conjugate_exponent(p)
     q = cfg.get("q")
     if q is not None and q <= 1.0:
         raise ConfigError(f"q: need q > 1, got {q}")
@@ -419,7 +416,8 @@ def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         grid = cfg.grid("cells_per_cube", 2**level)
         w = cfg.fixture("weight", grid)
         fam = enumerate_dyadic(grid, 0, level)
-        rep = ap_constant(w, p, fam)
+        with _naming("p"):
+            rep = ap_constant(w, p, fam)
         values.append(rep.value)
         rows.append(row("weight-constants", f"ap_sup[level={level}]", rep.value, None, "info", rep.argmax))
     verdict = trend_verdict(values)
@@ -437,7 +435,8 @@ def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     gap = ap_duality_gap(w, p, fam)  # w and fam of the finest level, left by the loop
     rows.append(row("weight-constants", "ap_duality_gap", gap, 1e-12, _check(gap <= 1e-12)))
     if q is not None:
-        apq = apq_constant(w, p, float(q), fam)
+        with _naming("p"):
+            apq = apq_constant(w, p, float(q), fam)
         rows.append(row("weight-constants", f"apq_sup[q={_num(q).removesuffix('.0')}]", apq.value, None, "info", apq.argmax))
     summary = {
         "ap_values": values,

@@ -11,7 +11,7 @@ bounded mean oscillation" into per-cube arithmetic:
    delta/r, in the ball at the antipode -c, so the expansion is sampled
    there; a Gaussian-profile taper flattens the samples to ~0 before the
    period box repeats, and a least-squares pass over a dense ball sample
-   polishes the kept coefficients (the expansion is only ever used on the
+   sets the kept modes' coefficients (the expansion is only used on the
    ball, so on-ball residual is the right target). The expansion keeps the
    kernel and the geometry it was fitted on and is the chain's one set-up
    object; it is refused when its residual exceeds EPS_TOL. Its memory rule:
@@ -64,7 +64,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -228,16 +229,21 @@ class FourierExpansion:
     geometry.expansion_center, for the kernel and the geometry it was
     fitted on.
 
-    epsilon is the measured sup residual on a dense deterministic ball
-    sample; l1_total is sum_j |a_j| over coeffs, the constant of the
-    chain's closing bound.
+    epsilon is the sup residual |1/K - expansion|, measured once, on a
+    dense deterministic ball sample that is not the fit's; l1_total is
+    sum_j |a_j| over coeffs, the constant of the chain's closing bound.
     """
 
     coeffs: np.ndarray
     freqs: np.ndarray
-    epsilon: float
     geometry: ExtractionGeometry
     kernel: KernelSpec
+
+    @cached_property
+    def epsilon(self) -> float:
+        geo = self.geometry
+        sample = _unit_ball_points(geo.D, _SAMPLE_COUNT, _BALL_SEED + 1) * geo.ball_radius + np.array(geo.expansion_center)
+        return float(np.max(np.abs(1.0 / self.kernel.evaluate(sample) - self.evaluate(sample))))
 
     @property
     def l1_total(self) -> float:
@@ -298,11 +304,11 @@ def _sample_box(kernel: KernelSpec, center: np.ndarray, R: float, L: float, floo
 
 
 def _box_modes(kernel: KernelSpec, geometry: ExtractionGeometry, count: int) -> np.ndarray:
-    """The (count, D) absolute frequencies of the `count` largest FFT modes
-    of the tapered 1/K on the period box.
-
-    The box is sampled in flat blocks, so no (box points, D) array is ever
-    alive, and the real samples are let go once transformed.
+    """The (count, D) frequencies of the `count` largest DFT magnitudes |F|
+    of the tapered 1/K on the period box, ties in FFT order. The DFT only
+    picks the modes, as the fit sets every coefficient, so no phase is
+    computed. The box is sampled in flat blocks, so no (box points, D) array
+    is ever alive, and the real samples are let go once transformed.
     """
     D = geometry.D
     M = _FFT_SIZE[D]
@@ -325,22 +331,15 @@ def _box_modes(kernel: KernelSpec, geometry: ExtractionGeometry, count: int) -> 
     else:
         raise KernelVanishes("kernel vanishes arbitrarily close to the ball")
 
-    F = np.fft.fftn(W)
+    mag = np.abs(np.fft.fftn(W)).reshape(-1)
     del W
-    F /= M**D
+    # the order of a full stable sort of -|F|, but only the modes at the cut or above it are sorted
+    kth = max(mag.size - count, 0)
+    cand = np.flatnonzero(mag >= np.partition(mag, kth)[kth])
+    order = cand[np.argsort(-mag[cand], kind="stable")[:count]]
     qs = np.fft.fftfreq(M, d=1.0 / M)  # shifted integers -M/2 .. M/2 - 1
     omega_axis = np.pi * qs / L
-    # cell-centered sampling phase, then fold the box-corner phase so the
-    # stored frequencies are absolute
-    corner = center - L
-    for ax in range(D):
-        shape = [1] * D
-        shape[ax] = M
-        F *= np.exp(-1j * (np.pi * qs / M + omega_axis * corner[ax])).reshape(shape)
-    mag = np.abs(F).reshape(-1)
-    del F
-    order = np.argsort(-mag, kind="stable")
-    return omega_axis[np.stack(np.unravel_index(order[:count], (M,) * D), axis=1)]
+    return omega_axis[np.stack(np.unravel_index(order, (M,) * D), axis=1)]
 
 
 def _fit_coeffs(kernel: KernelSpec, fit: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -374,10 +373,10 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
     antipode of the base point, shrunk if it would reach the kernel
     singularity at 0), multiplies by a radial taper that is ~1 on the ball
     and ~0 before the box edge, and takes the exact DFT of the samples.
-    Modes are sorted by |a_j| descending and truncated to N_per_axis^D
-    (ties keep FFT order so runs are reproducible); the kept coefficients
-    are then re-fit by least squares against 1/K on a dense ball sample,
-    and the residual is measured on a second, independent sample. Raises
+    Modes are ranked by the DFT magnitude descending, with no phase computed,
+    and truncated to N_per_axis^D (ties keep FFT order so runs are
+    reproducible); the fit sets their coefficients by least squares against
+    1/K on a dense ball sample, and `epsilon` is measured on another. Raises
     TailTooLarge unless that residual is at most EPS_TOL (so also when it
     is NaN), and ValueError, before the period box is sampled, when the
     N_per_axis^D modes outnumber the fit points, as the fit would then be
@@ -397,23 +396,11 @@ def fourier_reciprocal(kernel: KernelSpec, geometry: ExtractionGeometry, N_per_a
         raise ValueError(f"{N_per_axis}^{D} = {N_per_axis**D} modes outnumber the {len(fit)} fit points")
     kept_freqs = _box_modes(kernel, geometry, N_per_axis**D)
 
-    # on-ball least-squares polish of the kept coefficients; the sets of
-    # kept modes are nested in N, so the fit residual refines monotonically
-    coeffs = _fit_coeffs(kernel, fit, kept_freqs)
-    expansion = FourierExpansion(
-        coeffs=coeffs,
-        freqs=kept_freqs,
-        epsilon=0.0,
-        geometry=geometry,
-        kernel=kernel,
-    )
-    sample = _unit_ball_points(D, _SAMPLE_COUNT, _BALL_SEED + 1) * R + center
-    resid = np.abs(1.0 / kernel.evaluate(sample) - expansion.evaluate(sample))
-    eps = float(np.max(resid))
-    expansion = replace(expansion, epsilon=eps)
-    if not eps <= EPS_TOL:  # a NaN residual is refused too
+    # the sets of kept modes are nested in N, so the fit residual refines monotonically
+    expansion = FourierExpansion(_fit_coeffs(kernel, fit, kept_freqs), kept_freqs, geometry, kernel)
+    if not expansion.epsilon <= EPS_TOL:  # a NaN residual is refused too
         raise TailTooLarge(
-            f"residual {eps:.3e} > {EPS_TOL:.3e} at N = {len(kept_freqs)}; raise N_per_axis"
+            f"residual {expansion.epsilon:.3e} > {EPS_TOL:.3e} at N = {len(kept_freqs)}; raise N_per_axis"
         )
     return expansion
 

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
+from .errors import NonFiniteValues
 from .grid import CubeFamily, FamilySup, GridFunction
 from .spaces import _check_weight, conjugate_exponent
 
@@ -28,11 +31,21 @@ def _family_sup(family: CubeFamily, arrays, per_cube: Callable) -> FamilySup:
     return FamilySup.of(family, [per_cube(*fa) for fa in zip(*averages)])
 
 
+def _power(w: GridFunction, e: float) -> np.ndarray:
+    """w^e, refused with NonFiniteValues, and no numpy warning, when it
+    overflows on some cell."""
+    with np.errstate(over="ignore"):
+        out = w.values**e
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteValues(f"w^{e:.6g} overflows on the grid")
+    return out
+
+
 def ap_constant(w: GridFunction, p: float, family: CubeFamily) -> FamilySup:
     _check_weight(w)
     family.check_grid(w.grid)
     pp = conjugate_exponent(p)
-    dual = w.values ** (1.0 - pp)
+    dual = _power(w, 1.0 - pp)
     return _family_sup(family, (w.values, dual), lambda a, d: a * d ** (p - 1.0))
 
 
@@ -45,7 +58,7 @@ def apq_constant(w: GridFunction, p: float, q: float, family: CubeFamily) -> Fam
     pp = conjugate_exponent(p)
     return _family_sup(
         family,
-        (w.values**q, w.values ** (-pp)),
+        (w.values**q, _power(w, -pp)),
         lambda a, b: a ** (1.0 / q) * b ** (1.0 / pp),
     )
 

@@ -132,6 +132,30 @@ def expansion_at(expansion, points: np.ndarray) -> np.ndarray:
     return (np.exp(1j * (flat @ expansion.freqs.T)) @ expansion.coeffs).reshape(pts.shape[:-1])
 
 
+def folded_spectrum(W: np.ndarray, center: np.ndarray, L: float) -> np.ndarray:
+    """The DFT of the period box samples W, of half-side L around center,
+    scaled by 1/M^D, times the cell-centred sampling phase and the
+    box-corner phase of each axis, so its frequencies are absolute."""
+    M, D = W.shape[0], W.ndim
+    qs = np.fft.fftfreq(M, d=1.0 / M)
+    F = np.fft.fftn(W) / M**D
+    for ax in range(D):
+        shape = [1] * D
+        shape[ax] = M
+        F *= np.exp(-1j * (np.pi * qs / M + np.pi * qs / L * (center[ax] - L))).reshape(shape)
+    return F
+
+
+def sorted_box_modes(F: np.ndarray, L: float, count: int) -> np.ndarray:
+    """The (count, D) frequencies of the `count` largest |F| of a period box
+    spectrum of half-side L, by a full stable sort of -|F|: ties keep FFT
+    order."""
+    M = F.shape[0]
+    order = np.argsort(-np.abs(F).reshape(-1), kind="stable")
+    omega_axis = np.pi * np.fft.fftfreq(M, d=1.0 / M) / L
+    return omega_axis[np.stack(np.unravel_index(order[:count], F.shape), axis=1)]
+
+
 def _gauss(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [lo, hi]."""
     x, w = np.polynomial.legendre.leggauss(_ORACLE_NODES)

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from oscillab import GridFunction, Lebesgue, OperatorHandle, __version__, cli, commutator, norm, operators
+from oscillab import GridFunction, Lebesgue, OperatorHandle, __version__, cli, commutator, norm, operators, weights
 from oscillab.cli import ExperimentConfig, ScopedConfig, main, run_commutator
 from oscillab.errors import ConfigError
 
@@ -173,6 +173,8 @@ _ALSO_SET = {("chain", "space_x2"): {"kernel": "hilbert"}}
         ("maximal", "json_path", "report.csv"),
         ("maximal", "csv_path", "./cfg.json"),
         ("weight-constants", "p", 1),
+        # w^(1-p') overflows at p = 1 + 1e-7: refused with no numpy warning before the line
+        ("weight-constants", "p", 1.0000001),
         ("chain", "delta", 2),
         ("conditions", "tolerance", 0),
         ("chain", "eps_tol", 1e-2),
@@ -568,10 +570,13 @@ def test_a_symbol_that_overflows_on_the_box_exits_2_with_one_line(tmp_path, caps
     assert not (tmp_path / "report.csv").exists()
 
 
-def test_an_overflowed_dual_weight_fails_the_duality_gap(tmp_path):
-    """At p = 1 + 1e-7, w^(1-p') overflows on every cell, so every per-cube
-    defect is NaN: the gap row reads nan and fails rather than passing on 0."""
-    cfg = write_config(tmp_path, experiment="weight-constants", seed=1, p=1.0000001)
+def test_an_overflowed_dual_weight_fails_the_duality_gap(tmp_path, monkeypatch):
+    """The runner refuses a p whose w^(1-p') overflows, so the gap is taken
+    at p = 1 + 1e-7 behind a run at p = 2: w^(1-p') overflows on every cell,
+    so every per-cube defect is NaN, and the gap row reads nan and fails
+    rather than passing on 0."""
+    monkeypatch.setattr(cli, "ap_duality_gap", lambda w, p, fam: weights.ap_duality_gap(w, 1.0000001, fam))
+    cfg = write_config(tmp_path, experiment="weight-constants", seed=1)
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert run_in(tmp_path, "run", cfg) == 1
     rows = {r["quantity"]: r for r in csv.DictReader(open(tmp_path / "report.csv"))}
@@ -580,12 +585,11 @@ def test_an_overflowed_dual_weight_fails_the_duality_gap(tmp_path):
 
 def test_weight_constants_labels_name_the_p_and_q_that_ran(tmp_path):
     """p and q print in their shortest round-trip form with a trailing .0
-    dropped: p = 1 + 1e-7 is not labelled p=1, a p the runner refuses."""
-    cfg = write_config(tmp_path, experiment="weight-constants", seed=1, p=1.0000001, q=1.0000001)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        run_in(tmp_path, "run", cfg)
+    dropped: p = 2 + 1e-7 is not labelled p=2, the default's label."""
+    cfg = write_config(tmp_path, experiment="weight-constants", seed=1, p=2.0000001, q=2.0000001)
+    run_in(tmp_path, "run", cfg)
     names = {r["quantity"] for r in csv.DictReader(open(tmp_path / "report.csv"))}
-    assert {"stability[power:0.5,p=1.0000001]", "apq_sup[q=1.0000001]"} <= names
+    assert {"stability[power:0.5,p=2.0000001]", "apq_sup[q=2.0000001]"} <= names
 
 
 @pytest.mark.parametrize("experiment, also", [("maximal", {"m": 16}), ("norms", {"m": 64, "trials": 2})], ids=["maximal", "norms"])

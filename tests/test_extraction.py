@@ -49,7 +49,7 @@ from oscillab.extraction import (
     select_geometry,
     verify_master_chain,
 )
-from oracles import cube_average, expansion_at, mean_oscillation_shifted
+from oracles import cube_average, expansion_at, folded_spectrum, mean_oscillation_shifted, sorted_box_modes
 
 HILBERT = fixtures.make_kernel("hilbert", 1)
 BIRIESZ = fixtures.make_kernel("bilinear_riesz", 1)
@@ -315,6 +315,65 @@ def test_period_box_of_a_2d_bilinear_kernel_is_sampled_in_flat_blocks():
     geo = select_geometry(kernel, 0.5)
     box_bytes = 16 * extraction._FFT_SIZE[4] ** 4
     assert _traced_peak(lambda: extraction._box_modes(kernel, geo, 16)) <= 3 * box_bytes
+
+
+def _recorded_boxes(monkeypatch) -> list:
+    """Every (W, center, L) of `_sample_box`, W None where the taper shrinks."""
+    boxes = []
+    sample = extraction._sample_box
+
+    def recording(kernel, center, R, L, floor):
+        boxes.append((sample(kernel, center, R, L, floor), center, L))
+        return boxes[-1][0]
+
+    monkeypatch.setattr(extraction, "_sample_box", recording)
+    return boxes
+
+
+@pytest.mark.parametrize(
+    "name, n, n_per_axis",
+    [
+        ("hilbert", 1, 5),
+        ("hilbert", 1, 10),
+        ("hilbert", 1, 20),
+        ("bilinear_riesz", 1, 5),
+        ("bilinear_riesz", 1, 10),
+        ("riesz_1", 2, 5),
+        ("riesz_1", 2, 10),
+        ("riesz_2", 2, 10),
+        ("frac_alpha:1.5", 2, 5),
+        ("frac_alpha:0.5", 1, 10),
+        ("bilinear_riesz", 2, 4),
+        ("bilinear_frac_alpha:1.5", 1, 10),
+    ],
+)
+def test_box_modes_keep_the_modes_of_the_folded_spectrum(monkeypatch, name, n, n_per_axis):
+    """The period box only picks the kept modes: the largest |F| of the bare
+    DFT are the modes of the scaled, phase-folded spectrum, and they come in
+    the order of a full stable sort of -|F|."""
+    kernel = fixtures.make_kernel(name, n)
+    geo = select_geometry(kernel, 0.5)
+    boxes = _recorded_boxes(monkeypatch)
+    count = n_per_axis**geo.D
+    got = extraction._box_modes(kernel, geo, count)
+    W, center, L = boxes[-1]
+    assert sorted(map(tuple, got)) == sorted(map(tuple, sorted_box_modes(folded_spectrum(W, center, L), L, count)))
+    assert got.tobytes() == sorted_box_modes(np.fft.fftn(W), L, count).tobytes()
+
+
+def test_box_modes_keep_tied_magnitudes_in_fft_order(monkeypatch):
+    """A spectrum whose cut falls in a run of 3,994 equal magnitudes keeps
+    the first modes of the run in FFT order, after the larger ones, as a
+    full stable sort keeps them; a selection that is not stable fails."""
+    M = extraction._FFT_SIZE[1]
+    F = np.ones(M, dtype=complex)
+    F[::-41] = 2.0
+    F[7] = F[M - 7] = 3.0
+    boxes = _recorded_boxes(monkeypatch)
+    monkeypatch.setattr(np.fft, "fftn", lambda W: F.copy())
+    got = extraction._box_modes(HILBERT, select_geometry(HILBERT, 0.5), 150)
+    L = boxes[-1][2]
+    assert got.tobytes() == sorted_box_modes(F, L, 150).tobytes()
 
 
 def test_erf_window_of_no_points_is_empty():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oscillab import (
     Grid,
     GridFunction,
+    NonFiniteValues,
     NonPositiveWeight,
     ap_constant,
     ap_duality_gap,
@@ -78,6 +79,20 @@ def test_ap_rejects_bad_weight():
     g = _grid(64)
     with pytest.raises(NonPositiveWeight):
         ap_constant(GridFunction(g, np.zeros(g.shape)), 2.0, enumerate_dyadic(g, 0, 2))
+
+
+def test_a_dual_weight_that_overflows_is_refused():
+    """w is 1e-200 on one cell: at p = 2, w^(1-p') = 1e200 is finite and
+    w^(-p') = 1e400 overflows, so apq refuses and ap does not; at p = 1 +
+    1e-7, w^(1-p') overflows too. Neither warns."""
+    g = _grid(64)
+    w = GridFunction(g, np.where(np.arange(64) == 0, 1e-200, 1.0))
+    fam = enumerate_dyadic(g, 0, 2)
+    assert np.isfinite(ap_constant(w, 2.0, fam).value)
+    with pytest.raises(NonFiniteValues, match=r"^w\^-2 overflows on the grid$"):
+        apq_constant(w, 2.0, 4.0, fam)
+    with pytest.raises(NonFiniteValues, match=r"^w\^-1e\+07 overflows on the grid$"):
+        ap_constant(w, 1.0000001, fam)
 
 
 def test_apq_matches_hand_computation():
