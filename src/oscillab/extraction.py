@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import BadDelta, KernelVanishes, OscillabError, TailTooLarge
 from .grid import Cube, CubeFamily, Grid, GridFunction, clipped_slices, trend_verdict
-from .operators import KernelSpec, OperatorHandle, _sphere_points, commutator, kernel_tensor
+from .operators import KernelSpec, OperatorHandle, _ball_sequence, _sphere_points, commutator, kernel_tensor
 from .spaces import SpaceSpec, associate, chi_norms, norm
 
 _BALL_SEED = 20240817
@@ -162,13 +162,14 @@ class ExtractionGeometry:
 
 
 def _unit_ball_points(D: int, count: int, seed: int = _BALL_SEED) -> np.ndarray:
-    """Deterministic points in the closed unit ball, boundary included."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, D))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    radii = rng.uniform(0.0, 1.0, count) ** (1.0 / D)
-    pts = g * radii[:, None]
-    shell = g[: max(8, count // 16)] * 0.999
+    """A fixed quadrature set of the closed unit ball: the origin, count
+    interior points of `_ball_sequence` (a closed-form low-discrepancy
+    sequence, whose shift the seed sets), and max(8, count // 16) shell
+    points at radius 0.999 along the directions of the first of them. The
+    set is the same on every call and needs no pseudo-random stream."""
+    pts = _ball_sequence(D, count, seed)
+    g = pts[: max(8, count // 16)]
+    shell = g * (0.999 / np.linalg.norm(g, axis=1, keepdims=True))
     return np.concatenate([np.zeros((1, D)), pts, shell], axis=0)
 
 

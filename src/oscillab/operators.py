@@ -65,17 +65,47 @@ _FACE_NODES = 8  # Gauss-Legendre nodes per half-axis on a self-cell face
 # ---- Kernels ----
 
 
+def _ball_sequence(D: int, count: int, seed: int) -> np.ndarray:
+    """The first count points of the closed unit ball of R^D met by the
+    additive recurrence z_k = frac(s + k alpha) mapped to [-1, 1]^D, with
+    alpha_j = phi^(-j) for phi the positive root of x^(D+1) = x + 1 (the
+    R_D sequence) and the shift s = frac(seed sqrt(2) alpha).
+
+    A Kronecker sequence with these irrational steps is uniformly
+    distributed in the cube (Kuipers-Niederreiter, 1974), so the kept points
+    are uniformly distributed in the ball, in closed form: the samples are
+    quadrature sets, and no pseudo-random stream is needed. No multiple of
+    sqrt(2) alpha is an integer multiple of alpha modulo 1, so the points
+    of two seeds differ."""
+    phi = 2.0
+    for _ in range(64):  # a contraction with factor below 1/2
+        phi = (1.0 + phi) ** (1.0 / (D + 1))
+    alpha = phi ** -np.arange(1.0, D + 1)
+    shift = np.modf(seed * math.sqrt(2.0) * alpha)[0]
+    # the ball holds pi^(D/2) / (Gamma(D/2 + 1) 2^D) of the cube: n points
+    # of the sequence give about count in the ball, and n doubles if too few
+    n = int(count * 2**D * math.gamma(D / 2 + 1) / math.pi ** (D / 2)) + 64
+    while True:
+        z = shift + np.arange(n)[:, None] * alpha
+        z -= np.floor(z)
+        z = 2.0 * z - 1.0
+        z = z[np.sum(z * z, axis=1) <= 1.0]
+        if len(z) >= count:
+            return z[:count]
+        n *= 2
+
+
 def _sphere_points(D: int, count: int, seed: int) -> np.ndarray:
     """Points on the unit sphere of R^D: the two points of S^0, count
-    equally spaced angles on S^1, and otherwise count // 2 seeded Gaussian
-    directions with their negatives, so odd parts cancel exactly."""
+    equally spaced angles on S^1, and otherwise the directions of the
+    count // 2 points of `_ball_sequence`, uniformly distributed on the
+    sphere, with their negatives, so odd parts cancel exactly."""
     if D == 1:
         return np.array([[1.0], [-1.0]])
     if D == 2:
         t = (np.arange(count) + 0.5) * (2 * np.pi / count)
         return np.stack([np.cos(t), np.sin(t)], axis=1)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count // 2, D))
+    g = _ball_sequence(D, count // 2, seed)
     g = np.concatenate([g, -g], axis=0)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 

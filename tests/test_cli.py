@@ -712,7 +712,7 @@ def test_default_chain_l1_total_is_the_sum_of_the_kept_coefficients(tmp_path, mo
     assert run_in(tmp_path, "run", cfg) == 0
     (expansion,) = built
     got = json.loads((tmp_path / "report.json").read_text())["summaries"]["chain"]["l1_total"]
-    assert got == float(np.sum(np.abs(expansion.coeffs))) == pytest.approx(38.0436, rel=1e-5)
+    assert got == float(np.sum(np.abs(expansion.coeffs))) == pytest.approx(40.8259, rel=1e-5)
 
 
 def test_fractional_commutator_run_exits_0(tmp_path):

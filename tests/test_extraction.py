@@ -128,6 +128,35 @@ def test_check_cube_names_the_cube(monkeypatch, derived, message):
     assert str(q) in str(info.value)
 
 
+@pytest.mark.parametrize("count", [64, extraction._SAMPLE_COUNT])
+@pytest.mark.parametrize("D", [1, 2, 4])
+def test_unit_ball_points_are_a_fixed_quadrature_set(D, count):
+    """The origin, count interior points filling the closed ball evenly,
+    and max(8, count // 16) shell points at radius 0.999, the same on every
+    call; the fit's seed and the residual check's share no interior point."""
+    pts = _unit_ball_points(D, count)
+    assert pts.shape == (1 + count + max(8, count // 16), D)
+    r = np.linalg.norm(pts, axis=1)
+    assert r[0] == 0.0 and np.all(r <= 1.0)
+    assert r[1 + count :] == pytest.approx(0.999, abs=1e-15)
+    assert pts.tobytes() == _unit_ball_points(D, count).tobytes()
+    other = _unit_ball_points(D, count, extraction._BALL_SEED + 1)
+    assert not set(map(bytes, pts[1 : 1 + count])) & set(map(bytes, other[1 : 1 + count]))
+    if count == extraction._SAMPLE_COUNT:  # half the ball's volume lies inside radius 2^(-1/D)
+        assert abs(np.mean(r[1 : 1 + count] ** D <= 0.5) - 0.5) < 0.01
+
+
+def test_sphere_points_in_4d_are_antipodal_unit_pairs():
+    """D = 4 directions come in antipodal pairs, so odd parts of Omega
+    cancel in the mean-zero check, and spread evenly: each coordinate's
+    second moment is near 1/4."""
+    pts = operators._sphere_points(4, 2048, operators._SPHERE_SEED)
+    assert pts.shape == (2048, 4)
+    assert np.linalg.norm(pts, axis=1) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(pts[1024:], -pts[:1024])
+    assert np.abs(np.mean(pts**2, axis=0) - 0.25).max() < 0.01
+
+
 def _scan_base_point(kernel, delta):
     """The direction scan as a loop: one kernel evaluation per direction and
     ball, keeping a direction only on a strict gain. The reference for the
@@ -228,14 +257,14 @@ def test_reciprocal_bilinear_quality():
 
 def test_reciprocal_tail_too_large():
     # the residual budget is extraction.EPS_TOL = 1e-2: five modes meet it
-    # (eps ~ 2.6e-3), four miss it (eps ~ 1.27e-2)
+    # (eps ~ 2.6e-3), four miss it (eps ~ 1.26e-2)
     assert extraction.EPS_TOL == 1e-2
     geo = select_geometry(HILBERT, 0.5)
     exp = fourier_reciprocal(HILBERT, geo, 5)
     assert len(exp.coeffs) == 5
     assert 1e-3 < exp.epsilon <= extraction.EPS_TOL
     assert exp.geometry is geo
-    with pytest.raises(TailTooLarge, match=r"^residual 1\.268e-02 > 1\.000e-02 at N = 4"):
+    with pytest.raises(TailTooLarge, match=r"^residual 1\.260e-02 > 1\.000e-02 at N = 4"):
         fourier_reciprocal(HILBERT, geo, 4)
 
 

@@ -25,18 +25,28 @@ from oscillab import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# runs the configs named on its command line, then prints the exit codes
-# and every scipy module the runs imported
+# runs the configs named on its command line, then prints the exit codes,
+# whether numpy.polynomial and numpy.random were loaded after each run, and
+# every scipy module the runs imported
 _RUN_AND_LIST_SCIPY = """
 import json, sys
 from oscillab import cli
-codes, polynomial = [], []
+codes, polynomial, random = [], [], []
 for path in sys.argv[1:]:
     codes.append(cli.main(["run", path]))
     polynomial.append("numpy.polynomial" in sys.modules)
+    random.append("numpy.random" in sys.modules)
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy, "polynomial": polynomial}))
+print(json.dumps({"codes": codes, "scipy": scipy, "polynomial": polynomial, "random": random}))
 """
+
+
+def _fresh_python(code, *args, timeout):
+    """Run code in a fresh interpreter that imports oscillab from this
+    checkout; the completed process."""
+    src = str(Path(oscillab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def _child(monkeypatch):
@@ -235,8 +245,10 @@ def test_an_error_class_is_a_value_error_exactly_when_it_is_a_refusal():
 def test_a_run_imports_no_scipy(tmp_path):
     """numpy is the only dependency: a default chain run, a commutator run
     and a 2D fractional commutator run import no scipy module, in a fresh
-    interpreter. numpy.polynomial, which numpy loads lazily, stays out until
-    the fractional run reaches the self-cell rule."""
+    interpreter. numpy loads numpy.polynomial and numpy.random lazily:
+    numpy.polynomial stays out until the fractional run reaches the
+    self-cell rule, and numpy.random until the commutator run draws its
+    seeded probes, since the chain's ball samples are closed-form."""
     paths = []
     for name, cfg in {
         "chain": {"experiment": "chain"},
@@ -247,14 +259,30 @@ def test_a_run_imports_no_scipy(tmp_path):
         out = {"csv_path": str(tmp_path / f"{name}.csv"), "json_path": str(tmp_path / f"{name}.out.json")}
         path.write_text(json.dumps({**cfg, "seed": 1, **out}))
         paths.append(str(path))
-    src = str(Path(oscillab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_LIST_SCIPY, *paths], env=env, capture_output=True, text=True, timeout=300
-    )
+    done = _fresh_python(_RUN_AND_LIST_SCIPY, *paths, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "scipy": [], "polynomial": [False, False, True]}
+    assert result == {
+        "codes": [0, 0, 0],
+        "scipy": [],
+        "polynomial": [False, False, True],
+        "random": [False, True, True],
+    }
+
+
+def test_a_2d_bilinear_geometry_loads_no_prng():
+    """In D = 4 the mean-zero check's sphere sample and the direction scan's
+    sphere and ball samples are closed-form: building a 2D bilinear kernel
+    and selecting its geometry leave numpy.random unloaded."""
+    code = (
+        "import sys\n"
+        "from oscillab import extraction, fixtures\n"
+        "extraction.select_geometry(fixtures.make_kernel('bilinear_riesz', 2), 0.5)\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    done = _fresh_python(code, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_pytest_collects_without_pythonpath():
