@@ -38,6 +38,7 @@ from .grid import (
     cube_slices,
     enumerate_dyadic,
     indicator,
+    on_block,
     trend_verdict,
 )
 from .spaces import (

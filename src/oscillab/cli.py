@@ -275,8 +275,9 @@ class ScopedConfig:
     def validate(self) -> tuple[str, ...]:
         """Build the grid, every fixture the keys name and the associate of
         space_y, refuse a weight-constants level range that would run no
-        level and a norms level_max with no level below it, and return the
-        space keys the experiment reads. weight-constants reads no m: its
+        level, a norms level_max with no level below it and a space key the
+        experiment reads but has no value for, and return the space keys
+        the experiment reads. weight-constants reads no m: its
         fixtures are built on its first level's grid, as every later level
         has more cells, and an even number of them."""
         lmin, lmax = self.get("level_min"), self.get("level_max")
@@ -287,6 +288,9 @@ class ScopedConfig:
         grid = self.grid("cells_per_cube", 2**lmin) if self.experiment == "weight-constants" else self.grid()
         built = {key: self.fixture(key, grid) for key in self.values}
         keys = self.space_keys(built.get("kernel"))
+        for key in keys:
+            if built.get(key) is None:
+                raise ConfigError(f"{key}: {self.experiment} reads it, but it has no value")
         if keys:  # every experiment that reads space_y reads its associate
             with _naming(keys[-1]):
                 associate(built[keys[-1]])

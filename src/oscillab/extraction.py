@@ -70,11 +70,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadDelta, KernelVanishes, OscillabError, TailTooLarge
-from .grid import Cube, CubeFamily, Grid, GridFunction, clipped_slices, trend_verdict
-from .operators import KernelSpec, OperatorHandle, _ball_sequence, _sphere_points, commutator, kernel_tensor
+from .grid import Cube, CubeFamily, GridFunction, clipped_slices, on_block, trend_verdict
+from .operators import _BALL_SEED, KernelSpec, OperatorHandle, _ball_sequence, _sphere_points, commutator, kernel_tensor
 from .spaces import SpaceSpec, associate, chi_norms, norm
 
-_BALL_SEED = 20240817
 # select_geometry: the least min |K| near the base point and its antipode,
 # relative to the kernel scale at the scan radius
 _MIN_KERNEL_REL = 1e-3
@@ -449,17 +448,6 @@ class ChainCube:
         fs = [_phase_table(axes[i], scale * blocks[:, i - 1], -1.0) for i in range(1, len(family))]
         return cls(family, bqp, sigma, (h, *fs))
 
-    @property
-    def grid(self) -> Grid:
-        return self.family.grid
-
-    def h_modulus(self) -> GridFunction:
-        """|sigma| chi_Q, which is |h| for every mode up to rounding of
-        |e^{i t}|, so ||h||_{Y'} is taken from it once per cube."""
-        vals = np.zeros(self.grid.shape)
-        vals[self.family.slices(0)] = np.abs(self.sigma)
-        return GridFunction(self.grid, vals)
-
 
 def build_test_functions(cube: ChainCube, j: int) -> tuple[tuple[GridFunction, ...], np.ndarray]:
     """(fs, h) for mode j of the frequencies `cube` was built for. fs holds
@@ -469,15 +457,11 @@ def build_test_functions(cube: ChainCube, j: int) -> tuple[tuple[GridFunction, .
     their shape; h is 0 off Q and read only there.
 
     The phases come from the tables of `cube`, so a mode makes no
-    exponential: it scatters row j of each derived cube's table into a grid
-    function and reads row j of h's table."""
-    grid = cube.grid
-    fs = []
-    for i in range(1, len(cube.family)):
-        vals = np.zeros(grid.shape, dtype=np.complex128)
-        vals[cube.family.slices(i)] = cube.phases[i][j]
-        fs.append(GridFunction(grid, vals))
-    return tuple(fs), cube.phases[0][j]
+    exponential: it puts row j of each derived cube's table on that cube's
+    block of cells and reads row j of h's table."""
+    family = cube.family
+    fs = tuple(on_block(family.grid, family.slices(i), cube.phases[i][j]) for i in range(1, len(family)))
+    return fs, cube.phases[0][j]
 
 
 # ---- The estimate chain ----
@@ -578,7 +562,9 @@ def verify_master_chain(
 
     Yp = associate(Y)
     with _stage(q, "norms"):
-        h_norm = norm(cube.h_modulus(), Yp)
+        # |h| is |sigma| chi_Q for every mode, up to rounding of |e^{i t}|,
+        # so ||h||_{Y'} is taken once per cube
+        h_norm = norm(on_block(grid, sl_q, np.abs(cube.sigma)), Yp)
         nfg = math.prod(chi_norms(X, cube.family)[i] for i, X in enumerate(Xs, start=1))
 
     def one_mode(j: int):
@@ -602,9 +588,7 @@ def verify_master_chain(
     probe_norm = float(max(ratios)) if ratios else 0.0
 
     with _stage(q, "closing bound"):
-        vals = np.zeros(grid.shape)
-        vals[clipped_slices(grid, geometry.p_cube(q))] = 1.0
-        chi_p = GridFunction(grid, vals)
+        chi_p = on_block(grid, clipped_slices(grid, geometry.p_cube(q)), 1.0)
         stage_v = c_pref * probe_norm * expansion.l1_total * math.prod(norm(chi_p, S) for S in (Yp, *Xs))
 
     bound_23 = scale_pref * expansion.epsilon * mass

@@ -236,10 +236,17 @@ class GridFunction:
         return GridFunction(self.grid, self.values / self._coerce(other))
 
 
+def on_block(grid: Grid, block: tuple[slice, ...], values) -> GridFunction:
+    """The grid function equal to `values` on the cells the per-axis slices
+    `block` select and 0 elsewhere, in the dtype of `values`."""
+    values = np.asarray(values)
+    out = np.zeros(grid.shape, dtype=values.dtype)
+    out[block] = values
+    return GridFunction(grid, out)
+
+
 def indicator(grid: Grid, cube: Cube) -> GridFunction:
-    vals = np.zeros(grid.shape)
-    vals[cube_slices(grid, cube)] = 1.0
-    return GridFunction(grid, vals)
+    return on_block(grid, cube_slices(grid, cube), 1.0)
 
 
 @dataclass(eq=False)

@@ -45,7 +45,7 @@ from .errors import (
     GridMismatch,
     MeanZeroViolation,
 )
-from .grid import Cube, CubeFamily, Grid, GridFunction, cube_slices
+from .grid import Cube, CubeFamily, Grid, GridFunction, cube_slices, on_block
 from .spaces import SpaceSpec, _alpha_check, norm
 
 # Bilinear tensors of more entries are applied through the offset table
@@ -58,7 +58,7 @@ from .spaces import SpaceSpec, _alpha_check, norm
 _TABLE_FORM = 1 << 18
 _MAX_POINTS = 4_096  # kernel points evaluated at once, for a table or a tensor
 _SPHERE_COUNT = 2048  # sphere samples for the mean-zero check
-_SPHERE_SEED = 20240811
+_BALL_SEED = 20240817  # the seed of every fixed sample of `_ball_sequence`
 _FACE_NODES = 8  # Gauss-Legendre nodes per half-axis on a self-cell face
 
 
@@ -126,7 +126,7 @@ class KernelSpec:
         if self.inputs not in (1, 2):
             raise ValueError(f"a kernel takes 1 or 2 inputs, got {self.inputs}")
         _alpha_check(self.alpha, self.D)
-        pts = _sphere_points(self.D, _SPHERE_COUNT, _SPHERE_SEED)
+        pts = _sphere_points(self.D, _SPHERE_COUNT, _BALL_SEED)
         vals = np.asarray(self.omega(pts), dtype=float)
         scale = max(1.0, float(np.max(np.abs(vals))))
         if self.alpha == 0.0 and abs(float(np.mean(vals))) > 1e-6 * scale:
@@ -476,9 +476,7 @@ def _averaging(fs: Sequence[GridFunction], cube: Cube, alpha: float) -> GridFunc
     sl = cube_slices(grid, cube)
     blocks = [f.values[sl] for f in fs]
     val = math.prod([(blocks[0].size * grid.cell_volume) ** (alpha / grid.n), *(np.sum(b) / b.size for b in blocks)])
-    out = np.zeros(grid.shape, dtype=np.result_type(*(f.values for f in fs)))
-    out[sl] = val
-    return GridFunction(grid, out)
+    return on_block(grid, sl, np.asarray(val, dtype=np.result_type(*(f.values for f in fs))))
 
 
 def averaging(f: GridFunction, cube: Cube, alpha: float = 0.0) -> GridFunction:

@@ -227,11 +227,25 @@ def test_norms_exponent_reaching_1_is_refused_when_the_config_is_read(monkeypatc
 
 def test_all_accepts_a_space_key_that_one_experiment_reads():
     """conditions never reads space_x1 without space_x2, but chain does; a
-    1-input chain never reads space_x2, but conditions then does."""
-    for keys in ({"space_x1": "lebesgue:3"}, {"kernel": "hilbert", "space_x2": "lebesgue:3"}):
+    1-input chain never reads space_x2, but conditions then does (with
+    space_x1, which conditions reads beside it and has no default for)."""
+    for keys in ({"space_x1": "lebesgue:3"}, {"kernel": "hilbert", "space_x1": "lebesgue:3", "space_x2": "lebesgue:3"}):
         ExperimentConfig({"experiment": "all", "seed": 0, **keys})
     with pytest.raises(ConfigError, match="space_x2: no experiment of this run reads it"):
         ExperimentConfig({"experiment": "necessity", "seed": 0, "kernel": "hilbert", "space_x2": "lebesgue:3"})
+
+
+@pytest.mark.parametrize("experiment", ["conditions", "all"])
+def test_a_read_space_key_without_a_value_exits_2_before_any_runner(tmp_path, capsys, monkeypatch, experiment):
+    """With space_x2 set, conditions reads space_x1 too, which has no
+    default: refused with one line naming it, before any runner starts."""
+    for name in cli.RUNNERS:
+        monkeypatch.setitem(cli.RUNNERS, name, lambda cfg: pytest.fail("a runner started"))
+    cfg = write_config(tmp_path, experiment=experiment, seed=1, space_x2="lebesgue:4")
+    assert run_in(tmp_path, "run", cfg) == 2
+    assert capsys.readouterr().err == "config error: space_x1: conditions reads it, but it has no value\n"
+    assert not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_all_refuses_an_unknown_family_before_any_runner(tmp_path, capsys, monkeypatch):

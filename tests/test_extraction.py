@@ -33,6 +33,7 @@ from oscillab import (
     condition_bilinear,
     cube_slices,
     norm,
+    on_block,
     trend_verdict,
 )
 from oscillab import extraction, fixtures, operators, spaces
@@ -150,7 +151,7 @@ def test_sphere_points_in_4d_are_antipodal_unit_pairs():
     """D = 4 directions come in antipodal pairs, so odd parts of Omega
     cancel in the mean-zero check, and spread evenly: each coordinate's
     second moment is near 1/4."""
-    pts = operators._sphere_points(4, 2048, operators._SPHERE_SEED)
+    pts = operators._sphere_points(4, 2048, operators._BALL_SEED)
     assert pts.shape == (2048, 4)
     assert np.linalg.norm(pts, axis=1) == pytest.approx(1.0, abs=1e-15)
     assert np.array_equal(pts[1024:], -pts[:1024])
@@ -617,7 +618,7 @@ def test_hoisted_h_norm_matches_per_mode_norm(make):
     Yp = associate(make(b.grid))
     nus = [[1.7, -0.6], [-13.25, 40.1], [0.0, 0.0]]
     cube = ChainCube.build(b, q, geo, np.array(nus))
-    hoisted = norm(cube.h_modulus(), Yp)
+    hoisted = norm(on_block(b.grid, cube.family.slices(0), np.abs(cube.sigma)), Yp)
     assert hoisted > 0.0
     for j in range(len(nus)):
         h = np.zeros(b.grid.shape, dtype=np.complex128)

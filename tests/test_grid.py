@@ -9,11 +9,14 @@ from oscillab import (
     GridFunction,
     GridMismatch,
     OutOfDomain,
+    averaging,
     centered_family,
     cube_slices,
     enumerate_dyadic,
     indicator,
+    on_block,
 )
+from oscillab.grid import clipped_slices
 from oracles import cube_average, cube_cell_count, cube_measure, integrate
 
 
@@ -140,6 +143,34 @@ def test_gridfunction_complex_passthrough():
     f = GridFunction(g, np.exp(1j * np.arange(4.0)))
     assert np.iscomplexobj(f.values)
     assert np.allclose(np.abs(f.values), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_on_block_is_its_values_on_the_block_and_zero_elsewhere(n):
+    """A real value reads float64 and a complex block keeps its dtype; the
+    cells off the block are exactly 0. indicator, and chi_{P cut to the box}
+    for a dilate P that leaves the box, equal the zero array with 1.0 put
+    on the block, bit for bit. averaging keeps a complex64 input's dtype."""
+    g = Grid((-1.0,) * n, (1.0,) * n, 16)
+    q = Cube((0.6,) * n, 0.5)
+    sl = cube_slices(g, q)
+    off = np.ones(g.shape, dtype=bool)
+    off[sl] = False
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(4,) * n) + 1j * rng.normal(size=(4,) * n)
+    for values, dtype in ((1.0, np.float64), (2, np.float64), (block, np.complex128), (block.astype(np.complex64), np.complex64)):
+        f = on_block(g, sl, values)
+        assert f.values.dtype == dtype
+        assert np.array_equal(f.values[sl], np.broadcast_to(values, (4,) * n))
+        assert not f.values[off].any()
+    p_box = clipped_slices(g, q.dilate(3.0))
+    assert not g.box_cube().contains_cube(q.dilate(3.0))
+    for got, slices in ((indicator(g, q), sl), (on_block(g, p_box, 1.0), p_box)):
+        hand = np.zeros(g.shape)
+        hand[slices] = 1.0
+        assert got.values.dtype == hand.dtype and got.values.tobytes() == hand.tobytes()
+    f = GridFunction(g, np.exp(1j * np.arange(16**n).reshape(g.shape)).astype(np.complex64))
+    assert averaging(f, q).values.dtype == np.complex64
 
 
 @settings(max_examples=50, deadline=None)

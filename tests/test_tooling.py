@@ -41,12 +41,13 @@ print(json.dumps({"codes": codes, "scipy": scipy, "polynomial": polynomial, "ran
 """
 
 
-def _fresh_python(code, *args, timeout):
-    """Run code in a fresh interpreter that imports oscillab from this
-    checkout; the completed process."""
+def _fresh_python(*argv, timeout):
+    """Run a fresh interpreter with the arguments argv (`-c code ...` or
+    `-m module ...`), importing oscillab from this checkout; the completed
+    process."""
     src = str(Path(oscillab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def _child(monkeypatch):
@@ -259,7 +260,7 @@ def test_a_run_imports_no_scipy(tmp_path):
         out = {"csv_path": str(tmp_path / f"{name}.csv"), "json_path": str(tmp_path / f"{name}.out.json")}
         path.write_text(json.dumps({**cfg, "seed": 1, **out}))
         paths.append(str(path))
-    done = _fresh_python(_RUN_AND_LIST_SCIPY, *paths, timeout=300)
+    done = _fresh_python("-c", _RUN_AND_LIST_SCIPY, *paths, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {
@@ -280,9 +281,17 @@ def test_a_2d_bilinear_geometry_loads_no_prng():
         "extraction.select_geometry(fixtures.make_kernel('bilinear_riesz', 2), 0.5)\n"
         "print('numpy.random' in sys.modules)"
     )
-    done = _fresh_python(code, timeout=120)
+    done = _fresh_python("-c", code, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def test_python_dash_m_oscillab_is_the_command_line():
+    """`python -m oscillab` runs the `oscillab` entry point, so a checkout
+    that is not installed has a command line too."""
+    done = _fresh_python("-m", "oscillab", "version", timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{oscillab.__version__}\n"
 
 
 def test_pytest_collects_without_pythonpath():
