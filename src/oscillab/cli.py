@@ -2,7 +2,8 @@
 
 Subcommands: `run <config.json>`, `list-fixtures`, `version`. A config is a
 flat JSON object; `--set key=value` overrides single keys. Every run needs a
-seed (randomized probes refuse to guess one), writes a CSV of report rows
+seed in [0, 2^64) (randomized probes refuse to guess one), writes a CSV of
+report rows
 with the fixed columns
 
     experiment,quantity,cube_center,cube_side,value,tolerance,verdict
@@ -62,6 +63,7 @@ from .spaces import (
     luxemburg_norm,
     norm,
 )
+from .stream import SEEDS, box_muller, uniforms
 from .weights import ap_constant, ap_duality_gap, apq_constant
 
 GLOBAL_DEFAULTS = {
@@ -197,12 +199,14 @@ def _has_kind(value, kind: type) -> bool:
 def _check_value(key: str, value):
     """Refuse an unknown key, a value of the wrong kind, and the values no
     constructor refuses: trials or n_per_axis below 1, a tolerance that is
-    not positive, a family other than dyadic or centered and an
-    expect_verdict that trend_verdict never returns."""
+    not positive, a seed outside [0, 2^64), a family other than dyadic or
+    centered and an expect_verdict that trend_verdict never returns."""
     if key not in KINDS:
         raise ConfigError(f"unknown key {key!r}: no experiment reads it")
     if not (_has_kind(value, KINDS[key]) or (value is None and key in NULLABLE)):
         raise ConfigError(f"{key} must be {_KIND_NAMES[KINDS[key]]}, got {value!r}")
+    if key == "seed" and not 0 <= value < SEEDS:
+        raise ConfigError(f"seed must be in [0, 2^64), got {value}")
     if key in ("trials", "n_per_axis") and value < 1:
         raise ConfigError(f"{key} must be >= 1, got {value}")
     if key == "tolerance" and value <= 0:
@@ -268,16 +272,19 @@ class ScopedConfig:
     def get(self, key: str, default=None):
         return self.values.get(key, default)
 
-    def rng(self) -> np.random.Generator:
-        with _naming("seed"):
-            return np.random.default_rng(self.seed)
+    def draws(self, block: int, size: int) -> np.ndarray:
+        """Block `block` of `size` uniforms on [0, 1) from the seed's stream:
+        draws block * size .. (block + 1) * size - 1."""
+        return uniforms(self.seed, block * size, size)
 
     def validate(self) -> tuple[str, ...]:
-        """Build the grid, every fixture the keys name and the associate of
-        space_y, refuse a weight-constants level range that would run no
-        level, a norms level_max with no level below it and a space key the
-        experiment reads but has no value for, and return the space keys
-        the experiment reads. weight-constants reads no m: its
+        """Build the grid, every fixture the experiment reads and the
+        associate of space_y, refuse a weight-constants level range that
+        would run no level, a norms level_max with no level below it and a
+        space key the experiment reads but has no value for, and return the
+        space keys the experiment reads. A fixture key it does not read is
+        checked by name and never built, so a grid that key's fixture
+        cannot live on refuses nothing. weight-constants reads no m: its
         fixtures are built on its first level's grid, as every later level
         has more cells, and an even number of them."""
         lmin, lmax = self.get("level_min"), self.get("level_max")
@@ -286,15 +293,26 @@ class ScopedConfig:
         if self.experiment == "norms" and lmax < 1:
             raise ConfigError(f"norms compares levels 0..level_max with 0..level_max-1, so needs level_max >= 1, got {lmax}")
         grid = self.grid("cells_per_cube", 2**lmin) if self.experiment == "weight-constants" else self.grid()
-        built = {key: self.fixture(key, grid) for key in self.values}
+        read = self.fixture_keys()
+        for key in fixtures.FIXTURES:
+            if key in self.values and key not in read:
+                with _naming(key):
+                    fixtures.lookup(key, self.get(key))
+        built = {key: self.fixture(key, grid) for key in read}
         keys = self.space_keys(built.get("kernel"))
+        built.update((key, self.fixture(key, grid)) for key in keys)
         for key in keys:
-            if built.get(key) is None:
+            if built[key] is None:
                 raise ConfigError(f"{key}: {self.experiment} reads it, but it has no value")
         if keys:  # every experiment that reads space_y reads its associate
             with _naming(keys[-1]):
                 associate(built[keys[-1]])
         return keys
+
+    def fixture_keys(self) -> tuple[str, ...]:
+        """The fixture keys other than space keys that the experiment reads:
+        the ones its defaults set. `fixture` builds no other."""
+        return tuple(key for key in EXP_DEFAULTS[self.experiment] if key in fixtures.FIXTURES)
 
     def space_keys(self, kernel: KernelSpec | None) -> tuple[str, ...]:
         """The space keys the experiment reads, input spaces first and
@@ -335,10 +353,14 @@ class ScopedConfig:
     def fixture(self, key: str, grid: Grid):
         """The fixture `key` names (space_* keys name spaces), built on `grid`
         by the fixtures.make_* function of its kind, which perfbench's tracer
-        wraps; None when the key is unset or names no fixture."""
+        wraps; None when the key is unset. Any other key not in
+        `fixture_keys` raises KeyError: a runner reads no fixture key that
+        `validate` did not build."""
         kind = "space" if key.startswith("space_") else key
+        if kind != "space" and key not in self.fixture_keys():
+            raise KeyError(f"{self.experiment} reads no fixture key {key!r}")
         name = self.get(key)
-        if name is None or kind not in fixtures.FIXTURES:
+        if name is None:
             return None
         with _naming(key):
             return getattr(fixtures, f"make_{kind}")(name, grid.n if kind == "kernel" else grid)
@@ -347,16 +369,27 @@ class ScopedConfig:
 # ---- individual experiments ----
 
 
-def _random_smooth(grid: Grid, rng: np.random.Generator) -> GridFunction:
-    """A few random Gaussian bumps; smooth, sign-changing, nonzero."""
+_BUMPS = 4  # Gaussian bumps of a random smooth function
+
+
+def _smooth_draws(grid: Grid) -> int:
+    """The uniforms `_random_smooth` reads on `grid`: n + 3 per bump."""
+    return _BUMPS * (grid.n + 3)
+
+
+def _random_smooth(grid: Grid, u: np.ndarray) -> GridFunction:
+    """Four Gaussian bumps read from the `_smooth_draws(grid)` uniforms u,
+    n + 3 per bump: its center, uniform over the box; its width, uniform in
+    [0.2, 1] times a quarter of the box; and its amplitude, a standard
+    normal by Box-Muller from the last two. Smooth, sign-changing, nonzero."""
     meshes = grid.meshes()
     vals = np.zeros(grid.shape)
     width = (grid.hi[0] - grid.lo[0]) / 4
-    for _ in range(4):
-        c = [rng.uniform(lo, hi) for lo, hi in zip(grid.lo, grid.hi)]
-        s = rng.uniform(0.2, 1.0) * width
+    for bump in u.reshape(_BUMPS, grid.n + 3):
+        c = [lo + (hi - lo) * float(t) for lo, hi, t in zip(grid.lo, grid.hi, bump)]
+        s = (0.2 + 0.8 * float(bump[grid.n])) * width
         r2 = sum((m - ci) ** 2 for m, ci in zip(meshes, c))
-        vals += rng.normal(0, 1) * np.exp(-r2 / (2 * s * s))
+        vals += float(box_muller(bump[grid.n + 1 :])) * np.exp(-r2 / (2 * s * s))
     if np.max(np.abs(vals)) < 1e-12:
         vals += 1.0
     return GridFunction(grid, vals)
@@ -364,8 +397,8 @@ def _random_smooth(grid: Grid, rng: np.random.Generator) -> GridFunction:
 
 def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     grid = cfg.grid()
-    rng = cfg.rng()
     trials = cfg.get("trials")
+    size = _smooth_draws(grid) + 1  # a trial's block: f, then the scale c
     const = Variable(GridFunction(grid, np.full(grid.shape, _P_CONST)))
     space = cfg.fixture("exponent", grid)
     lmax = cfg.get("level_max")
@@ -375,12 +408,13 @@ def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     worst_closed = 0.0
     worst_hom = 0.0
     worst_mod = 0.0
-    for _ in range(trials):
-        f = _random_smooth(grid, rng)
+    for trial in range(trials):
+        u = cfg.draws(trial, size)
+        f = _random_smooth(grid, u[:-1])
         lux = luxemburg_norm(f, const)
         closed = norm(f, Lebesgue(_P_CONST))
         worst_closed = max(worst_closed, abs(lux - closed) / closed)
-        c = rng.uniform(0.5, 20.0)
+        c = 0.5 + 19.5 * float(u[-1])
         nf = luxemburg_norm(f, space)
         nc = luxemburg_norm(c * f, space)
         worst_hom = max(worst_hom, abs(nc - c * nf) / (c * nf))
@@ -477,21 +511,21 @@ def run_conditions(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 
 def run_maximal(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     grid = cfg.grid()
-    rng = cfg.rng()
     with _naming("level_max"):
         fam = enumerate_dyadic(grid, 0, cfg.get("level_max"))
     trials = cfg.get("trials")
+    k = _smooth_draws(grid)
     viol_lin = 0
     viol_bil = 0
-    for _ in range(trials):
-        f = _random_smooth(grid, rng)
-        g = _random_smooth(grid, rng)
-        q = fam.cubes[int(rng.integers(len(fam)))]
-        alpha = float(rng.uniform(0.0, grid.n))
+    for trial in range(trials):
+        # a trial's block: f, g, then the cube index, alpha and alpha2
+        u = cfg.draws(trial, 2 * k + 3)
+        f, g = (_random_smooth(grid, block) for block in u[: 2 * k].reshape(2, k))
+        index, alpha, alpha2 = (float(t) for t in u[2 * k :] * (len(fam), grid.n, 2 * grid.n))
+        q = fam.cubes[int(index)]
         mf = maximal(f, alpha, fam)
         af = averaging(f, q, alpha)
         viol_lin += int(np.sum(np.abs(af.values) > mf.values))
-        alpha2 = float(rng.uniform(0.0, 2 * grid.n))
         mb = bilinear_maximal(f, g, alpha2, fam)
         ab = bilinear_averaging(f, g, q, alpha2)
         viol_bil += int(np.sum(np.abs(ab.values) > mb.values))
@@ -566,8 +600,8 @@ def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
         tol = grid.h**2
         rows.append(row("commutator", "box_response_vs_closed_form", err, tol, _check(err <= tol)))
     cb = GridFunction(grid, np.full(grid.shape, 2.5))
-    rng = cfg.rng()
-    fs = [_random_smooth(grid, rng) for _ in range(kernel.inputs)]
+    u = cfg.draws(0, kernel.inputs * _smooth_draws(grid))
+    fs = [_random_smooth(grid, block) for block in u.reshape(kernel.inputs, -1)]
     czero = float(np.max(np.abs(commutator(cb, T, *fs).values)))
     rows.append(row("commutator", "constant_symbol_commutator", czero, _ZERO_TOL, _check(czero <= _ZERO_TOL)))
     if kernel.inputs != 1:

@@ -81,13 +81,19 @@ FIXTURES = {
 }
 
 
-def build(kind: str, name: str, target):
-    """Build the `kind` fixture `name` on `target`."""
+def lookup(kind: str, name: str):
+    """(builder, param) of the `kind` fixture `name`, built by nothing."""
     head, colon, param = name.partition(":")
     for entry, builder in FIXTURES[kind].items():
         if entry == name or (colon and entry.startswith(head + colon)):
-            return builder(target, param)
+            return builder, param
     raise ValueError(f"unknown {kind} {name!r}; `oscillab list-fixtures` prints the known names")
+
+
+def build(kind: str, name: str, target):
+    """Build the `kind` fixture `name` on `target`."""
+    builder, param = lookup(kind, name)
+    return builder(target, param)
 
 
 def make_kernel(name: str, n: int) -> KernelSpec:

@@ -32,6 +32,7 @@ from .grid import (
     Grid,
     GridFunction,
 )
+from .stream import box_muller, uniforms
 
 MODULAR_TOL = 1e-10
 MAX_NEWTON = 50
@@ -280,16 +281,18 @@ def duality_gap(f: GridFunction, space: SpaceSpec, trials: int = 32, seed: int =
 
     The sample always includes the analytic extremizer, so the result sits in
     [1 - eps, 1 + eps] for Lebesgue/Weighted; random probes alone only give a
-    lower bound.
+    lower bound. Probe t is a standard normal on every cell, read from block
+    t of the stream `seed`, two uniforms per cell.
     """
     nf = norm(f, space)
     if nf == 0.0:
         raise DivisionByZeroNorm("duality gap of the zero function")
     dual = associate(space)
-    rng = np.random.default_rng(seed)
+    size = 2 * f.values.size
     candidates = [space._extremizer(f)]
-    for _ in range(trials):
-        candidates.append(GridFunction(f.grid, rng.standard_normal(f.grid.shape)))
+    for trial in range(trials):
+        u = uniforms(seed, trial * size, size).reshape(*f.grid.shape, 2)
+        candidates.append(GridFunction(f.grid, box_muller(u)))
     best = 0.0
     for g in candidates:
         ng = norm(g, dual)

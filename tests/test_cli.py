@@ -123,6 +123,47 @@ def test_seed_required(tmp_path, capsys):
     assert run_in(tmp_path, "run", cfg) == 2
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("experiment", ["chain", "norms", "all"])
+def test_a_seed_outside_the_stream_exits_2_before_any_runner(tmp_path, capsys, monkeypatch, experiment, seed):
+    """Every experiment reads one seed rule when the config is read, whether
+    or not it draws: chain, which draws nothing, refuses it as norms does."""
+    for name in cli.RUNNERS:
+        monkeypatch.setitem(cli.RUNNERS, name, lambda cfg: pytest.fail("a runner started"))
+    cfg = write_config(tmp_path, experiment=experiment, seed=seed)
+    assert run_in(tmp_path, "run", cfg) == 2
+    assert capsys.readouterr().err == f"config error: seed must be in [0, 2^64), got {seed}\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_a_fixture_key_the_experiment_never_reads_is_not_built(tmp_path, capsys):
+    """maximal reads no symbol, so log|x| is never built on its m = 127 grid,
+    which has a cell center at the origin; chain reads it, and refuses it."""
+    cfg = write_config(tmp_path, experiment="maximal", seed=1, m=127, symbol="log_abs")
+    assert run_in(tmp_path, "run", cfg) == 0
+    cfg = write_config(tmp_path, experiment="chain", seed=1, m=127, symbol="log_abs")
+    assert run_in(tmp_path, "run", cfg) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: symbol: symbol 'log_abs' undefined: a cell center sits at the origin\n"
+
+
+def test_a_runner_builds_only_the_fixture_keys_its_experiment_reads():
+    scoped = ScopedConfig(ExperimentConfig({"experiment": "maximal", "seed": 1}), "maximal")
+    assert scoped.fixture_keys() == ()
+    with pytest.raises(KeyError, match="maximal reads no fixture key 'symbol'"):
+        scoped.fixture("symbol", scoped.grid())
+    keys = {name: ScopedConfig(ExperimentConfig({"experiment": name, "seed": 1}), name).fixture_keys() for name in cli.RUNNERS}
+    assert keys == {
+        "norms": ("exponent",),
+        "weight-constants": ("weight",),
+        "conditions": (),
+        "maximal": (),
+        "commutator": ("kernel", "symbol"),
+        "chain": ("kernel", "symbol"),
+        "necessity": ("kernel", "symbol"),
+    }
+
+
 def test_bad_fixture_name(tmp_path):
     cfg = write_config(tmp_path, experiment="commutator", seed=0, kernel="cauchy_dream")
     assert run_in(tmp_path, "run", cfg) == 2

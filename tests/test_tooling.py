@@ -13,6 +13,7 @@ numerical failure by the error's type alone.
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -244,15 +245,18 @@ def test_an_error_class_is_a_value_error_exactly_when_it_is_a_refusal():
 
 
 def test_a_run_imports_no_scipy(tmp_path):
-    """numpy is the only dependency: a default chain run, a commutator run
-    and a 2D fractional commutator run import no scipy module, in a fresh
-    interpreter. numpy loads numpy.polynomial and numpy.random lazily:
-    numpy.polynomial stays out until the fractional run reaches the
-    self-cell rule, and numpy.random until the commutator run draws its
-    seeded probes, since the chain's ball samples are closed-form."""
+    """numpy is the only dependency: a default chain run, norms, maximal and
+    commutator runs and a 2D fractional commutator run import no scipy
+    module, in a fresh interpreter. numpy loads numpy.polynomial and
+    numpy.random lazily: numpy.polynomial stays out until the fractional
+    run reaches the self-cell rule, and numpy.random stays out of every
+    run, since the chain's ball samples are closed-form and the seeded
+    probes read the lab's own stream."""
     paths = []
     for name, cfg in {
         "chain": {"experiment": "chain"},
+        "norms": {"experiment": "norms"},
+        "maximal": {"experiment": "maximal"},
         "commutator": {"experiment": "commutator"},
         "fractional": {"experiment": "commutator", "kernel": "frac_alpha:0.5", "dimension": 2, "m": 32, "box": [-2.0, 2.0]},
     }.items():
@@ -264,11 +268,19 @@ def test_a_run_imports_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {
-        "codes": [0, 0, 0],
+        "codes": [0, 0, 0, 0, 0],
         "scipy": [],
-        "polynomial": [False, False, True],
-        "random": [False, True, True],
+        "polynomial": [False, False, False, False, True],
+        "random": [False, False, False, False, False],
     }
+
+
+def test_no_module_names_numpy_random():
+    """Every randomized probe reads oscillab.stream; no module of the
+    package names numpy's generator, so none can load it."""
+    package = Path(oscillab.__file__).resolve().parent
+    named = [path.name for path in sorted(package.glob("*.py")) if re.search(r"\b(np|numpy)\.random\b", path.read_text())]
+    assert named == []
 
 
 def test_a_2d_bilinear_geometry_loads_no_prng():
