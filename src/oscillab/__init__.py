@@ -9,6 +9,13 @@ that squeezes a symbol's oscillation between commutator norms.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:  # a report's bytes depend on the BLAS thread count; a caller's count wins
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
+
 from .errors import (
     AlphaOutOfRange,
     BadDelta,

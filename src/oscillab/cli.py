@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from collections import ChainMap
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 
@@ -60,6 +61,7 @@ from .spaces import (
     chiQ_norm_ratio,
     condition_bilinear,
     condition_linear,
+    conjugate_exponent,
     luxemburg_norm,
     norm,
 )
@@ -76,67 +78,11 @@ GLOBAL_DEFAULTS = {
     "json_path": "report.json",
 }
 
-_CHAIN_DEFAULTS = {
-    "kernel": "bilinear_riesz",
-    "symbol": "log_abs",
-    "box": [-6.0, 6.0],
-    "m": 512,
-    "space_x1": "lebesgue:4",
-    "space_x2": "lebesgue:4",
-    "space_y": "lebesgue:2",
-    "delta": 0.5,
-    "n_per_axis": 10,
-    "base_center": 0.0,
-    "level_min": 2,
-}
-
-EXP_DEFAULTS = {
-    "norms": {"exponent": "arctan_profile", "trials": 50, "level_max": 6},
-    "weight-constants": {
-        "weight": "power:0.5",
-        "p": 2.0,
-        "level_min": 5,
-        "level_max": 8,
-        "cells_per_cube": 16,
-    },
-    "conditions": {
-        "space_x": "lebesgue:2",
-        "space_y": "lebesgue:2",
-        "alpha": 0.0,
-        "level_max": 6,
-        "expect": 1.0,
-        "tolerance": 1e-9,
-    },
-    "maximal": {"box": [-2.0, 2.0], "m": 128, "trials": 20, "level_max": 4},
-    "commutator": {
-        "kernel": "hilbert",
-        "symbol": "log_abs",
-        "box": [-8.0, 8.0],
-        "m": 1024,
-    },
-    "chain": {**_CHAIN_DEFAULTS, "family": "dyadic", "base_side": 1.125, "level_max": 3},
-    "necessity": {
-        **_CHAIN_DEFAULTS,
-        "family": "centered",
-        "base_side": 3.0,
-        "level_max": 5,
-        "expect_verdict": "stable",
-    },
-}
-
 # Fixed tolerances and constants of the experiments; no config sets them.
 _P_CONST = 2.5  # norms: the constant exponent checked against the closed form
 _ZERO_TOL = 1e-10  # commutator: a constant symbol commutes with T
 _ORACLE_TOL = 0.02  # commutator: the log 3 step response
 
-# The type of each key's values: the type of its default, or listed here for
-# the keys that have none. A key in neither place is read by no experiment.
-KINDS = {
-    "experiment": str,
-    "seed": int,
-    "q": float,
-    **{key: type(v) for defaults in (GLOBAL_DEFAULTS, *EXP_DEFAULTS.values()) for key, v in defaults.items()},
-}
 # Keys whose null means "no expectation" or "skip this quantity".
 NULLABLE = ("q", "expect", "expect_verdict")
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "[lo, hi], two finite numbers"}
@@ -236,8 +182,8 @@ class ExperimentConfig:
 
     def __init__(self, data: dict):
         name = data.get("experiment")
-        if name not in (*RUNNERS, "all"):
-            raise ConfigError(f"experiment must be one of {', '.join(RUNNERS)} or 'all'; got {name!r}")
+        if name not in (*EXPERIMENTS, "all"):
+            raise ConfigError(f"experiment must be one of {', '.join(EXPERIMENTS)} or 'all'; got {name!r}")
         if "seed" not in data:
             raise ConfigError("config needs a seed (randomized probes refuse to guess)")
         for key, value in data.items():
@@ -245,12 +191,12 @@ class ExperimentConfig:
         self.data = data
         self.experiment = name
         self.seed = data["seed"]
-        self.experiments = tuple(RUNNERS) if name == "all" else (name,)
+        self.experiments = tuple(EXPERIMENTS) if name == "all" else (name,)
         read = set()
         # a value that overflows here fails its finiteness check: one line, no warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for experiment in self.experiments:
-                read.update(ScopedConfig(self, experiment).validate())
+            for name in self.experiments:
+                read.update(ScopedConfig(self, name).validate())
         for key in data:
             if key.startswith("space_") and key not in read:
                 reads = ", ".join(sorted(read)) or "no space key"
@@ -262,12 +208,13 @@ class ExperimentConfig:
 
 class ScopedConfig:
     """One experiment's view: config keys over its defaults over the global
-    defaults."""
+    defaults, with the rules of its record."""
 
     def __init__(self, base: ExperimentConfig, experiment: str):
         self.experiment = experiment
+        self.record = EXPERIMENTS[experiment]
         self.seed = base.seed
-        self.values = ChainMap(base.data, EXP_DEFAULTS[experiment], GLOBAL_DEFAULTS)
+        self.values = ChainMap(base.data, self.record.defaults, GLOBAL_DEFAULTS)
 
     def get(self, key: str, default=None):
         return self.values.get(key, default)
@@ -278,28 +225,19 @@ class ScopedConfig:
         return uniforms(self.seed, block * size, size)
 
     def validate(self) -> tuple[str, ...]:
-        """Build the grid, every fixture the experiment reads and the
-        associate of space_y, refuse a weight-constants level range that
-        would run no level, a norms level_max with no level below it and a
-        space key the experiment reads but has no value for, and return the
-        space keys the experiment reads. A fixture key it does not read is
-        checked by name and never built, so a grid that key's fixture
-        cannot live on refuses nothing. weight-constants reads no m: its
-        fixtures are built on its first level's grid, as every later level
-        has more cells, and an even number of them."""
-        lmin, lmax = self.get("level_min"), self.get("level_max")
-        if self.experiment == "weight-constants" and not 0 <= lmin <= lmax:
-            raise ConfigError(f"weight-constants needs 0 <= level_min <= level_max, got {lmin}..{lmax}")
-        if self.experiment == "norms" and lmax < 1:
-            raise ConfigError(f"norms compares levels 0..level_max with 0..level_max-1, so needs level_max >= 1, got {lmax}")
-        grid = self.grid("cells_per_cube", 2**lmin) if self.experiment == "weight-constants" else self.grid()
+        """Run the record's check, build on the grid it returns every fixture
+        the experiment reads and the associate of space_y, refuse a space key
+        it reads but has no value for, and return the space keys it reads. A
+        fixture key it does not read is checked by name and never built, so a
+        grid that key's fixture cannot live on refuses nothing."""
+        grid = self.record.check(self)
         read = self.fixture_keys()
         for key in fixtures.FIXTURES:
             if key in self.values and key not in read:
                 with _naming(key):
                     fixtures.lookup(key, self.get(key))
         built = {key: self.fixture(key, grid) for key in read}
-        keys = self.space_keys(built.get("kernel"))
+        keys = self.record.space_keys(self, built.get("kernel"))
         built.update((key, self.fixture(key, grid)) for key in keys)
         for key in keys:
             if built[key] is None:
@@ -312,24 +250,11 @@ class ScopedConfig:
     def fixture_keys(self) -> tuple[str, ...]:
         """The fixture keys other than space keys that the experiment reads:
         the ones its defaults set. `fixture` builds no other."""
-        return tuple(key for key in EXP_DEFAULTS[self.experiment] if key in fixtures.FIXTURES)
-
-    def space_keys(self, kernel: KernelSpec | None) -> tuple[str, ...]:
-        """The space keys the experiment reads, input spaces first and
-        space_y last: `conditions` reads space_x, or space_x1 and space_x2
-        when space_x2 is set; `chain` and `necessity` read one space_x<i>
-        per kernel input; the other experiments read none."""
-        if self.experiment == "conditions":
-            xs = ("space_x1", "space_x2") if self.get("space_x2") is not None else ("space_x",)
-        elif self.experiment in ("chain", "necessity"):
-            xs = tuple(f"space_x{i}" for i in range(1, kernel.inputs + 1))
-        else:
-            return ()
-        return (*xs, "space_y")
+        return tuple(key for key in self.record.defaults if key in fixtures.FIXTURES)
 
     def spaces(self, grid: Grid, kernel: KernelSpec | None = None) -> tuple[tuple, SpaceSpec]:
-        """(input spaces, output space) built from `space_keys`."""
-        *xs, y = self.space_keys(kernel)
+        """(input spaces, output space) built from the record's space keys."""
+        *xs, y = self.record.space_keys(self, kernel)
         return tuple(self.fixture(key, grid) for key in xs), self.fixture(y, grid)
 
     def grid(self, cells_key: str = "m", scale: int = 1) -> Grid:
@@ -364,6 +289,44 @@ class ScopedConfig:
             return None
         with _naming(key):
             return getattr(fixtures, f"make_{kind}")(name, grid.n if kind == "kernel" else grid)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its runner, its defaults over GLOBAL_DEFAULTS, the space
+    keys it reads (input spaces first, space_y last), and its check when the
+    config is read, which returns the grid its fixtures are built on."""
+
+    run: Callable[[ScopedConfig], tuple[list[ReportRow], dict]]
+    defaults: dict
+    space_keys: Callable[[ScopedConfig, KernelSpec | None], tuple[str, ...]] = lambda cfg, kernel: ()
+    check: Callable[[ScopedConfig], Grid] = ScopedConfig.grid
+
+
+def _chain_spaces(cfg: ScopedConfig, kernel: KernelSpec) -> tuple[str, ...]:
+    return (*(f"space_x{i}" for i in range(1, kernel.inputs + 1)), "space_y")
+
+
+def _norms_check(cfg: ScopedConfig) -> Grid:
+    lmax = cfg.get("level_max")
+    if lmax < 1:
+        raise ConfigError(f"norms compares levels 0..level_max with 0..level_max-1, so needs level_max >= 1, got {lmax}")
+    return cfg.grid()
+
+
+def _weight_constants_check(cfg: ScopedConfig) -> Grid:
+    """Refuse an empty level range, a q of at most 1 and a p whose p' or p''
+    (read by the duality gap) is undefined. Return the first level's grid (no
+    m is read): every later level has more cells, and an even number."""
+    lmin, lmax = cfg.get("level_min"), cfg.get("level_max")
+    if not 0 <= lmin <= lmax:
+        raise ConfigError(f"weight-constants needs 0 <= level_min <= level_max, got {lmin}..{lmax}")
+    q = cfg.get("q")
+    if q is not None and q <= 1.0:
+        raise ConfigError(f"q: need q > 1, got {q}")
+    with _naming("p"):
+        conjugate_exponent(conjugate_exponent(float(cfg.get("p"))))
+    return cfg.grid("cells_per_cube", 2**lmin)
 
 
 # ---- individual experiments ----
@@ -445,8 +408,6 @@ def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     p = float(cfg.get("p"))
     q = cfg.get("q")
-    if q is not None and q <= 1.0:
-        raise ConfigError(f"q: need q > 1, got {q}")
     wname = cfg.get("weight")
     rows = []
     values = []
@@ -694,16 +655,53 @@ def run_necessity(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     return rows, summary
 
 
-RUNNERS = {
-    "norms": run_norms,
-    "weight-constants": run_weight_constants,
-    "conditions": run_conditions,
-    "maximal": run_maximal,
-    "commutator": run_commutator,
-    "chain": run_chain,
-    "necessity": run_necessity,
+_CHAIN_DEFAULTS = {
+    "kernel": "bilinear_riesz",
+    "symbol": "log_abs",
+    "box": [-6.0, 6.0],
+    "m": 512,
+    "space_x1": "lebesgue:4",
+    "space_x2": "lebesgue:4",
+    "space_y": "lebesgue:2",
+    "delta": 0.5,
+    "n_per_axis": 10,
+    "base_center": 0.0,
+    "level_min": 2,
 }
 
+# every experiment, in the order `all` runs them
+EXPERIMENTS = {
+    "norms": Experiment(run_norms, {"exponent": "arctan_profile", "trials": 50, "level_max": 6}, check=_norms_check),
+    "weight-constants": Experiment(
+        run_weight_constants,
+        {"weight": "power:0.5", "p": 2.0, "level_min": 5, "level_max": 8, "cells_per_cube": 16},
+        check=_weight_constants_check,
+    ),
+    "conditions": Experiment(
+        run_conditions,
+        {"space_x": "lebesgue:2", "space_y": "lebesgue:2", "alpha": 0.0, "level_max": 6, "expect": 1.0, "tolerance": 1e-9},
+        lambda cfg, kernel: ("space_x1", "space_x2", "space_y") if cfg.get("space_x2") is not None else ("space_x", "space_y"),
+    ),
+    "maximal": Experiment(run_maximal, {"box": [-2.0, 2.0], "m": 128, "trials": 20, "level_max": 4}),
+    "commutator": Experiment(run_commutator, {"kernel": "hilbert", "symbol": "log_abs", "box": [-8.0, 8.0], "m": 1024}),
+    "chain": Experiment(run_chain, {**_CHAIN_DEFAULTS, "family": "dyadic", "base_side": 1.125, "level_max": 3}, _chain_spaces),
+    "necessity": Experiment(
+        run_necessity,
+        {**_CHAIN_DEFAULTS, "family": "centered", "base_side": 3.0, "level_max": 5, "expect_verdict": "stable"},
+        _chain_spaces,
+    ),
+}
+# execute dispatches through this dict, so a wrapper set on an entry sees every run
+RUNNERS = {name: record.run for name, record in EXPERIMENTS.items()}
+
+# The type of each key's values: the type of its default, or listed here for
+# the keys that have none. A key in neither place is read by no experiment.
+KINDS = {
+    "experiment": str,
+    "seed": int,
+    "q": float,
+    **{key: type(v) for defaults in (GLOBAL_DEFAULTS, *(e.defaults for e in EXPERIMENTS.values())) for key, v in defaults.items()},
+}
 
 # ---- orchestration ----
 

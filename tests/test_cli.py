@@ -71,6 +71,15 @@ def test_conditions_wrong_expectation_fails(tmp_path):
     assert any(r["cube_side"] for r in rows)  # per-cube rows carry geometry
 
 
+def test_conditions_without_an_expectation_writes_one_info_row(tmp_path):
+    cfg = write_config(tmp_path, experiment="conditions", seed=0, expect=None)
+    assert run_in(tmp_path, "run", cfg) == 0
+    (r,) = csv.DictReader(open(tmp_path / "report.csv"))
+    assert (r["quantity"], r["tolerance"], r["verdict"]) == ("condition_linear_sup", "", "info")
+    assert float(r["value"]) > 0
+    assert json.loads((tmp_path / "report.json").read_text())["verdicts"] == {}
+
+
 def test_conditions_bilinear_weighted(tmp_path):
     """The bilinear weighted condition runs through the three space keys:
     L^4(w) x L^4(w) -> L^2(w) with w = |x|^(1/2) reads A_2(w)^(1/2), sqrt(4/3)
@@ -316,6 +325,30 @@ def test_all_refuses_an_odd_first_weight_level_before_any_runner(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("config error: weight: power weight hits a cell center at the origin") and err.count("\n") == 1
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("run", ["alone", "all"])
+@pytest.mark.parametrize(
+    "experiment, keys, message",
+    [
+        ("norms", {"level_max": 0}, "norms compares levels 0..level_max with 0..level_max-1, so needs level_max >= 1, got 0"),
+        ("weight-constants", {"level_min": 3, "level_max": 2}, "weight-constants needs 0 <= level_min <= level_max, got 3..2"),
+        # the weight-constants run would start after norms under all
+        ("weight-constants", {"q": 0.5}, "q: need q > 1, got 0.5"),
+        # p' rounds to 1, so the p'' the duality gap reads is undefined
+        ("weight-constants", {"p": 1e308}, "p: p' undefined at p = 1.0"),
+    ],
+    ids=["norms-level_max", "weight-constants-levels", "weight-constants-q", "weight-constants-p"],
+)
+def test_an_experiment_check_refuses_its_values_before_any_runner(tmp_path, capsys, monkeypatch, run, experiment, keys, message):
+    """Each experiment's check refuses the values its run cannot use when
+    the config is read, alone or under all, with one line naming the key."""
+    for name in cli.RUNNERS:
+        monkeypatch.setitem(cli.RUNNERS, name, lambda cfg: pytest.fail("a runner started"))
+    cfg = write_config(tmp_path, experiment=experiment if run == "alone" else "all", seed=1, **keys)
+    assert run_in(tmp_path, "run", cfg) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "report.csv").exists() and not (tmp_path / "report.json").exists()
 
 
 def test_2d_default_chain_refuses_more_modes_than_fit_points(tmp_path, capsys, monkeypatch):

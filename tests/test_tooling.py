@@ -4,10 +4,10 @@
 (module, attribute); a renamed function would otherwise surface only in the
 benchmark's traced pass. `perfbench/workloads.py` holds `oscillab run`
 configs, whose keys the runner must still accept and whose chain runs must
-keep the 1/K expansion within its residual budget. The runner keeps two
-experiment name lists, the runner table and the defaults table, which must
-name the same experiments. The runner tells a refused value from a
-numerical failure by the error's type alone.
+keep the 1/K expansion within its residual budget. The runner reads each
+experiment from one record, whose defaults must all be read by its run.
+The runner tells a refused value from a numerical failure by the error's
+type alone.
 """
 
 import importlib.util
@@ -42,12 +42,12 @@ print(json.dumps({"codes": codes, "scipy": scipy, "polynomial": polynomial, "ran
 """
 
 
-def _fresh_python(*argv, timeout):
+def _fresh_python(*argv, timeout, environ=os.environ):
     """Run a fresh interpreter with the arguments argv (`-c code ...` or
-    `-m module ...`), importing oscillab from this checkout; the completed
-    process."""
+    `-m module ...`) in the environment `environ`, importing oscillab from
+    this checkout; the completed process."""
     src = str(Path(oscillab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout)
 
 
@@ -208,15 +208,33 @@ def test_every_fixture_kind_has_the_builder_the_runner_looks_up():
     assert "space" in fixtures.FIXTURES
 
 
-def test_runner_and_defaults_name_the_same_experiments():
-    assert set(cli.RUNNERS) == set(cli.EXP_DEFAULTS)
-
-
 def test_every_expect_verdict_default_is_a_verdict():
-    defaults = [d["expect_verdict"] for d in cli.EXP_DEFAULTS.values() if "expect_verdict" in d]
+    defaults = [e.defaults["expect_verdict"] for e in cli.EXPERIMENTS.values() if "expect_verdict" in e.defaults]
     assert defaults
     assert set(cli.VERDICTS) == {"stable", "growing", "undetermined"}
     assert set(defaults) <= set(cli.VERDICTS)
+
+
+def test_a_run_of_all_reads_every_default_and_only_keys_a_config_can_set(tmp_path, monkeypatch):
+    """Each experiment reads every key its record's defaults set, so no
+    default is left stale; every key an experiment reads has a type in
+    KINDS, so a config can set it; and every other key in KINDS is one the
+    whole run's config reads."""
+    read = {name: set() for name in cli.EXPERIMENTS}
+    get = cli.ScopedConfig.get
+
+    def recording(self, key, default=None):
+        read[self.experiment].add(key)
+        return get(self, key, default)
+
+    monkeypatch.setattr(cli.ScopedConfig, "get", recording)
+    path = tmp_path / "all.json"
+    out = {"csv_path": str(tmp_path / "all.csv"), "json_path": str(tmp_path / "all.out.json")}
+    path.write_text(json.dumps({"experiment": "all", "seed": 1, **out}))
+    assert cli.main(["run", str(path)]) == 0
+    assert {name: sorted(set(e.defaults) - read[name]) for name, e in cli.EXPERIMENTS.items()} == {name: [] for name in read}
+    assert sorted(set().union(*read.values()) - set(cli.KINDS)) == []
+    assert set(cli.KINDS) - set().union(*read.values()) == {"experiment", "seed", "csv_path", "json_path"}
 
 
 # the error classes on each side of the runner's exit-2 line: a value the
@@ -273,6 +291,36 @@ def test_a_run_imports_no_scipy(tmp_path):
         "polynomial": [False, False, False, False, True],
         "random": [False, False, False, False, False],
     }
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_a_run_takes_one_blas_thread_unless_the_caller_sets_a_count(tmp_path):
+    """The chain's fit and bilinear products sum in an order that the BLAS
+    thread count sets. With every thread variable removed, a fresh
+    `python -m oscillab` run of the default chain writes the CSV of a run
+    with OPENBLAS_NUM_THREADS=1."""
+    path = tmp_path / "chain.json"
+    out = {"csv_path": str(tmp_path / "chain.csv"), "json_path": str(tmp_path / "chain.out.json")}
+    path.write_text(json.dumps({"experiment": "chain", "seed": 1, **out}))
+    unset = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    reports = []
+    for environ in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"}):
+        done = _fresh_python("-m", "oscillab", "run", str(path), timeout=300, environ=environ)
+        assert done.returncode == 0, done.stderr
+        reports.append((tmp_path / "chain.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_a_blas_thread_count_the_caller_sets_wins():
+    """A child started with OPENBLAS_NUM_THREADS=2 keeps it after importing
+    oscillab; the two variables it did not set read 1."""
+    environ = {**{k: v for k, v in os.environ.items() if k not in _THREAD_VARS}, "OPENBLAS_NUM_THREADS": "2"}
+    code = "import os, oscillab\nprint(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))"
+    done = _fresh_python("-c", code, timeout=120, environ=environ)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2", "1", "1"]
 
 
 def test_no_module_names_numpy_random():
