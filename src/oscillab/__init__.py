@@ -78,7 +78,6 @@ from .operators import (
     distance_kernel,
     fractional_integral,
     maximal,
-    operator_norm_estimate,
     singular_integral,
 )
 from .bmo import bmo_seminorm

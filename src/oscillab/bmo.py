@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import CubeFamily, FamilySup, GridFunction
+from .grid import CubeFamily, FamilySup, GridFunction, common_grid
 
 
 def _oscillations(blocks: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -20,5 +20,5 @@ def _oscillations(blocks: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 def bmo_seminorm(f: GridFunction, family: CubeFamily) -> FamilySup:
     """sup over the family of the mean oscillation; exact for the finite family."""
-    family.check_grid(f.grid)
+    common_grid(f, family)
     return FamilySup.of(family, family.reduce(f.values, _oscillations).tolist())

@@ -70,7 +70,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadDelta, KernelVanishes, OscillabError, TailTooLarge
-from .grid import Cube, CubeFamily, GridFunction, clipped_slices, on_block, trend_verdict
+from .grid import Cube, CubeFamily, GridFunction, clipped_slices, common_grid, on_block, trend_verdict
 from .operators import _BALL_SEED, KernelSpec, OperatorHandle, _ball_sequence, _sphere_points, commutator, kernel_tensor
 from .spaces import SpaceSpec, associate, chi_norms, norm
 
@@ -648,7 +648,9 @@ def necessity_experiment(
     Oscillation ratios are stage (i) over |Q|; a bounded symbol keeps the
     per-level maxima flat while a symbol with unbounded oscillation on the
     family forces them, and with them the commutator probe norms, upward.
+    b, the family and the spaces share one grid (GridMismatch otherwise).
     """
+    common_grid(b, family, *Xs, Y)
     reports = [verify_master_chain(b, Xs, Y, qc, expansion) for qc in family]
     levels = family.levels if family.levels is not None else (0,) * len(reports)
     ratio_by: dict[int, float] = {}

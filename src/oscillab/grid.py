@@ -10,6 +10,7 @@ Integrals are cell sums times h^n, so |Q| means count * h^n throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Callable, Iterator
@@ -56,6 +57,9 @@ class Grid:
         w0 = widths[0]
         if any(abs(w - w0) > 1e-12 * abs(w0) for w in widths):
             raise ValueError(f"box must be square (equal widths), got {widths}")
+        # an infinite width, or an h whose square (the 2D cell volume) underflows, leaves no finite cell arithmetic
+        if not math.isfinite(w0) or self.h * self.h < sys.float_info.min:
+            raise ValueError(f"box width {w0:.6g} over {self.m} cells: need a finite width and an h whose square does not underflow")
 
     @property
     def n(self) -> int:
@@ -151,12 +155,13 @@ def _clamped_ranges(grid: Grid, centers: np.ndarray, sides: np.ndarray) -> tuple
     """
     if centers.shape[1] != grid.n:
         raise GridMismatch(f"cube dim {centers.shape[1]} on grid dim {grid.n}")
-    # faces (cubes, n, [lo, hi]) = c -/+ side / 2, since side * 0.5 is side / 2
-    faces = centers[:, :, None] + sides[:, None, None] * (-0.5, 0.5)
-    t = (faces - np.array(grid.lo)[:, None]) / grid.h - 0.5
-    r = np.rint(t)
-    # [k0, k1]: the snapped first cell at or above each face, less one on the upper; then the clamps
-    with np.errstate(invalid="ignore"):  # inf - inf on infinite faces, which leave the box
+    # faces that overflow, and inf - inf on infinite ones, leave the box, which the callers refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        # faces (cubes, n, [lo, hi]) = c -/+ side / 2, since side * 0.5 is side / 2
+        faces = centers[:, :, None] + sides[:, None, None] * (-0.5, 0.5)
+        t = (faces - np.array(grid.lo)[:, None]) / grid.h - 0.5
+        r = np.rint(t)
+        # [k0, k1]: the snapped first cell at or above each face, less one on the upper; then the clamps
         k = np.where(np.abs(t - r) <= _SNAP, r, np.ceil(t)) - (0, 1)
     return faces, np.minimum(np.maximum(k, (0, -np.inf)), (np.inf, grid.m - 1))
 
@@ -194,6 +199,20 @@ def clipped_slices(grid: Grid, cube: Cube) -> tuple[slice, ...]:
     return tuple(slice(k0, max(k1 + 1, 0)) for k0, k1 in k[0].astype(np.intp).tolist())
 
 
+def common_grid(*parts) -> Grid | None:
+    """The grid shared by every part that has one (a grid function, a cube
+    family, or a space, whose grid is None when it fits every grid), or None.
+    Grids that differ raise GridMismatch naming the type and grid of the
+    first part with a grid and of the first part that differs from it."""
+    first = grid = None
+    for part in parts:
+        if grid is None:
+            first, grid = part, part.grid
+        elif part.grid is not None and part.grid != grid:
+            raise GridMismatch(f"{type(first).__name__} on {grid}, {type(part).__name__} on {part.grid}")
+    return grid
+
+
 class GridFunction:
     """Samples at cell centers, read as zero outside the box.
 
@@ -215,8 +234,7 @@ class GridFunction:
 
     def _coerce(self, other):
         if isinstance(other, GridFunction):
-            if other.grid != self.grid:
-                raise GridMismatch("grid functions live on different grids")
+            common_grid(self, other)
             return other.values
         return other
 
@@ -278,8 +296,8 @@ def _cube_array(grid: Grid, cubes: tuple[Cube, ...]) -> CubeArray:
 
 
 class CubeFamily:
-    """A finite cube collection on one grid, with provenance and optional
-    level tags, and its cells indexed for one-pass reductions.
+    """A finite cube collection on one grid, with optional level tags, and
+    its cells indexed for one-pass reductions.
 
     The cubes are held as arrays (a CubeArray, which builds a Cube only when
     one is read; an explicit cube list is converted), their cell index
@@ -298,12 +316,10 @@ class CubeFamily:
         self,
         grid: Grid,
         cubes: Sequence[Cube],
-        provenance: str = "explicit",
         levels: Sequence[int] | None = None,
     ):
         self.grid = grid
         self.cubes = cubes if isinstance(cubes, CubeArray) else _cube_array(grid, tuple(cubes))
-        self.provenance = provenance
         self.levels = None if levels is None else tuple(int(v) for v in levels)
         if self.levels is not None and len(self.levels) != len(self.cubes):
             raise ValueError("levels must tag every cube")
@@ -334,11 +350,6 @@ class CubeFamily:
 
     def __len__(self) -> int:
         return len(self.cubes)
-
-    def check_grid(self, grid: Grid):
-        """Raise GridMismatch unless `grid` is the grid the family was built on."""
-        if grid != self.grid:
-            raise GridMismatch(f"{self.provenance} family was built on {self.grid}, not on {grid}")
 
     def _cells(self, shape: tuple[int, ...], lo: np.ndarray) -> np.ndarray:
         """Row-major flat grid indices of the cells of cubes with lowest
@@ -473,8 +484,7 @@ def enumerate_dyadic(
         centers.append(np.stack(np.meshgrid(*per_axis, indexing="ij"), axis=-1).reshape(-1, grid.n))
         levels.extend([lvl] * len(centers[-1]))
     cubes = CubeArray(np.concatenate(centers), base.side / 2.0 ** np.array(levels))
-    tag = f"dyadic[{level_min}..{level_max}] of {base}"
-    return CubeFamily(grid, cubes, tag, levels)
+    return CubeFamily(grid, cubes, levels)
 
 
 def centered_family(
@@ -495,5 +505,4 @@ def centered_family(
     levels = range(level_min, level_max + 1)
     Cube(c, base_side / 2**level_min)  # refuses a side that is not positive
     cubes = CubeArray(np.tile(c, (len(levels), 1)), base_side / 2.0 ** np.array(levels))
-    tag = f"centered[{level_min}..{level_max}] at ({','.join(f'{v:.6g}' for v in c)})"
-    return CubeFamily(grid, cubes, tag, levels)
+    return CubeFamily(grid, cubes, levels)

@@ -27,9 +27,8 @@ installed on that name sees every application; an entry point applies any
 kernel of its input count and refuses one of another count or base
 dimension. The linear quadrature takes its inputs as columns of one stacked
 array, so `OperatorHandle.each(fs)` applies a one-input kernel to many
-inputs in one pass, bit for bit as one call per input.
-`operator_norm_estimate(probes, outputs, in_spaces, out_space)` takes the
-outputs already computed, so a caller applies T once per distinct input.
+inputs in one pass, bit for bit as one call per input, so a caller that
+estimates norms from probes applies T once per distinct input.
 """
 
 from __future__ import annotations
@@ -41,12 +40,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    DivisionByZeroNorm,
     GridMismatch,
     MeanZeroViolation,
 )
-from .grid import Cube, CubeFamily, Grid, GridFunction, cube_slices, on_block
-from .spaces import SpaceSpec, _alpha_check, norm
+from .grid import Cube, CubeFamily, Grid, GridFunction, common_grid, cube_slices, on_block
+from .spaces import _alpha_check
 
 # Bilinear tensors of more entries are applied through the offset table
 # when it is smaller. Measured per call, with a kept plan, at m = 512 on
@@ -242,7 +240,7 @@ def _linear_apply(fs: Iterable[GridFunction], kernel: KernelSpec) -> list[GridFu
     fs = list(fs)
     if not fs:
         return []
-    grid = _grid_of(fs)
+    grid = common_grid(*fs)
     _check_kernel(kernel, 1, grid)
     real = [not np.iscomplexobj(f.values) for f in fs]
     stack = [np.stack([f.values for f in fs], axis=-1)]
@@ -417,7 +415,7 @@ def _bilinear_apply(f: GridFunction, g: GridFunction, kernel: KernelSpec) -> Gri
     times the cell volume h^(2n); for alpha > 0, the self-cell term
     `_self_cell` f g is added at the cells in both supports. The products
     run through BLAS, so their last digits depend on its thread count."""
-    grid = _grid_of((f, g))
+    grid = common_grid(f, g)
     _check_kernel(kernel, 2, grid)
     h = grid.h
 
@@ -463,15 +461,8 @@ def distance_kernel(n: int, alpha: float) -> KernelSpec:
 # ---- Averaging and maximal operators ----
 
 
-def _grid_of(fs: Sequence[GridFunction]) -> Grid:
-    grid = fs[0].grid
-    if any(f.grid != grid for f in fs[1:]):
-        raise GridMismatch("operands live on different grids")
-    return grid
-
-
 def _averaging(fs: Sequence[GridFunction], cube: Cube, alpha: float) -> GridFunction:
-    grid = _grid_of(fs)
+    grid = common_grid(*fs)
     _alpha_check(alpha, len(fs) * grid.n)
     sl = cube_slices(grid, cube)
     blocks = [f.values[sl] for f in fs]
@@ -490,9 +481,8 @@ def bilinear_averaging(f: GridFunction, g: GridFunction, cube: Cube, alpha: floa
 
 
 def _maximal(fs: Sequence[GridFunction], alpha: float, family: CubeFamily) -> GridFunction:
-    grid = _grid_of(fs)
+    grid = common_grid(*fs, family)
     _alpha_check(alpha, len(fs) * grid.n)
-    family.check_grid(grid)
     means = [family.means(np.abs(f.values)).tolist() for f in fs]
     e = alpha / grid.n
     vals = [math.prod([meas**e, *avgs]) for meas, *avgs in zip(family.measures, *means)]
@@ -527,31 +517,6 @@ def commutator(b: GridFunction, op: OperatorHandle | Callable, *fs: GridFunction
     moved = list(fs)
     moved[slot - 1] = b * fs[slot - 1]
     return GridFunction(b.grid, b.values * op(*fs).values - op(*moved).values)
-
-
-# ---- Probe-based norm estimates ----
-
-
-def operator_norm_estimate(
-    probes: Iterable[tuple],
-    outputs: Iterable[GridFunction],
-    in_spaces: Sequence[SpaceSpec],
-    out_space: SpaceSpec,
-) -> float:
-    """max over probes of ||T probe||_Y / product of input norms: a lower
-    bound for the operator norm, with no tightness claimed. Each probe is a
-    tuple of inputs, one per input space, and outputs yields T of each probe
-    in turn. Generators for both keep one probe and one output alive at a
-    time."""
-    ratios = []
-    for args, out in zip(probes, outputs, strict=True):
-        if len(args) != len(in_spaces):
-            raise ValueError(f"probe has {len(args)} input(s) for {len(in_spaces)} input space(s)")
-        norms = [norm(a, X) for a, X in zip(args, in_spaces)]
-        if 0.0 in norms:
-            raise DivisionByZeroNorm("zero-norm probe")
-        ratios.append(norm(out, out_space) / math.prod(norms))
-    return float(np.max(ratios))
 
 
 def _check_kernel(kernel: KernelSpec, inputs: int, grid: Grid):

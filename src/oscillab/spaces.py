@@ -22,7 +22,6 @@ from .errors import (
     ConjugateUndefined,
     ConvergenceFailure,
     DivisionByZeroNorm,
-    GridMismatch,
     NonPositiveWeight,
 )
 from .grid import (
@@ -31,6 +30,7 @@ from .grid import (
     FamilySup,
     Grid,
     GridFunction,
+    common_grid,
 )
 from .stream import box_muller, uniforms
 
@@ -224,8 +224,7 @@ def _modular_lambdas(absrows: np.ndarray, prows: np.ndarray, cellvol: float) -> 
 
 
 def luxemburg_norm(f: GridFunction, space: Variable) -> float:
-    if f.grid != space.grid:
-        raise GridMismatch("function and exponent live on different grids")
+    common_grid(f, space)
     lam = _modular_lambdas(
         np.abs(f.values).reshape(1, -1), space.exponent.values.reshape(1, -1), f.grid.cell_volume
     )
@@ -235,9 +234,16 @@ def luxemburg_norm(f: GridFunction, space: Variable) -> float:
 def norm(f: GridFunction, space: SpaceSpec) -> float:
     """The space norm of f, by quadrature (Lebesgue/Weighted) or Newton's
     method on the modular (Variable)."""
-    if space.grid is not None and f.grid != space.grid:
-        raise GridMismatch(f"function grid differs from {space!r} grid")
+    common_grid(f, space)
     return space._norm(f)
+
+
+def norm_ratio(f: GridFunction, g: GridFunction, space: SpaceSpec) -> float:
+    """||f|| / ||g|| in the space; DivisionByZeroNorm when ||g|| is 0."""
+    ng = norm(g, space)
+    if ng == 0.0:
+        raise DivisionByZeroNorm(f"norm ratio over a function of zero norm in {space!r}")
+    return norm(f, space) / ng
 
 
 def chi_norm(space: SpaceSpec, cube: Cube, grid: Grid | None = None) -> float:
@@ -248,26 +254,21 @@ def chi_norm(space: SpaceSpec, cube: Cube, grid: Grid | None = None) -> float:
     g = grid if grid is not None else space.grid
     if g is None:
         raise ValueError("Lebesgue chi_norm needs an explicit grid")
-    if space.grid is not None and g != space.grid:
-        raise GridMismatch(f"cube grid differs from {space!r} grid")
-    return space._chi_norms(CubeFamily(g, (cube,)))[0]
+    return chi_norms(space, CubeFamily(g, (cube,)))[0]
 
 
 def chi_norms(space: SpaceSpec, family: CubeFamily) -> list[float]:
     """chi_norm of every cube of the family, in family order, bit for bit:
     block sums from the family's cell index, and one Newton solve over the
     rows of each group of equal-shaped cubes for Variable."""
-    if space.grid is not None:
-        try:
-            family.check_grid(space.grid)
-        except GridMismatch as e:
-            raise GridMismatch(f"{space!r}: {e}") from None
+    common_grid(space, family)
     return space._chi_norms(family)
 
 
 def holder_defect(f: GridFunction, g: GridFunction, space: SpaceSpec) -> float:
     """integral |f g| / (||f||_X ||g||_X'). At most 1 for Lebesgue/Weighted;
     bounded by the variable-exponent Hoelder constant otherwise."""
+    common_grid(f, g, space)
     nf = norm(f, space)
     ng = norm(g, associate(space))
     if nf == 0.0 or ng == 0.0:

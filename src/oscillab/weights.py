@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFiniteValues
-from .grid import CubeFamily, FamilySup, GridFunction
+from .grid import CubeFamily, FamilySup, GridFunction, common_grid
 from .spaces import _check_weight, conjugate_exponent
 
 
@@ -43,7 +43,7 @@ def _power(w: GridFunction, e: float) -> np.ndarray:
 
 def ap_constant(w: GridFunction, p: float, family: CubeFamily) -> FamilySup:
     _check_weight(w)
-    family.check_grid(w.grid)
+    common_grid(w, family)
     pp = conjugate_exponent(p)
     dual = _power(w, 1.0 - pp)
     return _family_sup(family, (w.values, dual), lambda a, d: a * d ** (p - 1.0))
@@ -52,7 +52,7 @@ def ap_constant(w: GridFunction, p: float, family: CubeFamily) -> FamilySup:
 def apq_constant(w: GridFunction, p: float, q: float, family: CubeFamily) -> FamilySup:
     """Fractional-scale constant; callers pair it with 1/p - 1/q = alpha/n."""
     _check_weight(w)
-    family.check_grid(w.grid)
+    common_grid(w, family)
     if q <= 1.0:
         raise ValueError(f"need q > 1, got {q}")
     pp = conjugate_exponent(p)
@@ -69,7 +69,7 @@ def ap_duality_gap(w: GridFunction, p: float, family: CubeFamily) -> float:
     The identity is exact algebraically; the measured gap is float noise. A
     NaN defect (an overflowed dual weight) makes the gap NaN.
     """
-    family.check_grid(w.grid)
+    common_grid(w, family)
     pp = conjugate_exponent(p)
     ppp = conjugate_exponent(pp)
     dual = w.values ** (1.0 - pp)

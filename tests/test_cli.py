@@ -336,7 +336,7 @@ def test_all_refuses_an_odd_first_weight_level_before_any_runner(tmp_path, capsy
         # the weight-constants run would start after norms under all
         ("weight-constants", {"q": 0.5}, "q: need q > 1, got 0.5"),
         # p' rounds to 1, so the p'' the duality gap reads is undefined
-        ("weight-constants", {"p": 1e308}, "p: p' undefined at p = 1.0"),
+        ("weight-constants", {"p": 1e308}, "p: p' rounds to 1 at p = 1e+308, so the p'' of the duality gap is undefined"),
     ],
     ids=["norms-level_max", "weight-constants-levels", "weight-constants-q", "weight-constants-p"],
 )
@@ -656,6 +656,46 @@ def test_a_symbol_that_overflows_on_the_box_exits_2_with_one_line(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("config error: symbol:") and err.count("\n") == 1
     assert not (tmp_path / "report.csv").exists()
+
+
+# configs whose grid or family arithmetic is degenerate: a box whose h^2
+# underflows or whose width overflows, and family faces that overflow on
+# the cell-index scale
+_DEGENERATE = [
+    *((e, {"box": [0.0, 1e-300]}, "box, m") for e in ("norms", "maximal")),
+    *((e, {"box": [-1e308, 1e308]}, "box, m") for e in ("norms", "conditions", "maximal")),
+    *(
+        (e, keys, "base_side, base_center, level_min, level_max")
+        for e in ("chain", "necessity")
+        for keys in ({"base_side": 1e308}, {"base_center": 1e308}, {"base_center": -1e308})
+    ),
+]
+
+
+@pytest.mark.parametrize("experiment, keys, named", _DEGENERATE, ids=[f"{e}-{next(iter(k.items()))}" for e, k, _ in _DEGENERATE])
+def test_degenerate_grid_arithmetic_exits_2_with_one_line(tmp_path, capsys, experiment, keys, named):
+    """Refused with one line naming the keys, with no numpy warning before
+    it (the suite turns a RuntimeWarning into an error) and no report."""
+    cfg = write_config(tmp_path, experiment=experiment, seed=1, **keys)
+    assert run_in(tmp_path, "run", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}: ") and err.count("\n") == 1
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_a_one_dimensional_kernel_in_two_dimensions_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment="commutator", seed=1, dimension=2, kernel="hilbert")
+    assert run_in(tmp_path, "run", cfg) == 2
+    assert capsys.readouterr().err == "config error: kernel: hilbert kernel lives in dimension 1\n"
+
+
+def test_probes_of_zero_norm_write_a_division_error_row(tmp_path):
+    """On [0, 1e-150] every probe's squared L2 norm underflows to 0, so the
+    commutator's norm estimates refuse to divide by it: one error row."""
+    cfg = write_config(tmp_path, experiment="commutator", seed=1, box=[0.0, 1e-150])
+    assert run_in(tmp_path, "run", cfg) == 1
+    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
+    assert [(r["quantity"], r["verdict"]) for r in rows] == [("error[DivisionByZeroNorm]", "fail")]
 
 
 def test_an_overflowed_dual_weight_fails_the_duality_gap(tmp_path, monkeypatch):

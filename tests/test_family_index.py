@@ -347,7 +347,7 @@ def test_family_cubes_read_as_the_cube_tuple(g, base, levels):
     assert len(fam) == len(fam.cubes) == len(old)
     assert list(fam.cubes) == list(fam) == list(old)
     assert [fam.cubes[i] for i in (0, len(old) // 2, -1)] == [old[0], old[len(old) // 2], old[-1]]
-    for again in (CubeFamily(g, fam.cubes), CubeFamily(g, list(fam.cubes), fam.provenance, fam.levels)):
+    for again in (CubeFamily(g, fam.cubes), CubeFamily(g, list(fam.cubes), levels=fam.levels)):
         assert list(again.cubes) == list(old) and np.array_equal(again.ranges, fam.ranges)
     centered = centered_family(g, base.center if base else g.box_cube().center, 0.75, *levels)
     assert list(centered.cubes) == [Cube(centered.cubes[0].center, 0.75 / 2**lvl) for lvl in range(levels[0], levels[1] + 1)]

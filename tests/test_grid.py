@@ -4,19 +4,43 @@ from hypothesis import given, settings, strategies as st
 
 from oscillab import (
     Cube,
+    CubeFamily,
     EmptyCube,
     Grid,
     GridFunction,
     GridMismatch,
+    Lebesgue,
+    OperatorHandle,
     OutOfDomain,
+    Variable,
+    Weighted,
+    ap_constant,
+    ap_duality_gap,
+    apq_constant,
     averaging,
+    bilinear_averaging,
+    bilinear_maximal,
+    bilinear_singular_integral,
+    bmo_seminorm,
     centered_family,
+    chi_norm,
+    chi_norms,
+    commutator,
+    condition_linear,
     cube_slices,
     enumerate_dyadic,
+    fixtures,
+    fourier_reciprocal,
+    holder_defect,
     indicator,
+    luxemburg_norm,
+    maximal,
+    necessity_experiment,
+    norm,
     on_block,
+    select_geometry,
 )
-from oscillab.grid import clipped_slices
+from oscillab.grid import clipped_slices, common_grid
 from oracles import cube_average, cube_cell_count, cube_measure, integrate
 
 
@@ -196,3 +220,124 @@ def test_dyadic_partition_property(level):
     for q in fam:
         cover += indicator(g, q).values
     assert np.all(cover == 1.0)
+
+
+# ---- refusals of the grid layer ----
+
+
+G8 = Grid((-1.0,), (1.0,), 8)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Grid((-1.0,), (1.0, 1.0), 8), ValueError, "lo and hi must have the same length"),
+        (lambda: Grid((0.0,) * 3, (1.0,) * 3, 8), ValueError, "dimension must be 1 or 2, got 3"),
+        (lambda: Grid((0.0, 0.0), (1.0, 2.0), 8), ValueError, "box must be square (equal widths), got [1.0, 2.0]"),
+        (lambda: GridFunction(G8, np.ones(9)), GridMismatch, "values shape (9,) != grid shape (8,)"),
+        (lambda: CubeFamily(G8, [Cube((0.0,), 1.0)], levels=(0, 1)), ValueError, "levels must tag every cube"),
+        (lambda: CubeFamily(G8, []), ValueError, "cube family is empty"),
+        (lambda: enumerate_dyadic(G8, 0, 1, Cube((0.0, 0.0), 1.0)), GridMismatch, "base cube dim 2 on grid dim 1"),
+    ],
+    ids=["lo-hi", "dimension", "square", "values-shape", "levels", "empty-family", "base-dim"],
+)
+def test_grid_layer_refusals(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "lo, hi, m, refused",
+    [
+        (-1e300, 1e300, 16, False),  # h^2 overflows to inf, which the cell arithmetic survives
+        (0.0, 1e-150, 1024, False),  # h^2 ~ 1e-306 is still a normal float
+        (-1e308, 1e308, 256, True),  # the width overflows
+        (0.0, 1e-300, 256, True),  # h^2 underflows
+        (0.0, 4 * 2.0**-511, 4, False),  # h^2 = 2^-1022, the least normal float
+        (0.0, 4 * 2.0**-511 * (1 - 2.0**-52), 4, True),  # one step below it
+    ],
+)
+def test_a_box_is_refused_when_its_width_or_cell_square_leaves_the_normal_floats(lo, hi, m, refused):
+    if not refused:
+        assert Grid((lo,), (hi,), m).m == m
+        return
+    with pytest.raises(ValueError, match=f"^box width .* over {m} cells: need a finite width"):
+        Grid((lo,), (hi,), m)
+
+
+def test_family_faces_that_overflow_the_cell_scale_leave_the_box_without_a_warning():
+    g = Grid((-6.0,), (6.0,), 512)
+    for base in (Cube((1e308,), 1.0), Cube((-1e308,), 1.0), Cube((0.0,), 1e308)):
+        with pytest.raises(OutOfDomain, match="exceeds box"):
+            enumerate_dyadic(g, 0, 1, base)
+
+
+# ---- one grid rule: every place grids meet refuses two of them in one message ----
+
+
+GA, GB = Grid((-1.0,), (1.0,), 64), Grid((-4.0,), (4.0,), 64)
+HILBERT = fixtures.make_kernel("hilbert", 1)
+BIRIESZ = fixtures.make_kernel("bilinear_riesz", 1)
+
+
+def _on(grid):
+    return GridFunction(grid, 1.0 + grid.meshes()[0] ** 2)
+
+
+def _necessity(b, family):
+    expansion = fourier_reciprocal(BIRIESZ, select_geometry(BIRIESZ, 0.5), 5)
+    return necessity_experiment(b, (Lebesgue(4.0), Lebesgue(4.0)), Lebesgue(2.0), family, expansion)
+
+
+# each place: a call on f (on GA), o (on GB) and a family on GA, and the
+# (type, grid) of the first part with a grid and of the first that differs
+MEETINGS = {
+    "arithmetic": (lambda f, o, fam: f * o, ("GridFunction", GA, "GridFunction", GB)),
+    "norm": (lambda f, o, fam: norm(f, Weighted(2.0, o)), ("GridFunction", GA, "Weighted", GB)),
+    "luxemburg_norm": (lambda f, o, fam: luxemburg_norm(f, Variable(o + 1.0)), ("GridFunction", GA, "Variable", GB)),
+    "chi_norm": (lambda f, o, fam: chi_norm(Weighted(2.0, o), fam.cubes[1], GA), ("Weighted", GB, "CubeFamily", GA)),
+    "chi_norms": (lambda f, o, fam: chi_norms(Variable(o + 1.0), fam), ("Variable", GB, "CubeFamily", GA)),
+    "condition_linear": (
+        lambda f, o, fam: condition_linear(Lebesgue(2.0), Weighted(2.0, o), 0.0, fam),
+        ("Weighted", GB, "CubeFamily", GA),
+    ),
+    "holder_defect": (lambda f, o, fam: holder_defect(f, o, Lebesgue(2.0)), ("GridFunction", GA, "GridFunction", GB)),
+    "bmo_seminorm": (lambda f, o, fam: bmo_seminorm(o, fam), ("GridFunction", GB, "CubeFamily", GA)),
+    "ap_constant": (lambda f, o, fam: ap_constant(o, 2.0, fam), ("GridFunction", GB, "CubeFamily", GA)),
+    "apq_constant": (lambda f, o, fam: apq_constant(o, 2.0, 3.0, fam), ("GridFunction", GB, "CubeFamily", GA)),
+    "ap_duality_gap": (lambda f, o, fam: ap_duality_gap(o, 2.0, fam), ("GridFunction", GB, "CubeFamily", GA)),
+    "maximal": (lambda f, o, fam: maximal(o, 0.0, fam), ("GridFunction", GB, "CubeFamily", GA)),
+    "bilinear_maximal": (lambda f, o, fam: bilinear_maximal(f, o, 0.0, fam), ("GridFunction", GA, "GridFunction", GB)),
+    "bilinear_averaging": (
+        lambda f, o, fam: bilinear_averaging(f, o, Cube((0.0,), 0.5)),
+        ("GridFunction", GA, "GridFunction", GB),
+    ),
+    "linear_integral": (lambda f, o, fam: OperatorHandle(HILBERT).each([f, o]), ("GridFunction", GA, "GridFunction", GB)),
+    "bilinear_integral": (
+        lambda f, o, fam: bilinear_singular_integral(f, o, BIRIESZ),
+        ("GridFunction", GA, "GridFunction", GB),
+    ),
+    "commutator": (lambda f, o, fam: commutator(f, OperatorHandle(HILBERT), o), ("GridFunction", GA, "GridFunction", GB)),
+    "necessity_experiment": (
+        lambda f, o, fam: _necessity(f, centered_family(GB, 0.0, 0.5, 1, 2)),
+        ("GridFunction", GA, "CubeFamily", GB),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MEETINGS))
+def test_every_meeting_of_grids_refuses_two_in_one_message(entry):
+    call, (first, first_grid, other, other_grid) = MEETINGS[entry]
+    with pytest.raises(GridMismatch) as info:
+        call(_on(GA), _on(GB), enumerate_dyadic(GA, 0, 3))
+    assert str(info.value) == f"{first} on {first_grid}, {other} on {other_grid}"
+    assert "0x" not in str(info.value)  # no object address: the message is copied into the JSON summary
+
+
+def test_common_grid_is_the_grid_of_the_parts_that_have_one():
+    f = _on(GA)
+    assert common_grid(Lebesgue(2.0), f, enumerate_dyadic(GA, 0, 1), Weighted(2.0, f)) == GA
+    assert common_grid(Lebesgue(2.0), Lebesgue(3.0)) is None and common_grid() is None
+    with pytest.raises(GridMismatch, match=r"^GridFunction on Grid\(lo=\(-1.0,\), hi=\(1.0,\), m=64\), GridFunction on "):
+        common_grid(Lebesgue(2.0), f, Lebesgue(3.0), _on(GB))

@@ -35,10 +35,10 @@ from oscillab import (
     fractional_integral,
     indicator,
     maximal,
-    operator_norm_estimate,
     singular_integral,
 )
 from oscillab import fixtures, operators
+from oscillab.cli import _probe_estimates
 from oracles import (
     distance_self_cell_4d,
     from_callable,
@@ -275,25 +275,20 @@ def test_maximal_uncovered_point():
     half = Cube((-0.5,), 1.0)
     from oscillab.grid import CubeFamily
 
-    fam = CubeFamily(g, (half,), "half", (0,))
+    fam = CubeFamily(g, (half,), levels=(0,))
     f = GridFunction(g, np.ones(64))
     with pytest.raises(UncoveredPoint):
         maximal(f, 0.0, fam)
 
 
 def test_hilbert_l2_norm_estimate():
-    # continuum operator norm of K = 1/u on L^2 is pi; modulated Gaussian
-    # probes get within a few percent from below at this resolution
+    # continuum operator norm of K = 1/u on L^2 is pi; the commutator
+    # experiment's modulated Gaussian probes get within a few percent from
+    # below at this resolution, and a constant symbol commutes with T
     g = Grid((-8.0,), (8.0,), 1024)
-    T = OperatorHandle(HILBERT)
-    xs = g.meshes()[0]
-    probes = [
-        (GridFunction(g, np.sin(w * xs) * np.exp(-(xs**2) / (2 * s * s))),)
-        for w in (1.0, 2.0, 4.0)
-        for s in (0.5, 1.0, 2.0)
-    ]
-    est = operator_norm_estimate(probes, (T(*f) for f in probes), [Lebesgue(2.0)], Lebesgue(2.0))
+    est, cb_est = _probe_estimates(g, OperatorHandle(HILBERT), GridFunction(g, np.full(g.shape, 2.5)))
     assert 0.9 * math.pi <= est <= 1.05 * math.pi
+    assert cb_est <= 1e-12
 
 
 def test_bilinear_commutator_slots_disagree():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oscillab import (
     ConvergenceFailure,
     Cube,
+    DivisionByZeroNorm,
     Grid,
     GridFunction,
     Lebesgue,
@@ -34,6 +35,7 @@ from oscillab import (
     norm,
 )
 from oscillab import fixtures, spaces
+from oscillab.spaces import norm_ratio
 from oracles import amemiya_norm, cube_measure, from_callable, integrate
 
 PLASTIC = 1.3247179572447460
@@ -328,3 +330,43 @@ def test_holder_pairing_property(seed):
     lhs = abs(integrate(f * h))
     # the discrete pairing constant for Luxemburg norms is at most 2
     assert lhs <= 2.0 * norm(f, X) * norm(h, associate(X)) + 1e-10
+
+
+# ---- refusals of the space layer ----
+
+
+def _g16():
+    return Grid((-1.0,), (1.0,), 16)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda g: Weighted(0.5, GridFunction(g, np.ones(16))), ValueError, "weighted exponent must satisfy 1 <= p < inf, got 0.5"),
+        (lambda g: Variable(GridFunction(g, np.full(16, 2.0 + 0j))), ValueError, "exponent function must be real"),
+        (lambda g: chi_norm(Lebesgue(2.0), Cube((0.0,), 0.5)), ValueError, "Lebesgue chi_norm needs an explicit grid"),
+        (
+            lambda g: holder_defect(GridFunction(g, np.zeros(16)), GridFunction(g, np.ones(16)), Lebesgue(2.0)),
+            DivisionByZeroNorm,
+            "Hoelder defect needs nonzero norms",
+        ),
+        (lambda g: duality_gap(GridFunction(g, np.zeros(16)), Lebesgue(2.0)), DivisionByZeroNorm, "duality gap of the zero function"),
+        (
+            lambda g: norm_ratio(GridFunction(g, np.ones(16)), GridFunction(g, np.zeros(16)), Lebesgue(2.0)),
+            DivisionByZeroNorm,
+            "norm ratio over a function of zero norm in Lebesgue(2)",
+        ),
+    ],
+    ids=["weighted-p", "complex-exponent", "lebesgue-chi-grid", "holder-zero", "duality-zero", "ratio-zero"],
+)
+def test_space_layer_refusals(make, error, message):
+    with pytest.raises(error) as info:
+        make(_g16())
+    assert str(info.value) == message
+
+
+def test_norm_ratio_is_the_quotient_of_the_two_norms():
+    g = _g16()
+    f, h = GridFunction(g, g.meshes()[0] ** 2), GridFunction(g, np.exp(g.meshes()[0]))
+    for space in (Lebesgue(2.0), Weighted(3.0, h), Variable(h + 1.0)):
+        assert norm_ratio(f, h, space) == norm(f, space) / norm(h, space)

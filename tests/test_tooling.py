@@ -10,6 +10,7 @@ The runner tells a refused value from a numerical failure by the error's
 type alone.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -364,3 +365,19 @@ def test_pytest_collects_without_pythonpath():
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_grids_are_compared_only_in_common_grid():
+    """Every place where grid functions, cube families and spaces meet asks
+    grid.common_grid, so no other `==` or `!=` has a `.grid` operand."""
+    src = Path(oscillab.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        rules = [f for f in tree.body if path.name == "grid.py" and isinstance(f, ast.FunctionDef) and f.name == "common_grid"]
+        skip = {id(node) for rule in rules for node in ast.walk(rule)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and id(node) not in skip and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+                if any(isinstance(x, ast.Attribute) and x.attr == "grid" for x in (node.left, *node.comparators)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

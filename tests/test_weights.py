@@ -125,3 +125,9 @@ def test_single_cube_matches_family_sup(seed, p):
     fam = enumerate_dyadic(g, 0, 3)
     rep = ap_constant(w, p, fam)
     assert rep.value == pytest.approx(max(ap_cube(w, p, q) for q in fam), rel=1e-14)
+
+
+def test_apq_refuses_q_of_at_most_1():
+    g = Grid((-1.0,), (1.0,), 16)
+    with pytest.raises(ValueError, match=r"^need q > 1, got 1.0$"):
+        apq_constant(GridFunction(g, np.ones(16)), 2.0, 1.0, enumerate_dyadic(g, 0, 1))
