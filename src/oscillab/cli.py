@@ -3,8 +3,7 @@
 Subcommands: `run <config.json>`, `list-fixtures`, `version`. A config is a
 flat JSON object; `--set key=value` overrides single keys. Every run needs a
 seed in [0, 2^64) (randomized probes refuse to guess one), writes a CSV of
-report rows
-with the fixed columns
+report rows with the fixed columns
 
     experiment,quantity,cube_center,cube_side,value,tolerance,verdict
 
@@ -53,7 +52,6 @@ from .operators import (
 )
 from .spaces import (
     Lebesgue,
-    SpaceSpec,
     Variable,
     _alpha_check,
     associate,
@@ -178,7 +176,8 @@ class ExperimentConfig:
 
     Construction refuses unknown keys, values of the wrong kind and fixture
     names or parameters the fixture table refuses, before any experiment
-    runs."""
+    runs, and keeps one ScopedConfig per experiment of the run, in run
+    order, holding the inputs its runner computes on."""
 
     def __init__(self, data: dict):
         name = data.get("experiment")
@@ -191,12 +190,10 @@ class ExperimentConfig:
         self.data = data
         self.experiment = name
         self.seed = data["seed"]
-        self.experiments = tuple(EXPERIMENTS) if name == "all" else (name,)
-        read = set()
         # a value that overflows here fails its finiteness check: one line, no warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for name in self.experiments:
-                read.update(ScopedConfig(self, name).validate())
+            self.scoped = tuple(ScopedConfig(self, e) for e in (EXPERIMENTS if name == "all" else (name,)))
+        read = {key for scoped in self.scoped for key in scoped.space_keys}
         for key in data:
             if key.startswith("space_") and key not in read:
                 reads = ", ".join(sorted(read)) or "no space key"
@@ -208,13 +205,15 @@ class ExperimentConfig:
 
 class ScopedConfig:
     """One experiment's view: config keys over its defaults over the global
-    defaults, with the rules of its record."""
+    defaults, with the rules of its record, and the inputs its runner
+    computes on, built once by `validate` when it is constructed."""
 
     def __init__(self, base: ExperimentConfig, experiment: str):
         self.experiment = experiment
         self.record = EXPERIMENTS[experiment]
         self.seed = base.seed
         self.values = ChainMap(base.data, self.record.defaults, GLOBAL_DEFAULTS)
+        self.validate()
 
     def get(self, key: str, default=None):
         return self.values.get(key, default)
@@ -224,38 +223,30 @@ class ScopedConfig:
         draws block * size .. (block + 1) * size - 1."""
         return uniforms(self.seed, block * size, size)
 
-    def validate(self) -> tuple[str, ...]:
-        """Run the record's check, build on the grid it returns every fixture
-        the experiment reads and the associate of space_y, refuse a space key
-        it reads but has no value for, and return the space keys it reads. A
-        fixture key it does not read is checked by name and never built, so a
-        grid that key's fixture cannot live on refuses nothing."""
-        grid = self.record.check(self)
-        read = self.fixture_keys()
+    def validate(self):
+        """Run the record's check and keep what the runner reads: `built_on`,
+        the grid the check returns; `inputs`, the fixture keys the defaults
+        set (the ones the experiment reads), built on it; `space_keys`, the
+        record's space keys; and `Xs` and `Y`, their spaces, with the
+        associate of `Y` taken. A space key it reads but has no value for is
+        refused. A fixture key it does not read is checked by name and never
+        built, so a grid that key's fixture cannot live on refuses nothing."""
+        self.built_on = self.record.check(self)
         for key in fixtures.FIXTURES:
-            if key in self.values and key not in read:
+            if key in self.values and key not in self.record.defaults:
                 with _naming(key):
                     fixtures.lookup(key, self.get(key))
-        built = {key: self.fixture(key, grid) for key in read}
-        keys = self.record.space_keys(self, built.get("kernel"))
-        built.update((key, self.fixture(key, grid)) for key in keys)
-        for key in keys:
-            if built[key] is None:
+        self.inputs = {key: self.fixture(key, self.built_on) for key in self.record.defaults if key in fixtures.FIXTURES}
+        self.space_keys = self.record.space_keys(self, self.inputs.get("kernel"))
+        spaces = [self.fixture(key, self.built_on) for key in self.space_keys]
+        for key, space in zip(self.space_keys, spaces):
+            if space is None:
                 raise ConfigError(f"{key}: {self.experiment} reads it, but it has no value")
-        if keys:  # every experiment that reads space_y reads its associate
-            with _naming(keys[-1]):
-                associate(built[keys[-1]])
-        return keys
-
-    def fixture_keys(self) -> tuple[str, ...]:
-        """The fixture keys other than space keys that the experiment reads:
-        the ones its defaults set. `fixture` builds no other."""
-        return tuple(key for key in self.record.defaults if key in fixtures.FIXTURES)
-
-    def spaces(self, grid: Grid, kernel: KernelSpec | None = None) -> tuple[tuple, SpaceSpec]:
-        """(input spaces, output space) built from the record's space keys."""
-        *xs, y = self.record.space_keys(self, kernel)
-        return tuple(self.fixture(key, grid) for key in xs), self.fixture(y, grid)
+        *Xs, self.Y = spaces or [None]
+        self.Xs = tuple(Xs)
+        if self.space_keys:  # every experiment that reads space_y reads its associate
+            with _naming(self.space_keys[-1]):
+                associate(self.Y)
 
     def grid(self, cells_key: str = "m", scale: int = 1) -> Grid:
         """The box in `dimension` dimensions with `scale` times the value of
@@ -278,12 +269,8 @@ class ScopedConfig:
     def fixture(self, key: str, grid: Grid):
         """The fixture `key` names (space_* keys name spaces), built on `grid`
         by the fixtures.make_* function of its kind, which perfbench's tracer
-        wraps; None when the key is unset. Any other key not in
-        `fixture_keys` raises KeyError: a runner reads no fixture key that
-        `validate` did not build."""
+        wraps; None when the key is unset."""
         kind = "space" if key.startswith("space_") else key
-        if kind != "space" and key not in self.fixture_keys():
-            raise KeyError(f"{self.experiment} reads no fixture key {key!r}")
         name = self.get(key)
         if name is None:
             return None
@@ -361,11 +348,10 @@ def _random_smooth(grid: Grid, u: np.ndarray) -> GridFunction:
 
 
 def run_norms(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
-    grid = cfg.grid()
+    grid, space = cfg.built_on, cfg.inputs["exponent"]
     trials = cfg.get("trials")
     size = _smooth_draws(grid) + 1  # a trial's block: f, then the scale c
     const = Variable(GridFunction(grid, np.full(grid.shape, _P_CONST)))
-    space = cfg.fixture("exponent", grid)
     lmax = cfg.get("level_max")
     with _naming("level_max"):
         fam = enumerate_dyadic(grid, 0, lmax)
@@ -413,9 +399,12 @@ def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     wname = cfg.get("weight")
     rows = []
     values = []
-    for level in range(cfg.get("level_min"), cfg.get("level_max") + 1):
-        grid = cfg.grid("cells_per_cube", 2**level)
-        w = cfg.fixture("weight", grid)
+    lmin = cfg.get("level_min")
+    grid, w = cfg.built_on, cfg.inputs["weight"]  # level_min's, built when the config was read
+    for level in range(lmin, cfg.get("level_max") + 1):
+        if level > lmin:
+            grid = cfg.grid("cells_per_cube", 2**level)
+            w = cfg.fixture("weight", grid)
         fam = enumerate_dyadic(grid, 0, level)
         with _naming("p"):
             rep = ap_constant(w, p, fam)
@@ -449,9 +438,8 @@ def run_weight_constants(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 
 
 def run_conditions(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
-    grid = cfg.grid()
+    grid, Xs, Y = cfg.built_on, cfg.Xs, cfg.Y
     alpha = float(cfg.get("alpha"))
-    Xs, Y = cfg.spaces(grid)
     with _naming("alpha"):
         _alpha_check(alpha, len(Xs) * grid.n)
     with _naming("level_min", "level_max"):
@@ -473,7 +461,7 @@ def run_conditions(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 
 
 def run_maximal(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
-    grid = cfg.grid()
+    grid = cfg.built_on
     with _naming("level_max"):
         fam = enumerate_dyadic(grid, 0, cfg.get("level_max"))
     trials = cfg.get("trials")
@@ -544,10 +532,8 @@ def _box_response(kernel: KernelSpec, grid: Grid) -> np.ndarray | None:
 
 
 def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
-    grid = cfg.grid()
-    kernel = cfg.fixture("kernel", grid)
+    grid, kernel, b = cfg.built_on, cfg.inputs["kernel"], cfg.inputs["symbol"]
     T = OperatorHandle(kernel)
-    b = cfg.fixture("symbol", grid)
     rows = []
     summary: dict = {}
     closed = _box_response(kernel, grid)
@@ -588,16 +574,13 @@ def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
 
 def _chain(cfg: ScopedConfig) -> tuple[GridFunction, FourierExpansion, NecessityReport]:
     """The symbol, the 1/K expansion, and one chain pass over the family."""
-    grid = cfg.grid()
-    kernel = cfg.fixture("kernel", grid)
-    b = cfg.fixture("symbol", grid)
-    Xs, Y = cfg.spaces(grid, kernel)
-    fam = cfg.family(grid)
+    kernel, b = cfg.inputs["kernel"], cfg.inputs["symbol"]
+    fam = cfg.family(cfg.built_on)
     with _naming("delta"):
         geometry = select_geometry(kernel, float(cfg.get("delta")))
     with _naming("n_per_axis"):
         expansion = fourier_reciprocal(kernel, geometry, int(cfg.get("n_per_axis")))
-    return b, expansion, necessity_experiment(b, Xs, Y, fam, expansion)
+    return b, expansion, necessity_experiment(b, cfg.Xs, cfg.Y, fam, expansion)
 
 
 def run_chain(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
@@ -712,9 +695,10 @@ KINDS = {
 def execute(config: ExperimentConfig) -> tuple[list[ReportRow], dict, int]:
     all_rows: list[ReportRow] = []
     summaries: dict = {}
-    for name in config.experiments:
+    for scoped in config.scoped:
+        name = scoped.experiment
         try:
-            rows, summary = RUNNERS[name](ScopedConfig(config, name))
+            rows, summary = RUNNERS[name](scoped)
         except ConfigError:
             raise
         except OscillabError as e:

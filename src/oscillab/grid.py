@@ -57,9 +57,13 @@ class Grid:
         w0 = widths[0]
         if any(abs(w - w0) > 1e-12 * abs(w0) for w in widths):
             raise ValueError(f"box must be square (equal widths), got {widths}")
-        # an infinite width, or an h whose square (the 2D cell volume) underflows, leaves no finite cell arithmetic
-        if not math.isfinite(w0) or self.h * self.h < sys.float_info.min:
-            raise ValueError(f"box width {w0:.6g} over {self.m} cells: need a finite width and an h whose square does not underflow")
+        # a squared diagonal n w0^2 that overflows (|x - y|^2 of two points of the box, which kernels and
+        # bump profiles compute), or an h whose square (the 2D cell volume) underflows, leaves no finite cell arithmetic
+        if not math.isfinite(self.n * w0 * w0) or self.h * self.h < sys.float_info.min:
+            raise ValueError(
+                f"box width {w0:.6g} over {self.m} cells: need a finite width whose squared diagonal "
+                f"{self.n}·width² is finite, and an h whose square does not underflow"
+            )
 
     @property
     def n(self) -> int:
@@ -479,7 +483,8 @@ def enumerate_dyadic(
     base_lo = base.lo_faces()
     for lvl in range(level_min, level_max + 1):
         side = base.side / 2**lvl
-        per_axis = [base_lo[ax] + (np.arange(2**lvl) + 0.5) * side for ax in range(grid.n)]
+        with np.errstate(over="ignore", invalid="ignore"):  # a center that overflows leaves the box below
+            per_axis = [base_lo[ax] + (np.arange(2**lvl) + 0.5) * side for ax in range(grid.n)]
         # x outer, y inner: the ij mesh in row-major order
         centers.append(np.stack(np.meshgrid(*per_axis, indexing="ij"), axis=-1).reshape(-1, grid.n))
         levels.extend([lvl] * len(centers[-1]))

@@ -4,14 +4,18 @@ Everything goes through main(argv) in process; exit codes are the contract
 (0 all rows pass, 1 some row failed, 2 the config never parsed).
 """
 
+import contextlib
 import csv
+import io
 import json
 import re
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from oscillab import GridFunction, Lebesgue, OperatorHandle, __version__, cli, commutator, norm, operators, weights
+from oscillab import GridFunction, Lebesgue, OperatorHandle, __version__, cli, commutator, fixtures, norm, operators, weights
 from oscillab.cli import ExperimentConfig, ScopedConfig, main, run_commutator
 from oscillab.errors import ConfigError
 
@@ -157,11 +161,9 @@ def test_a_fixture_key_the_experiment_never_reads_is_not_built(tmp_path, capsys)
 
 
 def test_a_runner_builds_only_the_fixture_keys_its_experiment_reads():
-    scoped = ScopedConfig(ExperimentConfig({"experiment": "maximal", "seed": 1}), "maximal")
-    assert scoped.fixture_keys() == ()
-    with pytest.raises(KeyError, match="maximal reads no fixture key 'symbol'"):
-        scoped.fixture("symbol", scoped.grid())
-    keys = {name: ScopedConfig(ExperimentConfig({"experiment": name, "seed": 1}), name).fixture_keys() for name in cli.RUNNERS}
+    (scoped,) = ExperimentConfig({"experiment": "maximal", "seed": 1, "symbol": "log_abs"}).scoped
+    assert scoped.inputs == {}  # the symbol is set, but maximal does not read it, so it is not built
+    keys = {scoped.experiment: tuple(scoped.inputs) for scoped in ExperimentConfig({"experiment": "all", "seed": 1}).scoped}
     assert keys == {
         "norms": ("exponent",),
         "weight-constants": ("weight",),
@@ -171,6 +173,48 @@ def test_a_runner_builds_only_the_fixture_keys_its_experiment_reads():
         "chain": ("kernel", "symbol"),
         "necessity": ("kernel", "symbol"),
     }
+
+
+# the fixtures.make_* calls of one default run of each experiment, by kind
+_BUILDS = {
+    "norms": {"exponent": 1},
+    "weight-constants": {"weight": 4},  # one per level 5..8, each on its own grid
+    "conditions": {"space": 2},
+    "maximal": {},
+    "commutator": {"kernel": 1, "symbol": 1},
+    "chain": {"kernel": 1, "symbol": 1, "space": 3},
+    "necessity": {"kernel": 1, "symbol": 1, "space": 3},
+}
+
+
+@pytest.mark.parametrize("experiment", [*_BUILDS, "all"])
+def test_a_run_builds_each_experiment_and_its_fixtures_once(tmp_path, monkeypatch, experiment):
+    """One ScopedConfig per experiment of the run, and one fixtures.make_*
+    call per fixture key and grid: the runner computes on the inputs the
+    config check built and builds none of them again."""
+    counts = Counter()
+    init = ScopedConfig.__init__
+
+    def counted_init(self, *args):
+        counts["ScopedConfig"] += 1
+        init(self, *args)
+
+    def counted(kind, make):
+        def build(*args):
+            counts[kind] += 1
+            return make(*args)
+
+        return build
+
+    monkeypatch.setattr(ScopedConfig, "__init__", counted_init)
+    for kind in fixtures.FIXTURES:
+        monkeypatch.setattr(fixtures, f"make_{kind}", counted(kind, getattr(fixtures, f"make_{kind}")))
+    assert run_in(tmp_path, "run", write_config(tmp_path, experiment=experiment, seed=1)) == 0
+    names = list(_BUILDS) if experiment == "all" else [experiment]
+    expected = Counter(ScopedConfig=len(names))
+    for name in names:
+        expected.update(_BUILDS[name])
+    assert counts == expected
 
 
 def test_bad_fixture_name(tmp_path):
@@ -647,11 +691,12 @@ def test_a_derived_cube_outside_the_box_is_an_error_row_naming_its_stage(tmp_pat
     assert re.match(r"OutOfDomain: Q\([-0-9.]+;[0-9.]+\), geometry: Q\(.*exceeds box", error), error
 
 
-@pytest.mark.parametrize("experiment, also", [("commutator", {"box": [-1e300, 1e300], "m": 16}), ("chain", {"box": [-1e200, 1e200]})], ids=["commutator", "chain"])
-def test_a_symbol_that_overflows_on_the_box_exits_2_with_one_line(tmp_path, capsys, experiment, also):
-    """|x| overflows on a huge box while the config is read: the symbol is
-    refused in one line, with no numpy warning before it."""
-    cfg = write_config(tmp_path, experiment=experiment, seed=1, **also)
+@pytest.mark.parametrize("experiment", ["commutator", "chain"])
+def test_a_symbol_that_overflows_on_the_box_exits_2_with_one_line(tmp_path, capsys, experiment):
+    """|x| overflows on a box far from the origin while the config is read
+    (its width^2 is finite, but |x|^2 is not): the symbol is refused in one
+    line, with no numpy warning before it."""
+    cfg = write_config(tmp_path, experiment=experiment, seed=1, box=[1.3e154, 1.4e154])
     assert run_in(tmp_path, "run", cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: symbol:") and err.count("\n") == 1
@@ -659,16 +704,21 @@ def test_a_symbol_that_overflows_on_the_box_exits_2_with_one_line(tmp_path, caps
 
 
 # configs whose grid or family arithmetic is degenerate: a box whose h^2
-# underflows or whose width overflows, and family faces that overflow on
-# the cell-index scale
+# underflows or whose width or squared diagonal overflows, family faces that
+# overflow on the cell-index scale, and a base cube whose own faces overflow
 _DEGENERATE = [
     *((e, {"box": [0.0, 1e-300]}, "box, m") for e in ("norms", "maximal")),
     *((e, {"box": [-1e308, 1e308]}, "box, m") for e in ("norms", "conditions", "maximal")),
+    ("maximal", {"box": [-1e300, 1e300], "m": 16}, "box, m"),
+    ("norms", {"box": [-1e300, 1e300], "m": 64, "trials": 2}, "box, m"),
+    ("commutator", {"box": [-1e300, 1e300], "symbol": "constant:1"}, "box, m"),
+    ("chain", {"box": [-1e200, 1e200]}, "box, m"),
     *(
         (e, keys, "base_side, base_center, level_min, level_max")
         for e in ("chain", "necessity")
         for keys in ({"base_side": 1e308}, {"base_center": 1e308}, {"base_center": -1e308})
     ),
+    ("chain", {"base_center": 1.7e308, "base_side": 1.7e308}, "base_side, base_center, level_min, level_max"),
 ]
 
 
@@ -718,19 +768,6 @@ def test_weight_constants_labels_name_the_p_and_q_that_ran(tmp_path):
     run_in(tmp_path, "run", cfg)
     names = {r["quantity"] for r in csv.DictReader(open(tmp_path / "report.csv"))}
     assert {"stability[power:0.5,p=2.0000001]", "apq_sup[q=2.0000001]"} <= names
-
-
-@pytest.mark.parametrize("experiment, also", [("maximal", {"m": 16}), ("norms", {"m": 64, "trials": 2})], ids=["maximal", "norms"])
-def test_an_overflow_inside_a_runner_writes_an_error_row(tmp_path, capsys, experiment, also):
-    """A box that every config check accepts, on which the runner's random
-    probes overflow: a numerical failure, reported as one error row and
-    exit 1, with no traceback."""
-    cfg = write_config(tmp_path, experiment=experiment, seed=1, box=[-1e300, 1e300], **also)
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.warns(RuntimeWarning, match="invalid value"):
-        assert run_in(tmp_path, "run", cfg) == 1
-    assert "Traceback" not in capsys.readouterr().err
-    rows = list(csv.DictReader(open(tmp_path / "report.csv")))
-    assert [(r["quantity"], r["verdict"]) for r in rows] == [("error[NonFiniteValues]", "fail")]
 
 
 # The commutator experiment at small sizes: 1D hilbert, 2D riesz_1.
@@ -851,3 +888,48 @@ def test_fractional_commutator_run_exits_0(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "report.csv")))
     assert rows and all(r["verdict"] in ("pass", "info") for r in rows)
     assert "box_response_vs_closed_form" not in {r["quantity"] for r in rows}
+
+
+# A one-key config sweep: each experiment with one grid or family key at an
+# edge value, the rest at a cheap base. Levels stay at or below 12, since
+# weight-constants allocates 16 * 2^level cells per level.
+_SWEEP_BASE = {"norms": {"trials": 2}, "maximal": {"trials": 2}}
+_SWEEP_KEYS = {  # the grid and family keys each experiment reads
+    "norms": ("box", "m", "level_max"),
+    "weight-constants": ("box", "level_min", "level_max", "cells_per_cube"),
+    "conditions": ("box", "m", "level_min", "level_max"),
+    "maximal": ("box", "m", "level_max"),
+    "commutator": ("box", "m"),
+    "chain": ("box", "m", "base_side", "base_center", "level_min", "level_max"),
+    "necessity": ("box", "m", "base_side", "base_center", "level_min", "level_max"),
+}
+_SWEEP_EDGES = {
+    "box": ([0.0, 1e-300], [0.0, 1e-150], [-1e308, 1e308], [-1e300, 1e300], [-1e200, 1e200], [1.3e154, 1.4e154], [1.0, 1.0], [1.0, -1.0]),
+    "m": (-1, 0, 3, 4, 5, 7, 33, 127),
+    "base_side": (-1.0, 0.0, 1e-300, 1e-3, 3.0, 100.0, 1e308, 1.7e308),
+    "base_center": (-1e308, 1e308, 1.7e308, 1e300, 5.9, 2.0, -6.0, 1e-300),
+    "level_min": (-1, 0, 1, 3, 5, 8, 12),
+    "level_max": (-1, 0, 1, 2, 3, 8, 12),
+    "cells_per_cube": (-1, 0, 1, 2, 3, 5, 7, 1000),
+}
+
+
+def test_a_one_key_sweep_of_edge_values_exits_0_1_or_2_with_one_line_on_2(tmp_path):
+    """No config of the sweep raises out of main or warns; each exits 0, 1
+    or 2, and exit 2 prints exactly one stderr line."""
+    bad = []
+    for experiment, keys in _SWEEP_KEYS.items():
+        for key in keys:
+            for value in _SWEEP_EDGES[key]:
+                config = {"experiment": experiment, "seed": 1, **_SWEEP_BASE.get(experiment, {}), key: value}
+                path = write_config(tmp_path, **config)
+                err = io.StringIO()
+                try:
+                    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                        warnings.simplefilter("error", RuntimeWarning)
+                        code = run_in(tmp_path, "run", path)
+                except Exception as e:
+                    code = f"{type(e).__name__}: {e}"
+                if code not in (0, 1, 2) or (code == 2 and err.getvalue().count("\n") != 1):
+                    bad.append((config, code, err.getvalue()))
+    assert bad == []

@@ -250,7 +250,7 @@ def test_grid_layer_refusals(make, error, message):
 @pytest.mark.parametrize(
     "lo, hi, m, refused",
     [
-        (-1e300, 1e300, 16, False),  # h^2 overflows to inf, which the cell arithmetic survives
+        (-1e300, 1e300, 16, True),  # the squared width overflows
         (0.0, 1e-150, 1024, False),  # h^2 ~ 1e-306 is still a normal float
         (-1e308, 1e308, 256, True),  # the width overflows
         (0.0, 1e-300, 256, True),  # h^2 underflows
@@ -264,6 +264,15 @@ def test_a_box_is_refused_when_its_width_or_cell_square_leaves_the_normal_floats
         return
     with pytest.raises(ValueError, match=f"^box width .* over {m} cells: need a finite width"):
         Grid((lo,), (hi,), m)
+
+
+def test_the_squared_diagonal_rule_counts_the_axes():
+    """A width whose square is finite but twice its square is not: a 1D box
+    holds it, and a 2D box, whose squared diagonal is 2 width^2, refuses it."""
+    w = 1.2e154
+    assert Grid((0.0,), (w,), 16).m == 16
+    with pytest.raises(ValueError, match="squared diagonal 2·width² is finite"):
+        Grid((0.0, 0.0), (w, w), 16)
 
 
 def test_family_faces_that_overflow_the_cell_scale_leave_the_box_without_a_warning():
