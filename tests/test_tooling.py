@@ -7,12 +7,15 @@ configs, whose keys the runner must still accept and whose chain runs must
 keep the 1/K expansion within its residual budget. The runner reads each
 experiment from one record, whose defaults must all be read by its run.
 The runner tells a refused value from a numerical failure by the error's
-type alone.
+type alone. The `all` report keeps the bytes of a committed golden file.
 """
 
 import ast
+import csv
 import importlib.util
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -322,6 +325,71 @@ def test_a_blas_thread_count_the_caller_sets_wins():
     done = _fresh_python("-c", code, timeout=120, environ=environ)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["2", "1", "1"]
+
+
+GOLDEN_ALL = Path(__file__).resolve().parent / "golden" / "all-20240818.csv"
+
+
+def _rel(old: str, new: str) -> str:
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return "n/a"
+    return f"{abs(b - a) / abs(a):.3g}" if a != 0.0 and math.isfinite(a) else "n/a"
+
+
+def _moved_rows(old_text: str, new_text: str) -> list[str]:
+    """One line per row of the report that moved: its experiment, quantity
+    and cube, the old and new value and tolerance where they differ, each
+    with its relative change, and the verdict, marked when it changed. A
+    row only one side has is named as added or missing."""
+    old, new = (list(csv.DictReader(io.StringIO(text))) for text in (old_text, new_text))
+    moved = []
+    for i in range(max(len(old), len(new))):
+        a, b = (rows[i] if i < len(rows) else None for rows in (old, new))
+        if a == b:
+            continue
+        if a is None or b is None:
+            r = a or b
+            moved.append(f"row {i + 1} {'missing' if b is None else 'added'}: {','.join(r.values())}")
+            continue
+        cells = [f"{k} {a[k]!r} -> {b[k]!r} (rel {_rel(a[k], b[k])})" for k in ("value", "tolerance") if a[k] != b[k]]
+        cells += [f"{k} {a[k]!r} -> {b[k]!r}" for k in ("experiment", "quantity", "cube_center", "cube_side") if a[k] != b[k]]
+        verdict = f"verdict {a['verdict']} -> {b['verdict']} CHANGED" if a["verdict"] != b["verdict"] else f"verdict {a['verdict']}"
+        cube = f"Q({a['cube_center']};{a['cube_side']})" if a["cube_side"] else "-"
+        moved.append(f"row {i + 1} {a['experiment']},{a['quantity']} {cube}: {'; '.join(cells)}; {verdict}")
+    return moved
+
+
+def test_the_all_report_matches_its_golden_file_row_by_row(tmp_path):
+    """`python -m oscillab run` of `all` at seed 20240818, in a fresh
+    interpreter with no BLAS thread variable set (so on one thread), writes
+    the bytes of the committed report. A change that moves a row updates
+    the file in the same commit, so its diff names the rows. No tolerance:
+    the contract is bytes."""
+    path = tmp_path / "all.json"
+    path.write_text(json.dumps({"experiment": "all", "seed": 20240818, "csv_path": str(tmp_path / "all.csv"), "json_path": str(tmp_path / "all.out.json")}))
+    done = _fresh_python("-m", "oscillab", "run", str(path), timeout=300, environ={k: v for k, v in os.environ.items() if k not in _THREAD_VARS})
+    assert done.returncode == 0, done.stderr
+    got, want = (tmp_path / "all.csv").read_text(), GOLDEN_ALL.read_text()
+    moved = _moved_rows(want, got)
+    assert moved == [], f"{len(moved)} row(s) moved from {GOLDEN_ALL.name}:\n" + "\n".join(moved)
+    assert got == want
+
+
+def test_a_one_ulp_move_names_its_row():
+    """The golden comparison names a row whose value moved by one ulp, with
+    its cube, and says that the verdict did not change."""
+    text = GOLDEN_ALL.read_text()
+    lines = text.splitlines(keepends=True)
+    i = next(k for k, line in enumerate(lines) if line.startswith("chain,stage_i,"))
+    fields = lines[i].rstrip("\n").split(",")
+    fields[4] = repr(np.nextafter(float(fields[4]), np.inf))
+    lines[i] = ",".join(fields) + "\n"
+    moved = _moved_rows(text, "".join(lines))
+    assert len(moved) == 1
+    assert moved[0].startswith(f"row {i} chain,stage_i Q({fields[2]};{fields[3]}): value ")
+    assert moved[0].endswith("; verdict info")
 
 
 def test_no_module_names_numpy_random():
