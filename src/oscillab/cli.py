@@ -37,6 +37,7 @@ from .grid import (
     Grid,
     GridFunction,
     centered_family,
+    cube_slices,
     enumerate_dyadic,
     indicator,
     trend_verdict,
@@ -228,15 +229,20 @@ class ScopedConfig:
         the grid the check returns; `inputs`, the fixture keys the defaults
         set (the ones the experiment reads), built on it; `space_keys`, the
         record's space keys; and `Xs` and `Y`, their spaces, with the
-        associate of `Y` taken. A space key it reads but has no value for is
-        refused. A fixture key it does not read is checked by name and never
-        built, so a grid that key's fixture cannot live on refuses nothing."""
+        associate of `Y` taken. A check that reads an input builds it into
+        `inputs`, and it is not built again. A space key it reads but has no
+        value for is refused. A fixture key it does not read is checked by
+        name and never built, so a grid that key's fixture cannot live on
+        refuses nothing."""
+        self.inputs = {}
         self.built_on = self.record.check(self)
         for key in fixtures.FIXTURES:
             if key in self.values and key not in self.record.defaults:
                 with _naming(key):
                     fixtures.lookup(key, self.get(key))
-        self.inputs = {key: self.fixture(key, self.built_on) for key in self.record.defaults if key in fixtures.FIXTURES}
+        for key in self.record.defaults:
+            if key in fixtures.FIXTURES and key not in self.inputs:
+                self.inputs[key] = self.fixture(key, self.built_on)
         self.space_keys = self.record.space_keys(self, self.inputs.get("kernel"))
         spaces = [self.fixture(key, self.built_on) for key in self.space_keys]
         for key, space in zip(self.space_keys, spaces):
@@ -316,6 +322,34 @@ def _weight_constants_check(cfg: ScopedConfig) -> Grid:
         if conjugate_exponent(p) <= 1.0:
             raise ValueError(f"p' rounds to 1 at p = {p:g}, so the p'' of the duality gap is undefined")
     return cfg.grid("cells_per_cube", 2**lmin)
+
+
+def _necessity_check(cfg: ScopedConfig) -> Grid:
+    lmin, lmax = cfg.get("level_min"), cfg.get("level_max")
+    if lmin == lmax and cfg.get("expect_verdict") is not None:
+        raise ConfigError(
+            f"necessity reads expect_verdict from the trend over levels level_min..level_max, so needs level_max > level_min, got {lmin}..{lmax}"
+        )
+    return cfg.grid()
+
+
+def _step_cube(kernel: KernelSpec, grid: Grid) -> Cube | None:
+    """Q(0; 2), whose T chi_Q the commutator run reads at x = 2, when it does:
+    for a 1D singular kernel on a box that holds [-2, 2]; None otherwise."""
+    if kernel.D == 1 and kernel.alpha == 0.0 and grid.lo[0] <= -2.0 and grid.hi[0] >= 2.0:
+        return Cube((0.0,), 2.0)
+    return None
+
+
+def _commutator_check(cfg: ScopedConfig) -> Grid:
+    """Refuse a grid on which the step-response cube holds no cell center."""
+    grid = cfg.grid()
+    kernel = cfg.inputs["kernel"] = cfg.fixture("kernel", grid)
+    cube = _step_cube(kernel, grid)
+    if cube is not None:
+        with _naming("box", "m"):
+            cube_slices(grid, cube)
+    return grid
 
 
 # ---- individual experiments ----
@@ -556,11 +590,12 @@ def run_commutator(cfg: ScopedConfig) -> tuple[list[ReportRow], dict]:
     rows.append(row("commutator", "constant_symbol_commutator", czero, _ZERO_TOL, _check(czero <= _ZERO_TOL)))
     if kernel.inputs != 1:
         return rows, summary
-    if kernel.D == 1 and kernel.alpha == 0.0 and grid.lo[0] <= -2.0 and grid.hi[0] >= 2.0:
+    step = _step_cube(kernel, grid)
+    if step is not None:
         # A 1D singular kernel is c/x, and its integral of chi_[-1,1] at x = 2 is c log 3.
         expected = float(kernel.evaluate(np.array([[1.0]]))[0]) * math.log(3.0)
         idx = int(np.argmin(np.abs(grid.axis_centers(0) - 2.0)))
-        val = float(T(indicator(grid, Cube((0.0,), 2.0))).values[idx])
+        val = float(T(indicator(grid, step)).values[idx])
         rel = abs(val - expected) / abs(expected)
         rows.append(row("commutator", "step_response_at_2_rel", rel, _ORACLE_TOL, _check(rel <= _ORACLE_TOL)))
         summary["step_response"] = val
@@ -669,12 +704,15 @@ EXPERIMENTS = {
         lambda cfg, kernel: ("space_x1", "space_x2", "space_y") if cfg.get("space_x2") is not None else ("space_x", "space_y"),
     ),
     "maximal": Experiment(run_maximal, {"box": [-2.0, 2.0], "m": 128, "trials": 20, "level_max": 4}),
-    "commutator": Experiment(run_commutator, {"kernel": "hilbert", "symbol": "log_abs", "box": [-8.0, 8.0], "m": 1024}),
+    "commutator": Experiment(
+        run_commutator, {"kernel": "hilbert", "symbol": "log_abs", "box": [-8.0, 8.0], "m": 1024}, check=_commutator_check
+    ),
     "chain": Experiment(run_chain, {**_CHAIN_DEFAULTS, "family": "dyadic", "base_side": 1.125, "level_max": 3}, _chain_spaces),
     "necessity": Experiment(
         run_necessity,
         {**_CHAIN_DEFAULTS, "family": "centered", "base_side": 3.0, "level_max": 5, "expect_verdict": "stable"},
         _chain_spaces,
+        _necessity_check,
     ),
 }
 # execute dispatches through this dict, so a wrapper set on an entry sees every run

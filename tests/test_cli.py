@@ -294,6 +294,10 @@ _ALSO_SET = {("chain", "space_x2"): {"kernel": "hilbert"}}
         ("chain", "base_side", 100.0),
         ("necessity", "base_center", 5.9),
         ("necessity", "level_max", 12),
+        # one level has no trend, so the default expect_verdict could never pass
+        ("necessity", "level_max", 2),
+        # h = 4 on [-8, 8]: the step-response cube Q(0; 2) holds no cell center
+        ("commutator", "m", 4),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, experiment, key, value):
@@ -381,8 +385,14 @@ def test_all_refuses_an_odd_first_weight_level_before_any_runner(tmp_path, capsy
         ("weight-constants", {"q": 0.5}, "q: need q > 1, got 0.5"),
         # p' rounds to 1, so the p'' the duality gap reads is undefined
         ("weight-constants", {"p": 1e308}, "p: p' rounds to 1 at p = 1e+308, so the p'' of the duality gap is undefined"),
+        (
+            "necessity",
+            {"level_min": 5},
+            "necessity reads expect_verdict from the trend over levels level_min..level_max, so needs level_max > level_min, got 5..5",
+        ),
+        ("commutator", {"m": 4}, "box, m: Q(0;2) holds no cell center (h = 4)"),
     ],
-    ids=["norms-level_max", "weight-constants-levels", "weight-constants-q", "weight-constants-p"],
+    ids=["norms-level_max", "weight-constants-levels", "weight-constants-q", "weight-constants-p", "necessity-one-level", "commutator-step-cube"],
 )
 def test_an_experiment_check_refuses_its_values_before_any_runner(tmp_path, capsys, monkeypatch, run, experiment, keys, message):
     """Each experiment's check refuses the values its run cannot use when

@@ -931,6 +931,23 @@ def test_necessity_contrast_linear():
     assert len(stable.per_cube) == len(fam)
 
 
+def test_necessity_levels_keep_the_largest_cube_of_each_level():
+    """On a dyadic family with 4 and 8 cubes per level, ratio_by_level and
+    probe_by_level hold each level's largest per-cube value, and at least
+    one level's last cube is not its largest."""
+    g = Grid((-6.0,), (6.0,), 512)
+    exp = fourier_reciprocal(HILBERT, select_geometry(HILBERT, 0.5), 32)
+    fam = grid_module.enumerate_dyadic(g, 2, 3, Cube((0.0,), 1.125))
+    report = necessity_experiment(make_symbol("log_abs", g), (Lebesgue(2.0),), Lebesgue(2.0), fam, exp)
+    for by_level, field in ((report.ratio_by_level, "oscillation_ratio"), (report.probe_by_level, "probe_norm")):
+        per_level = {}
+        for level, rep in zip(fam.levels, report.per_cube):
+            per_level.setdefault(level, []).append(getattr(rep, field))
+        assert [len(v) for v in per_level.values()] == [4, 8]
+        assert by_level == {level: max(v) for level, v in per_level.items()}
+        assert any(v[-1] < max(v) for v in per_level.values()), field
+
+
 @pytest.fixture(scope="module")
 def biriesz_expansion():
     geo = select_geometry(BIRIESZ, 0.5)
