@@ -42,7 +42,8 @@ bounded mean oscillation" into per-cube arithmetic:
    (v)   the closing bound with a probe estimate of the commutator norm
          and indicator norms of the fixed dilate P of Q, cut to the box
 
-   reporting every stage, every gap, and the truncation-error budget.
+   reporting every stage and one table of checks, the one slack rule that
+   report rows and tests read: each link with the tolerance it is held to.
 5. `necessity_experiment` runs the chain once over a cube family, keeps
    every cube's report, and reads the per-level maxima of the oscillation
    ratios and probe norms as stable or growing. Both the `chain` and the
@@ -79,6 +80,11 @@ from .spaces import SpaceSpec, associate, chi_norms, norm
 _MIN_KERNEL_REL = 1e-3
 # fourier_reciprocal: the largest sup residual of the 1/K expansion on its ball
 EPS_TOL = 1e-2
+# the chain's checks: the relative rounding slack of (i) = (ii), (iii) <= (iv)
+# and (iv) <= (v); the rounding allowance of |(ii) - (iii)| <= bound_23 per unit
+# of the summed terms' size, (i) for those of (ii) and (iv) for those of (iii);
+# the largest stage of a constant symbol; the floor of a stage divided by
+_RELATION_REL, _ROUNDING, _ZERO_TOL, _TINY = 1e-9, 1e-12, 1e-10, 1e-300
 
 
 # ---- Geometry ----
@@ -468,16 +474,27 @@ def build_test_functions(cube: ChainCube, j: int) -> tuple[tuple[GridFunction, .
 
 
 @dataclass(frozen=True)
+class Check:
+    """One link of the chain on one cube: the value and tolerance its report
+    row prints (a signed ordering gap prints none), and whether it holds."""
+
+    name: str
+    value: float
+    tolerance: float | None
+    holds: bool
+
+
+@dataclass(frozen=True)
 class ChainReport:
-    """All five stages for one cube, with gaps and the truncation budget.
+    """All five stages of one cube, its truncation budget, |Q| and its checks.
 
     stage_iii is the real part of the resummed form; its (small) imaginary
-    part is folded into gap_23 = |stage_ii - stage_iii_complex|, which the
-    truncation bound bound_23 = (r/delta)^d eps_N * (oscillation-kernel
-    triple mass) must dominate. stage_v reads the dilate P cut to the grid
-    box; ordering gaps are signed (nonnegative means the ordering holds).
-    The derived cubes are geometry.derived_cubes(cube) of the expansion's
-    geometry."""
+    part is folded into gap_truncation's |stage_ii - stage_iii_complex|,
+    which the truncation bound bound_23 = (r/delta)^d eps_N *
+    (oscillation-kernel triple mass) must dominate. stage_v reads the dilate
+    P cut to the grid box. checks holds, in row order, gap_identity_rel,
+    gap_truncation, ordering_holder and ordering_probe_bound, or, for a
+    symbol constant on the grid, all_stages_zero alone."""
 
     cube: Cube
     stage_i: float
@@ -485,22 +502,25 @@ class ChainReport:
     stage_iii: float
     stage_iv: float
     stage_v: float
-    gap_12: float
-    gap_23: float
     bound_23: float
-    gap_34: float
-    gap_45: float
     probe_norm: float
-    oscillation_ratio: float
-    bound_ratio: float
+    measure: float
     min_kernel_on_offsets: float
+    checks: tuple[Check, ...]
+
+    @property
+    def oscillation_ratio(self) -> float:
+        return self.stage_i / self.measure
+
+    @property
+    def bound_ratio(self) -> float:
+        return self.stage_v / self.measure
 
 
 @contextmanager
 def _stage(q: Cube, name: str):
-    """Prefix an OscillabError raised in the block with the cube and the
-    chain stage. The exception keeps its type and attributes (a
-    ConvergenceFailure its residual), so a report row reads as before."""
+    """Prefix an OscillabError raised in the block with the cube and the chain
+    stage; the exception keeps its type and attributes (a ConvergenceFailure its residual)."""
     try:
         yield
     except OscillabError as e:
@@ -508,13 +528,7 @@ def _stage(q: Cube, name: str):
         raise
 
 
-def verify_master_chain(
-    b: GridFunction,
-    Xs: tuple[SpaceSpec, ...],
-    Y: SpaceSpec,
-    q: Cube,
-    expansion: FourierExpansion,
-) -> ChainReport:
+def verify_master_chain(b: GridFunction, Xs: tuple[SpaceSpec, ...], Y: SpaceSpec, q: Cube, expansion: FourierExpansion) -> ChainReport:
     """Evaluate the five-stage chain on one cube. See the module docstring.
 
     The operator T is that of expansion.kernel, the kernel whose 1/K the
@@ -530,9 +544,6 @@ def verify_master_chain(
     geometry = expansion.geometry
     if kernel.D != geometry.D or len(Xs) != kernel.inputs:
         raise ValueError(f"{kernel.inputs}-input kernel on R^{kernel.D}, geometry on R^{geometry.D}, {len(Xs)} input space(s)")
-    delta = geometry.delta
-    d = kernel.degree
-    r = q.side
     cell = grid.cell_volume
 
     with _stage(q, "geometry"):
@@ -579,37 +590,32 @@ def verify_master_chain(
             mode_rows.append(one_mode(j))
 
     a = expansion.coeffs
-    scale_pref = (r / delta) ** d
+    scale_pref = (q.side / geometry.delta) ** kernel.degree
     c_pref = scale_pref / meas_prod
-    resum = complex(sum(aj * row[0] for aj, row in zip(a, mode_rows)))
-    stage_iii_c = c_pref * resum
+    stage_iii_c = c_pref * complex(sum(aj * row[0] for aj, row in zip(a, mode_rows)))
     stage_iv = c_pref * float(sum(abs(aj) * h_norm * row[1] for aj, row in zip(a, mode_rows)))
-    ratios = [row[1] / nfg if nfg > 0 else 0.0 for row in mode_rows]
-    probe_norm = float(max(ratios)) if ratios else 0.0
+    probe_norm = float(max(row[1] for row in mode_rows) / nfg) if nfg > 0 else 0.0
 
     with _stage(q, "closing bound"):
         chi_p = on_block(grid, clipped_slices(grid, geometry.p_cube(q)), 1.0)
         stage_v = c_pref * probe_norm * expansion.l1_total * math.prod(norm(chi_p, S) for S in (Yp, *Xs))
 
-    bound_23 = scale_pref * expansion.epsilon * mass
-    gap_23 = abs(stage_ii - stage_iii_c)
-    return ChainReport(
-        cube=q,
-        stage_i=stage_i,
-        stage_ii=stage_ii,
-        stage_iii=float(stage_iii_c.real),
-        stage_iv=stage_iv,
-        stage_v=stage_v,
-        gap_12=abs(stage_i - stage_ii),
-        gap_23=float(gap_23),
-        bound_23=float(bound_23),
-        gap_34=stage_iv - abs(stage_iii_c),
-        gap_45=stage_v - stage_iv,
-        probe_norm=probe_norm,
-        oscillation_ratio=stage_i / meas_q,
-        bound_ratio=stage_v / meas_q,
-        min_kernel_on_offsets=min_k,
-    )
+    bound_23 = float(scale_pref * expansion.epsilon * mass)
+    stages = (stage_i, stage_ii, float(stage_iii_c.real), stage_iv, stage_v)
+    if np.all(b.values == b.values.flat[0]):
+        allz = max(abs(s) for s in stages)
+        checks = (Check("all_stages_zero", allz, _ZERO_TOL, allz <= _ZERO_TOL),)
+    else:
+        rel12, gap_23 = abs(stage_i - stage_ii) / max(stage_i, _TINY), float(abs(stage_ii - stage_iii_c))
+        tol23 = bound_23 + _ROUNDING * (stage_i + stage_iv)
+        gap_34, gap_45 = stage_iv - abs(stage_iii_c), stage_v - stage_iv
+        checks = (
+            Check("gap_identity_rel", rel12, _RELATION_REL, rel12 <= _RELATION_REL),
+            Check("gap_truncation", gap_23, tol23, gap_23 <= tol23),
+            Check("ordering_holder", gap_34, None, gap_34 >= -_RELATION_REL * stage_iv),
+            Check("ordering_probe_bound", gap_45, None, gap_45 >= -_RELATION_REL * stage_v),
+        )
+    return ChainReport(q, *stages, bound_23, probe_norm, meas_q, min_k, checks)
 
 
 # ---- Family-level necessity runs ----
@@ -624,7 +630,8 @@ class NecessityReport:
     max oscillation ratio, and probe_by_level generation -> max commutator
     probe norm, so a family maximum is the max of their values; each verdict
     is grid.trend_verdict of those maxima in level order: "stable",
-    "growing" or "undetermined". sup_bound_ratio is the max bound_ratio.
+    "growing" or "undetermined". sup_bound_ratio is the max bound_ratio, and
+    worst_truncation_rel the max gap_truncation over stage (i), or 0.
     """
 
     per_cube: tuple[ChainReport, ...]
@@ -633,15 +640,10 @@ class NecessityReport:
     ratio_verdict: str
     probe_verdict: str
     sup_bound_ratio: float
+    worst_truncation_rel: float
 
 
-def necessity_experiment(
-    b: GridFunction,
-    Xs: tuple[SpaceSpec, ...],
-    Y: SpaceSpec,
-    family: CubeFamily,
-    expansion: FourierExpansion,
-) -> NecessityReport:
+def necessity_experiment(b: GridFunction, Xs: tuple[SpaceSpec, ...], Y: SpaceSpec, family: CubeFamily, expansion: FourierExpansion) -> NecessityReport:
     """Run the chain on every family cube, for the operator of
     expansion.kernel, and classify the ratio trend.
 
@@ -666,4 +668,5 @@ def necessity_experiment(
         ratio_verdict=trend_verdict([ratio_by[lvl] for lvl in ordered]),
         probe_verdict=trend_verdict([probe_by[lvl] for lvl in ordered]),
         sup_bound_ratio=max(rep.bound_ratio for rep in reports),
+        worst_truncation_rel=max((c.value / max(r.stage_i, _TINY) for r in reports for c in r.checks if c.name == "gap_truncation"), default=0.0),
     )

@@ -594,6 +594,23 @@ def test_chain_runs_one_pass_through_necessity_experiment(tmp_path, monkeypatch)
     assert sum(r["quantity"] == "stage_i" for r in rows) == 4
 
 
+def test_default_chain_check_rows_are_the_check_table(tmp_path, monkeypatch):
+    """Every checked `chain` row of the default run is one check of a cube's
+    ChainReport table, in table order: its value, tolerance and verdict."""
+    reports = []
+    run = cli.necessity_experiment
+    monkeypatch.setattr(cli, "necessity_experiment", lambda *args: reports.append(run(*args)) or reports[-1])
+    assert run_in(tmp_path, "run", write_config(tmp_path, experiment="chain", seed=0)) == 0
+    rows = [r for r in csv.DictReader(open(tmp_path / "report.csv")) if r["quantity"] not in ("fourier_residual", "stage_i", "stage_iii")]
+    want = [
+        (c.name, *cli._cube_cols(rep.cube), cli._num(c.value), cli._num(c.tolerance), cli._check(c.holds))
+        for rep in reports[0].per_cube
+        for c in rep.checks
+    ]
+    assert len(want) == 4 * 12
+    assert [(r["quantity"], r["cube_center"], r["cube_side"], r["value"], r["tolerance"], r["verdict"]) for r in rows] == want
+
+
 def test_default_chain_builds_one_kernel_table_per_cube(tmp_path, monkeypatch):
     """Every mode of a cube applies T to (f, g) and (b f, g) on the same
     nonzero cells, so the one kept table serves all 200 applications of a
